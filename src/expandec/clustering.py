@@ -12,7 +12,9 @@ v is every tracked edge with an endpoint within distance d-1 of v, which is
 what d-1 phases of list-or-star flooding deliver (radius 1 = incident edges).
 The message-level flooding implementation is exercised at unit scale; larger
 runs use the distance-matrix oracle, which computes the identical output, and
-charge rounds by the documented per-phase formula.
+charge rounds by the documented per-phase formula.  The oracle's distances and
+every component split here come from the numpy traversal substrate of `graph`
+(`hop_distances`, `components_of`) run on the view's CSR adjacency.
 """
 from __future__ import annotations
 
@@ -21,44 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import edge_key
+from .graph import INF, adjacency_csr, components_of, edge_key, hop_distances
 from .simulator import KIND_BITS, Msg, Network
 from .views import ActiveView
-
-INF = np.int32(1 << 30)
 
 
 # -- neighborhood oracle ------------------------------------------------------
 
 
 class NeighborhoodOracle:
-    """Distances and per-edge ball distances for one view (test-scale n)."""
+    """All-pairs hop distances of one view and, per vertex and edge, the radius
+    at which the edge enters the vertex's ball.  Both are dense (n x n and
+    n x m int32), so the oracle suits views of a few thousand vertices."""
 
     def __init__(self, view: ActiveView):
         self.view = view
-        n = len(view.verts)
-        d = np.full((n, n), INF, dtype=np.int32)
-        for i in range(n):
-            d[i, i] = 0
-            frontier = [i]
-            dist = 0
-            while frontier:
-                dist += 1
-                nxt = []
-                for x in frontier:
-                    for y in view._adj_local[x]:
-                        if d[i, y] > dist:
-                            d[i, y] = dist
-                            nxt.append(y)
-                frontier = nxt
+        d = hop_distances(view.adj_matrix)
         self.dist = d
-        if view.edges_local.size:
-            # min endpoint distance: the edge joins v's radius-k edge set at k = min+1
-            self.edge_reach = np.minimum(
-                d[:, view.edges_local[:, 0]], d[:, view.edges_local[:, 1]]
-            )
-        else:
-            self.edge_reach = np.zeros((n, 0), dtype=np.int32)
+        # min endpoint distance: the edge joins v's radius-k edge set at k = min+1;
+        # built in place so only one n x m temporary is alive
+        self.edge_reach = d[:, view.edges_local[:, 0]]
+        np.minimum(self.edge_reach, d[:, view.edges_local[:, 1]], out=self.edge_reach)
 
     def ball_edge_counts(self, d: int, edge_mask: np.ndarray | None = None) -> np.ndarray:
         """Per-vertex count of tracked edges with an endpoint within d-1."""
@@ -345,23 +330,8 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         return frozenset(int(view.verts[i]) for i in np.nonzero(near)[0])
 
     def components_within(w: frozenset) -> list[frozenset]:
-        comps = []
-        seen = set()
-        for v in sorted(w):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for y in view.live_neighbors(x):
-                    if y in w and y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        return comps
+        rows = np.array(sorted(idx[v] for v in w), dtype=np.int64)
+        return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
 
     w = ball(dense_prime, a)
     stages = [components_within(w)]
@@ -431,25 +401,13 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     clustering = exponential_shift_clustering(net, view, beta_inner, rng)
     sparse = split.v_sparse
     cut = [e for e in clustering.cut_edges if e[0] in sparse or e[1] in sparse]
-    cut_set = set(cut)
     # connected components of the live subgraph minus the cut edges
-    comps: list[frozenset] = []
-    seen: set[int] = set()
-    for v in sorted(view.active):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in view.live_neighbors(x):
-                if y not in seen and edge_key(x, y) not in cut_set:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
     idx = view.index
+    n_view = len(view.verts)
+    el = view.edges_local
+    cut_local = np.array([(idx[u], idx[v]) for u, v in cut], dtype=np.int64).reshape(-1, 2)
+    keep = ~np.isin(el[:, 0] * n_view + el[:, 1], cut_local[:, 0] * n_view + cut_local[:, 1])
+    comps = components_of(adjacency_csr(n_view, el[keep]), view.verts)
     diameters = []
     for comp in comps:
         rows = [idx[v] for v in comp]

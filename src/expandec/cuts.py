@@ -31,7 +31,6 @@ from .walks import (
     compute_walk,
     derive_walk_params,
     prefix_boundary_counts,
-    run_truncated_walk,
     sweep_order_local,
 )
 
@@ -345,7 +344,7 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
     """Distributed local cut: simulated walk, tree-search candidate location,
     slack conditions on jump candidates, full round accounting."""
     _check_algo_phi(phi)
-    run = run_truncated_walk(net, view, v, params, b)
+    run = compute_walk(view, v, params, b, net=net)
     touched = {v} | {u for e in run.pstar for u in e}
     tree = bfs_tree(net, v, edge_filter=lambda a, c: edge_key(a, c) in run.pstar,
                     vertices=touched)

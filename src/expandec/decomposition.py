@@ -307,7 +307,7 @@ def _certify(state: _RunState, comp: frozenset) -> ComponentCertificate:
     if len(comp) <= N_ORACLE_MAX:
         phi, _ = min_conductance_oracle(sub)
         return ComponentCertificate(members, "oracle", float(phi) >= phi_k, float(phi))
-    best = _sweep_falsifier(state, comp)
+    best = _sweep_falsifier(state.working, comp, phi_k, state.profile)
     return ComponentCertificate(members, "sweep", best >= phi_k, best)
 
 
@@ -318,11 +318,12 @@ def contract_live(working: WorkingGraph, comp) -> Graph:
     return g
 
 
-def _sweep_falsifier(state: _RunState, comp: frozenset) -> float:
+def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,
+                     profile: Profile) -> float:
     """Sound conductance falsifier: min sweep-prefix conductance of one
     truncated walk started inside the component (an upper bound on Phi)."""
-    view = ActiveView(state.working, comp)
-    params = derive_walk_params(max(1, view.m_live), state.params.phi_k, state.profile)
+    view = ActiveView(working, comp)
+    params = derive_walk_params(max(1, view.m_live), phi_k, profile)
     run = compute_walk(view, min(comp), params, b=max(1, params.ell // 2))
     vol_total = view.vol()
     best = float("inf")
@@ -398,21 +399,9 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
             good = float(phi) >= phi_k
             results.append((members, "oracle", good))
         else:
-            state = _FalsifierShim(working, phi_k, profile)
-            best = _sweep_falsifier(state, comp)
+            best = _sweep_falsifier(working, comp, phi_k, profile)
             good = best >= phi_k
             results.append((members, "sweep", good))
         ok = ok and good
     return VerifyReport(ok, inter, frac_ok, results)
 
-
-class _FalsifierShim:
-    def __init__(self, working, phi_k, profile):
-        self.working = working
-        self.profile = profile
-        self.params = _PhiOnly(phi_k)
-
-
-class _PhiOnly:
-    def __init__(self, phi_k):
-        self.phi_k = phi_k

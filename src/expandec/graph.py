@@ -4,6 +4,10 @@ Input graphs are simple; self loops arise only internally (edge removal and
 contraction convert edges to loops so that degrees never change).  Each self
 loop contributes exactly 1 to its vertex degree.  Conductance is computed in
 exact rational arithmetic; float views are provided for the hot path.
+
+The traversal substrate (`components_of`, `hop_distances`) works on a
+symmetric CSR adjacency with numpy array operations only, so `Graph` and
+every view share one implementation of connectivity and hop distance.
 """
 from __future__ import annotations
 
@@ -12,11 +16,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateCut, Disconnected, FormatError, MissingEdge, TooLarge
 
 N_ORACLE_MAX = 16
 MIXING_STEP_CAP = 500_000
+INF = np.int32(1 << 30)  # hop distance to an unreachable vertex
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -32,7 +38,8 @@ class Graph:
         if len(neighbors) != n:
             raise FormatError(f"adjacency has {len(neighbors)} rows for n={n}")
         self.n = n
-        self.neighbors = tuple(tuple(sorted(set(ns))) for ns in neighbors)
+        rows = [set(ns) for ns in neighbors]
+        self.neighbors = tuple(tuple(sorted(r)) for r in rows)
         self.self_loops = tuple(self_loops) if self_loops is not None else (0,) * n
         if len(self.self_loops) != n or any(s < 0 for s in self.self_loops):
             raise FormatError("bad self-loop vector")
@@ -40,7 +47,7 @@ class Graph:
             for u in ns:
                 if not 0 <= u < n or u == v:
                     raise FormatError(f"bad neighbor {u} of {v}")
-                if v not in self.neighbors[u]:
+                if v not in rows[u]:
                     raise FormatError(f"asymmetric adjacency at ({u}, {v})")
         self._edges = None
         self._deg = None
@@ -94,17 +101,7 @@ class Graph:
         return sum(self.degree(v) for v in s)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        return len(components_of(adjacency_csr(self.n, self.edges), range(self.n))) <= 1
 
     def __eq__(self, other):
         return (
@@ -119,6 +116,67 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, loops={sum(self.self_loops)})"
+
+
+# -- traversal substrate ----------------------------------------------------
+
+
+def adjacency_csr(n: int, edges) -> sp.csr_matrix:
+    """Symmetric 0/1 int64 adjacency matrix of an undirected edge list."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
+
+
+def components_of(adj: sp.csr_matrix, labels) -> list[frozenset]:
+    """Connected components of a symmetric CSR adjacency, as frozensets of
+    labels[i] sorted by min label.
+
+    Min-label propagation with pointer jumping: every root hooks onto the
+    smallest root across its edges, then parent pointers are followed to their
+    roots.  Pointers only decrease, so each component ends on its min index.
+    """
+    n = adj.shape[0]
+    if n == 0:
+        return []
+    src = np.repeat(np.arange(n), np.diff(adj.indptr))
+    dst = adj.indices
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[dst])
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    order = np.argsort(root, kind="stable")
+    bounds = np.flatnonzero(np.diff(root[order])) + 1
+    parts = np.split(np.asarray(labels)[order], bounds)
+    return sorted((frozenset(p.tolist()) for p in parts), key=min)
+
+
+def hop_distances(adj: sp.csr_matrix) -> np.ndarray:
+    """All-pairs hop distances (int32, INF where unreachable) of a symmetric CSR
+    adjacency: level-synchronous BFS from every vertex at once."""
+    n = adj.shape[0]
+    dist = np.full((n, n), INF, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    level = 0
+    while True:
+        level += 1
+        frontier = (adj @ frontier) > 0
+        frontier &= ~reached
+        if not frontier.any():
+            return dist
+        dist[frontier] = level
+        reached |= frontier
 
 
 @dataclass(frozen=True)

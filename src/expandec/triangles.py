@@ -158,7 +158,7 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float,
     if sub.n <= MIX_EXACT_N_MAX:
         try:
             return float(mixing_time_estimate(sub, MIX_TOL, step_cap=20_000))
-        except Exception:
+        except TooLarge:
             pass
     return profile.c_mix * math.log2(max(2, sub.n)) / phi_floor**2
 
@@ -175,7 +175,7 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     router = router or Router()
     if epsilon > 1.0 / 6.0 + 1e-12:
         raise BadEpsilon(f"epsilon={epsilon} above 1/6")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else 0
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else int(rng.integers(1 << 62))
     ledger = RoundLedger()
     triangles: set = set()
     reporters: dict = {}

@@ -4,17 +4,18 @@ The pipeline never mutates the host graph: removals convert edges to self
 loops (tracked per channel), and every algorithm stage works on an
 `ActiveView`, the contraction of the host onto an active vertex subset.
 Degrees in a view always equal host degrees; loop counts are implicit.
-Views snapshot live adjacency at construction.
+Views snapshot live adjacency at construction, as a local adjacency list and
+as the CSR matrix that the walk kernel and the traversal substrate of
+`graph` (components, hop distances) run on.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegenerateCut, MissingEdge
-from .graph import Cut, Graph, edge_key
+from .graph import Cut, Graph, adjacency_csr, components_of, edge_key
 
 
 class WorkingGraph:
@@ -68,15 +69,7 @@ class ActiveView:
         self._adj_local = [tuple(r) for r in adj_local]
         self.edges_local = np.array(edges, dtype=np.int64).reshape(-1, 2)
         self.live_deg = np.array([len(r) for r in adj_local], dtype=np.int64)
-        n = len(self.verts)
-        if len(edges):
-            a = np.concatenate([self.edges_local[:, 0], self.edges_local[:, 1]])
-            b = np.concatenate([self.edges_local[:, 1], self.edges_local[:, 0]])
-            self.adj_matrix = sp.csr_matrix(
-                (np.ones(len(a), dtype=np.int64), (a, b)), shape=(n, n)
-            )
-        else:
-            self.adj_matrix = sp.csr_matrix((n, n), dtype=np.int64)
+        self.adj_matrix = adjacency_csr(len(self.verts), self.edges_local)
 
     @classmethod
     def whole(cls, graph: Graph) -> "ActiveView":
@@ -117,51 +110,7 @@ class ActiveView:
         return ActiveView(self.working, active)
 
     def components(self) -> list[frozenset]:
-        seen: set[int] = set()
-        out = []
-        for i in range(len(self.verts)):
-            if i in seen:
-                continue
-            comp = {i}
-            stack = [i]
-            seen.add(i)
-            while stack:
-                x = stack.pop()
-                for y in self._adj_local[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(frozenset(int(self.verts[x]) for x in comp))
-        out.sort(key=min)
-        return out
-
-    def bfs_dist(self, src_host: int) -> dict[int, int]:
-        dist = {src_host: 0}
-        frontier = [self.index[src_host]]
-        d = 0
-        seen = {self.index[src_host]}
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in self._adj_local[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        dist[int(self.verts[y])] = d
-                        nxt.append(y)
-            frontier = nxt
-        return dist
-
-    def eccentricity(self, src_host: int) -> int:
-        return max(self.bfs_dist(src_host).values(), default=0)
-
-    def diameter_estimate(self) -> int:
-        """Eccentricity from the min-id vertex of each component, maxed (>= diam/2)."""
-        best = 0
-        for comp in self.components():
-            best = max(best, self.eccentricity(min(comp)))
-        return best
+        return components_of(self.adj_matrix, self.verts)
 
     # -- cut arithmetic ----------------------------------------------------
 

@@ -1,11 +1,12 @@
 """Truncated lazy random walk kernel.
 
 Mass is carried in fixed point: 48 fractional bits inside a 64-bit word, so a
-probability value fits one O(log n)-bit message with headroom for degrees up to
-2^13.  The step uses floor rounding everywhere, which makes it sub-stochastic
-and monotone: the truncated walk is pointwise dominated by the untruncated
-walk, and the fixed-point walk is pointwise dominated by the exact walk, with
-per-entry divergence below t * 2^-40 on test-scale degrees.
+probability value fits one O(log n)-bit message; the step arithmetic is exact
+in int64 for every degree below 2^30.  The step uses floor rounding
+everywhere, which makes it sub-stochastic and monotone: the truncated walk is
+pointwise dominated by the untruncated walk, and the fixed-point walk is
+pointwise dominated by the exact walk, with per-entry divergence below
+t * 2^-40 on test-scale degrees.
 
 The walk on a view G{W} keeps each vertex's loop share in place: a vertex with
 mass p keeps floor(p * (2 deg - live) / (2 deg)) and sends floor(p / (2 deg))
@@ -86,8 +87,11 @@ def truncate(g: Graph, p: np.ndarray, eps: float) -> np.ndarray:
 def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
     """One fixed-point lazy step over a view (int64 array indexed like view.verts)."""
     two_d = 2 * view.deg
-    shares = mass // two_d
-    kept = (mass * (two_d - view.live_deg)) // two_d
+    kept_num = two_d - view.live_deg
+    shares, rem = np.divmod(mass, two_d)
+    # floor(mass * kept_num / two_d) with mass = shares * two_d + rem, so no
+    # int64 product exceeds max(SCALE, 4 deg^2)
+    kept = shares * kept_num + (rem * kept_num) // two_d
     return kept + view.adj_matrix.dot(shares)
 
 
@@ -210,12 +214,6 @@ def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
         if a in idx or b_ in idx
     )
     return WalkRun(view, start, b, params, masses, freeze_t, pstar, support, per_round)
-
-
-def run_truncated_walk(net: Network, view: ActiveView, start: int,
-                       params: WalkParams, b: int) -> WalkRun:
-    """Distributed truncated walk: one ledger round per step."""
-    return compute_walk(view, start, params, b, net=net)
 
 
 # -- sweep machinery ---------------------------------------------------------

@@ -8,10 +8,14 @@ import pytest
 from expandec import generators as gen
 from expandec.errors import DegenerateCut, Disconnected, FormatError, MissingEdge, TooLarge
 from expandec.graph import (
+    INF,
     Graph,
+    adjacency_csr,
+    components_of,
     contract,
     cut_stats,
     format_graph_text,
+    hop_distances,
     lazy_walk_matrix,
     min_conductance_oracle,
     mixing_time_estimate,
@@ -234,3 +238,120 @@ def test_text_roundtrip():
 def test_text_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_graph_text(text)
+
+
+@pytest.mark.parametrize(
+    "neighbors",
+    [
+        [[1], []],  # 0 -> 1 without 1 -> 0
+        [[1, 2], [0], [1]],  # 0 -> 2 and 2 -> 1 have no back edge
+        [[1]] + [[0]] * 5 + [[]],  # rows 2..5 point at 0, which lists only 1
+    ],
+)
+def test_asymmetric_adjacency_rejected(neighbors):
+    with pytest.raises(FormatError, match="asymmetric"):
+        Graph(len(neighbors), neighbors)
+
+
+def test_bad_neighbor_rejected():
+    for neighbors in ([[0]], [[2], [0]], [[-1], [0]]):
+        with pytest.raises(FormatError, match="bad neighbor"):
+            Graph(len(neighbors), neighbors)
+
+
+# -- traversal substrate: differential against networkx ------------------------
+
+
+def _nx_graph(n, edges):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+def _random_instances():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 23, 60):
+        for p in (0.0, 0.04, 0.12, 0.5):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            yield n, edges
+
+
+def test_components_of_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, edges in _random_instances():
+        labels = [3 * v + 5 for v in range(n)]
+        got = components_of(adjacency_csr(n, edges), labels)
+        want = sorted(
+            (frozenset(labels[v] for v in c) for c in nx.connected_components(_nx_graph(n, edges))),
+            key=min,
+        )
+        assert got == want, (n, edges)
+        assert all(type(v) is int for c in got for v in c)
+
+
+def test_hop_distances_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, edges in _random_instances():
+        d = hop_distances(adjacency_csr(n, edges))
+        assert d.shape == (n, n) and d.dtype == np.int32
+        want = np.full((n, n), INF, dtype=np.int32)
+        for s, row in nx.all_pairs_shortest_path_length(_nx_graph(n, edges)):
+            for t, k in row.items():
+                want[s, t] = k
+        assert np.array_equal(d, want), (n, edges)
+
+
+def test_substrate_on_induced_subset_and_cut_mask():
+    nx = pytest.importorskip("networkx")
+    g = gen.erdos_renyi(40, 0.08, seed=4)
+    adj = adjacency_csr(g.n, g.edges)
+    rows = np.array([v for v in range(g.n) if v % 3 != 1])
+    sub = nx.Graph(_nx_graph(g.n, g.edges).subgraph(rows.tolist()))
+    got = components_of(adj[rows][:, rows], rows)
+    assert got == sorted((frozenset(c) for c in nx.connected_components(sub)), key=min)
+    sub_d = hop_distances(adj[rows][:, rows])
+    pos = {int(v): i for i, v in enumerate(rows)}
+    for s, row in nx.all_pairs_shortest_path_length(sub):
+        for t, k in row.items():
+            assert sub_d[pos[s], pos[t]] == k
+    assert (sub_d < INF).sum() == sum(len(c) ** 2 for c in got)
+    # drop every third edge, as a cut-edge mask would
+    el = np.array(g.edges, dtype=np.int64)
+    keep = np.arange(len(el)) % 3 != 0
+    cut_graph = _nx_graph(g.n, [tuple(e) for e in el[keep].tolist()])
+    got = components_of(adjacency_csr(g.n, el[keep]), range(g.n))
+    assert got == sorted((frozenset(c) for c in nx.connected_components(cut_graph)), key=min)
+
+
+def test_is_connected_cases():
+    assert Graph(0, []).is_connected()
+    assert Graph(1, [[]]).is_connected()
+    assert not Graph(2, [[], []]).is_connected()
+    assert gen.cycle(9).is_connected()
+    assert not Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]).is_connected()
+
+
+def test_expandec_imports_stay_light():
+    """The traversal substrate needs only numpy and scipy.sparse: importing every
+    expandec module must not pull in scipy.sparse.csgraph or scipy.linalg."""
+    import os
+    import pkgutil
+    import subprocess
+    import sys
+
+    import expandec
+
+    modules = [f"expandec.{m.name}" for m in pkgutil.iter_modules(expandec.__path__)]
+    code = (
+        "import importlib, sys\n"
+        f"for m in {modules!r}: importlib.import_module(m)\n"
+        "print(','.join(m for m in ('scipy.sparse.csgraph', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(expandec.__path__[0])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert len(modules) >= 10
+    assert out.stdout.strip() == ""

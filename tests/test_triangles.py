@@ -6,7 +6,7 @@ import pytest
 
 from expandec import generators as gen
 from expandec.config import DESK
-from expandec.errors import BadEpsilon, TooLarge
+from expandec.errors import BadEpsilon, Disconnected, TooLarge
 from expandec.graph import Graph
 from expandec.triangles import (
     Router,
@@ -141,3 +141,25 @@ def test_router_report_empty_graph():
     rc = router_cost_report(rep)
     assert rc["levels"] == []
     assert rc["total_rounds_charged"] == 0
+
+
+def test_mixing_time_disconnected_component_raises():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])  # {0..3} is not connected at this level
+    with pytest.raises(Disconnected):
+        component_mixing_time(g, range(4), 1 / 48, DESK)
+
+
+def test_generator_rng_draws_the_seed():
+    g = gen.cliques_chain(3, 5, 1)
+
+    def first_seed(gen_seed):
+        return triangle_enumeration(g, 1 / 6, 2, np.random.default_rng(gen_seed), DESK)
+
+    a, b = first_seed(1), first_seed(2)
+    assert a.levels[0].decomposition.seed != b.levels[0].decomposition.seed
+    again = first_seed(1)
+    assert again.levels[0].decomposition.seed == a.levels[0].decomposition.seed
+    assert again.triangles == a.triangles and again.reporters == a.reporters
+    assert again.ledger.rows() == a.ledger.rows()
+    assert [lvl.decomposition.to_json() for lvl in again.levels] == \
+        [lvl.decomposition.to_json() for lvl in a.levels]

@@ -18,9 +18,9 @@ from expandec.walks import (
     exact_rho_table,
     influence_set,
     lazy_step,
-    run_truncated_walk,
     sweep_order,
     truncate,
+    walk_step_units,
 )
 
 
@@ -111,7 +111,7 @@ def test_distributed_walk_equals_centralized():
     view = ActiveView.whole(g)
     params = _params(13, t0=60)
     net = Network(g)
-    run_d = run_truncated_walk(net, view, 0, params, 2)
+    run_d = compute_walk(view, 0, params, 2, net=net)
     run_c = compute_walk(view, 0, params, 2)
     assert len(run_d.masses) == len(run_c.masses)
     for a, b in zip(run_d.masses, run_c.masses):
@@ -123,7 +123,7 @@ def test_walk_freeze_charges_full_horizon():
     g = gen.clique(4)
     net = Network(g)
     params = _params(6, t0=5000)
-    run = run_truncated_walk(net, ActiveView.whole(g), 0, params, 3)
+    run = compute_walk(ActiveView.whole(g), 0, params, 3, net=net)
     assert run.freeze_t is not None and run.freeze_t < 5000
     assert net.ledger.totals().rounds == 5000
 
@@ -240,3 +240,20 @@ def test_influence_set_volume_bound():
 def test_influence_set_too_large():
     with pytest.raises(TooLarge):
         influence_set(gen.cycle(80), 0, _params(80, t0=5), 1)
+
+
+def test_walk_step_exact_at_large_degree():
+    # deg(0) = 40001: mass * (2 deg - live) overflows int64 when formed directly
+    g = Graph(2, [[1], [0]], [40000, 0])
+    view = ActiveView.whole(g)
+    mass = np.array([SCALE, 0], dtype=np.int64)
+    ref = [SCALE, 0]
+    for _ in range(5):
+        mass = walk_step_units(view, mass)
+        shares = [ref[v] // (2 * g.degree(v)) for v in range(2)]
+        ref = [
+            ref[v] * (2 * g.degree(v) - 1) // (2 * g.degree(v)) + shares[1 - v]
+            for v in range(2)
+        ]
+        assert mass.tolist() == ref
+    assert 0.99 < mass.sum() / SCALE <= 1.0
