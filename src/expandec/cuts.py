@@ -7,6 +7,12 @@ participating edges and accepting jump candidates under a relaxed conductance
 bound.  Both run the identical fixed-point arithmetic, so their outputs agree
 set-for-set; the distributed one additionally charges every simulated round.
 
+The scan takes the stored walk steps in blocks of 1, 2, 4, ... steps: one
+`walks.sweep_tables` call gives every step of a block its sweep order, prefix
+volumes and prefix boundaries, and the candidate tests run on whole blocks,
+so no Python loop runs once per walk step.  The simulated cost is still the
+per-step cost, summed into one ledger entry per scan.
+
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
 """
@@ -30,7 +36,7 @@ from .walks import (
     WalkRun,
     compute_walk,
     derive_walk_params,
-    prefix_boundary_counts,
+    sweep_blocks,
     sweep_order_local,
 )
 
@@ -111,60 +117,66 @@ def _vol_window_ok(pv: int, vol_total: int, b: int, up_num: int, up_den: int) ->
     return up_den * pv <= up_num * vol_total and 14 * pv >= 5 * (1 << b)
 
 
-def _jstar_fix(prefvol: list[int], thr_num: int, thr_den: int, pv_prev: int,
-               jmax: int, j: int) -> int:
-    """Exact largest 1-based j <= jmax with prefvol[j-1]*den <= num*pv_prev,
-    starting from a float-accurate guess (0 if none)."""
-    j = min(j, jmax)
-    while j < jmax and prefvol[j] * thr_den <= thr_num * pv_prev:
-        j += 1
-    while j > 0 and prefvol[j - 1] * thr_den > thr_num * pv_prev:
-        j -= 1
-    return j
+def _mass_floor_prefilter(rho_units: np.ndarray, pv: np.ndarray, gamma: float) -> np.ndarray:
+    """Float superset of _mass_floor_ok: rho in fixed-point units (mass / deg)
+    times pv against gamma * SCALE, with a margin above the rounding error."""
+    return rho_units * pv >= gamma * SCALE * (1 - 1e-9)
+
+
+def _jstar(prefvol: np.ndarray, cnt: np.ndarray, phi: float) -> np.ndarray:
+    """j* of every cell of a (B x n) block of prefix volumes: the number of the
+    row's first cnt prefix volumes at most (1 + phi) * pv, i.e. at most
+    pv + floor(pv * phi).  The float floor is redone in integers where
+    pv * phi lies within 2^-50 (relative) of an integer."""
+    rows, n = prefvol.shape
+    prod = prefvol * phi
+    ext = np.floor(prod).astype(np.int64)
+    near = np.flatnonzero(np.abs(prod - np.rint(prod)) <= prod * 2.0**-50)
+    if len(near):
+        phi_num, phi_den = _ratio(phi)
+        vals, inv = np.unique(prefvol.ravel()[near], return_inverse=True)
+        ext.ravel()[near] = np.array([(pv * phi_num) // phi_den for pv in vals.tolist()])[inv]
+    # rows are offset past each other's largest threshold (2 * total volume),
+    # so one searchsorted over the flat block counts within each row
+    offs = np.arange(rows)[:, None] * (2 * int(prefvol[:, -1].max(initial=0)) + 1)
+    flat = np.searchsorted((prefvol + offs).ravel(), (prefvol + ext + offs).ravel(),
+                           side="right")
+    return np.minimum(flat.reshape(rows, n) - np.arange(rows)[:, None] * n, cnt[:, None])
 
 
 # -- round charging for the distributed scan -----------------------------------
 
 
 class ScanCharger:
-    """Accumulates scan round/message charges, one ledger entry per walk step.
+    """Round/message cost of one distributed sweep scan, charged as a single
+    ledger entry (the sum of the per-step costs).
 
-    Candidate location is charged deterministically at the with-high-probability
-    iteration scale (ceil(log2 band) + 2 tree round trips per search); the
-    standalone random_binary_search primitive remains fully message-simulated.
+    Each walk step's scan checks candidates in tree round trips and locates
+    every jump candidate by a tree search, charged deterministically at the
+    with-high-probability iteration scale (ceil(log2 band) + 2 tree round
+    trips per search); the standalone random_binary_search primitive remains
+    fully message-simulated.
     """
 
     def __init__(self, net: Network, depth: int, size: int):
         self.net = net
         self.depth = depth
         self.size = max(1, size)
-        self._t_rounds = 0
-        self._t_msgs = 0
 
-    def begin_t(self):
-        self._t_rounds = 0
-        self._t_msgs = 0
+    def step_costs(self, n_checks: np.ndarray, band: np.ndarray):
+        """(rounds, messages) of each step's scan; n_checks - 1 searches each."""
+        iters = np.ceil(np.log2(np.maximum(2, band))).astype(np.int64) + 2
+        searches = np.maximum(n_checks - 1, 0)
+        trips = n_checks * 2 + searches * iters * 4
+        return trips * self.depth, trips * (self.size - 1)
 
-    def _charge(self, rounds: int, messages: int):
+    def broadcast_costs(self):
+        """(rounds, messages) of broadcasting the accepted cut's membership."""
+        return self.depth, self.size - 1
+
+    def charge(self, rounds: int, messages: int):
         self.net.ledger.charge(self.net.phase, rounds=rounds, messages=messages,
                                edge_bits=(KIND_BITS + 2 * WORD_BITS) if messages else 0)
-        self._t_rounds += rounds
-        self._t_msgs += messages
-
-    def step_scan(self, n_checks: int, n_searches: int, jmax: int):
-        iters = math.ceil(math.log2(max(2, jmax))) + 2
-        rounds = n_checks * 2 * self.depth + n_searches * iters * 4 * self.depth
-        msgs = (n_checks * 2 + n_searches * iters * 4) * (self.size - 1)
-        self._charge(rounds, msgs)
-
-    def frozen_tail(self, remaining_t: int):
-        # The state repeats exactly, so every remaining step scans identically.
-        self.net.ledger.charge(self.net.phase, rounds=remaining_t * self._t_rounds,
-                               messages=remaining_t * self._t_msgs,
-                               edge_bits=(KIND_BITS + 2 * WORD_BITS) if self._t_msgs else 0)
-
-    def membership_broadcast(self):
-        self._charge(self.depth, self.size - 1)
 
 
 # -- the scan -------------------------------------------------------------------
@@ -198,111 +210,121 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
              jx_only: bool, charger: ScanCharger | None = None) -> SweepCandidate | None:
     """First (t, j) hit of the sweep conditions, or None.
 
-    jx_only scans the geometric candidate subsequence (raw conditions on
-    consecutive candidates, slack conditions on jumps); otherwise every index
-    is tested under the raw conditions.  Candidates are prefiltered with float
-    masks whose margins strictly dominate rounding error, then confirmed in
-    exact integer arithmetic, so the outcome equals a fully exact scan.
+    The stored steps t = 1..min(t0, t_last) are scanned in blocks of 1, 2,
+    4, ... rows (`sweep_blocks`), stopping after the first block with a hit.
+    Without jx_only every index is tested under the raw conditions and the
+    hit is the first (t, j) in row-major order.  With jx_only each row steps
+    through the geometric candidate subsequence: a step to j_prev + 1 is
+    tested under the raw conditions, a jump under the slack conditions
+    against u_prev, and the next candidate is max(j + 1, j*), with j* the
+    number of prefix volumes at most (1 + phi) * prefvol[j].  All live rows
+    of a block advance one candidate per numpy pass; the hit is the one in
+    the earliest row.  Candidates are prefiltered with float masks whose
+    margins strictly dominate rounding error, then confirmed in exact integer
+    arithmetic, so the outcome equals a fully exact scan.
+
+    A charger (jx_only scans) is charged once: the steps up to the hit plus
+    the membership broadcast, or, without a hit, every step plus the frozen
+    tail, whose t0 - t_last steps repeat the last stored step's scan.
     """
     vol_total = view.vol()
+    n = len(view.verts)
     phi_num, phi_den = _ratio(phi)
     slackF = Fraction(profile.starred_slack) * Fraction(phi)
     slack_num, slack_den = slackF.numerator, slackF.denominator
     slack_f = float(slackF)
-    one_p_phi = 1 + Fraction(phi)
-    thr_num, thr_den = one_p_phi.numerator, one_p_phi.denominator
     gam = run.params.gamma
     g_num, g_den = _ratio(gam)
     deg = view.deg
+    rounds = msgs = 0
+    last_step = (0, 0)  # cost of the last stored step's scan
+    found = None
+    for t_first, masses, (order, cnt, prefvol, bnds) in sweep_blocks(
+            view, run, min(run.t0, run.t_last)):
+        rows = len(cnt)
+        small = np.minimum(prefvol, vol_total - prefvol)
+        above_floor = 14 * prefvol >= 5 * (1 << b)
+        rho_j = masses[np.arange(rows)[:, None], order] / deg[order]
+        raw_mask = ((bnds <= phi * small * (1 + 1e-9) + 1e-9)
+                    & (6 * prefvol <= 5 * vol_total) & above_floor
+                    & _mass_floor_prefilter(rho_j, prefvol, gam))
 
-    for t in range(1, run.t0 + 1):
-        if t > run.t_last:
-            if charger is not None:
-                charger.frozen_tail(run.t0 - t + 1)
-            break
-        if charger is not None:
-            charger.begin_t()
-        mass = run.masses[t]
-        order = sweep_order_local(view, mass)
-        jmax = len(order)
-        if jmax == 0:
-            continue
-        prefvol_np = np.cumsum(deg[order])
-        prefvol = [int(x) for x in prefvol_np]
-        bnds = prefix_boundary_counts(view, order)
-        small = np.minimum(prefvol_np, vol_total - prefvol_np)
-        rho_j = mass[order] / deg[order]
-        window_raw = (6 * prefvol_np <= 5 * vol_total) & (14 * prefvol_np >= 5 * (1 << b))
-        window_star = (12 * prefvol_np <= 11 * vol_total) & (14 * prefvol_np >= 5 * (1 << b))
-        c1_raw = bnds <= phi * small * (1 + 1e-9) + 1e-9
-        c1_star = bnds <= slack_f * small * (1 + 1e-9) + 1e-9
-        c2_raw = rho_j * prefvol_np >= gam * (1 - 1e-9) - 1e-18
-        jst_approx = np.searchsorted(prefvol_np, (1.0 + phi) * prefvol_np, side="right")
-
-        def raw_ok(j: int) -> bool:
-            pv, bd = prefvol[j - 1], int(bnds[j - 1])
-            u = order[j - 1]
-            return (
-                _phi_at_most(bd, pv, vol_total, phi_num, phi_den)
-                and _mass_floor_ok(int(mass[u]), int(deg[u]), pv, g_num, g_den)
-                and _vol_window_ok(pv, vol_total, b, 5, 6)
-            )
-
-        def starred_ok(j: int, j_prev: int) -> bool:
-            pv, bd = prefvol[j - 1], int(bnds[j - 1])
-            u_prev = order[j_prev - 1]
-            return (
-                _phi_at_most(bd, pv, vol_total, slack_num, slack_den)
-                and _mass_floor_ok(int(mass[u_prev]), int(deg[u_prev]), pv, g_num, g_den)
-                and _vol_window_ok(pv, vol_total, b, 11, 12)
-            )
-
-        def hit(j: int, starred: bool) -> SweepCandidate:
-            pv, bd = prefvol[j - 1], int(bnds[j - 1])
-            sm = min(pv, vol_total - pv)
-            u = order[j - 1]
+        def confirm(r: int, k: int, k_prev: int | None) -> SweepCandidate | None:
+            """Exact test of 0-based index k of row r (starred when k_prev is
+            given: a jump from k_prev)."""
+            pv, bd = int(prefvol[r, k]), int(bnds[r, k])
+            u = order[r, k]
+            if k_prev is None:
+                ok = (_phi_at_most(bd, pv, vol_total, phi_num, phi_den)
+                      and _mass_floor_ok(int(masses[r, u]), int(deg[u]), pv, g_num, g_den)
+                      and _vol_window_ok(pv, vol_total, b, 5, 6))
+            else:
+                u_prev = order[r, k_prev]
+                ok = (_phi_at_most(bd, pv, vol_total, slack_num, slack_den)
+                      and _mass_floor_ok(int(masses[r, u_prev]), int(deg[u_prev]), pv,
+                                         g_num, g_den)
+                      and _vol_window_ok(pv, vol_total, b, 11, 12))
+            if not ok:
+                return None
             return SweepCandidate(
-                t, j, starred, pv, bd,
-                Fraction(0) if bd == 0 else Fraction(bd, sm),
-                int(mass[u]) / (SCALE * int(deg[u])),
+                t_first + r, k + 1, k_prev is not None, pv, bd,
+                Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
+                int(masses[r, u]) / (SCALE * int(deg[u])),
             )
 
         if not jx_only:
-            for j0 in np.nonzero(c1_raw & window_raw & c2_raw)[0]:
-                j = int(j0) + 1
-                if raw_ok(j):
-                    return hit(j, False)
+            for r, k in zip(*np.nonzero(raw_mask & (np.arange(n) < cnt[:, None]))):
+                found = confirm(int(r), int(k), None)
+                if found is not None:
+                    return found
             continue
 
-        n_checks = 0
-        n_searches = 0
-        found = None
-        j_prev = None
-        j = 1
-        while True:
-            n_checks += 1
-            if j_prev is None or j == j_prev + 1:
-                if c1_raw[j - 1] and window_raw[j - 1] and c2_raw[j - 1] and raw_ok(j):
-                    found = hit(j, False)
-                    break
-            else:
-                if c1_star[j - 1] and window_star[j - 1] and starred_ok(j, j_prev):
-                    found = hit(j, True)
-                    break
-            if j >= jmax:
-                break
-            j_prev = j
-            n_searches += 1
-            j_star = _jstar_fix(prefvol, thr_num, thr_den, prefvol[j - 1], jmax,
-                                int(jst_approx[j - 1]))
-            j = max(j_prev + 1, j_star)
-        if charger is not None:
-            charger.step_scan(n_checks, n_searches, jmax)
+        star_mask = ((bnds <= slack_f * small * (1 + 1e-9) + 1e-9)
+                     & (12 * prefvol <= 11 * vol_total) & above_floor)
+        # The candidate walk runs over flat cells row * n + index; nxt is each
+        # cell's next candidate, max(j + 1, j*).
+        row_start = np.arange(rows)[:, None] * n
+        nxt = np.maximum(np.arange(1, rows * n + 1),
+                         (row_start + _jstar(prefvol, cnt, phi)).ravel() - 1)
+        more = (np.arange(1, n + 1) < cnt[:, None]).ravel()  # a later candidate exists
+        raw_flat, star_flat = raw_mask.ravel(), star_mask.ravel()
+
+        pos = np.flatnonzero(cnt) * n
+        prev = pos - 1
+        visited = [pos]
+        while len(pos):
+            raw = pos == prev + 1
+            pre = np.where(raw, raw_flat[pos], star_flat[pos])
+            if pre.any():
+                for i in np.flatnonzero(pre).tolist():
+                    r, k = divmod(int(pos[i]), n)
+                    cand = confirm(r, k, None if raw[i] else int(prev[i]) - r * n)
+                    if cand is not None:
+                        found, hit_row = cand, r
+                        break
+            keep = more[pos]
             if found is not None:
-                charger.membership_broadcast()
+                keep &= pos < hit_row * n
+            prev = pos[keep]
+            pos = nxt[prev]
+            visited.append(pos)
+        if charger is not None:
+            n_checks = np.bincount(np.concatenate(visited) // n, minlength=rows)
+            step_rounds, step_msgs = charger.step_costs(n_checks, cnt)
+            upto = rows if found is None else hit_row + 1
+            rounds += int(step_rounds[:upto].sum())
+            msgs += int(step_msgs[:upto].sum())
+            last_step = (int(step_rounds[-1]), int(step_msgs[-1]))
         if found is not None:
-            return found
-    return None
+            break
+    if charger is not None and jx_only:
+        if found is not None:
+            extra = charger.broadcast_costs()
+        else:
+            tail = run.t0 - run.t_last  # frozen steps repeat the last stored scan
+            extra = (tail * last_step[0], tail * last_step[1])
+        charger.charge(rounds + extra[0], msgs + extra[1])
+    return found
 
 
 # -- the local-cut family --------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
 from .graph import Graph, N_ORACLE_MAX, edge_key, min_conductance_oracle
 from .simulator import Network, RoundLedger
 from .views import ActiveView, WorkingGraph
-from .walks import compute_walk, derive_walk_params, prefix_boundary_counts, sweep_order_local
+from .walks import compute_walk, derive_walk_params, sweep_blocks
 
 
 @dataclass(frozen=True)
@@ -327,14 +327,9 @@ def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,
     run = compute_walk(view, min(comp), params, b=max(1, params.ell // 2))
     vol_total = view.vol()
     best = float("inf")
-    for t in range(1, run.t_last + 1):
-        order = sweep_order_local(view, run.masses[t])
-        if len(order) < 2:
-            continue
-        prefvol = np.cumsum(view.deg[order])
-        bnds = prefix_boundary_counts(view, order)
+    for _t, _masses, (_order, cnt, prefvol, bnds) in sweep_blocks(view, run, run.t_last):
         small = np.minimum(prefvol, vol_total - prefvol)
-        ok = small > 0
+        ok = (small > 0) & (np.arange(len(view)) < cnt[:, None]) & (cnt[:, None] >= 2)
         if ok.any():
             best = min(best, float((bnds[ok] / small[ok]).min()))
     return best

@@ -29,6 +29,7 @@ SCALE_BITS = 48
 SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
 Z_SET_N_MAX = 64
+SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep_blocks block (transient memory bound)
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,6 @@ def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
     return kept + view.adj_matrix.dot(shares)
 
 
-def truncate_units(view: ActiveView, mass: np.ndarray, eps_units: int) -> np.ndarray:
-    out = mass.copy()
-    out[out < 2 * eps_units * view.deg] = 0
-    return out
-
-
 @dataclass
 class TruncatedWalkState:
     """Snapshot of the truncated walk at one step (host-vertex keyed)."""
@@ -141,8 +136,6 @@ class WalkRun:
     masses: list[np.ndarray]
     freeze_t: int | None
     pstar: frozenset  # host edge keys
-    support_union: np.ndarray  # bool mask over view.verts
-    per_round_msgs: list[int]
 
     @property
     def t0(self) -> int:
@@ -171,49 +164,45 @@ class WalkRun:
 
 
 def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
-                 net: Network | None = None, instances: int = 1) -> WalkRun:
+                 net: Network | None = None) -> WalkRun:
     """Run the truncated walk for t0 steps (freeze-aware).
 
     With a network attached, each step is one synchronous round: every vertex
-    with positive mass sends its fixed-point share along each live edge; after
-    the state freezes, the remaining rounds repeat the identical messages and
-    are charged in bulk.
+    with mass at least 2 deg sends its fixed-point share along each live edge;
+    after the state freezes, the remaining rounds repeat the identical
+    messages.  The walk's t0 rounds are charged as one ledger entry.
     """
     n = len(view.verts)
-    eps_units = params.eps_units(b)
+    two_d = 2 * view.deg
+    floor_units = params.eps_units(b) * two_d  # truncation floor 2 eps_b deg
     mass = np.zeros(n, dtype=np.int64)
     mass[view.index[start]] = SCALE
     masses = [mass]
     support = mass > 0
     freeze_t = None
-    per_round = []
+    msgs = 0
     if net is not None and MASS_MSG_BITS > net.bandwidth_bits:
         raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
     for t in range(1, params.t0 + 1):
         cur = masses[-1]
-        nxt = truncate_units(view, walk_step_units(view, cur), eps_units)
-        senders = cur // (2 * view.deg) > 0
-        msgs = int(view.live_deg[senders].sum()) * instances
-        per_round.append(msgs)
-        if net is not None:
-            net.ledger.charge(net.phase, rounds=1, messages=msgs,
-                              edge_bits=MASS_MSG_BITS * instances if msgs else 0)
-        if np.array_equal(nxt, cur):
+        nxt = walk_step_units(view, cur)
+        nxt[nxt < floor_units] = 0
+        step_msgs = int(view.live_deg @ (cur >= two_d))
+        msgs += step_msgs
+        if (nxt == cur).all():
             freeze_t = t - 1
-            if net is not None and t < params.t0:
-                remaining = params.t0 - t
-                net.ledger.charge(net.phase, rounds=remaining, messages=remaining * msgs,
-                                  edge_bits=MASS_MSG_BITS * instances if msgs else 0)
+            msgs += (params.t0 - t) * step_msgs
             break
         masses.append(nxt)
         support |= nxt > 0
-    idx = set(np.nonzero(support)[0].tolist())
-    pstar = frozenset(
-        edge_key(int(view.verts[a]), int(view.verts[b_]))
-        for a, b_ in view.edges_local
-        if a in idx or b_ in idx
-    )
-    return WalkRun(view, start, b, params, masses, freeze_t, pstar, support, per_round)
+    if net is not None:
+        net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
+                          edge_bits=MASS_MSG_BITS if msgs else 0)
+    ea, eb = view.edges_local.T
+    touched = support[ea] | support[eb]
+    # local edges have a < b and view.verts is sorted, so these are edge keys
+    pstar = frozenset(zip(view.verts[ea[touched]].tolist(), view.verts[eb[touched]].tolist()))
+    return WalkRun(view, start, b, params, masses, freeze_t, pstar)
 
 
 # -- sweep machinery ---------------------------------------------------------
@@ -242,25 +231,52 @@ def sweep_order_local(view: ActiveView, mass: np.ndarray) -> np.ndarray:
     return sup[order]
 
 
-def prefix_boundary_counts(view: ActiveView, order_local: np.ndarray) -> np.ndarray:
-    """|boundary(prefix_j)| for j = 1..len(order), counting live view edges."""
-    k = len(order_local)
-    big = len(view.verts) + 1
-    pos = np.full(len(view.verts), big, dtype=np.int64)
-    pos[order_local] = np.arange(k)
-    if view.edges_local.size == 0:
-        return np.zeros(k, dtype=np.int64)
-    pa = pos[view.edges_local[:, 0]]
-    pb = pos[view.edges_local[:, 1]]
-    lo = np.minimum(pa, pb)
-    hi = np.maximum(pa, pb)
-    keep = lo < k
-    lo = lo[keep]
-    hi = np.minimum(hi[keep], k)
-    diff = np.zeros(k + 2, dtype=np.int64)
-    np.add.at(diff, lo + 1, 1)
-    np.add.at(diff, hi + 1, -1)
-    return np.cumsum(diff)[1 : k + 1]
+def sweep_tables(view: ActiveView, masses: np.ndarray):
+    """Sweep tables for a (B x n) block of walk states, one row per state.
+
+    Returns (order, cnt, prefvol, bnds), each (B x n) except cnt (B,):
+    `order` sorts local indices by rho = mass / deg descending (the float
+    rho of `sweep_order_local`; ties go to the lower local index, i.e. the
+    lower host id); `cnt` is the support size; `prefvol` the prefix volumes
+    and `bnds` the live-edge boundary of each prefix.  Only the first cnt[r]
+    entries of row r are meaningful: unsupported vertices sort last because
+    their key -0.0 is above every supported key.
+    """
+    rows, n = masses.shape
+    deg = view.deg
+    order = np.argsort(-(masses / deg), axis=1, kind="stable")
+    cnt = np.count_nonzero(masses, axis=1)
+    prefvol = np.cumsum(deg[order], axis=1)
+    rank = np.empty_like(order)
+    rank[np.arange(rows)[:, None], order] = np.arange(n)
+    ea, eb = view.edges_local.T
+    ra, rb = rank[:, ea], rank[:, eb]
+    # an edge crosses prefix positions lo..hi-1 of its row; a difference
+    # array over flat (row, position) cells counts them exactly
+    base = np.arange(rows)[:, None] * n
+    lo = (np.minimum(ra, rb) + base).ravel()
+    hi = (np.maximum(ra, rb) + base).ravel()
+    diff = np.bincount(lo, minlength=rows * n) - np.bincount(hi, minlength=rows * n)
+    bnds = np.cumsum(diff.reshape(rows, n), axis=1)
+    return order, cnt, prefvol, bnds
+
+
+def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
+    """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
+    t..t+B-1 of run, covering 1..t_stop in blocks of B = 1, 2, 4, ... rows.
+
+    Doubling keeps an early hit cheap on a long walk; a block holds at most
+    SWEEP_BLOCK_CELLS cells of its widest table (B x max(n, live edges)),
+    which bounds the transient memory on large views.
+    """
+    cap = max(1, SWEEP_BLOCK_CELLS // max(1, len(view.verts), view.m_live))
+    t, rows = 1, 1
+    while t <= t_stop:
+        k = min(rows, cap, t_stop - t + 1)
+        masses = np.array(run.masses[t : t + k])
+        yield t, masses, sweep_tables(view, masses)
+        t += k
+        rows *= 2
 
 
 # -- diagnostics --------------------------------------------------------------

@@ -12,8 +12,12 @@ from expandec.errors import BadPhi
 from expandec.graph import cut_stats
 from expandec.simulator import Network
 from expandec.views import ActiveView
-from expandec.walks import WalkParams, compute_walk, derive_walk_params
+from expandec.walks import SCALE, WalkParams, compute_walk, derive_walk_params
 from expandec.cuts import (
+    ScanCharger,
+    _jstar,
+    _mass_floor_ok,
+    _mass_floor_prefilter,
     approximate_local_cut_reference,
     balanced_sparse_cut,
     concurrent_local_cuts,
@@ -27,6 +31,7 @@ from expandec.cuts import (
     scan_run,
     sparse_cut_partition,
 )
+from helpers_h import StepCharger, scan_run_per_step
 
 PHI = 1 / 12
 
@@ -377,3 +382,93 @@ def test_instance_params_fields():
     assert mi.s >= 1
     assert mi.union_small_enough(int(500 * 23 / 24))
     assert not mi.union_small_enough(500)
+
+
+def _scan_both(view, start, params, phi, b, jx_only, depth, size):
+    """scan_run and the per-step oracle on one walk, each with its own ledger."""
+    nets = (Network(view.graph), Network(view.graph))
+    runs = [compute_walk(view, start, params, b, net=net) for net in nets]
+    got = scan_run(view, runs[0], phi, b, DESK, jx_only, ScanCharger(nets[0], depth, size))
+    ref = scan_run_per_step(view, runs[1], phi, b, DESK, jx_only,
+                            StepCharger(nets[1], depth, size))
+    assert got == ref
+    assert nets[0].ledger.snapshot() == nets[1].ledger.snapshot()
+    return runs[0], got
+
+
+def test_scan_run_matches_per_step_oracle():
+    rng = np.random.default_rng(41)
+    graphs = [gen.barbell(5, 1), gen.barbell(7, 2), gen.cliques_chain(3, 5, 1),
+              gen.cliques_chain(4, 4, 2), gen.grid(4, 5), gen.erdos_renyi(16, 0.3, seed=9),
+              gen.random_regular(18, 4, seed=2), gen.grid(3, 12), gen.grid(2, 16)]
+    seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0}
+    for trial in range(70):
+        g = graphs[trial % len(graphs)]
+        view = ActiveView.whole(g)
+        phi = float(rng.choice([1 / 12, 1 / 16, 1 / 24, 1 / 48, 1 / 64,
+                                rng.uniform(0.005, 1 / 12)]))
+        base = derive_walk_params(g.m, phi, DESK)
+        params = WalkParams(base.m, phi, "desk", base.ell, int(rng.integers(1, 250)),
+                            base.f_phi, base.gamma * float(rng.choice([0.0, 0.3, 1.0, 5.0])),
+                            base.eps_base * float(rng.choice([1.0, 300.0, 3e4, 1e7])))
+        b = 1 + int(rng.integers(params.ell))
+        start = int(rng.integers(g.n))
+        depth, size = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        for jx_only in (False, True):
+            run, cand = _scan_both(view, start, params, phi, b, jx_only, depth, size)
+        seen["frozen"] += run.t_last < run.t0
+        seen["emptied"] += not run.masses[-1].any()
+        seen["hit"] += cand is not None
+        seen["starred"] += cand is not None and cand.starred
+        seen["dyadic"] += phi in (1 / 16, 1 / 64)
+    assert min(seen.values()) >= 2, seen
+
+
+def test_scan_run_frozen_at_start():
+    # A single-vertex view has no live edge: the walk state never moves, so
+    # t_last = 0 and the whole horizon is a zero-cost frozen tail.
+    g = gen.barbell(5, 1)
+    view = ActiveView(ActiveView.whole(g).working, [3])
+    params = derive_walk_params(g.m, PHI, DESK)
+    for jx_only in (False, True):
+        run, cand = _scan_both(view, 3, params, PHI, 1, jx_only, 3, 4)
+        assert run.t_last == 0 and cand is None
+
+
+def test_jstar_exact_where_float_rounds_up():
+    # 24 * fl(1/12) lies just below 2 and rounds to 2.0, so a float floor
+    # would admit the prefix volume 26 > (1 + 1/12) * 24
+    got = _jstar(np.array([[24, 25, 26, 30]]), np.array([4]), 1 / 12)
+    assert got.tolist() == [[2, 3, 3, 4]]
+    rng = np.random.default_rng(53)
+    for _ in range(60):
+        phi = float(rng.choice([1 / 12, 1 / 24, 1 / 7, 1 / 16, 1 / 64, rng.uniform(0.01, 1.0)]))
+        rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        prefvol = np.cumsum(rng.choice([1, 2, 3, 12, 24], size=(rows, n)), axis=1)
+        cnt = rng.integers(0, n + 1, size=rows)
+        got = _jstar(prefvol, cnt, phi)
+        grow = 1 + Fraction(phi)
+        for r in range(rows):
+            row = prefvol[r, : cnt[r]].tolist()
+            ref = [sum(1 for v in row if v <= grow * int(pv)) for pv in prefvol[r]]
+            assert got[r].tolist() == ref
+
+
+def test_mass_floor_prefilter_contains_exact():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        deg = rng.integers(1, 60, size=n)
+        pv = rng.integers(1, 5000, size=n)
+        gamma = float(rng.choice([rng.uniform(1e-6, 0.2), 1 / 12, 0.0]))
+        # masses around the floor: rho * pv = gamma * SCALE * factor
+        factor = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(0.5, 2.0, size=n))
+        p_units = np.maximum(1, (gamma * SCALE * factor * deg / pv).astype(np.int64))
+        g_num, g_den = gamma.as_integer_ratio()
+        mask = _mass_floor_prefilter(p_units / deg, pv, gamma)
+        for i in range(n):
+            p, d, v = int(p_units[i]), int(deg[i]), int(pv[i])
+            if _mass_floor_ok(p, d, v, g_num, g_den):
+                assert mask[i]
+            elif Fraction(p * v, d) < Fraction(gamma) * SCALE * (1 - Fraction(1, 10**6)):
+                assert not mask[i]  # clearly below the floor: excluded

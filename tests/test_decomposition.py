@@ -11,11 +11,14 @@ from expandec.errors import BadEpsilon
 from expandec.graph import Graph, contract, min_conductance_oracle
 from expandec.decomposition import (
     DecompParams,
+    _sweep_falsifier,
     contract_live,
     derive_decomp_params,
     expander_decomposition,
     verify_decomposition,
 )
+from expandec.views import WorkingGraph
+from helpers_h import sweep_falsifier_per_step
 
 
 def test_params_d_example():
@@ -197,3 +200,26 @@ def test_singletons_from_trim_are_components():
             assert singles and singles <= r3_touched
             return
     # phase 2 entry is stochastic at this scale; the direct-trim test covers it
+
+
+def test_sweep_falsifier_matches_per_step():
+    rng = np.random.default_rng(47)
+    graphs = [gen.cliques_chain(3, 6, 1), gen.grid(5, 6), gen.random_regular(24, 3, seed=4),
+              gen.barbell(8, 2), gen.erdos_renyi(40, 0.15, seed=8)]
+    checked = 0
+    for g in graphs:
+        working = WorkingGraph(g)
+        working.remove_edges([e for e in g.edges if rng.random() < 0.1], "r2")
+        for _ in range(3):
+            comp = frozenset(v for v in range(g.n) if rng.random() < 0.85) or frozenset({0})
+            phi_k = float(rng.choice([1 / 12, 1 / 20, rng.uniform(0.05, 0.2)]))
+            got = _sweep_falsifier(working, comp, phi_k, DESK)
+            assert got == sweep_falsifier_per_step(working, comp, phi_k, DESK)
+            checked += got < float("inf")
+    assert checked >= 10
+    # 10^6 loops make vertex 1's walk share fall below the truncation floor,
+    # so every stored step supports vertex 0 alone and no prefix is swept
+    g = Graph(3, [[1], [0, 2], [1]], [0, 10**6, 0])
+    working = WorkingGraph(g)
+    assert _sweep_falsifier(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
+    assert sweep_falsifier_per_step(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")

@@ -9,8 +9,9 @@ from expandec.config import DESK, PAPER
 from expandec.errors import BadPhi, TooLarge
 from expandec.graph import Graph, lazy_walk_matrix
 from expandec.simulator import Network
-from expandec.views import ActiveView
+from expandec.views import ActiveView, WorkingGraph
 from expandec.walks import (
+    MASS_MSG_BITS,
     SCALE,
     WalkParams,
     compute_walk,
@@ -19,9 +20,12 @@ from expandec.walks import (
     influence_set,
     lazy_step,
     sweep_order,
+    sweep_order_local,
+    sweep_tables,
     truncate,
     walk_step_units,
 )
+from helpers_h import prefix_boundary_counts, walk_step_messages
 
 
 def test_derive_paper_ell_t0():
@@ -257,3 +261,77 @@ def test_walk_step_exact_at_large_degree():
         ]
         assert mass.tolist() == ref
     assert 0.99 < mass.sum() / SCALE <= 1.0
+
+
+def _random_view(rng, seed, n_max=24):
+    """A view of a random graph without isolated vertices, with some edges
+    removed and some vertices left out; None when the draw is degenerate."""
+    n = int(rng.integers(2, n_max))
+    g = gen.erdos_renyi(n, float(rng.uniform(0.1, 0.6)), seed=seed)
+    if g.m == 0 or min(g.deg) == 0:
+        return None
+    working = WorkingGraph(g)
+    working.remove_edges([e for e in g.edges if rng.random() < 0.2], "r2")
+    return ActiveView(working, [v for v in range(n) if rng.random() < 0.8] or [0])
+
+
+def _check_tables(view, masses):
+    order, cnt, prefvol, bnds = sweep_tables(view, masses)
+    for r, mass in enumerate(masses):
+        ref = sweep_order_local(view, mass)
+        k = len(ref)
+        assert cnt[r] == k
+        assert order[r, :k].tolist() == ref.tolist()
+        assert prefvol[r, :k].tolist() == np.cumsum(view.deg[ref]).tolist()
+        assert bnds[r, :k].tolist() == prefix_boundary_counts(view, ref).tolist()
+
+
+def test_sweep_tables_match_per_row_reference():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(40):
+        view = _random_view(rng, trial + 300)
+        if view is None:
+            continue
+        n = len(view)
+        rows = [
+            rng.integers(1, SCALE, size=n) * (rng.random(n) < 0.6),  # random masses
+            int(rng.integers(1, 1 << 20)) * view.deg,                # every rho equal
+            np.where(rng.random(n) < 0.5, 7 * view.deg, rng.integers(0, 50, size=n)),
+            np.zeros(n, dtype=np.int64),                            # empty support
+        ]
+        _check_tables(view, np.array(rows, dtype=np.int64))
+        checked += 1
+    assert checked >= 20
+
+
+def test_sweep_tables_without_live_edges():
+    g = gen.cliques_chain(3, 4, 1)
+    working = WorkingGraph(g)
+    working.remove_edges(g.edges, "r1")
+    view = ActiveView(working, range(g.n))
+    assert view.m_live == 0
+    masses = np.array([np.arange(g.n) * 3, np.zeros(g.n), g.deg * 5], dtype=np.int64)
+    _check_tables(view, masses)
+    order, cnt, prefvol, bnds = sweep_tables(view, masses)
+    assert not bnds.any()
+
+
+def test_walk_ledger_matches_per_step_messages():
+    rng = np.random.default_rng(37)
+    frozen = checked = 0
+    for trial in range(30):
+        view = _random_view(rng, trial + 500)
+        if view is None:
+            continue
+        base = derive_walk_params(max(1, view.m_live), 1 / 12, DESK)
+        params = WalkParams(base.m, base.phi, "desk", base.ell, int(rng.integers(1, 300)),
+                            base.f_phi, base.gamma,
+                            base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4])))
+        net = Network(view.graph)
+        run = compute_walk(view, int(rng.choice(view.verts)), params, 1, net=net)
+        msgs, sent = walk_step_messages(view, run)
+        assert net.ledger.snapshot() == {"main": (params.t0, msgs, MASS_MSG_BITS if sent else 0)}
+        frozen += run.freeze_t is not None
+        checked += 1
+    assert checked >= 15 and frozen >= 3
