@@ -6,7 +6,8 @@ loops (tracked per channel), and every algorithm stage works on an
 Degrees in a view always equal host degrees; loop counts are implicit.
 Views snapshot live adjacency at construction, as a local adjacency list and
 as the CSR matrix that the walk kernel and the traversal substrate of
-`graph` (components, hop distances) run on.
+`graph` (components, hop distances) run on.  They also hold the walk step's
+per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
 """
 from __future__ import annotations
 
@@ -70,6 +71,8 @@ class ActiveView:
         self.edges_local = np.array(edges, dtype=np.int64).reshape(-1, 2)
         self.live_deg = np.array([len(r) for r in adj_local], dtype=np.int64)
         self.adj_matrix = adjacency_csr(len(self.verts), self.edges_local)
+        self.two_deg = 2 * self.deg
+        self.keep_num = self.two_deg - self.live_deg
 
     @classmethod
     def whole(cls, graph: Graph) -> "ActiveView":

@@ -10,7 +10,11 @@ t * 2^-40 on test-scale degrees.
 
 The walk on a view G{W} keeps each vertex's loop share in place: a vertex with
 mass p keeps floor(p * (2 deg - live) / (2 deg)) and sends floor(p / (2 deg))
-along each live edge.
+along each live edge.  The sent shares go through scipy's compiled CSR product
+(`csr_matvec`, where `csr_matrix.dot` ends) straight into the kept array: on
+views of tens of vertices the Python-level sparse dispatch costs more than the
+product.  `compute_walk` checks for the freeze, and counts messages and
+support, once per block of FREEZE_BLOCK steps.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from .config import Profile
 from .errors import BadPhi, TooLarge
@@ -30,6 +35,7 @@ SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
 Z_SET_N_MAX = 64
 SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep_blocks block (transient memory bound)
+FREEZE_BLOCK = 16  # walk steps between freeze checks in compute_walk
 
 
 @dataclass(frozen=True)
@@ -86,14 +92,20 @@ def truncate(g: Graph, p: np.ndarray, eps: float) -> np.ndarray:
 
 
 def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
-    """One fixed-point lazy step over a view (int64 array indexed like view.verts)."""
-    two_d = 2 * view.deg
-    kept_num = two_d - view.live_deg
+    """One fixed-point lazy step over a view (int64 array indexed like view.verts).
+
+    Uses the view's step constants two_deg = 2 deg and keep_num = 2 deg - live;
+    the compiled CSR product adds the shares sent along live edges into the
+    kept array in place.
+    """
+    two_d, keep_num = view.two_deg, view.keep_num
     shares, rem = np.divmod(mass, two_d)
-    # floor(mass * kept_num / two_d) with mass = shares * two_d + rem, so no
+    # floor(mass * keep_num / two_d) with mass = shares * two_d + rem, so no
     # int64 product exceeds max(SCALE, 4 deg^2)
-    kept = shares * kept_num + (rem * kept_num) // two_d
-    return kept + view.adj_matrix.dot(shares)
+    kept = shares * keep_num + (rem * keep_num) // two_d
+    adj, n = view.adj_matrix, len(mass)
+    csr_matvec(n, n, adj.indptr, adj.indices, adj.data, shares, kept)  # kept += adj @ shares
+    return kept
 
 
 @dataclass
@@ -167,15 +179,20 @@ def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
                  net: Network | None = None) -> WalkRun:
     """Run the truncated walk for t0 steps (freeze-aware).
 
+    Steps run in blocks of FREEZE_BLOCK (the last block ends at t0).  Each
+    block is stacked with the last state already checked; the first pair of
+    equal consecutive states is the freeze, since the step map is
+    deterministic, and the states computed after it are dropped.  The same
+    stack gives the block's senders and support.
+
     With a network attached, each step is one synchronous round: every vertex
     with mass at least 2 deg sends its fixed-point share along each live edge;
     after the state freezes, the remaining rounds repeat the identical
     messages.  The walk's t0 rounds are charged as one ledger entry.
     """
-    n = len(view.verts)
-    two_d = 2 * view.deg
-    floor_units = params.eps_units(b) * two_d  # truncation floor 2 eps_b deg
-    mass = np.zeros(n, dtype=np.int64)
+    t0 = params.t0
+    floor_units = params.eps_units(b) * view.two_deg  # truncation floor 2 eps_b deg
+    mass = np.zeros(len(view.verts), dtype=np.int64)
     mass[view.index[start]] = SCALE
     masses = [mass]
     support = mass > 0
@@ -183,20 +200,28 @@ def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
     msgs = 0
     if net is not None and MASS_MSG_BITS > net.bandwidth_bits:
         raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
-    for t in range(1, params.t0 + 1):
-        cur = masses[-1]
-        nxt = walk_step_units(view, cur)
-        nxt[nxt < floor_units] = 0
-        step_msgs = int(view.live_deg @ (cur >= two_d))
-        msgs += step_msgs
-        if (nxt == cur).all():
-            freeze_t = t - 1
-            msgs += (params.t0 - t) * step_msgs
+    checked = 0  # states 0..checked hold no repeat
+    while checked < t0:
+        for _ in range(min(FREEZE_BLOCK, t0 - checked)):
+            nxt = walk_step_units(view, masses[-1])
+            nxt[nxt < floor_units] = 0
+            masses.append(nxt)
+        blk = np.array(masses[checked:])
+        # state s sends in step s + 1; the block's last state sends in the next block
+        senders = (blk >= view.two_deg) @ view.live_deg
+        msgs += int(senders[:-1].sum())
+        support |= (blk > 0).any(axis=0)
+        same = (blk[1:] == blk[:-1]).all(axis=1)
+        if same.any():
+            # every state after the freeze equals the last one, which sends
+            # in each of the remaining steps up to t0
+            freeze_t = checked + int(same.argmax())
+            msgs += (t0 - len(masses) + 1) * int(senders[-1])
+            del masses[freeze_t + 1 :]
             break
-        masses.append(nxt)
-        support |= nxt > 0
+        checked = len(masses) - 1
     if net is not None:
-        net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
+        net.ledger.charge(net.phase, rounds=t0, messages=msgs,
                           edge_bits=MASS_MSG_BITS if msgs else 0)
     ea, eb = view.edges_local.T
     touched = support[ea] | support[eb]

@@ -7,9 +7,18 @@ import numpy as np
 
 from expandec.clustering import INF
 from expandec.cuts import SweepCandidate
+from expandec.errors import BadPhi
 from expandec.simulator import KIND_BITS, WORD_BITS
 from expandec.views import ActiveView
-from expandec.walks import SCALE, compute_walk, derive_walk_params, sweep_order_local
+from expandec.walks import (
+    MASS_MSG_BITS,
+    SCALE,
+    WalkRun,
+    compute_walk,
+    derive_walk_params,
+    sweep_order_local,
+    walk_step_units,
+)
 
 
 def mis_size(neigh, verts):
@@ -95,6 +104,40 @@ def prefix_boundary_counts(view, order_local):
         inside.add(u)
         out.append(bnd)
     return np.array(out, dtype=np.int64)
+
+
+def compute_walk_per_step(view, start, params, b, net=None):
+    """compute_walk checking for a freeze and counting senders after every step."""
+    n = len(view.verts)
+    two_d = 2 * view.deg
+    floor_units = params.eps_units(b) * two_d
+    mass = np.zeros(n, dtype=np.int64)
+    mass[view.index[start]] = SCALE
+    masses = [mass]
+    support = mass > 0
+    freeze_t = None
+    msgs = 0
+    if net is not None and MASS_MSG_BITS > net.bandwidth_bits:
+        raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
+    for t in range(1, params.t0 + 1):
+        cur = masses[-1]
+        nxt = walk_step_units(view, cur)
+        nxt[nxt < floor_units] = 0
+        step_msgs = int(view.live_deg @ (cur >= two_d))
+        msgs += step_msgs
+        if (nxt == cur).all():
+            freeze_t = t - 1
+            msgs += (params.t0 - t) * step_msgs
+            break
+        masses.append(nxt)
+        support |= nxt > 0
+    if net is not None:
+        net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
+                          edge_bits=MASS_MSG_BITS if msgs else 0)
+    ea, eb = view.edges_local.T
+    touched = support[ea] | support[eb]
+    pstar = frozenset(zip(view.verts[ea[touched]].tolist(), view.verts[eb[touched]].tolist()))
+    return WalkRun(view, start, b, params, masses, freeze_t, pstar)
 
 
 def walk_step_messages(view, run):

@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec
 
 from expandec import generators as gen
 from expandec.config import DESK, PAPER
 from expandec.errors import BadPhi, TooLarge
-from expandec.graph import Graph, lazy_walk_matrix
+from expandec.graph import Graph, adjacency_csr, lazy_walk_matrix
 from expandec.simulator import Network
 from expandec.views import ActiveView, WorkingGraph
 from expandec.walks import (
+    FREEZE_BLOCK,
     MASS_MSG_BITS,
     SCALE,
     WalkParams,
@@ -25,7 +27,7 @@ from expandec.walks import (
     truncate,
     walk_step_units,
 )
-from helpers_h import prefix_boundary_counts, walk_step_messages
+from helpers_h import compute_walk_per_step, prefix_boundary_counts, walk_step_messages
 
 
 def test_derive_paper_ell_t0():
@@ -335,3 +337,93 @@ def test_walk_ledger_matches_per_step_messages():
         frozen += run.freeze_t is not None
         checked += 1
     assert checked >= 15 and frozen >= 3
+
+
+def test_walk_sender_rule_counts_exactly_two_deg():
+    # deg 2^23 on both ends: after step 1 vertex 1 holds exactly 2 deg = 2^24
+    # units, one share, so it sends in steps 2 and 3 (1 + 2 + 2 messages)
+    g = Graph(2, [[1], [0]], [2**23 - 1, 2**23 - 1])
+    view = ActiveView.whole(g)
+    params = WalkParams(1, 1 / 12, "desk", 1, 3, 0.0, 0.0, 0.0)
+    net = Network(g)
+    run = compute_walk(view, 0, params, 1, net=net)
+    assert run.masses[1][1] == 2 * view.deg[1]
+    assert walk_step_messages(view, run) == (5, True)
+    assert net.ledger.snapshot() == {"main": (3, 5, MASS_MSG_BITS)}
+
+
+def _walk_with_t0(params, t0, eps_base=None):
+    return WalkParams(params.m, params.phi, "desk", params.ell, t0, params.f_phi,
+                      params.gamma, params.eps_base if eps_base is None else eps_base)
+
+
+def _check_walk_against_per_step(view, start, params):
+    net, net_ref = Network(view.graph), Network(view.graph)
+    run = compute_walk(view, start, params, 1, net=net)
+    ref = compute_walk_per_step(view, start, params, 1, net=net_ref)
+    assert len(run.masses) == len(ref.masses)
+    for a, b in zip(run.masses, ref.masses):
+        assert np.array_equal(a, b)
+    assert run.freeze_t == ref.freeze_t
+    assert run.pstar == ref.pstar
+    assert net.ledger.snapshot() == net_ref.ledger.snapshot()
+    return run
+
+
+def test_compute_walk_matches_per_step_reference():
+    rng = np.random.default_rng(41)
+    seen = set()
+    for trial in range(120):
+        view = _random_view(rng, trial + 900)
+        if view is None:
+            continue
+        base = derive_walk_params(max(1, view.m_live), 1 / 12, DESK)
+        eps = base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4]))
+        start = int(rng.choice(view.verts))
+        # the trajectory does not depend on t0, so one long run gives the
+        # natural freeze step f, and t0 = f + 1 puts the repeat on step t0
+        f = compute_walk_per_step(view, start, _walk_with_t0(base, 1200, eps), 1).freeze_t
+        t0s = {int(rng.integers(1, FREEZE_BLOCK)), FREEZE_BLOCK, int(rng.integers(1, 400))}
+        if f is not None:
+            t0s |= {max(1, f), f + 1, f + 2, f + FREEZE_BLOCK + 1}
+        for t0 in sorted(t0s):
+            run = _check_walk_against_per_step(view, start, _walk_with_t0(base, t0, eps))
+            if run.freeze_t is None:
+                seen.add("no freeze")
+            else:
+                if run.freeze_t >= FREEZE_BLOCK:
+                    seen.add(f"t_last % 16 == {run.t_last % FREEZE_BLOCK}")
+                if run.freeze_t == t0 - 1:
+                    seen.add("freeze at t0")
+                if not run.masses[-1].any():
+                    seen.add("support emptied")
+            if eps == 0.0:
+                seen.add("zero truncation")
+            if t0 < FREEZE_BLOCK:
+                seen.add("t0 < 16")
+            elif t0 == FREEZE_BLOCK:
+                seen.add("t0 == 16")
+    assert {"no freeze", "t_last % 16 == 15", "t_last % 16 == 0", "freeze at t0",
+            "support emptied", "zero truncation", "t0 < 16", "t0 == 16"} <= seen
+
+
+def test_csr_matvec_adds_product_in_place():
+    # the walk step calls scipy's private compiled product directly; pin its
+    # contract (out += A @ x for int64 data) against the public operator
+    rng = np.random.default_rng(43)
+    checked = 0
+    for trial in range(30):
+        view = _random_view(rng, trial + 700)
+        if view is None:
+            continue
+        adj, n = view.adj_matrix, len(view)
+        assert adj.data.dtype == np.int64
+        shares = rng.integers(0, 1 << 40, size=n)
+        kept = rng.integers(0, 1 << 40, size=n)
+        out = kept.copy()
+        csr_matvec(n, n, adj.indptr, adj.indices, adj.data, shares, out)
+        assert np.array_equal(out, kept + adj @ shares)
+        checked += 1
+    assert checked >= 15
+    assert adjacency_csr(3, [(0, 1), (1, 2)]).data.dtype == np.int64
+    assert adjacency_csr(2, []).data.dtype == np.int64
