@@ -11,19 +11,26 @@ Neighborhood edge sets follow the flooding semantics: the radius-d edge set of
 v is every tracked edge with an endpoint within distance d-1 of v, which is
 what d-1 phases of list-or-star flooding deliver (radius 1 = incident edges).
 The message-level flooding implementation is exercised at unit scale; larger
-runs use the distance-matrix oracle, which computes the identical output, and
-charge rounds by the documented per-phase formula.  The oracle's distances and
-every component split here come from the numpy traversal substrate of `graph`
-(`hop_distances`, `components_of`) run on the view's CSR adjacency.
+runs compute the identical counts directly and charge rounds by the
+documented per-phase formula.  No hop distance in a view exceeds its size
+minus one, so from radius len(view) on every ball is the vertex's whole
+component: its edge count is one `bincount` of the (sampled) live edges over
+the view's component roots, and an a-ball of a vertex set is the union of its
+components.  Only radii below that need the dense distance tables of
+`NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
+size, so the decomposition never builds one.  The roots, the oracle's
+distances and every component split come from the numpy traversal substrate
+of `graph` run on the view's CSR adjacency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graph import INF, adjacency_csr, components_of, edge_key, hop_distances
+from .graph import adjacency_csr, components_of, edge_key, hop_distances
 from .simulator import KIND_BITS, Msg, Network
 from .views import ActiveView
 
@@ -34,7 +41,9 @@ from .views import ActiveView
 class NeighborhoodOracle:
     """All-pairs hop distances of one view and, per vertex and edge, the radius
     at which the edge enters the vertex's ball.  Both are dense (n x n and
-    n x m int32), so the oracle suits views of a few thousand vertices."""
+    n x m int32), so the oracle suits views of a few thousand vertices.  It is
+    needed only below radius len(view): from there on `ball_edge_counts`
+    answers in closed form from the view's component roots."""
 
     def __init__(self, view: ActiveView):
         self.view = view
@@ -58,6 +67,20 @@ class NeighborhoodOracle:
         verts = self.view.verts
         el = self.view.edges_local
         return sorted(edge_key(int(verts[el[i, 0]]), int(verts[el[i, 1]])) for i in idx)
+
+
+def ball_edge_counts(view: ActiveView, d: int, edge_mask: np.ndarray | None = None,
+                     oracle: NeighborhoodOracle | None = None) -> np.ndarray:
+    """Per-vertex count (indexed like view.verts) of tracked edges with an
+    endpoint within d-1.  From d = len(view) on each ball is the vertex's
+    component, so the count is its component's tracked-edge count; below,
+    the oracle (built here when none is given) counts."""
+    if d < len(view):
+        return (oracle or NeighborhoodOracle(view)).ball_edge_counts(d, edge_mask)
+    heads = view.roots[view.edges_local[:, 0]]
+    if edge_mask is not None:
+        heads = heads[edge_mask]
+    return np.bincount(heads, minlength=len(view))[view.roots]
 
 
 # -- neighborhood primitives ---------------------------------------------------
@@ -141,57 +164,49 @@ def _edges_exact_messages(net: Network, view: ActiveView, estar: set, d: int, ta
 
 def neighborhood_threshold_test(net: Network, view: ActiveView, d: int, z: int, f: float,
                                 rng: np.random.Generator, K: int = 10,
-                                oracle: NeighborhoodOracle | None = None) -> dict:
-    """Per-vertex bit: 1 when the radius-d edge count is below z (w.h.p. calibrated
-    so counts <= z give 1 and counts >= (1+f)z give 0)."""
-    oracle = oracle or NeighborhoodOracle(view)
+                                oracle: NeighborhoodOracle | None = None) -> np.ndarray:
+    """Per-vertex bit, indexed like view.verts: 1 when the radius-d edge count is
+    below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0)."""
     n = net.graph.n
     log_n = math.log2(max(2, n))
     if K * log_n >= f * f * z:
-        tau = (1 + f) * z
-        counts = oracle.ball_edge_counts(d)
-        out = {int(v): int(counts[i] <= tau) for i, v in enumerate(view.verts)}
-        charge_tau = tau
+        mask, tau = None, (1 + f) * z
     else:
-        q = K * log_n / (f * f * z)
-        mask = rng.random(view.m_live) < q
+        mask = rng.random(view.m_live) < K * log_n / (f * f * z)
         tau = (1 + f / 2) * K * log_n / (f * f)
-        counts = oracle.ball_edge_counts(d, mask)
-        out = {int(v): int(counts[i] <= tau) for i, v in enumerate(view.verts)}
-        charge_tau = tau
+    bits = ball_edge_counts(view, d, mask, oracle) <= tau
     edge_bits = 2 * math.ceil(math.log2(max(2, n)))
-    per_phase = max(1, math.ceil((charge_tau + 1) * edge_bits / net.bandwidth_bits))
+    per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
     net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
                       messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
-    return out
+    return bits
 
 
 def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
                                rng: np.random.Generator, K: int = 10,
-                               oracle: NeighborhoodOracle | None = None) -> dict:
-    """Per-vertex m_v within a (1+f) factor of the radius-d edge count w.h.p.
+                               oracle: NeighborhoodOracle | None = None) -> np.ndarray:
+    """Per-vertex m_v, indexed like view.verts, within a (1+f) factor of the
+    radius-d edge count w.h.p.
 
     m_v is the lowest ladder rung whose threshold test accepts (every oversized
     rung accepts, so the first acceptance is the informative one).  Ladder
     levels reuse sample streams keyed by level index, so estimates are
     monotone in d for a fixed generator state.
     """
-    oracle = oracle or NeighborhoodOracle(view)
+    if oracle is None and d < len(view):
+        oracle = NeighborhoodOracle(view)
     n = net.graph.n
     seed_key = int(rng.integers(1 << 62))
     ladder = [1.0]
     cap = n * (n - 1) / 2
     while ladder[-1] * (1 + f) <= cap:
         ladder.append(ladder[-1] * (1 + f))
-    best = {int(v): ladder[-1] for v in view.verts}
+    best = np.full(len(view), ladder[-1])
     for i in range(len(ladder) - 1, -1, -1):
-        s_i = ladder[i]
         level_rng = np.random.default_rng([seed_key, i])
-        bits = neighborhood_threshold_test(net, view, d, max(1, math.ceil(s_i)), f,
+        bits = neighborhood_threshold_test(net, view, d, max(1, math.ceil(ladder[i])), f,
                                            level_rng, K=K, oracle=oracle)
-        for v, bit in bits.items():
-            if bit:
-                best[v] = s_i
+        best[bits] = ladder[i]
     return best
 
 
@@ -289,8 +304,8 @@ class DenseSparseSplit:
     b: int
     f: float
     stages: list[list[frozenset]]  # components of each W_i, W_0 first
-    est_near: dict
-    est_far: dict
+    est_near: np.ndarray  # indexed like view.verts
+    est_far: np.ndarray
 
 
 def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: float,
@@ -308,30 +323,37 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     log_n = math.log2(max(2, n))
     a = max(1, math.ceil(5 * log_n / beta))
     b = max(1, math.ceil(K * log_n / beta))
-    oracle = oracle or NeighborhoodOracle(view)
     n_view = len(view.verts)
+    if oracle is None and a < n_view:
+        oracle = NeighborhoodOracle(view)
     far_radius = min(100 * a * b, n_view + 1)
     est_near = neighborhood_size_estimate(net, view, a, f, rng, K=k_sample, oracle=oracle)
     est_far = neighborhood_size_estimate(net, view, far_radius, f, rng, K=k_sample,
                                          oracle=oracle)
-    dense_prime = frozenset(
-        v for v in est_near
-        if est_near[v] * 2 * b * (1 + f) ** 2 >= est_far[v]
-    )
-    sparse_prime = frozenset(est_near) - dense_prime
-    dist = oracle.dist
+    is_dense = est_near * 2 * b * (1 + f) ** 2 >= est_far
+    dense_prime = frozenset(view.verts[is_dense].tolist())
+    sparse_prime = view.active - dense_prime
     idx = view.index
 
     def ball(hosts, radius) -> frozenset:
-        if not hosts:
-            return frozenset()
+        """Vertices within radius of hosts: whole components once radius
+        reaches n_view - 1, the largest possible distance."""
         rows = [idx[v] for v in hosts]
-        near = (dist[rows].min(axis=0) <= radius)
-        return frozenset(int(view.verts[i]) for i in np.nonzero(near)[0])
+        if not rows:
+            return frozenset()
+        if radius >= n_view - 1:
+            near = np.isin(view.roots, view.roots[rows])
+        else:
+            near = oracle.dist[rows].min(axis=0) <= radius
+        return frozenset(view.verts[near].tolist())
 
     def components_within(w: frozenset) -> list[frozenset]:
         rows = np.array(sorted(idx[v] for v in w), dtype=np.int64)
         return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
+
+    def near_other(c: frozenset, w: frozenset) -> bool:
+        """Another component of w lies within a of c."""
+        return len(ball(c, a) & w) > len(c)
 
     w = ball(dense_prime, a)
     stages = [components_within(w)]
@@ -339,15 +361,10 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         comps = stages[-1]
         if len(comps) <= 1:
             break
-        rows = {i: [idx[v] for v in c] for i, c in enumerate(comps)}
         merged = False
         new_w = set()
-        for i, c in enumerate(comps):
-            near_other = any(
-                dist[np.ix_(rows[i], rows[j])].min() <= a
-                for j in range(len(comps)) if j != i
-            )
-            if near_other:
+        for c in comps:
+            if near_other(c, w):
                 new_w |= ball(c, a)
                 merged = True
             else:
@@ -359,16 +376,9 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
             break
         w = frozenset(new_w)
         stages.append(components_within(w))
-    final = stages[-1]
-    for i in range(len(final)):
-        for j in range(i + 1, len(final)):
-            rows_i = [idx[v] for v in final[i]]
-            rows_j = [idx[v] for v in final[j]]
-            if dist[np.ix_(rows_i, rows_j)].min() <= a:
-                raise RuntimeError("dense-region merge loop left components within a")
-    v_dense = frozenset(w)
-    v_sparse = view.active - v_dense
-    return DenseSparseSplit(v_dense, v_sparse, dense_prime, sparse_prime,
+    if any(near_other(c, w) for c in stages[-1]):
+        raise RuntimeError("dense-region merge loop left components within a")
+    return DenseSparseSplit(w, view.active - w, dense_prime, sparse_prime,
                             a, b, f, stages, est_near, est_far)
 
 
@@ -381,9 +391,18 @@ class LowDiamResult:
     cut_edges: list[tuple[int, int]]
     clustering: ShiftClustering
     split: DenseSparseSplit
-    diameters: list[int]
+    view: ActiveView
     beta: float
     diameter_bound: int
+
+    @cached_property
+    def diameters(self) -> list[int]:
+        """Per component, the largest hop distance in the view between two of
+        its members (computed on first access)."""
+        dist = hop_distances(self.view.adj_matrix)
+        idx = self.view.index
+        rows = [[idx[v] for v in comp] for comp in self.components]
+        return [int(dist[np.ix_(r, r)].max()) for r in rows]
 
     @property
     def max_diameter(self) -> int:
@@ -396,8 +415,7 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     inter-cluster edges with an endpoint in the sparse side.  The split and
     clustering run at beta/3 so the combined cut stays within the beta budget."""
     beta_inner = beta / 3.0
-    oracle = NeighborhoodOracle(view)
-    split = build_dense_sparse_split(net, view, beta_inner, K, rng, oracle=oracle)
+    split = build_dense_sparse_split(net, view, beta_inner, K, rng)
     clustering = exponential_shift_clustering(net, view, beta_inner, rng)
     sparse = split.v_sparse
     cut = [e for e in clustering.cut_edges if e[0] in sparse or e[1] in sparse]
@@ -408,14 +426,8 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     cut_local = np.array([(idx[u], idx[v]) for u, v in cut], dtype=np.int64).reshape(-1, 2)
     keep = ~np.isin(el[:, 0] * n_view + el[:, 1], cut_local[:, 0] * n_view + cut_local[:, 1])
     comps = components_of(adjacency_csr(n_view, el[keep]), view.verts)
-    diameters = []
-    for comp in comps:
-        rows = [idx[v] for v in comp]
-        sub = oracle.dist[np.ix_(rows, rows)]
-        reach = sub[sub < INF]
-        diameters.append(int(reach.max()) if reach.size else 0)
     n = net.graph.n
     d1 = 4 * math.log2(max(2, n)) / beta_inner
     d2 = 20 * split.a * split.b
     bound = math.ceil(2 * (d1 + 1) + d2)
-    return LowDiamResult(comps, cut, clustering, split, diameters, beta, bound)
+    return LowDiamResult(comps, cut, clustering, split, view, beta, bound)

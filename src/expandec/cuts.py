@@ -28,7 +28,7 @@ from .config import Profile
 from .errors import BadPhi
 from .graph import Cut, edge_key
 from .simulator import (KIND_BITS, WORD_BITS, Network, SpanningTree, bfs_tree,
-                        sample_by_degree, subtree_degrees)
+                        sample_by_degree)
 from .views import ActiveView
 from .walks import (
     SCALE,
@@ -395,25 +395,23 @@ def draw_b(ell: int, rng: np.random.Generator) -> int:
 def randomized_local_cut(net: Network, view: ActiveView, phi: float,
                          params: WalkParams, profile: Profile,
                          rng: np.random.Generator,
-                         host_tree: SpanningTree | None = None,
-                         host_subtree: dict | None = None) -> LocalCutResult:
+                         host_tree: SpanningTree | None = None) -> LocalCutResult:
     """Local cut from a degree-distributed start and geometric truncation level."""
     b = draw_b(params.ell, rng)
-    v = _sample_starts(net, view, {b: 1}, rng, host_tree, host_subtree)[0][0]
+    v = _sample_starts(net, view, {b: 1}, rng, host_tree)[0][0]
     return distributed_local_cut(net, view, v, phi, b, params, profile)
 
 
-def _sample_starts(net, view, counts, rng, host_tree, host_subtree):
+def _sample_starts(net, view, counts, rng, host_tree):
+    """Degree-proportional starts in view, drawn down host_tree (a BFS tree of
+    the view when None); vertices outside the view weigh 0."""
     if host_tree is None:
         root = min(view.active)
         host_tree = bfs_tree(net, root,
                              edge_filter=lambda a, c: view.working.is_live(a, c),
                              vertices=view.active)
-        host_subtree = None
     deg = lambda u: net.graph.degree(u) if u in view.active else 0
-    if host_subtree is None:
-        host_subtree = subtree_degrees(net, host_tree, deg)
-    return sample_by_degree(net, host_tree, counts, rng, deg=deg, subtree=host_subtree)
+    return sample_by_degree(net, host_tree, counts, rng, deg=deg)
 
 
 @dataclass
@@ -431,9 +429,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
                           rng: np.random.Generator, p: float = 0.25,
                           k_override: int | None = None,
-                          host_tree: SpanningTree | None = None,
-                          host_subtree: dict | None = None,
-                          host_depth: int | None = None) -> ConcurrentResult:
+                          host_tree: SpanningTree | None = None) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
     Aborts to None when any edge participates in more than w instances (the
@@ -449,7 +445,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     counts: dict[int, int] = {}
     for b in bs:
         counts[b] = counts.get(b, 0) + 1
-    landings = _sample_starts(net, view, counts, rng, host_tree, host_subtree)
+    landings = _sample_starts(net, view, counts, rng, host_tree)
     sub_rngs = rng.spawn(len(landings))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
@@ -460,7 +456,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     for res in instances:
         for e in res.pstar:
             participation[e] = participation.get(e, 0) + 1
-    depth = host_depth if host_depth is not None else (host_tree.depth_max if host_tree else len(view))
+    depth = host_tree.depth_max if host_tree else len(view)
     if participation and max(participation.values()) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
@@ -502,8 +498,7 @@ class PartitionResult:
 
 
 def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
-                         profile: Profile, rng: np.random.Generator,
-                         k_override: int | None = None) -> PartitionResult:
+                         profile: Profile, rng: np.random.Generator) -> PartitionResult:
     """Accumulate concurrent local cuts until 1/48 of the volume is captured.
 
     Hard guarantees checked downstream: the accumulated cut keeps volume at
@@ -516,11 +511,10 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     vol0 = view.vol()
     m0 = max(1, view.m_live)
     walkp = derive_walk_params(m0, phi, profile)
-    mi0 = derive_instance_params(vol0, walkp, p, profile, k_override)
+    mi0 = derive_instance_params(vol0, walkp, p, profile)
     root = min(view.active)
     host_tree = bfs_tree(net, root, edge_filter=lambda a, c: view.working.is_live(a, c),
                          vertices=view.active)
-    host_depth = host_tree.depth_max
     active = set(view.active)
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
@@ -528,11 +522,8 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     it = 0
     for it in range(1, mi0.s + 1):
         cur = view if not pieces else view.subview(active)
-        deg_mask = lambda u: net.graph.degree(u) if u in active else 0
-        host_subtree = subtree_degrees(net, host_tree, deg_mask)
         res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, p=p,
-                                    k_override=k_override, host_tree=host_tree,
-                                    host_subtree=host_subtree, host_depth=host_depth)
+                                    host_tree=host_tree)
         concurrent.append(res)
         w_max = max(w_max, res.params.w)
         if res.members:
@@ -561,8 +552,7 @@ class BalancedCutResult:
 
 def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
                         profile: Profile, rng: np.random.Generator,
-                        p: float | None = None,
-                        k_override: int | None = None) -> BalancedCutResult | None:
+                        p: float | None = None) -> BalancedCutResult | None:
     """Nearly-most-balanced sparse cut: re-parameterized cut accumulation.
 
     The inner conductance solves f(phi') = phi_target (capped at 1/12); the
@@ -581,7 +571,7 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     phi_inner = min((phi_target * profile.c_f * ln_e4**2) ** (1.0 / 3.0), PHI_ALGO_MAX)
     if p is None:
         p = 1.0 / max(2, n_view) ** 2
-    part = sparse_cut_partition(net, view, phi_inner, p, profile, rng, k_override)
+    part = sparse_cut_partition(net, view, phi_inner, p, profile, rng)
     if not part.members or part.cut is None:
         return None
     h_bound = min(1.0, 47.0 * 276.0 * part.w_max * phi_inner)

@@ -51,7 +51,7 @@ class DecompParams:
 
 def derive_decomp_params(n: int, m: int, epsilon: float, k: int,
                          profile: Profile) -> DecompParams:
-    """d is the smallest integer with (1 - eps/12)^d * 2 * C(n,2) < 1;
+    """d is the smallest integer >= 1 with (1 - eps/12)^d * 2 * C(n,2) < 1;
     beta = (eps/3)/d; the phi ladder starts where the cut-quality function h
     meets (eps/6)/log2 C(n,2) and steps down through h-inverse.  The desk
     profile floors the ladder (geometrically, preserving strict decrease)."""
@@ -60,9 +60,13 @@ def derive_decomp_params(n: int, m: int, epsilon: float, k: int,
     if k < 1:
         raise BadEpsilon(f"k={k}")
     pairs = n * (n - 1)  # 2 * C(n, 2)
-    d = 1
-    while (1 - epsilon / 12.0) ** d * pairs >= 1.0 and d < 10**7:
+    q = 1 - epsilon / 12.0
+    # closed form, then an exact fix-up against the float predicate itself
+    d = math.ceil(math.log(pairs) / -math.log(q)) if pairs > 1 else 1
+    while q ** d * pairs >= 1.0:
         d += 1
+    while d > 1 and q ** (d - 1) * pairs < 1.0:
+        d -= 1
     beta = (epsilon / 3.0) / d
     target = (epsilon / 6.0) / math.log2(max(2, n * (n - 1) // 2))
     phi = [ladder_h_inv(target, n, profile.c_h_ladder)]
@@ -99,9 +103,6 @@ class Decomposition:
     @property
     def removed_total(self) -> int:
         return sum(len(v) for v in self.removed.values())
-
-    def inter_fraction(self) -> float:
-        return self.removed_total / max(1, self.graph.m)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -188,8 +189,10 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
     view = ActiveView(state.working, members)
     for comp in view.components():
         comp_view = view.subview(comp)
+        # Components this small can never dip below the ladder floor: any proper
+        # cut of a connected piece with volume <= 8 has conductance >= 1/4.
         if comp_view.vol() <= state.profile.vol_finalize_cutoff:
-            _finalize_tiny(state, comp)
+            state.finals.append(comp)
             continue
         state.net.set_phase("lowdiam")
         ld = low_diam_decomposition(state.net, comp_view, params.beta,
@@ -200,7 +203,7 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
         for u_set in after.components():
             u_view = after.subview(u_set)
             if u_view.vol() <= state.profile.vol_finalize_cutoff:
-                _finalize_tiny(state, u_set)
+                state.finals.append(u_set)  # too small to cut, as above
                 continue
             state.net.set_phase("phase1-cut")
             res = balanced_sparse_cut(state.net, u_view, params.phi_0,
@@ -220,12 +223,6 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
             state.working.remove_edges(cut_edges, "r2")
             _phase1(state, frozenset(res.members), depth + 1)
             _phase1(state, u_set - res.members, depth + 1)
-
-
-def _finalize_tiny(state: _RunState, comp: frozenset):
-    # Components this small can never dip below the ladder floor: any proper
-    # cut of a connected piece with volume <= 8 has conductance >= 1/4.
-    state.finals.append(comp)
 
 
 def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):

@@ -61,7 +61,3 @@ class IterationOverflow(ExpandecError):
 
 class BudgetExceeded(ExpandecError):
     """Decomposition removed more edges than its contract allows."""
-
-
-class VerificationError(ExpandecError):
-    """Run output failed re-verification against the original graph."""

@@ -5,9 +5,10 @@ contraction convert edges to loops so that degrees never change).  Each self
 loop contributes exactly 1 to its vertex degree.  Conductance is computed in
 exact rational arithmetic; float views are provided for the hot path.
 
-The traversal substrate (`components_of`, `hop_distances`) works on a
-symmetric CSR adjacency with numpy array operations only, so `Graph` and
-every view share one implementation of connectivity and hop distance.
+The traversal substrate (`component_roots`, `components_of`, `hop_distances`)
+works on a symmetric CSR adjacency with numpy array operations only, so
+`Graph` and every view share one implementation of connectivity and hop
+distance.
 """
 from __future__ import annotations
 
@@ -129,17 +130,15 @@ def adjacency_csr(n: int, edges) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
 
 
-def components_of(adj: sp.csr_matrix, labels) -> list[frozenset]:
-    """Connected components of a symmetric CSR adjacency, as frozensets of
-    labels[i] sorted by min label.
+def component_roots(adj: sp.csr_matrix) -> np.ndarray:
+    """Per-vertex component root of a symmetric CSR adjacency: the smallest
+    index of the vertex's component.
 
     Min-label propagation with pointer jumping: every root hooks onto the
     smallest root across its edges, then parent pointers are followed to their
     roots.  Pointers only decrease, so each component ends on its min index.
     """
     n = adj.shape[0]
-    if n == 0:
-        return []
     src = np.repeat(np.arange(n), np.diff(adj.indptr))
     dst = adj.indices
     root = np.arange(n)
@@ -152,8 +151,16 @@ def components_of(adj: sp.csr_matrix, labels) -> list[frozenset]:
                 break
             hooked = jumped
         if np.array_equal(hooked, root):
-            break
+            return root
         root = hooked
+
+
+def components_of(adj: sp.csr_matrix, labels) -> list[frozenset]:
+    """Connected components of a symmetric CSR adjacency, as frozensets of
+    labels[i] sorted by min label."""
+    if adj.shape[0] == 0:
+        return []
+    root = component_roots(adj)
     order = np.argsort(root, kind="stable")
     bounds = np.flatnonzero(np.diff(root[order])) + 1
     parts = np.split(np.asarray(labels)[order], bounds)
@@ -188,10 +195,6 @@ class Cut:
     boundary: int
     conductance: Fraction
     balance: Fraction
-
-    @property
-    def conductance_float(self) -> float:
-        return float(self.conductance)
 
 
 def volume(g: Graph, s: Iterable[int]) -> int:

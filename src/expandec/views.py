@@ -6,17 +6,19 @@ loops (tracked per channel), and every algorithm stage works on an
 Degrees in a view always equal host degrees; loop counts are implicit.
 Views snapshot live adjacency at construction, as a local adjacency list and
 as the CSR matrix that the walk kernel and the traversal substrate of
-`graph` (components, hop distances) run on.  They also hold the walk step's
+`graph` (components, hop distances) run on; the per-vertex component roots
+are computed on first use.  They also hold the walk step's
 per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateCut, MissingEdge
-from .graph import Cut, Graph, adjacency_csr, components_of, edge_key
+from .graph import Cut, Graph, adjacency_csr, component_roots, components_of, edge_key
 
 
 class WorkingGraph:
@@ -40,9 +42,6 @@ class WorkingGraph:
 
     def removed_by(self, channel: str) -> list[tuple[int, int]]:
         return sorted(e for e, c in self.removed.items() if c == channel)
-
-    def live_edges(self) -> list[tuple[int, int]]:
-        return [e for e in self.graph.edges if e not in self.removed]
 
 
 class ActiveView:
@@ -114,6 +113,11 @@ class ActiveView:
 
     def components(self) -> list[frozenset]:
         return components_of(self.adj_matrix, self.verts)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Per local vertex, the local index of its component's first vertex."""
+        return component_roots(self.adj_matrix)
 
     # -- cut arithmetic ----------------------------------------------------
 

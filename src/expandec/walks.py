@@ -125,9 +125,6 @@ class TruncatedWalkState:
         i = self.view.index[host_v]
         return self.mass_units[i] / (SCALE * int(self.view.deg[i]))
 
-    def total_mass(self) -> float:
-        return float(self.mass_units.sum()) / SCALE
-
     def support(self) -> list[int]:
         return [int(self.view.verts[i]) for i in np.nonzero(self.mass_units)[0]]
 

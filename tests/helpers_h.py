@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from expandec.clustering import INF
 from expandec.cuts import SweepCandidate
 from expandec.errors import BadPhi
 from expandec.simulator import KIND_BITS, WORD_BITS

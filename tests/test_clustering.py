@@ -6,10 +6,11 @@ import pytest
 
 from expandec import generators as gen
 from expandec.simulator import Network
-from expandec.views import ActiveView
+from expandec.views import ActiveView, WorkingGraph
 from expandec.clustering import (
     OVER,
     NeighborhoodOracle,
+    ball_edge_counts,
     build_dense_sparse_split,
     exponential_shift_clustering,
     low_diam_decomposition,
@@ -151,6 +152,66 @@ def test_threshold_test_sampled_branch_statistical():
         ok_high += all(bits[v] == 0 for v in high)
     assert ok_low >= 0.95 * trials
     assert ok_high >= 0.95 * trials
+
+
+def _views_for_closed_form():
+    g = gen.erdos_renyi(40, 0.12, seed=21)
+    two = gen.Graph.from_edges(
+        14, [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        + [(6 + i, 7 + i) for i in range(7)])
+    cut = WorkingGraph(gen.cycle(20))
+    cut.remove_edges([(0, 1), (10, 11), (4, 5)], "r1")  # three paths
+    sub = WorkingGraph(g)
+    sub.remove_edges(list(g.edges[::3]), "r2")
+    return {
+        "connected": ActiveView.whole(g),
+        "disconnected": ActiveView.whole(two),
+        "removed edges": ActiveView(cut, range(20)),
+        "sub view, removed edges": ActiveView(sub, range(5, 35)),
+    }
+
+
+def test_closed_form_ball_counts_equal_oracle():
+    for name, view in _views_for_closed_form().items():
+        oracle = NeighborhoodOracle(view)
+        rng = np.random.default_rng(len(view))
+        for mask in (None, rng.random(view.m_live) < 0.4, np.zeros(view.m_live, bool)):
+            for d in (len(view), len(view) + 5):
+                got = ball_edge_counts(view, d, mask)
+                want = oracle.ball_edge_counts(d, mask)
+                assert got.tolist() == want.tolist(), (name, d)
+
+
+def _diameters_by_bfs(view, components):
+    """Largest hop distance in the view between two members, by plain BFS."""
+    out = []
+    for comp in components:
+        best = 0
+        for src in comp:
+            dist = {src: 0}
+            frontier = [src]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for u in view.live_neighbors(v):
+                        if u not in dist:
+                            dist[u] = dist[v] + 1
+                            nxt.append(u)
+                frontier = nxt
+            best = max(best, max(dist[v] for v in comp))
+        out.append(best)
+    return out
+
+
+def test_lazy_diameters_match_bfs():
+    cases = ((gen.erdos_renyi(48, 0.12, seed=12), 0.3, 10, True),
+             (gen.generate("grid:12:12", seed=0), 0.95, 0.05, False))
+    for g, beta, K, saturated in cases:
+        view = ActiveView.whole(g)
+        res = low_diam_decomposition(Network(g), view, beta, K, np.random.default_rng(5))
+        assert (res.split.a >= len(view)) == saturated
+        assert "diameters" not in vars(res)  # not computed before first access
+        assert res.diameters == _diameters_by_bfs(view, res.components)
 
 
 def test_size_estimate_isolated_floor():

@@ -199,7 +199,7 @@ def test_randomized_start_degree_marginal():
     from expandec.cuts import _sample_starts
 
     for _ in range(trials):
-        (v, _b), = _sample_starts(net, view, {1: 1}, rng, None, None)
+        (v, _b), = _sample_starts(net, view, {1: 1}, rng, None)
         hits += v == center
     sigma = math.sqrt(0.25 / trials)
     assert abs(hits / trials - 0.5) <= 5 * sigma

@@ -27,6 +27,25 @@ def test_params_d_example():
     assert p.beta == pytest.approx(0.2 / 88)
 
 
+def _d_predicate(n, eps, d):
+    """The defining predicate of d, in the float arithmetic of the parameters."""
+    return (1 - eps / 12.0) ** d * (n * (n - 1)) < 1.0
+
+
+def test_params_d_is_least_solution():
+    for n in (0, 1, 2, 3, 10, 97, 1000, 10**6):
+        for eps in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
+            d = derive_decomp_params(n, 0, eps, 2, DESK).d
+            loop = 1
+            while not _d_predicate(n, eps, loop):
+                loop += 1
+            assert d == loop, (n, eps)
+    for n, eps in ((1000, 1e-6), (10**7, 0.1), (2, 1e-9)):
+        d = derive_decomp_params(n, 0, eps, 2, DESK).d
+        assert _d_predicate(n, eps, d), (n, eps, d)
+        assert d == 1 or not _d_predicate(n, eps, d - 1), (n, eps, d)
+
+
 def test_params_ladder_strictly_decreasing():
     for n, eps, k in ((10, 0.6, 2), (64, 0.3, 3), (128, 0.1, 1)):
         p = derive_decomp_params(n, 3 * n, eps, k, DESK)
@@ -200,6 +219,33 @@ def test_singletons_from_trim_are_components():
             assert singles and singles <= r3_touched
             return
     # phase 2 entry is stochastic at this scale; the direct-trim test covers it
+
+
+def test_decomposition_builds_no_distance_tables(monkeypatch):
+    # Inside the decomposition the ball radius exceeds every view, so the
+    # low-diameter stage answers from component roots alone.
+    import expandec.clustering as clustering
+    import expandec.graph as graph
+
+    calls = {"oracle": 0, "hop": 0, "lowdiam": 0}
+
+    def count(key, fn):
+        def spy(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(clustering.NeighborhoodOracle, "__init__",
+                        count("oracle", clustering.NeighborhoodOracle.__init__))
+    monkeypatch.setattr(clustering, "hop_distances", count("hop", clustering.hop_distances))
+    monkeypatch.setattr(graph, "hop_distances", count("hop", graph.hop_distances))
+    monkeypatch.setattr(clustering, "low_diam_decomposition",
+                        count("lowdiam", clustering.low_diam_decomposition))
+    for spec in ("cliques_chain:3:7:2", "erdos_renyi:120:0.06"):
+        expander_decomposition(gen.generate(spec, seed=1), 0.5, 2, 0, DESK)
+    assert calls["lowdiam"] > 0
+    assert calls["oracle"] == 0
+    assert calls["hop"] == 0
 
 
 def test_sweep_falsifier_matches_per_step():
