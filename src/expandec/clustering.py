@@ -1,8 +1,8 @@
 """Exponential-shift clustering and the high-probability low-diameter decomposition.
 
-The shift clustering runs one simulated round per epoch (idle epochs are
-skipped computationally but charged in full; their transcript is empty by
-construction).  The dense/sparse split classifies vertices by comparing
+The shift clustering is one multi-source `graph.level_sweep` from the shifted
+start times, charged the protocol's full epoch count without a `Network`
+round.  The dense/sparse split classifies vertices by comparing
 neighborhood edge-count estimates at radius a against radius 100ab, grows the
 dense region in a-ball merge rounds, and the final decomposition cuts only
 inter-cluster edges incident to the sparse side.
@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import adjacency_csr, components_of, edge_key, hop_distances
+from .graph import (adjacency_csr, components_of, edge_ends, edge_key, hop_distances,
+                    level_sweep)
 from .simulator import KIND_BITS, Msg, Network
 from .views import ActiveView
 
@@ -162,18 +163,24 @@ def _edges_exact_messages(net: Network, view: ActiveView, estar: set, d: int, ta
     return {v: (OVER if over[v] else sorted(known[v])) for v in verts}
 
 
+def _samples(n: int, z: int, f: float, K: float) -> bool:
+    """Whether a threshold test at z samples edges (else it counts them all)."""
+    return K * math.log2(max(2, n)) < f * f * z
+
+
 def neighborhood_threshold_test(net: Network, view: ActiveView, d: int, z: int, f: float,
-                                rng: np.random.Generator, K: int = 10,
+                                rng: np.random.Generator | None, K: int = 10,
                                 oracle: NeighborhoodOracle | None = None) -> np.ndarray:
     """Per-vertex bit, indexed like view.verts: 1 when the radius-d edge count is
-    below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0)."""
+    below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0).
+    rng is drawn from, and needed, only when the test samples."""
     n = net.graph.n
     log_n = math.log2(max(2, n))
-    if K * log_n >= f * f * z:
-        mask, tau = None, (1 + f) * z
-    else:
+    if _samples(n, z, f, K):
         mask = rng.random(view.m_live) < K * log_n / (f * f * z)
         tau = (1 + f / 2) * K * log_n / (f * f)
+    else:
+        mask, tau = None, (1 + f) * z
     bits = ball_edge_counts(view, d, mask, oracle) <= tau
     edge_bits = 2 * math.ceil(math.log2(max(2, n)))
     per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
@@ -191,7 +198,8 @@ def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
     m_v is the lowest ladder rung whose threshold test accepts (every oversized
     rung accepts, so the first acceptance is the informative one).  Ladder
     levels reuse sample streams keyed by level index, so estimates are
-    monotone in d for a fixed generator state.
+    monotone in d for a fixed generator state; a level's stream is built only
+    when its rung samples.
     """
     if oracle is None and d < len(view):
         oracle = NeighborhoodOracle(view)
@@ -203,9 +211,9 @@ def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
         ladder.append(ladder[-1] * (1 + f))
     best = np.full(len(view), ladder[-1])
     for i in range(len(ladder) - 1, -1, -1):
-        level_rng = np.random.default_rng([seed_key, i])
-        bits = neighborhood_threshold_test(net, view, d, max(1, math.ceil(ladder[i])), f,
-                                           level_rng, K=K, oracle=oracle)
+        z = max(1, math.ceil(ladder[i]))
+        level_rng = np.random.default_rng([seed_key, i]) if _samples(n, z, f, K) else None
+        bits = neighborhood_threshold_test(net, view, d, z, f, level_rng, K=K, oracle=oracle)
         best[bits] = ladder[i]
     return best
 
@@ -231,64 +239,41 @@ class ShiftClustering:
 def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
                                  rng: np.random.Generator,
                                  deltas: dict[int, float] | None = None) -> ShiftClustering:
-    """Sample per-vertex Exponential(rate beta) head starts and grow clusters one
-    hop per epoch; ties join the smallest adjacent cluster id.  Rounds charged
-    equal the full epoch count (idle epochs carry no messages)."""
+    """Sample per-vertex Exponential(rate beta) shifts delta (or take the given
+    non-negative ones).  v is clustered at epoch T(v) = min_u start(u) +
+    hop(u, v), start = max(1, horizon - floor(delta)): it is a centre iff
+    start(v) = T(v), else it joins the smallest cluster id among its
+    neighbours clustered at T(v) - 1.  Rounds charged equal the epoch count."""
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta={beta} outside (0, 1)")
     n = net.graph.n
     horizon = math.ceil(2 * math.log2(max(2, n)) / beta)
-    verts = [int(v) for v in view.verts]
+    verts = view.verts
     if deltas is None:
-        draws = rng.exponential(scale=1.0 / beta, size=len(verts))
-        deltas = {v: float(x) for v, x in zip(verts, draws)}
-    start = {v: max(1, horizon - int(math.floor(deltas[v]))) for v in verts}
-    assignment: dict[int, int] = {}
-    unclustered = set(verts)
-    start_buckets: dict[int, list[int]] = {}
-    for v in verts:
-        start_buckets.setdefault(start[v], []).append(v)
-    t = 1
-    while t <= horizon and unclustered:
-        growth_possible = any(
-            u in assignment for v in unclustered for u in view.live_neighbors(v)
-        )
-        has_start = any(
-            s >= t and any(v in unclustered for v in vs)
-            for s, vs in start_buckets.items()
-        )
-        if not growth_possible and not has_start:
+        shifts = rng.exponential(scale=1.0 / beta, size=len(verts))
+    else:
+        shifts = np.array([deltas[v] for v in verts.tolist()], dtype=float)
+    start = np.maximum(1, horizon - np.floor(shifts).astype(np.int64))
+    epoch = level_sweep(view.adj_matrix, start)
+    centre = start == epoch
+    src, dst = edge_ends(view.adj_matrix)
+    joins = (epoch[dst] == epoch[src] - 1) & ~centre[src]
+    src, dst = src[joins], dst[joins]
+    # ids spread one epoch per pass; the least local id is the least host id
+    cluster = np.where(centre, np.arange(len(verts)), len(verts))
+    while True:
+        settled = cluster.copy()
+        np.minimum.at(cluster, src, cluster[dst])
+        if np.array_equal(cluster, settled):
             break
-        if not growth_possible:
-            next_start = min(
-                s for s, vs in start_buckets.items()
-                if s >= t and any(v in unclustered for v in vs)
-            )
-            if next_start > t:
-                t = next_start  # idle epochs: no centers, no adjacent clusters
-        joins = {}
-        for v in sorted(unclustered):
-            if start[v] == t:
-                continue
-            adjacent = [assignment[u] for u in view.live_neighbors(v) if u in assignment]
-            if adjacent:
-                joins[v] = min(adjacent)
-        for v in sorted(unclustered):
-            if start[v] == t:
-                assignment[v] = v
-                unclustered.discard(v)
-        for v, c in joins.items():
-            assignment[v] = c
-            unclustered.discard(v)
-        t += 1
-    centers = sorted({c for c in assignment.values()})
-    cut = [
-        e for e in view.live_edges_host()
-        if assignment.get(e[0]) != assignment.get(e[1])
-    ]
+    order = np.lexsort((~centre, epoch))  # by epoch, each epoch's centres first
+    assignment = dict(zip(verts[order].tolist(), verts[cluster[order]].tolist()))
+    el = view.edges_local[cluster[view.edges_local[:, 0]] != cluster[view.edges_local[:, 1]]]
+    cut = list(zip(verts[el[:, 0]].tolist(), verts[el[:, 1]].tolist()))
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
-    return ShiftClustering(assignment, centers, start, horizon, cut)
+    return ShiftClustering(assignment, verts[centre].tolist(),
+                           dict(zip(verts.tolist(), start.tolist())), horizon, cut)
 
 
 # -- dense/sparse split ----------------------------------------------------------

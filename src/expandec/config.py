@@ -34,8 +34,6 @@ class Profile:
     # Recorded constants surfaced in result JSON.
     k_phi_parts: tuple[int, int, int] = (47, 276, 10)  # partition conductance chain
     c_mix: float = 4.0        # mixing-time form constant tau <= c_mix * log2(n) / phi^2
-    c_router: float = 1.0     # router cost Q = c_router * tau_mix * log2(n)^q_exp
-    q_exp: float = 1.0
     vol_finalize_cutoff: int = 8  # components at or below this volume finalize directly
 
     def replace(self, **kwargs) -> "Profile":

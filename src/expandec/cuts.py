@@ -7,6 +7,10 @@ participating edges and accepting jump candidates under a relaxed conductance
 bound.  Both run the identical fixed-point arithmetic, so their outputs agree
 set-for-set; the distributed one additionally charges every simulated round.
 
+Spanning trees are `bfs_tree` sweeps over the view's adjacency (the host
+tree) or the walk's touched live edges (each local cut's tree).  Like walks
+and scans, they are charged by formula, so a cut runs no `Network` round.
+
 The scan takes the stored walk steps in blocks of 1, 2, 4, ... steps: one
 `walks.sweep_tables` call gives every step of a block its sweep order, prefix
 volumes and prefix boundaries, and the candidate tests run on whole blocks,
@@ -26,7 +30,7 @@ import numpy as np
 
 from .config import Profile
 from .errors import BadPhi
-from .graph import Cut, edge_key
+from .graph import Cut, adjacency_csr
 from .simulator import (KIND_BITS, WORD_BITS, Network, SpanningTree, bfs_tree,
                         sample_by_degree)
 from .views import ActiveView
@@ -367,9 +371,8 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
     slack conditions on jump candidates, full round accounting."""
     _check_algo_phi(phi)
     run = compute_walk(view, v, params, b, net=net)
-    touched = {v} | {u for e in run.pstar for u in e}
-    tree = bfs_tree(net, v, edge_filter=lambda a, c: edge_key(a, c) in run.pstar,
-                    vertices=touched)
+    pstar = np.searchsorted(view.verts, np.array(list(run.pstar), dtype=np.int64))
+    tree = bfs_tree(net, v, adjacency_csr(len(view), pstar), view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.parent))
     cand = scan_run(view, run, phi, b, profile, jx_only=True, charger=charger)
     return _result_from_candidate(view, run, cand, v, b)
@@ -406,10 +409,7 @@ def _sample_starts(net, view, counts, rng, host_tree):
     """Degree-proportional starts in view, drawn down host_tree (a BFS tree of
     the view when None); vertices outside the view weigh 0."""
     if host_tree is None:
-        root = min(view.active)
-        host_tree = bfs_tree(net, root,
-                             edge_filter=lambda a, c: view.working.is_live(a, c),
-                             vertices=view.active)
+        host_tree = bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
     deg = lambda u: net.graph.degree(u) if u in view.active else 0
     return sample_by_degree(net, host_tree, counts, rng, deg=deg)
 
@@ -512,9 +512,7 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     m0 = max(1, view.m_live)
     walkp = derive_walk_params(m0, phi, profile)
     mi0 = derive_instance_params(vol0, walkp, p, profile)
-    root = min(view.active)
-    host_tree = bfs_tree(net, root, edge_filter=lambda a, c: view.working.is_live(a, c),
-                         vertices=view.active)
+    host_tree = bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
     active = set(view.active)
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []

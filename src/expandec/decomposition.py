@@ -199,9 +199,9 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
                                     state.lowdiam_K, state.rng)
         if ld.cut_edges:
             state.working.remove_edges(ld.cut_edges, "r1")
-        after = ActiveView(state.working, comp)
-        for u_set in after.components():
-            u_view = after.subview(u_set)
+        for u_set in ld.components:
+            # without r1 cuts the one low-diameter part is comp itself
+            u_view = ActiveView(state.working, u_set) if ld.cut_edges else comp_view
             if u_view.vol() <= state.profile.vol_finalize_cutoff:
                 state.finals.append(u_set)  # too small to cut, as above
                 continue

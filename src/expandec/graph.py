@@ -5,10 +5,10 @@ contraction convert edges to loops so that degrees never change).  Each self
 loop contributes exactly 1 to its vertex degree.  Conductance is computed in
 exact rational arithmetic; float views are provided for the hot path.
 
-The traversal substrate (`component_roots`, `components_of`, `hop_distances`)
-works on a symmetric CSR adjacency with numpy array operations only, so
-`Graph` and every view share one implementation of connectivity and hop
-distance.
+The traversal substrate (`component_roots`, `components_of`, `hop_distances`,
+`level_sweep`) works on a symmetric CSR adjacency with numpy array operations
+only, so `Graph`, every view and every simulated tree or clustering share one
+implementation of connectivity and hop distance.
 """
 from __future__ import annotations
 
@@ -130,6 +130,12 @@ def adjacency_csr(n: int, edges) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
 
 
+def edge_ends(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every stored entry of a CSR adjacency: each undirected
+    edge of a symmetric one appears once in each direction."""
+    return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)), adj.indices
+
+
 def component_roots(adj: sp.csr_matrix) -> np.ndarray:
     """Per-vertex component root of a symmetric CSR adjacency: the smallest
     index of the vertex's component.
@@ -138,10 +144,8 @@ def component_roots(adj: sp.csr_matrix) -> np.ndarray:
     smallest root across its edges, then parent pointers are followed to their
     roots.  Pointers only decrease, so each component ends on its min index.
     """
-    n = adj.shape[0]
-    src = np.repeat(np.arange(n), np.diff(adj.indptr))
-    dst = adj.indices
-    root = np.arange(n)
+    src, dst = edge_ends(adj)
+    root = np.arange(adj.shape[0])
     while True:
         hooked = root.copy()
         np.minimum.at(hooked, root[src], root[dst])
@@ -184,6 +188,22 @@ def hop_distances(adj: sp.csr_matrix) -> np.ndarray:
             return dist
         dist[frontier] = level
         reached |= frontier
+
+
+def level_sweep(adj: sp.csr_matrix, start) -> np.ndarray:
+    """T(v) = min over u of start[u] + hop(u, v) on a symmetric CSR adjacency.
+    Sources are the u with start[u] < INF; T is int64, INF where none reaches.
+    Levels settle in increasing order, skipping empty ones: once every lower
+    level has offered its successor to its neighbours, the lowest open level
+    is final."""
+    src, dst = edge_ends(adj)
+    t = np.array(start, dtype=np.int64)
+    level = t.min(initial=INF)
+    while level < INF:
+        offered = dst[(t == level)[src]]
+        t[offered] = np.minimum(t[offered], level + 1)
+        level = t[t > level].min(initial=INF)
+    return t
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ payloads carry a documented fixed-width bit size; a single message larger than
 the per-edge budget aborts the round (never silent truncation).  The ledger
 tallies rounds, messages, and the worst per-edge per-round bit load, labelled
 by algorithm phase.
+
+`bfs_tree` (one `graph.level_sweep`) and `subtree_degrees` (one bottom-up
+sum) compute their result and charge what their message-level protocols
+would: depth rounds of one 72-bit message per edge.  They run no `Network`
+round, so they add nothing to `Network.trace` and check no bandwidth budget.
 """
 from __future__ import annotations
 
@@ -16,9 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BandwidthExceeded
-from .graph import Graph, edge_key
+from .graph import INF, Graph, adjacency_csr, edge_ends, level_sweep
 
 DEFAULT_BANDWIDTH_FACTOR = 192
 WORD_BITS = 64
@@ -157,56 +163,32 @@ class SpanningTree:
     def depth_max(self) -> int:
         return max(self.depth.values(), default=0)
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.parent)
 
-
-def bfs_tree(net: Network, root: int, edge_filter: Callable[[int, int], bool] | None = None,
-             vertices: set | None = None) -> SpanningTree:
-    """Message-level BFS; rounds charged equal the root's eccentricity in the
-    filtered subgraph.  Unreachable vertices stay out of the tree."""
-    ok = edge_filter or (lambda u, v: True)
-    inside = vertices if vertices is not None else set(range(net.graph.n))
-
-    def adj(v):
-        return [u for u in net.graph.neighbors[v] if u in inside and ok(*edge_key(u, v))]
-
-    parent = {root: root}
-    depth = {root: 0}
-    states = {v: None for v in inside}
-    inboxes: dict[int, list] = {}
-    frontier = [root]
-    while True:
-        targets = {u for v in frontier for u in adj(v) if u not in parent}
-        if not targets:
-            break
-
-        claimed = set(parent)
-
-        def step(v, state, inbox, _frontier=frozenset(frontier)):
-            outs = []
-            if v in _frontier:
-                outs = [(u, Msg("bfs-claim", v)) for u in adj(v) if u not in claimed]
-            return state, outs
-
-        states, inboxes = net.run_round(states, inboxes, step, adjacency=adj)
-        frontier = []
-        for v, arrivals in sorted(inboxes.items()):
-            if v in parent or not arrivals:
-                continue
-            src = min(a for a, _ in arrivals)
-            parent[v] = src
-            depth[v] = depth[src] + 1
-            frontier.append(v)
-        inboxes = {}
-    children: dict[int, list[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if v != p:
-            children[p].append(v)
-    for c in children.values():
-        c.sort()
-    return SpanningTree(root, parent, depth, children)
+def bfs_tree(net: Network, root: int, adj: sp.csr_matrix | None = None,
+             labels: np.ndarray | None = None) -> SpanningTree:
+    """BFS tree of root's component in a symmetric CSR adjacency whose local
+    indices carry ascending host labels (the host graph by default).  Each
+    vertex's parent is its smallest neighbour one level up.  Charged as the
+    message-level BFS: depth rounds, one claim per edge between consecutive
+    levels."""
+    if adj is None:
+        adj, labels = adjacency_csr(net.graph.n, net.graph.edges), np.arange(net.graph.n)
+    n = adj.shape[0]
+    start = np.full(n, INF)
+    start[np.searchsorted(labels, root)] = 0
+    depth = level_sweep(adj, start)
+    src, dst = edge_ends(adj)
+    up = depth[dst] == depth[src] - 1  # dst is one level above src
+    parent = np.where(depth == 0, np.arange(n), n)
+    np.minimum.at(parent, src[up], dst[up])
+    order = np.argsort(depth, kind="stable")[: np.count_nonzero(depth < INF)]
+    hosts, parents = labels[order].tolist(), labels[parent[order]].tolist()
+    children = {v: [] for v in hosts}
+    for v, p in zip(hosts[1:], parents[1:]):  # by (depth, label): children come sorted
+        children[p].append(v)
+    _charge_tree_rounds(net, int(depth[order[-1]]), int(up.sum()))
+    return SpanningTree(root, dict(zip(hosts, parents)),
+                        dict(zip(hosts, depth[order].tolist())), children)
 
 
 def tree_aggregate(net: Network, tree: SpanningTree, values: dict, combine: Callable):
@@ -268,25 +250,38 @@ def _tree_adj(tree: SpanningTree, v: int):
     return out
 
 
+def _charge_tree_rounds(net: Network, rounds: int, messages: int):
+    """Charge rounds of at most one KIND_BITS + WORD_BITS message per edge."""
+    if rounds:
+        net.ledger.charge(net.phase, rounds=rounds, messages=messages,
+                          edge_bits=KIND_BITS + WORD_BITS)
+
+
 def subtree_degrees(net: Network, tree: SpanningTree, deg: Callable[[int], int]):
-    """s(v): sum of degrees over the subtree rooted at v (via a real aggregate)."""
-    _, sub = tree_aggregate(net, tree, {v: deg(v) for v in tree.parent}, lambda a, b: a + b)
+    """s(v): sum of degrees over the subtree rooted at v, folded bottom-up.
+    Charged as the aggregate: depth rounds, one partial sum per tree edge."""
+    sub = {v: deg(v) for v in tree.parent}
+    for v in sorted(tree.parent, key=tree.depth.__getitem__, reverse=True):
+        if v != tree.root:
+            sub[tree.parent[v]] += sub[v]
+    _charge_tree_rounds(net, tree.depth_max, len(sub) - 1)
     return sub
 
 
 def sample_by_degree(net: Network, tree: SpanningTree, counts: dict[int, int],
-                     rng: np.random.Generator, deg: Callable[[int], int] | None = None,
-                     subtree: dict | None = None) -> list[tuple[int, int]]:
+                     rng: np.random.Generator,
+                     deg: Callable[[int], int] | None = None) -> list[tuple[int, int]]:
     """Land `counts[b]` tokens of each tag b on vertices with probability deg/Vol.
 
-    Tokens trickle down the tree: a token dies at v with probability
-    deg(v)/s(v), else moves to child u with probability s(u)/(s(v)-deg(v)).
-    Only token counts cross edges; tags are pipelined one per round, so the
-    charged rounds are depth + number of tags.
+    The subtree sums s(v) come from `subtree_degrees`.  Tokens then trickle
+    down the tree: a token dies at v with probability deg(v)/s(v), else moves
+    to child u with probability s(u)/(s(v)-deg(v)).  Only token counts cross
+    edges; tags are pipelined one per round, so the charged rounds are depth +
+    number of tags.  Like the sums, every round is charged to the ledger
+    without running a `Network` round, so nothing enters `Network.trace`.
     """
     d = deg or (lambda v: net.graph.degree(v))
-    if subtree is None:
-        subtree = subtree_degrees(net, tree, d)
+    subtree = subtree_degrees(net, tree, d)
     tags = sorted(counts)
     landings: list[tuple[int, int]] = []
     # in_flight: (vertex, tag) -> count; batches released one tag per round.
@@ -334,8 +329,7 @@ class SearchResult:
 
 def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, object],
                          weights: dict[int, int], predicate: Callable[[int, int], bool],
-                         rng: np.random.Generator, message_level: bool = True,
-                         iteration_cap: int | None = None) -> SearchResult:
+                         rng: np.random.Generator, message_level: bool = True) -> SearchResult:
     """Locate the last rank (in ascending key order) where a monotone predicate holds.
 
     `predicate(vertex, prefix_weight)` sees the cumulative weight of every
@@ -353,7 +347,7 @@ def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, objec
     lo, hi = 0, len(universe) - 1
     best_rank, best_vertex, best_weight = 0, None, 0
     iterations = 0
-    cap = iteration_cap or max(64, 64 * int(math.log2(len(universe) + 1) + 1))
+    cap = max(64, 64 * int(math.log2(len(universe) + 1) + 1))
     depth = tree.depth_max
     while lo <= hi:
         iterations += 1

@@ -7,9 +7,9 @@ level only if all three of its edges are inter-component there, so the union
 over levels is exhaustive; every reported triple is re-checkable against the
 original adjacency.
 
-Routing is a pluggable strategy with an analytic cost model: delivering one
-batch of requests (per-vertex load proportional to degree) inside a component
-is charged c_r * tau_mix * log2(n)^q rounds.
+Routing is direct delivery with an analytic cost model: delivering one batch
+of requests (per-vertex load proportional to degree) inside a component is
+charged c_r * tau_mix * log2(n)^q rounds.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ def brute_force_triangles(g: Graph) -> set[tuple[int, int, int]]:
 class Router:
     """Direct delivery with an analytic round cost per batch."""
 
-    strategy: str = "direct"
     c_r: float = 1.0
     q_exp: float = 1.0
 

@@ -1,13 +1,17 @@
-"""Brute-force certificates for the dense-region growth invariant, and
-per-step references for the walk kernel, the sweep scan and the falsifier."""
+"""Brute-force certificates for the dense-region growth invariant, per-step
+references for the walk kernel, the sweep scan and the falsifier, and
+message-level references for the BFS tree, the subtree sums and the shift
+clustering."""
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from expandec.clustering import ShiftClustering
 from expandec.cuts import SweepCandidate
 from expandec.errors import BadPhi
-from expandec.simulator import KIND_BITS, WORD_BITS
+from expandec.graph import edge_key
+from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, tree_aggregate
 from expandec.views import ActiveView
 from expandec.walks import (
     MASS_MSG_BITS,
@@ -269,3 +273,119 @@ def sweep_falsifier_per_step(working, comp, phi_k, profile):
         if ok.any():
             best = min(best, float((bnds[ok] / small[ok]).min()))
     return best
+
+
+# -- message-level references for the level-sweep primitives -------------------
+
+
+def bfs_tree_per_round(net, root, edge_filter=None, vertices=None):
+    """Message-level BFS over the host edges that pass edge_filter inside
+    vertices: every frontier vertex claims its unclaimed neighbours in one
+    round, and a claimed vertex takes the smallest claimant as its parent."""
+    ok = edge_filter or (lambda u, v: True)
+    inside = vertices if vertices is not None else set(range(net.graph.n))
+
+    def adj(v):
+        return [u for u in net.graph.neighbors[v] if u in inside and ok(*edge_key(u, v))]
+
+    parent = {root: root}
+    depth = {root: 0}
+    states = {v: None for v in inside}
+    inboxes = {}
+    frontier = [root]
+    while True:
+        targets = {u for v in frontier for u in adj(v) if u not in parent}
+        if not targets:
+            break
+
+        claimed = set(parent)
+
+        def step(v, state, inbox, _frontier=frozenset(frontier)):
+            outs = []
+            if v in _frontier:
+                outs = [(u, Msg("bfs-claim", v)) for u in adj(v) if u not in claimed]
+            return state, outs
+
+        states, inboxes = net.run_round(states, inboxes, step, adjacency=adj)
+        frontier = []
+        for v, arrivals in sorted(inboxes.items()):
+            if v in parent or not arrivals:
+                continue
+            src = min(a for a, _ in arrivals)
+            parent[v] = src
+            depth[v] = depth[src] + 1
+            frontier.append(v)
+        inboxes = {}
+    children = {v: [] for v in parent}
+    for v, p in parent.items():
+        if v != p:
+            children[p].append(v)
+    for c in children.values():
+        c.sort()
+    return SpanningTree(root, parent, depth, children)
+
+
+def subtree_degrees_per_round(net, tree, deg):
+    """Subtree degree sums by a message-level aggregate, one round per level."""
+    _, sub = tree_aggregate(net, tree, {v: deg(v) for v in tree.parent}, lambda a, b: a + b)
+    return sub
+
+
+def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
+    """Exponential-shift clustering simulated epoch by epoch: at epoch t an
+    unclustered vertex with start t becomes a centre, and any other one next
+    to a cluster joins the smallest adjacent cluster id; idle epochs are
+    skipped but charged."""
+    n = net.graph.n
+    horizon = math.ceil(2 * math.log2(max(2, n)) / beta)
+    verts = [int(v) for v in view.verts]
+    if deltas is None:
+        draws = rng.exponential(scale=1.0 / beta, size=len(verts))
+        deltas = {v: float(x) for v, x in zip(verts, draws)}
+    start = {v: max(1, horizon - int(math.floor(deltas[v]))) for v in verts}
+    assignment = {}
+    unclustered = set(verts)
+    start_buckets = {}
+    for v in verts:
+        start_buckets.setdefault(start[v], []).append(v)
+    t = 1
+    while t <= horizon and unclustered:
+        growth_possible = any(
+            u in assignment for v in unclustered for u in view.live_neighbors(v)
+        )
+        has_start = any(
+            s >= t and any(v in unclustered for v in vs)
+            for s, vs in start_buckets.items()
+        )
+        if not growth_possible and not has_start:
+            break
+        if not growth_possible:
+            next_start = min(
+                s for s, vs in start_buckets.items()
+                if s >= t and any(v in unclustered for v in vs)
+            )
+            if next_start > t:
+                t = next_start  # idle epochs: no centers, no adjacent clusters
+        joins = {}
+        for v in sorted(unclustered):
+            if start[v] == t:
+                continue
+            adjacent = [assignment[u] for u in view.live_neighbors(v) if u in assignment]
+            if adjacent:
+                joins[v] = min(adjacent)
+        for v in sorted(unclustered):
+            if start[v] == t:
+                assignment[v] = v
+                unclustered.discard(v)
+        for v, c in joins.items():
+            assignment[v] = c
+            unclustered.discard(v)
+        t += 1
+    centers = sorted({c for c in assignment.values()})
+    cut = [
+        e for e in view.live_edges_host()
+        if assignment.get(e[0]) != assignment.get(e[1])
+    ]
+    net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
+                      edge_bits=KIND_BITS + 64)
+    return ShiftClustering(assignment, centers, start, horizon, cut)

@@ -19,6 +19,8 @@ from expandec.clustering import (
     neighborhood_threshold_test,
 )
 
+from helpers_h import shift_clustering_per_epoch
+
 
 def cluster_eccentricity(view, members, center):
     mem = set(members)
@@ -81,6 +83,39 @@ def test_rounds_charged_equal_epoch_count():
     exponential_shift_clustering(net, ActiveView.whole(g), 0.25, np.random.default_rng(1))
     horizon = math.ceil(2 * math.log2(g.n) / 0.25)
     assert net.ledger.totals().rounds == horizon
+
+
+def test_shift_clustering_matches_epoch_simulation():
+    """Random views (removed edges, vertex subsets, isolated vertices), beta in
+    [0.05, 0.9], drawn shifts and small integer shifts that force ties, against
+    the epoch-by-epoch simulation: the same clusters, starts, cut order,
+    ledger and generator state."""
+    rng = np.random.default_rng(0x5F7)
+    ties = isolated = 0
+    for draw in range(200):
+        n = int(rng.integers(1, 30))
+        g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.4)), seed=draw)
+        working = WorkingGraph(g)
+        working.remove_edges([e for e in g.edges if rng.random() < 0.2], "x")
+        view = ActiveView(working, [v for v in range(n) if rng.random() < 0.8] or [0])
+        beta = float(rng.uniform(0.05, 0.9))
+        deltas = None
+        if draw % 2:
+            deltas = {int(v): int(rng.integers(0, 5)) for v in view.verts}
+            ties += len(set(deltas.values())) < len(deltas)
+        isolated += bool((view.live_deg == 0).any())
+        net, ref_net = Network(g), Network(g)
+        gen_a, gen_b = np.random.default_rng(draw), np.random.default_rng(draw)
+        a = exponential_shift_clustering(net, view, beta, gen_a, deltas)
+        b = shift_clustering_per_epoch(ref_net, view, beta, gen_b, deltas)
+        assert list(a.assignment.items()) == list(b.assignment.items())
+        assert a.centers == b.centers
+        assert list(a.start.items()) == list(b.start.items())
+        assert a.epochs == b.epochs
+        assert a.cut_edges == b.cut_edges
+        assert net.ledger.snapshot() == ref_net.ledger.snapshot()
+        assert gen_a.integers(1 << 62) == gen_b.integers(1 << 62)
+    assert ties >= 50 and isolated >= 20, (ties, isolated)
 
 
 def test_neighborhood_edges_p9():

@@ -248,6 +248,28 @@ def test_decomposition_builds_no_distance_tables(monkeypatch):
     assert calls["hop"] == 0
 
 
+def test_pipeline_runs_no_message_rounds(monkeypatch):
+    # Trees, subtree sums, shift clusters, walks and scans are all charged by
+    # formula, so neither pipeline simulates a single network round.
+    from expandec.simulator import Network
+    from expandec.triangles import triangle_enumeration
+
+    calls = []
+    run_round = Network.run_round
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.phase)
+        return run_round(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "run_round", spy)
+    for spec in ("cliques_chain:3:7:2", "erdos_renyi:120:0.06", "grid:5:6"):
+        dec = expander_decomposition(gen.generate(spec, seed=1), 0.5, 2, 0, DESK)
+        assert dec.ledger.totals().rounds > 0
+    rep = triangle_enumeration(gen.erdos_renyi(30, 0.4, seed=2), rng=3, verify=True)
+    assert rep.verified and rep.ledger.totals().rounds > 0
+    assert calls == []
+
+
 def test_sweep_falsifier_matches_per_step():
     rng = np.random.default_rng(47)
     graphs = [gen.cliques_chain(3, 6, 1), gen.grid(5, 6), gen.random_regular(24, 3, seed=4),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from expandec import generators as gen
+from expandec.clustering import neighborhood_edges_exact
 from expandec.errors import BandwidthExceeded
-from expandec.graph import Graph
+from expandec.graph import Graph, adjacency_csr, edge_key
 from expandec.simulator import (
     Msg,
     Network,
@@ -18,6 +19,9 @@ from expandec.simulator import (
     tree_aggregate,
     tree_broadcast,
 )
+from expandec.views import ActiveView, WorkingGraph
+
+from helpers_h import bfs_tree_per_round, subtree_degrees_per_round
 
 
 def flood_token(net, start):
@@ -137,8 +141,54 @@ def test_bfs_matches_sssp_oracle():
 def test_bfs_edge_filter_unreachable():
     g = gen.path(4)
     net = Network(g)
-    tree = bfs_tree(net, 0, edge_filter=lambda u, v: (u, v) != (1, 2))
+    tree = bfs_tree(net, 0, adjacency_csr(4, [(0, 1), (2, 3)]), np.arange(4))
     assert set(tree.parent) == {0, 1}
+
+
+def test_bfs_tree_and_subtree_sums_match_message_level():
+    """Random views with removed edges, vertex subsets, edge subsets (as for a
+    walk's touched edges) and the whole host, against the message-level BFS
+    and aggregate: the same trees, sums and ledger."""
+    rng = np.random.default_rng(0xBF5)
+    kinds = {"view": 0, "edges": 0, "host": 0, "single": 0, "unreached": 0}
+    for draw in range(240):
+        n = int(rng.integers(1, 22))
+        g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.5)), seed=draw)
+        working = WorkingGraph(g)
+        working.remove_edges([e for e in g.edges if rng.random() < 0.2], "x")
+        view = ActiveView(working, [v for v in range(n) if rng.random() < 0.8] or [0])
+        root = int(rng.choice(view.verts))
+        net, ref_net = Network(g), Network(g)
+        if draw % 3 == 0:
+            kinds["view"] += 1
+            tree = bfs_tree(net, root, view.adj_matrix, view.verts)
+            ref = bfs_tree_per_round(ref_net, root, lambda a, c: working.is_live(a, c),
+                                     view.active)
+            reachable = len(view.active)
+        elif draw % 3 == 1:
+            kinds["edges"] += 1
+            keep = [e for e in view.live_edges_host() if rng.random() < 0.7]
+            local = np.searchsorted(view.verts, np.array(keep, dtype=np.int64))
+            tree = bfs_tree(net, root, adjacency_csr(len(view), local), view.verts)
+            ref = bfs_tree_per_round(ref_net, root, lambda a, c: edge_key(a, c) in keep,
+                                     {root} | {u for e in keep for u in e})
+            reachable = len(view.active)
+        else:
+            kinds["host"] += 1
+            tree = bfs_tree(net, root)
+            ref = bfs_tree_per_round(ref_net, root)
+            reachable = n
+        kinds["single"] += len(tree.parent) == 1
+        kinds["unreached"] += len(tree.parent) < reachable
+        assert tree.root == ref.root
+        assert list(tree.parent.items()) == list(ref.parent.items())
+        assert list(tree.depth.items()) == list(ref.depth.items())
+        assert tree.children == ref.children
+        assert net.ledger.snapshot() == ref_net.ledger.snapshot()
+        deg = lambda v: g.degree(v) + v % 3
+        assert subtree_degrees(net, tree, deg) == subtree_degrees_per_round(ref_net, ref, deg)
+        assert net.ledger.snapshot() == ref_net.ledger.snapshot()
+    assert all(count >= 10 for count in kinds.values()), kinds
 
 
 def test_tree_aggregate_degree_sum():
@@ -268,12 +318,19 @@ def test_search_message_level_equals_fast():
 
 def test_thread_pool_determinism():
     def transcript(threads):
-        net = Network(gen.barbell(4, 1), threads=threads, trace=True)
-        tree = bfs_tree(net, 0)
+        g = gen.barbell(4, 1)
+        net = Network(g, threads=threads, trace=True)
+        tree = bfs_tree_per_round(net, 0)
         tree_broadcast(net, tree, 42)
-        return net.trace, net.ledger.snapshot()
+        total, _ = tree_aggregate(net, tree, {v: g.degree(v) for v in tree.parent},
+                                  lambda a, b: a + b)
+        edges = neighborhood_edges_exact(net, ActiveView.whole(g), set(g.edges), 3, 6,
+                                         message_level=True)
+        return net.trace, net.ledger.snapshot(), total, edges
 
-    t1, l1 = transcript(None)
-    t2, l2 = transcript(3)
+    t1, l1, total1, edges1 = transcript(None)
+    t2, l2, total2, edges2 = transcript(3)
+    assert len(t1) > 0
     assert t1 == t2
     assert l1 == l2
+    assert (total1, edges1) == (total2, edges2)
