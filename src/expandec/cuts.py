@@ -248,7 +248,7 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
         rows = len(cnt)
         small = np.minimum(prefvol, vol_total - prefvol)
         above_floor = 14 * prefvol >= 5 * (1 << b)
-        rho_j = masses[np.arange(rows)[:, None], order] / deg[order]
+        rho_j = masses[np.arange(rows)[:, None], order] / view.deg_pos[order]
         raw_mask = ((bnds <= phi * small * (1 + 1e-9) + 1e-9)
                     & (6 * prefvol <= 5 * vol_total) & above_floor
                     & _mass_floor_prefilter(rho_j, prefvol, gam))

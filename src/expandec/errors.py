@@ -59,5 +59,13 @@ class IterationOverflow(ExpandecError):
     """Trim phase exceeded its per-level iteration budget (bug signal)."""
 
 
+class StalledLevel(ExpandecError):
+    """A triangle recursion level did not shrink its edge set (bug signal)."""
+
+
+class NotATriangle(ExpandecError):
+    """A reported triple is not a triangle of the input graph (bug signal)."""
+
+
 class BudgetExceeded(ExpandecError):
     """Decomposition removed more edges than its contract allows."""

@@ -1,11 +1,23 @@
 """Triangle enumeration driven by repeated expander decomposition.
 
-Each level decomposes the current edge set, enumerates every triangle with at
-least one intra-component edge via bucket-triple assignments inside each
-component, then recurses on the inter-component edges.  A triangle survives a
-level only if all three of its edges are inter-component there, so the union
-over levels is exhaustive; every reported triple is re-checkable against the
-original adjacency.
+Each level decomposes the current edge set, enumerates the triangles around
+every component of at least two vertices, then recurses on the
+inter-component edges.  A triangle survives a level only if all three of its
+edges are inter-component there, so the union over levels is exhaustive.
+
+Triangles are int64 arrays from end to end.  Per component, the forward edges
+(u < v) of G[comp ∪ N(comp)] are gathered from the level graph's rows of that
+vertex set only, and the triangles are listed by a wedge test: every forward
+edge (u, v) and forward neighbor w of v close a triangle when (u, w) is an
+edge, found by `searchsorted` over the sorted edge keys, in chunks of at most
+WEDGE_CHUNK wedges.  The bucket-triple assignment of the routing model
+(ceil(|comp|^(1/3)) ID-ordered buckets, triples dealt round-robin to the
+component's vertices) is kept as arithmetic on the same arrays: pair-list
+sizes come from one `bincount`, each triangle's reporter is the assignee of
+its sorted bucket triple, and assignee loads are one `bincount` more.  The
+driver keeps the first occurrence of each triangle in component and level
+order, checks every one against the input graph's edge keys with one
+vectorized membership test, and builds the public set and reporter dict once.
 
 Routing is direct delivery with an analytic cost model: delivering one batch
 of requests (per-vertex load proportional to degree) inside a component is
@@ -15,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
 from .config import Profile
 from .decomposition import Decomposition, contract_live, expander_decomposition
-from .errors import BadEpsilon, TooLarge
+from .errors import BadEpsilon, DepthExceeded, NotATriangle, StalledLevel, TooLarge
 from .graph import Graph, mixing_time_estimate
 from .simulator import RoundLedger
 from .views import WorkingGraph
@@ -29,6 +41,8 @@ from .views import WorkingGraph
 TRIANGLE_N_MAX = 2000
 MIX_EXACT_N_MAX = 128
 MIX_TOL = 0.5  # L1 distance to the degree-stationary distribution
+WEDGE_CHUNK = 1 << 18  # candidate wedges tested per numpy pass
+TUPLE_CHUNK = 1 << 16  # triangle rows turned into Python tuples per pass
 
 
 def brute_force_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -58,64 +72,110 @@ class Router:
 @dataclass
 class ComponentEnumeration:
     component: tuple[int, ...]
-    triangles: set
-    reporters: dict  # triangle -> assigned vertex
+    tris: np.ndarray       # (T, 3) int64 host ids; rows ascending, in lexicographic order
+    assignees: np.ndarray  # (T,) int64: the component vertex that reports each row
     buckets: int
     triples: int
     batches: int
     tau_mix: float
     rounds_charged: float
 
+    @property
+    def triangles(self) -> set:
+        return set(map(tuple, self.tris.tolist()))
+
+    @property
+    def reporters(self) -> dict:  # triangle -> assigned vertex
+        return dict(zip(map(tuple, self.tris.tolist()), self.assignees.tolist()))
+
+
+def _rows(g: Graph, verts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(row length, concatenated neighbors) of the given vertices of g."""
+    rows = [g.neighbors[v] for v in verts]
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+    return lens, cols
+
+
+def _is_key(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Membership of each query in the sorted key array."""
+    if len(keys) == 0:
+        return np.zeros(len(q), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+
+
+def _wedge_triangles(fu: np.ndarray, fv: np.ndarray, n: int) -> np.ndarray:
+    """Triangles (u < v < w) of the graph on 0..n-1 whose forward edges
+    (u < v) are given in lexicographic order; rows come out in the same order.
+
+    Each forward edge (u, v) meets each forward neighbor w of v in a wedge,
+    kept when (u, w) is an edge; edges are taken in runs of at most
+    WEDGE_CHUNK wedges (a run holds one edge at least).
+    """
+    keys = fu * n + fv
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fu, minlength=n), out=ptr[1:])
+    wedges = np.cumsum(ptr[fv + 1] - ptr[fv])
+    out = []
+    lo, done = 0, 0
+    while lo < len(fu):
+        hi = max(lo + 1, int(np.searchsorted(wedges, done + WEDGE_CHUNK, side="right")))
+        head = fv[lo:hi]
+        cnt = ptr[head + 1] - ptr[head]
+        first = np.cumsum(cnt) - cnt  # position of each edge's first wedge in the run
+        w = fv[np.repeat(ptr[head] - first, cnt) + np.arange(int(wedges[hi - 1]) - done)]
+        u, v = np.repeat(fu[lo:hi], cnt), np.repeat(head, cnt)
+        hit = _is_key(keys, u * n + w)
+        out.append(np.stack([u[hit], v[hit], w[hit]], axis=1))
+        lo, done = hi, int(wedges[hi - 1])
+    return np.concatenate(out) if out else np.empty((0, 3), dtype=np.int64)
+
 
 def enumerate_component(level_graph: Graph, comp, router: Router,
                         tau_mix: float, n_global: int) -> ComponentEnumeration:
-    """Report every triangle of the level graph with >= 2 vertices in comp.
+    """Report every triangle of G[comp ∪ N(comp)] in the level graph.
 
-    Component vertices and their external boundary neighbors are split into
-    ceil(|comp|^(1/3)) ID-ordered buckets; bucket triples are assigned
-    round-robin to component vertices, and each assignee intersects the three
-    bucket-pair edge lists drawn from intra edges, boundary edges, and the
-    external adjacency among boundary-touching vertices.
+    This includes triangles with one vertex in comp or none (wholly inside
+    N(comp)).  The vertex set U = comp ∪ N(comp) is split into
+    ceil(|comp|^(1/3)) ID-ordered buckets of ceil(|U| / buckets) vertices;
+    bucket triples are assigned round-robin to component vertices, and each
+    triangle is reported by the assignee of its sorted bucket triple.  An
+    assignee's load is the total size of the three bucket-pair edge lists of
+    its triples, and the batch count is the largest load-to-degree ratio.
     """
     comp = sorted(comp)
-    comp_set = set(comp)
-    ext = sorted({
-        u for v in comp for u in level_graph.neighbors[v] if u not in comp_set
-    })
-    universe = sorted(comp_set | set(ext))
-    uni_set = set(universe)
+    comp_arr = np.array(comp, dtype=np.int64)
+    universe = np.union1d(comp_arr, _rows(level_graph, comp)[1])
+    lens, cols = _rows(level_graph, universe.tolist())
+    n_u = len(universe)
+    # forward edges of G[U] in local indices: U is sorted, so i < j iff u < v
+    rows = np.repeat(np.arange(n_u), lens)
+    local = np.searchsorted(universe, cols)
+    inside = local < n_u
+    inside[inside] = universe[local[inside]] == cols[inside]
+    fwd = inside & (local > rows)
+    fu, fv = rows[fwd], local[fwd]
     n_buckets = max(1, math.ceil(len(comp) ** (1.0 / 3.0)))
-    chunk = math.ceil(len(universe) / n_buckets)
-    bucket_of = {v: i // chunk for i, v in enumerate(universe)}
-    pair_edges: dict[tuple[int, int], list] = {}
-    adj_in = {v: (set(level_graph.neighbors[v]) & uni_set) for v in universe}
-    for v in universe:
-        for u in adj_in[v]:
-            if v < u:
-                key = tuple(sorted((bucket_of[v], bucket_of[u])))
-                pair_edges.setdefault(key, []).append((v, u))
-    triples = list(combinations_with_replacement(range(n_buckets), 3))
-    triangles = set()
-    reporters = {}
-    load = {v: 0 for v in comp}
-    members = {i: [v for v in universe if bucket_of[v] == i] for i in range(n_buckets)}
-    for i, (a, b, c) in enumerate(triples):
-        assignee = comp[i % len(comp)]
-        lists = [pair_edges.get(tuple(sorted(p)), []) for p in ((a, b), (b, c), (a, c))]
-        load[assignee] += sum(len(l) for l in lists)
-        set_c = set(members[c])
-        for p, q in pair_edges.get(tuple(sorted((a, b))), []):
-            for r in (adj_in[p] & adj_in[q]) & set_c:
-                tri = tuple(sorted((p, q, r)))
-                if tri not in triangles:
-                    triangles.add(tri)
-                    reporters[tri] = assignee
-    batches = max(
-        (math.ceil(load[v] / max(1, level_graph.degree(v))) for v in comp), default=0
-    )
+    chunk = math.ceil(n_u / n_buckets)
+    triples = np.array(list(combinations_with_replacement(range(n_buckets), 3)),
+                       dtype=np.int64)
+    ta, tb, tc = triples.T
+    pair = np.bincount((fu // chunk) * n_buckets + fv // chunk,
+                       minlength=n_buckets * n_buckets).reshape(n_buckets, n_buckets)
+    load = pair[ta, tb] + pair[tb, tc] + pair[ta, tc]
+    # bincount sums in float64, exact below 2^53
+    per_vertex = np.bincount(np.arange(len(triples)) % len(comp), weights=load,
+                             minlength=len(comp)).astype(np.int64)
+    deg = np.fromiter(map(level_graph.degree, comp), dtype=np.int64, count=len(comp))
+    batches = int((-(-per_vertex // np.maximum(1, deg))).max(initial=0))
+    tris = _wedge_triangles(fu, fv, n_u)
+    # the only triple listing a triangle is its sorted bucket triple
+    b = tris // chunk
+    tkey = (ta * n_buckets + tb) * n_buckets + tc
+    idx = np.searchsorted(tkey, (b[:, 0] * n_buckets + b[:, 1]) * n_buckets + b[:, 2])
     rounds = batches * router.batch_rounds(tau_mix, n_global)
-    return ComponentEnumeration(tuple(comp), triangles, reporters, n_buckets,
-                                len(triples), batches, tau_mix, rounds)
+    return ComponentEnumeration(tuple(comp), universe[tris], comp_arr[idx % len(comp)],
+                                n_buckets, len(triples), batches, tau_mix, rounds)
 
 
 @dataclass
@@ -162,6 +222,48 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float,
     return profile.c_mix * math.log2(max(2, sub.n)) / phi_floor**2
 
 
+def _first_occurrences(parts: list[ComponentEnumeration]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, reporters) keeping each triangle's first report, rows sorted."""
+    if len(parts) == 1:
+        return parts[0].tris, parts[0].assignees
+    if not parts:
+        return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64)
+    tris = np.concatenate([p.tris for p in parts])
+    order = np.lexsort(tris.T[::-1])  # stable: equal rows keep their report order
+    tris = tris[order]
+    first = np.ones(len(tris), dtype=bool)
+    first[1:] = (tris[1:] != tris[:-1]).any(axis=1)
+    return tris[first], np.concatenate([p.assignees for p in parts])[order[first]]
+
+
+def _check_sound(graph: Graph, tris: np.ndarray) -> None:
+    """Raise NotATriangle unless every row u < v < w is a triangle of graph."""
+    n, m = graph.n, graph.m
+    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * m)
+    keys = ends[0::2] * n + ends[1::2]  # graph.edges is sorted, so are the keys
+    u, v, w = tris.T
+    ok = _is_key(keys, u * n + v) & _is_key(keys, v * n + w) & _is_key(keys, u * n + w)
+    if not ok.all():
+        raise NotATriangle(f"reported {tuple(tris[ok.argmin()].tolist())} is not a triangle")
+
+
+def _public(tris: np.ndarray, reporter: np.ndarray, n: int) -> tuple[set, dict]:
+    """The report's triangle set and reporter dict.
+
+    The tuples hold one shared int object per vertex label, taken from an
+    object array (`tolist` of an int64 array makes a fresh object for every
+    int > 256).  Both grow chunk by chunk: a set built from a whole dict
+    would be allocated at twice the size.
+    """
+    labels = np.array(range(n), dtype=object)
+    triangles, reporters = set(), {}
+    for lo in range(0, len(tris), TUPLE_CHUNK):
+        keys = list(zip(*labels[tris[lo : lo + TUPLE_CHUNK]].T.tolist()))
+        triangles.update(keys)
+        reporters.update(zip(keys, labels[reporter[lo : lo + TUPLE_CHUNK]].tolist()))
+    return triangles, reporters
+
+
 def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
                          rng: np.random.Generator | int = 0,
                          profile: Profile | None = None,
@@ -176,8 +278,6 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
         raise BadEpsilon(f"epsilon={epsilon} above 1/6")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else int(rng.integers(1 << 62))
     ledger = RoundLedger()
-    triangles: set = set()
-    reporters: dict = {}
     levels: list[LevelReport] = []
     edges = list(graph.edges)
     level = 0
@@ -185,7 +285,7 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     while edges:
         level += 1
         if level > max_depth:
-            raise AssertionError(f"recursion depth {level} exceeds log6 bound")
+            raise DepthExceeded(f"recursion depth {level} exceeds log6 bound")
         level_graph = Graph.from_edges(graph.n, edges)
         dec = expander_decomposition(level_graph, epsilon, k, [seed, level],
                                      profile, ledger=ledger)
@@ -194,20 +294,16 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
             if len(comp) < 2:
                 continue
             tau = component_mixing_time(level_graph, comp, dec.params.phi_k, profile)
-            rep = enumerate_component(level_graph, comp, router, tau, graph.n)
-            comp_reports.append(rep)
-            for tri in rep.triangles:
-                if tri not in triangles:
-                    triangles.add(tri)
-                    reporters[tri] = rep.reporters[tri]
+            comp_reports.append(enumerate_component(level_graph, comp, router, tau, graph.n))
         next_edges = sorted(e for es in dec.removed.values() for e in es)
-        assert len(next_edges) < len(edges)
+        if len(next_edges) >= len(edges):
+            raise StalledLevel(f"level {level} kept {len(next_edges)} of {len(edges)} edges")
         levels.append(LevelReport(level, len(edges), len(next_edges), comp_reports, dec))
         edges = next_edges
+    tris, reporter = _first_occurrences([c for lvl in levels for c in lvl.components])
+    _check_sound(graph, tris)
+    triangles, reporters = _public(tris, reporter, graph.n)
     report = TriangleReport(triangles, reporters, levels, ledger, epsilon, k)
-    for tri in triangles:  # soundness: every reported triple is a real triangle
-        u, v, w = tri
-        assert graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w)
     if verify:
         report.verified = triangles == brute_force_triangles(graph)
     return report

@@ -9,6 +9,9 @@ as the CSR matrix that the walk kernel and the traversal substrate of
 `graph` (components, hop distances) run on; the per-vertex component roots
 are computed on first use.  They also hold the walk step's
 per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
+An isolated vertex (deg 0) holds no walk mass, sends no message and is never
+swept: its walk divisor and rho divisor count its degree as 1, so it needs no
+branch in the walk step or the sweep.
 """
 from __future__ import annotations
 
@@ -70,7 +73,8 @@ class ActiveView:
         self.edges_local = np.array(edges, dtype=np.int64).reshape(-1, 2)
         self.live_deg = np.array([len(r) for r in adj_local], dtype=np.int64)
         self.adj_matrix = adjacency_csr(len(self.verts), self.edges_local)
-        self.two_deg = 2 * self.deg
+        self.deg_pos = np.maximum(self.deg, 1)  # divisor of rho = mass / deg
+        self.two_deg = 2 * self.deg_pos
         self.keep_num = self.two_deg - self.live_deg
 
     @classmethod

@@ -94,7 +94,8 @@ def truncate(g: Graph, p: np.ndarray, eps: float) -> np.ndarray:
 def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
     """One fixed-point lazy step over a view (int64 array indexed like view.verts).
 
-    Uses the view's step constants two_deg = 2 deg and keep_num = 2 deg - live;
+    Uses the view's step constants two_deg = 2 deg and keep_num = 2 deg - live
+    (an isolated vertex counts deg 1: it keeps its mass and sends none);
     the compiled CSR product adds the shares sent along live edges into the
     kept array in place.
     """
@@ -248,7 +249,7 @@ def sweep_order_local(view: ActiveView, mass: np.ndarray) -> np.ndarray:
     sup = np.nonzero(mass)[0]
     if len(sup) == 0:
         return sup
-    rho = mass[sup] / view.deg[sup]
+    rho = mass[sup] / view.deg_pos[sup]
     order = np.lexsort((view.verts[sup], -rho))
     return sup[order]
 
@@ -265,10 +266,9 @@ def sweep_tables(view: ActiveView, masses: np.ndarray):
     their key -0.0 is above every supported key.
     """
     rows, n = masses.shape
-    deg = view.deg
-    order = np.argsort(-(masses / deg), axis=1, kind="stable")
+    order = np.argsort(-(masses / view.deg_pos), axis=1, kind="stable")
     cnt = np.count_nonzero(masses, axis=1)
-    prefvol = np.cumsum(deg[order], axis=1)
+    prefvol = np.cumsum(view.deg[order], axis=1)
     rank = np.empty_like(order)
     rank[np.arange(rows)[:, None], order] = np.arange(n)
     ea, eb = view.edges_local.T

@@ -1,9 +1,10 @@
 """Brute-force certificates for the dense-region growth invariant, per-step
-references for the walk kernel, the sweep scan and the falsifier, and
+references for the walk kernel, the sweep scan and the falsifier,
 message-level references for the BFS tree, the subtree sums and the shift
-clustering."""
+clustering, and the per-triple reference for triangle enumeration."""
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from expandec.cuts import SweepCandidate
 from expandec.errors import BadPhi
 from expandec.graph import edge_key
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, tree_aggregate
+from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
 from expandec.walks import (
     MASS_MSG_BITS,
@@ -389,3 +391,50 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
     return ShiftClustering(assignment, centers, start, horizon, cut)
+
+
+# -- per-triple reference for triangle enumeration ---------------------------
+
+
+def enumerate_component_per_triple(level_graph, comp, router, tau_mix, n_global):
+    """enumerate_component by Python sets: each assignee intersects the three
+    bucket-pair edge lists of its bucket triple, and a triangle keeps the
+    assignee of the first triple that lists it."""
+    comp = sorted(comp)
+    comp_set = set(comp)
+    ext = sorted({
+        u for v in comp for u in level_graph.neighbors[v] if u not in comp_set
+    })
+    universe = sorted(comp_set | set(ext))
+    uni_set = set(universe)
+    n_buckets = max(1, math.ceil(len(comp) ** (1.0 / 3.0)))
+    chunk = math.ceil(len(universe) / n_buckets)
+    bucket_of = {v: i // chunk for i, v in enumerate(universe)}
+    pair_edges = {}
+    adj_in = {v: (set(level_graph.neighbors[v]) & uni_set) for v in universe}
+    for v in universe:
+        for u in adj_in[v]:
+            if v < u:
+                key = tuple(sorted((bucket_of[v], bucket_of[u])))
+                pair_edges.setdefault(key, []).append((v, u))
+    triples = list(combinations_with_replacement(range(n_buckets), 3))
+    reporters = {}
+    load = {v: 0 for v in comp}
+    members = {i: [v for v in universe if bucket_of[v] == i] for i in range(n_buckets)}
+    for i, (a, b, c) in enumerate(triples):
+        assignee = comp[i % len(comp)]
+        lists = [pair_edges.get(tuple(sorted(p)), []) for p in ((a, b), (b, c), (a, c))]
+        load[assignee] += sum(len(l) for l in lists)
+        set_c = set(members[c])
+        for p, q in pair_edges.get(tuple(sorted((a, b))), []):
+            for r in (adj_in[p] & adj_in[q]) & set_c:
+                reporters.setdefault(tuple(sorted((p, q, r))), assignee)
+    batches = max(
+        (math.ceil(load[v] / max(1, level_graph.degree(v))) for v in comp), default=0
+    )
+    rounds = batches * router.batch_rounds(tau_mix, n_global)
+    rows = sorted(reporters)
+    tris = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    assignees = np.array([reporters[t] for t in rows], dtype=np.int64)
+    return ComponentEnumeration(tuple(comp), tris, assignees, n_buckets, len(triples),
+                                batches, tau_mix, rounds)

@@ -472,3 +472,16 @@ def test_mass_floor_prefilter_contains_exact():
                 assert mask[i]
             elif Fraction(p * v, d) < Fraction(gamma) * SCALE * (1 - Fraction(1, 10**6)):
                 assert not mask[i]  # clearly below the floor: excluded
+
+
+def test_concurrent_cuts_with_an_isolated_vertex():
+    # erdos_renyi:50:0.1 at seed 0 has an isolated vertex; walks, sweep tables
+    # and scans divide by no zero degree (RuntimeWarning is an error here)
+    g = gen.erdos_renyi(50, 0.1, seed=0)
+    assert min(g.degree(v) for v in range(g.n)) == 0
+    view, params = _cut_setup(g)
+    for seed in range(2):
+        net = Network(g)
+        res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed))
+        assert all(g.degree(inst.start) > 0 for inst in res.instances)
+        assert net.ledger.totals().rounds > 0

@@ -1,14 +1,23 @@
 """Triangle oracle, per-component enumeration, recursion driver, router costs."""
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from expandec import generators as gen
+from expandec import triangles
 from expandec.config import DESK
-from expandec.errors import BadEpsilon, Disconnected, TooLarge
+from expandec.errors import BadEpsilon, Disconnected, NotATriangle, StalledLevel, TooLarge
 from expandec.graph import Graph
+from expandec.views import ActiveView
 from expandec.triangles import (
+    ComponentEnumeration,
     Router,
     brute_force_triangles,
     component_mixing_time,
@@ -16,6 +25,8 @@ from expandec.triangles import (
     router_cost_report,
     triangle_enumeration,
 )
+
+from helpers_h import enumerate_component_per_triple
 
 
 def test_oracle_k4():
@@ -163,3 +174,178 @@ def test_generator_rng_draws_the_seed():
     assert again.ledger.rows() == a.ledger.rows()
     assert [lvl.decomposition.to_json() for lvl in again.levels] == \
         [lvl.decomposition.to_json() for lvl in a.levels]
+
+
+# -- the array kernel against the per-triple reference ------------------------
+
+
+def _same_enumeration(got, ref):
+    assert got.component == ref.component
+    assert np.array_equal(got.tris, ref.tris)
+    assert np.array_equal(got.assignees, ref.assignees)
+    assert got.triangles == ref.triangles and got.reporters == ref.reporters
+    assert (got.buckets, got.triples, got.batches, got.rounds_charged) == \
+        (ref.buckets, ref.triples, ref.batches, ref.rounds_charged)
+
+
+def _component_draws(count, seed):
+    """(graph, comp) draws: random graphs with connected balls, arbitrary
+    (often disconnected) subsets and two-vertex components."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(3, 48))
+        g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.9)), seed=int(rng.integers(1 << 30)))
+        kind = trial % 3
+        if kind == 0:
+            comp = rng.choice(n, size=2, replace=False)
+        elif kind == 1:
+            comp = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        else:  # a ball around a random vertex
+            ball = {int(rng.integers(n))}
+            for _ in range(int(rng.integers(1, 3))):
+                ball |= {u for v in ball for u in g.neighbors[v]}
+            comp = sorted(ball)
+        yield g, sorted(int(v) for v in comp)
+
+
+def test_enumerate_component_matches_per_triple_reference():
+    seen = set()
+    for g, comp in _component_draws(150, 8):
+        got = enumerate_component(g, comp, Router(1.5, 2.0), 3.0, g.n)
+        _same_enumeration(got, enumerate_component_per_triple(g, comp, Router(1.5, 2.0),
+                                                              3.0, g.n))
+        inside = set(comp)
+        universe = inside | {u for v in comp for u in g.neighbors[v]}
+        hits = [sum(x in inside for x in t) for t in got.triangles]
+        seen |= {f"in_comp_{h}" for h in hits}
+        if len(comp) == 2:
+            seen.add("comp_2")
+        if got.buckets * math.ceil(len(universe) / got.buckets) > len(universe):
+            seen.add("partial_last_bucket")
+        if len(ActiveView.whole(g).subview(comp).components()) > 1:
+            seen.add("disconnected")
+    # boundary triangles (1 or 2 vertices in comp) and triangles wholly in N(comp)
+    assert seen >= {"in_comp_0", "in_comp_1", "in_comp_2", "in_comp_3", "comp_2",
+                    "partial_last_bucket", "disconnected"}
+
+
+def test_enumerate_component_across_wedge_chunks(monkeypatch):
+    monkeypatch.setattr(triangles, "WEDGE_CHUNK", 3)
+    for g, comp in _component_draws(30, 9):
+        _same_enumeration(enumerate_component(g, comp, Router(), 2.0, g.n),
+                          enumerate_component_per_triple(g, comp, Router(), 2.0, g.n))
+
+
+def _planted(seed):
+    """A sparse random graph with a dense planted block: multi-level runs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 60))
+    edges = {tuple(sorted(e)) for e in gen.erdos_renyi(n, 0.1, seed=seed).edges}
+    block = int(rng.integers(8, 14))
+    edges |= {(u, v) for u in range(block) for v in range(u + 1, block) if rng.random() < 0.8}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_triangle_enumeration_matches_per_triple_reference():
+    levels, contested = [], 0
+    for trial in range(16):
+        g = _planted(trial) if trial % 2 else gen.cliques_chain(2 + trial % 5, 4 + trial % 4, 1)
+        rep = triangle_enumeration(g, 1 / 6, 2, trial, DESK)
+        first = {}
+        for lvl in rep.levels:
+            for c in lvl.components:
+                ref = enumerate_component_per_triple(lvl.decomposition.graph, c.component,
+                                                     Router(), c.tau_mix, g.n)
+                _same_enumeration(c, ref)
+                for tri, who in ref.reporters.items():
+                    contested += first.setdefault(tri, who) != who
+        assert rep.reporters == first
+        assert rep.triangles == set(first) == brute_force_triangles(g)
+        levels.append(len(rep.levels))
+    # multi-level runs, and triangles reported by two components with
+    # different assignees, so that the first report decides
+    assert max(levels) >= 2 and contested > 0
+
+
+def test_first_report_wins():
+    # both halves of K4 list all four triangles, with different reporters
+    g = gen.clique(4)
+    parts = [enumerate_component(g, [0, 1], Router(), 1.0, 4),
+             enumerate_component(g, [2, 3], Router(), 1.0, 4)]
+    tris, who = triangles._first_occurrences(parts)
+    assert np.array_equal(tris, parts[0].tris)
+    assert np.array_equal(who, parts[0].assignees)
+    assert not np.array_equal(parts[0].assignees, parts[1].assignees)
+    tris, who = triangles._first_occurrences(parts[::-1])
+    assert np.array_equal(who, parts[1].assignees)
+
+
+def test_enumerate_component_reports_triangles_outside_comp():
+    rep = enumerate_component(gen.clique(4), [0], Router(), 1.0, 4)
+    assert rep.triangles == brute_force_triangles(gen.clique(4))
+    assert (1, 2, 3) in rep.reporters and set(rep.reporters.values()) == {0}
+
+
+# -- the driver's guards --------------------------------------------------------
+
+
+def _fake_triangle(level_graph, comp, router, tau_mix, n_global):
+    comp = tuple(sorted(comp))
+    return ComponentEnumeration(comp, np.array([[0, 1, 5]]), np.array([comp[0]]),
+                                1, 1, 0, tau_mix, 0.0)
+
+
+def test_soundness_rejects_a_non_triangle(monkeypatch):
+    monkeypatch.setattr(triangles, "enumerate_component", _fake_triangle)
+    with pytest.raises(NotATriangle, match=r"\(0, 1, 5\)"):
+        triangle_enumeration(gen.cliques_chain(2, 4, 1), 1 / 6, 2, 0, DESK)
+
+
+def test_a_level_that_keeps_every_edge_is_an_error(monkeypatch):
+    real = triangles.expander_decomposition
+
+    def keep_all(graph, *args, **kwargs):
+        return dataclasses.replace(real(graph, *args, **kwargs), removed={"r1": list(graph.edges)})
+
+    monkeypatch.setattr(triangles, "expander_decomposition", keep_all)
+    with pytest.raises(StalledLevel, match="level 1 kept 10 of 10 edges"):
+        triangle_enumeration(gen.clique(5), 1 / 6, 2, 0, DESK)
+
+
+def test_soundness_check_survives_optimize_flag():
+    code = (
+        "import numpy as np\n"
+        "from expandec import generators as gen, triangles\n"
+        "from expandec.config import DESK\n"
+        "from expandec.errors import NotATriangle\n"
+        "assert False, 'asserts are on'\n"
+        "def fake(level_graph, comp, router, tau_mix, n_global):\n"
+        "    comp = tuple(sorted(comp))\n"
+        "    return triangles.ComponentEnumeration(\n"
+        "        comp, np.array([[0, 1, 5]]), np.array([comp[0]]), 1, 1, 0, tau_mix, 0.0)\n"
+        "triangles.enumerate_component = fake\n"
+        "try:\n"
+        "    triangles.triangle_enumeration(gen.cliques_chain(2, 4, 1), 1 / 6, 2, 0, DESK)\n"
+        "except NotATriangle:\n"
+        "    print('typed')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "typed"
+
+
+def test_triangle_enumeration_matches_networkx_beyond_test_sizes():
+    g = gen.generate("erdos_renyi:200:0.3", seed=0)
+    rep = triangle_enumeration(g, 1 / 6, 2, 0, DESK)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    counts = np.zeros(g.n, dtype=np.int64)
+    for tri in rep.triangles:
+        assert tri[0] < tri[1] < tri[2] and all(nxg.has_edge(*e) for e in
+                                                 (tri[:2], tri[1:], tri[::2]))
+        counts[list(tri)] += 1
+    expected = nx.triangles(nxg)
+    assert counts.tolist() == [expected[v] for v in range(g.n)]

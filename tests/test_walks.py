@@ -22,6 +22,7 @@ from expandec.walks import (
     influence_set,
     lazy_step,
     sweep_order,
+    sweep_blocks,
     sweep_order_local,
     sweep_tables,
     truncate,
@@ -427,3 +428,29 @@ def test_csr_matvec_adds_product_in_place():
     assert checked >= 15
     assert adjacency_csr(3, [(0, 1), (1, 2)]).data.dtype == np.int64
     assert adjacency_csr(2, []).data.dtype == np.int64
+
+
+def test_isolated_vertex_holds_no_mass_and_is_never_swept():
+    # erdos_renyi:50:0.1 at seed 0 has an isolated vertex; the walk and the
+    # sweep over the whole graph equal those over the view without it
+    g = gen.erdos_renyi(50, 0.1, seed=0)
+    iso = [v for v in range(g.n) if g.degree(v) == 0]
+    assert len(iso) == 1
+    whole = ActiveView.whole(g)
+    rest = whole.subview(set(range(g.n)) - set(iso))
+    keep = np.array([whole.index[v] for v in rest.verts.tolist()])
+    params = derive_walk_params(g.m, 1 / 12, DESK)
+    for start in (0, 6, 44):
+        run = compute_walk(whole, start, params, 2)
+        ref = compute_walk(rest, start, params, 2)
+        assert run.freeze_t == ref.freeze_t and run.pstar == ref.pstar
+        assert len(run.masses) == len(ref.masses)
+        for got, want in zip(run.masses, ref.masses):
+            assert got[whole.index[iso[0]]] == 0 and np.array_equal(got[keep], want)
+        for (_, _, (order, cnt, prefvol, bnds)), (_, _, want) in zip(
+                sweep_blocks(whole, run, run.t_last), sweep_blocks(rest, ref, ref.t_last)):
+            assert np.array_equal(cnt, want[1])
+            for r, c in enumerate(cnt.tolist()):
+                assert np.array_equal(whole.verts[order[r, :c]], rest.verts[want[0][r, :c]])
+                assert np.array_equal(prefvol[r, :c], want[2][r, :c])
+                assert np.array_equal(bnds[r, :c], want[3][r, :c])
