@@ -11,11 +11,13 @@ Spanning trees are `bfs_tree` sweeps over the view's adjacency (the host
 tree) or the walk's touched live edges (each local cut's tree).  Like walks
 and scans, they are charged by formula, so a cut runs no `Network` round.
 
-The scan takes the stored walk steps in blocks of 1, 2, 4, ... steps: one
-`walks.sweep_tables` call gives every step of a block its sweep order, prefix
-volumes and prefix boundaries, and the candidate tests run on whole blocks,
-so no Python loop runs once per walk step.  The simulated cost is still the
-per-step cost, summed into one ledger entry per scan.
+The scan takes the stored walk steps in the blocks of `walks.sweep_blocks`
+(the whole run in one block on a small view): one `walks.sweep_tables` call
+gives every step of a block its sweep order, prefix volumes and prefix
+boundaries, and the candidate tests run on whole blocks, so no Python loop
+runs once per walk step.  The outcome is the earliest hit in step order
+whatever the blocks.  The simulated cost is still the per-step cost, summed
+into one ledger entry per scan.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
@@ -208,14 +210,15 @@ class LocalCutResult:
     b: int
     pstar: frozenset
     walk_frozen_at: int | None
+    touched: np.ndarray  # the walk's WalkRun.touched
 
 
 def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
              jx_only: bool, charger: ScanCharger | None = None) -> SweepCandidate | None:
     """First (t, j) hit of the sweep conditions, or None.
 
-    The stored steps t = 1..min(t0, t_last) are scanned in blocks of 1, 2,
-    4, ... rows (`sweep_blocks`), stopping after the first block with a hit.
+    The stored steps t = 1..min(t0, t_last) are scanned in the blocks of
+    `sweep_blocks`, stopping after the first block with a hit.
     Without jx_only every index is tested under the raw conditions and the
     hit is the first (t, j) in row-major order.  With jx_only each row steps
     through the geometric candidate subsequence: a step to j_prev + 1 is
@@ -337,11 +340,11 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
 def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate | None,
                            start: int, b: int) -> LocalCutResult:
     if cand is None:
-        return LocalCutResult(None, None, None, start, b, run.pstar, run.freeze_t)
+        return LocalCutResult(None, None, None, start, b, run.pstar, run.freeze_t, run.touched)
     order = sweep_order_local(view, run.masses[cand.t])
     members = frozenset(int(view.verts[i]) for i in order[: cand.j])
     cut = view.cut_stats(members)
-    return LocalCutResult(members, cut, cand, start, b, run.pstar, run.freeze_t)
+    return LocalCutResult(members, cut, cand, start, b, run.pstar, run.freeze_t, run.touched)
 
 
 def local_cut(view_or_graph, v: int, phi: float, b: int, params: WalkParams,
@@ -371,8 +374,8 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
     slack conditions on jump candidates, full round accounting."""
     _check_algo_phi(phi)
     run = compute_walk(view, v, params, b, net=net)
-    pstar = np.searchsorted(view.verts, np.array(list(run.pstar), dtype=np.int64))
-    tree = bfs_tree(net, v, adjacency_csr(len(view), pstar), view.verts)
+    tree = bfs_tree(net, v, adjacency_csr(len(view), view.edges_local[run.touched]),
+                    view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.parent))
     cand = scan_run(view, run, phi, b, profile, jx_only=True, charger=charger)
     return _result_from_candidate(view, run, cand, v, b)
@@ -422,7 +425,6 @@ class ConcurrentResult:
     params: MultiInstanceParams
     instances: list[LocalCutResult]
     instance_ids: list[int]
-    edge_participation: dict
 
 
 def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
@@ -452,15 +454,12 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     for (v, b), sub in zip(landings, sub_rngs):
         ids.append(int(sub.integers(1 << 62)))
         instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile))
-    participation: dict[tuple[int, int], int] = {}
-    for res in instances:
-        for e in res.pstar:
-            participation[e] = participation.get(e, 0) + 1
+    participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
     depth = host_tree.depth_max if host_tree else len(view)
-    if participation and max(participation.values()) > mi.w:
+    if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
-        return ConcurrentResult(None, None, True, mi, instances, ids, participation)
+        return ConcurrentResult(None, None, True, mi, instances, ids)
     seq = sorted(range(len(instances)),
                  key=lambda i: (ids[i], instances[i].start, instances[i].b))
     union: set[int] = set()
@@ -478,10 +477,10 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                       rounds=max(1, depth) * (2 + math.ceil(math.log2(max(2, mi.k)))),
                       messages=max(0, len(view) - 1), edge_bits=KIND_BITS + WORD_BITS)
     if not best:
-        return ConcurrentResult(None, None, False, mi, instances, ids, participation)
+        return ConcurrentResult(None, None, False, mi, instances, ids)
     members = frozenset(best)
     cut = view.cut_stats(members) if members != view.active else None
-    return ConcurrentResult(members, cut, False, mi, instances, ids, participation)
+    return ConcurrentResult(members, cut, False, mi, instances, ids)
 
 
 @dataclass

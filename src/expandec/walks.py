@@ -145,11 +145,18 @@ class WalkRun:
     params: WalkParams
     masses: list[np.ndarray]
     freeze_t: int | None
-    pstar: frozenset  # host edge keys
+    touched: np.ndarray  # bool per row of view.edges_local: an end ever held mass
 
     @property
     def t0(self) -> int:
         return self.params.t0
+
+    @property
+    def pstar(self) -> frozenset:
+        """Host edge keys of the touched edges."""
+        # local edges have a < b and view.verts is sorted, so these are edge keys
+        ends = self.view.verts[self.view.edges_local[self.touched]]
+        return frozenset(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
 
     @property
     def t_last(self) -> int:
@@ -222,10 +229,7 @@ def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
         net.ledger.charge(net.phase, rounds=t0, messages=msgs,
                           edge_bits=MASS_MSG_BITS if msgs else 0)
     ea, eb = view.edges_local.T
-    touched = support[ea] | support[eb]
-    # local edges have a < b and view.verts is sorted, so these are edge keys
-    pstar = frozenset(zip(view.verts[ea[touched]].tolist(), view.verts[eb[touched]].tolist()))
-    return WalkRun(view, start, b, params, masses, freeze_t, pstar)
+    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb])
 
 
 # -- sweep machinery ---------------------------------------------------------
@@ -285,20 +289,17 @@ def sweep_tables(view: ActiveView, masses: np.ndarray):
 
 def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
     """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
-    t..t+B-1 of run, covering 1..t_stop in blocks of B = 1, 2, 4, ... rows.
+    t..t+B-1 of run, covering 1..t_stop in blocks of B = min(cap, rows left).
 
-    Doubling keeps an early hit cheap on a long walk; a block holds at most
-    SWEEP_BLOCK_CELLS cells of its widest table (B x max(n, live edges)),
-    which bounds the transient memory on large views.
+    The cap, SWEEP_BLOCK_CELLS over max(n, live edges) cells a row, bounds
+    the transient memory on large views.  No block is smaller: most scans
+    find no cut and sweep every stored step, and each block costs one
+    `sweep_tables` call and one pass of the scan's candidate tests.
     """
     cap = max(1, SWEEP_BLOCK_CELLS // max(1, len(view.verts), view.m_live))
-    t, rows = 1, 1
-    while t <= t_stop:
-        k = min(rows, cap, t_stop - t + 1)
-        masses = np.array(run.masses[t : t + k])
+    for t in range(1, t_stop + 1, cap):
+        masses = np.array(run.masses[t : min(t + cap, t_stop + 1)])
         yield t, masses, sweep_tables(view, masses)
-        t += k
-        rows *= 2
 
 
 # -- diagnostics --------------------------------------------------------------

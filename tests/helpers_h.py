@@ -140,9 +140,7 @@ def compute_walk_per_step(view, start, params, b, net=None):
         net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
                           edge_bits=MASS_MSG_BITS if msgs else 0)
     ea, eb = view.edges_local.T
-    touched = support[ea] | support[eb]
-    pstar = frozenset(zip(view.verts[ea[touched]].tolist(), view.verts[eb[touched]].tolist()))
-    return WalkRun(view, start, b, params, masses, freeze_t, pstar)
+    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb])
 
 
 def walk_step_messages(view, run):

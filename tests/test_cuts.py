@@ -1,4 +1,5 @@
 """Local sweep cuts, concurrent instances, cut accumulation, balanced wrapper."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 import scipy.stats
 
 from expandec import generators as gen
+from expandec import walks
 from expandec.config import DESK, PAPER
+from expandec.decomposition import _sweep_falsifier
 from expandec.errors import BadPhi
 from expandec.graph import cut_stats
 from expandec.simulator import Network
@@ -361,17 +364,20 @@ def test_recomputed_conductance_matches_cached():
 def test_overlap_rule_from_transcript():
     g = gen.barbell(8, 1)
     view, params = _cut_setup(g)
-    for seed in range(5):
+    aborted = set()
+    for seed, k in zip(range(6), (6, 60) * 3):  # w = 50 here, so 60 instances can abort
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), k_override=6)
+                                    np.random.default_rng(seed), k_override=k)
         recount = {}
         for inst in res.instances:
             for e in inst.pstar:
                 recount[e] = recount.get(e, 0) + 1
-        assert recount == res.edge_participation
+        assert res.aborted_overlap == (max(recount.values(), default=0) > res.params.w)
+        aborted.add(res.aborted_overlap)
         if res.members is not None:
             assert max(recount.values()) <= res.params.w
+    assert aborted == {False, True}
 
 
 def test_instance_params_fields():
@@ -384,24 +390,46 @@ def test_instance_params_fields():
     assert not mi.union_small_enough(500)
 
 
-def _scan_both(view, start, params, phi, b, jx_only, depth, size):
-    """scan_run and the per-step oracle on one walk, each with its own ledger."""
-    nets = (Network(view.graph), Network(view.graph))
+DEFAULT_BLOCK_CELLS = walks.SWEEP_BLOCK_CELLS
+BLOCK_ROWS = (1, 3, None)  # 1-row blocks, 3-row blocks, the default cap
+
+
+def _block_cells(view, rows):
+    """SWEEP_BLOCK_CELLS value that caps the view's sweep blocks at rows rows."""
+    return DEFAULT_BLOCK_CELLS if rows is None else rows * max(len(view), view.m_live)
+
+
+def _scan_both(view, start, params, phi, b, jx_only, depth, size, monkeypatch=None):
+    """scan_run and the per-step oracle on one walk, each with its own ledger.
+
+    With monkeypatch, scan_run runs under every block schedule of BLOCK_ROWS,
+    and each candidate and ledger snapshot must equal the oracle's; the
+    default cap must then hold the whole run in one block.
+    """
+    schedules = BLOCK_ROWS if monkeypatch else (None,)
+    nets = [Network(view.graph) for _ in range(len(schedules) + 1)]
     runs = [compute_walk(view, start, params, b, net=net) for net in nets]
-    got = scan_run(view, runs[0], phi, b, DESK, jx_only, ScanCharger(nets[0], depth, size))
-    ref = scan_run_per_step(view, runs[1], phi, b, DESK, jx_only,
-                            StepCharger(nets[1], depth, size))
-    assert got == ref
-    assert nets[0].ledger.snapshot() == nets[1].ledger.snapshot()
-    return runs[0], got
+    ref = scan_run_per_step(view, runs[-1], phi, b, DESK, jx_only,
+                            StepCharger(nets[-1], depth, size))
+    for rows, net, run in zip(schedules, nets, runs):
+        if monkeypatch:
+            monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
+        got = scan_run(view, run, phi, b, DESK, jx_only, ScanCharger(net, depth, size))
+        assert got == ref
+        assert net.ledger.snapshot() == nets[-1].ledger.snapshot()
+    run = runs[0]
+    assert max(len(view), view.m_live) * min(run.t0, run.t_last) <= DEFAULT_BLOCK_CELLS
+    return run, ref
 
 
-def test_scan_run_matches_per_step_oracle():
+def test_scan_run_matches_per_step_oracle(monkeypatch):
     rng = np.random.default_rng(41)
     graphs = [gen.barbell(5, 1), gen.barbell(7, 2), gen.cliques_chain(3, 5, 1),
               gen.cliques_chain(4, 4, 2), gen.grid(4, 5), gen.erdos_renyi(16, 0.3, seed=9),
               gen.random_regular(18, 4, seed=2), gen.grid(3, 12), gen.grid(2, 16)]
-    seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0}
+    seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0,
+            "hit at t = 1": 0, "hit at t = 3k": 0, "hit in the last row": 0,
+            "miss with a frozen tail": 0, "falsifier finite": 0}
     for trial in range(70):
         g = graphs[trial % len(graphs)]
         view = ActiveView.whole(g)
@@ -415,12 +443,32 @@ def test_scan_run_matches_per_step_oracle():
         start = int(rng.integers(g.n))
         depth, size = int(rng.integers(1, 6)), int(rng.integers(1, 12))
         for jx_only in (False, True):
-            run, cand = _scan_both(view, start, params, phi, b, jx_only, depth, size)
+            run, cand = _scan_both(view, start, params, phi, b, jx_only, depth, size,
+                                   monkeypatch)
+            if cand is not None and 1 < cand.t < min(run.t0, run.t_last):
+                # the same walk with the horizon at the hit: the hit is the
+                # last row of the last block under every schedule
+                cut = dataclasses.replace(params, t0=cand.t)
+                _, cand_cut = _scan_both(view, start, cut, phi, b, jx_only, depth, size,
+                                         monkeypatch)
+                assert cand_cut == cand
+                seen["hit in the last row"] += 1
         seen["frozen"] += run.t_last < run.t0
         seen["emptied"] += not run.masses[-1].any()
         seen["hit"] += cand is not None
         seen["starred"] += cand is not None and cand.starred
         seen["dyadic"] += phi in (1 / 16, 1 / 64)
+        seen["hit at t = 1"] += cand is not None and cand.t == 1
+        seen["hit at t = 3k"] += cand is not None and cand.t % 3 == 0
+        seen["miss with a frozen tail"] += cand is None and run.t_last < run.t0
+        comp = frozenset(range(start, g.n))
+        comp_view = ActiveView(view.working, comp)
+        falsifiers = set()
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(comp_view, rows))
+            falsifiers.add(_sweep_falsifier(view.working, comp, phi, DESK))
+        assert len(falsifiers) == 1
+        seen["falsifier finite"] += falsifiers != {float("inf")}
     assert min(seen.values()) >= 2, seen
 
 

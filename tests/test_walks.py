@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from expandec import generators as gen
@@ -428,6 +429,29 @@ def test_csr_matvec_adds_product_in_place():
     assert checked >= 15
     assert adjacency_csr(3, [(0, 1), (1, 2)]).data.dtype == np.int64
     assert adjacency_csr(2, []).data.dtype == np.int64
+    # against scipy's COO construction: random edge lists, isolated vertices
+    # (never an endpoint) and the empty list
+    cases = [(5, np.zeros((0, 2), dtype=np.int64)), (1, []), (0, [])]
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        pick = rng.random(len(pairs)) < rng.uniform(0.0, 0.5)
+        edges = pairs[pick][rng.permutation(int(pick.sum()))]
+        cases.append((n, np.where(rng.random((len(edges), 1)) < 0.5, edges, edges[:, ::-1])))
+    isolated = 0
+    for n, edges in cases:
+        got = adjacency_csr(n, edges)
+        el = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows, cols = np.concatenate([el[:, 0], el[:, 1]]), np.concatenate([el[:, 1], el[:, 0]])
+        want = sp.coo_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                             shape=(n, n)).tocsr()
+        assert got.shape == want.shape == (n, n) and got.data.dtype == np.int64
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert got.has_sorted_indices and not (got != got.T).nnz
+        isolated += int((np.diff(got.indptr) == 0).sum())
+    assert isolated >= 10
 
 
 def test_isolated_vertex_holds_no_mass_and_is_never_swept():
@@ -447,10 +471,13 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
         assert len(run.masses) == len(ref.masses)
         for got, want in zip(run.masses, ref.masses):
             assert got[whole.index[iso[0]]] == 0 and np.array_equal(got[keep], want)
-        for (_, _, (order, cnt, prefvol, bnds)), (_, _, want) in zip(
-                sweep_blocks(whole, run, run.t_last), sweep_blocks(rest, ref, ref.t_last)):
-            assert np.array_equal(cnt, want[1])
-            for r, c in enumerate(cnt.tolist()):
-                assert np.array_equal(whole.verts[order[r, :c]], rest.verts[want[0][r, :c]])
-                assert np.array_equal(prefvol[r, :c], want[2][r, :c])
-                assert np.array_equal(bnds[r, :c], want[3][r, :c])
+        # the two views' blocks may split the steps differently: compare rows
+        order, cnt, prefvol, bnds = (np.concatenate(tables) for tables in zip(
+            *(tables for _, _, tables in sweep_blocks(whole, run, run.t_last))))
+        want = [np.concatenate(tables) for tables in zip(
+            *(tables for _, _, tables in sweep_blocks(rest, ref, ref.t_last)))]
+        assert len(cnt) == run.t_last and np.array_equal(cnt, want[1])
+        for r, c in enumerate(cnt.tolist()):
+            assert np.array_equal(whole.verts[order[r, :c]], rest.verts[want[0][r, :c]])
+            assert np.array_equal(prefvol[r, :c], want[2][r, :c])
+            assert np.array_equal(bnds[r, :c], want[3][r, :c])
