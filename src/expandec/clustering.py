@@ -63,11 +63,8 @@ class NeighborhoodOracle:
         return (reach <= d - 1).sum(axis=1).astype(np.int64)
 
     def ball_edges(self, local_v: int, d: int, edge_mask: np.ndarray | None = None):
-        idx = np.nonzero((self.edge_reach[local_v] <= d - 1)
-                         & (edge_mask if edge_mask is not None else True))[0]
-        verts = self.view.verts
-        el = self.view.edges_local
-        return sorted(edge_key(int(verts[el[i, 0]]), int(verts[el[i, 1]])) for i in idx)
+        rows = (self.edge_reach[local_v] <= d - 1) & (edge_mask if edge_mask is not None else True)
+        return self.view.edge_keys(rows)  # row-major, so sorted
 
 
 def ball_edge_counts(view: ActiveView, d: int, edge_mask: np.ndarray | None = None,
@@ -99,11 +96,7 @@ def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau:
     if message_level:
         return _edges_exact_messages(net, view, estar, d, tau)
     oracle = oracle or NeighborhoodOracle(view)
-    mask = np.array(
-        [edge_key(int(view.verts[a]), int(view.verts[b])) in estar
-         for a, b in view.edges_local],
-        dtype=bool,
-    )
+    mask = np.array([e in estar for e in view.live_edges_host()], dtype=bool)
     counts = oracle.ball_edge_counts(d, mask)
     out = {}
     for i, v in enumerate(view.verts):
@@ -118,8 +111,8 @@ def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau:
 
 def _edges_exact_messages(net: Network, view: ActiveView, estar: set, d: int, tau: int) -> dict:
     verts = [int(v) for v in view.verts]
-    known = {v: {e for e in estar if v in e and view.working.is_live(*e)
-                 and e[0] in view.active and e[1] in view.active} for v in verts}
+    live = set(view.live_edges_host())
+    known = {v: {e for e in estar if v in e and e in live} for v in verts}
     over = {v: len(known[v]) > tau for v in verts}
     edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
     cap = net.bandwidth_bits // edge_bits

@@ -208,9 +208,13 @@ class LocalCutResult:
     candidate: SweepCandidate | None
     start: int
     b: int
-    pstar: frozenset
-    walk_frozen_at: int | None
+    view: ActiveView
     touched: np.ndarray  # the walk's WalkRun.touched
+
+    @property
+    def pstar(self) -> frozenset:
+        """Host edge keys of the walk's touched edges, built on each read."""
+        return frozenset(self.view.edge_keys(self.touched))
 
 
 def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
@@ -340,11 +344,11 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
 def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate | None,
                            start: int, b: int) -> LocalCutResult:
     if cand is None:
-        return LocalCutResult(None, None, None, start, b, run.pstar, run.freeze_t, run.touched)
+        return LocalCutResult(None, None, None, start, b, view, run.touched)
     order = sweep_order_local(view, run.masses[cand.t])
     members = frozenset(int(view.verts[i]) for i in order[: cand.j])
     cut = view.cut_stats(members)
-    return LocalCutResult(members, cut, cand, start, b, run.pstar, run.freeze_t, run.touched)
+    return LocalCutResult(members, cut, cand, start, b, view, run.touched)
 
 
 def local_cut(view_or_graph, v: int, phi: float, b: int, params: WalkParams,

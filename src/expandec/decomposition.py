@@ -145,7 +145,9 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
     if total > epsilon * graph.m:
         raise BudgetExceeded(f"removed {total} of {graph.m} edges at epsilon={epsilon}")
     _check_structure(graph, working, components)
-    certificates = [_certify(state, comp) for comp in components]
+    certificates = [ComponentCertificate(tuple(sorted(comp)),
+                                         *_certify(working, comp, params.phi_k, profile))
+                    for comp in components]
     constants = {
         "c_h_ladder": params.c_h,
         "phi_ladder": list(params.phi_ladder),
@@ -216,11 +218,9 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
             if 12 * vol_c <= params.epsilon * vol_u:
                 state.phase2_queue.append((u_set, u_set))
                 continue
-            cut_edges = [
-                e for e in u_view.live_edges_host()
-                if (e[0] in res.members) != (e[1] in res.members)
-            ]
-            state.working.remove_edges(cut_edges, "r2")
+            inside = u_view.member_mask(res.members)[u_view.edges_local]
+            crossing = u_view.edges_local[inside[:, 0] != inside[:, 1]]
+            state.working.remove_edges(u_view.verts[crossing], "r2")
             _phase1(state, frozenset(res.members), depth + 1)
             _phase1(state, u_set - res.members, depth + 1)
 
@@ -263,11 +263,8 @@ def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):
             iters_at_level = 0
             continue
         # eject the cut: every incident live edge goes, members become singletons
-        incident = [
-            e for e in cur.live_edges_host()
-            if e[0] in res.members or e[1] in res.members
-        ]
-        state.working.remove_edges(incident, "r3")
+        inside = cur.member_mask(res.members)[cur.edges_local]
+        state.working.remove_edges(cur.verts[cur.edges_local[inside.any(axis=1)]], "r3")
         removed_vol_at_level[level] = removed_vol_at_level.get(level, 0) + vol_c
         for u in sorted(res.members):
             state.finals.append(frozenset({u}))
@@ -295,17 +292,17 @@ def _check_structure(graph: Graph, working: WorkingGraph, components: list[froze
         raise AssertionError("final components disagree with live connectivity")
 
 
-def _certify(state: _RunState, comp: frozenset) -> ComponentCertificate:
-    phi_k = state.params.phi_k
-    members = tuple(sorted(comp))
+def _certify(working: WorkingGraph, comp: frozenset, phi_k: float,
+             profile: Profile) -> tuple[str, bool, float | None]:
+    """(kind, phi >= phi_k, value): the exact oracle on a contraction when the
+    component is small, else the sweep falsifier's upper bound."""
     if len(comp) == 1:
-        return ComponentCertificate(members, "singleton", True, None)
-    sub = contract_live(state.working, comp)
+        return "singleton", True, None
     if len(comp) <= N_ORACLE_MAX:
-        phi, _ = min_conductance_oracle(sub)
-        return ComponentCertificate(members, "oracle", float(phi) >= phi_k, float(phi))
-    best = _sweep_falsifier(state.working, comp, phi_k, state.profile)
-    return ComponentCertificate(members, "sweep", best >= phi_k, best)
+        phi = float(min_conductance_oracle(contract_live(working, comp))[0])
+        return "oracle", phi >= phi_k, phi
+    best = _sweep_falsifier(working, comp, phi_k, profile)
+    return "sweep", best >= phi_k, best
 
 
 def contract_live(working: WorkingGraph, comp) -> Graph:
@@ -378,22 +375,12 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
     for comp in components:
         comp = frozenset(comp)
         members = tuple(sorted(comp))
-        if len(comp) == 1:
-            results.append((members, "singleton", True))
-            continue
-        sub = contract_live(working, comp)
-        if not sub.is_connected():
+        if len(comp) > 1 and len(ActiveView(working, comp).components()) > 1:
             results.append((members, "connectivity", False))
             ok = False
             continue
-        if len(comp) <= N_ORACLE_MAX:
-            phi, _ = min_conductance_oracle(sub)
-            good = float(phi) >= phi_k
-            results.append((members, "oracle", good))
-        else:
-            best = _sweep_falsifier(working, comp, phi_k, profile)
-            good = best >= phi_k
-            results.append((members, "sweep", good))
+        kind, good, _ = _certify(working, comp, phi_k, profile)
+        results.append((members, kind, good))
         ok = ok and good
     return VerifyReport(ok, inter, frac_ok, results)
 

@@ -94,7 +94,7 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and v in self.neighbors[u]
+        return 0 <= u < self.n and u != v and v in self.neighbors[u]
 
     def volume(self, s=None) -> int:
         if s is None:

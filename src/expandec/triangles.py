@@ -32,11 +32,10 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 
 from .config import Profile
-from .decomposition import Decomposition, contract_live, expander_decomposition
+from .decomposition import Decomposition, expander_decomposition
 from .errors import BadEpsilon, DepthExceeded, NotATriangle, StalledLevel, TooLarge
-from .graph import Graph, mixing_time_estimate
+from .graph import Graph, contract, mixing_time_estimate
 from .simulator import RoundLedger
-from .views import WorkingGraph
 
 TRIANGLE_N_MAX = 2000
 MIX_EXACT_N_MAX = 128
@@ -212,14 +211,13 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float,
     else the mixing-form bound c_mix * log2(n) / phi^2 at the certified floor."""
     if len(comp) <= 1:
         return 0.0
-    working = WorkingGraph(level_graph)
-    sub = contract_live(working, comp)
-    if sub.n <= MIX_EXACT_N_MAX:
+    if len(comp) <= MIX_EXACT_N_MAX:
         try:
-            return float(mixing_time_estimate(sub, MIX_TOL, step_cap=20_000))
+            return float(mixing_time_estimate(contract(level_graph, comp), MIX_TOL,
+                                              step_cap=20_000))
         except TooLarge:
             pass
-    return profile.c_mix * math.log2(max(2, sub.n)) / phi_floor**2
+    return profile.c_mix * math.log2(max(2, len(comp))) / phi_floor**2
 
 
 def _first_occurrences(parts: list[ComponentEnumeration]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,12 @@
 """Edge-removal bookkeeping and contracted-subgraph views.
 
 The pipeline never mutates the host graph: removals convert edges to self
-loops (tracked per channel), and every algorithm stage works on an
-`ActiveView`, the contraction of the host onto an active vertex subset.
+loops (a live flag and a channel per host edge id in `WorkingGraph`), and every
+algorithm stage works on an `ActiveView`, the contraction of the host onto an
+active vertex subset, cut out of that record by array indexing.
 Degrees in a view always equal host degrees; loop counts are implicit.
-Views snapshot live adjacency at construction, as a local adjacency list and
-as the CSR matrix that the walk kernel and the traversal substrate of
+Views snapshot live adjacency at construction, as a row-major local edge array
+and as the CSR matrix that the walk kernel and the traversal substrate of
 `graph` (components, hop distances) run on; the per-vertex component roots
 are computed on first use.  They also hold the walk step's
 per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
@@ -21,30 +22,54 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCut, MissingEdge
-from .graph import Cut, Graph, adjacency_csr, component_roots, components_of, edge_key
+from .graph import Cut, Graph, adjacency_csr, component_roots, components_of
 
 
 class WorkingGraph:
-    """Host graph plus removed-edge channels; degrees are invariant."""
+    """Host graph plus removed-edge channels; degrees are invariant.  `edges`
+    (sorted keys, so ascending in `keys` = u * n + v), `live` and `channel`
+    (None while live) are indexed by host edge id; ids first[u] .. first[u+1]-1
+    are the edges whose smaller end is u."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.removed: dict[tuple[int, int], str] = {}
+        self.edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+        self.keys = self.edges[:, 0] * graph.n + self.edges[:, 1]
+        self.first = np.searchsorted(self.keys, np.arange(graph.n + 1) * graph.n)
+        self.live = np.ones(len(self.edges), dtype=bool)
+        self.channel = np.full(len(self.edges), None, dtype=object)
+
+    def edge_ids(self, edges) -> np.ndarray:
+        """Host edge ids of (u, v) pairs given in either orientation; raises
+        MissingEdge on the first pair that is not an edge of the host."""
+        e = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        key = e[:, 0] * self.graph.n + e[:, 1]  # no id has it when u < 0 or u == v
+        ids = np.searchsorted(self.keys, key)
+        ok = (e[:, 1] < self.graph.n) & (ids < len(self.keys))
+        ok[ok] = self.keys[ids[ok]] == key[ok]
+        if not ok.all():
+            raise MissingEdge(str(tuple(e[np.argmin(ok)].tolist())))
+        return ids
 
     def is_live(self, u: int, v: int) -> bool:
-        return edge_key(u, v) not in self.removed
+        return bool(self.live[self.edge_ids([(u, v)])[0]])
 
     def remove_edges(self, edges, channel: str):
-        for e in edges:
-            k = edge_key(*e)
-            if not self.graph.has_edge(*k):
-                raise MissingEdge(str(k))
-            if k in self.removed:
-                raise MissingEdge(f"{k} already removed ({self.removed[k]})")
-            self.removed[k] = channel
+        """Turn host edges into loops under channel.  A non-edge, an edge given
+        twice or an edge already removed raises MissingEdge and removes nothing."""
+        ids = self.edge_ids(edges)
+        repeat = np.ones(len(ids), dtype=bool)
+        repeat[np.unique(ids, return_index=True)[1]] = False
+        bad = repeat | ~self.live[ids]
+        if bad.any():
+            i = int(ids[np.argmax(bad)])
+            prior = channel if self.live[i] else self.channel[i]
+            raise MissingEdge(f"{tuple(self.edges[i].tolist())} already removed ({prior})")
+        self.live[ids] = False
+        self.channel[ids] = channel
 
     def removed_by(self, channel: str) -> list[tuple[int, int]]:
-        return sorted(e for e, c in self.removed.items() if c == channel)
+        return list(map(tuple, self.edges[self.channel == channel].tolist()))
 
 
 class ActiveView:
@@ -54,24 +79,19 @@ class ActiveView:
         self.working = working
         self.graph = working.graph
         self.verts = np.array(sorted(active), dtype=np.int64)
-        self.active = frozenset(int(v) for v in self.verts)
-        self.index = {int(v): i for i, v in enumerate(self.verts)}
-        g = self.graph
-        self.deg = np.array([g.degree(int(v)) for v in self.verts], dtype=np.int64)
-        adj_local: list[list[int]] = []
-        edges = []
-        for i, v in enumerate(self.verts):
-            v = int(v)
-            row = [
-                self.index[u]
-                for u in g.neighbors[v]
-                if u in self.index and working.is_live(u, v)
-            ]
-            adj_local.append(row)
-            edges.extend((i, j) for j in row if i < j)
-        self._adj_local = [tuple(r) for r in adj_local]
-        self.edges_local = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.live_deg = np.array([len(r) for r in adj_local], dtype=np.int64)
+        self.index = dict(zip(self.verts.tolist(), range(len(self.verts))))
+        self.active = frozenset(self.index)
+        # ids of the edges whose smaller end is active, ascending: as verts and the
+        # host keys are sorted, the kept rows are row-major (i < j)
+        lo = working.first[self.verts]
+        cnt = working.first[self.verts + 1] - lo
+        ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        local = np.full(self.graph.n, -1, dtype=np.int64)
+        local[self.verts] = np.arange(len(self.verts))
+        ends = local[working.edges[ids[working.live[ids]]]]
+        self.edges_local = ends[ends[:, 1] >= 0]
+        self.deg = self.graph.deg[self.verts]
+        self.live_deg = np.bincount(self.edges_local.ravel(), minlength=len(self.verts))
         self.adj_matrix = adjacency_csr(len(self.verts), self.edges_local)
         self.deg_pos = np.maximum(self.deg, 1)  # divisor of rho = mass / deg
         self.two_deg = 2 * self.deg_pos
@@ -94,23 +114,27 @@ class ActiveView:
         return int(self.deg.sum())
 
     def vol_of(self, hosts) -> int:
-        return sum(self.graph.degree(v) for v in hosts)
+        return int(self.graph.deg[np.fromiter(hosts, dtype=np.int64)].sum())
 
     def degree(self, host_v: int) -> int:
         return self.graph.degree(host_v)
 
     def live_neighbors(self, host_v: int) -> list[int]:
         i = self.index[host_v]
-        return [int(self.verts[j]) for j in self._adj_local[i]]
+        adj = self.adj_matrix
+        return self.verts[adj.indices[adj.indptr[i]:adj.indptr[i + 1]]].tolist()
 
     def loops(self, host_v: int) -> int:
         i = self.index[host_v]
         return int(self.deg[i] - self.live_deg[i])
 
     def live_edges_host(self) -> list[tuple[int, int]]:
-        return [
-            edge_key(int(self.verts[a]), int(self.verts[b])) for a, b in self.edges_local
-        ]
+        return self.edge_keys(slice(None))
+
+    def edge_keys(self, rows) -> list[tuple[int, int]]:
+        """Host keys of the rows of edges_local that rows selects, in row order
+        (local edges have i < j and verts is sorted, so these are keys)."""
+        return list(map(tuple, self.verts[self.edges_local[rows]].tolist()))
 
     def subview(self, active) -> "ActiveView":
         return ActiveView(self.working, active)
@@ -125,13 +149,13 @@ class ActiveView:
 
     # -- cut arithmetic ----------------------------------------------------
 
+    def member_mask(self, hosts) -> np.ndarray:
+        """Per local vertex, whether its host id is among hosts."""
+        return np.isin(self.verts, np.fromiter(hosts, dtype=np.int64))
+
     def boundary_size(self, members) -> int:
-        mem = set(members)
-        return sum(
-            1
-            for a, b in self.edges_local
-            if (int(self.verts[a]) in mem) != (int(self.verts[b]) in mem)
-        )
+        inside = self.member_mask(members)[self.edges_local]
+        return int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
 
     def cut_stats(self, members) -> Cut:
         mem = frozenset(members)
@@ -147,6 +171,6 @@ class ActiveView:
 
     def materialize(self) -> tuple[Graph, list[int]]:
         """Contract to a standalone Graph; labels map local ids back to host ids."""
-        labels = [int(v) for v in self.verts]
-        loops = [int(self.deg[i] - self.live_deg[i]) for i in range(len(labels))]
-        return Graph(len(labels), self._adj_local, loops), labels
+        cols, ptr = self.adj_matrix.indices.tolist(), self.adj_matrix.indptr.tolist()
+        rows = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
+        return Graph(len(rows), rows, (self.deg - self.live_deg).tolist()), self.verts.tolist()

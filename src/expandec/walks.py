@@ -26,7 +26,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .config import Profile
 from .errors import BadPhi, TooLarge
-from .graph import Graph, edge_key, lazy_walk_matrix
+from .graph import Graph, lazy_walk_matrix
 from .simulator import KIND_BITS, WORD_BITS, Network
 from .views import ActiveView
 
@@ -154,9 +154,7 @@ class WalkRun:
     @property
     def pstar(self) -> frozenset:
         """Host edge keys of the touched edges."""
-        # local edges have a < b and view.verts is sorted, so these are edge keys
-        ends = self.view.verts[self.view.edges_local[self.touched]]
-        return frozenset(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+        return frozenset(self.view.edge_keys(self.touched))
 
     @property
     def t_last(self) -> int:
@@ -166,15 +164,10 @@ class WalkRun:
         return self.masses[min(t, self.t_last)]
 
     def state_at(self, t: int) -> TruncatedWalkState:
-        upto = min(t, self.t_last)
-        touched = set()
         mask = np.zeros(len(self.view.verts), dtype=bool)
-        for s in range(upto + 1):
+        for s in range(min(t, self.t_last) + 1):
             mask |= self.masses[s] > 0
-        idx = set(np.nonzero(mask)[0].tolist())
-        for a, b_ in self.view.edges_local:
-            if a in idx or b_ in idx:
-                touched.add(edge_key(int(self.view.verts[a]), int(self.view.verts[b_])))
+        touched = self.view.edge_keys(mask[self.view.edges_local].any(axis=1))
         return TruncatedWalkState(
             t, self.view, self.mass_at(t), self.params.eps_b(self.b), frozenset(touched)
         )

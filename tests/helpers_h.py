@@ -1,4 +1,5 @@
-"""Brute-force certificates for the dense-region growth invariant, per-step
+"""Brute-force certificates for the dense-region growth invariant, the
+row-by-row reference for the working graph and its views, per-step
 references for the walk kernel, the sweep scan and the falsifier,
 message-level references for the BFS tree, the subtree sums and the shift
 clustering, and the per-triple reference for triangle enumeration."""
@@ -7,11 +8,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
+import scipy.sparse as sp
 
 from expandec.clustering import ShiftClustering
 from expandec.cuts import SweepCandidate
-from expandec.errors import BadPhi
-from expandec.graph import edge_key
+from expandec.errors import BadPhi, DegenerateCut, MissingEdge
+from expandec.graph import Cut, Graph, edge_key
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, tree_aggregate
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
@@ -24,6 +26,88 @@ from expandec.walks import (
     sweep_order_local,
     walk_step_units,
 )
+
+
+class WorkingGraphReference:
+    """The removal record as a dict keyed by edge tuple, validated edge by edge."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.removed: dict[tuple[int, int], str] = {}
+
+    def is_live(self, u: int, v: int) -> bool:
+        return edge_key(u, v) not in self.removed
+
+    def remove_edges(self, edges, channel: str):
+        for e in edges:
+            k = edge_key(*e)
+            if not self.graph.has_edge(*k):
+                raise MissingEdge(str(k))
+            if k in self.removed:
+                raise MissingEdge(f"{k} already removed ({self.removed[k]})")
+            self.removed[k] = channel
+
+    def removed_by(self, channel: str) -> list[tuple[int, int]]:
+        return sorted(e for e, c in self.removed.items() if c == channel)
+
+
+class ActiveViewReference:
+    """G{W} built row by row: a local adjacency list from probing the removal
+    record once per host neighbour, and every other table derived from it."""
+
+    def __init__(self, working: WorkingGraphReference, active):
+        self.graph = g = working.graph
+        self.verts = np.array(sorted(active), dtype=np.int64)
+        self.active = frozenset(int(v) for v in self.verts)
+        self.index = {int(v): i for i, v in enumerate(self.verts)}
+        self.deg = np.array([g.degree(int(v)) for v in self.verts], dtype=np.int64)
+        self.adj_local = []
+        edges = []
+        for i, v in enumerate(self.verts):
+            v = int(v)
+            row = [self.index[u] for u in g.neighbors[v]
+                   if u in self.index and working.is_live(u, v)]
+            self.adj_local.append(row)
+            edges.extend((i, j) for j in row if i < j)
+        self.edges_local = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        self.live_deg = np.array([len(r) for r in self.adj_local], dtype=np.int64)
+        indptr = np.cumsum([0] + [len(r) for r in self.adj_local])
+        indices = np.array([j for r in self.adj_local for j in r], dtype=np.int64)
+        n = len(self.verts)
+        self.adj_matrix = sp.csr_matrix(
+            (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n))
+
+    def vol_of(self, hosts) -> int:
+        return sum(self.graph.degree(v) for v in hosts)
+
+    def live_neighbors(self, host_v: int) -> list[int]:
+        return [int(self.verts[j]) for j in self.adj_local[self.index[host_v]]]
+
+    def loops(self, host_v: int) -> int:
+        i = self.index[host_v]
+        return int(self.deg[i] - self.live_deg[i])
+
+    def boundary_size(self, members) -> int:
+        mem = set(members)
+        return sum(1 for a, b in self.edges_local
+                   if (int(self.verts[a]) in mem) != (int(self.verts[b]) in mem))
+
+    def cut_stats(self, members) -> Cut:
+        mem = frozenset(members)
+        if not mem or mem == self.active:
+            raise DegenerateCut(f"|S|={len(mem)} of {len(self.verts)}")
+        vol_s = self.vol_of(mem)
+        total = int(self.deg.sum())
+        bnd = self.boundary_size(mem)
+        small = min(vol_s, total - vol_s)
+        conductance = Fraction(0) if bnd == 0 else Fraction(bnd, small)
+        balance = Fraction(small, total) if total else Fraction(0)
+        return Cut(mem, vol_s, bnd, conductance, balance)
+
+    def materialize(self) -> tuple[Graph, list[int]]:
+        labels = [int(v) for v in self.verts]
+        loops = [int(self.deg[i] - self.live_deg[i]) for i in range(len(labels))]
+        return Graph(len(labels), self.adj_local, loops), labels
 
 
 def mis_size(neigh, verts):

@@ -132,6 +132,16 @@ def test_remove_edge_missing():
         remove_edge_to_loops(gen.path(3), 0, 2)
 
 
+def test_has_edge_outside_vertex_range_is_false():
+    g = gen.cycle(6)
+    assert g.has_edge(4, 5) and g.has_edge(5, 4)
+    assert not g.has_edge(-1, 4)  # a negative id must not wrap to vertex 5
+    assert not g.has_edge(4, -1)
+    assert not g.has_edge(9, 2) and not g.has_edge(2, 9)
+    with pytest.raises(MissingEdge):
+        remove_edge_to_loops(g, -1, 4)
+
+
 def test_degree_preserved_under_removal_and_contraction():
     g = gen.erdos_renyi(10, 0.5, seed=11)
     h = g
