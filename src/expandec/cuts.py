@@ -11,11 +11,13 @@ Spanning trees are `bfs_tree` sweeps over the view's adjacency (the host
 tree) or the walk's touched live edges (each local cut's tree).  Like walks
 and scans, they are charged by formula, so a cut runs no `Network` round.
 
-The scan takes the stored walk steps in the blocks of `walks.sweep_blocks`
-(the whole run in one block on a small view): one `walks.sweep_tables` call
-gives every step of a block its sweep order, prefix volumes and prefix
-boundaries, and the candidate tests run on whole blocks, so no Python loop
-runs once per walk step.  The outcome is the earliest hit in step order
+The scan takes the stored walk steps in the blocks of `walks.sweep_blocks`:
+the whole run in one block on a small view; on a dense view a first block
+of few rows, so an early hit sweeps few rows past it, then blocks that double
+up to a cap set by the vertex count.  One `walks.sweep_tables` call gives
+every step of a block its sweep order, prefix volumes and prefix boundaries,
+and the candidate tests run on whole blocks, so no Python loop runs once per
+walk step.  The outcome is the earliest hit in step order
 whatever the blocks.  The simulated cost is still the per-step cost, summed
 into one ledger entry per scan.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 import numpy as np
 
@@ -129,6 +132,13 @@ def _mass_floor_prefilter(rho_units: np.ndarray, pv: np.ndarray, gamma: float) -
     return rho_units * pv >= gamma * SCALE * (1 - 1e-9)
 
 
+def _phi_prefilter(bnds: np.ndarray, pv: np.ndarray, vol_total: int,
+                   ratio: float) -> np.ndarray:
+    """Float superset of _phi_at_most: bnds against ratio * min(pv, total - pv),
+    with a margin above the rounding error."""
+    return bnds <= ratio * np.minimum(pv, vol_total - pv) * (1 + 1e-9) + 1e-9
+
+
 def _jstar(prefvol: np.ndarray, cnt: np.ndarray, phi: float) -> np.ndarray:
     """j* of every cell of a (B x n) block of prefix volumes: the number of the
     row's first cnt prefix volumes at most (1 + phi) * pv, i.e. at most
@@ -136,18 +146,20 @@ def _jstar(prefvol: np.ndarray, cnt: np.ndarray, phi: float) -> np.ndarray:
     pv * phi lies within 2^-50 (relative) of an integer."""
     rows, n = prefvol.shape
     prod = prefvol * phi
-    ext = np.floor(prod).astype(np.int64)
-    near = np.flatnonzero(np.abs(prod - np.rint(prod)) <= prod * 2.0**-50)
+    near = np.flatnonzero(abs(np.rint(prod) - prod) <= prod * 2.0**-50)
+    ext = np.floor(prod, out=prod).astype(np.int64)
+    del prod  # one (B x n) array less under the searchsorted below
     if len(near):
         phi_num, phi_den = _ratio(phi)
         vals, inv = np.unique(prefvol.ravel()[near], return_inverse=True)
         ext.ravel()[near] = np.array([(pv * phi_num) // phi_den for pv in vals.tolist()])[inv]
     # rows are offset past each other's largest threshold (2 * total volume),
     # so one searchsorted over the flat block counts within each row
-    offs = np.arange(rows)[:, None] * (2 * int(prefvol[:, -1].max(initial=0)) + 1)
-    flat = np.searchsorted((prefvol + offs).ravel(), (prefvol + ext + offs).ravel(),
-                           side="right")
-    return np.minimum(flat.reshape(rows, n) - np.arange(rows)[:, None] * n, cnt[:, None])
+    key = prefvol + np.arange(rows)[:, None] * (2 * int(prefvol[:, -1].max(initial=0)) + 1)
+    ext += key
+    flat = np.searchsorted(key.ravel(), ext.ravel(), side="right").reshape(rows, n)
+    flat -= np.arange(rows)[:, None] * n
+    return np.minimum(flat, cnt[:, None], out=flat)
 
 
 # -- round charging for the distributed scan -----------------------------------
@@ -249,14 +261,15 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
     deg = view.deg
     rounds = msgs = 0
     last_step = (0, 0)  # cost of the last stored step's scan
-    found = None
-    for t_first, masses, (order, cnt, prefvol, bnds) in sweep_blocks(
-            view, run, min(run.t0, run.t_last)):
+
+    def scan_block(t_first: int, masses: np.ndarray, tables) -> SweepCandidate | None:
+        """The block's hit, or None; charges the block's steps up to the hit."""
+        nonlocal rounds, msgs, last_step
+        order, cnt, prefvol, bnds = tables
         rows = len(cnt)
-        small = np.minimum(prefvol, vol_total - prefvol)
         above_floor = 14 * prefvol >= 5 * (1 << b)
-        rho_j = masses[np.arange(rows)[:, None], order] / view.deg_pos[order]
-        raw_mask = ((bnds <= phi * small * (1 + 1e-9) + 1e-9)
+        rho_j = np.take_along_axis(masses, order, axis=1) / view.deg_pos[order]
+        raw_mask = (_phi_prefilter(bnds, prefvol, vol_total, phi)
                     & (6 * prefvol <= 5 * vol_total) & above_floor
                     & _mass_floor_prefilter(rho_j, prefvol, gam))
 
@@ -288,9 +301,9 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
                 found = confirm(int(r), int(k), None)
                 if found is not None:
                     return found
-            continue
+            return None
 
-        star_mask = ((bnds <= slack_f * small * (1 + 1e-9) + 1e-9)
+        star_mask = (_phi_prefilter(bnds, prefvol, vol_total, slack_f)
                      & (12 * prefvol <= 11 * vol_total) & above_floor)
         # The candidate walk runs over flat cells row * n + index; nxt is each
         # cell's next candidate, max(j + 1, j*).
@@ -300,6 +313,7 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
         more = (np.arange(1, n + 1) < cnt[:, None]).ravel()  # a later candidate exists
         raw_flat, star_flat = raw_mask.ravel(), star_mask.ravel()
 
+        found = None
         pos = np.flatnonzero(cnt) * n
         prev = pos - 1
         visited = [pos]
@@ -326,6 +340,12 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
             rounds += int(step_rounds[:upto].sum())
             msgs += int(step_msgs[:upto].sum())
             last_step = (int(step_rounds[-1]), int(step_msgs[-1]))
+        return found
+
+    # starmap holds no block once scan_block returns, so a block's arrays are
+    # freed before the next block's tables are built
+    found = None
+    for found in starmap(scan_block, sweep_blocks(view, run, min(run.t0, run.t_last))):
         if found is not None:
             break
     if charger is not None and jx_only:

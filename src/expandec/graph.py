@@ -124,14 +124,15 @@ class Graph:
 
 def adjacency_csr(n: int, edges) -> sp.csr_matrix:
     """Symmetric 0/1 int64 adjacency matrix, column indices sorted in each row,
-    of distinct undirected edges without self loops.  Built by counting rows
-    and sorting: scipy's COO path would look for duplicates that cannot occur."""
+    of distinct undirected edges without self loops, in any order.  Built by
+    counting rows and sorting the unique keys row * n + col: scipy's COO path
+    would look for duplicates that cannot occur."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), cols[np.lexsort((cols, rows))],
+    return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), np.sort(rows * n + cols) % n,
                           indptr), shape=(n, n))
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCut, MissingEdge
+from .errors import DegenerateCut, FormatError, MissingEdge
 from .graph import Cut, Graph, adjacency_csr, component_roots, components_of
 
 
@@ -79,6 +79,8 @@ class ActiveView:
         self.working = working
         self.graph = working.graph
         self.verts = np.array(sorted(active), dtype=np.int64)
+        if len(self.verts) and not (0 <= self.verts[0] and self.verts[-1] < self.graph.n):
+            raise FormatError(f"active ids outside 0..{self.graph.n - 1}")
         self.index = dict(zip(self.verts.tolist(), range(len(self.verts))))
         self.active = frozenset(self.index)
         # ids of the edges whose smaller end is active, ascending: as verts and the

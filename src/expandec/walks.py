@@ -34,7 +34,7 @@ SCALE_BITS = 48
 SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
 Z_SET_N_MAX = 64
-SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep_blocks block (transient memory bound)
+SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep table or edge chunk (transient memory bound)
 FREEZE_BLOCK = 16  # walk steps between freeze checks in compute_walk
 
 
@@ -261,38 +261,52 @@ def sweep_tables(view: ActiveView, masses: np.ndarray):
     and `bnds` the live-edge boundary of each prefix.  Only the first cnt[r]
     entries of row r are meaningful: unsupported vertices sort last because
     their key -0.0 is above every supported key.
+
+    The edge stage gathers end ranks in chunks of SWEEP_BLOCK_CELLS over
+    live edges rows, so no (rows x edges) array exceeds that many cells.
     """
     rows, n = masses.shape
     order = np.argsort(-(masses / view.deg_pos), axis=1, kind="stable")
-    cnt = np.count_nonzero(masses, axis=1)
-    prefvol = np.cumsum(view.deg[order], axis=1)
     rank = np.empty_like(order)
     rank[np.arange(rows)[:, None], order] = np.arange(n)
+    # an edge is inside exactly the prefixes that reach its later end, so a
+    # prefix's boundary is its live volume less twice its inner edges
+    bnds = view.live_deg[order]
     ea, eb = view.edges_local.T
-    ra, rb = rank[:, ea], rank[:, eb]
-    # an edge crosses prefix positions lo..hi-1 of its row; a difference
-    # array over flat (row, position) cells counts them exactly
-    base = np.arange(rows)[:, None] * n
-    lo = (np.minimum(ra, rb) + base).ravel()
-    hi = (np.maximum(ra, rb) + base).ravel()
-    diff = np.bincount(lo, minlength=rows * n) - np.bincount(hi, minlength=rows * n)
-    bnds = np.cumsum(diff.reshape(rows, n), axis=1)
-    return order, cnt, prefvol, bnds
+    chunk = max(1, SWEEP_BLOCK_CELLS // max(1, view.m_live))
+    for r in range(0, rows, chunk):
+        rk = rank[r : r + chunk]
+        later = np.take(rk, ea, axis=1)
+        np.maximum(later, np.take(rk, eb, axis=1), out=later)
+        later += np.arange(len(rk))[:, None] * n
+        bnds[r : r + chunk] -= 2 * np.bincount(later.ravel(), minlength=rk.size).reshape(-1, n)
+    np.cumsum(bnds, axis=1, out=bnds)
+    prefvol = view.deg[order]
+    np.cumsum(prefvol, axis=1, out=prefvol)
+    return order, np.count_nonzero(masses, axis=1), prefvol, bnds
 
 
 def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
     """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
-    t..t+B-1 of run, covering 1..t_stop in blocks of B = min(cap, rows left).
+    t..t+B-1 of run, covering 1..t_stop in blocks of B rows.
 
-    The cap, SWEEP_BLOCK_CELLS over max(n, live edges) cells a row, bounds
-    the transient memory on large views.  No block is smaller: most scans
-    find no cut and sweep every stored step, and each block costs one
-    `sweep_tables` call and one pass of the scan's candidate tests.
+    The first block has SWEEP_BLOCK_CELLS over max(n, live edges) rows (at
+    least 1), so a scan that hits early sweeps few rows past its hit; on a
+    small view it holds the whole run.  Each later block doubles, up to
+    SWEEP_BLOCK_CELLS over n rows: most scans find no cut and sweep every
+    stored step, and each block costs one `sweep_tables` call and one pass
+    of the scan's candidate tests.  Every (B x n) table stays within
+    SWEEP_BLOCK_CELLS cells, as do `sweep_tables`' edge chunks.
     """
-    cap = max(1, SWEEP_BLOCK_CELLS // max(1, len(view.verts), view.m_live))
-    for t in range(1, t_stop + 1, cap):
-        masses = np.array(run.masses[t : min(t + cap, t_stop + 1)])
+    n = max(1, len(view.verts))
+    rows = max(1, SWEEP_BLOCK_CELLS // max(n, view.m_live))
+    cap = max(1, SWEEP_BLOCK_CELLS // n)
+    t = 1
+    while t <= t_stop:
+        masses = np.array(run.masses[t : min(t + rows, t_stop + 1)])
         yield t, masses, sweep_tables(view, masses)
+        t += rows
+        rows = min(2 * rows, cap)
 
 
 # -- diagnostics --------------------------------------------------------------

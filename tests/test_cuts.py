@@ -391,11 +391,14 @@ def test_instance_params_fields():
 
 
 DEFAULT_BLOCK_CELLS = walks.SWEEP_BLOCK_CELLS
-BLOCK_ROWS = (1, 3, None)  # 1-row blocks, 3-row blocks, the default cap
+BLOCK_ROWS = (1, 3, None)  # first blocks of 1 row, 3 rows, the default cap
 
 
 def _block_cells(view, rows):
-    """SWEEP_BLOCK_CELLS value that caps the view's sweep blocks at rows rows."""
+    """SWEEP_BLOCK_CELLS value that gives the view's sweep a first block of
+    rows rows; later blocks grow to rows * max(n, live edges) // n rows, past
+    the edge chunk of rows rows when the view has more live edges than
+    vertices."""
     return DEFAULT_BLOCK_CELLS if rows is None else rows * max(len(view), view.m_live)
 
 
@@ -429,8 +432,18 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
               gen.random_regular(18, 4, seed=2), gen.grid(3, 12), gen.grid(2, 16)]
     seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0,
             "hit at t = 1": 0, "hit at t = 3k": 0, "hit in the last row": 0,
-            "miss with a frozen tail": 0, "falsifier finite": 0}
+            "miss with a frozen tail": 0, "falsifier finite": 0,
+            "block wider than its edge chunk": 0}
+    wide = []  # per sweep_tables call: more rows than one edge chunk
+    tables = walks.sweep_tables
+
+    def sweep_tables_recorded(view, masses):
+        wide.append(len(masses) > walks.SWEEP_BLOCK_CELLS // max(1, view.m_live))
+        return tables(view, masses)
+
+    monkeypatch.setattr(walks, "sweep_tables", sweep_tables_recorded)
     for trial in range(70):
+        wide.clear()
         g = graphs[trial % len(graphs)]
         view = ActiveView.whole(g)
         phi = float(rng.choice([1 / 12, 1 / 16, 1 / 24, 1 / 48, 1 / 64,
@@ -461,6 +474,7 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
         seen["hit at t = 1"] += cand is not None and cand.t == 1
         seen["hit at t = 3k"] += cand is not None and cand.t % 3 == 0
         seen["miss with a frozen tail"] += cand is None and run.t_last < run.t0
+        seen["block wider than its edge chunk"] += any(wide)
         comp = frozenset(range(start, g.n))
         comp_view = ActiveView(view.working, comp)
         falsifiers = set()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from expandec import generators as gen
-from expandec.errors import DegenerateCut, MissingEdge
+from expandec.errors import DegenerateCut, FormatError, MissingEdge
 from expandec.graph import Graph, contract
 from expandec.views import ActiveView, WorkingGraph
 from helpers_h import ActiveViewReference, WorkingGraphReference
@@ -57,6 +57,14 @@ def test_removal_rejects_ids_outside_vertex_range():
     assert working.is_live(4, 5)
     with pytest.raises(MissingEdge):
         working.is_live(-1, 4)
+
+
+@pytest.mark.parametrize("active", [[-3, 0], [0, 7], [-1, 0]])
+def test_view_rejects_active_ids_outside_vertex_range(active):
+    working = WorkingGraph(gen.cycle(6))
+    with pytest.raises(FormatError, match=r"outside 0\.\.5"):
+        ActiveView(working, active)
+    assert ActiveView(working, [0, 5]).edges_local.tolist() == [[0, 1]]
 
 
 def test_removal_errors_name_the_first_channel_and_remove_nothing():

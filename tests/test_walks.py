@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from expandec import generators as gen
+from expandec import walks
 from expandec.config import DESK, PAPER
 from expandec.errors import BadPhi, TooLarge
 from expandec.graph import Graph, adjacency_csr, lazy_walk_matrix
@@ -17,6 +18,7 @@ from expandec.walks import (
     MASS_MSG_BITS,
     SCALE,
     WalkParams,
+    WalkRun,
     compute_walk,
     derive_walk_params,
     exact_rho_table,
@@ -319,6 +321,64 @@ def test_sweep_tables_without_live_edges():
     _check_tables(view, masses)
     order, cnt, prefvol, bnds = sweep_tables(view, masses)
     assert not bnds.any()
+
+
+def _tables_row_by_row(view, masses):
+    return [np.concatenate(tables) for tables in zip(
+        *(sweep_tables(view, masses[r : r + 1]) for r in range(len(masses))))]
+
+
+def test_sweep_tables_in_edge_chunks_match_row_by_row(monkeypatch):
+    rng = np.random.default_rng(43)
+    views = [v for v in (_random_view(rng, trial + 700) for trial in range(12)) if v is not None]
+    g = gen.cliques_chain(3, 4, 1)
+    working = WorkingGraph(g)
+    working.remove_edges(g.edges, "r1")
+    views.append(ActiveView(working, range(g.n)))
+    assert views[-1].m_live == 0 and len(views) >= 8
+    for view in views:
+        n = len(view)
+        masses = (rng.integers(0, SCALE, size=(7, n)) * (rng.random((7, n)) < 0.7))
+        masses[3] = 0
+        want = _tables_row_by_row(view, masses)
+        # edge chunks of 1, 2 and 3 rows against the 7-row block
+        for chunk in (1, 2, 3):
+            monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", chunk * max(1, view.m_live))
+            got = sweep_tables(view, masses)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        _check_tables(view, masses)
+
+
+def _fake_run(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    return WalkRun(None, 0, 1, None, list(rng.integers(0, SCALE, size=(steps + 1, n))),
+                   None, None)
+
+
+@pytest.mark.parametrize("graph, cells, t_stop, sizes", [
+    # n = 8, 28 live edges: first block 84 // 28 = 3 rows, then doubling up to 84 // 8
+    (gen.clique(8), 84, 40, [3, 6, 10, 10, 10, 1]),
+    (gen.clique(8), 84, 2, [2]),
+    (gen.clique(8), 1, 9, [1] * 9),
+    (gen.clique(8), 1 << 16, 40, [40]),
+    # n = 12 above 11 live edges: every block has 48 // 12 rows
+    (gen.path(12), 48, 10, [4, 4, 2]),
+    # n = 10, 21 live edges: 2 rows, then 4 (the n cap)
+    (gen.barbell(5, 1), 42, 11, [2, 4, 4, 1]),
+])
+def test_sweep_blocks_grow_from_the_first_block(monkeypatch, graph, cells, t_stop, sizes):
+    view = ActiveView.whole(graph)
+    run = _fake_run(len(view), t_stop + 3, seed=cells + t_stop)
+    monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", cells)
+    t_next = 1
+    for (t, masses, tables), size in zip(sweep_blocks(view, run, t_stop), sizes, strict=True):
+        assert t == t_next and len(masses) == size
+        assert np.array_equal(masses, np.array(run.masses[t : t + size]))
+        for a, b in zip(tables, sweep_tables(view, masses)):
+            assert np.array_equal(a, b)
+        t_next = t + size
+    assert t_next == t_stop + 1
 
 
 def test_walk_ledger_matches_per_step_messages():
