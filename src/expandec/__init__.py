@@ -10,7 +10,6 @@ from .graph import (
     mixing_time_estimate,
     parse_graph_text,
     remove_edge_to_loops,
-    volume,
 )
 from .simulator import Msg, Network, RoundLedger
 from .views import ActiveView, WorkingGraph
@@ -33,5 +32,4 @@ __all__ = [
     "mixing_time_estimate",
     "parse_graph_text",
     "remove_edge_to_loops",
-    "volume",
 ]

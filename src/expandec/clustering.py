@@ -10,13 +10,12 @@ inter-cluster edges incident to the sparse side.
 Neighborhood edge sets follow the flooding semantics: the radius-d edge set of
 v is every tracked edge with an endpoint within distance d-1 of v, which is
 what d-1 phases of list-or-star flooding deliver (radius 1 = incident edges).
-The message-level flooding implementation is exercised at unit scale; larger
-runs compute the identical counts directly and charge rounds by the
-documented per-phase formula.  No hop distance in a view exceeds its size
-minus one, so from radius len(view) on every ball is the vertex's whole
-component: its edge count is one `bincount` of the (sampled) live edges over
-the view's component roots, and an a-ball of a vertex set is the union of its
-components.  Only radii below that need the dense distance tables of
+The counts and sets are computed directly and the rounds charged by the
+per-phase formula; the flooding protocol itself is a test reference.  No hop
+distance in a view exceeds its size minus one, so from radius len(view) on
+every ball is the vertex's whole component: its edge count is one `bincount`
+of the (sampled) live edges over the view's component roots, and an a-ball
+of a vertex set is the union of its components.  Only radii below that need the dense distance tables of
 `NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
 size, so the decomposition never builds one.  The roots, the oracle's
 distances and every component split come from the numpy traversal substrate
@@ -32,7 +31,7 @@ import numpy as np
 
 from .graph import (adjacency_csr, components_of, edge_ends, edge_key, hop_distances,
                     level_sweep)
-from .simulator import KIND_BITS, Msg, Network
+from .simulator import KIND_BITS, Network
 from .views import ActiveView
 
 
@@ -88,13 +87,11 @@ OVER = "over-threshold"
 
 
 def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau: int,
-                             message_level: bool = True,
                              oracle: NeighborhoodOracle | None = None) -> dict:
     """Each vertex learns its radius-d edge set within estar exactly, or the
-    fact that it exceeds tau.  d-1 phases of list-or-star flooding."""
+    fact that it exceeds tau, as d-1 phases of list-or-star flooding would
+    deliver it; the rounds are charged by the per-phase formula."""
     estar = {edge_key(*e) for e in estar}
-    if message_level:
-        return _edges_exact_messages(net, view, estar, d, tau)
     oracle = oracle or NeighborhoodOracle(view)
     mask = np.array([e in estar for e in view.live_edges_host()], dtype=bool)
     counts = oracle.ball_edge_counts(d, mask)
@@ -107,53 +104,6 @@ def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau:
     net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
                       messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
     return out
-
-
-def _edges_exact_messages(net: Network, view: ActiveView, estar: set, d: int, tau: int) -> dict:
-    verts = [int(v) for v in view.verts]
-    live = set(view.live_edges_host())
-    known = {v: {e for e in estar if v in e and e in live} for v in verts}
-    over = {v: len(known[v]) > tau for v in verts}
-    edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
-    cap = net.bandwidth_bits // edge_bits
-    for _phase in range(d - 1):
-        outgoing = {v: (OVER if over[v] else sorted(known[v])) for v in verts}
-        states = {v: None for v in verts}
-        inboxes: dict[int, list] = {}
-        queues = {v: list(outgoing[v]) if outgoing[v] != OVER else OVER for v in verts}
-        # stream each list over as many rounds as the phase needs, all in lockstep
-        phase_rounds = max(
-            1, max((len(q) + cap - 1) // cap for q in queues.values() if q != OVER)
-            if any(q != OVER for q in queues.values()) else 1,
-        )
-        for _r in range(phase_rounds):
-            def step(v, s, inbox):
-                q = queues[v]
-                if q == OVER:
-                    if _r == 0:
-                        return s, [(u, Msg("star", OVER, bits=KIND_BITS))
-                                   for u in view.live_neighbors(v)]
-                    return s, []
-                chunk, queues[v] = q[:cap], q[cap:]
-                if not chunk:
-                    return s, []
-                bits = KIND_BITS + edge_bits * len(chunk)
-                return s, [(u, Msg("edges", tuple(chunk), bits=bits))
-                           for u in view.live_neighbors(v)]
-
-            states, inboxes = net.run_round(states, inboxes, step,
-                                            adjacency=view.live_neighbors)
-            for v, arrivals in inboxes.items():
-                for _, msg in arrivals:
-                    if msg.kind == "star":
-                        over[v] = True
-                    else:
-                        known[v].update(msg.payload)
-            inboxes = {}
-        for v in verts:
-            if len(known[v]) > tau:
-                over[v] = True
-    return {v: (OVER if over[v] else sorted(known[v])) for v in verts}
 
 
 def _samples(n: int, z: int, f: float, K: float) -> bool:

@@ -31,8 +31,7 @@ class Profile:
     phi_floor: float | None
     phi_decay: float
     enforce_phi_cap: bool  # require phi <= 1/log2(n)^5 for the balanced-cut wrapper
-    # Recorded constants surfaced in result JSON.
-    k_phi_parts: tuple[int, int, int] = (47, 276, 10)  # partition conductance chain
+    # Mixing-time form and the direct-finalization cutoff.
     c_mix: float = 4.0        # mixing-time form constant tau <= c_mix * log2(n) / phi^2
     vol_finalize_cutoff: int = 8  # components at or below this volume finalize directly
 

@@ -50,6 +50,10 @@ from .walks import (
 )
 
 PHI_ALGO_MAX = 1.0 / 12.0
+# Conductance chain of cut accumulation, Phi(C) <= 47 * 276 * w * phi with the
+# overlap budget w = 10 * ceil(ln vol); recorded in the decomposition's JSON.
+K_PHI_PARTS = (47, 276, 10)
+_K_ACCUM, _K_CONCURRENT, _K_W = K_PHI_PARTS
 
 
 # -- parameters ---------------------------------------------------------------
@@ -83,14 +87,14 @@ def derive_instance_params(vol: int, walkp: WalkParams, p: float, profile: Profi
         raise ValueError(f"p={p} outside (0, 1)")
     q = participation_budget(walkp, profile)
     k = k_override if k_override is not None else max(1, math.ceil(vol / q))
-    w = 10 * max(1, math.ceil(math.log(max(vol, 2))))
+    w = _K_W * max(1, math.ceil(math.log(max(vol, 2))))
     g = math.ceil(10 * w * q)
     if profile.g_cap is not None:
         g = min(g, profile.g_cap)
     s = 4 * g * math.ceil(math.log(1.0 / p) / math.log(7.0 / 4.0))
     if profile.s_cap is not None:
         s = min(s, profile.s_cap)
-    return MultiInstanceParams(vol, k, max(10, w), g, max(1, s))
+    return MultiInstanceParams(vol, k, max(_K_W, w), g, max(1, s))
 
 
 def ladder_h(theta: float, n: int, c_h: float) -> float:
@@ -172,8 +176,8 @@ class ScanCharger:
     Each walk step's scan checks candidates in tree round trips and locates
     every jump candidate by a tree search, charged deterministically at the
     with-high-probability iteration scale (ceil(log2 band) + 2 tree round
-    trips per search); the standalone random_binary_search primitive remains
-    fully message-simulated.
+    trips per search); `random_binary_search`, by contrast, charges the
+    iterations its draws actually take.
     """
 
     def __init__(self, net: Network, depth: int, size: int):
@@ -556,7 +560,7 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     members = frozenset().union(*pieces) if pieces else frozenset()
     cut = view.cut_stats(members) if members and members != view.active else None
     n_view = max(2, len(view))
-    k_phi = 47.0 * 276.0 * w_max / math.log2(n_view)
+    k_phi = _K_ACCUM * _K_CONCURRENT * w_max / math.log2(n_view)
     return PartitionResult(members, cut, pieces, it, mi0.s, w_max, phi, k_phi, concurrent)
 
 
@@ -595,7 +599,7 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     part = sparse_cut_partition(net, view, phi_inner, p, profile, rng)
     if not part.members or part.cut is None:
         return None
-    h_bound = min(1.0, 47.0 * 276.0 * part.w_max * phi_inner)
+    h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * part.w_max * phi_inner)
     c_h_eff = h_bound / (phi_target ** (1.0 / 3.0) * math.log2(max(2, n_view)) ** (5.0 / 3.0))
     return BalancedCutResult(part.members, part.cut, phi_target, phi_inner,
                              h_bound, c_h_eff, part)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Profile
-from .cuts import balanced_sparse_cut, ladder_h_inv
+from .cuts import K_PHI_PARTS, balanced_sparse_cut, ladder_h_inv
 from .errors import (
     BadEpsilon,
     BudgetExceeded,
@@ -153,7 +153,7 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
         "phi_ladder": list(params.phi_ladder),
         "d": params.d,
         "beta": params.beta,
-        "k_phi_parts": list(profile.k_phi_parts),
+        "k_phi_parts": list(K_PHI_PARTS),
         "profile": profile.name,
         "lowdiam_K": lowdiam_K,
     }
@@ -299,17 +299,12 @@ def _certify(working: WorkingGraph, comp: frozenset, phi_k: float,
     if len(comp) == 1:
         return "singleton", True, None
     if len(comp) <= N_ORACLE_MAX:
-        phi = float(min_conductance_oracle(contract_live(working, comp))[0])
+        # the contraction of the working graph (removed edges as loops) onto comp
+        contracted, _labels = ActiveView(working, comp).materialize()
+        phi = float(min_conductance_oracle(contracted)[0])
         return "oracle", phi >= phi_k, phi
     best = _sweep_falsifier(working, comp, phi_k, profile)
     return "sweep", best >= phi_k, best
-
-
-def contract_live(working: WorkingGraph, comp) -> Graph:
-    """Contraction of the working graph (removed edges as loops) onto comp."""
-    view = ActiveView(working, comp)
-    g, _labels = view.materialize()
-    return g
 
 
 def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,

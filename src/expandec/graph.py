@@ -223,10 +223,6 @@ class Cut:
     balance: Fraction
 
 
-def volume(g: Graph, s: Iterable[int]) -> int:
-    return g.volume(list(s))
-
-
 def boundary_size(g: Graph, s) -> int:
     sset = set(s)
     return sum(1 for u, v in g.edges if (u in sset) != (v in sset))

@@ -7,16 +7,17 @@ the per-edge budget aborts the round (never silent truncation).  The ledger
 tallies rounds, messages, and the worst per-edge per-round bit load, labelled
 by algorithm phase.
 
-`bfs_tree` (one `graph.level_sweep`) and `subtree_degrees` (one bottom-up
-sum) compute their result and charge what their message-level protocols
-would: depth rounds of one 72-bit message per edge.  They run no `Network`
-round, so they add nothing to `Network.trace` and check no bandwidth budget.
+The tree primitives compute their result directly and charge what their
+message-level protocols would: `bfs_tree` (one `graph.level_sweep`) and
+`subtree_degrees` (one bottom-up sum) depth rounds of one 72-bit message per
+edge, and `random_binary_search` four tree passes per iteration.  None of
+them runs a `Network` round or checks the bandwidth budget; the per-round
+protocols they are charged as are test references built on `run_round`.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -88,15 +89,12 @@ class Network:
     """One synchronous network over a host graph, with a shared ledger."""
 
     def __init__(self, graph: Graph, ledger: RoundLedger | None = None,
-                 bandwidth_bits: int | None = None, phase: str = "main",
-                 threads: int | None = None, trace: bool = False):
+                 bandwidth_bits: int | None = None, phase: str = "main"):
         self.graph = graph
         self.ledger = ledger if ledger is not None else RoundLedger()
         self.bandwidth_bits = bandwidth_bits or default_bandwidth(graph.n)
         self.phase = phase
         self.round_no = 0
-        self.threads = threads
-        self.trace: list | None = [] if trace else None
 
     def set_phase(self, phase: str):
         self.phase = phase
@@ -110,24 +108,12 @@ class Network:
         (host adjacency by default).  Returns (new_states, new_inboxes).
         """
         adj = adjacency or (lambda v: self.graph.neighbors[v])
-        vertices = sorted(states)
-
-        def run_one(v):
-            return v, step(v, states[v], inboxes.get(v, ()))
-
-        if self.threads:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(run_one, vertices))
-        else:
-            results = [run_one(v) for v in vertices]
-
         new_states = {}
         new_inboxes: dict[int, list] = {}
         n_msgs = 0
         edge_bits: dict[tuple[int, int], int] = {}
-        trace_row = [] if self.trace is not None else None
-        for v, (state, outs) in results:
-            new_states[v] = state
+        for v in sorted(states):
+            new_states[v], outs = step(v, states[v], inboxes.get(v, ()))
             allowed = None
             for dst, msg in outs:
                 if allowed is None:
@@ -139,13 +125,9 @@ class Network:
                 new_inboxes.setdefault(dst, []).append((v, msg))
                 n_msgs += 1
                 edge_bits[(v, dst)] = edge_bits.get((v, dst), 0) + msg.bits
-                if trace_row is not None:
-                    trace_row.append((v, dst, msg.kind, msg.payload))
         self.round_no += 1
         self.ledger.charge(self.phase, rounds=1, messages=n_msgs,
                            edge_bits=max(edge_bits.values(), default=0))
-        if trace_row is not None:
-            self.trace.append(tuple(sorted(trace_row, key=repr)))
         return new_states, new_inboxes
 
 
@@ -191,65 +173,6 @@ def bfs_tree(net: Network, root: int, adj: sp.csr_matrix | None = None,
                         dict(zip(hosts, depth[order].tolist())), children)
 
 
-def tree_aggregate(net: Network, tree: SpanningTree, values: dict, combine: Callable):
-    """Bottom-up fold over the tree; rounds = tree depth.
-
-    Returns (root_value, subtree_values) where subtree_values[v] combines v's
-    value with all of its descendants'.
-    """
-    dmax = tree.depth_max
-    partial = dict(values)
-    states = {v: None for v in tree.parent}
-    inboxes: dict[int, list] = {}
-    for r in range(dmax, 0, -1):
-        layer = frozenset(v for v, d in tree.depth.items() if d == r)
-
-        def step(v, state, inbox, _layer=layer):
-            outs = []
-            if v in _layer:
-                outs.append((tree.parent[v], Msg("agg", partial[v])))
-            return state, outs
-
-        states, inboxes = net.run_round(states, inboxes, step,
-                                        adjacency=lambda v: _tree_adj(tree, v))
-        for v, arrivals in inboxes.items():
-            for _, msg in sorted(arrivals, key=lambda a: a[0]):
-                partial[v] = combine(partial[v], msg.payload)
-        inboxes = {}
-    return partial[tree.root], partial
-
-
-def tree_broadcast(net: Network, tree: SpanningTree, value):
-    """Top-down broadcast; rounds = tree depth.  Every tree vertex ends with value."""
-    dmax = tree.depth_max
-    have = {tree.root: value}
-    states = {v: None for v in tree.parent}
-    inboxes: dict[int, list] = {}
-    for r in range(dmax):
-        layer = frozenset(v for v, d in tree.depth.items() if d == r and v in have)
-
-        def step(v, state, inbox, _layer=layer):
-            outs = []
-            if v in _layer:
-                outs = [(c, Msg("bcast", have[v])) for c in tree.children[v]]
-            return state, outs
-
-        states, inboxes = net.run_round(states, inboxes, step,
-                                        adjacency=lambda v: _tree_adj(tree, v))
-        for v, arrivals in inboxes.items():
-            for _, msg in arrivals:
-                have[v] = msg.payload
-        inboxes = {}
-    return have
-
-
-def _tree_adj(tree: SpanningTree, v: int):
-    out = list(tree.children.get(v, ()))
-    if tree.parent.get(v, v) != v:
-        out.append(tree.parent[v])
-    return out
-
-
 def _charge_tree_rounds(net: Network, rounds: int, messages: int):
     """Charge rounds of at most one KIND_BITS + WORD_BITS message per edge."""
     if rounds:
@@ -278,7 +201,7 @@ def sample_by_degree(net: Network, tree: SpanningTree, counts: dict[int, int],
     to child u with probability s(u)/(s(v)-deg(v)).  Only token counts cross
     edges; tags are pipelined one per round, so the charged rounds are depth +
     number of tags.  Like the sums, every round is charged to the ledger
-    without running a `Network` round, so nothing enters `Network.trace`.
+    without running a `Network` round.
     """
     d = deg or (lambda v: net.graph.degree(v))
     subtree = subtree_degrees(net, tree, d)
@@ -329,15 +252,16 @@ class SearchResult:
 
 def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, object],
                          weights: dict[int, int], predicate: Callable[[int, int], bool],
-                         rng: np.random.Generator, message_level: bool = True) -> SearchResult:
+                         rng: np.random.Generator) -> SearchResult:
     """Locate the last rank (in ascending key order) where a monotone predicate holds.
 
     `predicate(vertex, prefix_weight)` sees the cumulative weight of every
     universe member with key <= the candidate's.  Each iteration samples a
     uniform member of the live band; with probability 1/2 the band shrinks by a
-    factor >= 3/4.  In message mode every band count, descent, and prefix
-    aggregation runs on the tree; the fast mode performs the identical
-    computation and random draws in memory and charges the same round formula.
+    factor >= 3/4.  The band, counts and prefix weights are computed in
+    memory; each iteration is charged as its tree round trip (band broadcast,
+    count aggregate, descent broadcast, prefix aggregate): 4 * depth rounds
+    and one 136-bit message per tree edge and pass.
     """
     universe = sorted(keys, key=lambda v: keys[v])
     if not universe:
@@ -357,23 +281,12 @@ def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, objec
             idx = lo + int(rng.integers(hi - lo + 1))
         v = universe[idx]
         pw = int(cumw[idx])
-        if message_level:
-            _search_round_trip(net, tree, v)
-        else:
-            net.ledger.charge(net.phase, rounds=4 * depth,
-                              messages=4 * max(0, len(tree.parent) - 1),
-                              edge_bits=KIND_BITS + 2 * WORD_BITS)
+        net.ledger.charge(net.phase, rounds=4 * depth,
+                          messages=4 * max(0, len(tree.parent) - 1),
+                          edge_bits=KIND_BITS + 2 * WORD_BITS)
         if predicate(v, pw):
             best_rank, best_vertex, best_weight = idx + 1, v, pw
             lo = idx + 1
         else:
             hi = idx - 1
     return SearchResult(best_rank, best_vertex, best_weight, iterations)
-
-
-def _search_round_trip(net: Network, tree: SpanningTree, marker: int):
-    """Band broadcast, count aggregate, descent, and prefix aggregate on the tree."""
-    tree_broadcast(net, tree, ("band", marker))
-    tree_aggregate(net, tree, {v: 1 for v in tree.parent}, lambda a, b: a + b)
-    tree_broadcast(net, tree, ("descend", marker))
-    tree_aggregate(net, tree, {v: 0 for v in tree.parent}, lambda a, b: a + b)

@@ -1,7 +1,8 @@
 """Brute-force certificates for the dense-region growth invariant, the
 row-by-row reference for the working graph and its views, per-step
 references for the walk kernel, the sweep scan and the falsifier,
-message-level references for the BFS tree, the subtree sums and the shift
+message-level references for the BFS tree, the tree aggregate and
+broadcast, the search round trip, list-or-star flooding and the shift
 clustering, and the per-triple reference for triangle enumeration."""
 import math
 from fractions import Fraction
@@ -10,11 +11,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 
-from expandec.clustering import ShiftClustering
+from expandec.clustering import OVER, ShiftClustering
 from expandec.cuts import SweepCandidate
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge
 from expandec.graph import Cut, Graph, edge_key
-from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, tree_aggregate
+from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
 from expandec.walks import (
@@ -409,10 +410,109 @@ def bfs_tree_per_round(net, root, edge_filter=None, vertices=None):
     return SpanningTree(root, parent, depth, children)
 
 
+def _tree_adj(tree, v):
+    out = list(tree.children.get(v, ()))
+    if tree.parent.get(v, v) != v:
+        out.append(tree.parent[v])
+    return out
+
+
+def tree_aggregate_per_round(net, tree, values, combine):
+    """Bottom-up fold over the tree, one round per level.  Returns
+    (root_value, subtree_values) where subtree_values[v] combines v's value
+    with all of its descendants'."""
+    partial = dict(values)
+    states = {v: None for v in tree.parent}
+    for r in range(tree.depth_max, 0, -1):
+        layer = frozenset(v for v, d in tree.depth.items() if d == r)
+
+        def step(v, state, inbox, _layer=layer):
+            return state, [(tree.parent[v], Msg("agg", partial[v]))] if v in _layer else []
+
+        states, inboxes = net.run_round(states, {}, step,
+                                        adjacency=lambda v: _tree_adj(tree, v))
+        for v, arrivals in inboxes.items():
+            for _, msg in sorted(arrivals, key=lambda a: a[0]):
+                partial[v] = combine(partial[v], msg.payload)
+    return partial[tree.root], partial
+
+
+def tree_broadcast_per_round(net, tree, value):
+    """Top-down broadcast, one round per level; every tree vertex ends with value."""
+    have = {tree.root: value}
+    states = {v: None for v in tree.parent}
+    for r in range(tree.depth_max):
+        layer = frozenset(v for v, d in tree.depth.items() if d == r and v in have)
+
+        def step(v, state, inbox, _layer=layer):
+            if v not in _layer:
+                return state, []
+            return state, [(c, Msg("bcast", have[v])) for c in tree.children[v]]
+
+        states, inboxes = net.run_round(states, {}, step,
+                                        adjacency=lambda v: _tree_adj(tree, v))
+        for v, arrivals in inboxes.items():
+            for _, msg in arrivals:
+                have[v] = msg.payload
+    return have
+
+
 def subtree_degrees_per_round(net, tree, deg):
     """Subtree degree sums by a message-level aggregate, one round per level."""
-    _, sub = tree_aggregate(net, tree, {v: deg(v) for v in tree.parent}, lambda a, b: a + b)
+    _, sub = tree_aggregate_per_round(net, tree, {v: deg(v) for v in tree.parent},
+                                      lambda a, b: a + b)
     return sub
+
+
+def search_round_trip_per_round(net, tree, marker):
+    """One iteration of the randomized tree search: band broadcast, count
+    aggregate, descent broadcast and prefix aggregate."""
+    tree_broadcast_per_round(net, tree, ("band", marker))
+    tree_aggregate_per_round(net, tree, {v: 1 for v in tree.parent}, lambda a, b: a + b)
+    tree_broadcast_per_round(net, tree, ("descend", marker))
+    tree_aggregate_per_round(net, tree, {v: 0 for v in tree.parent}, lambda a, b: a + b)
+
+
+def neighborhood_edges_per_round(net, view, estar, d, tau):
+    """d-1 phases of list-or-star flooding over the view's live edges: a vertex
+    streams the tracked edges it knows to its neighbours in bandwidth-sized
+    chunks, or one star once it knows more than tau of them."""
+    estar = {edge_key(*e) for e in estar}
+    verts = [int(v) for v in view.verts]
+    live = set(view.live_edges_host())
+    known = {v: {e for e in estar if v in e and e in live} for v in verts}
+    over = {v: len(known[v]) > tau for v in verts}
+    edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
+    cap = net.bandwidth_bits // edge_bits
+    for _phase in range(d - 1):
+        queues = {v: OVER if over[v] else sorted(known[v]) for v in verts}
+        # stream each list over as many rounds as the phase needs, all in lockstep
+        phase_rounds = max([1] + [-(-len(q) // cap) for q in queues.values() if q != OVER])
+        states = {v: None for v in verts}
+        for r in range(phase_rounds):
+            def step(v, s, inbox, _first=r == 0):
+                q = queues[v]
+                if q == OVER:
+                    return s, [(u, Msg("star", OVER, bits=KIND_BITS))
+                               for u in view.live_neighbors(v)] if _first else []
+                chunk, queues[v] = q[:cap], q[cap:]
+                if not chunk:
+                    return s, []
+                bits = KIND_BITS + edge_bits * len(chunk)
+                return s, [(u, Msg("edges", tuple(chunk), bits=bits))
+                           for u in view.live_neighbors(v)]
+
+            states, inboxes = net.run_round(states, {}, step, adjacency=view.live_neighbors)
+            for v, arrivals in inboxes.items():
+                for _, msg in arrivals:
+                    if msg.kind == "star":
+                        over[v] = True
+                    else:
+                        known[v].update(msg.payload)
+        for v in verts:
+            if len(known[v]) > tau:
+                over[v] = True
+    return {v: OVER if over[v] else sorted(known[v]) for v in verts}
 
 
 def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):

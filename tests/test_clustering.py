@@ -19,7 +19,7 @@ from expandec.clustering import (
     neighborhood_threshold_test,
 )
 
-from helpers_h import shift_clustering_per_epoch
+from helpers_h import neighborhood_edges_per_round, shift_clustering_per_epoch
 
 
 def cluster_eccentricity(view, members, center):
@@ -141,13 +141,20 @@ def test_neighborhood_edges_over_threshold():
 
 
 def test_neighborhood_edges_fast_equals_messages():
+    # the whole graph, then a view with removed edges and a missing vertex
     g = gen.erdos_renyi(14, 0.3, seed=4)
-    view = ActiveView.whole(g)
+    working = WorkingGraph(g)
+    working.remove_edges(g.edges[1::5], "x")
+    views = [ActiveView.whole(g), ActiveView(working, range(1, g.n))]
     estar = set(g.edges[::2])
-    for d, tau in ((1, 5), (2, 4), (3, 50)):
-        a = neighborhood_edges_exact(Network(g), view, estar, d, tau, message_level=True)
-        b = neighborhood_edges_exact(Network(g), view, estar, d, tau, message_level=False)
-        assert a == b
+    kinds = set()
+    for view in views:
+        for d, tau in ((1, 5), (2, 4), (3, 50)):
+            a = neighborhood_edges_per_round(Network(g), view, estar, d, tau)
+            b = neighborhood_edges_exact(Network(g), view, estar, d, tau)
+            assert a == b
+            kinds |= {r == OVER for r in b.values()}
+    assert kinds == {True, False}
 
 
 def test_threshold_test_deterministic_branch():

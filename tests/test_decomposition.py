@@ -12,7 +12,6 @@ from expandec.graph import Graph, contract, min_conductance_oracle
 from expandec.decomposition import (
     DecompParams,
     _sweep_falsifier,
-    contract_live,
     derive_decomp_params,
     expander_decomposition,
     verify_decomposition,
@@ -250,9 +249,12 @@ def test_decomposition_builds_no_distance_tables(monkeypatch):
 
 def test_pipeline_runs_no_message_rounds(monkeypatch):
     # Trees, subtree sums, shift clusters, walks and scans are all charged by
-    # formula, so neither pipeline simulates a single network round.
+    # formula, so no CLI pipeline simulates a single network round.
+    from expandec.clustering import low_diam_decomposition
+    from expandec.cuts import balanced_sparse_cut
     from expandec.simulator import Network
     from expandec.triangles import triangle_enumeration
+    from expandec.views import ActiveView
 
     calls = []
     run_round = Network.run_round
@@ -262,9 +264,20 @@ def test_pipeline_runs_no_message_rounds(monkeypatch):
         return run_round(self, *args, **kwargs)
 
     monkeypatch.setattr(Network, "run_round", spy)
+    cuts = 0
     for spec in ("cliques_chain:3:7:2", "erdos_renyi:120:0.06", "grid:5:6"):
-        dec = expander_decomposition(gen.generate(spec, seed=1), 0.5, 2, 0, DESK)
+        g = gen.generate(spec, seed=1)
+        dec = expander_decomposition(g, 0.5, 2, 0, DESK)
         assert dec.ledger.totals().rounds > 0
+        net = Network(g)
+        cuts += balanced_sparse_cut(net, ActiveView.whole(g), 0.01, DESK,
+                                    np.random.default_rng([1, 0x5C])) is not None
+        assert net.ledger.totals().rounds > 0
+        net = Network(g)
+        low_diam_decomposition(net, ActiveView.whole(g), 0.2, 10.0,
+                               np.random.default_rng([1, 0, 0x1D]))
+        assert net.ledger.totals().rounds > 0
+    assert cuts == 2  # the chain and the grid have sparse cuts
     rep = triangle_enumeration(gen.erdos_renyi(30, 0.4, seed=2), rng=3, verify=True)
     assert rep.verified and rep.ledger.totals().rounds > 0
     assert calls == []

@@ -21,7 +21,6 @@ from expandec.graph import (
     mixing_time_estimate,
     parse_graph_text,
     remove_edge_to_loops,
-    volume,
 )
 
 
@@ -31,16 +30,16 @@ def barbell44():
 
 def test_volume_k4_full():
     g = gen.clique(4)
-    assert volume(g, range(4)) == 12
+    assert g.volume(range(4)) == 12
 
 
 def test_volume_empty_set():
-    assert volume(gen.clique(4), []) == 0
+    assert gen.clique(4).volume([]) == 0
 
 
 def test_volume_barbell_one_side():
     g = barbell44()
-    assert volume(g, range(4)) == 13  # degree sum by direct enumeration
+    assert g.volume(range(4)) == 13  # degree sum by direct enumeration
 
 
 def test_cut_stats_k4_pair():

@@ -1,14 +1,16 @@
-"""Round semantics, bandwidth enforcement, tree primitives, and determinism."""
+"""Round semantics, bandwidth enforcement, and the tree primitives against
+their message-level references."""
 import math
 
 import numpy as np
 import pytest
 
 from expandec import generators as gen
-from expandec.clustering import neighborhood_edges_exact
 from expandec.errors import BandwidthExceeded
 from expandec.graph import Graph, adjacency_csr, edge_key
 from expandec.simulator import (
+    KIND_BITS,
+    WORD_BITS,
     Msg,
     Network,
     RoundLedger,
@@ -16,12 +18,16 @@ from expandec.simulator import (
     random_binary_search,
     sample_by_degree,
     subtree_degrees,
-    tree_aggregate,
-    tree_broadcast,
 )
 from expandec.views import ActiveView, WorkingGraph
 
-from helpers_h import bfs_tree_per_round, subtree_degrees_per_round
+from helpers_h import (
+    bfs_tree_per_round,
+    search_round_trip_per_round,
+    subtree_degrees_per_round,
+    tree_aggregate_per_round,
+    tree_broadcast_per_round,
+)
 
 
 def flood_token(net, start):
@@ -195,7 +201,8 @@ def test_tree_aggregate_degree_sum():
     g = gen.clique(4)
     net = Network(g)
     tree = bfs_tree(net, 0)
-    total, _ = tree_aggregate(net, tree, {v: g.degree(v) for v in range(4)}, lambda a, b: a + b)
+    total, _ = tree_aggregate_per_round(net, tree, {v: g.degree(v) for v in range(4)},
+                                        lambda a, b: a + b)
     assert total == 12
 
 
@@ -203,7 +210,7 @@ def test_broadcast_reaches_everyone():
     g = gen.barbell(4, 1)
     net = Network(g)
     tree = bfs_tree(net, 2)
-    values = tree_broadcast(net, tree, 7)
+    values = tree_broadcast_per_round(net, tree, 7)
     assert all(values[v] == 7 for v in range(g.n))
 
 
@@ -280,8 +287,7 @@ def test_search_matches_linear_scan_over_seeds():
         rng = np.random.default_rng(seed)
         thr = int(rng.integers(0, n + 1))
         pred = lambda v, w: w <= thr
-        res = random_binary_search(net, tree, keys, weights, pred, rng,
-                                   message_level=False)
+        res = random_binary_search(net, tree, keys, weights, pred, rng)
         expected = max((i + 1 for i in range(n) if i + 1 <= thr), default=0)
         assert res.rank == expected
 
@@ -299,38 +305,33 @@ def test_search_iteration_bound():
         net, tree, keys, weights = nets[n]
         rng = np.random.default_rng([trial, 5])
         thr = int(rng.integers(0, n + 1))
-        res = random_binary_search(net, tree, keys, weights, lambda v, w: w <= thr,
-                                   rng, message_level=False)
+        res = random_binary_search(net, tree, keys, weights, lambda v, w: w <= thr, rng)
         assert res.iterations <= 40 * math.log2(n)
 
 
 def test_search_message_level_equals_fast():
-    net1, tree1, keys, weights = _search_setup(30, 0)
-    net2, tree2, _, _ = _search_setup(30, 0)
-    pred = lambda v, w: w <= 17
-    r1 = random_binary_search(net1, tree1, keys, weights, pred,
-                              np.random.default_rng(4), message_level=True)
-    r2 = random_binary_search(net2, tree2, keys, weights, pred,
-                              np.random.default_rng(4), message_level=False)
-    assert (r1.rank, r1.vertex, r1.iterations) == (r2.rank, r2.vertex, r2.iterations)
-    assert net1.ledger.totals().rounds == net2.ledger.totals().rounds
-
-
-def test_thread_pool_determinism():
-    def transcript(threads):
-        g = gen.barbell(4, 1)
-        net = Network(g, threads=threads, trace=True)
-        tree = bfs_tree_per_round(net, 0)
-        tree_broadcast(net, tree, 42)
-        total, _ = tree_aggregate(net, tree, {v: g.degree(v) for v in tree.parent},
-                                  lambda a, b: a + b)
-        edges = neighborhood_edges_exact(net, ActiveView.whole(g), set(g.edges), 3, 6,
-                                         message_level=True)
-        return net.trace, net.ledger.snapshot(), total, edges
-
-    t1, l1, total1, edges1 = transcript(None)
-    t2, l2, total2, edges2 = transcript(3)
-    assert len(t1) > 0
-    assert t1 == t2
-    assert l1 == l2
-    assert (total1, edges1) == (total2, edges2)
+    """Each search iteration is charged as one message-level round trip on the
+    tree: 4 * depth rounds and 4 * (|T| - 1) messages.  The round trip's
+    messages carry one word (72 bits); the charge is 136 bits per edge."""
+    graphs = [gen.path(30), gen.star(12), gen.barbell(6, 2), gen.grid(4, 5),
+              gen.erdos_renyi(25, 0.2, seed=3), Graph.from_edges(1, [])]
+    for i, g in enumerate(graphs):
+        tree = bfs_tree(Network(g), i % g.n)
+        keys = {v: (v * 7) % g.n for v in tree.parent}
+        weights = {v: 1 + v % 3 for v in tree.parent}
+        total = sum(weights.values())
+        for seed in range(5):
+            net, ref_net = Network(g), Network(g)
+            thr = total * seed // 4
+            res = random_binary_search(net, tree, keys, weights, lambda v, w: w <= thr,
+                                       np.random.default_rng([i, seed]))
+            for _ in range(res.iterations):
+                search_round_trip_per_round(ref_net, tree, res.vertex)
+            got, ref = net.ledger.totals(), ref_net.ledger.totals()
+            assert res.iterations >= 1
+            assert (got.rounds, got.messages) == (ref.rounds, ref.messages)
+            assert got.rounds == 4 * tree.depth_max * res.iterations
+            assert got.messages == 4 * (len(tree.parent) - 1) * res.iterations
+            if ref.messages:
+                assert ref.max_bits == KIND_BITS + WORD_BITS
+                assert got.max_bits == KIND_BITS + 2 * WORD_BITS
