@@ -106,22 +106,25 @@ def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau:
     return out
 
 
-def _samples(n: int, z: int, f: float, K: float) -> bool:
+K_SAMPLE = 10  # a threshold test samples each edge at rate K_SAMPLE log n / (f^2 z)
+
+
+def _samples(n: int, z: int, f: float) -> bool:
     """Whether a threshold test at z samples edges (else it counts them all)."""
-    return K * math.log2(max(2, n)) < f * f * z
+    return K_SAMPLE * math.log2(max(2, n)) < f * f * z
 
 
 def neighborhood_threshold_test(net: Network, view: ActiveView, d: int, z: int, f: float,
-                                rng: np.random.Generator | None, K: int = 10,
+                                rng: np.random.Generator | None,
                                 oracle: NeighborhoodOracle | None = None) -> np.ndarray:
     """Per-vertex bit, indexed like view.verts: 1 when the radius-d edge count is
     below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0).
     rng is drawn from, and needed, only when the test samples."""
     n = net.graph.n
     log_n = math.log2(max(2, n))
-    if _samples(n, z, f, K):
-        mask = rng.random(view.m_live) < K * log_n / (f * f * z)
-        tau = (1 + f / 2) * K * log_n / (f * f)
+    if _samples(n, z, f):
+        mask = rng.random(view.m_live) < K_SAMPLE * log_n / (f * f * z)
+        tau = (1 + f / 2) * K_SAMPLE * log_n / (f * f)
     else:
         mask, tau = None, (1 + f) * z
     bits = ball_edge_counts(view, d, mask, oracle) <= tau
@@ -133,7 +136,7 @@ def neighborhood_threshold_test(net: Network, view: ActiveView, d: int, z: int, 
 
 
 def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
-                               rng: np.random.Generator, K: int = 10,
+                               rng: np.random.Generator,
                                oracle: NeighborhoodOracle | None = None) -> np.ndarray:
     """Per-vertex m_v, indexed like view.verts, within a (1+f) factor of the
     radius-d edge count w.h.p.
@@ -155,8 +158,8 @@ def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
     best = np.full(len(view), ladder[-1])
     for i in range(len(ladder) - 1, -1, -1):
         z = max(1, math.ceil(ladder[i]))
-        level_rng = np.random.default_rng([seed_key, i]) if _samples(n, z, f, K) else None
-        bits = neighborhood_threshold_test(net, view, d, z, f, level_rng, K=K, oracle=oracle)
+        level_rng = np.random.default_rng([seed_key, i]) if _samples(n, z, f) else None
+        bits = neighborhood_threshold_test(net, view, d, z, f, level_rng, oracle=oracle)
         best[bits] = ladder[i]
     return best
 
@@ -222,6 +225,11 @@ def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
 # -- dense/sparse split ----------------------------------------------------------
 
 
+# Estimate precision of the split; (1 + SPLIT_F)^4 <= 2 keeps the
+# classification one-sided.
+SPLIT_F = 3.0 / 16.0
+
+
 @dataclass
 class DenseSparseSplit:
     v_dense: frozenset
@@ -230,35 +238,28 @@ class DenseSparseSplit:
     sparse_prime: frozenset
     a: int
     b: int
-    f: float
     stages: list[list[frozenset]]  # components of each W_i, W_0 first
     est_near: np.ndarray  # indexed like view.verts
     est_far: np.ndarray
 
 
 def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: float,
-                             rng: np.random.Generator, f: float = 3.0 / 16.0,
-                             oracle: NeighborhoodOracle | None = None,
-                             k_sample: int = 10) -> DenseSparseSplit:
-    """Classify dense/sparse by radius-a vs radius-100ab edge-count estimates,
-    then grow the dense region by a-ball merges until components are pairwise
-    further than a apart.  (1+f)^4 <= 2 keeps the classification one-sided."""
+                             rng: np.random.Generator) -> DenseSparseSplit:
+    """Classify dense/sparse by radius-a vs radius-100ab edge-count estimates
+    (each within a factor 1 + SPLIT_F), then grow the dense region by a-ball
+    merges until components are pairwise further than a apart."""
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta={beta}")
-    if (1 + f) ** 4 > 2.0:
-        raise ValueError(f"f={f} too coarse: need (1+f)^4 <= 2")
     n = net.graph.n
     log_n = math.log2(max(2, n))
     a = max(1, math.ceil(5 * log_n / beta))
     b = max(1, math.ceil(K * log_n / beta))
     n_view = len(view.verts)
-    if oracle is None and a < n_view:
-        oracle = NeighborhoodOracle(view)
+    oracle = NeighborhoodOracle(view) if a < n_view else None
     far_radius = min(100 * a * b, n_view + 1)
-    est_near = neighborhood_size_estimate(net, view, a, f, rng, K=k_sample, oracle=oracle)
-    est_far = neighborhood_size_estimate(net, view, far_radius, f, rng, K=k_sample,
-                                         oracle=oracle)
-    is_dense = est_near * 2 * b * (1 + f) ** 2 >= est_far
+    est_near = neighborhood_size_estimate(net, view, a, SPLIT_F, rng, oracle=oracle)
+    est_far = neighborhood_size_estimate(net, view, far_radius, SPLIT_F, rng, oracle=oracle)
+    is_dense = est_near * 2 * b * (1 + SPLIT_F) ** 2 >= est_far
     dense_prime = frozenset(view.verts[is_dense].tolist())
     sparse_prime = view.active - dense_prime
     idx = view.index
@@ -307,7 +308,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     if any(near_other(c, w) for c in stages[-1]):
         raise RuntimeError("dense-region merge loop left components within a")
     return DenseSparseSplit(w, view.active - w, dense_prime, sparse_prime,
-                            a, b, f, stages, est_near, est_far)
+                            a, b, stages, est_near, est_far)
 
 
 # -- low-diameter decomposition ---------------------------------------------------

@@ -3,12 +3,17 @@
 The `paper` profile carries the constants the analysis is stated with; they make
 walk horizons astronomically large on graphs that fit in a test suite.  The
 `desk` profile keeps every functional form and substitutes small leading
-constants so the full pipeline runs in seconds.  Every run records the profile
-it used, so results are reproducible from their embedded config.
+constants so the full pipeline runs in seconds.  A profile holds only the
+values the two differ in: the walk and local-cut constants, the jump slack,
+the accumulation caps, the conductance-ladder floor and whether the
+balanced-cut phi cap is enforced.  Values both use are module constants where
+they are used (the ladder quality, finalization cutoff and low-diameter K in
+`decomposition`, the sampling constants in `clustering`, the mixing-form
+constant in `triangles`).  Every run records the profile it used, so results
+are reproducible from their embedded config.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -27,16 +32,9 @@ class Profile:
     g_cap: int | None
     s_cap: int | None
     # Conductance ladder of the decomposition.
-    c_h_ladder: float     # constant of the ladder quality function
     phi_floor: float | None
     phi_decay: float
     enforce_phi_cap: bool  # require phi <= 1/log2(n)^5 for the balanced-cut wrapper
-    # Mixing-time form and the direct-finalization cutoff.
-    c_mix: float = 4.0        # mixing-time form constant tau <= c_mix * log2(n) / phi^2
-    vol_finalize_cutoff: int = 8  # components at or below this volume finalize directly
-
-    def replace(self, **kwargs) -> "Profile":
-        return dataclasses.replace(self, **kwargs)
 
 
 PAPER = Profile(
@@ -49,7 +47,6 @@ PAPER = Profile(
     starred_slack=12.0,
     g_cap=None,
     s_cap=None,
-    c_h_ladder=1.0,
     phi_floor=None,
     phi_decay=1.0,
     enforce_phi_cap=True,
@@ -68,7 +65,6 @@ DESK = Profile(
     starred_slack=2.0,
     g_cap=2,
     s_cap=12,
-    c_h_ladder=1.0,
     phi_floor=1.0 / 12.0,
     phi_decay=0.5,
     enforce_phi_cap=False,

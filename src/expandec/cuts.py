@@ -375,10 +375,9 @@ def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate 
     return LocalCutResult(members, cut, cand, start, b, view, run.touched)
 
 
-def local_cut(view_or_graph, v: int, phi: float, b: int, params: WalkParams,
+def local_cut(view: ActiveView, v: int, phi: float, b: int, params: WalkParams,
               profile: Profile) -> LocalCutResult:
     """Centralized reference: full sweep scan under the raw conditions."""
-    view = _as_view(view_or_graph)
     if not (0.0 < phi <= 1.0):
         raise BadPhi(f"phi={phi}")
     run = compute_walk(view, v, params, b)
@@ -386,10 +385,9 @@ def local_cut(view_or_graph, v: int, phi: float, b: int, params: WalkParams,
     return _result_from_candidate(view, run, cand, v, b)
 
 
-def approximate_local_cut_reference(view_or_graph, v: int, phi: float, b: int,
+def approximate_local_cut_reference(view: ActiveView, v: int, phi: float, b: int,
                                     params: WalkParams, profile: Profile) -> LocalCutResult:
     """Centralized twin of the distributed scan (same schedule, same tie rule)."""
-    view = _as_view(view_or_graph)
     _check_algo_phi(phi)
     run = compute_walk(view, v, params, b)
     cand = scan_run(view, run, phi, b, profile, jx_only=True)
@@ -412,12 +410,6 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
 def _check_algo_phi(phi: float):
     if not (0.0 < phi <= PHI_ALGO_MAX + 1e-12):
         raise BadPhi(f"phi={phi} outside (0, 1/12]")
-
-
-def _as_view(view_or_graph) -> ActiveView:
-    if isinstance(view_or_graph, ActiveView):
-        return view_or_graph
-    return ActiveView.whole(view_or_graph)
 
 
 def draw_b(ell: int, rng: np.random.Generator) -> int:
@@ -570,8 +562,7 @@ class BalancedCutResult:
     cut: Cut
     phi_target: float
     phi_inner: float
-    h_bound: float        # certified conductance bound for this run
-    c_h_effective: float  # h_bound expressed against theta^(1/3) log2(n)^(5/3)
+    h_bound: float  # certified conductance bound for this run
     partition: PartitionResult
 
 
@@ -600,6 +591,4 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     if not part.members or part.cut is None:
         return None
     h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * part.w_max * phi_inner)
-    c_h_eff = h_bound / (phi_target ** (1.0 / 3.0) * math.log2(max(2, n_view)) ** (5.0 / 3.0))
-    return BalancedCutResult(part.members, part.cut, phi_target, phi_inner,
-                             h_bound, c_h_eff, part)
+    return BalancedCutResult(part.members, part.cut, phi_target, phi_inner, h_bound, part)

@@ -29,6 +29,12 @@ from .simulator import Network, RoundLedger
 from .views import ActiveView, WorkingGraph
 from .walks import compute_walk, derive_walk_params, sweep_blocks
 
+C_H_LADDER = 1.0  # constant of the ladder quality function h (`cuts.ladder_h`)
+# Components at or below this volume finalize directly: any proper cut of a
+# connected piece with volume <= 8 has conductance >= 1/4, above every rung.
+VOL_FINALIZE_CUTOFF = 8
+LOWDIAM_K = 10.0  # K of `clustering.low_diam_decomposition` inside Phase 1
+
 
 @dataclass(frozen=True)
 class DecompParams:
@@ -37,7 +43,6 @@ class DecompParams:
     d: int
     beta: float
     phi_ladder: tuple[float, ...]  # phi_0 .. phi_k, strictly decreasing
-    c_h: float
     profile_name: str
 
     @property
@@ -69,15 +74,15 @@ def derive_decomp_params(n: int, m: int, epsilon: float, k: int,
         d -= 1
     beta = (epsilon / 3.0) / d
     target = (epsilon / 6.0) / math.log2(max(2, n * (n - 1) // 2))
-    phi = [ladder_h_inv(target, n, profile.c_h_ladder)]
+    phi = [ladder_h_inv(target, n, C_H_LADDER)]
     for _ in range(k):
-        phi.append(ladder_h_inv(phi[-1], n, profile.c_h_ladder))
+        phi.append(ladder_h_inv(phi[-1], n, C_H_LADDER))
     if profile.phi_floor is not None:
         floor = profile.phi_floor
         phi = [max(p, floor * profile.phi_decay**i) for i, p in enumerate(phi)]
     if not all(a > b for a, b in zip(phi, phi[1:])):
         raise BadEpsilon(f"phi ladder not strictly decreasing: {phi}")
-    return DecompParams(epsilon, k, d, beta, tuple(phi), profile.c_h_ladder, profile.name)
+    return DecompParams(epsilon, k, d, beta, tuple(phi), profile.name)
 
 
 @dataclass
@@ -120,8 +125,7 @@ class Decomposition:
 
 def expander_decomposition(graph: Graph, epsilon: float, k: int,
                            rng: np.random.Generator | int, profile: Profile,
-                           ledger: RoundLedger | None = None,
-                           lowdiam_K: float = 10.0) -> Decomposition:
+                           ledger: RoundLedger | None = None) -> Decomposition:
     """Phase-1 recursion plus Phase-2 trimming; asserts the removal budget."""
     if isinstance(rng, np.random.Generator):
         seed = -1
@@ -133,7 +137,7 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
     ledger = ledger or RoundLedger()
     net = Network(graph, ledger=ledger, phase="decomp")
     working = WorkingGraph(graph)
-    state = _RunState(net, working, params, profile, rng, lowdiam_K)
+    state = _RunState(net, working, params, profile, rng)
     whole = ActiveView(working, range(graph.n))
     for comp in whole.components():
         _phase1(state, comp, depth=1)
@@ -149,13 +153,13 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
                                          *_certify(working, comp, params.phi_k, profile))
                     for comp in components]
     constants = {
-        "c_h_ladder": params.c_h,
+        "c_h_ladder": C_H_LADDER,
         "phi_ladder": list(params.phi_ladder),
         "d": params.d,
         "beta": params.beta,
         "k_phi_parts": list(K_PHI_PARTS),
         "profile": profile.name,
-        "lowdiam_K": lowdiam_K,
+        "lowdiam_K": LOWDIAM_K,
     }
     dec = Decomposition(graph, params, components, removed, certificates,
                         ledger, seed, constants)
@@ -168,13 +172,12 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
 
 
 class _RunState:
-    def __init__(self, net, working, params, profile, rng, lowdiam_K):
+    def __init__(self, net, working, params, profile, rng):
         self.net = net
         self.working = working
         self.params = params
         self.profile = profile
         self.rng = rng
-        self.lowdiam_K = lowdiam_K
         self.finals: list[frozenset] = []
         self.phase2_queue: list[tuple[frozenset, frozenset]] = []
         self.max_depth_seen = 0
@@ -191,21 +194,19 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
     view = ActiveView(state.working, members)
     for comp in view.components():
         comp_view = view.subview(comp)
-        # Components this small can never dip below the ladder floor: any proper
-        # cut of a connected piece with volume <= 8 has conductance >= 1/4.
-        if comp_view.vol() <= state.profile.vol_finalize_cutoff:
+        if comp_view.vol() <= VOL_FINALIZE_CUTOFF:
             state.finals.append(comp)
             continue
         state.net.set_phase("lowdiam")
         ld = low_diam_decomposition(state.net, comp_view, params.beta,
-                                    state.lowdiam_K, state.rng)
+                                    LOWDIAM_K, state.rng)
         if ld.cut_edges:
             state.working.remove_edges(ld.cut_edges, "r1")
         for u_set in ld.components:
             # without r1 cuts the one low-diameter part is comp itself
             u_view = ActiveView(state.working, u_set) if ld.cut_edges else comp_view
-            if u_view.vol() <= state.profile.vol_finalize_cutoff:
-                state.finals.append(u_set)  # too small to cut, as above
+            if u_view.vol() <= VOL_FINALIZE_CUTOFF:
+                state.finals.append(u_set)
                 continue
             state.net.set_phase("phase1-cut")
             res = balanced_sparse_cut(state.net, u_view, params.phi_0,
@@ -245,7 +246,7 @@ def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):
                 f"phase-2 spent {iters_at_level} iterations at level {level} (2 tau = {2 * tau:.2f})"
             )
         cur = ActiveView(state.working, active)
-        if cur.vol() <= state.profile.vol_finalize_cutoff or cur.m_live == 0:
+        if cur.vol() <= VOL_FINALIZE_CUTOFF or cur.m_live == 0:
             for comp in cur.components():
                 state.finals.append(comp)
             break
@@ -355,14 +356,14 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
             assignment[v] = i
     if set(assignment) != set(range(graph.n)):
         return VerifyReport(False, -1, False, [((), "cover", False)])
-    inter_set = {(u, v) for u, v in graph.edges if assignment[u] != assignment[v]}
+    cut_edges = [e for e in graph.edges if assignment[e[0]] != assignment[e[1]]]
+    inter_set = set(cut_edges)
     inter = len(inter_set)
     frac_ok = inter <= epsilon * graph.m
     if reported_removed is not None and {edge_key(*e) for e in reported_removed} != inter_set:
         return VerifyReport(False, inter, frac_ok,
                             [((), "inter-edge recount", False)])
     working = WorkingGraph(graph)
-    cut_edges = [e for e in graph.edges if assignment[e[0]] != assignment[e[1]]]
     if cut_edges:
         working.remove_edges(cut_edges, "inter")
     results = []

@@ -92,7 +92,10 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, list(zip(us.tolist(), vs.tolist())))
 
 
-def random_regular(n: int, r: int, seed: int = 0, attempts: int = 2000) -> Graph:
+REGULAR_ATTEMPTS = 2000  # whole pairings drawn before random_regular gives up
+
+
+def random_regular(n: int, r: int, seed: int = 0) -> Graph:
     """Configuration model with whole-sample rejection of loops and multi-edges."""
     if n * r % 2 == 1:
         raise Infeasible(f"n*r = {n * r} is odd")
@@ -100,7 +103,7 @@ def random_regular(n: int, r: int, seed: int = 0, attempts: int = 2000) -> Graph
         raise Infeasible(f"degree {r} needs at least {r + 1} vertices")
     rng = np.random.default_rng([seed, 0x4E9])
     stubs = np.repeat(np.arange(n), r)
-    for _ in range(attempts):
+    for _ in range(REGULAR_ATTEMPTS):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         seen = set()
@@ -117,7 +120,7 @@ def random_regular(n: int, r: int, seed: int = 0, attempts: int = 2000) -> Graph
             seen.add(k)
         if ok:
             return Graph.from_edges(n, sorted(seen))
-    raise Infeasible(f"no simple {r}-regular pairing found in {attempts} attempts")
+    raise Infeasible(f"no simple {r}-regular pairing found in {REGULAR_ATTEMPTS} attempts")
 
 
 _FAMILIES = {

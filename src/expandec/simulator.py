@@ -81,8 +81,8 @@ class RoundLedger:
         return {p: (t.rounds, t.messages, t.max_bits) for p, t in self.phases.items()}
 
 
-def default_bandwidth(n: int, factor: int = DEFAULT_BANDWIDTH_FACTOR) -> int:
-    return factor * max(1, math.ceil(math.log2(max(2, n))))
+def default_bandwidth(n: int) -> int:
+    return DEFAULT_BANDWIDTH_FACTOR * max(1, math.ceil(math.log2(max(2, n))))
 
 
 class Network:
@@ -261,7 +261,8 @@ def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, objec
     factor >= 3/4.  The band, counts and prefix weights are computed in
     memory; each iteration is charged as its tree round trip (band broadcast,
     count aggregate, descent broadcast, prefix aggregate): 4 * depth rounds
-    and one 136-bit message per tree edge and pass.
+    and one 136-bit message per tree edge and pass (no bits on a one-vertex
+    tree, which sends none).
     """
     universe = sorted(keys, key=lambda v: keys[v])
     if not universe:
@@ -273,6 +274,8 @@ def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, objec
     iterations = 0
     cap = max(64, 64 * int(math.log2(len(universe) + 1) + 1))
     depth = tree.depth_max
+    messages = 4 * max(0, len(tree.parent) - 1)
+    bits = KIND_BITS + 2 * WORD_BITS if messages else 0
     while lo <= hi:
         iterations += 1
         if iterations > cap:
@@ -281,9 +284,7 @@ def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, objec
             idx = lo + int(rng.integers(hi - lo + 1))
         v = universe[idx]
         pw = int(cumw[idx])
-        net.ledger.charge(net.phase, rounds=4 * depth,
-                          messages=4 * max(0, len(tree.parent) - 1),
-                          edge_bits=KIND_BITS + 2 * WORD_BITS)
+        net.ledger.charge(net.phase, rounds=4 * depth, messages=messages, edge_bits=bits)
         if predicate(v, pw):
             best_rank, best_vertex, best_weight = idx + 1, v, pw
             lo = idx + 1

@@ -21,7 +21,8 @@ vectorized membership test, and builds the public set and reporter dict once.
 
 Routing is direct delivery with an analytic cost model: delivering one batch
 of requests (per-vertex load proportional to degree) inside a component is
-charged c_r * tau_mix * log2(n)^q rounds.
+charged tau_mix * log2(n) rounds, the routing cost of Ghaffari, Kuhn and Su
+(PODC'17) with its constant and log exponent at 1.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .simulator import RoundLedger
 TRIANGLE_N_MAX = 2000
 MIX_EXACT_N_MAX = 128
 MIX_TOL = 0.5  # L1 distance to the degree-stationary distribution
+C_MIX = 4.0  # mixing-time form constant: tau <= C_MIX * log2(n) / phi^2
 WEDGE_CHUNK = 1 << 18  # candidate wedges tested per numpy pass
 TUPLE_CHUNK = 1 << 16  # triangle rows turned into Python tuples per pass
 
@@ -55,17 +57,6 @@ def brute_force_triangles(g: Graph) -> set[tuple[int, int, int]]:
             if w > v:
                 out.add((u, v, w))
     return out
-
-
-@dataclass(frozen=True)
-class Router:
-    """Direct delivery with an analytic round cost per batch."""
-
-    c_r: float = 1.0
-    q_exp: float = 1.0
-
-    def batch_rounds(self, tau_mix: float, n: int) -> float:
-        return self.c_r * tau_mix * math.log2(max(2, n)) ** self.q_exp
 
 
 @dataclass
@@ -130,8 +121,8 @@ def _wedge_triangles(fu: np.ndarray, fv: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(out) if out else np.empty((0, 3), dtype=np.int64)
 
 
-def enumerate_component(level_graph: Graph, comp, router: Router,
-                        tau_mix: float, n_global: int) -> ComponentEnumeration:
+def enumerate_component(level_graph: Graph, comp, tau_mix: float,
+                        n_global: int) -> ComponentEnumeration:
     """Report every triangle of G[comp ∪ N(comp)] in the level graph.
 
     This includes triangles with one vertex in comp or none (wholly inside
@@ -140,7 +131,8 @@ def enumerate_component(level_graph: Graph, comp, router: Router,
     bucket triples are assigned round-robin to component vertices, and each
     triangle is reported by the assignee of its sorted bucket triple.  An
     assignee's load is the total size of the three bucket-pair edge lists of
-    its triples, and the batch count is the largest load-to-degree ratio.
+    its triples, and the batch count is the largest load-to-degree ratio;
+    each batch is charged tau_mix * log2(n_global) rounds.
     """
     comp = sorted(comp)
     comp_arr = np.array(comp, dtype=np.int64)
@@ -172,7 +164,7 @@ def enumerate_component(level_graph: Graph, comp, router: Router,
     b = tris // chunk
     tkey = (ta * n_buckets + tb) * n_buckets + tc
     idx = np.searchsorted(tkey, (b[:, 0] * n_buckets + b[:, 1]) * n_buckets + b[:, 2])
-    rounds = batches * router.batch_rounds(tau_mix, n_global)
+    rounds = batches * (tau_mix * math.log2(max(2, n_global)))
     return ComponentEnumeration(tuple(comp), universe[tris], comp_arr[idx % len(comp)],
                                 n_buckets, len(triples), batches, tau_mix, rounds)
 
@@ -205,10 +197,9 @@ class TriangleReport:
         return sum(l.rounds_charged for l in self.levels)
 
 
-def component_mixing_time(level_graph: Graph, comp, phi_floor: float,
-                          profile: Profile) -> float:
+def component_mixing_time(level_graph: Graph, comp, phi_floor: float) -> float:
     """tau_mix of the degree-preserving contraction: exact powering when small,
-    else the mixing-form bound c_mix * log2(n) / phi^2 at the certified floor."""
+    else the mixing-form bound C_MIX * log2(n) / phi^2 at the certified floor."""
     if len(comp) <= 1:
         return 0.0
     if len(comp) <= MIX_EXACT_N_MAX:
@@ -217,7 +208,7 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float,
                                               step_cap=20_000))
         except TooLarge:
             pass
-    return profile.c_mix * math.log2(max(2, len(comp))) / phi_floor**2
+    return C_MIX * math.log2(max(2, len(comp))) / phi_floor**2
 
 
 def _first_occurrences(parts: list[ComponentEnumeration]) -> tuple[np.ndarray, np.ndarray]:
@@ -265,13 +256,11 @@ def _public(tris: np.ndarray, reporter: np.ndarray, n: int) -> tuple[set, dict]:
 def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
                          rng: np.random.Generator | int = 0,
                          profile: Profile | None = None,
-                         router: Router | None = None,
                          verify: bool = False) -> TriangleReport:
     """Enumerate every triangle of the graph, recursing on inter-component edges."""
     from .config import DESK
 
     profile = profile or DESK
-    router = router or Router()
     if epsilon > 1.0 / 6.0 + 1e-12:
         raise BadEpsilon(f"epsilon={epsilon} above 1/6")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else int(rng.integers(1 << 62))
@@ -291,8 +280,8 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
         for comp in dec.components:
             if len(comp) < 2:
                 continue
-            tau = component_mixing_time(level_graph, comp, dec.params.phi_k, profile)
-            comp_reports.append(enumerate_component(level_graph, comp, router, tau, graph.n))
+            tau = component_mixing_time(level_graph, comp, dec.params.phi_k)
+            comp_reports.append(enumerate_component(level_graph, comp, tau, graph.n))
         next_edges = sorted(e for es in dec.removed.values() for e in es)
         if len(next_edges) >= len(edges):
             raise StalledLevel(f"level {level} kept {len(next_edges)} of {len(edges)} edges")

@@ -578,7 +578,7 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
 # -- per-triple reference for triangle enumeration ---------------------------
 
 
-def enumerate_component_per_triple(level_graph, comp, router, tau_mix, n_global):
+def enumerate_component_per_triple(level_graph, comp, tau_mix, n_global):
     """enumerate_component by Python sets: each assignee intersects the three
     bucket-pair edge lists of its bucket triple, and a triangle keeps the
     assignee of the first triple that lists it."""
@@ -614,7 +614,7 @@ def enumerate_component_per_triple(level_graph, comp, router, tau_mix, n_global)
     batches = max(
         (math.ceil(load[v] / max(1, level_graph.degree(v))) for v in comp), default=0
     )
-    rounds = batches * router.batch_rounds(tau_mix, n_global)
+    rounds = batches * (tau_mix * math.log2(max(2, n_global)))
     rows = sorted(reporters)
     tris = np.array(rows, dtype=np.int64).reshape(-1, 3)
     assignees = np.array([reporters[t] for t in rows], dtype=np.int64)

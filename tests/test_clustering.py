@@ -187,8 +187,7 @@ def test_threshold_test_sampled_branch_statistical():
     ok_low = ok_high = trials = 0
     for seed in range(120):
         bits = neighborhood_threshold_test(Network(g), view, 2, z, f,
-                                           np.random.default_rng([seed, 1]),
-                                           K=10, oracle=oracle)
+                                           np.random.default_rng([seed, 1]), oracle=oracle)
         trials += 1
         ok_low += all(bits[v] == 1 for v in low)
         ok_high += all(bits[v] == 0 for v in high)

@@ -165,7 +165,7 @@ def test_planted_overlap_lower_bound():
     # With the detectability precondition forced via a small constant, the
     # level-b cut from a planted start covers at least 2^(b-2) of the side.
     g = gen.barbell(12, 1)
-    prof = DESK.replace(c_f=1e-3)
+    prof = dataclasses.replace(DESK, c_f=1e-3)
     view = ActiveView.whole(g)
     params = derive_walk_params(g.m, PHI, prof)
     side = set(range(12))

@@ -1,4 +1,5 @@
 """Parameter derivation, both phases, removal channels, and verification."""
+import dataclasses
 import json
 import math
 
@@ -6,10 +7,14 @@ import numpy as np
 import pytest
 
 from expandec import generators as gen
-from expandec.config import DESK
+from expandec.clustering import SPLIT_F
+from expandec.config import DESK, PAPER, Profile
+from expandec.cuts import K_PHI_PARTS
 from expandec.errors import BadEpsilon
 from expandec.graph import Graph, contract, min_conductance_oracle
 from expandec.decomposition import (
+    C_H_LADDER,
+    LOWDIAM_K,
     DecompParams,
     _sweep_falsifier,
     derive_decomp_params,
@@ -166,14 +171,13 @@ def test_phase2_trim_ejects_weak_blob():
     from expandec.views import ActiveView, WorkingGraph
 
     g = blob_on_clique()
-    prof = DESK.replace(phi_floor=1 / 12, phi_decay=0.9)
+    prof = dataclasses.replace(DESK, phi_floor=1 / 12, phi_decay=0.9)
     params = derive_decomp_params(g.n, g.m, 0.5, 2, prof)
     found_trim = False
     for seed in range(12):
         working = WorkingGraph(g)
         net = Network(g, ledger=RoundLedger(), phase="test")
-        state = _RunState(net, working, params, prof,
-                          np.random.default_rng([seed, 77]), 10.0)
+        state = _RunState(net, working, params, prof, np.random.default_rng([seed, 77]))
         _phase2(state, frozenset(range(g.n)), frozenset(range(g.n)))
         stats = state.phase2_stats[-1]
         assert stats["final_level"] <= params.k
@@ -186,6 +190,20 @@ def test_phase2_trim_ejects_weak_blob():
             singles = [c for c in state.finals if len(c) == 1]
             assert singles  # ejected members became self-loop singletons
     assert found_trim
+
+
+def test_profiles_differ_in_every_field_and_json_records_the_constants():
+    # a value both profiles share is a module constant, not a profile field
+    shared = [f.name for f in dataclasses.fields(Profile)
+              if getattr(PAPER, f.name) == getattr(DESK, f.name)]
+    assert shared == []
+    assert (1 + SPLIT_F) ** 4 <= 2  # the split's estimates stay one-sided
+    dec = expander_decomposition(gen.cliques_chain(3, 8, 1), 0.5, 2, 7, DESK)
+    constants = json.loads(dec.to_json())["constants"]
+    assert constants["c_h_ladder"] == C_H_LADDER == 1.0
+    assert constants["lowdiam_K"] == LOWDIAM_K == 10.0
+    assert constants["k_phi_parts"] == list(K_PHI_PARTS)
+    assert constants["profile"] == "desk"
 
 
 def test_verify_pass_and_tamper():

@@ -13,6 +13,7 @@ from expandec.simulator import (
     WORD_BITS,
     Msg,
     Network,
+    PhaseTotals,
     RoundLedger,
     bfs_tree,
     random_binary_search,
@@ -271,6 +272,15 @@ def test_search_singleton():
     res = random_binary_search(net, tree, {0: 0}, {0: 1}, lambda v, w: True,
                                np.random.default_rng(0))
     assert res.rank == 1 and res.iterations == 1
+
+
+def test_search_on_one_vertex_tree_charges_nothing():
+    # a one-vertex tree sends no message, so no bits are charged either
+    net = Network(Graph.from_edges(1, []))
+    res = random_binary_search(net, bfs_tree(net, 0), {0: 0}, {0: 1}, lambda v, w: True,
+                               np.random.default_rng(0))
+    assert res.iterations == 1
+    assert net.ledger.totals() == PhaseTotals(0, 0, 0)
 
 
 def test_search_all_true():

@@ -17,8 +17,8 @@ from expandec.errors import BadEpsilon, Disconnected, NotATriangle, StalledLevel
 from expandec.graph import Graph
 from expandec.views import ActiveView
 from expandec.triangles import (
+    C_MIX,
     ComponentEnumeration,
-    Router,
     brute_force_triangles,
     component_mixing_time,
     enumerate_component,
@@ -53,14 +53,14 @@ def test_oracle_too_large():
 
 def test_enumerate_component_k4():
     g = gen.clique(4)
-    rep = enumerate_component(g, range(4), Router(), 2.0, 4)
+    rep = enumerate_component(g, range(4), 2.0, 4)
     assert rep.triangles == brute_force_triangles(g)
 
 
 def test_enumerate_component_boundary_triangle():
     # component = one edge; the triangle closes through an external vertex
     g = gen.clique(3)
-    rep = enumerate_component(g, [0, 1], Router(), 1.0, 3)
+    rep = enumerate_component(g, [0, 1], 1.0, 3)
     assert (0, 1, 2) in rep.triangles
 
 
@@ -74,7 +74,7 @@ def test_enumerate_components_cover_all_but_inter_triangles():
     for comp in dec.components:
         if len(comp) < 2:
             continue
-        got |= enumerate_component(g, comp, Router(), 2.0, g.n).triangles
+        got |= enumerate_component(g, comp, 2.0, g.n).triangles
     all_tris = brute_force_triangles(g)
     missing = all_tris - got
     for u, v, w in missing:  # only triangles entirely inside the removed set
@@ -118,7 +118,7 @@ def test_planted_clique_found():
 
 def test_reporters_recorded_and_membership_not_required():
     g = gen.clique(3)
-    rep = enumerate_component(g, [0, 1], Router(), 1.0, 3)
+    rep = enumerate_component(g, [0, 1], 1.0, 3)
     assert rep.reporters[(0, 1, 2)] in (0, 1)  # reporter is an assignee, not always a member
 
 
@@ -141,9 +141,9 @@ def test_mixing_time_consistent_with_conductance_form():
     from expandec.graph import min_conductance_oracle
 
     g = gen.clique(16)
-    tau = component_mixing_time(g, range(16), 1 / 48, DESK)
+    tau = component_mixing_time(g, range(16), 1 / 48)
     phi, _ = min_conductance_oracle(g)
-    assert tau <= DESK.c_mix * math.log2(16) / float(phi) ** 2
+    assert tau <= C_MIX * math.log2(16) / float(phi) ** 2
     assert tau <= 8
 
 
@@ -157,7 +157,7 @@ def test_router_report_empty_graph():
 def test_mixing_time_disconnected_component_raises():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])  # {0..3} is not connected at this level
     with pytest.raises(Disconnected):
-        component_mixing_time(g, range(4), 1 / 48, DESK)
+        component_mixing_time(g, range(4), 1 / 48)
 
 
 def test_generator_rng_draws_the_seed():
@@ -211,9 +211,8 @@ def _component_draws(count, seed):
 def test_enumerate_component_matches_per_triple_reference():
     seen = set()
     for g, comp in _component_draws(150, 8):
-        got = enumerate_component(g, comp, Router(1.5, 2.0), 3.0, g.n)
-        _same_enumeration(got, enumerate_component_per_triple(g, comp, Router(1.5, 2.0),
-                                                              3.0, g.n))
+        got = enumerate_component(g, comp, 3.0, g.n)
+        _same_enumeration(got, enumerate_component_per_triple(g, comp, 3.0, g.n))
         inside = set(comp)
         universe = inside | {u for v in comp for u in g.neighbors[v]}
         hits = [sum(x in inside for x in t) for t in got.triangles]
@@ -232,8 +231,8 @@ def test_enumerate_component_matches_per_triple_reference():
 def test_enumerate_component_across_wedge_chunks(monkeypatch):
     monkeypatch.setattr(triangles, "WEDGE_CHUNK", 3)
     for g, comp in _component_draws(30, 9):
-        _same_enumeration(enumerate_component(g, comp, Router(), 2.0, g.n),
-                          enumerate_component_per_triple(g, comp, Router(), 2.0, g.n))
+        _same_enumeration(enumerate_component(g, comp, 2.0, g.n),
+                          enumerate_component_per_triple(g, comp, 2.0, g.n))
 
 
 def _planted(seed):
@@ -255,7 +254,7 @@ def test_triangle_enumeration_matches_per_triple_reference():
         for lvl in rep.levels:
             for c in lvl.components:
                 ref = enumerate_component_per_triple(lvl.decomposition.graph, c.component,
-                                                     Router(), c.tau_mix, g.n)
+                                                     c.tau_mix, g.n)
                 _same_enumeration(c, ref)
                 for tri, who in ref.reporters.items():
                     contested += first.setdefault(tri, who) != who
@@ -270,8 +269,8 @@ def test_triangle_enumeration_matches_per_triple_reference():
 def test_first_report_wins():
     # both halves of K4 list all four triangles, with different reporters
     g = gen.clique(4)
-    parts = [enumerate_component(g, [0, 1], Router(), 1.0, 4),
-             enumerate_component(g, [2, 3], Router(), 1.0, 4)]
+    parts = [enumerate_component(g, [0, 1], 1.0, 4),
+             enumerate_component(g, [2, 3], 1.0, 4)]
     tris, who = triangles._first_occurrences(parts)
     assert np.array_equal(tris, parts[0].tris)
     assert np.array_equal(who, parts[0].assignees)
@@ -281,7 +280,7 @@ def test_first_report_wins():
 
 
 def test_enumerate_component_reports_triangles_outside_comp():
-    rep = enumerate_component(gen.clique(4), [0], Router(), 1.0, 4)
+    rep = enumerate_component(gen.clique(4), [0], 1.0, 4)
     assert rep.triangles == brute_force_triangles(gen.clique(4))
     assert (1, 2, 3) in rep.reporters and set(rep.reporters.values()) == {0}
 
@@ -289,7 +288,7 @@ def test_enumerate_component_reports_triangles_outside_comp():
 # -- the driver's guards --------------------------------------------------------
 
 
-def _fake_triangle(level_graph, comp, router, tau_mix, n_global):
+def _fake_triangle(level_graph, comp, tau_mix, n_global):
     comp = tuple(sorted(comp))
     return ComponentEnumeration(comp, np.array([[0, 1, 5]]), np.array([comp[0]]),
                                 1, 1, 0, tau_mix, 0.0)
@@ -319,7 +318,7 @@ def test_soundness_check_survives_optimize_flag():
         "from expandec.config import DESK\n"
         "from expandec.errors import NotATriangle\n"
         "assert False, 'asserts are on'\n"
-        "def fake(level_graph, comp, router, tau_mix, n_global):\n"
+        "def fake(level_graph, comp, tau_mix, n_global):\n"
         "    comp = tuple(sorted(comp))\n"
         "    return triangles.ComponentEnumeration(\n"
         "        comp, np.array([[0, 1, 5]]), np.array([comp[0]]), 1, 1, 0, tau_mix, 0.0)\n"
