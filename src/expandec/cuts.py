@@ -23,10 +23,21 @@ into one ledger entry per scan.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
+
+Cut accumulation runs its later iterations' walks early.  An iteration's
+levels and starts are drawn from the rng before its walks, and they depend on
+earlier iterations only through the view, which changes only when a cut is
+found.  So after iteration 1, while no cut has been found, the next
+iterations' (start, b) pairs are drawn ahead on a copy of the rng and run as
+one `walks.compute_walks` batch of at most WALK_BATCH_CELLS walk states per
+step.  Each iteration still draws from the rng itself and charges the ledger;
+it takes a prefetched walk only when its view, start and level are the
+prefetched ones, so the outcome is that of running every walk alone.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
@@ -36,14 +47,16 @@ import numpy as np
 from .config import Profile
 from .errors import BadPhi
 from .graph import Cut, adjacency_csr
-from .simulator import (KIND_BITS, WORD_BITS, Network, SpanningTree, bfs_tree,
+from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_tree,
                         sample_by_degree)
 from .views import ActiveView
 from .walks import (
     SCALE,
     WalkParams,
     WalkRun,
+    charge_walk,
     compute_walk,
+    compute_walks,
     derive_walk_params,
     sweep_blocks,
     sweep_order_local,
@@ -54,6 +67,10 @@ PHI_ALGO_MAX = 1.0 / 12.0
 # overlap budget w = 10 * ceil(ln vol); recorded in the decomposition's JSON.
 K_PHI_PARTS = (47, 276, 10)
 _K_ACCUM, _K_CONCURRENT, _K_W = K_PHI_PARTS
+# Walk states per step that a partition's prefetched batch may hold (columns
+# times view vertices): as many as one walk on a 512-vertex view.  Batching
+# pays where numpy call overhead dominates a step; on larger views it does not.
+WALK_BATCH_CELLS = 512
 
 
 # -- parameters ---------------------------------------------------------------
@@ -395,11 +412,18 @@ def approximate_local_cut_reference(view: ActiveView, v: int, phi: float, b: int
 
 
 def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
-                          params: WalkParams, profile: Profile) -> LocalCutResult:
+                          params: WalkParams, profile: Profile,
+                          run: WalkRun | None = None) -> LocalCutResult:
     """Distributed local cut: simulated walk, tree-search candidate location,
-    slack conditions on jump candidates, full round accounting."""
+    slack conditions on jump candidates, full round accounting.
+
+    A prefetched run stands in for the walk when it is the walk from v at
+    level b on this very view; it is charged as the walk would be."""
     _check_algo_phi(phi)
-    run = compute_walk(view, v, params, b, net=net)
+    if run is None or run.view is not view or (run.start, run.b, run.params) != (v, b, params):
+        run = compute_walk(view, v, params, b, net=net)
+    else:
+        charge_walk(net, run)
     tree = bfs_tree(net, v, adjacency_csr(len(view), view.edges_local[run.touched]),
                     view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.parent))
@@ -428,6 +452,12 @@ def randomized_local_cut(net: Network, view: ActiveView, phi: float,
     return distributed_local_cut(net, view, v, phi, b, params, profile)
 
 
+def _draw_landings(net, view, k, ell, rng, host_tree):
+    """The (start, b) pairs of k instances, sorted: k levels b, then
+    degree-proportional starts."""
+    return _sample_starts(net, view, Counter(draw_b(ell, rng) for _ in range(k)), rng, host_tree)
+
+
 def _sample_starts(net, view, counts, rng, host_tree):
     """Degree-proportional starts in view, drawn down host_tree (a BFS tree of
     the view when None); vertices outside the view weigh 0."""
@@ -451,7 +481,8 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
                           rng: np.random.Generator, p: float = 0.25,
                           k_override: int | None = None,
-                          host_tree: SpanningTree | None = None) -> ConcurrentResult:
+                          host_tree: SpanningTree | None = None,
+                          runs: dict | None = None) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
     Aborts to None when any edge participates in more than w instances (the
@@ -459,21 +490,20 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     their random 64-bit identifiers (ties by start id, then level), and the
     output is the largest prefix union within 23/24 of the graph volume.
     Round accounting is sequential-equivalent: an upper bound on any
-    w-multiplexed schedule.
+    w-multiplexed schedule.  `runs` maps (start, b) to prefetched walks
+    (see `distributed_local_cut`).
     """
     _check_algo_phi(phi)
     mi = derive_instance_params(view.vol(), walkp, p, profile, k_override)
-    bs = [draw_b(walkp.ell, rng) for _ in range(mi.k)]
-    counts: dict[int, int] = {}
-    for b in bs:
-        counts[b] = counts.get(b, 0) + 1
-    landings = _sample_starts(net, view, counts, rng, host_tree)
+    landings = _draw_landings(net, view, mi.k, walkp.ell, rng, host_tree)
     sub_rngs = rng.spawn(len(landings))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
+    runs = runs or {}
     for (v, b), sub in zip(landings, sub_rngs):
         ids.append(int(sub.integers(1 << 62)))
-        instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile))
+        instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile,
+                                               runs.get((v, b))))
     participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
     depth = host_tree.depth_max if host_tree else len(view)
     if participation.max(initial=0) > mi.w:
@@ -523,6 +553,13 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     Hard guarantees checked downstream: the accumulated cut keeps volume at
     most 47/48 of the total, pieces are disjoint, and a non-empty result has
     conductance at most 47 * 276 * w * phi.
+
+    Iteration 1 walks alone.  From iteration 2, while no piece has been
+    removed, the walks of the next c = min(iterations left,
+    WALK_BATCH_CELLS // (k * n)) iterations are prefetched as one batch
+    (`_prefetch_walks`), refilled when those are used up; a batch of fewer
+    than two walks is not run.  Results, ledger and rng end equal to those
+    of walking every instance alone.
     """
     _check_algo_phi(phi)
     if not (0.0 < p < 1.0):
@@ -536,11 +573,23 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
     w_max = mi0.w
+    runs: dict = {}  # prefetched walks on view, by (start, b)
+    drawn = 1  # the last iteration whose walks were prefetched
     it = 0
     for it in range(1, mi0.s + 1):
-        cur = view if not pieces else view.subview(active)
+        if pieces:
+            cur, runs = view.subview(active), {}
+        else:
+            cur = view
+            if it > drawn:
+                cols = min(mi0.s - it + 1, WALK_BATCH_CELLS // (mi0.k * len(view)))
+                if cols * mi0.k < 2:  # a batch of one walk gains nothing
+                    drawn = mi0.s
+                else:
+                    runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, host_tree)
+                    drawn = it + cols - 1
         res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, p=p,
-                                    host_tree=host_tree)
+                                    host_tree=host_tree, runs=runs)
         concurrent.append(res)
         w_max = max(w_max, res.params.w)
         if res.members:
@@ -554,6 +603,25 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     n_view = max(2, len(view))
     k_phi = _K_ACCUM * _K_CONCURRENT * w_max / math.log2(n_view)
     return PartitionResult(members, cut, pieces, it, mi0.s, w_max, phi, k_phi, concurrent)
+
+
+def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, iters: int,
+                    rng: np.random.Generator, host_tree: SpanningTree) -> dict:
+    """The walks of the next iters partition iterations on view, by (start, b),
+    run as one `compute_walks` batch of the distinct pairs.
+
+    The pairs are those the iterations draw if none of them finds a cut: on
+    a generator whose bit generator copies rng's state, charging a throwaway
+    ledger.  An iteration draws only through its bit generator (its sub-rngs
+    are spawned from the seed sequence), so the prediction holds until a cut
+    changes the view; rng itself and net's ledger are left untouched."""
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    ahead = np.random.Generator(bits)
+    scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
+    pairs = sorted({pair for _ in range(iters)
+                    for pair in _draw_landings(scratch, view, k, walkp.ell, ahead, host_tree)})
+    return dict(zip(pairs, compute_walks(view, pairs, walkp)))
 
 
 @dataclass

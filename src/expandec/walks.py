@@ -11,10 +11,16 @@ t * 2^-40 on test-scale degrees.
 The walk on a view G{W} keeps each vertex's loop share in place: a vertex with
 mass p keeps floor(p * (2 deg - live) / (2 deg)) and sends floor(p / (2 deg))
 along each live edge.  The sent shares go through scipy's compiled CSR product
-(`csr_matvec`, where `csr_matrix.dot` ends) straight into the kept array: on
-views of tens of vertices the Python-level sparse dispatch costs more than the
-product.  `compute_walk` checks for the freeze, and counts messages and
-support, once per block of FREEZE_BLOCK steps.
+(`csr_matvec`, where `csr_matrix.dot` ends, or `csr_matvecs` for a block of
+columns) straight into the kept array: on views of tens of vertices the
+Python-level sparse dispatch costs more than the product.
+
+`compute_walks` runs walks from several (start, b) pairs on one view side by
+side, as the columns of one (n x c) block: one step is one divmod and one
+product for every column, where on small views numpy's per-call overhead,
+not the arithmetic, is what a step costs.  It checks for each column's
+freeze, counts messages and support, and drops frozen columns once per block
+of FREEZE_BLOCK steps.  `compute_walk` is its one-column case.
 """
 from __future__ import annotations
 
@@ -22,20 +28,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .config import Profile
-from .errors import BadPhi, TooLarge
-from .graph import Graph, lazy_walk_matrix
+from .errors import BadPhi
 from .simulator import KIND_BITS, WORD_BITS, Network
 from .views import ActiveView
 
 SCALE_BITS = 48
 SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
-Z_SET_N_MAX = 64
 SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep table or edge chunk (transient memory bound)
-FREEZE_BLOCK = 16  # walk steps between freeze checks in compute_walk
+FREEZE_BLOCK = 16  # walk steps between freeze checks in compute_walks
 
 
 @dataclass(frozen=True)
@@ -73,61 +77,44 @@ def derive_walk_params(m: int, phi: float, profile: Profile) -> WalkParams:
     return WalkParams(m, phi, profile.name, ell, t0, f_phi, gamma, eps_base)
 
 
-# -- float-vector operations (oracles and small examples) ------------------
-
-
-def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
-    """One exact lazy-walk step; self loops keep their mass share in place."""
-    return lazy_walk_matrix(g) @ np.asarray(p, dtype=float)
-
-
-def truncate(g: Graph, p: np.ndarray, eps: float) -> np.ndarray:
-    """Zero every entry with p(x) < 2 * eps * deg(x)."""
-    p = np.asarray(p, dtype=float).copy()
-    p[p < 2.0 * eps * g.deg] = 0.0
-    return p
-
-
 # -- fixed-point kernel -----------------------------------------------------
 
 
 def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
-    """One fixed-point lazy step over a view (int64 array indexed like view.verts).
+    """One fixed-point lazy step over a view: of one state (an int64 array
+    indexed like view.verts), or of c states as the columns of an (n x c)
+    block.
 
     Uses the view's step constants two_deg = 2 deg and keep_num = 2 deg - live
-    (an isolated vertex counts deg 1: it keeps its mass and sends none);
-    the compiled CSR product adds the shares sent along live edges into the
-    kept array in place.
+    (an isolated vertex counts deg 1: it keeps its mass and sends none).
     """
     two_d, keep_num = view.two_deg, view.keep_num
+    if mass.ndim == 2:
+        two_d, keep_num = (np.repeat(x[:, None], mass.shape[1], axis=1) for x in (two_d, keep_num))
+    return _step_units(view.adj_matrix, np.ascontiguousarray(mass), two_d, keep_num)
+
+
+def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray) -> np.ndarray:
+    """The step of `walk_step_units` with its constants shaped like mass (a
+    vector, or a row-major (n x c) block): every operand is then contiguous,
+    so no numpy loop runs over the c columns of one vertex at a time.  The
+    compiled CSR product adds the shares sent along live edges into the
+    kept array in place, one `csr_matvecs` call for every column."""
     shares, rem = np.divmod(mass, two_d)
     # floor(mass * keep_num / two_d) with mass = shares * two_d + rem, so no
-    # int64 product exceeds max(SCALE, 4 deg^2)
-    kept = shares * keep_num + (rem * keep_num) // two_d
-    adj, n = view.adj_matrix, len(mass)
-    csr_matvec(n, n, adj.indptr, adj.indices, adj.data, shares, kept)  # kept += adj @ shares
+    # int64 product exceeds max(SCALE, 4 deg^2); in place, as allocations
+    # cost more than the arithmetic on small views
+    rem *= keep_num
+    rem //= two_d
+    kept = shares * keep_num
+    kept += rem
+    n = len(mass)
+    if mass.ndim == 1:  # kept += adj @ shares
+        csr_matvec(n, n, adj.indptr, adj.indices, adj.data, shares, kept)
+    else:
+        csr_matvecs(n, n, mass.shape[1], adj.indptr, adj.indices, adj.data,
+                    shares.ravel(), kept.ravel())
     return kept
-
-
-@dataclass
-class TruncatedWalkState:
-    """Snapshot of the truncated walk at one step (host-vertex keyed)."""
-
-    t: int
-    view: ActiveView
-    mass_units: np.ndarray
-    eps: float
-    participants: frozenset  # host edge keys touched up to this step
-
-    def mass(self, host_v: int) -> float:
-        return self.mass_units[self.view.index[host_v]] / SCALE
-
-    def rho(self, host_v: int) -> float:
-        i = self.view.index[host_v]
-        return self.mass_units[i] / (SCALE * int(self.view.deg[i]))
-
-    def support(self) -> list[int]:
-        return [int(self.view.verts[i]) for i in np.nonzero(self.mass_units)[0]]
 
 
 @dataclass
@@ -136,7 +123,8 @@ class WalkRun:
 
     `masses[t]` holds the state at steps t = 0..t_last; once the fixed-point
     state repeats exactly it is frozen (all later steps are identical), so
-    only the distinct prefix is stored.
+    only the distinct prefix is stored.  `messages` counts the mass messages
+    of all t0 steps, the frozen tail included.
     """
 
     view: ActiveView
@@ -146,6 +134,7 @@ class WalkRun:
     masses: list[np.ndarray]
     freeze_t: int | None
     touched: np.ndarray  # bool per row of view.edges_local: an end ever held mass
+    messages: int
 
     @property
     def t0(self) -> int:
@@ -163,77 +152,100 @@ class WalkRun:
     def mass_at(self, t: int) -> np.ndarray:
         return self.masses[min(t, self.t_last)]
 
-    def state_at(self, t: int) -> TruncatedWalkState:
-        mask = np.zeros(len(self.view.verts), dtype=bool)
-        for s in range(min(t, self.t_last) + 1):
-            mask |= self.masses[s] > 0
-        touched = self.view.edge_keys(mask[self.view.edges_local].any(axis=1))
-        return TruncatedWalkState(
-            t, self.view, self.mass_at(t), self.params.eps_b(self.b), frozenset(touched)
-        )
+
+def compute_walks(view: ActiveView, pairs, params: WalkParams) -> list[WalkRun]:
+    """Run the truncated walks from each (start, b) of pairs for t0 steps,
+    side by side as the columns of one (n x c) block (freeze-aware).
+
+    Each step is one `walk_step_units` step on the block; column j's
+    truncation floor is 2 eps_b deg for its own b.  Steps run in blocks of
+    FREEZE_BLOCK (the last block ends at t0).  Each block is stacked with the
+    last state already checked; a column's first pair of equal consecutive
+    states is its freeze, since the step map is deterministic, and its
+    states computed after it are dropped.  The same stack gives every
+    column's senders and support, and a frozen column leaves the block.
+
+    Each step is one synchronous round: every vertex with mass at least
+    2 deg sends its fixed-point share along each live edge; after a walk
+    freezes, the remaining rounds up to t0 repeat its last messages.  The
+    runs come back in the order of pairs.
+    """
+    n, c, t0 = len(view.verts), len(pairs), params.t0
+    first = np.zeros((c, n), dtype=np.int64)
+    first[np.arange(c), [view.index[v] for v, _ in pairs]] = SCALE
+    stored = [[row] for row in first]  # per pair, its states so far
+    runs: list[WalkRun | None] = [None] * c
+    ea, eb = view.edges_local.T
+    adj, two_d = view.adj_matrix, view.two_deg[:, None]
+    floor = two_d * np.array([params.eps_units(b) for _, b in pairs], dtype=np.int64)
+    if c == 1:  # one walk steps a vector
+        mass, floor, step_two_d, step_keep = first[0], floor[:, 0], view.two_deg, view.keep_num
+    else:
+        mass = np.ascontiguousarray(first.T)
+        step_two_d, step_keep = (np.repeat(x[:, None], c, axis=1)
+                                 for x in (view.two_deg, view.keep_num))
+    support = mass.reshape(n, -1) != 0
+    msgs = np.zeros(c, dtype=np.int64)
+    live = np.arange(c)  # the pair of each column of the block
+    checked = 0  # states 0..checked of every live column hold no repeat
+    while True:
+        states = [mass]
+        for _ in range(min(FREEZE_BLOCK, t0 - checked)):
+            nxt = _step_units(adj, states[-1], step_two_d, step_keep)
+            nxt[nxt < floor] = 0
+            states.append(nxt)
+        blk = np.array(states).reshape(len(states), n, -1)  # (steps + 1, n, columns)
+        # state s sends in step s + 1; the block's last state sends in the next block
+        senders = view.live_deg @ (blk >= two_d)
+        msgs += senders[:-1].sum(axis=0)
+        support |= blk.any(axis=0)
+        same = (blk[1:] == blk[:-1]).all(axis=1)
+        checked += len(states) - 1
+        # per column, its new states: a vector walk's are the states themselves
+        new = [states[1:]] if c == 1 else np.ascontiguousarray(blk[1:].transpose(2, 0, 1))
+        frozen = same.any(axis=0).tolist()
+        for j, i in enumerate(live.tolist()):
+            freeze_t = None
+            if frozen[j]:
+                # every state after the freeze equals the last one, which
+                # sends in each of the remaining steps up to t0
+                f = int(same[:, j].argmax())
+                freeze_t = checked - len(new[j]) + f
+                msgs[j] += (t0 - checked) * senders[-1, j]
+            stored[i].extend(new[j] if freeze_t is None else new[j][:f])
+            if frozen[j] or checked == t0:
+                runs[i] = WalkRun(view, *pairs[i], params, stored[i], freeze_t,
+                                  support[ea, j] | support[eb, j], int(msgs[j]))
+        if checked == t0 or all(frozen):
+            return runs
+        mass = states[-1]
+        if any(frozen):  # row-major blocks of the columns left
+            keep = ~np.array(frozen)
+            live, support, msgs = live[keep], support[:, keep], msgs[keep]
+            mass, floor, step_two_d, step_keep = (np.ascontiguousarray(x[:, keep]) for x in (
+                mass, floor, step_two_d, step_keep))
+
+
+def charge_walk(net: Network, run: WalkRun):
+    """Charge a walk's t0 rounds and its messages as one ledger entry; raises
+    BadPhi when one mass message exceeds the network's bandwidth."""
+    if MASS_MSG_BITS > net.bandwidth_bits:
+        raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
+    net.ledger.charge(net.phase, rounds=run.t0, messages=run.messages,
+                      edge_bits=MASS_MSG_BITS if run.messages else 0)
 
 
 def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
                  net: Network | None = None) -> WalkRun:
-    """Run the truncated walk for t0 steps (freeze-aware).
-
-    Steps run in blocks of FREEZE_BLOCK (the last block ends at t0).  Each
-    block is stacked with the last state already checked; the first pair of
-    equal consecutive states is the freeze, since the step map is
-    deterministic, and the states computed after it are dropped.  The same
-    stack gives the block's senders and support.
-
-    With a network attached, each step is one synchronous round: every vertex
-    with mass at least 2 deg sends its fixed-point share along each live edge;
-    after the state freezes, the remaining rounds repeat the identical
-    messages.  The walk's t0 rounds are charged as one ledger entry.
-    """
-    t0 = params.t0
-    floor_units = params.eps_units(b) * view.two_deg  # truncation floor 2 eps_b deg
-    mass = np.zeros(len(view.verts), dtype=np.int64)
-    mass[view.index[start]] = SCALE
-    masses = [mass]
-    support = mass > 0
-    freeze_t = None
-    msgs = 0
-    if net is not None and MASS_MSG_BITS > net.bandwidth_bits:
-        raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
-    checked = 0  # states 0..checked hold no repeat
-    while checked < t0:
-        for _ in range(min(FREEZE_BLOCK, t0 - checked)):
-            nxt = walk_step_units(view, masses[-1])
-            nxt[nxt < floor_units] = 0
-            masses.append(nxt)
-        blk = np.array(masses[checked:])
-        # state s sends in step s + 1; the block's last state sends in the next block
-        senders = (blk >= view.two_deg) @ view.live_deg
-        msgs += int(senders[:-1].sum())
-        support |= (blk > 0).any(axis=0)
-        same = (blk[1:] == blk[:-1]).all(axis=1)
-        if same.any():
-            # every state after the freeze equals the last one, which sends
-            # in each of the remaining steps up to t0
-            freeze_t = checked + int(same.argmax())
-            msgs += (t0 - len(masses) + 1) * int(senders[-1])
-            del masses[freeze_t + 1 :]
-            break
-        checked = len(masses) - 1
+    """The truncated walk from start at level b: the one-column case of
+    `compute_walks`, charged to net by `charge_walk` when one is attached."""
+    (run,) = compute_walks(view, [(start, b)], params)
     if net is not None:
-        net.ledger.charge(net.phase, rounds=t0, messages=msgs,
-                          edge_bits=MASS_MSG_BITS if msgs else 0)
-    ea, eb = view.edges_local.T
-    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb])
+        charge_walk(net, run)
+    return run
 
 
 # -- sweep machinery ---------------------------------------------------------
-
-
-def sweep_order(state: TruncatedWalkState) -> tuple[list[int], list[int]]:
-    """Support ordered by rho descending (IDs ascending on ties) with prefix volumes."""
-    order_local = sweep_order_local(state.view, state.mass_units)
-    hosts = [int(state.view.verts[i]) for i in order_local]
-    prefix = np.cumsum(state.view.deg[order_local]).tolist() if len(order_local) else []
-    return hosts, [int(x) for x in prefix]
 
 
 def sweep_order_local(view: ActiveView, mass: np.ndarray) -> np.ndarray:
@@ -307,52 +319,3 @@ def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
         yield t, masses, sweep_tables(view, masses)
         t += rows
         rows = min(2 * rows, cap)
-
-
-# -- diagnostics --------------------------------------------------------------
-
-
-def influence_set(g: Graph, u: int, params: WalkParams, b: int,
-                  n_max: int = Z_SET_N_MAX) -> set[int]:
-    """Start vertices whose untruncated walk pushes rho_t(u) over the truncation
-    threshold 2*eps_b within the horizon.  Dense powering from every start."""
-    if g.n > n_max:
-        raise TooLarge(f"n={g.n} exceeds {n_max}")
-    thr = 2.0 * params.eps_b(b)
-    deg_u = max(1, g.degree(u))
-    m = lazy_walk_matrix(g)
-    p = np.eye(g.n)  # column v = walk from v
-    hit = p[u, :] / deg_u >= thr
-    for _ in range(params.t0):
-        p = m @ p
-        hit |= p[u, :] / deg_u >= thr
-        if hit.all():
-            break
-    return {v for v in range(g.n) if hit[v]}
-
-
-def exact_rho_table(g: Graph, start: int, t_max: int) -> list[dict[int, tuple[int, int]]]:
-    """rho_t(v) as exact integer pairs (numerator, 2L-power denominator exponent).
-
-    Integer-only evaluation of the exact walk: r_t = (2L)^t * p_t with
-    L = lcm of degrees, so rho comparisons reduce to integer cross products.
-    Returns per-t dicts v -> (r_t(v), t); rho = r / ((2L)^t * deg(v)).
-    """
-    degs = [g.degree(v) for v in range(g.n)]
-    L = 1
-    for d in degs:
-        L = math.lcm(L, d)
-    r = {start: 1}
-    out = [{v: (val, 0) for v, val in r.items()}]
-    for t in range(1, t_max + 1):
-        nxt: dict[int, int] = {}
-        for v, val in r.items():
-            nxt[v] = nxt.get(v, 0) + val * L  # lazy half: val * (2L) / 2
-            share = val * (L // degs[v])
-            for u in g.neighbors[v]:
-                nxt[u] = nxt.get(u, 0) + share
-            if g.self_loops[v]:
-                nxt[v] = nxt.get(v, 0) + share * g.self_loops[v]
-        r = nxt
-        out.append({v: (val, t) for v, val in r.items()})
-    return out

@@ -1,10 +1,12 @@
 """Brute-force certificates for the dense-region growth invariant, the
 row-by-row reference for the working graph and its views, per-step
-references for the walk kernel, the sweep scan and the falsifier,
+references for the walk kernel, the sweep scan and the falsifier, float
+and exact-rational walk references with the influence set,
 message-level references for the BFS tree, the tree aggregate and
 broadcast, the search round trip, list-or-star flooding and the shift
 clustering, and the per-triple reference for triangle enumeration."""
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -13,14 +15,15 @@ import scipy.sparse as sp
 
 from expandec.clustering import OVER, ShiftClustering
 from expandec.cuts import SweepCandidate
-from expandec.errors import BadPhi, DegenerateCut, MissingEdge
-from expandec.graph import Cut, Graph, edge_key
+from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
+from expandec.graph import Cut, Graph, edge_key, lazy_walk_matrix
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
 from expandec.walks import (
     MASS_MSG_BITS,
     SCALE,
+    WalkParams,
     WalkRun,
     compute_walk,
     derive_walk_params,
@@ -225,7 +228,107 @@ def compute_walk_per_step(view, start, params, b, net=None):
         net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
                           edge_bits=MASS_MSG_BITS if msgs else 0)
     ea, eb = view.edges_local.T
-    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb])
+    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb], msgs)
+
+
+Z_SET_N_MAX = 64
+
+
+def lazy_step(g: Graph, p: np.ndarray) -> np.ndarray:
+    """One exact lazy-walk step; self loops keep their mass share in place."""
+    return lazy_walk_matrix(g) @ np.asarray(p, dtype=float)
+
+
+def truncate(g: Graph, p: np.ndarray, eps: float) -> np.ndarray:
+    """Zero every entry with p(x) < 2 * eps * deg(x)."""
+    p = np.asarray(p, dtype=float).copy()
+    p[p < 2.0 * eps * g.deg] = 0.0
+    return p
+
+
+@dataclass
+class TruncatedWalkState:
+    """Snapshot of the truncated walk at one step (host-vertex keyed)."""
+
+    t: int
+    view: ActiveView
+    mass_units: np.ndarray
+    eps: float
+    participants: frozenset  # host edge keys touched up to this step
+
+    def mass(self, host_v: int) -> float:
+        return self.mass_units[self.view.index[host_v]] / SCALE
+
+    def rho(self, host_v: int) -> float:
+        i = self.view.index[host_v]
+        return self.mass_units[i] / (SCALE * int(self.view.deg[i]))
+
+    def support(self) -> list[int]:
+        return [int(self.view.verts[i]) for i in np.nonzero(self.mass_units)[0]]
+
+
+def state_at(run: WalkRun, t: int) -> TruncatedWalkState:
+    """The run's state at step t with the edges touched up to it."""
+    mask = np.zeros(len(run.view.verts), dtype=bool)
+    for s in range(min(t, run.t_last) + 1):
+        mask |= run.masses[s] > 0
+    touched = run.view.edge_keys(mask[run.view.edges_local].any(axis=1))
+    return TruncatedWalkState(t, run.view, run.mass_at(t), run.params.eps_b(run.b),
+                              frozenset(touched))
+
+
+def sweep_order(state: TruncatedWalkState) -> tuple[list[int], list[int]]:
+    """Support ordered by rho descending (IDs ascending on ties) with prefix volumes."""
+    order_local = sweep_order_local(state.view, state.mass_units)
+    hosts = [int(state.view.verts[i]) for i in order_local]
+    prefix = np.cumsum(state.view.deg[order_local]).tolist() if len(order_local) else []
+    return hosts, [int(x) for x in prefix]
+
+
+def influence_set(g: Graph, u: int, params: WalkParams, b: int,
+                  n_max: int = Z_SET_N_MAX) -> set[int]:
+    """Start vertices whose untruncated walk pushes rho_t(u) over the truncation
+    threshold 2*eps_b within the horizon.  Dense powering from every start."""
+    if g.n > n_max:
+        raise TooLarge(f"n={g.n} exceeds {n_max}")
+    thr = 2.0 * params.eps_b(b)
+    deg_u = max(1, g.degree(u))
+    m = lazy_walk_matrix(g)
+    p = np.eye(g.n)  # column v = walk from v
+    hit = p[u, :] / deg_u >= thr
+    for _ in range(params.t0):
+        p = m @ p
+        hit |= p[u, :] / deg_u >= thr
+        if hit.all():
+            break
+    return {v for v in range(g.n) if hit[v]}
+
+
+def exact_rho_table(g: Graph, start: int, t_max: int) -> list[dict[int, tuple[int, int]]]:
+    """rho_t(v) as exact integer pairs (numerator, 2L-power denominator exponent).
+
+    Integer-only evaluation of the exact walk: r_t = (2L)^t * p_t with
+    L = lcm of degrees, so rho comparisons reduce to integer cross products.
+    Returns per-t dicts v -> (r_t(v), t); rho = r / ((2L)^t * deg(v)).
+    """
+    degs = [g.degree(v) for v in range(g.n)]
+    L = 1
+    for d in degs:
+        L = math.lcm(L, d)
+    r = {start: 1}
+    out = [{v: (val, 0) for v, val in r.items()}]
+    for t in range(1, t_max + 1):
+        nxt: dict[int, int] = {}
+        for v, val in r.items():
+            nxt[v] = nxt.get(v, 0) + val * L  # lazy half: val * (2L) / 2
+            share = val * (L // degs[v])
+            for u in g.neighbors[v]:
+                nxt[u] = nxt.get(u, 0) + share
+            if g.self_loops[v]:
+                nxt[v] = nxt.get(v, 0) + share * g.self_loops[v]
+        r = nxt
+        out.append({v: (val, t) for v, val in r.items()})
+    return out
 
 
 def walk_step_messages(view, run):

@@ -20,8 +20,6 @@ from expandec.walks import (
     WalkParams,
     compute_walk,
     derive_walk_params,
-    exact_rho_table,
-    influence_set,
 )
 from expandec.cuts import (
     approximate_local_cut_reference,
@@ -36,7 +34,7 @@ from expandec.clustering import (
 from expandec.decomposition import expander_decomposition
 from expandec.triangles import brute_force_triangles, triangle_enumeration
 
-from helpers_h import check_h_conditions
+from helpers_h import check_h_conditions, exact_rho_table, influence_set
 
 PHI = 1 / 12
 

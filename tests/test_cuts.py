@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from expandec import cuts
 from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
@@ -15,7 +16,7 @@ from expandec.errors import BadPhi
 from expandec.graph import cut_stats
 from expandec.simulator import Network
 from expandec.views import ActiveView
-from expandec.walks import SCALE, WalkParams, compute_walk, derive_walk_params
+from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, compute_walk, derive_walk_params
 from expandec.cuts import (
     ScanCharger,
     _jstar,
@@ -37,6 +38,7 @@ from expandec.cuts import (
 from helpers_h import StepCharger, scan_run_per_step
 
 PHI = 1 / 12
+WALK_BATCH_CELLS = cuts.WALK_BATCH_CELLS
 
 
 def candidate_indices(prefvol, phi):
@@ -547,3 +549,79 @@ def test_concurrent_cuts_with_an_isolated_vertex():
         res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed))
         assert all(g.degree(inst.start) > 0 for inst in res.instances)
         assert net.ledger.totals().rounds > 0
+
+
+def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK, p=0.25,
+                                         after_each=None):
+    """sparse_cut_partition on the whole graph with the walk prefetch on and
+    off: per mode, (result or raised error, ledger snapshot, rng, batch
+    sizes, walks run alone).  after_each(net) runs after each iteration.
+    Returns the result, batch sizes and lone walks with the prefetch."""
+    outs = []
+    for cells in (WALK_BATCH_CELLS, 0):
+        monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
+        batches, alone = [], []
+        monkeypatch.setattr(cuts, "compute_walks", lambda view, pairs, params: (
+            batches.append(len(pairs)) or walks.compute_walks(view, pairs, params)))
+        monkeypatch.setattr(cuts, "compute_walk", lambda *args, **kwargs: (
+            alone.append(1) or walks.compute_walk(*args, **kwargs)))
+        if after_each is not None:
+            def concurrent(net, *args, **kwargs):
+                res = concurrent_local_cuts(net, *args, **kwargs)  # the unpatched one
+                after_each(net)
+                return res
+            monkeypatch.setattr(cuts, "concurrent_local_cuts", concurrent)
+        net, rng = Network(graph), np.random.default_rng(seed)
+        try:
+            out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
+        except BadPhi as exc:
+            out = exc
+        outs.append((out, net.ledger.snapshot(), rng, batches, len(alone)))
+    (on, ledger_on, rng_on, batches_on, alone_on), (off, ledger_off, rng_off, batches_off, _) = outs
+    assert not batches_off
+    if isinstance(on, BadPhi):
+        assert isinstance(off, BadPhi) and str(on) == str(off)
+    else:
+        assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
+    assert ledger_on == ledger_off
+    assert rng_on.bit_generator.state == rng_off.bit_generator.state
+    assert (rng_on.bit_generator.seed_seq.n_children_spawned
+            == rng_off.bit_generator.seed_seq.n_children_spawned)
+    return on, batches_on, alone_on
+
+
+def test_partition_prefetch_gives_identical_partitions(monkeypatch):
+    # grid:5:6 at phi = 1/12 finds its cut at iterations 1 to 11, depending on the seed
+    g = gen.grid(5, 6)
+    late = 0
+    for seed in range(12):
+        res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed,
+                                                                   p=1 / 900)
+        first = next((i + 1 for i, c in enumerate(res.concurrent) if c.members), None)
+        assert bool(batches) == (res.iterations > 1)
+        assert alone == 1  # every later walk was prefetched
+        late += first is not None and first > 1
+    assert late >= 4
+
+
+def test_partition_prefetch_caps_columns_with_a_large_s(monkeypatch):
+    # without the desk s cap, the 30-clique runs all 24 iterations: two batches,
+    # each of at most WALK_BATCH_CELLS // (k n) = 17 iterations of one walk
+    g = gen.clique(30)
+    profile = dataclasses.replace(DESK, s_cap=None)
+    for seed in range(3):
+        res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed, profile)
+        assert res.s_budget == res.iterations == 24 and not res.pieces and alone == 1
+        assert len(batches) == 2 and max(batches) <= WALK_BATCH_CELLS // 30
+
+
+def test_partition_prefetched_run_keeps_the_bandwidth_check(monkeypatch):
+    # after the first iteration the bandwidth falls below one mass message, so
+    # the second iteration's walk (prefetched or not) raises BadPhi
+    def narrow(net):
+        net.bandwidth_bits = MASS_MSG_BITS - 1
+
+    for seed in range(3):
+        out, batches, alone = _partition_with_and_without_prefetch(
+            monkeypatch, gen.clique(16), seed, after_each=narrow)
+        assert isinstance(out, BadPhi) and len(batches) == 1 and alone == 1

@@ -1,6 +1,7 @@
 """Seeded generator families and their determinism."""
 import math
 
+import numpy as np
 import pytest
 
 from expandec import generators as gen
@@ -39,6 +40,25 @@ def test_erdos_renyi_deterministic():
     b = gen.erdos_renyi(50, 0.3, seed=7)
     assert a == b
     assert a != gen.erdos_renyi(50, 0.3, seed=8)
+
+
+def _erdos_renyi_whole_draw(n, p, seed):
+    """The edge list of one n x n uniform draw, upper triangle below p."""
+    rng = np.random.default_rng([seed, 0xE4D05])
+    us, vs = np.nonzero(np.triu(rng.random((n, n)) < p, k=1))
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+@pytest.mark.parametrize("n, p, cells", [
+    (37, 0.3, 5 * 37),     # blocks of 5 rows: 7 full blocks and one of 2
+    (37, 0.3, 36),         # fewer cells than one row: blocks of 1 row
+    (50, 0.1, 1 << 16),    # one block
+    (1, 0.5, 7),
+])
+def test_erdos_renyi_row_blocks_equal_one_whole_draw(monkeypatch, n, p, cells):
+    monkeypatch.setattr(gen, "ER_BLOCK_CELLS", cells)
+    for seed in range(3):
+        assert gen.erdos_renyi(n, p, seed).edges == tuple(_erdos_renyi_whole_draw(n, p, seed))
 
 
 def test_random_regular_degrees():

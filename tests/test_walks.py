@@ -21,17 +21,22 @@ from expandec.walks import (
     WalkRun,
     compute_walk,
     derive_walk_params,
-    exact_rho_table,
-    influence_set,
-    lazy_step,
-    sweep_order,
     sweep_blocks,
     sweep_order_local,
     sweep_tables,
-    truncate,
     walk_step_units,
 )
-from helpers_h import compute_walk_per_step, prefix_boundary_counts, walk_step_messages
+from helpers_h import (
+    compute_walk_per_step,
+    exact_rho_table,
+    influence_set,
+    lazy_step,
+    prefix_boundary_counts,
+    state_at,
+    sweep_order,
+    truncate,
+    walk_step_messages,
+)
 
 
 def test_derive_paper_ell_t0():
@@ -110,7 +115,7 @@ def test_walk_initial_state():
     g = gen.clique(4)
     view = ActiveView.whole(g)
     run = compute_walk(view, 2, _params(6, t0=10), b=1)
-    state0 = run.state_at(0)
+    state0 = state_at(run, 0)
     assert state0.mass(2) == 1.0
     assert state0.support() == [2]
     assert state0.participants == frozenset({(0, 2), (1, 2), (2, 3)})
@@ -211,7 +216,7 @@ def test_sweep_order_uniform_ties_by_id():
     params = _params(10, t0=4)
     run = compute_walk(view, 0, params, 3)
     # force a uniform state: every vertex same mass, same degree
-    state = run.state_at(0)
+    state = state_at(run, 0)
     state.mass_units[:] = 7 << 20
     order, prefix = sweep_order(state)
     assert order == [0, 1, 2, 3, 4]
@@ -222,7 +227,7 @@ def test_sweep_prefix_volumes_monotone():
     g = gen.barbell(4, 1)
     view = ActiveView.whole(g)
     run = compute_walk(view, 0, _params(13, t0=30), 2)
-    state = run.state_at(10)
+    state = state_at(run, 10)
     order, prefix = sweep_order(state)
     assert prefix == sorted(prefix)
     assert prefix[-1] == sum(g.degree(v) for v in state.support())
@@ -353,7 +358,7 @@ def test_sweep_tables_in_edge_chunks_match_row_by_row(monkeypatch):
 def _fake_run(n, steps, seed):
     rng = np.random.default_rng(seed)
     return WalkRun(None, 0, 1, None, list(rng.integers(0, SCALE, size=(steps + 1, n))),
-                   None, None)
+                   None, None, 0)
 
 
 @pytest.mark.parametrize("graph, cells, t_stop, sizes", [
@@ -541,3 +546,76 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
             assert np.array_equal(whole.verts[order[r, :c]], rest.verts[want[0][r, :c]])
             assert np.array_equal(prefvol[r, :c], want[2][r, :c])
             assert np.array_equal(bnds[r, :c], want[3][r, :c])
+
+
+def _check_batch_against_columns(view, pairs, params):
+    """compute_walks against compute_walk per column and against the
+    per-step reference; returns the runs."""
+    runs = walks.compute_walks(view, pairs, params)
+    assert len(runs) == len(pairs)
+    for (start, b), run in zip(pairs, runs):
+        net, net_ref = Network(view.graph), Network(view.graph)
+        ref = compute_walk(view, start, params, b, net=net_ref)
+        walks.charge_walk(net, run)
+        step_ref = compute_walk_per_step(view, start, params, b)
+        assert step_ref.freeze_t == ref.freeze_t and len(step_ref.masses) == len(ref.masses)
+        assert all(np.array_equal(a, c) for a, c in zip(step_ref.masses, ref.masses))
+        assert (run.view, run.start, run.b, run.params) == (view, start, b, params)
+        assert len(run.masses) == len(ref.masses)
+        for got, want in zip(run.masses, ref.masses):
+            assert np.array_equal(got, want)
+        assert run.freeze_t == ref.freeze_t
+        assert np.array_equal(run.touched, ref.touched)
+        assert run.messages == ref.messages
+        assert net.ledger.snapshot() == net_ref.ledger.snapshot()
+    return runs
+
+
+def test_compute_walks_matches_per_column_walks():
+    rng = np.random.default_rng(47)
+    seen = set()
+    views = [_random_view(rng, trial + 1100) for trial in range(40)]
+    g = gen.erdos_renyi(50, 0.1, seed=0)  # one isolated vertex
+    views.append(ActiveView.whole(g))
+    for view in views:
+        if view is None:
+            continue
+        base = derive_walk_params(max(1, view.m_live), 1 / 12, DESK)
+        eps = base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4]))
+        params = _walk_with_t0(base, int(rng.integers(1, 300)), eps)
+        c = int(rng.integers(1, 9))
+        pairs = [(int(rng.choice(view.verts)), int(rng.integers(1, base.ell + 1)))
+                 for _ in range(c)]
+        if c > 2:
+            pairs.append(pairs[0])
+        if view.graph is g:
+            iso = [v for v in range(g.n) if g.degree(v) == 0]
+            pairs.append((iso[0], 1))
+            seen.add("isolated vertex")
+        runs = _check_batch_against_columns(view, pairs, params)
+        blocks = {None if r.freeze_t is None else r.freeze_t // FREEZE_BLOCK for r in runs}
+        if len(blocks - {None}) >= 2:
+            seen.add("freezes in different blocks")
+        if None in blocks and len(blocks) >= 2:
+            seen.add("unfrozen at t0 beside frozen")
+        if len(pairs) == 1:
+            seen.add("one column")
+        if len(set(pairs)) < len(pairs):
+            seen.add("duplicate pairs")
+        if len({b for _, b in pairs}) >= 2:
+            seen.add("mixed b")
+    assert {"isolated vertex", "freezes in different blocks", "unfrozen at t0 beside frozen",
+            "one column", "duplicate pairs", "mixed b"} <= seen
+
+
+def test_compute_walks_on_a_column_block_that_is_not_row_major():
+    # dropping frozen columns leaves a block that is not row-major; the step
+    # must still add the shares into every column
+    view = ActiveView.whole(gen.grid(5, 6))
+    rng = np.random.default_rng(53)
+    block = rng.integers(0, SCALE, size=(len(view), 3))
+    cut = block[:, np.array([True, False, True])]
+    assert not cut.flags.c_contiguous
+    got = walk_step_units(view, cut)
+    for j in range(2):
+        assert np.array_equal(got[:, j], walk_step_units(view, cut[:, j].copy()))
