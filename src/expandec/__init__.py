@@ -9,7 +9,6 @@ from .graph import (
     min_conductance_oracle,
     mixing_time_estimate,
     parse_graph_text,
-    remove_edge_to_loops,
 )
 from .simulator import Msg, Network, RoundLedger
 from .views import ActiveView, WorkingGraph
@@ -31,5 +30,4 @@ __all__ = [
     "min_conductance_oracle",
     "mixing_time_estimate",
     "parse_graph_text",
-    "remove_edge_to_loops",
 ]

@@ -23,7 +23,7 @@ from .config import get_profile
 from .cuts import balanced_sparse_cut
 from .clustering import low_diam_decomposition
 from .decomposition import expander_decomposition, verify_decomposition
-from .errors import ExpandecError
+from .errors import ExpandecError, FormatError
 from .graph import Graph, format_graph_text, parse_graph_text
 from .simulator import Network
 from .triangles import router_cost_report, triangle_enumeration
@@ -32,9 +32,20 @@ from .views import ActiveView
 
 def effective_seed(args) -> int:
     env = os.environ.get("EXPANDER_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise FormatError(f"EXPANDER_SEED={env!r} is not an integer") from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def load_graph(args) -> Graph:
@@ -164,9 +175,14 @@ def cmd_verify(args) -> int:
     profile = get_profile(args.profile)
     with open(args.run) as fh:
         run = json.load(fh)
-    components = [frozenset(c) for c in run["components"]]
+    try:
+        components = [frozenset(c) for c in run["components"]]
+        phi_k = run["phi_k"]
+    except KeyError as exc:
+        raise FormatError(f"run JSON lacks {exc}") from None
     epsilon = run.get("epsilon", run.get("config", {}).get("epsilon"))
-    phi_k = run["phi_k"]
+    if epsilon is None:
+        raise FormatError("run JSON lacks epsilon and config.epsilon")
     reported = None
     if "removed_edges" in run:
         reported = {tuple(e) for es in run["removed_edges"].values() for e in es}
@@ -239,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--K", type=float, default=10.0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=positive_int, default=1)
     p.set_defaults(fn=cmd_lowdiam)
 
     p = sub.add_parser("decompose", help="expander decomposition")
@@ -264,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=positive_int, default=1)
     p.set_defaults(fn=cmd_bench)
     return ap
 

@@ -10,12 +10,14 @@ inter-cluster edges incident to the sparse side.
 Neighborhood edge sets follow the flooding semantics: the radius-d edge set of
 v is every tracked edge with an endpoint within distance d-1 of v, which is
 what d-1 phases of list-or-star flooding deliver (radius 1 = incident edges).
-The counts and sets are computed directly and the rounds charged by the
-per-phase formula; the flooding protocol itself is a test reference.  No hop
-distance in a view exceeds its size minus one, so from radius len(view) on
-every ball is the vertex's whole component: its edge count is one `bincount`
-of the (sampled) live edges over the view's component roots, and an a-ball
-of a vertex set is the union of its components.  Only radii below that need the dense distance tables of
+The pipeline needs only the edge counts (threshold tests and size
+estimates); they are computed directly and the rounds charged by the
+per-phase formula.  The flooding protocol, and the exact edge sets it
+delivers, are test references.  No hop distance in a view exceeds its size
+minus one, so from radius len(view) on every ball is the vertex's whole
+component: its edge count is one `bincount` of the (sampled) live edges over
+the view's component roots, and an a-ball of a vertex set is the union of its
+components.  Only radii below that need the dense distance tables of
 `NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
 size, so the decomposition never builds one.  The roots, the oracle's
 distances and every component split come from the numpy traversal substrate
@@ -29,8 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import (adjacency_csr, components_of, edge_ends, edge_key, hop_distances,
-                    level_sweep)
+from .graph import adjacency_csr, components_of, edge_ends, hop_distances, level_sweep
 from .simulator import KIND_BITS, Network
 from .views import ActiveView
 
@@ -61,10 +62,6 @@ class NeighborhoodOracle:
             return np.zeros(len(self.view.verts), dtype=np.int64)
         return (reach <= d - 1).sum(axis=1).astype(np.int64)
 
-    def ball_edges(self, local_v: int, d: int, edge_mask: np.ndarray | None = None):
-        rows = (self.edge_reach[local_v] <= d - 1) & (edge_mask if edge_mask is not None else True)
-        return self.view.edge_keys(rows)  # row-major, so sorted
-
 
 def ball_edge_counts(view: ActiveView, d: int, edge_mask: np.ndarray | None = None,
                      oracle: NeighborhoodOracle | None = None) -> np.ndarray:
@@ -81,29 +78,6 @@ def ball_edge_counts(view: ActiveView, d: int, edge_mask: np.ndarray | None = No
 
 
 # -- neighborhood primitives ---------------------------------------------------
-
-
-OVER = "over-threshold"
-
-
-def neighborhood_edges_exact(net: Network, view: ActiveView, estar, d: int, tau: int,
-                             oracle: NeighborhoodOracle | None = None) -> dict:
-    """Each vertex learns its radius-d edge set within estar exactly, or the
-    fact that it exceeds tau, as d-1 phases of list-or-star flooding would
-    deliver it; the rounds are charged by the per-phase formula."""
-    estar = {edge_key(*e) for e in estar}
-    oracle = oracle or NeighborhoodOracle(view)
-    mask = np.array([e in estar for e in view.live_edges_host()], dtype=bool)
-    counts = oracle.ball_edge_counts(d, mask)
-    out = {}
-    for i, v in enumerate(view.verts):
-        v = int(v)
-        out[v] = OVER if counts[i] > tau else oracle.ball_edges(i, d, mask)
-    edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
-    per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
-    net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
-                      messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
-    return out
 
 
 K_SAMPLE = 10  # a threshold test samples each edge at rate K_SAMPLE log n / (f^2 z)
@@ -175,12 +149,6 @@ class ShiftClustering:
     epochs: int
     cut_edges: list[tuple[int, int]]  # inter-cluster live edges
 
-    def clusters(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, c in sorted(self.assignment.items()):
-            out.setdefault(c, []).append(v)
-        return out
-
 
 def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
                                  rng: np.random.Generator,
@@ -235,12 +203,9 @@ class DenseSparseSplit:
     v_dense: frozenset
     v_sparse: frozenset
     dense_prime: frozenset
-    sparse_prime: frozenset
     a: int
     b: int
     stages: list[list[frozenset]]  # components of each W_i, W_0 first
-    est_near: np.ndarray  # indexed like view.verts
-    est_far: np.ndarray
 
 
 def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: float,
@@ -261,7 +226,6 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     est_far = neighborhood_size_estimate(net, view, far_radius, SPLIT_F, rng, oracle=oracle)
     is_dense = est_near * 2 * b * (1 + SPLIT_F) ** 2 >= est_far
     dense_prime = frozenset(view.verts[is_dense].tolist())
-    sparse_prime = view.active - dense_prime
     idx = view.index
 
     def ball(hosts, radius) -> frozenset:
@@ -307,8 +271,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         stages.append(components_within(w))
     if any(near_other(c, w) for c in stages[-1]):
         raise RuntimeError("dense-region merge loop left components within a")
-    return DenseSparseSplit(w, view.active - w, dense_prime, sparse_prime,
-                            a, b, stages, est_near, est_far)
+    return DenseSparseSplit(w, view.active - w, dense_prime, a, b, stages)
 
 
 # -- low-diameter decomposition ---------------------------------------------------

@@ -1,11 +1,11 @@
 """Sweep-cut search on truncated walks and the nearly-most-balanced sparse cut.
 
-The centralized reference scans every prefix of the sweep order; the
-distributed variant scans only a geometric candidate subsequence, locating
-each candidate by randomized binary search on a spanning tree of the
-participating edges and accepting jump candidates under a relaxed conductance
-bound.  Both run the identical fixed-point arithmetic, so their outputs agree
-set-for-set; the distributed one additionally charges every simulated round.
+A local cut scans only a geometric candidate subsequence of the sweep
+order, locating each candidate by randomized binary search on a spanning tree
+of the participating edges and accepting jump candidates under a relaxed
+conductance bound; every simulated round is charged.  The centralized scans
+(every prefix, or the same subsequence without rounds), which the analysis
+uses, are per-step test references in `tests/helpers_h.py`.
 
 Spanning trees are `bfs_tree` sweeps over the view's adjacency (the host
 tree) or the walk's touched live edges (each local cut's tree).  Like walks
@@ -83,7 +83,6 @@ class MultiInstanceParams:
     vol: int
     k: int
     w: int
-    g_bound: int
     s: int
 
     def union_small_enough(self, union_vol: int) -> bool:
@@ -111,7 +110,7 @@ def derive_instance_params(vol: int, walkp: WalkParams, p: float, profile: Profi
     s = 4 * g * math.ceil(math.log(1.0 / p) / math.log(7.0 / 4.0))
     if profile.s_cap is not None:
         s = min(s, profile.s_cap)
-    return MultiInstanceParams(vol, k, max(_K_W, w), g, max(1, s))
+    return MultiInstanceParams(vol, k, max(_K_W, w), max(1, s))
 
 
 def ladder_h(theta: float, n: int, c_h: float) -> float:
@@ -192,9 +191,9 @@ class ScanCharger:
 
     Each walk step's scan checks candidates in tree round trips and locates
     every jump candidate by a tree search, charged deterministically at the
-    with-high-probability iteration scale (ceil(log2 band) + 2 tree round
-    trips per search); `random_binary_search`, by contrast, charges the
-    iterations its draws actually take.
+    with-high-probability iteration scale: ceil(log2 band) + 2 iterations
+    per search, each four tree passes.  No search runs here; the randomized
+    search, which charges the iterations its draws take, is a test reference.
     """
 
     def __init__(self, net: Network, depth: int, size: int):
@@ -244,22 +243,15 @@ class LocalCutResult:
     view: ActiveView
     touched: np.ndarray  # the walk's WalkRun.touched
 
-    @property
-    def pstar(self) -> frozenset:
-        """Host edge keys of the walk's touched edges, built on each read."""
-        return frozenset(self.view.edge_keys(self.touched))
-
 
 def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
-             jx_only: bool, charger: ScanCharger | None = None) -> SweepCandidate | None:
+             charger: ScanCharger) -> SweepCandidate | None:
     """First (t, j) hit of the sweep conditions, or None.
 
     The stored steps t = 1..min(t0, t_last) are scanned in the blocks of
-    `sweep_blocks`, stopping after the first block with a hit.
-    Without jx_only every index is tested under the raw conditions and the
-    hit is the first (t, j) in row-major order.  With jx_only each row steps
-    through the geometric candidate subsequence: a step to j_prev + 1 is
-    tested under the raw conditions, a jump under the slack conditions
+    `sweep_blocks`, stopping after the first block with a hit.  Each row
+    steps through the geometric candidate subsequence: a step to j_prev + 1
+    is tested under the raw conditions, a jump under the slack conditions
     against u_prev, and the next candidate is max(j + 1, j*), with j* the
     number of prefix volumes at most (1 + phi) * prefvol[j].  All live rows
     of a block advance one candidate per numpy pass; the hit is the one in
@@ -267,9 +259,9 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
     margins strictly dominate rounding error, then confirmed in exact integer
     arithmetic, so the outcome equals a fully exact scan.
 
-    A charger (jx_only scans) is charged once: the steps up to the hit plus
-    the membership broadcast, or, without a hit, every step plus the frozen
-    tail, whose t0 - t_last steps repeat the last stored step's scan.
+    The charger is charged once: the steps up to the hit plus the membership
+    broadcast, or, without a hit, every step plus the frozen tail, whose
+    t0 - t_last steps repeat the last stored step's scan.
     """
     vol_total = view.vol()
     n = len(view.verts)
@@ -317,13 +309,6 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
                 int(masses[r, u]) / (SCALE * int(deg[u])),
             )
 
-        if not jx_only:
-            for r, k in zip(*np.nonzero(raw_mask & (np.arange(n) < cnt[:, None]))):
-                found = confirm(int(r), int(k), None)
-                if found is not None:
-                    return found
-            return None
-
         star_mask = (_phi_prefilter(bnds, prefvol, vol_total, slack_f)
                      & (12 * prefvol <= 11 * vol_total) & above_floor)
         # The candidate walk runs over flat cells row * n + index; nxt is each
@@ -354,13 +339,12 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
             prev = pos[keep]
             pos = nxt[prev]
             visited.append(pos)
-        if charger is not None:
-            n_checks = np.bincount(np.concatenate(visited) // n, minlength=rows)
-            step_rounds, step_msgs = charger.step_costs(n_checks, cnt)
-            upto = rows if found is None else hit_row + 1
-            rounds += int(step_rounds[:upto].sum())
-            msgs += int(step_msgs[:upto].sum())
-            last_step = (int(step_rounds[-1]), int(step_msgs[-1]))
+        n_checks = np.bincount(np.concatenate(visited) // n, minlength=rows)
+        step_rounds, step_msgs = charger.step_costs(n_checks, cnt)
+        upto = rows if found is None else hit_row + 1
+        rounds += int(step_rounds[:upto].sum())
+        msgs += int(step_msgs[:upto].sum())
+        last_step = (int(step_rounds[-1]), int(step_msgs[-1]))
         return found
 
     # starmap holds no block once scan_block returns, so a block's arrays are
@@ -369,13 +353,12 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
     for found in starmap(scan_block, sweep_blocks(view, run, min(run.t0, run.t_last))):
         if found is not None:
             break
-    if charger is not None and jx_only:
-        if found is not None:
-            extra = charger.broadcast_costs()
-        else:
-            tail = run.t0 - run.t_last  # frozen steps repeat the last stored scan
-            extra = (tail * last_step[0], tail * last_step[1])
-        charger.charge(rounds + extra[0], msgs + extra[1])
+    if found is not None:
+        extra = charger.broadcast_costs()
+    else:
+        tail = run.t0 - run.t_last  # frozen steps repeat the last stored scan
+        extra = (tail * last_step[0], tail * last_step[1])
+    charger.charge(rounds + extra[0], msgs + extra[1])
     return found
 
 
@@ -390,25 +373,6 @@ def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate 
     members = frozenset(int(view.verts[i]) for i in order[: cand.j])
     cut = view.cut_stats(members)
     return LocalCutResult(members, cut, cand, start, b, view, run.touched)
-
-
-def local_cut(view: ActiveView, v: int, phi: float, b: int, params: WalkParams,
-              profile: Profile) -> LocalCutResult:
-    """Centralized reference: full sweep scan under the raw conditions."""
-    if not (0.0 < phi <= 1.0):
-        raise BadPhi(f"phi={phi}")
-    run = compute_walk(view, v, params, b)
-    cand = scan_run(view, run, phi, b, profile, jx_only=False)
-    return _result_from_candidate(view, run, cand, v, b)
-
-
-def approximate_local_cut_reference(view: ActiveView, v: int, phi: float, b: int,
-                                    params: WalkParams, profile: Profile) -> LocalCutResult:
-    """Centralized twin of the distributed scan (same schedule, same tie rule)."""
-    _check_algo_phi(phi)
-    run = compute_walk(view, v, params, b)
-    cand = scan_run(view, run, phi, b, profile, jx_only=True)
-    return _result_from_candidate(view, run, cand, v, b)
 
 
 def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
@@ -427,7 +391,7 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
     tree = bfs_tree(net, v, adjacency_csr(len(view), view.edges_local[run.touched]),
                     view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.parent))
-    cand = scan_run(view, run, phi, b, profile, jx_only=True, charger=charger)
+    cand = scan_run(view, run, phi, b, profile, charger)
     return _result_from_candidate(view, run, cand, v, b)
 
 
@@ -442,16 +406,6 @@ def draw_b(ell: int, rng: np.random.Generator) -> int:
     return 1 + int(rng.choice(ell, p=probs))
 
 
-def randomized_local_cut(net: Network, view: ActiveView, phi: float,
-                         params: WalkParams, profile: Profile,
-                         rng: np.random.Generator,
-                         host_tree: SpanningTree | None = None) -> LocalCutResult:
-    """Local cut from a degree-distributed start and geometric truncation level."""
-    b = draw_b(params.ell, rng)
-    v = _sample_starts(net, view, {b: 1}, rng, host_tree)[0][0]
-    return distributed_local_cut(net, view, v, phi, b, params, profile)
-
-
 def _draw_landings(net, view, k, ell, rng, host_tree):
     """The (start, b) pairs of k instances, sorted: k levels b, then
     degree-proportional starts."""
@@ -459,10 +413,8 @@ def _draw_landings(net, view, k, ell, rng, host_tree):
 
 
 def _sample_starts(net, view, counts, rng, host_tree):
-    """Degree-proportional starts in view, drawn down host_tree (a BFS tree of
-    the view when None); vertices outside the view weigh 0."""
-    if host_tree is None:
-        host_tree = bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
+    """Degree-proportional starts in view, drawn down host_tree, a spanning
+    tree of a view that contains it; vertices outside the view weigh 0."""
     deg = lambda u: net.graph.degree(u) if u in view.active else 0
     return sample_by_degree(net, host_tree, counts, rng, deg=deg)
 
@@ -474,21 +426,21 @@ class ConcurrentResult:
     aborted_overlap: bool
     params: MultiInstanceParams
     instances: list[LocalCutResult]
-    instance_ids: list[int]
 
 
 def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
-                          rng: np.random.Generator, p: float = 0.25,
-                          k_override: int | None = None,
-                          host_tree: SpanningTree | None = None,
+                          rng: np.random.Generator, host_tree: SpanningTree,
+                          p: float = 0.25, k_override: int | None = None,
                           runs: dict | None = None) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
-    Aborts to None when any edge participates in more than w instances (the
-    abort is broadcast over the host component).  Instances are ordered by
-    their random 64-bit identifiers (ties by start id, then level), and the
-    output is the largest prefix union within 23/24 of the graph volume.
+    Starts are drawn down host_tree, a spanning tree of a view that contains
+    this one, whose depth also prices the broadcasts.  Aborts to None when
+    any edge participates in more than w instances (the abort is broadcast
+    over the host component).  Instances are ordered by their random 64-bit
+    identifiers (ties by start id, then level), and the output is the
+    largest prefix union within 23/24 of the graph volume.
     Round accounting is sequential-equivalent: an upper bound on any
     w-multiplexed schedule.  `runs` maps (start, b) to prefetched walks
     (see `distributed_local_cut`).
@@ -505,11 +457,11 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
         instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile,
                                                runs.get((v, b))))
     participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
-    depth = host_tree.depth_max if host_tree else len(view)
+    depth = host_tree.depth_max
     if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
-        return ConcurrentResult(None, None, True, mi, instances, ids)
+        return ConcurrentResult(None, None, True, mi, instances)
     seq = sorted(range(len(instances)),
                  key=lambda i: (ids[i], instances[i].start, instances[i].b))
     union: set[int] = set()
@@ -527,10 +479,10 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                       rounds=max(1, depth) * (2 + math.ceil(math.log2(max(2, mi.k)))),
                       messages=max(0, len(view) - 1), edge_bits=KIND_BITS + WORD_BITS)
     if not best:
-        return ConcurrentResult(None, None, False, mi, instances, ids)
+        return ConcurrentResult(None, None, False, mi, instances)
     members = frozenset(best)
     cut = view.cut_stats(members) if members != view.active else None
-    return ConcurrentResult(members, cut, False, mi, instances, ids)
+    return ConcurrentResult(members, cut, False, mi, instances)
 
 
 @dataclass
@@ -588,8 +540,8 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
                 else:
                     runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, host_tree)
                     drawn = it + cols - 1
-        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, p=p,
-                                    host_tree=host_tree, runs=runs)
+        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, host_tree, p=p,
+                                    runs=runs)
         concurrent.append(res)
         w_max = max(w_max, res.params.w)
         if res.members:

@@ -1,6 +1,7 @@
 """Seeded graph generators and planted-structure instances for tests and benchmarks."""
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,16 +151,25 @@ _FAMILIES = {
 
 
 def generate(spec: GraphSpec | str, seed: int | None = None) -> Graph:
-    """Build the graph for a spec; deterministic for a given (spec, seed)."""
+    """Build the graph for a spec; deterministic for a given (spec, seed).
+    An unknown family or a wrong parameter count raises FormatError."""
     if isinstance(spec, str):
         spec = parse_spec(spec, seed if seed is not None else 0)
     use_seed = spec.seed if seed is None else seed
     if spec.family in _FAMILIES:
-        return _FAMILIES[spec.family](*[int(a) for a in spec.params])
-    if spec.family == "erdos_renyi":
-        n, p = spec.params
-        return erdos_renyi(int(n), float(p), use_seed)
-    if spec.family == "random_regular":
-        n, r = spec.params
-        return random_regular(int(n), int(r), use_seed)
-    raise FormatError(f"unknown family {spec.family!r}")
+        build = _FAMILIES[spec.family]
+        try:
+            inspect.signature(build).bind(*spec.params)
+        except TypeError:
+            pass
+        else:
+            return build(*[int(a) for a in spec.params])
+    elif spec.family in ("erdos_renyi", "random_regular"):
+        if len(spec.params) == 2:
+            n, x = spec.params
+            if spec.family == "erdos_renyi":
+                return erdos_renyi(int(n), float(x), use_seed)
+            return random_regular(int(n), int(x), use_seed)
+    else:
+        raise FormatError(f"unknown family {spec.family!r}")
+    raise FormatError(f"wrong parameter count {len(spec.params)} for {spec.family}")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateCut, Disconnected, FormatError, MissingEdge, TooLarge
+from .errors import DegenerateCut, Disconnected, FormatError, TooLarge
 
 N_ORACLE_MAX = 16
 MIXING_STEP_CAP = 500_000
@@ -92,9 +92,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and u != v and v in self.neighbors[u]
 
     def volume(self, s=None) -> int:
         if s is None:
@@ -252,19 +249,6 @@ def contract(g: Graph, s) -> Graph:
         adj.append(live)
         loops.append(g.degree(v) - len(live))
     return Graph(len(keep), adj, loops)
-
-
-def remove_edge_to_loops(g: Graph, u: int, v: int) -> Graph:
-    """Remove a simple edge, converting it to one self loop at each endpoint."""
-    if not g.has_edge(u, v):
-        raise MissingEdge(f"({u}, {v})")
-    adj = [list(ns) for ns in g.neighbors]
-    adj[u].remove(v)
-    adj[v].remove(u)
-    loops = list(g.self_loops)
-    loops[u] += 1
-    loops[v] += 1
-    return Graph(g.n, adj, loops)
 
 
 def min_conductance_oracle(g: Graph, n_max: int = N_ORACLE_MAX) -> tuple[Fraction, frozenset]:

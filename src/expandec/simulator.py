@@ -10,9 +10,10 @@ by algorithm phase.
 The tree primitives compute their result directly and charge what their
 message-level protocols would: `bfs_tree` (one `graph.level_sweep`) and
 `subtree_degrees` (one bottom-up sum) depth rounds of one 72-bit message per
-edge, and `random_binary_search` four tree passes per iteration.  None of
-them runs a `Network` round or checks the bandwidth budget; the per-round
-protocols they are charged as are test references built on `run_round`.
+edge.  Neither runs a `Network` round or checks the bandwidth budget.  The
+per-round protocols they are charged as, and the randomized tree search
+whose round trips `cuts.ScanCharger` charges by formula, are test references
+built on `run_round`.
 """
 from __future__ import annotations
 
@@ -240,54 +241,3 @@ def sample_by_degree(net: Network, tree: SpanningTree, counts: dict[int, int],
                           edge_bits=(KIND_BITS + 2 * WORD_BITS) if n_msgs else 0)
     landings.sort()
     return landings
-
-
-@dataclass
-class SearchResult:
-    rank: int                 # 1-based rank of the last true position; 0 if none
-    vertex: int | None
-    prefix_weight: int
-    iterations: int
-
-
-def random_binary_search(net: Network, tree: SpanningTree, keys: dict[int, object],
-                         weights: dict[int, int], predicate: Callable[[int, int], bool],
-                         rng: np.random.Generator) -> SearchResult:
-    """Locate the last rank (in ascending key order) where a monotone predicate holds.
-
-    `predicate(vertex, prefix_weight)` sees the cumulative weight of every
-    universe member with key <= the candidate's.  Each iteration samples a
-    uniform member of the live band; with probability 1/2 the band shrinks by a
-    factor >= 3/4.  The band, counts and prefix weights are computed in
-    memory; each iteration is charged as its tree round trip (band broadcast,
-    count aggregate, descent broadcast, prefix aggregate): 4 * depth rounds
-    and one 136-bit message per tree edge and pass (no bits on a one-vertex
-    tree, which sends none).
-    """
-    universe = sorted(keys, key=lambda v: keys[v])
-    if not universe:
-        return SearchResult(0, None, 0, 0)
-    w = np.array([weights[v] for v in universe], dtype=np.int64)
-    cumw = np.cumsum(w)
-    lo, hi = 0, len(universe) - 1
-    best_rank, best_vertex, best_weight = 0, None, 0
-    iterations = 0
-    cap = max(64, 64 * int(math.log2(len(universe) + 1) + 1))
-    depth = tree.depth_max
-    messages = 4 * max(0, len(tree.parent) - 1)
-    bits = KIND_BITS + 2 * WORD_BITS if messages else 0
-    while lo <= hi:
-        iterations += 1
-        if iterations > cap:
-            idx = (lo + hi) // 2  # deterministic fallback; statistically unreachable
-        else:
-            idx = lo + int(rng.integers(hi - lo + 1))
-        v = universe[idx]
-        pw = int(cumw[idx])
-        net.ledger.charge(net.phase, rounds=4 * depth, messages=messages, edge_bits=bits)
-        if predicate(v, pw):
-            best_rank, best_vertex, best_weight = idx + 1, v, pw
-            lo = idx + 1
-        else:
-            hi = idx - 1
-    return SearchResult(best_rank, best_vertex, best_weight, iterations)

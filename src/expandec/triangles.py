@@ -74,10 +74,6 @@ class ComponentEnumeration:
     def triangles(self) -> set:
         return set(map(tuple, self.tris.tolist()))
 
-    @property
-    def reporters(self) -> dict:  # triangle -> assigned vertex
-        return dict(zip(map(tuple, self.tris.tolist()), self.assignees.tolist()))
-
 
 def _rows(g: Graph, verts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(row length, concatenated neighbors) of the given vertices of g."""

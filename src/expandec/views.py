@@ -51,9 +51,6 @@ class WorkingGraph:
             raise MissingEdge(str(tuple(e[np.argmin(ok)].tolist())))
         return ids
 
-    def is_live(self, u: int, v: int) -> bool:
-        return bool(self.live[self.edge_ids([(u, v)])[0]])
-
     def remove_edges(self, edges, channel: str):
         """Turn host edges into loops under channel.  A non-edge, an edge given
         twice or an edge already removed raises MissingEdge and removes nothing."""
@@ -117,26 +114,6 @@ class ActiveView:
 
     def vol_of(self, hosts) -> int:
         return int(self.graph.deg[np.fromiter(hosts, dtype=np.int64)].sum())
-
-    def degree(self, host_v: int) -> int:
-        return self.graph.degree(host_v)
-
-    def live_neighbors(self, host_v: int) -> list[int]:
-        i = self.index[host_v]
-        adj = self.adj_matrix
-        return self.verts[adj.indices[adj.indptr[i]:adj.indptr[i + 1]]].tolist()
-
-    def loops(self, host_v: int) -> int:
-        i = self.index[host_v]
-        return int(self.deg[i] - self.live_deg[i])
-
-    def live_edges_host(self) -> list[tuple[int, int]]:
-        return self.edge_keys(slice(None))
-
-    def edge_keys(self, rows) -> list[tuple[int, int]]:
-        """Host keys of the rows of edges_local that rows selects, in row order
-        (local edges have i < j and verts is sorted, so these are keys)."""
-        return list(map(tuple, self.verts[self.edges_local[rows]].tolist()))
 
     def subview(self, active) -> "ActiveView":
         return ActiveView(self.working, active)

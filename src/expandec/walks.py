@@ -80,26 +80,17 @@ def derive_walk_params(m: int, phi: float, profile: Profile) -> WalkParams:
 # -- fixed-point kernel -----------------------------------------------------
 
 
-def walk_step_units(view: ActiveView, mass: np.ndarray) -> np.ndarray:
-    """One fixed-point lazy step over a view: of one state (an int64 array
-    indexed like view.verts), or of c states as the columns of an (n x c)
-    block.
-
-    Uses the view's step constants two_deg = 2 deg and keep_num = 2 deg - live
-    (an isolated vertex counts deg 1: it keeps its mass and sends none).
-    """
-    two_d, keep_num = view.two_deg, view.keep_num
-    if mass.ndim == 2:
-        two_d, keep_num = (np.repeat(x[:, None], mass.shape[1], axis=1) for x in (two_d, keep_num))
-    return _step_units(view.adj_matrix, np.ascontiguousarray(mass), two_d, keep_num)
-
-
 def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray) -> np.ndarray:
-    """The step of `walk_step_units` with its constants shaped like mass (a
-    vector, or a row-major (n x c) block): every operand is then contiguous,
-    so no numpy loop runs over the c columns of one vertex at a time.  The
-    compiled CSR product adds the shares sent along live edges into the
-    kept array in place, one `csr_matvecs` call for every column."""
+    """One fixed-point lazy step over a view: of one state (an int64 array
+    indexed like view.verts), or of c states as the columns of a row-major
+    (n x c) block.
+
+    two_d = 2 deg and keep_num = 2 deg - live are the view's step constants
+    (an isolated vertex counts deg 1: it keeps its mass and sends none),
+    shaped like mass: every operand is then contiguous, so no numpy loop
+    runs over the c columns of one vertex at a time.  The compiled CSR
+    product adds the shares sent along live edges into the kept array in
+    place, one `csr_matvecs` call for every column."""
     shares, rem = np.divmod(mass, two_d)
     # floor(mass * keep_num / two_d) with mass = shares * two_d + rem, so no
     # int64 product exceeds max(SCALE, 4 deg^2); in place, as allocations
@@ -141,23 +132,15 @@ class WalkRun:
         return self.params.t0
 
     @property
-    def pstar(self) -> frozenset:
-        """Host edge keys of the touched edges."""
-        return frozenset(self.view.edge_keys(self.touched))
-
-    @property
     def t_last(self) -> int:
         return len(self.masses) - 1
-
-    def mass_at(self, t: int) -> np.ndarray:
-        return self.masses[min(t, self.t_last)]
 
 
 def compute_walks(view: ActiveView, pairs, params: WalkParams) -> list[WalkRun]:
     """Run the truncated walks from each (start, b) of pairs for t0 steps,
     side by side as the columns of one (n x c) block (freeze-aware).
 
-    Each step is one `walk_step_units` step on the block; column j's
+    Each step is one `_step_units` step on the block; column j's
     truncation floor is 2 eps_b deg for its own b.  Steps run in blocks of
     FREEZE_BLOCK (the last block ends at t0).  Each block is stacked with the
     last state already checked; a column's first pair of equal consecutive

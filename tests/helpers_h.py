@@ -1,10 +1,12 @@
-"""Brute-force certificates for the dense-region growth invariant, the
-row-by-row reference for the working graph and its views, per-step
-references for the walk kernel, the sweep scan and the falsifier, float
-and exact-rational walk references with the influence set,
-message-level references for the BFS tree, the tree aggregate and
-broadcast, the search round trip, list-or-star flooding and the shift
-clustering, and the per-triple reference for triangle enumeration."""
+"""Test-side accessors of graphs, views, walks and results that the pipeline
+does not read, brute-force certificates for the dense-region growth
+invariant, the row-by-row reference for the working graph and its views,
+per-step references for the walk kernel, the sweep scan and the falsifier,
+the centralized local cuts built on the per-step scan, float and
+exact-rational walk references with the influence set, message-level
+references for the BFS tree, the tree aggregate and broadcast, the
+randomized tree search and its round trip, list-or-star flooding and the
+shift clustering, and the per-triple reference for triangle enumeration."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,11 +15,12 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 
-from expandec.clustering import OVER, ShiftClustering
-from expandec.cuts import SweepCandidate
+from expandec.clustering import NeighborhoodOracle, ShiftClustering
+from expandec.cuts import (SweepCandidate, _check_algo_phi, _result_from_candidate,
+                           _sample_starts, distributed_local_cut, draw_b)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
 from expandec.graph import Cut, Graph, edge_key, lazy_walk_matrix
-from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree
+from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
 from expandec.walks import (
@@ -25,11 +28,101 @@ from expandec.walks import (
     SCALE,
     WalkParams,
     WalkRun,
+    _step_units,
     compute_walk,
     derive_walk_params,
     sweep_order_local,
-    walk_step_units,
 )
+
+
+# -- accessors the pipeline does not read ---------------------------------------
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """Whether (u, v) is a simple edge of g; ids outside 0..n-1 are not."""
+    return 0 <= u < g.n and u != v and v in g.neighbors[u]
+
+
+def remove_edge_to_loops(g: Graph, u: int, v: int) -> Graph:
+    """Remove a simple edge, converting it to one self loop at each endpoint."""
+    if not has_edge(g, u, v):
+        raise MissingEdge(f"({u}, {v})")
+    adj = [list(ns) for ns in g.neighbors]
+    adj[u].remove(v)
+    adj[v].remove(u)
+    self_loops = list(g.self_loops)
+    self_loops[u] += 1
+    self_loops[v] += 1
+    return Graph(g.n, adj, self_loops)
+
+
+def is_live(working, u: int, v: int) -> bool:
+    """The live flag of host edge (u, v) of a WorkingGraph; MissingEdge when
+    (u, v) is not a host edge."""
+    return bool(working.live[working.edge_ids([(u, v)])[0]])
+
+
+def live_neighbors(view, host_v: int) -> list[int]:
+    """Host ids of host_v's live neighbours in a view, ascending."""
+    i = view.index[host_v]
+    adj = view.adj_matrix
+    return view.verts[adj.indices[adj.indptr[i]:adj.indptr[i + 1]]].tolist()
+
+
+def loops(view, host_v: int) -> int:
+    """Self loops of host_v in a view: its degree less its live degree."""
+    i = view.index[host_v]
+    return int(view.deg[i] - view.live_deg[i])
+
+
+def edge_keys(view, rows) -> list[tuple[int, int]]:
+    """Host keys of the rows of view.edges_local that rows selects, in row
+    order (local edges have i < j and verts is sorted, so these are keys)."""
+    return list(map(tuple, view.verts[view.edges_local[rows]].tolist()))
+
+
+def live_edges(view) -> list[tuple[int, int]]:
+    """Host keys of every live edge of a view, sorted."""
+    return edge_keys(view, slice(None))
+
+
+def pstar(res) -> frozenset:
+    """Host edge keys of the edges a walk touched, of a WalkRun or a
+    LocalCutResult."""
+    return frozenset(edge_keys(res.view, res.touched))
+
+
+def mass_at(run: WalkRun, t: int) -> np.ndarray:
+    """The walk's state at step t; past the freeze, the last stored one."""
+    return run.masses[min(t, run.t_last)]
+
+
+def walk_step_units(view, mass: np.ndarray) -> np.ndarray:
+    """One fixed-point lazy step over a view: of one state (an int64 array
+    indexed like view.verts), or of c states as the columns of an (n x c)
+    block, through the kernel's step with its constants repeated per column."""
+    two_d, keep_num = view.two_deg, view.keep_num
+    if mass.ndim == 2:
+        two_d, keep_num = (np.repeat(x[:, None], mass.shape[1], axis=1) for x in (two_d, keep_num))
+    return _step_units(view.adj_matrix, np.ascontiguousarray(mass), two_d, keep_num)
+
+
+def clusters(clustering: ShiftClustering) -> dict[int, list[int]]:
+    """Members of each cluster by centre, ascending."""
+    out: dict[int, list[int]] = {}
+    for v, c in sorted(clustering.assignment.items()):
+        out.setdefault(c, []).append(v)
+    return out
+
+
+def reporters(enumeration) -> dict:
+    """Triangle -> assigned vertex of a ComponentEnumeration."""
+    return dict(zip(map(tuple, enumeration.tris.tolist()), enumeration.assignees.tolist()))
+
+
+def view_tree(net, view) -> SpanningTree:
+    """The BFS tree of a view from its least vertex, as cut accumulation builds."""
+    return bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
 
 
 class WorkingGraphReference:
@@ -45,7 +138,7 @@ class WorkingGraphReference:
     def remove_edges(self, edges, channel: str):
         for e in edges:
             k = edge_key(*e)
-            if not self.graph.has_edge(*k):
+            if not has_edge(self.graph, *k):
                 raise MissingEdge(str(k))
             if k in self.removed:
                 raise MissingEdge(f"{k} already removed ({self.removed[k]})")
@@ -147,7 +240,7 @@ def induced_diameter(view, dist_unused, members):
         while frontier:
             nxt = []
             for v in frontier:
-                for u in view.live_neighbors(v):
+                for u in live_neighbors(view, v):
                     if u in mem and u not in d:
                         d[u] = d[v] + 1
                         nxt.append(u)
@@ -159,8 +252,6 @@ def induced_diameter(view, dist_unused, members):
 
 def check_h_conditions(view, split):
     """Assert the three growth-invariant conditions for every stage component."""
-    from expandec.clustering import NeighborhoodOracle
-
     dist = NeighborhoodOracle(view).dist
     a, b = split.a, split.b
     for stage in split.stages:
@@ -272,8 +363,8 @@ def state_at(run: WalkRun, t: int) -> TruncatedWalkState:
     mask = np.zeros(len(run.view.verts), dtype=bool)
     for s in range(min(t, run.t_last) + 1):
         mask |= run.masses[s] > 0
-    touched = run.view.edge_keys(mask[run.view.edges_local].any(axis=1))
-    return TruncatedWalkState(t, run.view, run.mass_at(t), run.params.eps_b(run.b),
+    touched = edge_keys(run.view, mask[run.view.edges_local].any(axis=1))
+    return TruncatedWalkState(t, run.view, mass_at(run, t), run.params.eps_b(run.b),
                               frozenset(touched))
 
 
@@ -443,6 +534,33 @@ def scan_run_per_step(view, run, phi, b, profile, jx_only, charger=None):
     return None
 
 
+def local_cut(view, v, phi, b, params, profile):
+    """Centralized reference: the walk's full sweep scan under the raw
+    conditions, one step at a time, charging no rounds."""
+    if not (0.0 < phi <= 1.0):
+        raise BadPhi(f"phi={phi}")
+    run = compute_walk(view, v, params, b)
+    cand = scan_run_per_step(view, run, phi, b, profile, jx_only=False)
+    return _result_from_candidate(view, run, cand, v, b)
+
+
+def approximate_local_cut_reference(view, v, phi, b, params, profile):
+    """Centralized twin of the distributed scan: the same candidate
+    subsequence and tie rule, one step at a time, charging no rounds."""
+    _check_algo_phi(phi)
+    run = compute_walk(view, v, params, b)
+    cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
+    return _result_from_candidate(view, run, cand, v, b)
+
+
+def randomized_local_cut(net, view, phi, params, profile, rng):
+    """Distributed local cut from a geometric truncation level and a
+    degree-distributed start, drawn down the view's BFS tree."""
+    b = draw_b(params.ell, rng)
+    v = _sample_starts(net, view, {b: 1}, rng, view_tree(net, view))[0][0]
+    return distributed_local_cut(net, view, v, phi, b, params, profile)
+
+
 def sweep_falsifier_per_step(working, comp, phi_k, profile):
     """Min sweep-prefix conductance of the falsifier walk, one step at a time."""
     view = ActiveView(working, comp)
@@ -576,13 +694,83 @@ def search_round_trip_per_round(net, tree, marker):
     tree_aggregate_per_round(net, tree, {v: 0 for v in tree.parent}, lambda a, b: a + b)
 
 
+@dataclass
+class SearchResult:
+    rank: int                 # 1-based rank of the last true position; 0 if none
+    vertex: int | None
+    prefix_weight: int
+    iterations: int
+
+
+def random_binary_search(net, tree, keys, weights, predicate, rng) -> SearchResult:
+    """Locate the last rank (in ascending key order) where a monotone predicate holds.
+
+    `predicate(vertex, prefix_weight)` sees the cumulative weight of every
+    universe member with key <= the candidate's.  Each iteration samples a
+    uniform member of the live band; with probability 1/2 the band shrinks by a
+    factor >= 3/4.  The band, counts and prefix weights are computed in
+    memory; each iteration is charged as its tree round trip (band broadcast,
+    count aggregate, descent broadcast, prefix aggregate): 4 * depth rounds
+    and one 136-bit message per tree edge and pass (no bits on a one-vertex
+    tree, which sends none).
+    """
+    universe = sorted(keys, key=lambda v: keys[v])
+    if not universe:
+        return SearchResult(0, None, 0, 0)
+    w = np.array([weights[v] for v in universe], dtype=np.int64)
+    cumw = np.cumsum(w)
+    lo, hi = 0, len(universe) - 1
+    best_rank, best_vertex, best_weight = 0, None, 0
+    iterations = 0
+    cap = max(64, 64 * int(math.log2(len(universe) + 1) + 1))
+    depth = tree.depth_max
+    messages = 4 * max(0, len(tree.parent) - 1)
+    bits = KIND_BITS + 2 * WORD_BITS if messages else 0
+    while lo <= hi:
+        iterations += 1
+        if iterations > cap:
+            idx = (lo + hi) // 2  # deterministic fallback; statistically unreachable
+        else:
+            idx = lo + int(rng.integers(hi - lo + 1))
+        v = universe[idx]
+        pw = int(cumw[idx])
+        net.ledger.charge(net.phase, rounds=4 * depth, messages=messages, edge_bits=bits)
+        if predicate(v, pw):
+            best_rank, best_vertex, best_weight = idx + 1, v, pw
+            lo = idx + 1
+        else:
+            hi = idx - 1
+    return SearchResult(best_rank, best_vertex, best_weight, iterations)
+
+
+OVER = "over-threshold"
+
+
+def neighborhood_edges_exact(net, view, estar, d, tau):
+    """Each vertex's radius-d edge set within estar, or OVER when it holds more
+    than tau edges, read from the oracle's reach table; the rounds are
+    charged by the per-phase formula of the flooding."""
+    estar = {edge_key(*e) for e in estar}
+    oracle = NeighborhoodOracle(view)
+    mask = np.array([e in estar for e in live_edges(view)], dtype=bool)
+    counts = oracle.ball_edge_counts(d, mask)
+    out = {}
+    for i, v in enumerate(view.verts.tolist()):
+        out[v] = OVER if counts[i] > tau else edge_keys(view, (oracle.edge_reach[i] <= d - 1) & mask)
+    edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
+    per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
+    net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
+                      messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
+    return out
+
+
 def neighborhood_edges_per_round(net, view, estar, d, tau):
     """d-1 phases of list-or-star flooding over the view's live edges: a vertex
     streams the tracked edges it knows to its neighbours in bandwidth-sized
     chunks, or one star once it knows more than tau of them."""
     estar = {edge_key(*e) for e in estar}
     verts = [int(v) for v in view.verts]
-    live = set(view.live_edges_host())
+    live = set(live_edges(view))
     known = {v: {e for e in estar if v in e and e in live} for v in verts}
     over = {v: len(known[v]) > tau for v in verts}
     edge_bits = 2 * math.ceil(math.log2(max(2, net.graph.n)))
@@ -597,15 +785,16 @@ def neighborhood_edges_per_round(net, view, estar, d, tau):
                 q = queues[v]
                 if q == OVER:
                     return s, [(u, Msg("star", OVER, bits=KIND_BITS))
-                               for u in view.live_neighbors(v)] if _first else []
+                               for u in live_neighbors(view, v)] if _first else []
                 chunk, queues[v] = q[:cap], q[cap:]
                 if not chunk:
                     return s, []
                 bits = KIND_BITS + edge_bits * len(chunk)
                 return s, [(u, Msg("edges", tuple(chunk), bits=bits))
-                           for u in view.live_neighbors(v)]
+                           for u in live_neighbors(view, v)]
 
-            states, inboxes = net.run_round(states, {}, step, adjacency=view.live_neighbors)
+            states, inboxes = net.run_round(states, {}, step,
+                                            adjacency=lambda v: live_neighbors(view, v))
             for v, arrivals in inboxes.items():
                 for _, msg in arrivals:
                     if msg.kind == "star":
@@ -638,7 +827,7 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
     t = 1
     while t <= horizon and unclustered:
         growth_possible = any(
-            u in assignment for v in unclustered for u in view.live_neighbors(v)
+            u in assignment for v in unclustered for u in live_neighbors(view, v)
         )
         has_start = any(
             s >= t and any(v in unclustered for v in vs)
@@ -657,7 +846,7 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
         for v in sorted(unclustered):
             if start[v] == t:
                 continue
-            adjacent = [assignment[u] for u in view.live_neighbors(v) if u in assignment]
+            adjacent = [assignment[u] for u in live_neighbors(view, v) if u in assignment]
             if adjacent:
                 joins[v] = min(adjacent)
         for v in sorted(unclustered):
@@ -670,7 +859,7 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
         t += 1
     centers = sorted({c for c in assignment.values()})
     cut = [
-        e for e in view.live_edges_host()
+        e for e in live_edges(view)
         if assignment.get(e[0]) != assignment.get(e[1])
     ]
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,

@@ -21,11 +21,7 @@ from expandec.walks import (
     compute_walk,
     derive_walk_params,
 )
-from expandec.cuts import (
-    approximate_local_cut_reference,
-    distributed_local_cut,
-    sparse_cut_partition,
-)
+from expandec.cuts import distributed_local_cut, sparse_cut_partition
 from expandec.clustering import (
     build_dense_sparse_split,
     exponential_shift_clustering,
@@ -34,7 +30,15 @@ from expandec.clustering import (
 from expandec.decomposition import expander_decomposition
 from expandec.triangles import brute_force_triangles, triangle_enumeration
 
-from helpers_h import check_h_conditions, exact_rho_table, influence_set
+from helpers_h import (
+    approximate_local_cut_reference,
+    check_h_conditions,
+    clusters,
+    exact_rho_table,
+    influence_set,
+    live_neighbors,
+    mass_at,
+)
 
 PHI = 1 / 12
 
@@ -172,7 +176,7 @@ CLUSTER_FAMILIES = [
 
 
 def _cluster_check(view, clustering, bound):
-    for center, members in clustering.clusters().items():
+    for center, members in clusters(clustering).items():
         mem = set(members)
         assert center in mem
         dist = {center: 0}
@@ -180,7 +184,7 @@ def _cluster_check(view, clustering, bound):
         while frontier:
             nxt = []
             for v in frontier:
-                for u in view.live_neighbors(v):
+                for u in live_neighbors(view, v):
                     if u in mem and u not in dist:
                         dist[u] = dist[v] + 1
                         nxt.append(u)
@@ -327,7 +331,7 @@ def test_accept_8_walk_kernel_numerics():
                           params.f_phi, params.gamma, 0.0)
         run_u = compute_walk(view, 0, untr, 1)
         for t in range(min(params.t0, 60) + 1):
-            assert (run_t.mass_at(t) <= run_u.mass_at(t)).all()
+            assert (mass_at(run_t, t) <= mass_at(run_u, t)).all()
     # reach-set volume bound on n <= 32 at desk constants
     checked = 0
     for trial in range(20):

@@ -116,3 +116,39 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--epsilon", "0.5"])  # no graph source
     assert exc.value.code == 2
+
+
+
+VERIFY = ["verify", "--graph", "{graph}", "--run", "{run}"]
+INPUT_ERRORS = {  # argv, keys dropped from the run JSON, EXPANDER_SEED
+    "verify_run_without_phi_k": (VERIFY, ["phi_k"], None),
+    "verify_run_without_epsilon": (VERIFY, ["epsilon", "config.epsilon"], None),
+    "bench_zero_trials": (["bench", "--graph", "{graph}", "--trials", "0"], [], None),
+    "non_integer_env_seed": (["decompose", "--graph", "{graph}", "--epsilon", "0.5"], [], "abc"),
+    "spec_with_wrong_arity": (["decompose", "--spec", "grid:3", "--epsilon", "0.5"], [], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2(case, tmp_path, capsys, monkeypatch):
+    """A bad input is a usage error (2) reported on stderr, not a FAIL (1)
+    or an uncaught exception."""
+    argv, dropped, env_seed = INPUT_ERRORS[case]
+    gpath, dpath = tmp_path / "g.txt", tmp_path / "dec.json"
+    run_cli(["gen", "--family", "cliques_chain:3:6:1", "--out", str(gpath)], capsys)
+    if argv is VERIFY:
+        run_cli(["decompose", "--graph", str(gpath), "--epsilon", "0.5", "--out", str(dpath)],
+                capsys)
+        payload = json.loads(dpath.read_text())
+        for key in dropped:
+            *owner, name = key.split(".")
+            del (payload[owner[0]] if owner else payload)[name]
+        dpath.write_text(json.dumps(payload))
+    if env_seed is not None:
+        monkeypatch.setenv("EXPANDER_SEED", env_seed)
+    try:
+        code = main([a.format(graph=gpath, run=dpath) for a in argv])
+    except SystemExit as exc:  # argparse rejects the arguments themselves
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

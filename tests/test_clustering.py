@@ -8,18 +8,23 @@ from expandec import generators as gen
 from expandec.simulator import Network
 from expandec.views import ActiveView, WorkingGraph
 from expandec.clustering import (
-    OVER,
     NeighborhoodOracle,
     ball_edge_counts,
     build_dense_sparse_split,
     exponential_shift_clustering,
     low_diam_decomposition,
-    neighborhood_edges_exact,
     neighborhood_size_estimate,
     neighborhood_threshold_test,
 )
 
-from helpers_h import neighborhood_edges_per_round, shift_clustering_per_epoch
+from helpers_h import (
+    OVER,
+    clusters,
+    live_neighbors,
+    neighborhood_edges_exact,
+    neighborhood_edges_per_round,
+    shift_clustering_per_epoch,
+)
 
 
 def cluster_eccentricity(view, members, center):
@@ -29,7 +34,7 @@ def cluster_eccentricity(view, members, center):
     while frontier:
         nxt = []
         for v in frontier:
-            for u in view.live_neighbors(v):
+            for u in live_neighbors(view, v):
                 if u in mem and u not in dist:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
@@ -44,7 +49,7 @@ def test_forced_zero_shifts_all_singletons():
     net = Network(g)
     c = exponential_shift_clustering(net, view, 0.2, np.random.default_rng(0),
                                      deltas={v: 0.0 for v in range(16)})
-    assert all(len(m) == 1 for m in c.clusters().values())
+    assert all(len(m) == 1 for m in clusters(c).values())
 
 
 def test_cluster_diameter_bound_many_seeds():
@@ -57,7 +62,7 @@ def test_cluster_diameter_bound_many_seeds():
                 net = Network(g)
                 c = exponential_shift_clustering(net, view, beta,
                                                  np.random.default_rng([seed, 7]))
-                for center, members in c.clusters().items():
+                for center, members in clusters(c).items():
                     assert center in members
                     assert 2 * cluster_eccentricity(view, members, center) <= bound
 
@@ -234,7 +239,7 @@ def _diameters_by_bfs(view, components):
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for u in view.live_neighbors(v):
+                    for u in live_neighbors(view, v):
                         if u not in dist:
                             dist[u] = dist[v] + 1
                             nxt.append(u)

@@ -22,7 +22,7 @@ from expandec.cuts import (
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
-    approximate_local_cut_reference,
+    _sample_starts,
     balanced_sparse_cut,
     concurrent_local_cuts,
     derive_instance_params,
@@ -30,12 +30,18 @@ from expandec.cuts import (
     draw_b,
     ladder_h,
     ladder_h_inv,
-    local_cut,
-    randomized_local_cut,
     scan_run,
     sparse_cut_partition,
 )
-from helpers_h import StepCharger, scan_run_per_step
+from helpers_h import (
+    StepCharger,
+    approximate_local_cut_reference,
+    local_cut,
+    pstar,
+    randomized_local_cut,
+    scan_run_per_step,
+    view_tree,
+)
 
 PHI = 1 / 12
 WALK_BATCH_CELLS = cuts.WALK_BATCH_CELLS
@@ -201,10 +207,9 @@ def test_randomized_start_degree_marginal():
     center = 0
     trials = 2000
     hits = 0
-    from expandec.cuts import _sample_starts
-
+    tree = view_tree(net, view)
     for _ in range(trials):
-        (v, _b), = _sample_starts(net, view, {1: 1}, rng, None)
+        (v, _b), = _sample_starts(net, view, {1: 1}, rng, tree)
         hits += v == center
     sigma = math.sqrt(0.25 / trials)
     assert abs(hits / trials - 0.5) <= 5 * sigma
@@ -224,7 +229,7 @@ def test_participation_frequency_at_paper_constants():
     for _ in range(trials):
         net = Network(g)
         res = randomized_local_cut(net, view, PHI, params, DESK, rng)
-        for e in res.pstar:
+        for e in pstar(res):
             counts[e] += 1
     freq = max(counts.values()) / trials
     assert freq <= 1.0
@@ -236,7 +241,8 @@ def test_concurrent_conductance_bound():
     for seed in range(6):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), k_override=4)
+                                    np.random.default_rng(seed), view_tree(net, view),
+                                    k_override=4)
         if res.members is None:
             continue
         cut = cut_stats(g, res.members)
@@ -248,7 +254,7 @@ def test_concurrent_k1_degenerate():
     view, params = _cut_setup(g)
     net = Network(g)
     res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                np.random.default_rng(4), k_override=1)
+                                np.random.default_rng(4), view_tree(net, view), k_override=1)
     assert len(res.instances) == 1
     single = res.instances[0].members
     vol = view.vol()
@@ -265,7 +271,8 @@ def test_concurrent_union_volume_bound_any_seed():
     for seed in range(10):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), k_override=5)
+                                    np.random.default_rng(seed), view_tree(net, view),
+                                    k_override=5)
         if res.members is not None:
             assert 24 * sum(g.degree(v) for v in res.members) <= 23 * vol
 
@@ -370,10 +377,11 @@ def test_overlap_rule_from_transcript():
     for seed, k in zip(range(6), (6, 60) * 3):  # w = 50 here, so 60 instances can abort
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), k_override=k)
+                                    np.random.default_rng(seed), view_tree(net, view),
+                                    k_override=k)
         recount = {}
         for inst in res.instances:
-            for e in inst.pstar:
+            for e in pstar(inst):
                 recount[e] = recount.get(e, 0) + 1
         assert res.aborted_overlap == (max(recount.values(), default=0) > res.params.w)
         aborted.add(res.aborted_overlap)
@@ -404,8 +412,9 @@ def _block_cells(view, rows):
     return DEFAULT_BLOCK_CELLS if rows is None else rows * max(len(view), view.m_live)
 
 
-def _scan_both(view, start, params, phi, b, jx_only, depth, size, monkeypatch=None):
-    """scan_run and the per-step oracle on one walk, each with its own ledger.
+def _scan_both(view, start, params, phi, b, depth, size, monkeypatch=None):
+    """scan_run and the per-step oracle of its candidate subsequence on one
+    walk, each with its own ledger.
 
     With monkeypatch, scan_run runs under every block schedule of BLOCK_ROWS,
     and each candidate and ledger snapshot must equal the oracle's; the
@@ -414,12 +423,12 @@ def _scan_both(view, start, params, phi, b, jx_only, depth, size, monkeypatch=No
     schedules = BLOCK_ROWS if monkeypatch else (None,)
     nets = [Network(view.graph) for _ in range(len(schedules) + 1)]
     runs = [compute_walk(view, start, params, b, net=net) for net in nets]
-    ref = scan_run_per_step(view, runs[-1], phi, b, DESK, jx_only,
-                            StepCharger(nets[-1], depth, size))
+    ref = scan_run_per_step(view, runs[-1], phi, b, DESK, jx_only=True,
+                            charger=StepCharger(nets[-1], depth, size))
     for rows, net, run in zip(schedules, nets, runs):
         if monkeypatch:
             monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
-        got = scan_run(view, run, phi, b, DESK, jx_only, ScanCharger(net, depth, size))
+        got = scan_run(view, run, phi, b, DESK, ScanCharger(net, depth, size))
         assert got == ref
         assert net.ledger.snapshot() == nets[-1].ledger.snapshot()
     run = runs[0]
@@ -457,17 +466,14 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
         b = 1 + int(rng.integers(params.ell))
         start = int(rng.integers(g.n))
         depth, size = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-        for jx_only in (False, True):
-            run, cand = _scan_both(view, start, params, phi, b, jx_only, depth, size,
-                                   monkeypatch)
-            if cand is not None and 1 < cand.t < min(run.t0, run.t_last):
-                # the same walk with the horizon at the hit: the hit is the
-                # last row of the last block under every schedule
-                cut = dataclasses.replace(params, t0=cand.t)
-                _, cand_cut = _scan_both(view, start, cut, phi, b, jx_only, depth, size,
-                                         monkeypatch)
-                assert cand_cut == cand
-                seen["hit in the last row"] += 1
+        run, cand = _scan_both(view, start, params, phi, b, depth, size, monkeypatch)
+        if cand is not None and 1 < cand.t < min(run.t0, run.t_last):
+            # the same walk with the horizon at the hit: the hit is the
+            # last row of the last block under every schedule
+            cut = dataclasses.replace(params, t0=cand.t)
+            _, cand_cut = _scan_both(view, start, cut, phi, b, depth, size, monkeypatch)
+            assert cand_cut == cand
+            seen["hit in the last row"] += 1
         seen["frozen"] += run.t_last < run.t0
         seen["emptied"] += not run.masses[-1].any()
         seen["hit"] += cand is not None
@@ -494,9 +500,8 @@ def test_scan_run_frozen_at_start():
     g = gen.barbell(5, 1)
     view = ActiveView(ActiveView.whole(g).working, [3])
     params = derive_walk_params(g.m, PHI, DESK)
-    for jx_only in (False, True):
-        run, cand = _scan_both(view, 3, params, PHI, 1, jx_only, 3, 4)
-        assert run.t_last == 0 and cand is None
+    run, cand = _scan_both(view, 3, params, PHI, 1, 3, 4)
+    assert run.t_last == 0 and cand is None
 
 
 def test_jstar_exact_where_float_rounds_up():
@@ -546,7 +551,8 @@ def test_concurrent_cuts_with_an_isolated_vertex():
     view, params = _cut_setup(g)
     for seed in range(2):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed))
+        res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed),
+                                    view_tree(net, view))
         assert all(g.degree(inst.start) > 0 for inst in res.instances)
         assert net.ledger.totals().rounds > 0
 

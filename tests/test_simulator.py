@@ -16,7 +16,6 @@ from expandec.simulator import (
     PhaseTotals,
     RoundLedger,
     bfs_tree,
-    random_binary_search,
     sample_by_degree,
     subtree_degrees,
 )
@@ -24,6 +23,9 @@ from expandec.views import ActiveView, WorkingGraph
 
 from helpers_h import (
     bfs_tree_per_round,
+    is_live,
+    live_edges,
+    random_binary_search,
     search_round_trip_per_round,
     subtree_degrees_per_round,
     tree_aggregate_per_round,
@@ -169,12 +171,12 @@ def test_bfs_tree_and_subtree_sums_match_message_level():
         if draw % 3 == 0:
             kinds["view"] += 1
             tree = bfs_tree(net, root, view.adj_matrix, view.verts)
-            ref = bfs_tree_per_round(ref_net, root, lambda a, c: working.is_live(a, c),
+            ref = bfs_tree_per_round(ref_net, root, lambda a, c: is_live(working, a, c),
                                      view.active)
             reachable = len(view.active)
         elif draw % 3 == 1:
             kinds["edges"] += 1
-            keep = [e for e in view.live_edges_host() if rng.random() < 0.7]
+            keep = [e for e in live_edges(view) if rng.random() < 0.7]
             local = np.searchsorted(view.verts, np.array(keep, dtype=np.int64))
             tree = bfs_tree(net, root, adjacency_csr(len(view), local), view.verts)
             ref = bfs_tree_per_round(ref_net, root, lambda a, c: edge_key(a, c) in keep,

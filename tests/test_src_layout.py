@@ -1,0 +1,80 @@
+"""src/ holds what the pipeline, the CLI and the benchmark's spans run: every
+top-level function and method of `src/expandec` is read somewhere else in
+`src/`, unless it is exported, a dunder, a span target or listed in EXEMPT.
+A read is an attribute or a name in `src/expandec` outside the definition's
+own body; a name that a function binds itself (a parameter or a local) is
+not one.  A reference that only tests call belongs in `tests/helpers_h.py`."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import expandec
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "expandec"
+SPANS_PY = ROOT / "perfbench" / "spans.py"
+
+EXEMPT = {
+    "ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
+    "snapshot": "RoundLedger.snapshot is how a caller compares the charges of two runs",
+}
+
+
+def _reads(node) -> Counter:
+    """Attributes and names read under node, less the names that a function
+    there binds itself."""
+    out = Counter()
+
+    def visit(n, local):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = n.args
+            local = local | {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            local |= {x.arg for x in (a.vararg, a.kwarg) if x is not None}
+            local |= {x.id for x in ast.walk(n) if isinstance(x, ast.Name)
+                      and not isinstance(x.ctx, ast.Load)}
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local:
+            out[n.id] += 1
+        for child in ast.iter_child_nodes(n):
+            visit(child, local)
+
+    visit(node, frozenset())
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _span_targets() -> set[str]:
+    """The attr argument of every Span(...) in the benchmark's span table."""
+    tree = ast.parse(SPANS_PY.read_text())
+    return {call.args[2].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Span"}
+
+
+def test_every_src_definition_is_read_in_src():
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in modules.values()), Counter())
+    spans = _span_targets()
+    assert {"run_round", "scan_run", "concurrent_local_cuts"} <= spans
+    exempt = set(expandec.__all__) | spans | set(EXEMPT)
+    unread, defined = [], set()
+    for stem, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            defined.add(node.name)
+            if node.name in exempt or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            if reads[node.name] - _reads(node)[node.name] <= 0:
+                unread.append(f"{stem}.{qualname}")
+    assert unread == []
+    # an exemption that gained a caller in src, or lost its definition, is noise
+    assert set(EXEMPT) <= defined and not any(reads[name] for name in EXEMPT)

@@ -24,18 +24,20 @@ from expandec.walks import (
     sweep_blocks,
     sweep_order_local,
     sweep_tables,
-    walk_step_units,
 )
 from helpers_h import (
     compute_walk_per_step,
     exact_rho_table,
     influence_set,
     lazy_step,
+    mass_at,
     prefix_boundary_counts,
+    pstar,
     state_at,
     sweep_order,
     truncate,
     walk_step_messages,
+    walk_step_units,
 )
 
 
@@ -148,8 +150,8 @@ def test_pstar_confined_with_large_truncation():
     params = WalkParams(13, 1 / 12, "desk", 4, 50, 1e-3, 1e-2, 0.04)  # eps_1 = 0.02
     run = compute_walk(ActiveView.whole(g), 1, params, 1)
     far_edges = {(u, v) for u, v in g.edges if u >= 4 and v >= 4}
-    assert not (run.pstar & far_edges)
-    assert run.pstar  # near side still explored
+    assert not (pstar(run) & far_edges)
+    assert pstar(run)  # near side still explored
 
 
 def test_mass_never_increases():
@@ -169,7 +171,7 @@ def test_truncated_dominated_by_untruncated_exact():
                       params.gamma, 0.0)  # zero truncation
     run_u = compute_walk(view, 0, untr, 1)
     for t in range(61):
-        assert (run_t.mass_at(t) <= run_u.mass_at(t)).all()
+        assert (mass_at(run_t, t) <= mass_at(run_u, t)).all()
 
 
 def test_fixed_point_tracks_dense_oracle():
@@ -183,7 +185,7 @@ def test_fixed_point_tracks_dense_oracle():
     p[3] = 1.0
     for t in range(1, t0 + 1):
         p = m @ p
-        q = run.mass_at(t) / SCALE
+        q = mass_at(run, t) / SCALE
         assert (q <= p + 1e-12).all()
         assert np.abs(q - p).max() <= t * 2.0**-40
 
@@ -432,7 +434,7 @@ def _check_walk_against_per_step(view, start, params):
     for a, b in zip(run.masses, ref.masses):
         assert np.array_equal(a, b)
     assert run.freeze_t == ref.freeze_t
-    assert run.pstar == ref.pstar
+    assert pstar(run) == pstar(ref)
     assert net.ledger.snapshot() == net_ref.ledger.snapshot()
     return run
 
@@ -532,7 +534,7 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
     for start in (0, 6, 44):
         run = compute_walk(whole, start, params, 2)
         ref = compute_walk(rest, start, params, 2)
-        assert run.freeze_t == ref.freeze_t and run.pstar == ref.pstar
+        assert run.freeze_t == ref.freeze_t and pstar(run) == pstar(ref)
         assert len(run.masses) == len(ref.masses)
         for got, want in zip(run.masses, ref.masses):
             assert got[whole.index[iso[0]]] == 0 and np.array_equal(got[keep], want)
