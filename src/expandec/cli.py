@@ -50,8 +50,12 @@ def positive_int(text: str) -> int:
 
 def load_graph(args) -> Graph:
     if args.graph:
-        with open(args.graph) as fh:
-            return parse_graph_text(fh.read())
+        try:
+            with open(args.graph) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FormatError(f"cannot read graph file: {exc}") from None
+        return parse_graph_text(text)
     if args.spec:
         return generators.generate(args.spec, seed=effective_seed(args))
     raise SystemExit(2)
@@ -66,14 +70,13 @@ def emit(args, payload: dict):
         print(text)
 
 
-def add_common(p, graph_input=True):
+def add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default="desk", choices=["desk", "paper"])
     p.add_argument("--out", default=None)
-    if graph_input:
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--graph", help="edge-list file (p <n> <m> header)")
-        src.add_argument("--spec", help="generator spec, e.g. barbell:8:1")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--graph", help="edge-list file (p <n> <m> header)")
+    src.add_argument("--spec", help="generator spec, e.g. barbell:8:1")
 
 
 def cmd_gen(args) -> int:
@@ -173,13 +176,17 @@ def cmd_triangles(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args)
     profile = get_profile(args.profile)
-    with open(args.run) as fh:
-        run = json.load(fh)
     try:
+        with open(args.run) as fh:
+            run = json.load(fh)
         components = [frozenset(c) for c in run["components"]]
         phi_k = run["phi_k"]
     except KeyError as exc:
         raise FormatError(f"run JSON lacks {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, wrong shape
+        raise FormatError(f"bad run JSON {args.run}: {exc}") from None
+    if not all(isinstance(v, int) for c in components for v in c):
+        raise FormatError("run JSON components hold a non-integer vertex id")
     epsilon = run.get("epsilon", run.get("config", {}).get("epsilon"))
     if epsilon is None:
         raise FormatError("run JSON lacks epsilon and config.epsilon")

@@ -97,12 +97,12 @@ def participation_budget(walkp: WalkParams, profile: Profile) -> float:
     )
 
 
-def derive_instance_params(vol: int, walkp: WalkParams, p: float, profile: Profile,
-                           k_override: int | None = None) -> MultiInstanceParams:
+def derive_instance_params(vol: int, walkp: WalkParams, p: float,
+                           profile: Profile) -> MultiInstanceParams:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p={p} outside (0, 1)")
     q = participation_budget(walkp, profile)
-    k = k_override if k_override is not None else max(1, math.ceil(vol / q))
+    k = max(1, math.ceil(vol / q))
     w = _K_W * max(1, math.ceil(math.log(max(vol, 2))))
     g = math.ceil(10 * w * q)
     if profile.g_cap is not None:
@@ -237,7 +237,6 @@ class SweepCandidate:
 class LocalCutResult:
     members: frozenset | None
     cut: Cut | None
-    candidate: SweepCandidate | None
     start: int
     b: int
     view: ActiveView
@@ -368,11 +367,11 @@ def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profil
 def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate | None,
                            start: int, b: int) -> LocalCutResult:
     if cand is None:
-        return LocalCutResult(None, None, None, start, b, view, run.touched)
+        return LocalCutResult(None, None, start, b, view, run.touched)
     order = sweep_order_local(view, run.masses[cand.t])
     members = frozenset(int(view.verts[i]) for i in order[: cand.j])
     cut = view.cut_stats(members)
-    return LocalCutResult(members, cut, cand, start, b, view, run.touched)
+    return LocalCutResult(members, cut, start, b, view, run.touched)
 
 
 def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
@@ -390,7 +389,7 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
         charge_walk(net, run)
     tree = bfs_tree(net, v, adjacency_csr(len(view), view.edges_local[run.touched]),
                     view.verts)
-    charger = ScanCharger(net, tree.depth_max, len(tree.parent))
+    charger = ScanCharger(net, tree.depth_max, len(tree.hosts))
     cand = scan_run(view, run, phi, b, profile, charger)
     return _result_from_candidate(view, run, cand, v, b)
 
@@ -415,8 +414,9 @@ def _draw_landings(net, view, k, ell, rng, host_tree):
 def _sample_starts(net, view, counts, rng, host_tree):
     """Degree-proportional starts in view, drawn down host_tree, a spanning
     tree of a view that contains it; vertices outside the view weigh 0."""
-    deg = lambda u: net.graph.degree(u) if u in view.active else 0
-    return sample_by_degree(net, host_tree, counts, rng, deg=deg)
+    weights = np.zeros(net.graph.n, dtype=np.int64)
+    weights[view.verts] = view.deg
+    return sample_by_degree(net, host_tree, counts, rng, weights)
 
 
 @dataclass
@@ -430,8 +430,7 @@ class ConcurrentResult:
 
 def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
-                          rng: np.random.Generator, host_tree: SpanningTree,
-                          p: float = 0.25, k_override: int | None = None,
+                          rng: np.random.Generator, host_tree: SpanningTree, p: float,
                           runs: dict | None = None) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
@@ -446,7 +445,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     (see `distributed_local_cut`).
     """
     _check_algo_phi(phi)
-    mi = derive_instance_params(view.vol(), walkp, p, profile, k_override)
+    mi = derive_instance_params(view.vol(), walkp, p, profile)
     landings = _draw_landings(net, view, mi.k, walkp.ell, rng, host_tree)
     sub_rngs = rng.spawn(len(landings))
     instances: list[LocalCutResult] = []
@@ -470,8 +469,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     for i in seq:
         mem = instances[i].members
         if mem:
-            for u in mem - union:
-                union_vol += net.graph.degree(u)
+            union_vol += view.vol_of(mem - union)
             union |= mem
         if mi.union_small_enough(union_vol):
             best = set(union)
@@ -540,8 +538,7 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
                 else:
                     runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, host_tree)
                     drawn = it + cols - 1
-        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, host_tree, p=p,
-                                    runs=runs)
+        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, host_tree, p, runs)
         concurrent.append(res)
         w_max = max(w_max, res.params.w)
         if res.members:
@@ -580,10 +577,8 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
 class BalancedCutResult:
     members: frozenset
     cut: Cut
-    phi_target: float
     phi_inner: float
     h_bound: float  # certified conductance bound for this run
-    partition: PartitionResult
 
 
 def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
@@ -611,4 +606,4 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     if not part.members or part.cut is None:
         return None
     h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * part.w_max * phi_inner)
-    return BalancedCutResult(part.members, part.cut, phi_target, phi_inner, h_bound, part)
+    return BalancedCutResult(part.members, part.cut, phi_inner, h_bound)

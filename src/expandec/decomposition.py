@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
 import numpy as np
 
 from .config import Profile
@@ -301,8 +303,7 @@ def _certify(working: WorkingGraph, comp: frozenset, phi_k: float,
         return "singleton", True, None
     if len(comp) <= N_ORACLE_MAX:
         # the contraction of the working graph (removed edges as loops) onto comp
-        contracted, _labels = ActiveView(working, comp).materialize()
-        phi = float(min_conductance_oracle(contracted)[0])
+        phi = float(min_conductance_oracle(ActiveView(working, comp).materialize())[0])
         return "oracle", phi >= phi_k, phi
     best = _sweep_falsifier(working, comp, phi_k, profile)
     return "sweep", best >= phi_k, best
@@ -348,23 +349,28 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
     """Recompute the inter-component fraction and re-certify every component
     (exact oracle when small, sweep falsifier when large).  When the run's
     reported removal set is given, the recount must match it exactly."""
-    assignment = {}
-    for i, comp in enumerate(components):
-        for v in comp:
-            if v in assignment:
-                return VerifyReport(False, -1, False, [(tuple(comp), "overlap", False)])
-            assignment[v] = i
-    if set(assignment) != set(range(graph.n)):
+    which = np.repeat(np.arange(len(components)), [len(c) for c in components])
+    members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=len(which))
+    order = np.argsort(members, kind="stable")
+    listed = members[order]
+    again = order[1:][listed[1:] == listed[:-1]]  # each later listing of a vertex
+    if len(again):
+        return VerifyReport(False, -1, False,
+                            [(tuple(components[which[again].min()]), "overlap", False)])
+    if not np.array_equal(listed, np.arange(graph.n)):
         return VerifyReport(False, -1, False, [((), "cover", False)])
-    cut_edges = [e for e in graph.edges if assignment[e[0]] != assignment[e[1]]]
-    inter_set = set(cut_edges)
-    inter = len(inter_set)
+    comp_of = np.empty(graph.n, dtype=np.int64)
+    comp_of[members] = which
+    u, v = graph.edges.T
+    cut_edges = graph.edges[comp_of[u] != comp_of[v]]
+    inter = len(cut_edges)
     frac_ok = inter <= epsilon * graph.m
-    if reported_removed is not None and {edge_key(*e) for e in reported_removed} != inter_set:
+    if (reported_removed is not None
+            and {edge_key(*e) for e in reported_removed} != set(map(tuple, cut_edges.tolist()))):
         return VerifyReport(False, inter, frac_ok,
                             [((), "inter-edge recount", False)])
     working = WorkingGraph(graph)
-    if cut_edges:
+    if inter:
         working.remove_edges(cut_edges, "inter")
     results = []
     ok = frac_ok

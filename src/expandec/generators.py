@@ -100,12 +100,12 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     read the generator's stream in the order of one whole draw."""
     rng = np.random.default_rng([seed, 0xE4D05])
     rows = max(1, ER_BLOCK_CELLS // max(1, n))
-    edges = []
+    blocks = [np.empty((0, 2), dtype=np.int64)]
     for r in range(0, n, rows):
         # row r + i keeps the columns above r + i
         us, vs = np.nonzero(np.triu(rng.random((min(rows, n - r), n)) < p, k=r + 1))
-        edges += zip((us + r).tolist(), vs.tolist())
-    return Graph.from_edges(n, edges)
+        blocks.append(np.stack([us + r, vs], axis=1))
+    return Graph.from_edges(n, np.concatenate(blocks))
 
 
 REGULAR_ATTEMPTS = 2000  # whole pairings drawn before random_regular gives up

@@ -5,6 +5,11 @@ contraction convert edges to loops so that degrees never change).  Each self
 loop contributes exactly 1 to its vertex degree.  Conductance is computed in
 exact rational arithmetic; float views are provided for the hot path.
 
+A `Graph` is arrays only: the symmetric CSR adjacency (`indptr`, `indices`
+sorted in each row), a loop count per vertex, and the edge array, degrees and
+scipy matrix derived from them.  Contraction, cut statistics, the walk matrix
+and the text format read those arrays directly.
+
 The traversal substrate (`component_roots`, `components_of`, `hop_distances`,
 `level_sweep`) works on a symmetric CSR adjacency with numpy array operations
 only, so `Graph`, every view and every simulated tree or clustering share one
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,90 +34,89 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def row_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given rows of a CSR index array, row
+    after row."""
+    lo = indptr[rows]
+    cnt = indptr[rows + 1] - lo
+    return np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+
+
 class Graph:
-    """Immutable undirected graph: simple adjacency plus per-vertex loop counts."""
+    """Immutable undirected graph: a symmetric CSR adjacency without loops,
+    each row strictly ascending, plus a loop count per vertex.  `edges` lists
+    each edge once as (u, v) with u < v, in lexicographic order; `deg` counts
+    neighbours plus loops."""
 
-    __slots__ = ("n", "neighbors", "self_loops", "_edges", "_deg")
+    __slots__ = ("n", "indptr", "indices", "loops", "edges", "deg")
 
-    def __init__(self, n: int, neighbors: Sequence[Iterable[int]], self_loops=None):
-        if len(neighbors) != n:
-            raise FormatError(f"adjacency has {len(neighbors)} rows for n={n}")
-        self.n = n
-        rows = [set(ns) for ns in neighbors]
-        self.neighbors = tuple(tuple(sorted(r)) for r in rows)
-        self.self_loops = tuple(self_loops) if self_loops is not None else (0,) * n
-        if len(self.self_loops) != n or any(s < 0 for s in self.self_loops):
+    def __init__(self, n: int, indptr, indices, loops=None):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        loops = np.zeros(n, dtype=np.int64) if loops is None else np.asarray(loops, dtype=np.int64)
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices)
+                or (np.diff(indptr) < 0).any()):
+            raise FormatError(f"row pointers do not describe {len(indices)} entries in {n} rows")
+        if loops.shape != (n,) or (loops < 0).any():
             raise FormatError("bad self-loop vector")
-        for v, ns in enumerate(self.neighbors):
-            for u in ns:
-                if not 0 <= u < n or u == v:
-                    raise FormatError(f"bad neighbor {u} of {v}")
-                if v not in rows[u]:
-                    raise FormatError(f"asymmetric adjacency at ({u}, {v})")
-        self._edges = None
-        self._deg = None
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        bad = (indices < 0) | (indices >= n) | (indices == rows)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(f"bad neighbor {indices[i]} of {rows[i]}")
+        keys = rows * n + indices
+        late = np.flatnonzero(keys[1:] <= keys[:-1])
+        if len(late):
+            raise FormatError(f"neighbors of {rows[late[0] + 1]} not strictly ascending")
+        mirrored = np.sort(indices * n + rows)
+        if not np.array_equal(mirrored, keys):
+            i = int(np.argmax(mirrored != keys))
+            raise FormatError(f"asymmetric adjacency at ({keys[i] // n}, {keys[i] % n})")
+        self.n = n
+        self.indptr, self.indices, self.loops = indptr, indices, loops
+        fwd = indices > rows
+        self.edges = np.stack([rows[fwd], indices[fwd]], axis=1)
+        self.deg = np.diff(indptr) + loops
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], self_loops=None) -> "Graph":
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(f"endpoint out of range in edge ({u}, {v})")
-            if u == v:
-                raise FormatError(f"explicit self loop ({u}, {v}) not allowed in edge list")
-            k = edge_key(u, v)
-            if k in seen:
-                raise FormatError(f"duplicate edge {k}")
-            seen.add(k)
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n, adj, self_loops)
-
-    # -- basic accessors -------------------------------------------------
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v]) + self.self_loops[v]
-
-    @property
-    def deg(self) -> np.ndarray:
-        if self._deg is None:
-            self._deg = np.array([self.degree(v) for v in range(self.n)], dtype=np.int64)
-        return self._deg
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if self._edges is None:
-            self._edges = tuple(
-                (v, u) for v in range(self.n) for u in self.neighbors[v] if v < u
-            )
-        return self._edges
+    def from_edges(cls, n: int, edges, loops=None) -> "Graph":
+        """The graph of n vertices and the given distinct (u, v) pairs, u != v,
+        in any order and orientation."""
+        e = np.asarray(edges).reshape(-1, 2)
+        if e.size and not (0 <= e.min() and e.max() < n):
+            raise FormatError(f"edge endpoint outside 0..{n - 1}")
+        adj = adjacency_csr(n, e)
+        return cls(n, adj.indptr, adj.indices, loops)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def adj(self) -> sp.csr_matrix:
+        """The adjacency as a scipy 0/1 matrix (loops not included)."""
+        return sp.csr_matrix((np.ones(len(self.indices), dtype=np.int64), self.indices,
+                              self.indptr), shape=(self.n, self.n))
+
     def volume(self, s=None) -> int:
         if s is None:
             return int(self.deg.sum())
-        return sum(self.degree(v) for v in s)
+        return int(self.deg[np.fromiter(s, dtype=np.int64)].sum())
 
     def is_connected(self) -> bool:
-        return len(components_of(adjacency_csr(self.n, self.edges), range(self.n))) <= 1
+        return not component_roots(self.adj).any()
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.neighbors == other.neighbors
-            and self.self_loops == other.self_loops
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.loops, other.loops)
         )
 
-    def __hash__(self):
-        return hash((self.n, self.neighbors, self.self_loops))
-
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m}, loops={sum(self.self_loops)})"
+        return f"Graph(n={self.n}, m={self.m}, loops={int(self.loops.sum())})"
 
 
 # -- traversal substrate ----------------------------------------------------
@@ -220,38 +223,35 @@ class Cut:
     balance: Fraction
 
 
-def boundary_size(g: Graph, s) -> int:
-    sset = set(s)
-    return sum(1 for u, v in g.edges if (u in sset) != (v in sset))
-
-
 def cut_stats(g: Graph, s) -> Cut:
     sset = frozenset(s)
     if not sset or len(sset) == g.n:
         raise DegenerateCut(f"|S|={len(sset)} of n={g.n}")
-    vol_s = g.volume(sset)
-    vol_rest = g.volume() - vol_s
-    bnd = boundary_size(g, sset)
-    small = min(vol_s, vol_rest)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(sset, dtype=np.int64)] = True
+    vol_s = int(g.deg[inside].sum())
+    total = g.volume()
+    bnd = int(np.count_nonzero(inside[g.edges[:, 0]] != inside[g.edges[:, 1]]))
+    small = min(vol_s, total - vol_s)
     conductance = Fraction(0) if bnd == 0 else Fraction(bnd, small)
-    balance = Fraction(small, g.volume()) if g.volume() else Fraction(0)
+    balance = Fraction(small, total) if total else Fraction(0)
     return Cut(sset, vol_s, bnd, conductance, balance)
 
 
 def contract(g: Graph, s) -> Graph:
     """Induced subgraph on sorted(s) with loops added to preserve every degree."""
-    keep = sorted(set(s))
-    index = {v: i for i, v in enumerate(keep)}
-    adj = []
-    loops = []
-    for v in keep:
-        live = [index[u] for u in g.neighbors[v] if u in index]
-        adj.append(live)
-        loops.append(g.degree(v) - len(live))
-    return Graph(len(keep), adj, loops)
+    keep = np.unique(np.fromiter(s, dtype=np.int64))
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[keep] = np.arange(len(keep))
+    cols = local[g.indices[row_positions(g.indptr, keep)]]
+    rows = np.repeat(np.arange(len(keep)), np.diff(g.indptr)[keep])
+    live = cols >= 0
+    indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[live], minlength=len(keep)), out=indptr[1:])
+    return Graph(len(keep), indptr, cols[live], g.deg[keep] - np.diff(indptr))
 
 
-def min_conductance_oracle(g: Graph, n_max: int = N_ORACLE_MAX) -> tuple[Fraction, frozenset]:
+def min_conductance_oracle(g: Graph) -> tuple[Fraction, frozenset]:
     """Exact graph conductance by exhaustive enumeration of all proper cuts.
 
     Vertex 0 is pinned to one side; complements cover the rest.  Returns the
@@ -260,15 +260,15 @@ def min_conductance_oracle(g: Graph, n_max: int = N_ORACLE_MAX) -> tuple[Fractio
     n = g.n
     if n < 2:
         raise DegenerateCut("need at least 2 vertices")
-    if n > n_max:
-        raise TooLarge(f"n={n} exceeds oracle cap {n_max}")
+    if n > N_ORACLE_MAX:
+        raise TooLarge(f"n={n} exceeds oracle cap {N_ORACLE_MAX}")
     masks = np.arange(1, 1 << (n - 1), dtype=np.uint64) << np.uint64(1)  # vertex 0 stays out
     bnd = np.zeros(len(masks), dtype=np.int64)
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         bnd += (((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)).astype(np.int64)
     vol = np.zeros(len(masks), dtype=np.int64)
-    for v in range(n):
-        vol += ((masks >> np.uint64(v)) & np.uint64(1)).astype(np.int64) * g.degree(v)
+    for v, d in enumerate(g.deg.tolist()):
+        vol += ((masks >> np.uint64(v)) & np.uint64(1)).astype(np.int64) * d
     total = g.volume()
     small = np.minimum(vol, total - vol)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -296,18 +296,11 @@ def _exact_phi(bnd: int, small: int) -> Fraction:
 
 def lazy_walk_matrix(g: Graph) -> np.ndarray:
     """Dense lazy-walk matrix (column-stochastic); self loops keep mass in place."""
-    n = g.n
-    a = np.zeros((n, n))
-    for u, v in g.edges:
-        a[u, v] += 1.0
-        a[v, u] += 1.0
-    for v in range(n):
-        a[v, v] += g.self_loops[v]
+    a = g.adj.toarray().astype(float) + np.diag(g.loops.astype(float))
     d = np.maximum(g.deg, 1).astype(float)
-    m = (a / d[None, :] + np.eye(n)) / 2.0
-    for v in range(n):
-        if g.degree(v) == 0:
-            m[v, v] = 1.0  # an isolated vertex holds its mass
+    m = (a / d[None, :] + np.eye(g.n)) / 2.0
+    isolated = np.flatnonzero(g.deg == 0)
+    m[isolated, isolated] = 1.0  # an isolated vertex holds its mass
     return m
 
 
@@ -350,22 +343,19 @@ def parse_graph_text(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
+    ends = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, ln.split())
         except ValueError as exc:
             raise FormatError(f"bad edge line {ln!r}") from exc
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        ends += (u, v)
+    return Graph.from_edges(n, ends)
 
 
 def format_graph_text(g: Graph) -> str:
-    if any(g.self_loops):
+    if g.loops.any():
         raise FormatError("text format carries simple graphs only")
     out = [f"p {g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
+    out.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(out) + "\n"

@@ -10,10 +10,13 @@ by algorithm phase.
 The tree primitives compute their result directly and charge what their
 message-level protocols would: `bfs_tree` (one `graph.level_sweep`) and
 `subtree_degrees` (one bottom-up sum) depth rounds of one 72-bit message per
-edge.  Neither runs a `Network` round or checks the bandwidth budget.  The
-per-round protocols they are charged as, and the randomized tree search
-whose round trips `cuts.ScanCharger` charges by formula, are test references
-built on `run_round`.
+edge.  Neither runs a `Network` round or checks the bandwidth budget.  A
+`SpanningTree` is index arrays in (depth, host id) order, as the level sweep
+gives them, so the subtree sums fold one level per array operation; the
+sums and the sampling take weights indexed by host id.  The per-round
+protocols they are charged as, and the randomized tree search whose round
+trips `cuts.ScanCharger` charges by formula, are test references built on
+`run_round`; the dict-keyed trees they walk are test references too.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BandwidthExceeded
-from .graph import INF, Graph, adjacency_csr, edge_ends, level_sweep
+from .graph import INF, Graph, edge_ends, level_sweep
 
 DEFAULT_BANDWIDTH_FACTOR = 192
 WORD_BITS = 64
@@ -108,7 +111,8 @@ class Network:
         (state, inbox); destinations must be adjacent to v under `adjacency`
         (host adjacency by default).  Returns (new_states, new_inboxes).
         """
-        adj = adjacency or (lambda v: self.graph.neighbors[v])
+        g = self.graph
+        adj = adjacency or (lambda v: g.indices[g.indptr[v]:g.indptr[v + 1]].tolist())
         new_states = {}
         new_inboxes: dict[int, list] = {}
         n_msgs = 0
@@ -135,27 +139,27 @@ class Network:
 # -- spanning tree primitives ---------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpanningTree:
+    """A BFS tree as index arrays in (depth, host id) order: position i holds
+    host id hosts[i] at depth depth[i], under the vertex at position
+    parent[i].  The root is position 0 and its own parent."""
+
     root: int
-    parent: dict[int, int]          # root maps to itself
-    depth: dict[int, int]
-    children: dict[int, list[int]]
+    hosts: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
 
     @property
     def depth_max(self) -> int:
-        return max(self.depth.values(), default=0)
+        return int(self.depth[-1])
 
 
-def bfs_tree(net: Network, root: int, adj: sp.csr_matrix | None = None,
-             labels: np.ndarray | None = None) -> SpanningTree:
+def bfs_tree(net: Network, root: int, adj: sp.csr_matrix, labels: np.ndarray) -> SpanningTree:
     """BFS tree of root's component in a symmetric CSR adjacency whose local
-    indices carry ascending host labels (the host graph by default).  Each
-    vertex's parent is its smallest neighbour one level up.  Charged as the
-    message-level BFS: depth rounds, one claim per edge between consecutive
-    levels."""
-    if adj is None:
-        adj, labels = adjacency_csr(net.graph.n, net.graph.edges), np.arange(net.graph.n)
+    indices carry ascending host labels.  Each vertex's parent is its
+    smallest neighbour one level up.  Charged as the message-level BFS: depth
+    rounds, one claim per edge between consecutive levels."""
     n = adj.shape[0]
     start = np.full(n, INF)
     start[np.searchsorted(labels, root)] = 0
@@ -165,13 +169,10 @@ def bfs_tree(net: Network, root: int, adj: sp.csr_matrix | None = None,
     parent = np.where(depth == 0, np.arange(n), n)
     np.minimum.at(parent, src[up], dst[up])
     order = np.argsort(depth, kind="stable")[: np.count_nonzero(depth < INF)]
-    hosts, parents = labels[order].tolist(), labels[parent[order]].tolist()
-    children = {v: [] for v in hosts}
-    for v, p in zip(hosts[1:], parents[1:]):  # by (depth, label): children come sorted
-        children[p].append(v)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(len(order))
     _charge_tree_rounds(net, int(depth[order[-1]]), int(up.sum()))
-    return SpanningTree(root, dict(zip(hosts, parents)),
-                        dict(zip(hosts, depth[order].tolist())), children)
+    return SpanningTree(root, labels[order], position[parent[order]], depth[order])
 
 
 def _charge_tree_rounds(net: Network, rounds: int, messages: int):
@@ -181,58 +182,62 @@ def _charge_tree_rounds(net: Network, rounds: int, messages: int):
                           edge_bits=KIND_BITS + WORD_BITS)
 
 
-def subtree_degrees(net: Network, tree: SpanningTree, deg: Callable[[int], int]):
-    """s(v): sum of degrees over the subtree rooted at v, folded bottom-up.
+def subtree_degrees(net: Network, tree: SpanningTree, weights: np.ndarray) -> np.ndarray:
+    """s(v) at each tree position: the sum of weights (indexed by host id)
+    over the subtree rooted there, folded level by level from the deepest.
     Charged as the aggregate: depth rounds, one partial sum per tree edge."""
-    sub = {v: deg(v) for v in tree.parent}
-    for v in sorted(tree.parent, key=tree.depth.__getitem__, reverse=True):
-        if v != tree.root:
-            sub[tree.parent[v]] += sub[v]
+    sub = weights[tree.hosts].astype(np.int64)
+    level = np.searchsorted(tree.depth, np.arange(tree.depth_max + 2)).tolist()
+    for d in range(tree.depth_max, 0, -1):
+        below = slice(level[d], level[d + 1])
+        np.add.at(sub, tree.parent[below], sub[below])
     _charge_tree_rounds(net, tree.depth_max, len(sub) - 1)
     return sub
 
 
 def sample_by_degree(net: Network, tree: SpanningTree, counts: dict[int, int],
-                     rng: np.random.Generator,
-                     deg: Callable[[int], int] | None = None) -> list[tuple[int, int]]:
-    """Land `counts[b]` tokens of each tag b on vertices with probability deg/Vol.
+                     rng: np.random.Generator, weights: np.ndarray) -> list[tuple[int, int]]:
+    """Land `counts[b]` tokens of each tag b on tree vertices with probability
+    weight/total, where weights is indexed by host id.
 
     The subtree sums s(v) come from `subtree_degrees`.  Tokens then trickle
-    down the tree: a token dies at v with probability deg(v)/s(v), else moves
-    to child u with probability s(u)/(s(v)-deg(v)).  Only token counts cross
-    edges; tags are pipelined one per round, so the charged rounds are depth +
-    number of tags.  Like the sums, every round is charged to the ledger
-    without running a `Network` round.
+    down the tree: a token dies at v with probability w(v)/s(v), else moves
+    to child u with probability s(u)/(s(v)-w(v)).  Draws are made per (host
+    id, tag) in flight in ascending order, over children in ascending id.
+    Only token counts cross edges; tags are pipelined one per round, so the
+    charged rounds are depth + number of tags.  Like the sums, every round is
+    charged to the ledger without running a `Network` round.
     """
-    d = deg or (lambda v: net.graph.degree(v))
-    subtree = subtree_degrees(net, tree, d)
+    sub = subtree_degrees(net, tree, weights).tolist()
+    w, hosts = weights[tree.hosts].tolist(), tree.hosts.tolist()
+    # children of each position, ascending id: a parent's children share a level
+    kids = np.argsort(tree.parent[1:], kind="stable") + 1
+    first = np.searchsorted(tree.parent[kids], np.arange(len(hosts) + 1)).tolist()
+    kids = kids.tolist()
     tags = sorted(counts)
     landings: list[tuple[int, int]] = []
-    # in_flight: (vertex, tag) -> count; batches released one tag per round.
+    # in_flight: (position, tag) -> count; batches released one tag per round.
     in_flight: dict[tuple[int, int], int] = {}
     released = 0
-    rounds = 0
     while released < len(tags) or in_flight:
-        rounds += 1
         if released < len(tags):
             tag = tags[released]
             if counts[tag] > 0:
-                in_flight[(tree.root, tag)] = in_flight.get((tree.root, tag), 0) + counts[tag]
+                in_flight[(0, tag)] = in_flight.get((0, tag), 0) + counts[tag]
             released += 1
         moved: dict[tuple[int, int], int] = {}
         n_msgs = 0
-        for (v, tag) in sorted(in_flight):
-            cnt = in_flight[(v, tag)]
-            s_v = subtree[v]
-            stay = rng.binomial(cnt, d(v) / s_v) if s_v > d(v) else cnt
-            landings.extend([(v, tag)] * stay)
+        for (i, tag) in sorted(in_flight, key=lambda it: (hosts[it[0]], it[1])):
+            cnt = in_flight[(i, tag)]
+            stay = rng.binomial(cnt, w[i] / sub[i]) if sub[i] > w[i] else cnt
+            landings.extend([(hosts[i], tag)] * stay)
             rest = cnt - stay
             if rest:
-                kids = tree.children[v]
-                probs = np.array([subtree[u] for u in kids], dtype=float)
+                below = kids[first[i]:first[i + 1]]
+                probs = np.array([sub[u] for u in below], dtype=float)
                 probs /= probs.sum()
                 split = rng.multinomial(rest, probs)
-                for u, c in zip(kids, split):
+                for u, c in zip(below, split):
                     if c:
                         moved[(u, tag)] = moved.get((u, tag), 0) + int(c)
                         n_msgs += 1

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .config import Profile
 from .decomposition import Decomposition, expander_decomposition
 from .errors import BadEpsilon, DepthExceeded, NotATriangle, StalledLevel, TooLarge
-from .graph import Graph, contract, mixing_time_estimate
+from .graph import Graph, contract, mixing_time_estimate, row_positions
 from .simulator import RoundLedger
 
 TRIANGLE_N_MAX = 2000
@@ -47,15 +47,17 @@ TUPLE_CHUNK = 1 << 16  # triangle rows turned into Python tuples per pass
 
 
 def brute_force_triangles(g: Graph) -> set[tuple[int, int, int]]:
-    """Exact triangle set by sorted adjacency intersection."""
+    """Exact triangle set from the dense adjacency matrix: per vertex u, the
+    adjacent pairs v < w among its neighbours above u."""
     if g.n > TRIANGLE_N_MAX:
         raise TooLarge(f"n={g.n} exceeds {TRIANGLE_N_MAX}")
+    dense = g.adj.toarray().astype(bool)
     out = set()
-    neighbor_sets = [set(ns) for ns in g.neighbors]
-    for u, v in g.edges:
-        for w in neighbor_sets[u] & neighbor_sets[v]:
-            if w > v:
-                out.add((u, v, w))
+    for u in range(g.n):
+        up = g.indices[g.indptr[u]:g.indptr[u + 1]]
+        up = up[up > u]
+        i, j = np.nonzero(np.triu(dense[np.ix_(up, up)], k=1))
+        out.update(zip([u] * len(i), up[i].tolist(), up[j].tolist()))
     return out
 
 
@@ -73,14 +75,6 @@ class ComponentEnumeration:
     @property
     def triangles(self) -> set:
         return set(map(tuple, self.tris.tolist()))
-
-
-def _rows(g: Graph, verts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(row length, concatenated neighbors) of the given vertices of g."""
-    rows = [g.neighbors[v] for v in verts]
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    cols = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
-    return lens, cols
 
 
 def _is_key(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,11 +126,12 @@ def enumerate_component(level_graph: Graph, comp, tau_mix: float,
     """
     comp = sorted(comp)
     comp_arr = np.array(comp, dtype=np.int64)
-    universe = np.union1d(comp_arr, _rows(level_graph, comp)[1])
-    lens, cols = _rows(level_graph, universe.tolist())
+    indptr, indices = level_graph.indptr, level_graph.indices
+    universe = np.union1d(comp_arr, indices[row_positions(indptr, comp_arr)])
+    cols = indices[row_positions(indptr, universe)]
     n_u = len(universe)
     # forward edges of G[U] in local indices: U is sorted, so i < j iff u < v
-    rows = np.repeat(np.arange(n_u), lens)
+    rows = np.repeat(np.arange(n_u), np.diff(indptr)[universe])
     local = np.searchsorted(universe, cols)
     inside = local < n_u
     inside[inside] = universe[local[inside]] == cols[inside]
@@ -153,8 +148,7 @@ def enumerate_component(level_graph: Graph, comp, tau_mix: float,
     # bincount sums in float64, exact below 2^53
     per_vertex = np.bincount(np.arange(len(triples)) % len(comp), weights=load,
                              minlength=len(comp)).astype(np.int64)
-    deg = np.fromiter(map(level_graph.degree, comp), dtype=np.int64, count=len(comp))
-    batches = int((-(-per_vertex // np.maximum(1, deg))).max(initial=0))
+    batches = int((-(-per_vertex // np.maximum(1, level_graph.deg[comp_arr]))).max(initial=0))
     tris = _wedge_triangles(fu, fv, n_u)
     # the only triple listing a triangle is its sorted bucket triple
     b = tris // chunk
@@ -169,7 +163,6 @@ def enumerate_component(level_graph: Graph, comp, tau_mix: float,
 class LevelReport:
     level: int
     edges_in: int
-    edges_next: int
     components: list[ComponentEnumeration]
     decomposition: Decomposition
 
@@ -223,9 +216,8 @@ def _first_occurrences(parts: list[ComponentEnumeration]) -> tuple[np.ndarray, n
 
 def _check_sound(graph: Graph, tris: np.ndarray) -> None:
     """Raise NotATriangle unless every row u < v < w is a triangle of graph."""
-    n, m = graph.n, graph.m
-    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64, count=2 * m)
-    keys = ends[0::2] * n + ends[1::2]  # graph.edges is sorted, so are the keys
+    n = graph.n
+    keys = graph.edges[:, 0] * n + graph.edges[:, 1]  # graph.edges is sorted, so are the keys
     u, v, w = tris.T
     ok = _is_key(keys, u * n + v) & _is_key(keys, v * n + w) & _is_key(keys, u * n + w)
     if not ok.all():
@@ -262,10 +254,10 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     seed = int(rng) if isinstance(rng, (int, np.integer)) else int(rng.integers(1 << 62))
     ledger = RoundLedger()
     levels: list[LevelReport] = []
-    edges = list(graph.edges)
+    edges = graph.edges
     level = 0
     max_depth = math.log(max(2, graph.m), 6) + 2
-    while edges:
+    while len(edges):
         level += 1
         if level > max_depth:
             raise DepthExceeded(f"recursion depth {level} exceeds log6 bound")
@@ -278,10 +270,11 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
                 continue
             tau = component_mixing_time(level_graph, comp, dec.params.phi_k)
             comp_reports.append(enumerate_component(level_graph, comp, tau, graph.n))
-        next_edges = sorted(e for es in dec.removed.values() for e in es)
+        next_edges = np.array([e for es in dec.removed.values() for e in es],
+                              dtype=np.int64).reshape(-1, 2)
         if len(next_edges) >= len(edges):
             raise StalledLevel(f"level {level} kept {len(next_edges)} of {len(edges)} edges")
-        levels.append(LevelReport(level, len(edges), len(next_edges), comp_reports, dec))
+        levels.append(LevelReport(level, len(edges), comp_reports, dec))
         edges = next_edges
     tris, reporter = _first_occurrences([c for lvl in levels for c in lvl.components])
     _check_sound(graph, tris)

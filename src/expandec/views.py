@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCut, FormatError, MissingEdge
-from .graph import Cut, Graph, adjacency_csr, component_roots, components_of
+from .graph import Cut, Graph, adjacency_csr, component_roots, components_of, row_positions
 
 
 class WorkingGraph:
@@ -33,7 +33,7 @@ class WorkingGraph:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = graph.edges
         self.keys = self.edges[:, 0] * graph.n + self.edges[:, 1]
         self.first = np.searchsorted(self.keys, np.arange(graph.n + 1) * graph.n)
         self.live = np.ones(len(self.edges), dtype=bool)
@@ -82,9 +82,7 @@ class ActiveView:
         self.active = frozenset(self.index)
         # ids of the edges whose smaller end is active, ascending: as verts and the
         # host keys are sorted, the kept rows are row-major (i < j)
-        lo = working.first[self.verts]
-        cnt = working.first[self.verts + 1] - lo
-        ids = np.arange(cnt.sum()) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        ids = row_positions(working.first, self.verts)
         local = np.full(self.graph.n, -1, dtype=np.int64)
         local[self.verts] = np.arange(len(self.verts))
         ends = local[working.edges[ids[working.live[ids]]]]
@@ -148,8 +146,7 @@ class ActiveView:
         balance = Fraction(small, total) if total else Fraction(0)
         return Cut(mem, vol_s, bnd, conductance, balance)
 
-    def materialize(self) -> tuple[Graph, list[int]]:
-        """Contract to a standalone Graph; labels map local ids back to host ids."""
-        cols, ptr = self.adj_matrix.indices.tolist(), self.adj_matrix.indptr.tolist()
-        rows = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
-        return Graph(len(rows), rows, (self.deg - self.live_deg).tolist()), self.verts.tolist()
+    def materialize(self) -> Graph:
+        """Contract to a standalone Graph on local ids (vertex i is verts[i])."""
+        return Graph(len(self.verts), self.adj_matrix.indptr, self.adj_matrix.indices,
+                     self.deg - self.live_deg)

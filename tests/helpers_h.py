@@ -3,10 +3,12 @@ does not read, brute-force certificates for the dense-region growth
 invariant, the row-by-row reference for the working graph and its views,
 per-step references for the walk kernel, the sweep scan and the falsifier,
 the centralized local cuts built on the per-step scan, float and
-exact-rational walk references with the influence set, message-level
-references for the BFS tree, the tree aggregate and broadcast, the
-randomized tree search and its round trip, list-or-star flooding and the
-shift clustering, and the per-triple reference for triangle enumeration."""
+exact-rational walk references with the influence set, dict-keyed
+references for the BFS tree, the subtree sums and the degree sampling,
+message-level references for the BFS tree, the tree aggregate and
+broadcast, the randomized tree search and its round trip, list-or-star
+flooding and the shift clustering, and the per-triple reference for
+triangle enumeration."""
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,7 @@ from expandec.clustering import NeighborhoodOracle, ShiftClustering
 from expandec.cuts import (SweepCandidate, _check_algo_phi, _result_from_candidate,
                            _sample_starts, distributed_local_cut, draw_b)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
-from expandec.graph import Cut, Graph, edge_key, lazy_walk_matrix
+from expandec.graph import INF, Cut, Graph, edge_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
@@ -38,22 +40,29 @@ from expandec.walks import (
 # -- accessors the pipeline does not read ---------------------------------------
 
 
+def graph_from_rows(rows, loops=None) -> Graph:
+    """The Graph whose row i of the adjacency lists rows[i]."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return Graph(len(rows), indptr, np.array([u for r in rows for u in r], dtype=np.int64), loops)
+
+
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Neighbours of v in g, ascending."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+
+
 def has_edge(g: Graph, u: int, v: int) -> bool:
     """Whether (u, v) is a simple edge of g; ids outside 0..n-1 are not."""
-    return 0 <= u < g.n and u != v and v in g.neighbors[u]
+    return 0 <= u < g.n and u != v and v in neighbors(g, u)
 
 
 def remove_edge_to_loops(g: Graph, u: int, v: int) -> Graph:
     """Remove a simple edge, converting it to one self loop at each endpoint."""
     if not has_edge(g, u, v):
         raise MissingEdge(f"({u}, {v})")
-    adj = [list(ns) for ns in g.neighbors]
-    adj[u].remove(v)
-    adj[v].remove(u)
-    self_loops = list(g.self_loops)
-    self_loops[u] += 1
-    self_loops[v] += 1
-    return Graph(g.n, adj, self_loops)
+    loops = g.loops.copy()
+    loops[[u, v]] += 1
+    return Graph.from_edges(g.n, g.edges[(g.edges != edge_key(u, v)).any(axis=1)], loops)
 
 
 def is_live(working, u: int, v: int) -> bool:
@@ -157,12 +166,12 @@ class ActiveViewReference:
         self.verts = np.array(sorted(active), dtype=np.int64)
         self.active = frozenset(int(v) for v in self.verts)
         self.index = {int(v): i for i, v in enumerate(self.verts)}
-        self.deg = np.array([g.degree(int(v)) for v in self.verts], dtype=np.int64)
+        self.deg = g.deg[self.verts]
         self.adj_local = []
         edges = []
         for i, v in enumerate(self.verts):
             v = int(v)
-            row = [self.index[u] for u in g.neighbors[v]
+            row = [self.index[u] for u in neighbors(g, v)
                    if u in self.index and working.is_live(u, v)]
             self.adj_local.append(row)
             edges.extend((i, j) for j in row if i < j)
@@ -175,7 +184,7 @@ class ActiveViewReference:
             (np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(n, n))
 
     def vol_of(self, hosts) -> int:
-        return sum(self.graph.degree(v) for v in hosts)
+        return int(sum(self.graph.deg[v] for v in hosts))
 
     def live_neighbors(self, host_v: int) -> list[int]:
         return [int(self.verts[j]) for j in self.adj_local[self.index[host_v]]]
@@ -201,10 +210,8 @@ class ActiveViewReference:
         balance = Fraction(small, total) if total else Fraction(0)
         return Cut(mem, vol_s, bnd, conductance, balance)
 
-    def materialize(self) -> tuple[Graph, list[int]]:
-        labels = [int(v) for v in self.verts]
-        loops = [int(self.deg[i] - self.live_deg[i]) for i in range(len(labels))]
-        return Graph(len(labels), self.adj_local, loops), labels
+    def materialize(self) -> Graph:
+        return graph_from_rows(self.adj_local, self.deg - self.live_deg)
 
 
 def mis_size(neigh, verts):
@@ -383,7 +390,7 @@ def influence_set(g: Graph, u: int, params: WalkParams, b: int,
     if g.n > n_max:
         raise TooLarge(f"n={g.n} exceeds {n_max}")
     thr = 2.0 * params.eps_b(b)
-    deg_u = max(1, g.degree(u))
+    deg_u = max(1, g.deg[u])
     m = lazy_walk_matrix(g)
     p = np.eye(g.n)  # column v = walk from v
     hit = p[u, :] / deg_u >= thr
@@ -402,7 +409,7 @@ def exact_rho_table(g: Graph, start: int, t_max: int) -> list[dict[int, tuple[in
     L = lcm of degrees, so rho comparisons reduce to integer cross products.
     Returns per-t dicts v -> (r_t(v), t); rho = r / ((2L)^t * deg(v)).
     """
-    degs = [g.degree(v) for v in range(g.n)]
+    degs, loops = g.deg.tolist(), g.loops.tolist()
     L = 1
     for d in degs:
         L = math.lcm(L, d)
@@ -413,10 +420,10 @@ def exact_rho_table(g: Graph, start: int, t_max: int) -> list[dict[int, tuple[in
         for v, val in r.items():
             nxt[v] = nxt.get(v, 0) + val * L  # lazy half: val * (2L) / 2
             share = val * (L // degs[v])
-            for u in g.neighbors[v]:
+            for u in neighbors(g, v):
                 nxt[u] = nxt.get(u, 0) + share
-            if g.self_loops[v]:
-                nxt[v] = nxt.get(v, 0) + share * g.self_loops[v]
+            if loops[v]:
+                nxt[v] = nxt.get(v, 0) + share * loops[v]
         r = nxt
         out.append({v: (val, t) for v, val in r.items()})
     return out
@@ -581,6 +588,112 @@ def sweep_falsifier_per_step(working, comp, phi_k, profile):
     return best
 
 
+# -- dict-keyed references for the tree primitives ------------------------------
+
+
+@dataclass
+class DictTree:
+    """A spanning tree keyed by host id; the message-level references walk it."""
+
+    root: int
+    parent: dict[int, int]          # root maps to itself
+    depth: dict[int, int]
+    children: dict[int, list[int]]  # ascending ids
+
+    @property
+    def depth_max(self) -> int:
+        return max(self.depth.values(), default=0)
+
+
+def dict_tree(tree: SpanningTree) -> DictTree:
+    """The index-array tree keyed by host id, children in ascending id."""
+    hosts = tree.hosts.tolist()
+    parents = tree.hosts[tree.parent].tolist()
+    children = {v: [] for v in hosts}
+    for v, p in zip(hosts[1:], parents[1:]):  # by (depth, id): children come sorted
+        children[p].append(v)
+    return DictTree(tree.root, dict(zip(hosts, parents)), dict(zip(hosts, tree.depth.tolist())),
+                    children)
+
+
+def host_tree(net, root: int) -> SpanningTree:
+    """The BFS tree of root's component of the host graph."""
+    return bfs_tree(net, root, net.graph.adj, np.arange(net.graph.n))
+
+
+def bfs_tree_reference(net, root, adj, labels) -> DictTree:
+    """bfs_tree building host-keyed dicts from the same level sweep, with a
+    loop over the children."""
+    n = adj.shape[0]
+    start = np.full(n, INF)
+    start[np.searchsorted(labels, root)] = 0
+    depth = level_sweep(adj, start)
+    src, dst = edge_ends(adj)
+    up = depth[dst] == depth[src] - 1
+    parent = np.where(depth == 0, np.arange(n), n)
+    np.minimum.at(parent, src[up], dst[up])
+    order = np.argsort(depth, kind="stable")[: np.count_nonzero(depth < INF)]
+    hosts, parents = labels[order].tolist(), labels[parent[order]].tolist()
+    children = {v: [] for v in hosts}
+    for v, p in zip(hosts[1:], parents[1:]):
+        children[p].append(v)
+    if depth[order[-1]]:
+        net.ledger.charge(net.phase, rounds=int(depth[order[-1]]), messages=int(up.sum()),
+                          edge_bits=KIND_BITS + WORD_BITS)
+    return DictTree(root, dict(zip(hosts, parents)), dict(zip(hosts, depth[order].tolist())),
+                    children)
+
+
+def subtree_degrees_reference(net, tree: DictTree, deg) -> dict[int, int]:
+    """s(v) by a dict fold in decreasing depth, deg a callable on host ids."""
+    sub = {v: deg(v) for v in tree.parent}
+    for v in sorted(tree.parent, key=tree.depth.__getitem__, reverse=True):
+        if v != tree.root:
+            sub[tree.parent[v]] += sub[v]
+    if tree.depth_max:
+        net.ledger.charge(net.phase, rounds=tree.depth_max, messages=len(sub) - 1,
+                          edge_bits=KIND_BITS + WORD_BITS)
+    return sub
+
+
+def sample_by_degree_reference(net, tree: DictTree, counts, rng, deg) -> list[tuple[int, int]]:
+    """sample_by_degree on a host-keyed tree with a deg callable: tokens in
+    flight keyed by (host id, tag), drawn in ascending key order."""
+    subtree = subtree_degrees_reference(net, tree, deg)
+    tags = sorted(counts)
+    landings = []
+    in_flight = {}
+    released = 0
+    while released < len(tags) or in_flight:
+        if released < len(tags):
+            tag = tags[released]
+            if counts[tag] > 0:
+                in_flight[(tree.root, tag)] = in_flight.get((tree.root, tag), 0) + counts[tag]
+            released += 1
+        moved = {}
+        n_msgs = 0
+        for (v, tag) in sorted(in_flight):
+            cnt = in_flight[(v, tag)]
+            s_v = subtree[v]
+            stay = rng.binomial(cnt, deg(v) / s_v) if s_v > deg(v) else cnt
+            landings.extend([(v, tag)] * stay)
+            rest = cnt - stay
+            if rest:
+                kids = tree.children[v]
+                probs = np.array([subtree[u] for u in kids], dtype=float)
+                probs /= probs.sum()
+                split = rng.multinomial(rest, probs)
+                for u, c in zip(kids, split):
+                    if c:
+                        moved[(u, tag)] = moved.get((u, tag), 0) + int(c)
+                        n_msgs += 1
+        in_flight = moved
+        net.ledger.charge(net.phase, rounds=1, messages=n_msgs,
+                          edge_bits=(KIND_BITS + 2 * WORD_BITS) if n_msgs else 0)
+    landings.sort()
+    return landings
+
+
 # -- message-level references for the level-sweep primitives -------------------
 
 
@@ -592,7 +705,7 @@ def bfs_tree_per_round(net, root, edge_filter=None, vertices=None):
     inside = vertices if vertices is not None else set(range(net.graph.n))
 
     def adj(v):
-        return [u for u in net.graph.neighbors[v] if u in inside and ok(*edge_key(u, v))]
+        return [u for u in neighbors(net.graph, v) if u in inside and ok(*edge_key(u, v))]
 
     parent = {root: root}
     depth = {root: 0}
@@ -628,7 +741,7 @@ def bfs_tree_per_round(net, root, edge_filter=None, vertices=None):
             children[p].append(v)
     for c in children.values():
         c.sort()
-    return SpanningTree(root, parent, depth, children)
+    return DictTree(root, parent, depth, children)
 
 
 def _tree_adj(tree, v):
@@ -877,7 +990,7 @@ def enumerate_component_per_triple(level_graph, comp, tau_mix, n_global):
     comp = sorted(comp)
     comp_set = set(comp)
     ext = sorted({
-        u for v in comp for u in level_graph.neighbors[v] if u not in comp_set
+        u for v in comp for u in neighbors(level_graph, v) if u not in comp_set
     })
     universe = sorted(comp_set | set(ext))
     uni_set = set(universe)
@@ -885,7 +998,7 @@ def enumerate_component_per_triple(level_graph, comp, tau_mix, n_global):
     chunk = math.ceil(len(universe) / n_buckets)
     bucket_of = {v: i // chunk for i, v in enumerate(universe)}
     pair_edges = {}
-    adj_in = {v: (set(level_graph.neighbors[v]) & uni_set) for v in universe}
+    adj_in = {v: (set(neighbors(level_graph, v)) & uni_set) for v in universe}
     for v in universe:
         for u in adj_in[v]:
             if v < u:
@@ -904,7 +1017,7 @@ def enumerate_component_per_triple(level_graph, comp, tau_mix, n_global):
             for r in (adj_in[p] & adj_in[q]) & set_c:
                 reporters.setdefault(tuple(sorted((p, q, r))), assignee)
     batches = max(
-        (math.ceil(load[v] / max(1, level_graph.degree(v))) for v in comp), default=0
+        (math.ceil(load[v] / max(1, level_graph.deg[v])) for v in comp), default=0
     )
     rounds = batches * (tau_mix * math.log2(max(2, n_global)))
     rows = sorted(reporters)

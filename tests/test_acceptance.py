@@ -132,7 +132,7 @@ def test_accept_3_partition_hard_bounds():
             net = Network(g)
             res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
                                        np.random.default_rng([seed, 0xACC3]))
-            vol_c = sum(g.degree(v) for v in res.members)
+            vol_c = sum(g.deg[v] for v in res.members)
             assert 48 * vol_c <= 47 * vol
             seen = set()
             for piece in res.pieces:
@@ -153,14 +153,14 @@ def test_accept_4_balance_recovery():
     view = ActiveView.whole(g)
     vol = view.vol()
     side = set(range(12))
-    vol_side = sum(g.degree(v) for v in side)
+    vol_side = sum(g.deg[v] for v in side)
     good = 0
     for seed in range(200):
         net = Network(g)
         res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
                                    np.random.default_rng([seed, 0xBA1]))
-        vol_c = sum(g.degree(v) for v in res.members)
-        overlap = sum(g.degree(v) for v in res.members & side)
+        vol_c = sum(g.deg[v] for v in res.members)
+        overlap = sum(g.deg[v] for v in res.members & side)
         if 48 * vol_c >= vol or 2 * overlap >= vol_side:
             good += 1
     frac = good / 200
@@ -321,7 +321,7 @@ def test_accept_8_walk_kernel_numerics():
                 for v in range(u + 1, g.n):
                     ru = tables[v][t].get(u, (0, t))[0]
                     rv = tables[u][t].get(v, (0, t))[0]
-                    assert ru * g.degree(v) == rv * g.degree(u)
+                    assert ru * int(g.deg[v]) == rv * int(g.deg[u])
     # pointwise domination of the truncated walk, exact in shared arithmetic
     for g in graphs[:8]:
         view = ActiveView.whole(g)
@@ -343,7 +343,7 @@ def test_accept_8_walk_kernel_numerics():
         for b in (1, 2):
             u = int(rng.integers(n))
             z = influence_set(g, u, params, b)
-            vol_z = sum(g.degree(v) for v in z)
+            vol_z = sum(g.deg[v] for v in z)
             assert vol_z <= (params.t0 + 1) / (2 * params.eps_b(b))
             checked += 1
     assert checked >= 30

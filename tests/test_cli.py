@@ -120,12 +120,30 @@ def test_usage_error_exit_2(capsys):
 
 
 VERIFY = ["verify", "--graph", "{graph}", "--run", "{run}"]
-INPUT_ERRORS = {  # argv, keys dropped from the run JSON, EXPANDER_SEED
-    "verify_run_without_phi_k": (VERIFY, ["phi_k"], None),
-    "verify_run_without_epsilon": (VERIFY, ["epsilon", "config.epsilon"], None),
-    "bench_zero_trials": (["bench", "--graph", "{graph}", "--trials", "0"], [], None),
-    "non_integer_env_seed": (["decompose", "--graph", "{graph}", "--epsilon", "0.5"], [], "abc"),
-    "spec_with_wrong_arity": (["decompose", "--spec", "grid:3", "--epsilon", "0.5"], [], None),
+
+
+def _drop(*keys):
+    """Rewrite of a run JSON text without the given (dotted) keys."""
+    def rewrite(text):
+        payload = json.loads(text)
+        for key in keys:
+            *owner, name = key.split(".")
+            del (payload[owner[0]] if owner else payload)[name]
+        return json.dumps(payload)
+    return rewrite
+
+
+INPUT_ERRORS = {  # argv, rewrite of the decompose run JSON text (None: no run file), EXPANDER_SEED
+    "verify_run_without_phi_k": (VERIFY, _drop("phi_k"), None),
+    "verify_run_without_epsilon": (VERIFY, _drop("epsilon", "config.epsilon"), None),
+    "verify_run_not_an_object": (VERIFY, lambda text: "[1, 2]", None),
+    "verify_run_truncated": (VERIFY, lambda text: text[: len(text) // 2], None),
+    "verify_run_missing": (VERIFY, None, None),
+    "graph_file_missing": (["decompose", "--graph", "{graph}.missing", "--epsilon", "0.5"],
+                           None, None),
+    "bench_zero_trials": (["bench", "--graph", "{graph}", "--trials", "0"], None, None),
+    "non_integer_env_seed": (["decompose", "--graph", "{graph}", "--epsilon", "0.5"], None, "abc"),
+    "spec_with_wrong_arity": (["decompose", "--spec", "grid:3", "--epsilon", "0.5"], None, None),
 }
 
 
@@ -133,17 +151,13 @@ INPUT_ERRORS = {  # argv, keys dropped from the run JSON, EXPANDER_SEED
 def test_input_errors_exit_2(case, tmp_path, capsys, monkeypatch):
     """A bad input is a usage error (2) reported on stderr, not a FAIL (1)
     or an uncaught exception."""
-    argv, dropped, env_seed = INPUT_ERRORS[case]
+    argv, rewrite, env_seed = INPUT_ERRORS[case]
     gpath, dpath = tmp_path / "g.txt", tmp_path / "dec.json"
     run_cli(["gen", "--family", "cliques_chain:3:6:1", "--out", str(gpath)], capsys)
-    if argv is VERIFY:
+    if rewrite is not None:
         run_cli(["decompose", "--graph", str(gpath), "--epsilon", "0.5", "--out", str(dpath)],
                 capsys)
-        payload = json.loads(dpath.read_text())
-        for key in dropped:
-            *owner, name = key.split(".")
-            del (payload[owner[0]] if owner else payload)[name]
-        dpath.write_text(json.dumps(payload))
+        dpath.write_text(rewrite(dpath.read_text()))
     if env_seed is not None:
         monkeypatch.setenv("EXPANDER_SEED", env_seed)
     try:

@@ -47,6 +47,15 @@ PHI = 1 / 12
 WALK_BATCH_CELLS = cuts.WALK_BATCH_CELLS
 
 
+def with_instances(view, params, k):
+    """DESK with the instance-count divisor set so that concurrent cuts on
+    view run k instances."""
+    per_divisor = cuts.participation_budget(params, DESK) / DESK.c_parallel
+    profile = dataclasses.replace(DESK, c_parallel=view.vol() / ((k - 0.5) * per_divisor))
+    assert derive_instance_params(view.vol(), params, 0.25, profile).k == k
+    return profile
+
+
 def candidate_indices(prefvol, phi):
     """Reference recurrence for the geometric candidate subsequence (1-based)."""
     jmax = len(prefvol)
@@ -115,7 +124,7 @@ def test_local_cut_recovers_planted_side():
     g = gen.barbell(8, 1)
     view, params = _cut_setup(g)
     side = set(range(8))
-    vol_side = sum(g.degree(v) for v in side)
+    vol_side = sum(g.deg[v] for v in side)
     good = 0
     total = 0
     rng = np.random.default_rng(17)
@@ -125,7 +134,7 @@ def test_local_cut_recovers_planted_side():
         res = local_cut(view, v, PHI, b, params, DESK)
         total += 1
         if res.members is not None:
-            overlap = sum(g.degree(u) for u in res.members & side)
+            overlap = sum(g.deg[u] for u in res.members & side)
             if 2 * overlap >= vol_side:
                 good += 1
     assert good >= 0.9 * total
@@ -177,14 +186,14 @@ def test_planted_overlap_lower_bound():
     view = ActiveView.whole(g)
     params = derive_walk_params(g.m, PHI, prof)
     side = set(range(12))
-    vol_side = sum(g.degree(v) for v in side)
+    vol_side = sum(g.deg[v] for v in side)
     phi_side = 1 / vol_side
     assert phi_side <= 2 * params.f_phi  # precondition (desk constants overridden)
     for v in (0, 5, 11):
         for b in (1, 2, 3, 4):
             res = approximate_local_cut_reference(view, v, PHI, b, params, prof)
             assert res.members is not None
-            overlap = sum(g.degree(u) for u in res.members & side)
+            overlap = sum(g.deg[u] for u in res.members & side)
             assert overlap >= 2 ** (b - 2)
 
 
@@ -224,7 +233,7 @@ def test_participation_frequency_at_paper_constants():
     bound = q / view.vol()
     assert bound > 1
     rng = np.random.default_rng(2)
-    counts = {e: 0 for e in g.edges}
+    counts = {e: 0 for e in map(tuple, g.edges.tolist())}
     trials = 20
     for _ in range(trials):
         net = Network(g)
@@ -240,9 +249,8 @@ def test_concurrent_conductance_bound():
     view, params = _cut_setup(g)
     for seed in range(6):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), view_tree(net, view),
-                                    k_override=4)
+        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 4),
+                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
         if res.members is None:
             continue
         cut = cut_stats(g, res.members)
@@ -253,12 +261,12 @@ def test_concurrent_k1_degenerate():
     g = gen.barbell(8, 1)
     view, params = _cut_setup(g)
     net = Network(g)
-    res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                np.random.default_rng(4), view_tree(net, view), k_override=1)
+    res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 1),
+                                np.random.default_rng(4), view_tree(net, view), 0.25)
     assert len(res.instances) == 1
     single = res.instances[0].members
     vol = view.vol()
-    if single is not None and 24 * sum(g.degree(v) for v in single) <= 23 * vol:
+    if single is not None and 24 * sum(g.deg[v] for v in single) <= 23 * vol:
         assert res.members == single
     else:
         assert res.members is None
@@ -270,11 +278,10 @@ def test_concurrent_union_volume_bound_any_seed():
     vol = view.vol()
     for seed in range(10):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), view_tree(net, view),
-                                    k_override=5)
+        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 5),
+                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
         if res.members is not None:
-            assert 24 * sum(g.degree(v) for v in res.members) <= 23 * vol
+            assert 24 * sum(g.deg[v] for v in res.members) <= 23 * vol
 
 
 def test_partition_on_expander_returns_empty():
@@ -300,7 +307,7 @@ def test_partition_hard_bounds_every_seed():
             net = Network(g)
             res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
                                        np.random.default_rng(seed))
-            vol_c = sum(g.degree(v) for v in res.members)
+            vol_c = sum(g.deg[v] for v in res.members)
             assert 48 * vol_c <= 47 * vol
             # pieces disjoint
             seen = set()
@@ -318,14 +325,14 @@ def test_partition_recovers_planted_cut():
     view = ActiveView.whole(g)
     vol = view.vol()
     side = set(range(12))
-    vol_side = sum(g.degree(v) for v in side)
+    vol_side = sum(g.deg[v] for v in side)
     ok = 0
     for seed in range(20):
         net = Network(g)
         res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
                                    np.random.default_rng(seed))
-        vol_c = sum(g.degree(v) for v in res.members)
-        overlap = sum(g.degree(v) for v in res.members & side)
+        vol_c = sum(g.deg[v] for v in res.members)
+        overlap = sum(g.deg[v] for v in res.members & side)
         if 48 * vol_c >= vol or 2 * overlap >= vol_side:
             ok += 1
     assert ok >= 14  # 0.70 fraction at module scale
@@ -376,9 +383,8 @@ def test_overlap_rule_from_transcript():
     aborted = set()
     for seed, k in zip(range(6), (6, 60) * 3):  # w = 50 here, so 60 instances can abort
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, DESK,
-                                    np.random.default_rng(seed), view_tree(net, view),
-                                    k_override=k)
+        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, k),
+                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
         recount = {}
         for inst in res.instances:
             for e in pstar(inst):
@@ -547,13 +553,13 @@ def test_concurrent_cuts_with_an_isolated_vertex():
     # erdos_renyi:50:0.1 at seed 0 has an isolated vertex; walks, sweep tables
     # and scans divide by no zero degree (RuntimeWarning is an error here)
     g = gen.erdos_renyi(50, 0.1, seed=0)
-    assert min(g.degree(v) for v in range(g.n)) == 0
+    assert min(g.deg[v] for v in range(g.n)) == 0
     view, params = _cut_setup(g)
     for seed in range(2):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed),
-                                    view_tree(net, view))
-        assert all(g.degree(inst.start) > 0 for inst in res.instances)
+                                    view_tree(net, view), 0.25)
+        assert all(g.deg[inst.start] > 0 for inst in res.instances)
         assert net.ledger.totals().rounds > 0
 
 

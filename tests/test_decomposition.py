@@ -22,7 +22,7 @@ from expandec.decomposition import (
     verify_decomposition,
 )
 from expandec.views import WorkingGraph
-from helpers_h import sweep_falsifier_per_step
+from helpers_h import graph_from_rows, neighbors, sweep_falsifier_per_step
 
 
 def test_params_d_example():
@@ -81,8 +81,7 @@ def contract_live_from(dec, comp):
     flat = [e for es in dec.removed.values() for e in es]
     if flat:
         working.remove_edges(flat, "x")
-    g, _ = ActiveView(working, comp).materialize()
-    return g
+    return ActiveView(working, comp).materialize()
 
 
 def test_expander_stays_whole():
@@ -122,11 +121,11 @@ def test_removed_edges_partition_input():
     live = set()
     for comp in dec.components:
         for u in comp:
-            for v in g.neighbors[u]:
+            for v in neighbors(g, u):
                 if u < v and v in comp:
                     if (u, v) not in removed:
                         live.add((u, v))
-    assert removed | live == set(g.edges)
+    assert removed | live == set(map(tuple, g.edges.tolist()))
     assert not (removed & live)
 
 
@@ -218,6 +217,26 @@ def test_verify_pass_and_tamper():
     rep2 = verify_decomposition(g, [frozenset(c) for c in bad], 0.5,
                                 dec.params.phi_k, DESK)
     assert not rep2.ok
+
+
+def test_verify_rejects_overlap_cover_and_recount():
+    g = gen.cliques_chain(3, 4, 1)
+    parts = [frozenset(range(4)), frozenset(range(4, 8)), frozenset(range(8, 12))]
+
+    def verdict(components, reported=None):
+        rep = verify_decomposition(g, components, 0.5, 1 / 12, DESK, reported_removed=reported)
+        return rep.ok, rep.component_results[0][1:]
+
+    # the first component that lists a vertex again is named
+    assert verdict([parts[0], parts[1] | {2}, parts[2] | {3}]) == (False, ("overlap", False))
+    rep = verify_decomposition(g, [parts[0], parts[1], parts[2] | {5}], 0.5, 1 / 12, DESK)
+    assert rep.component_results[0][0] == tuple(parts[2] | {5})
+    for cover in ([parts[0], parts[1]], [parts[0], parts[1], parts[2] | {12}],
+                  [parts[0] | {-1}, parts[1], parts[2]]):
+        assert verdict(cover) == (False, ("cover", False))
+    bridges = {(3, 4), (7, 8)}
+    assert verdict(parts, bridges)[0]
+    assert verdict(parts, {(3, 4)}) == (False, ("inter-edge recount", False))
 
 
 def test_verify_rejects_mislabeled_barbell():
@@ -318,7 +337,7 @@ def test_sweep_falsifier_matches_per_step():
     assert checked >= 10
     # 10^6 loops make vertex 1's walk share fall below the truncation floor,
     # so every stored step supports vertex 0 alone and no prefix is swept
-    g = Graph(3, [[1], [0, 2], [1]], [0, 10**6, 0])
+    g = graph_from_rows([[1], [0, 2], [1]], [0, 10**6, 0])
     working = WorkingGraph(g)
     assert _sweep_falsifier(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
     assert sweep_falsifier_per_step(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")

@@ -58,12 +58,14 @@ def _erdos_renyi_whole_draw(n, p, seed):
 def test_erdos_renyi_row_blocks_equal_one_whole_draw(monkeypatch, n, p, cells):
     monkeypatch.setattr(gen, "ER_BLOCK_CELLS", cells)
     for seed in range(3):
-        assert gen.erdos_renyi(n, p, seed).edges == tuple(_erdos_renyi_whole_draw(n, p, seed))
+        got = gen.erdos_renyi(n, p, seed).edges
+        assert got.dtype == np.int64 and got.shape[1] == 2
+        assert list(map(tuple, got.tolist())) == list(_erdos_renyi_whole_draw(n, p, seed))
 
 
 def test_random_regular_degrees():
     g = gen.random_regular(16, 3, seed=1)
-    assert all(g.degree(v) == 3 for v in range(16))
+    assert all(g.deg[v] == 3 for v in range(16))
 
 
 def test_random_regular_infeasible():
@@ -80,5 +82,5 @@ def test_parse_spec_roundtrip():
 
 def test_star_degrees():
     g = gen.star(8)
-    assert g.degree(0) == 8
-    assert all(g.degree(v) == 1 for v in range(1, 9))
+    assert g.deg[0] == 8
+    assert all(g.deg[v] == 1 for v in range(1, 9))

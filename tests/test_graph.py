@@ -21,7 +21,7 @@ from expandec.graph import (
     mixing_time_estimate,
     parse_graph_text,
 )
-from helpers_h import has_edge, remove_edge_to_loops
+from helpers_h import graph_from_rows, has_edge, neighbors, remove_edge_to_loops
 
 
 def barbell44():
@@ -82,8 +82,8 @@ def test_cut_symmetry_random_subsets():
 def test_contract_k3_pair():
     h = contract(gen.clique(3), {0, 1})
     assert h.n == 2 and h.m == 1
-    assert h.self_loops == (1, 1)
-    assert h.degree(0) == h.degree(1) == 2
+    assert h.loops.tolist() == [1, 1]
+    assert h.deg[0] == h.deg[1] == 2
 
 
 def test_contract_identity():
@@ -94,8 +94,8 @@ def test_contract_identity():
 def test_contract_k4_triple():
     h = contract(gen.clique(4), {0, 1, 2})
     assert h.n == 3 and h.m == 3
-    assert h.self_loops == (1, 1, 1)
-    assert all(h.degree(v) == 3 for v in range(3))
+    assert h.loops.tolist() == [1, 1, 1]
+    assert all(h.deg[v] == 3 for v in range(3))
 
 
 def test_contract_preserves_degrees():
@@ -103,14 +103,14 @@ def test_contract_preserves_degrees():
     s = [0, 2, 3, 7, 9]
     h = contract(g, s)
     for i, v in enumerate(s):
-        assert h.degree(i) == g.degree(v)
+        assert h.deg[i] == g.deg[v]
 
 
 def test_remove_edge_k2():
     h = remove_edge_to_loops(gen.clique(2), 0, 1)
     assert h.m == 0
-    assert h.self_loops == (1, 1)
-    assert h.degree(0) == h.degree(1) == 1
+    assert h.loops.tolist() == [1, 1]
+    assert h.deg[0] == h.deg[1] == 1
 
 
 def test_remove_edge_volume_invariant():
@@ -123,7 +123,7 @@ def test_remove_edge_volume_invariant():
 def test_remove_edge_triangle():
     h = remove_edge_to_loops(gen.clique(3), 0, 1)
     assert h.m == 2
-    assert all(h.degree(v) == 2 for v in range(3))
+    assert all(h.deg[v] == 2 for v in range(3))
 
 
 def test_remove_edge_missing():
@@ -149,7 +149,7 @@ def test_degree_preserved_under_removal_and_contraction():
     keep = [1, 3, 4, 6, 8]
     c = contract(h, keep)
     for i, v in enumerate(keep):
-        assert c.degree(i) == g.degree(v)
+        assert c.deg[i] == g.deg[v]
 
 
 def test_oracle_k4():
@@ -259,13 +259,48 @@ def test_text_rejects_malformed(text):
 )
 def test_asymmetric_adjacency_rejected(neighbors):
     with pytest.raises(FormatError, match="asymmetric"):
-        Graph(len(neighbors), neighbors)
+        graph_from_rows(neighbors)
 
 
 def test_bad_neighbor_rejected():
     for neighbors in ([[0]], [[2], [0]], [[-1], [0]]):
         with pytest.raises(FormatError, match="bad neighbor"):
-            Graph(len(neighbors), neighbors)
+            graph_from_rows(neighbors)
+
+
+def test_graph_arrays_from_shuffled_edges():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 30):
+        ref = gen.erdos_renyi(n, 0.3, seed=n)
+        pairs = ref.edges[rng.permutation(ref.m)]
+        flip = rng.random(ref.m) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        loops = rng.integers(0, 3, size=n)
+        g = Graph.from_edges(n, pairs, loops)
+        want = sorted(map(tuple, pairs.tolist()), key=lambda e: (min(e), max(e)))
+        assert g.edges.tolist() == [[min(e), max(e)] for e in want]
+        for v in range(n):
+            row = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+            assert row == sorted({u for e in want for u in e if v in e} - {v})
+        assert g.deg.tolist() == (np.diff(g.indptr) + loops).tolist()
+        assert g == graph_from_rows([neighbors(g, v) for v in range(n)], loops)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: graph_from_rows([[1, 1], [0, 0]]), "ascending"),
+    (lambda: graph_from_rows([[2, 1], [0], [0]]), "ascending"),
+    (lambda: graph_from_rows([[1], [0]], [0, -1]), "self-loop"),
+    (lambda: Graph(2, [0, 2, 1], [1, 0]), "row pointers"),
+    (lambda: Graph(2, [0, 1], [1, 0]), "row pointers"),
+    (lambda: Graph.from_edges(3, [(0, 1), (1, 0)]), "ascending"),
+    (lambda: Graph.from_edges(3, [(2, 2)]), "bad neighbor"),
+    (lambda: Graph.from_edges(3, [(0, 3)]), "outside"),
+    (lambda: Graph.from_edges(3, [(-1, 1)]), "outside"),
+    (lambda: Graph.from_edges(3, [(0, 2**70)]), "outside"),
+])
+def test_graph_construction_rejects(build, match):
+    with pytest.raises(FormatError, match=match):
+        build()
 
 
 # -- traversal substrate: differential against networkx ------------------------
@@ -336,9 +371,9 @@ def test_substrate_on_induced_subset_and_cut_mask():
 
 
 def test_is_connected_cases():
-    assert Graph(0, []).is_connected()
-    assert Graph(1, [[]]).is_connected()
-    assert not Graph(2, [[], []]).is_connected()
+    assert graph_from_rows([]).is_connected()
+    assert graph_from_rows([[]]).is_connected()
+    assert not graph_from_rows([[], []]).is_connected()
     assert gen.cycle(9).is_connected()
     assert not Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]).is_connected()
 

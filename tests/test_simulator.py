@@ -1,11 +1,13 @@
 """Round semantics, bandwidth enforcement, and the tree primitives against
 their message-level references."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from expandec import generators as gen
+from expandec.cuts import _sample_starts
 from expandec.errors import BandwidthExceeded
 from expandec.graph import Graph, adjacency_csr, edge_key
 from expandec.simulator import (
@@ -23,11 +25,17 @@ from expandec.views import ActiveView, WorkingGraph
 
 from helpers_h import (
     bfs_tree_per_round,
+    bfs_tree_reference,
+    dict_tree,
+    host_tree,
     is_live,
     live_edges,
+    neighbors,
     random_binary_search,
+    sample_by_degree_reference,
     search_round_trip_per_round,
     subtree_degrees_per_round,
+    subtree_degrees_reference,
     tree_aggregate_per_round,
     tree_broadcast_per_round,
 )
@@ -45,7 +53,7 @@ def flood_token(net, start):
 
         def step(v, has, inbox):
             if has:
-                return has, [(u, Msg("tok")) for u in net.graph.neighbors[v]]
+                return has, [(u, Msg("tok")) for u in neighbors(net.graph, v)]
             return has, []
 
         states, inboxes = net.run_round(states, inboxes, step)
@@ -79,7 +87,7 @@ def test_echo_on_k3():
     states = {v: set() for v in range(3)}
 
     def send(v, s, inbox):
-        return s, [(u, Msg("echo", v)) for u in net.graph.neighbors[v]]
+        return s, [(u, Msg("echo", v)) for u in neighbors(net.graph, v)]
 
     states, inboxes = net.run_round(states, {}, send)
     for v in range(3):
@@ -117,41 +125,43 @@ def test_ledger_phase_sums():
 
 def test_bfs_path_depths():
     net = Network(gen.path(5))
-    tree = bfs_tree(net, 0)
-    assert [tree.depth[v] for v in range(5)] == [0, 1, 2, 3, 4]
+    tree = host_tree(net, 0)
+    assert tree.hosts.tolist() == [0, 1, 2, 3, 4]
+    assert tree.depth.tolist() == [0, 1, 2, 3, 4]
+    assert tree.parent.tolist() == [0, 0, 1, 2, 3]
     assert net.ledger.totals().rounds == 4
 
 
 def test_bfs_star_one_round():
     net = Network(gen.star(8))
-    tree = bfs_tree(net, 0)
-    assert all(tree.depth[v] == 1 for v in range(1, 9))
+    tree = host_tree(net, 0)
+    assert tree.depth.tolist() == [0] + [1] * 8
     assert net.ledger.totals().rounds == 1
 
 
 def test_bfs_matches_sssp_oracle():
     g = gen.barbell(4, 1)
     net = Network(g)
-    tree = bfs_tree(net, 1)
+    tree = host_tree(net, 1)
     # plain BFS oracle
     dist = {1: 0}
     frontier = [1]
     while frontier:
         nxt = []
         for v in frontier:
-            for u in g.neighbors[v]:
+            for u in neighbors(g, v):
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
-    assert tree.depth == dist
+    assert dict_tree(tree).depth == dist
 
 
 def test_bfs_edge_filter_unreachable():
     g = gen.path(4)
     net = Network(g)
     tree = bfs_tree(net, 0, adjacency_csr(4, [(0, 1), (2, 3)]), np.arange(4))
-    assert set(tree.parent) == {0, 1}
+    assert tree.hosts.tolist() == [0, 1]
 
 
 def test_bfs_tree_and_subtree_sums_match_message_level():
@@ -184,27 +194,70 @@ def test_bfs_tree_and_subtree_sums_match_message_level():
             reachable = len(view.active)
         else:
             kinds["host"] += 1
-            tree = bfs_tree(net, root)
+            tree = host_tree(net, root)
             ref = bfs_tree_per_round(ref_net, root)
             reachable = n
-        kinds["single"] += len(tree.parent) == 1
-        kinds["unreached"] += len(tree.parent) < reachable
-        assert tree.root == ref.root
-        assert list(tree.parent.items()) == list(ref.parent.items())
-        assert list(tree.depth.items()) == list(ref.depth.items())
-        assert tree.children == ref.children
+        kinds["single"] += len(tree.hosts) == 1
+        kinds["unreached"] += len(tree.hosts) < reachable
+        got = dict_tree(tree)
+        assert got.root == ref.root
+        assert list(got.parent.items()) == list(ref.parent.items())
+        assert list(got.depth.items()) == list(ref.depth.items())
+        assert got.children == ref.children
         assert net.ledger.snapshot() == ref_net.ledger.snapshot()
-        deg = lambda v: g.degree(v) + v % 3
-        assert subtree_degrees(net, tree, deg) == subtree_degrees_per_round(ref_net, ref, deg)
+        sums = subtree_degrees(net, tree, g.deg + np.arange(n) % 3)
+        assert dict(zip(tree.hosts.tolist(), sums.tolist())) == subtree_degrees_per_round(
+            ref_net, ref, lambda v: int(g.deg[v]) + v % 3)
         assert net.ledger.snapshot() == ref_net.ledger.snapshot()
     assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def test_tree_arrays_match_dict_reference():
+    """bfs_tree, subtree_degrees and the start sampling of cut accumulation
+    against the dict-keyed references, over many seeds and trees: the same
+    trees, sums, landings, ledger and rng state.  Half the draws sample a
+    subview of the tree's view, whose outside vertices weigh 0."""
+    rng = np.random.default_rng(0x7EE)
+    kinds = {"view": 0, "subview": 0, "multinomial": 0}
+    for draw in range(200):
+        n = int(rng.integers(1, 40))
+        g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.4)), seed=draw)
+        working = WorkingGraph(g)
+        working.remove_edges([e for e in g.edges if rng.random() < 0.2], "x")
+        view = ActiveView(working, [v for v in range(n) if rng.random() < 0.9] or [0])
+        root = int(view.verts[0])
+        net, ref_net = Network(g), Network(g)
+        tree = bfs_tree(net, root, view.adj_matrix, view.verts)
+        ref = bfs_tree_reference(ref_net, root, view.adj_matrix, view.verts)
+        assert dict_tree(tree) == ref
+        weights = rng.integers(0, 9, size=n)
+        sums = subtree_degrees(net, tree, weights)
+        assert dict(zip(tree.hosts.tolist(), sums.tolist())) == subtree_degrees_reference(
+            ref_net, ref, lambda v: int(weights[v]))
+        if draw % 2:
+            kinds["subview"] += 1
+            target = view.subview([v for v in view.verts.tolist() if rng.random() < 0.6]
+                                  or [root])
+        else:
+            kinds["view"] += 1
+            target = view
+        counts = Counter(rng.integers(1, 6, size=int(rng.integers(1, 60))).tolist())
+        got_rng, ref_rng = np.random.default_rng([draw, 1]), np.random.default_rng([draw, 1])
+        lands = _sample_starts(net, target, counts, got_rng, tree)
+        ref_lands = sample_by_degree_reference(
+            ref_net, ref, counts, ref_rng, lambda v: int(g.deg[v]) if v in target.active else 0)
+        assert lands == ref_lands
+        assert net.ledger.snapshot() == ref_net.ledger.snapshot()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        kinds["multinomial"] += tree.depth_max > 1 and len(set(v for v, _ in lands)) > 2
+    assert all(count >= 40 for count in kinds.values()), kinds
 
 
 def test_tree_aggregate_degree_sum():
     g = gen.clique(4)
     net = Network(g)
-    tree = bfs_tree(net, 0)
-    total, _ = tree_aggregate_per_round(net, tree, {v: g.degree(v) for v in range(4)},
+    tree = dict_tree(host_tree(net, 0))
+    total, _ = tree_aggregate_per_round(net, tree, {v: g.deg[v] for v in range(4)},
                                         lambda a, b: a + b)
     assert total == 12
 
@@ -212,7 +265,7 @@ def test_tree_aggregate_degree_sum():
 def test_broadcast_reaches_everyone():
     g = gen.barbell(4, 1)
     net = Network(g)
-    tree = bfs_tree(net, 2)
+    tree = dict_tree(host_tree(net, 2))
     values = tree_broadcast_per_round(net, tree, 7)
     assert all(values[v] == 7 for v in range(g.n))
 
@@ -220,30 +273,31 @@ def test_broadcast_reaches_everyone():
 def test_subtree_values_match_recursion():
     g = gen.path(6)
     net = Network(g)
-    tree = bfs_tree(net, 0)
-    sub = subtree_degrees(net, tree, g.degree)
+    tree = host_tree(net, 0)
+    sub = subtree_degrees(net, tree, g.deg)
+    children = dict_tree(tree).children
 
     def rec(v):
-        return g.degree(v) + sum(rec(c) for c in tree.children[v])
+        return g.deg[v] + sum(rec(c) for c in children[v])
 
-    assert all(sub[v] == rec(v) for v in range(6))
+    assert all(sub[i] == rec(v) for i, v in enumerate(tree.hosts.tolist()))
 
 
 def test_sample_by_degree_single_vertex():
     g = Graph.from_edges(1, [])
     net = Network(g)
-    tree = bfs_tree(net, 0)
+    tree = host_tree(net, 0)
     rng = np.random.default_rng(0)
-    lands = sample_by_degree(net, tree, {1: 5}, rng, deg=lambda v: 1)
+    lands = sample_by_degree(net, tree, {1: 5}, rng, np.ones(1, dtype=np.int64))
     assert lands == [(0, 1)] * 5
 
 
 def test_sample_by_degree_k2_split():
     g = gen.clique(2)
     net = Network(g)
-    tree = bfs_tree(net, 0)
+    tree = host_tree(net, 0)
     rng = np.random.default_rng(123)
-    lands = sample_by_degree(net, tree, {1: 10_000}, rng)
+    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg)
     frac = sum(1 for v, _ in lands if v == 0) / 10_000
     sigma = math.sqrt(0.25 / 10_000)
     assert abs(frac - 0.5) <= 5 * sigma
@@ -252,9 +306,9 @@ def test_sample_by_degree_k2_split():
 def test_sample_by_degree_star_center_frequency():
     g = gen.star(4)  # center degree 4, four leaves of degree 1
     net = Network(g)
-    tree = bfs_tree(net, 0)
+    tree = host_tree(net, 0)
     rng = np.random.default_rng(99)
-    lands = sample_by_degree(net, tree, {1: 10_000}, rng)
+    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg)
     frac = sum(1 for v, _ in lands if v == 0) / 10_000
     sigma = math.sqrt(0.5 * 0.5 / 10_000)
     assert abs(frac - 0.5) <= 5 * sigma
@@ -263,7 +317,7 @@ def test_sample_by_degree_star_center_frequency():
 def _search_setup(n, seed):
     g = gen.path(n)
     net = Network(g)
-    tree = bfs_tree(net, 0)
+    tree = host_tree(net, 0)
     keys = {v: v for v in range(n)}
     weights = {v: 1 for v in range(n)}
     return net, tree, keys, weights
@@ -279,7 +333,7 @@ def test_search_singleton():
 def test_search_on_one_vertex_tree_charges_nothing():
     # a one-vertex tree sends no message, so no bits are charged either
     net = Network(Graph.from_edges(1, []))
-    res = random_binary_search(net, bfs_tree(net, 0), {0: 0}, {0: 1}, lambda v, w: True,
+    res = random_binary_search(net, host_tree(net, 0), {0: 0}, {0: 1}, lambda v, w: True,
                                np.random.default_rng(0))
     assert res.iterations == 1
     assert net.ledger.totals() == PhaseTotals(0, 0, 0)
@@ -312,7 +366,7 @@ def test_search_iteration_bound():
         if n not in nets:
             g = gen.star(n - 1)
             net = Network(g)
-            nets[n] = (net, bfs_tree(net, 0), {v: v for v in range(n)},
+            nets[n] = (net, host_tree(net, 0), {v: v for v in range(n)},
                        {v: 1 for v in range(n)})
         net, tree, keys, weights = nets[n]
         rng = np.random.default_rng([trial, 5])
@@ -328,7 +382,7 @@ def test_search_message_level_equals_fast():
     graphs = [gen.path(30), gen.star(12), gen.barbell(6, 2), gen.grid(4, 5),
               gen.erdos_renyi(25, 0.2, seed=3), Graph.from_edges(1, [])]
     for i, g in enumerate(graphs):
-        tree = bfs_tree(Network(g), i % g.n)
+        tree = dict_tree(host_tree(Network(g), i % g.n))
         keys = {v: (v * 7) % g.n for v in tree.parent}
         weights = {v: 1 + v % 3 for v in tree.parent}
         total = sum(weights.values())

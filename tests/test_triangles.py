@@ -26,7 +26,7 @@ from expandec.triangles import (
     triangle_enumeration,
 )
 
-from helpers_h import enumerate_component_per_triple, reporters
+from helpers_h import enumerate_component_per_triple, neighbors, reporters
 
 
 def test_oracle_k4():
@@ -203,7 +203,7 @@ def _component_draws(count, seed):
         else:  # a ball around a random vertex
             ball = {int(rng.integers(n))}
             for _ in range(int(rng.integers(1, 3))):
-                ball |= {u for v in ball for u in g.neighbors[v]}
+                ball |= {u for v in ball for u in neighbors(g, v)}
             comp = sorted(ball)
         yield g, sorted(int(v) for v in comp)
 
@@ -214,7 +214,7 @@ def test_enumerate_component_matches_per_triple_reference():
         got = enumerate_component(g, comp, 3.0, g.n)
         _same_enumeration(got, enumerate_component_per_triple(g, comp, 3.0, g.n))
         inside = set(comp)
-        universe = inside | {u for v in comp for u in g.neighbors[v]}
+        universe = inside | {u for v in comp for u in neighbors(g, v)}
         hits = [sum(x in inside for x in t) for t in got.triangles]
         seen |= {f"in_comp_{h}" for h in hits}
         if len(comp) == 2:

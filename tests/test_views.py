@@ -15,23 +15,21 @@ def test_view_degrees_are_host_degrees():
     working.remove_edges([(0, 5)], "r2")
     view = ActiveView(working, range(5))
     for v in range(5):
-        assert view.deg[view.index[v]] == g.degree(v)
+        assert view.deg[view.index[v]] == g.deg[v]
     assert loops(view, 0) == 1  # removed bridge became a loop
-    assert view.vol() == sum(g.degree(v) for v in range(5))
+    assert view.vol() == sum(g.deg[v] for v in range(5))
 
 
 def test_view_materialize_matches_contract():
     g = gen.erdos_renyi(12, 0.4, seed=3)
     view = ActiveView.whole(g).subview([1, 3, 4, 7, 9])
-    mat, labels = view.materialize()
-    assert labels == [1, 3, 4, 7, 9]
-    assert mat == contract(g, labels)
+    assert view.materialize() == contract(g, [1, 3, 4, 7, 9])
 
 
 def test_view_components_after_removal():
     g = gen.cliques_chain(2, 4, 1)
     working = WorkingGraph(g)
-    bridge = [e for e in g.edges if (e[0] < 4) != (e[1] < 4)]
+    bridge = [e for e in map(tuple, g.edges.tolist()) if (e[0] < 4) != (e[1] < 4)]
     working.remove_edges(bridge, "r1")
     view = ActiveView(working, range(8))
     comps = view.components()
@@ -148,11 +146,7 @@ def test_view_matches_row_by_row_reference():
         for v in active:
             assert live_neighbors(view, v) == ref.live_neighbors(v), draw
             assert loops(view, v) == ref.loops(v), draw
-        mat, labels = view.materialize()
-        ref_mat, ref_labels = ref.materialize()
-        assert mat == ref_mat and labels == ref_labels, draw
-        assert all(type(u) is int for row in mat.neighbors for u in row)
-        assert all(type(x) is int for x in labels + list(mat.self_loops))
+        assert view.materialize() == ref.materialize(), draw
 
         members = [v for v in active if rng.random() < 0.5]
         assert view.vol_of(members) == ref.vol_of(members), draw

@@ -10,7 +10,7 @@ from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
 from expandec.errors import BadPhi, TooLarge
-from expandec.graph import Graph, adjacency_csr, lazy_walk_matrix
+from expandec.graph import adjacency_csr, lazy_walk_matrix
 from expandec.simulator import Network
 from expandec.views import ActiveView, WorkingGraph
 from expandec.walks import (
@@ -28,6 +28,7 @@ from expandec.walks import (
 from helpers_h import (
     compute_walk_per_step,
     exact_rho_table,
+    graph_from_rows,
     influence_set,
     lazy_step,
     mass_at,
@@ -88,7 +89,7 @@ def test_lazy_step_k3_matches_matrix():
 
 
 def test_lazy_step_self_loops_keep_mass():
-    g = Graph(2, [[1], [0]], self_loops=(2, 0))  # deg 3 and 1
+    g = graph_from_rows([[1], [0]], [2, 0])  # deg 3 and 1
     p = lazy_step(g, np.array([1.0, 0.0]))
     # keeps 1/2 lazily plus 2/6 via loops; sends 1/6 across
     assert np.allclose(p, [5 / 6, 1 / 6])
@@ -209,7 +210,7 @@ def test_rho_symmetry_float_and_exact():
                 for v in range(u + 1, n):
                     ru = tables[v][t].get(u, (0, t))[0]
                     rv = tables[u][t].get(v, (0, t))[0]
-                    assert ru * g.degree(v) == rv * g.degree(u)
+                    assert ru * int(g.deg[v]) == rv * int(g.deg[u])
 
 
 def test_sweep_order_uniform_ties_by_id():
@@ -232,7 +233,7 @@ def test_sweep_prefix_volumes_monotone():
     state = state_at(run, 10)
     order, prefix = sweep_order(state)
     assert prefix == sorted(prefix)
-    assert prefix[-1] == sum(g.degree(v) for v in state.support())
+    assert prefix[-1] == sum(g.deg[v] for v in state.support())
 
 
 def test_influence_set_volume_bound():
@@ -248,7 +249,7 @@ def test_influence_set_volume_bound():
         for b in (1, 2):
             u = int(rng.integers(n))
             z = influence_set(g, u, params, b)
-            vol_z = sum(g.degree(v) for v in z)
+            vol_z = sum(g.deg[v] for v in z)
             assert vol_z <= (params.t0 + 1) / (2 * params.eps_b(b))
             checked += 1
     assert checked >= 20
@@ -261,15 +262,16 @@ def test_influence_set_too_large():
 
 def test_walk_step_exact_at_large_degree():
     # deg(0) = 40001: mass * (2 deg - live) overflows int64 when formed directly
-    g = Graph(2, [[1], [0]], [40000, 0])
+    g = graph_from_rows([[1], [0]], [40000, 0])
     view = ActiveView.whole(g)
     mass = np.array([SCALE, 0], dtype=np.int64)
     ref = [SCALE, 0]
     for _ in range(5):
         mass = walk_step_units(view, mass)
-        shares = [ref[v] // (2 * g.degree(v)) for v in range(2)]
+        deg = g.deg.tolist()
+        shares = [ref[v] // (2 * deg[v]) for v in range(2)]
         ref = [
-            ref[v] * (2 * g.degree(v) - 1) // (2 * g.degree(v)) + shares[1 - v]
+            ref[v] * (2 * deg[v] - 1) // (2 * deg[v]) + shares[1 - v]
             for v in range(2)
         ]
         assert mass.tolist() == ref
@@ -411,7 +413,7 @@ def test_walk_ledger_matches_per_step_messages():
 def test_walk_sender_rule_counts_exactly_two_deg():
     # deg 2^23 on both ends: after step 1 vertex 1 holds exactly 2 deg = 2^24
     # units, one share, so it sends in steps 2 and 3 (1 + 2 + 2 messages)
-    g = Graph(2, [[1], [0]], [2**23 - 1, 2**23 - 1])
+    g = graph_from_rows([[1], [0]], [2**23 - 1, 2**23 - 1])
     view = ActiveView.whole(g)
     params = WalkParams(1, 1 / 12, "desk", 1, 3, 0.0, 0.0, 0.0)
     net = Network(g)
@@ -525,7 +527,7 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
     # erdos_renyi:50:0.1 at seed 0 has an isolated vertex; the walk and the
     # sweep over the whole graph equal those over the view without it
     g = gen.erdos_renyi(50, 0.1, seed=0)
-    iso = [v for v in range(g.n) if g.degree(v) == 0]
+    iso = [v for v in range(g.n) if g.deg[v] == 0]
     assert len(iso) == 1
     whole = ActiveView.whole(g)
     rest = whole.subview(set(range(g.n)) - set(iso))
@@ -591,7 +593,7 @@ def test_compute_walks_matches_per_column_walks():
         if c > 2:
             pairs.append(pairs[0])
         if view.graph is g:
-            iso = [v for v in range(g.n) if g.degree(v) == 0]
+            iso = [v for v in range(g.n) if g.deg[v] == 0]
             pairs.append((iso[0], 1))
             seen.add("isolated vertex")
         runs = _check_batch_against_columns(view, pairs, params)
