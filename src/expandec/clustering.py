@@ -168,9 +168,9 @@ def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
     else:
         shifts = np.array([deltas[v] for v in verts.tolist()], dtype=float)
     start = np.maximum(1, horizon - np.floor(shifts).astype(np.int64))
-    epoch = level_sweep(view.adj_matrix, start)
-    centre = start == epoch
     src, dst = edge_ends(view.adj_matrix)
+    epoch = level_sweep(src, dst, start)
+    centre = start == epoch
     joins = (epoch[dst] == epoch[src] - 1) & ~centre[src]
     src, dst = src[joins], dst[joins]
     # ids spread one epoch per pass; the least local id is the least host id

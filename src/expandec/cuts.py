@@ -7,32 +7,36 @@ conductance bound; every simulated round is charged.  The centralized scans
 (every prefix, or the same subsequence without rounds), which the analysis
 uses, are per-step test references in `tests/helpers_h.py`.
 
-Spanning trees are `bfs_tree` sweeps over the view's adjacency (the host
-tree) or the walk's touched live edges (each local cut's tree).  Like walks
-and scans, they are charged by formula, so a cut runs no `Network` round.
+Spanning trees are `bfs_tree` sweeps over the view's live edges (the host
+tree) or the walk's touched live edges (each local cut's tree), read as edge
+lists.  Like walks and scans, they are charged by formula, so a cut runs no
+`Network` round.  The starts of a partition's instances are drawn down the
+host tree with the view's subtree degree sums (`StartTree`), folded once per
+view; every draw still charges the aggregate that computes them.
 
-The scan takes the stored walk steps in the blocks of `walks.sweep_blocks`:
-the whole run in one block on a small view; on a dense view a first block
-of few rows, so an early hit sweeps few rows past it, then blocks that double
-up to a cap set by the vertex count.  One `walks.sweep_tables` call gives
-every step of a block its sweep order, prefix volumes and prefix boundaries,
-and the candidate tests run on whole blocks, so no Python loop runs once per
-walk step.  The outcome is the earliest hit in step order
-whatever the blocks.  The simulated cost is still the per-step cost, summed
-into one ledger entry per scan.
+`scan_runs` scans the stored steps of one or more runs on one view, stacked,
+in the blocks of `walks.block_rows` (a small view's batch in one block).
+Consecutive steps of a run with the same sweep order and support, as most
+are once a walk settles, share their sweep tables, candidate chain and every
+test but the mass floor, so those are built once per group; no Python loop
+runs once per walk step.  Each run's outcome is its earliest hit whatever
+the blocks and the other runs, and its tree round trips are charged once the
+tree is known, as one ledger entry of the per-step costs' sum.  `scan_run`
+is the one-run case.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
 
-Cut accumulation runs its later iterations' walks early.  An iteration's
-levels and starts are drawn from the rng before its walks, and they depend on
-earlier iterations only through the view, which changes only when a cut is
-found.  So after iteration 1, while no cut has been found, the next
-iterations' (start, b) pairs are drawn ahead on a copy of the rng and run as
-one `walks.compute_walks` batch of at most WALK_BATCH_CELLS walk states per
-step.  Each iteration still draws from the rng itself and charges the ledger;
-it takes a prefetched walk only when its view, start and level are the
-prefetched ones, so the outcome is that of running every walk alone.
+Cut accumulation runs its later iterations' walks and scans early.  An
+iteration's levels and starts are drawn from the rng before its walks, and
+they depend on earlier iterations only through the view, which changes only
+when a cut is found.  So after iteration 1, while no cut has been found, the
+next iterations' (start, b) pairs are drawn ahead on a copy of the rng, run
+as one `walks.compute_walks` batch of at most WALK_BATCH_CELLS walk states
+per step and scanned by one `scan_runs` call.  Each iteration still draws
+from the rng itself and charges the ledger; it takes a prefetched walk and
+its scan only when its view, start and level are the prefetched ones, so the
+outcome is that of running every walk and scan alone.
 """
 from __future__ import annotations
 
@@ -40,26 +44,27 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
 
 import numpy as np
 
 from .config import Profile
 from .errors import BadPhi
-from .graph import Cut, adjacency_csr
+from .graph import Cut
 from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_tree,
-                        sample_by_degree)
+                        sample_by_degree, subtree_sums)
 from .views import ActiveView
 from .walks import (
     SCALE,
     WalkParams,
     WalkRun,
+    block_rows,
     charge_walk,
     compute_walk,
     compute_walks,
     derive_walk_params,
-    sweep_blocks,
+    prefix_tables,
     sweep_order_local,
+    sweep_orders,
 )
 
 PHI_ALGO_MAX = 1.0 / 12.0
@@ -185,35 +190,32 @@ def _jstar(prefvol: np.ndarray, cnt: np.ndarray, phi: float) -> np.ndarray:
 # -- round charging for the distributed scan -----------------------------------
 
 
-class ScanCharger:
-    """Round/message cost of one distributed sweep scan, charged as a single
-    ledger entry (the sum of the per-step costs).
+def _trips(n_checks: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Tree round trips of each walk step's scan: two per candidate check,
+    and n_checks - 1 tree searches that locate the jump candidates, charged
+    deterministically at the with-high-probability iteration scale:
+    ceil(log2 band) + 2 iterations per search, each four tree passes.  No
+    search runs here; the randomized search, which charges the iterations
+    its draws take, is a test reference."""
+    iters = np.ceil(np.log2(np.maximum(2, band))).astype(np.int64) + 2
+    return 2 * n_checks + np.maximum(n_checks - 1, 0) * iters * 4
 
-    Each walk step's scan checks candidates in tree round trips and locates
-    every jump candidate by a tree search, charged deterministically at the
-    with-high-probability iteration scale: ceil(log2 band) + 2 iterations
-    per search, each four tree passes.  No search runs here; the randomized
-    search, which charges the iterations its draws take, is a test reference.
-    """
+
+class ScanCharger:
+    """Round/message cost of one distributed sweep scan on a spanning tree
+    of the given depth and size, charged as a single ledger entry: every
+    round trip costs depth rounds and one message per tree edge, and a hit
+    adds the broadcast of the accepted cut's membership."""
 
     def __init__(self, net: Network, depth: int, size: int):
         self.net = net
         self.depth = depth
         self.size = max(1, size)
 
-    def step_costs(self, n_checks: np.ndarray, band: np.ndarray):
-        """(rounds, messages) of each step's scan; n_checks - 1 searches each."""
-        iters = np.ceil(np.log2(np.maximum(2, band))).astype(np.int64) + 2
-        searches = np.maximum(n_checks - 1, 0)
-        trips = n_checks * 2 + searches * iters * 4
-        return trips * self.depth, trips * (self.size - 1)
-
-    def broadcast_costs(self):
-        """(rounds, messages) of broadcasting the accepted cut's membership."""
-        return self.depth, self.size - 1
-
-    def charge(self, rounds: int, messages: int):
-        self.net.ledger.charge(self.net.phase, rounds=rounds, messages=messages,
+    def charge(self, trips: int, hit: bool):
+        passes = trips + hit
+        messages = passes * (self.size - 1)
+        self.net.ledger.charge(self.net.phase, rounds=passes * self.depth, messages=messages,
                                edge_bits=(KIND_BITS + 2 * WORD_BITS) if messages else 0)
 
 
@@ -243,121 +245,165 @@ class LocalCutResult:
     touched: np.ndarray  # the walk's WalkRun.touched
 
 
-def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
-             charger: ScanCharger) -> SweepCandidate | None:
-    """First (t, j) hit of the sweep conditions, or None.
+def scan_runs(view: ActiveView, runs, phi: float,
+              profile: Profile) -> list[tuple[SweepCandidate | None, int]]:
+    """Per (run, b) of runs, walks on view: the first (t, j) hit of the
+    sweep conditions at level b, or None, and the tree round trips of its
+    scan, the frozen tail included.
 
-    The stored steps t = 1..min(t0, t_last) are scanned in the blocks of
-    `sweep_blocks`, stopping after the first block with a hit.  Each row
-    steps through the geometric candidate subsequence: a step to j_prev + 1
-    is tested under the raw conditions, a jump under the slack conditions
-    against u_prev, and the next candidate is max(j + 1, j*), with j* the
-    number of prefix volumes at most (1 + phi) * prefvol[j].  All live rows
-    of a block advance one candidate per numpy pass; the hit is the one in
-    the earliest row.  Candidates are prefiltered with float masks whose
-    margins strictly dominate rounding error, then confirmed in exact integer
-    arithmetic, so the outcome equals a fully exact scan.
+    The stored steps t = 1..min(t0, t_last) of every run are stacked run
+    after run and taken in the blocks of `block_rows`; a run's steps past
+    its hit are left out of later blocks.  Each row steps through the
+    geometric candidate subsequence: a step to j_prev + 1 is tested under the
+    raw conditions, a jump under the slack conditions against u_prev, and
+    the next candidate is max(j + 1, j*), with j* the number of prefix
+    volumes at most (1 + phi) * prefvol[j].
 
-    The charger is charged once: the steps up to the hit plus the membership
-    broadcast, or, without a hit, every step plus the frozen tail, whose
-    t0 - t_last steps repeat the last stored step's scan.
+    Consecutive rows of one run with equal sweep order and support size form
+    a group (`sweep_orders`), which shares prefix volumes, boundaries, j*,
+    the candidate chain and every test but the mass floor.  So the tables
+    are built and the chain is walked once per group, and per row only the
+    mass floor is tested, at the chain cells that pass the group's tests.
+    Candidates are prefiltered with float masks whose margins strictly
+    dominate rounding error, then confirmed in exact integer arithmetic in
+    (row, chain) order, so each run's hit is the earliest row's first hit,
+    as in a fully exact scan of one step at a time.
+
+    The trips are those of every step up to the hit (`_trips`, the hit's
+    step counting its checks up to the hit), or, without a hit, of every
+    step plus the frozen tail, whose t0 - t_last steps repeat the last
+    stored step's scan.
     """
     vol_total = view.vol()
-    n = len(view.verts)
+    n = len(view)
     phi_num, phi_den = _ratio(phi)
     slackF = Fraction(profile.starred_slack) * Fraction(phi)
-    slack_num, slack_den = slackF.numerator, slackF.denominator
     slack_f = float(slackF)
-    gam = run.params.gamma
-    g_num, g_den = _ratio(gam)
     deg = view.deg
-    rounds = msgs = 0
-    last_step = (0, 0)  # cost of the last stored step's scan
+    levels = np.array([b for _, b in runs], dtype=np.int64)
+    gammas = np.array([run.params.gamma for run, _ in runs])
+    hits: list[SweepCandidate | None] = [None] * len(runs)
+    trips = np.zeros(len(runs), dtype=np.int64)
+    last = np.zeros(len(runs), dtype=np.int64)  # trips of each run's last stored step
+    steps = np.array([min(run.t0, run.t_last) for run, _ in runs], dtype=np.int64)
+    ends = np.cumsum(steps)  # past each run's rows in the stack
+    run_of = np.repeat(np.arange(len(runs)), steps)
+    t_of = np.arange(len(run_of)) - np.repeat(ends - steps, steps) + 1
 
-    def scan_block(t_first: int, masses: np.ndarray, tables) -> SweepCandidate | None:
-        """The block's hit, or None; charges the block's steps up to the hit."""
-        nonlocal rounds, msgs, last_step
-        order, cnt, prefvol, bnds = tables
-        rows = len(cnt)
-        above_floor = 14 * prefvol >= 5 * (1 << b)
-        rho_j = np.take_along_axis(masses, order, axis=1) / view.deg_pos[order]
-        raw_mask = (_phi_prefilter(bnds, prefvol, vol_total, phi)
-                    & (6 * prefvol <= 5 * vol_total) & above_floor
-                    & _mass_floor_prefilter(rho_j, prefvol, gam))
+    def scan_block(r_run: np.ndarray, r_t: np.ndarray):
+        """Record the hits among the block's rows and add their trips."""
+        heads = np.flatnonzero(np.diff(r_run, prepend=-1))  # each run's first row
+        tails = np.append(heads[1:], len(r_run)) - 1  # and its last
+        masses = np.array([m for h, e in zip(heads.tolist(), tails.tolist())
+                           for m in runs[r_run[h]][0].masses[r_t[h]:r_t[e] + 1]])
+        order, cnt = sweep_orders(view, masses)
+        new = np.ones(len(cnt), dtype=bool)
+        new[1:] = ((r_run[1:] != r_run[:-1]) | (cnt[1:] != cnt[:-1])
+                   | (order[1:] != order[:-1]).any(axis=1))
+        first = np.flatnonzero(new)  # the first row of each group
+        grp = np.cumsum(new) - 1
+        g_order, g_cnt = order[first], cnt[first]
+        prefvol, bnds = prefix_tables(view, g_order)
+        # The candidate chain of every group runs over flat cells
+        # group * n + index; nxt is each cell's next candidate, max(j + 1, j*).
+        g_start = np.arange(len(first))[:, None] * n
+        nxt = np.maximum(np.arange(1, len(first) * n + 1),
+                         (g_start + _jstar(prefvol, g_cnt, phi)).ravel() - 1)
+        more = (np.arange(1, n + 1) < g_cnt[:, None]).ravel()  # a later candidate exists
+        pos = np.flatnonzero(g_cnt) * n
+        cells, prevs, ranks = [pos], [pos - 1], [np.zeros(len(pos), dtype=np.int64)]
+        while len(pos):
+            prev = pos[more[pos]]
+            pos = nxt[prev]
+            cells.append(pos)
+            prevs.append(prev)
+            ranks.append(np.full(len(pos), len(cells) - 1))
+        cell, prev, rank = (np.concatenate(x) for x in (cells, prevs, ranks))
+        cell_grp = cell // n
+        row_trips = _trips(np.bincount(cell_grp, minlength=len(first)), g_cnt)[grp]
+        # the group's tests at its chain cells: a step is raw, a jump starred
+        raw = cell == prev + 1
+        pv, bd = prefvol.ravel()[cell], bnds.ravel()[cell]
+        b_cell = levels[r_run[first]][cell_grp]
+        pre = (14 * pv >= (5 << b_cell)) & np.where(
+            raw, _phi_prefilter(bd, pv, vol_total, phi) & (6 * pv <= 5 * vol_total),
+            _phi_prefilter(bd, pv, vol_total, slack_f) & (12 * pv <= 11 * vol_total))
+        tested = g_order.ravel()[np.where(raw, cell, prev)]  # the vertex of the mass floor
+        cand = np.flatnonzero(pre)
+        # every row of the group at each of these cells, in (row, chain) order
+        size = np.diff(first, append=len(cnt))[cell_grp[cand]]
+        pair_cell = np.repeat(cand, size)
+        pair_row = (np.repeat(first[cell_grp[cand]] - np.cumsum(size) + size, size)
+                    + np.arange(len(pair_cell)))
+        u = tested[pair_cell]
+        ok = _mass_floor_prefilter(masses[pair_row, u] / view.deg_pos[u], pv[pair_cell],
+                                   gammas[r_run[pair_row]])
+        pair_cell, pair_row = pair_cell[ok], pair_row[ok]
+        by_row = np.lexsort((rank[pair_cell], pair_row))
+        pair_cell, pair_row = pair_cell[by_row], pair_row[by_row]
 
-        def confirm(r: int, k: int, k_prev: int | None) -> SweepCandidate | None:
-            """Exact test of 0-based index k of row r (starred when k_prev is
-            given: a jump from k_prev)."""
-            pv, bd = int(prefvol[r, k]), int(bnds[r, k])
-            u = order[r, k]
-            if k_prev is None:
-                ok = (_phi_at_most(bd, pv, vol_total, phi_num, phi_den)
-                      and _mass_floor_ok(int(masses[r, u]), int(deg[u]), pv, g_num, g_den)
-                      and _vol_window_ok(pv, vol_total, b, 5, 6))
+        def confirm(c: int, r: int) -> SweepCandidate | None:
+            """Exact test of chain cell c in row r."""
+            j, b = int(r_run[r]), int(levels[r_run[r]])
+            k, p, bdc = int(cell[c] % n), int(pv[c]), int(bd[c])
+            u_t = int(tested[c])
+            if raw[c]:
+                passed = (_phi_at_most(bdc, p, vol_total, phi_num, phi_den)
+                          and _vol_window_ok(p, vol_total, b, 5, 6))
             else:
-                u_prev = order[r, k_prev]
-                ok = (_phi_at_most(bd, pv, vol_total, slack_num, slack_den)
-                      and _mass_floor_ok(int(masses[r, u_prev]), int(deg[u_prev]), pv,
-                                         g_num, g_den)
-                      and _vol_window_ok(pv, vol_total, b, 11, 12))
-            if not ok:
+                passed = (_phi_at_most(bdc, p, vol_total, slackF.numerator, slackF.denominator)
+                          and _vol_window_ok(p, vol_total, b, 11, 12))
+            if not (passed and _mass_floor_ok(int(masses[r, u_t]), int(deg[u_t]), p,
+                                              *_ratio(gammas[j]))):
                 return None
+            u = int(g_order[grp[r], k])
             return SweepCandidate(
-                t_first + r, k + 1, k_prev is not None, pv, bd,
-                Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
+                int(r_t[r]), k + 1, not raw[c], p, bdc,
+                Fraction(0) if bdc == 0 else Fraction(bdc, min(p, vol_total - p)),
                 int(masses[r, u]) / (SCALE * int(deg[u])),
             )
 
-        star_mask = (_phi_prefilter(bnds, prefvol, vol_total, slack_f)
-                     & (12 * prefvol <= 11 * vol_total) & above_floor)
-        # The candidate walk runs over flat cells row * n + index; nxt is each
-        # cell's next candidate, max(j + 1, j*).
-        row_start = np.arange(rows)[:, None] * n
-        nxt = np.maximum(np.arange(1, rows * n + 1),
-                         (row_start + _jstar(prefvol, cnt, phi)).ravel() - 1)
-        more = (np.arange(1, n + 1) < cnt[:, None]).ravel()  # a later candidate exists
-        raw_flat, star_flat = raw_mask.ravel(), star_mask.ravel()
+        # each run's first candidate, until it confirms or none is left
+        while len(pair_row):
+            runs_left = r_run[pair_row]
+            drop = np.zeros(len(pair_row), dtype=bool)
+            for i in np.flatnonzero(np.diff(runs_left, prepend=-1)).tolist():
+                c, r = int(pair_cell[i]), int(pair_row[i])
+                hit = confirm(c, r)
+                if hit is None:
+                    drop[i] = True
+                    continue
+                j = int(r_run[r])
+                hits[j] = hit
+                drop |= runs_left == j
+                row_trips[r] = _trips(rank[c] + 1, g_cnt[grp[r]])
+                row_trips[r + 1:][r_run[r + 1:] == j] = 0
+            pair_cell, pair_row = pair_cell[~drop], pair_row[~drop]
+        np.add.at(trips, r_run, row_trips)
+        last[r_run[tails]] = row_trips[tails]
 
-        found = None
-        pos = np.flatnonzero(cnt) * n
-        prev = pos - 1
-        visited = [pos]
-        while len(pos):
-            raw = pos == prev + 1
-            pre = np.where(raw, raw_flat[pos], star_flat[pos])
-            if pre.any():
-                for i in np.flatnonzero(pre).tolist():
-                    r, k = divmod(int(pos[i]), n)
-                    cand = confirm(r, k, None if raw[i] else int(prev[i]) - r * n)
-                    if cand is not None:
-                        found, hit_row = cand, r
-                        break
-            keep = more[pos]
-            if found is not None:
-                keep &= pos < hit_row * n
-            prev = pos[keep]
-            pos = nxt[prev]
-            visited.append(pos)
-        n_checks = np.bincount(np.concatenate(visited) // n, minlength=rows)
-        step_rounds, step_msgs = charger.step_costs(n_checks, cnt)
-        upto = rows if found is None else hit_row + 1
-        rounds += int(step_rounds[:upto].sum())
-        msgs += int(step_msgs[:upto].sum())
-        last_step = (int(step_rounds[-1]), int(step_msgs[-1]))
-        return found
-
-    # starmap holds no block once scan_block returns, so a block's arrays are
-    # freed before the next block's tables are built
-    found = None
-    for found in starmap(scan_block, sweep_blocks(view, run, min(run.t0, run.t_last))):
-        if found is not None:
+    at = 0
+    for rows in block_rows(view):
+        if at >= len(run_of):
             break
-    if found is not None:
-        extra = charger.broadcast_costs()
-    else:
-        tail = run.t0 - run.t_last  # frozen steps repeat the last stored scan
-        extra = (tail * last_step[0], tail * last_step[1])
-    charger.charge(rounds + extra[0], msgs + extra[1])
+        scan_block(run_of[at:at + rows], t_of[at:at + rows])
+        at += rows
+        while at < len(run_of) and hits[run_of[at]] is not None:  # the rest of a run that hit
+            at = int(ends[run_of[at]])
+    out = []
+    for j, (run, _) in enumerate(runs):
+        if hits[j] is None:  # frozen steps repeat the last stored scan
+            trips[j] += (run.t0 - run.t_last) * last[j]
+        out.append((hits[j], int(trips[j])))
+    return out
+
+
+def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
+             charger: ScanCharger) -> SweepCandidate | None:
+    """First (t, j) hit of the sweep conditions on run at level b, or None:
+    the one-run case of `scan_runs`, charged to charger as one entry."""
+    ((found, trips),) = scan_runs(view, [(run, b)], phi, profile)
+    charger.charge(trips, found is not None)
     return found
 
 
@@ -376,21 +422,27 @@ def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate 
 
 def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
                           params: WalkParams, profile: Profile,
-                          run: WalkRun | None = None) -> LocalCutResult:
+                          prefetched: tuple | None = None) -> LocalCutResult:
     """Distributed local cut: simulated walk, tree-search candidate location,
     slack conditions on jump candidates, full round accounting.
 
-    A prefetched run stands in for the walk when it is the walk from v at
-    level b on this very view; it is charged as the walk would be."""
+    A prefetched (run, hit, trips), a walk and its `scan_runs` outcome at
+    this phi and profile, stands in for the walk and the scan when it is the
+    walk from v at level b on this very view; it is charged as they would
+    be, on the tree of the walk's touched edges."""
     _check_algo_phi(phi)
-    if run is None or run.view is not view or (run.start, run.b, run.params) != (v, b, params):
-        run = compute_walk(view, v, params, b, net=net)
-    else:
+    run = prefetched[0] if prefetched is not None else None
+    if run is not None and run.view is view and (run.start, run.b, run.params) == (v, b, params):
+        run, cand, trips = prefetched
         charge_walk(net, run)
-    tree = bfs_tree(net, v, adjacency_csr(len(view), view.edges_local[run.touched]),
-                    view.verts)
+    else:
+        run, trips = compute_walk(view, v, params, b, net=net), None
+    tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.hosts))
-    cand = scan_run(view, run, phi, b, profile, charger)
+    if trips is None:
+        cand = scan_run(view, run, phi, b, profile, charger)
+    else:
+        charger.charge(trips, cand is not None)
     return _result_from_candidate(view, run, cand, v, b)
 
 
@@ -405,18 +457,31 @@ def draw_b(ell: int, rng: np.random.Generator) -> int:
     return 1 + int(rng.choice(ell, p=probs))
 
 
-def _draw_landings(net, view, k, ell, rng, host_tree):
+@dataclass(frozen=True)
+class StartTree:
+    """Degree-proportional starts in one view, drawn down a spanning tree of
+    a view that contains it: the view's degrees by host id (vertices outside
+    the view weigh 0) and their subtree sums, folded once for every draw."""
+
+    tree: SpanningTree
+    weights: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def on(cls, view: ActiveView, tree: SpanningTree) -> "StartTree":
+        weights = np.zeros(view.graph.n, dtype=np.int64)
+        weights[view.verts] = view.deg
+        return cls(tree, weights, subtree_sums(tree, weights))
+
+    def sample(self, net: Network, counts, rng: np.random.Generator) -> list[tuple[int, int]]:
+        """The sorted (start, tag) landings of counts[tag] tokens per tag."""
+        return sample_by_degree(net, self.tree, counts, rng, self.weights, self.sums)
+
+
+def _draw_landings(net, k, ell, rng, starts: StartTree):
     """The (start, b) pairs of k instances, sorted: k levels b, then
     degree-proportional starts."""
-    return _sample_starts(net, view, Counter(draw_b(ell, rng) for _ in range(k)), rng, host_tree)
-
-
-def _sample_starts(net, view, counts, rng, host_tree):
-    """Degree-proportional starts in view, drawn down host_tree, a spanning
-    tree of a view that contains it; vertices outside the view weigh 0."""
-    weights = np.zeros(net.graph.n, dtype=np.int64)
-    weights[view.verts] = view.deg
-    return sample_by_degree(net, host_tree, counts, rng, weights)
+    return starts.sample(net, Counter(draw_b(ell, rng) for _ in range(k)), rng)
 
 
 @dataclass
@@ -430,23 +495,23 @@ class ConcurrentResult:
 
 def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
-                          rng: np.random.Generator, host_tree: SpanningTree, p: float,
+                          rng: np.random.Generator, starts: StartTree, p: float,
                           runs: dict | None = None) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
-    Starts are drawn down host_tree, a spanning tree of a view that contains
-    this one, whose depth also prices the broadcasts.  Aborts to None when
+    Starts are drawn by starts, the StartTree of this view, down a spanning
+    tree of a view that contains it, whose depth also prices the broadcasts.  Aborts to None when
     any edge participates in more than w instances (the abort is broadcast
     over the host component).  Instances are ordered by their random 64-bit
     identifiers (ties by start id, then level), and the output is the
     largest prefix union within 23/24 of the graph volume.
     Round accounting is sequential-equivalent: an upper bound on any
-    w-multiplexed schedule.  `runs` maps (start, b) to prefetched walks
-    (see `distributed_local_cut`).
+    w-multiplexed schedule.  `runs` maps (start, b) to prefetched walks and
+    their scans (see `distributed_local_cut`).
     """
     _check_algo_phi(phi)
     mi = derive_instance_params(view.vol(), walkp, p, profile)
-    landings = _draw_landings(net, view, mi.k, walkp.ell, rng, host_tree)
+    landings = _draw_landings(net, mi.k, walkp.ell, rng, starts)
     sub_rngs = rng.spawn(len(landings))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
@@ -456,7 +521,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
         instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile,
                                                runs.get((v, b))))
     participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
-    depth = host_tree.depth_max
+    depth = starts.tree.depth_max
     if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
@@ -506,10 +571,12 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
 
     Iteration 1 walks alone.  From iteration 2, while no piece has been
     removed, the walks of the next c = min(iterations left,
-    WALK_BATCH_CELLS // (k * n)) iterations are prefetched as one batch
-    (`_prefetch_walks`), refilled when those are used up; a batch of fewer
-    than two walks is not run.  Results, ledger and rng end equal to those
-    of walking every instance alone.
+    WALK_BATCH_CELLS // (k * n)) iterations are prefetched and scanned as
+    one batch (`_prefetch_walks`), refilled when those are used up; a batch
+    of fewer than two walks is not run.  Results, ledger and rng end equal
+    to those of walking and scanning every instance alone.  The starts are
+    drawn with the subtree sums of the current view, folded once per view:
+    the whole view, then the view left after each removed piece.
     """
     _check_algo_phi(phi)
     if not (0.0 < p < 1.0):
@@ -518,27 +585,28 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     m0 = max(1, view.m_live)
     walkp = derive_walk_params(m0, phi, profile)
     mi0 = derive_instance_params(vol0, walkp, p, profile)
-    host_tree = bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
+    host_tree = bfs_tree(net, int(view.verts[0]), view.edges_local, view.verts)
+    cur, starts = view, StartTree.on(view, host_tree)
     active = set(view.active)
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
     w_max = mi0.w
-    runs: dict = {}  # prefetched walks on view, by (start, b)
+    runs: dict = {}  # prefetched walks and scans on view, by (start, b)
     drawn = 1  # the last iteration whose walks were prefetched
     it = 0
     for it in range(1, mi0.s + 1):
         if pieces:
-            cur, runs = view.subview(active), {}
-        else:
-            cur = view
-            if it > drawn:
-                cols = min(mi0.s - it + 1, WALK_BATCH_CELLS // (mi0.k * len(view)))
-                if cols * mi0.k < 2:  # a batch of one walk gains nothing
-                    drawn = mi0.s
-                else:
-                    runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, host_tree)
-                    drawn = it + cols - 1
-        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, host_tree, p, runs)
+            if len(cur) != len(active):  # the last iteration removed a piece
+                cur, runs = view.subview(active), {}
+                starts = StartTree.on(cur, host_tree)
+        elif it > drawn:
+            cols = min(mi0.s - it + 1, WALK_BATCH_CELLS // (mi0.k * len(view)))
+            if cols * mi0.k < 2:  # a batch of one walk gains nothing
+                drawn = mi0.s
+            else:
+                runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, starts, phi, profile)
+                drawn = it + cols - 1
+        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, starts, p, runs)
         concurrent.append(res)
         w_max = max(w_max, res.params.w)
         if res.members:
@@ -555,9 +623,11 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
 
 
 def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, iters: int,
-                    rng: np.random.Generator, host_tree: SpanningTree) -> dict:
-    """The walks of the next iters partition iterations on view, by (start, b),
-    run as one `compute_walks` batch of the distinct pairs.
+                    rng: np.random.Generator, starts: StartTree, phi: float,
+                    profile: Profile) -> dict:
+    """The walks of the next iters partition iterations on view and their
+    scans at phi, as (run, hit, trips) by (start, b): one `compute_walks`
+    batch of the distinct pairs, scanned by one `scan_runs` call.
 
     The pairs are those the iterations draw if none of them finds a cut: on
     a generator whose bit generator copies rng's state, charging a throwaway
@@ -569,8 +639,10 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
     ahead = np.random.Generator(bits)
     scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
     pairs = sorted({pair for _ in range(iters)
-                    for pair in _draw_landings(scratch, view, k, walkp.ell, ahead, host_tree)})
-    return dict(zip(pairs, compute_walks(view, pairs, walkp)))
+                    for pair in _draw_landings(scratch, k, walkp.ell, ahead, starts)})
+    runs = compute_walks(view, pairs, walkp)
+    scans = scan_runs(view, [(run, b) for run, (_, b) in zip(runs, pairs)], phi, profile)
+    return {pair: (run, *scan) for pair, run, scan in zip(pairs, runs, scans)}
 
 
 @dataclass

@@ -11,9 +11,10 @@ scipy matrix derived from them.  Contraction, cut statistics, the walk matrix
 and the text format read those arrays directly.
 
 The traversal substrate (`component_roots`, `components_of`, `hop_distances`,
-`level_sweep`) works on a symmetric CSR adjacency with numpy array operations
-only, so `Graph`, every view and every simulated tree or clustering share one
-implementation of connectivity and hop distance.
+`level_sweep`) works on a symmetric CSR adjacency, or for `level_sweep` the
+ends of its entries, with numpy array operations only, so `Graph`, every view
+and every simulated tree or clustering share one implementation of
+connectivity and hop distance.
 """
 from __future__ import annotations
 
@@ -127,13 +128,19 @@ def adjacency_csr(n: int, edges) -> sp.csr_matrix:
     of distinct undirected edges without self loops, in any order.  Built by
     counting rows and sorting the unique keys row * n + col: scipy's COO path
     would look for duplicates that cannot occur."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    rows, cols = directed_ends(edges)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sp.csr_matrix((np.ones(len(rows), dtype=np.int64), np.sort(rows * n + cols) % n,
                           indptr), shape=(n, n))
+
+
+def directed_ends(edges) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of every undirected (u, v) pair of edges in each
+    direction: the ends `edge_ends` reads from their symmetric adjacency, in
+    another order."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]])
 
 
 def edge_ends(adj: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +203,13 @@ def hop_distances(adj: sp.csr_matrix) -> np.ndarray:
         reached |= frontier
 
 
-def level_sweep(adj: sp.csr_matrix, start) -> np.ndarray:
-    """T(v) = min over u of start[u] + hop(u, v) on a symmetric CSR adjacency.
+def level_sweep(src: np.ndarray, dst: np.ndarray, start) -> np.ndarray:
+    """T(v) = min over u of start[u] + hop(u, v) on a symmetric adjacency
+    given by the ends of its entries (`edge_ends` or `directed_ends`).
     Sources are the u with start[u] < INF; T is int64, INF where none reaches.
     Levels settle in increasing order, skipping empty ones: once every lower
     level has offered its successor to its neighbours, the lowest open level
     is final."""
-    src, dst = edge_ends(adj)
     t = np.array(start, dtype=np.int64)
     level = t.min(initial=INF)
     while level < INF:

@@ -8,15 +8,17 @@ tallies rounds, messages, and the worst per-edge per-round bit load, labelled
 by algorithm phase.
 
 The tree primitives compute their result directly and charge what their
-message-level protocols would: `bfs_tree` (one `graph.level_sweep`) and
-`subtree_degrees` (one bottom-up sum) depth rounds of one 72-bit message per
-edge.  Neither runs a `Network` round or checks the bandwidth budget.  A
-`SpanningTree` is index arrays in (depth, host id) order, as the level sweep
-gives them, so the subtree sums fold one level per array operation; the
-sums and the sampling take weights indexed by host id.  The per-round
-protocols they are charged as, and the randomized tree search whose round
-trips `cuts.ScanCharger` charges by formula, are test references built on
-`run_round`; the dict-keyed trees they walk are test references too.
+message-level protocols would: `bfs_tree` (one `graph.level_sweep` over
+the ends of an undirected edge list) and `subtree_degrees` (one bottom-up
+sum) depth rounds of one 72-bit message per edge.  Neither runs a `Network`
+round or checks the bandwidth budget.  A `SpanningTree` is index arrays in
+(depth, host id) order, as the level sweep gives them, so the subtree sums
+fold one level per array operation; the sums and the sampling take weights
+indexed by host id, and the sampling takes the sums folded by the caller.
+The per-round protocols they are charged as, and the randomized tree search
+whose round trips `cuts.ScanCharger` charges by formula, are test references
+built on `run_round`; the dict-keyed trees they walk are test references
+too.
 """
 from __future__ import annotations
 
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BandwidthExceeded
-from .graph import INF, Graph, edge_ends, level_sweep
+from .graph import INF, Graph, directed_ends, level_sweep
 
 DEFAULT_BANDWIDTH_FACTOR = 192
 WORD_BITS = 64
@@ -155,16 +156,17 @@ class SpanningTree:
         return int(self.depth[-1])
 
 
-def bfs_tree(net: Network, root: int, adj: sp.csr_matrix, labels: np.ndarray) -> SpanningTree:
-    """BFS tree of root's component in a symmetric CSR adjacency whose local
-    indices carry ascending host labels.  Each vertex's parent is its
-    smallest neighbour one level up.  Charged as the message-level BFS: depth
-    rounds, one claim per edge between consecutive levels."""
-    n = adj.shape[0]
+def bfs_tree(net: Network, root: int, edges: np.ndarray, labels: np.ndarray) -> SpanningTree:
+    """BFS tree of root's component in the graph of the distinct undirected
+    (i, j) pairs of edges on local indices 0..len(labels)-1, which carry
+    ascending host labels.  Each vertex's parent is its smallest neighbour
+    one level up.  Charged as the message-level BFS: depth rounds, one claim
+    per edge between consecutive levels."""
+    n = len(labels)
     start = np.full(n, INF)
     start[np.searchsorted(labels, root)] = 0
-    depth = level_sweep(adj, start)
-    src, dst = edge_ends(adj)
+    src, dst = directed_ends(edges)
+    depth = level_sweep(src, dst, start)
     up = depth[dst] == depth[src] - 1  # dst is one level above src
     parent = np.where(depth == 0, np.arange(n), n)
     np.minimum.at(parent, src[up], dst[up])
@@ -182,33 +184,42 @@ def _charge_tree_rounds(net: Network, rounds: int, messages: int):
                           edge_bits=KIND_BITS + WORD_BITS)
 
 
-def subtree_degrees(net: Network, tree: SpanningTree, weights: np.ndarray) -> np.ndarray:
+def subtree_sums(tree: SpanningTree, weights: np.ndarray) -> np.ndarray:
     """s(v) at each tree position: the sum of weights (indexed by host id)
-    over the subtree rooted there, folded level by level from the deepest.
-    Charged as the aggregate: depth rounds, one partial sum per tree edge."""
+    over the subtree rooted there, folded level by level from the deepest."""
     sub = weights[tree.hosts].astype(np.int64)
     level = np.searchsorted(tree.depth, np.arange(tree.depth_max + 2)).tolist()
     for d in range(tree.depth_max, 0, -1):
         below = slice(level[d], level[d + 1])
         np.add.at(sub, tree.parent[below], sub[below])
-    _charge_tree_rounds(net, tree.depth_max, len(sub) - 1)
     return sub
 
 
+def subtree_degrees(net: Network, tree: SpanningTree, weights: np.ndarray) -> np.ndarray:
+    """`subtree_sums`, charged as the aggregate that computes them: depth
+    rounds, one partial sum per tree edge."""
+    _charge_tree_rounds(net, tree.depth_max, len(tree.hosts) - 1)
+    return subtree_sums(tree, weights)
+
+
 def sample_by_degree(net: Network, tree: SpanningTree, counts: dict[int, int],
-                     rng: np.random.Generator, weights: np.ndarray) -> list[tuple[int, int]]:
+                     rng: np.random.Generator, weights: np.ndarray,
+                     sub: np.ndarray) -> list[tuple[int, int]]:
     """Land `counts[b]` tokens of each tag b on tree vertices with probability
     weight/total, where weights is indexed by host id.
 
-    The subtree sums s(v) come from `subtree_degrees`.  Tokens then trickle
-    down the tree: a token dies at v with probability w(v)/s(v), else moves
-    to child u with probability s(u)/(s(v)-w(v)).  Draws are made per (host
-    id, tag) in flight in ascending order, over children in ascending id.
-    Only token counts cross edges; tags are pipelined one per round, so the
-    charged rounds are depth + number of tags.  Like the sums, every round is
+    sub holds the subtree sums s(v), `subtree_sums(tree, weights)`: a caller
+    that draws again with the same weights folds them once, and every draw
+    charges the aggregate that computes them.  Tokens then trickle down the
+    tree: a token dies at v with probability w(v)/s(v), else moves to child
+    u with probability s(u)/(s(v)-w(v)).  Draws are made per (host id, tag)
+    in flight in ascending order, over children in ascending id.  Only token
+    counts cross edges; tags are pipelined one per round, so the charged
+    rounds are depth + number of tags.  Like the sums, every round is
     charged to the ledger without running a `Network` round.
     """
-    sub = subtree_degrees(net, tree, weights).tolist()
+    _charge_tree_rounds(net, tree.depth_max, len(tree.hosts) - 1)  # the aggregate
+    sub = sub.tolist()
     w, hosts = weights[tree.hosts].tolist(), tree.hosts.tolist()
     # children of each position, ascending id: a parent's children share a level
     kids = np.argsort(tree.parent[1:], kind="stable") + 1

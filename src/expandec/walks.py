@@ -247,21 +247,33 @@ def sweep_order_local(view: ActiveView, mass: np.ndarray) -> np.ndarray:
 
 
 def sweep_tables(view: ActiveView, masses: np.ndarray):
-    """Sweep tables for a (B x n) block of walk states, one row per state.
+    """Sweep tables for a (B x n) block of walk states, one row per state:
+    the `sweep_orders` of the block and the `prefix_tables` of those orders,
+    as (order, cnt, prefvol, bnds)."""
+    order, cnt = sweep_orders(view, masses)
+    return (order, cnt, *prefix_tables(view, order))
 
-    Returns (order, cnt, prefvol, bnds), each (B x n) except cnt (B,):
-    `order` sorts local indices by rho = mass / deg descending (the float
-    rho of `sweep_order_local`; ties go to the lower local index, i.e. the
-    lower host id); `cnt` is the support size; `prefvol` the prefix volumes
-    and `bnds` the live-edge boundary of each prefix.  Only the first cnt[r]
-    entries of row r are meaningful: unsupported vertices sort last because
-    their key -0.0 is above every supported key.
+
+def sweep_orders(view: ActiveView, masses: np.ndarray):
+    """(order, cnt) of a (B x n) block of walk states: `order` sorts local
+    indices by rho = mass / deg descending (the float rho of
+    `sweep_order_local`; ties go to the lower local index, i.e. the lower
+    host id) and `cnt` is the support size.  Only the first cnt[r] entries
+    of row r are meaningful: unsupported vertices sort last, by index,
+    because their key -0.0 is above every supported key.  So two states
+    with equal rows of order and equal cnt sweep the same prefixes."""
+    order = np.argsort(-(masses / view.deg_pos), axis=1, kind="stable")
+    return order, np.count_nonzero(masses, axis=1)
+
+
+def prefix_tables(view: ActiveView, order: np.ndarray):
+    """(prefvol, bnds) of a (B x n) block of sweep orders: the prefix
+    volumes and the live-edge boundary of each prefix.
 
     The edge stage gathers end ranks in chunks of SWEEP_BLOCK_CELLS over
     live edges rows, so no (rows x edges) array exceeds that many cells.
     """
-    rows, n = masses.shape
-    order = np.argsort(-(masses / view.deg_pos), axis=1, kind="stable")
+    rows, n = order.shape
     rank = np.empty_like(order)
     rank[np.arange(rows)[:, None], order] = np.arange(n)
     # an edge is inside exactly the prefixes that reach its later end, so a
@@ -278,27 +290,35 @@ def sweep_tables(view: ActiveView, masses: np.ndarray):
     np.cumsum(bnds, axis=1, out=bnds)
     prefvol = view.deg[order]
     np.cumsum(prefvol, axis=1, out=prefvol)
-    return order, np.count_nonzero(masses, axis=1), prefvol, bnds
+    return prefvol, bnds
 
 
-def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
-    """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
-    t..t+B-1 of run, covering 1..t_stop in blocks of B rows.
+def block_rows(view: ActiveView):
+    """Row counts of the successive sweep blocks on view, without end.
 
     The first block has SWEEP_BLOCK_CELLS over max(n, live edges) rows (at
     least 1), so a scan that hits early sweeps few rows past its hit; on a
-    small view it holds the whole run.  Each later block doubles, up to
+    small view it holds a whole run.  Each later block doubles, up to
     SWEEP_BLOCK_CELLS over n rows: most scans find no cut and sweep every
-    stored step, and each block costs one `sweep_tables` call and one pass
-    of the scan's candidate tests.  Every (B x n) table stays within
-    SWEEP_BLOCK_CELLS cells, as do `sweep_tables`' edge chunks.
+    stored step, and each block costs one pass of array calls.  Every
+    (B x n) table stays within SWEEP_BLOCK_CELLS cells, as do
+    `prefix_tables`' edge chunks.
     """
     n = max(1, len(view.verts))
     rows = max(1, SWEEP_BLOCK_CELLS // max(n, view.m_live))
     cap = max(1, SWEEP_BLOCK_CELLS // n)
+    while True:
+        yield rows
+        rows = min(2 * rows, cap)
+
+
+def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
+    """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
+    t..t+B-1 of run, covering 1..t_stop in blocks of `block_rows` rows."""
     t = 1
-    while t <= t_stop:
+    for rows in block_rows(view):
+        if t > t_stop:
+            return
         masses = np.array(run.masses[t : min(t + rows, t_stop + 1)])
         yield t, masses, sweep_tables(view, masses)
         t += rows
-        rows = min(2 * rows, cap)

@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from expandec.clustering import NeighborhoodOracle, ShiftClustering
-from expandec.cuts import (SweepCandidate, _check_algo_phi, _result_from_candidate,
-                           _sample_starts, distributed_local_cut, draw_b)
+from expandec.cuts import (StartTree, SweepCandidate, _check_algo_phi, _result_from_candidate,
+                           distributed_local_cut, draw_b)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
-from expandec.graph import INF, Cut, Graph, edge_ends, edge_key, lazy_walk_matrix, level_sweep
+from expandec.graph import INF, Cut, Graph, directed_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
 from expandec.triangles import ComponentEnumeration
 from expandec.views import ActiveView
@@ -131,7 +131,12 @@ def reporters(enumeration) -> dict:
 
 def view_tree(net, view) -> SpanningTree:
     """The BFS tree of a view from its least vertex, as cut accumulation builds."""
-    return bfs_tree(net, int(view.verts[0]), view.adj_matrix, view.verts)
+    return bfs_tree(net, int(view.verts[0]), view.edges_local, view.verts)
+
+
+def view_starts(net, view) -> StartTree:
+    """The start sampling of a view down its own BFS tree."""
+    return StartTree.on(view, view_tree(net, view))
 
 
 class WorkingGraphReference:
@@ -564,7 +569,7 @@ def randomized_local_cut(net, view, phi, params, profile, rng):
     """Distributed local cut from a geometric truncation level and a
     degree-distributed start, drawn down the view's BFS tree."""
     b = draw_b(params.ell, rng)
-    v = _sample_starts(net, view, {b: 1}, rng, view_tree(net, view))[0][0]
+    v = view_starts(net, view).sample(net, {b: 1}, rng)[0][0]
     return distributed_local_cut(net, view, v, phi, b, params, profile)
 
 
@@ -618,17 +623,17 @@ def dict_tree(tree: SpanningTree) -> DictTree:
 
 def host_tree(net, root: int) -> SpanningTree:
     """The BFS tree of root's component of the host graph."""
-    return bfs_tree(net, root, net.graph.adj, np.arange(net.graph.n))
+    return bfs_tree(net, root, net.graph.edges, np.arange(net.graph.n))
 
 
-def bfs_tree_reference(net, root, adj, labels) -> DictTree:
+def bfs_tree_reference(net, root, edges, labels) -> DictTree:
     """bfs_tree building host-keyed dicts from the same level sweep, with a
     loop over the children."""
-    n = adj.shape[0]
+    n = len(labels)
     start = np.full(n, INF)
     start[np.searchsorted(labels, root)] = 0
-    depth = level_sweep(adj, start)
-    src, dst = edge_ends(adj)
+    src, dst = directed_ends(edges)
+    depth = level_sweep(src, dst, start)
     up = depth[dst] == depth[src] - 1
     parent = np.where(depth == 0, np.arange(n), n)
     np.minimum.at(parent, src[up], dst[up])

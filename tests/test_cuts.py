@@ -14,7 +14,7 @@ from expandec.config import DESK, PAPER
 from expandec.decomposition import _sweep_falsifier
 from expandec.errors import BadPhi
 from expandec.graph import cut_stats
-from expandec.simulator import Network
+from expandec.simulator import Network, subtree_sums
 from expandec.views import ActiveView
 from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, compute_walk, derive_walk_params
 from expandec.cuts import (
@@ -22,7 +22,6 @@ from expandec.cuts import (
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
-    _sample_starts,
     balanced_sparse_cut,
     concurrent_local_cuts,
     derive_instance_params,
@@ -40,7 +39,7 @@ from helpers_h import (
     pstar,
     randomized_local_cut,
     scan_run_per_step,
-    view_tree,
+    view_starts,
 )
 
 PHI = 1 / 12
@@ -216,9 +215,9 @@ def test_randomized_start_degree_marginal():
     center = 0
     trials = 2000
     hits = 0
-    tree = view_tree(net, view)
+    starts = view_starts(net, view)
     for _ in range(trials):
-        (v, _b), = _sample_starts(net, view, {1: 1}, rng, tree)
+        (v, _b), = starts.sample(net, {1: 1}, rng)
         hits += v == center
     sigma = math.sqrt(0.25 / trials)
     assert abs(hits / trials - 0.5) <= 5 * sigma
@@ -250,7 +249,7 @@ def test_concurrent_conductance_bound():
     for seed in range(6):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 4),
-                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
+                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
         if res.members is None:
             continue
         cut = cut_stats(g, res.members)
@@ -262,7 +261,7 @@ def test_concurrent_k1_degenerate():
     view, params = _cut_setup(g)
     net = Network(g)
     res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 1),
-                                np.random.default_rng(4), view_tree(net, view), 0.25)
+                                np.random.default_rng(4), view_starts(net, view), 0.25)
     assert len(res.instances) == 1
     single = res.instances[0].members
     vol = view.vol()
@@ -279,7 +278,7 @@ def test_concurrent_union_volume_bound_any_seed():
     for seed in range(10):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 5),
-                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
+                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
         if res.members is not None:
             assert 24 * sum(g.deg[v] for v in res.members) <= 23 * vol
 
@@ -384,7 +383,7 @@ def test_overlap_rule_from_transcript():
     for seed, k in zip(range(6), (6, 60) * 3):  # w = 50 here, so 60 instances can abort
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, k),
-                                    np.random.default_rng(seed), view_tree(net, view), 0.25)
+                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
         recount = {}
         for inst in res.instances:
             for e in pstar(inst):
@@ -442,6 +441,37 @@ def _scan_both(view, start, params, phi, b, depth, size, monkeypatch=None):
     return run, ref
 
 
+def _scan_batch(view, pairs, params, phi, depth, size, monkeypatch):
+    """scan_runs on the walks from pairs, all in one call, under every block
+    schedule of BLOCK_ROWS, against the per-step oracle on each walk: the
+    same hit and, charged on a tree of the given depth and size after the
+    walk, the same ledger snapshot.  Returns the walks and their hits."""
+    runs = walks.compute_walks(view, pairs, params)
+    refs = []
+    for run in runs:
+        net = Network(view.graph)
+        walks.charge_walk(net, run)
+        hit = scan_run_per_step(view, run, phi, run.b, DESK, jx_only=True,
+                                charger=StepCharger(net, depth, size))
+        refs.append((hit, net.ledger.snapshot()))
+    for rows in BLOCK_ROWS:
+        monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
+        got = cuts.scan_runs(view, [(run, run.b) for run in runs], phi, DESK)
+        for run, (hit, trips), (ref, ledger) in zip(runs, got, refs, strict=True):
+            net = Network(view.graph)
+            walks.charge_walk(net, run)
+            ScanCharger(net, depth, size).charge(trips, hit is not None)
+            assert hit == ref
+            assert net.ledger.snapshot() == ledger
+    return runs, [hit for hit, _ in refs]
+
+
+def _same_order_as_before(view, run, t):
+    """Whether step t sweeps the same prefixes as step t - 1 of run."""
+    return t > 1 and np.array_equal(walks.sweep_order_local(view, run.masses[t]),
+                                    walks.sweep_order_local(view, run.masses[t - 1]))
+
+
 def test_scan_run_matches_per_step_oracle(monkeypatch):
     rng = np.random.default_rng(41)
     graphs = [gen.barbell(5, 1), gen.barbell(7, 2), gen.cliques_chain(3, 5, 1),
@@ -450,15 +480,17 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
     seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0,
             "hit at t = 1": 0, "hit at t = 3k": 0, "hit in the last row": 0,
             "miss with a frozen tail": 0, "falsifier finite": 0,
-            "block wider than its edge chunk": 0}
-    wide = []  # per sweep_tables call: more rows than one edge chunk
-    tables = walks.sweep_tables
+            "block wider than its edge chunk": 0, "batched hit in a group's first row": 0,
+            "batched hit inside a group": 0, "batched miss with a frozen tail": 0,
+            "batched emptied walk": 0}
+    wide = []  # per prefix_tables call: more rows than one edge chunk
+    tables = cuts.prefix_tables
 
-    def sweep_tables_recorded(view, masses):
-        wide.append(len(masses) > walks.SWEEP_BLOCK_CELLS // max(1, view.m_live))
-        return tables(view, masses)
+    def prefix_tables_recorded(view, order):
+        wide.append(len(order) > walks.SWEEP_BLOCK_CELLS // max(1, view.m_live))
+        return tables(view, order)
 
-    monkeypatch.setattr(walks, "sweep_tables", sweep_tables_recorded)
+    monkeypatch.setattr(cuts, "prefix_tables", prefix_tables_recorded)
     for trial in range(70):
         wide.clear()
         g = graphs[trial % len(graphs)]
@@ -480,6 +512,19 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
             _, cand_cut = _scan_both(view, start, cut, phi, b, depth, size, monkeypatch)
             assert cand_cut == cand
             seen["hit in the last row"] += 1
+        # 2-4 walks at different levels in one scan, from their own generator;
+        # a high mass floor makes hits that wait for mass inside a group
+        brng = np.random.default_rng([41, trial])
+        levels = 1 + brng.permutation(params.ell)[:2 + trial % 3]
+        pairs = [(int(brng.integers(g.n)), int(lv)) for lv in levels]
+        bparams = dataclasses.replace(params, gamma=base.gamma * float(brng.choice([1, 20, 100])))
+        for bat, hit in zip(*_scan_batch(view, pairs, bparams, phi, depth, size, monkeypatch)):
+            if hit is not None:
+                inside = _same_order_as_before(view, bat, hit.t)
+                seen["batched hit inside a group"] += inside
+                seen["batched hit in a group's first row"] += not inside
+            seen["batched miss with a frozen tail"] += hit is None and bat.t_last < bat.t0
+            seen["batched emptied walk"] += not bat.masses[-1].any()
         seen["frozen"] += run.t_last < run.t0
         seen["emptied"] += not run.masses[-1].any()
         seen["hit"] += cand is not None
@@ -558,7 +603,7 @@ def test_concurrent_cuts_with_an_isolated_vertex():
     for seed in range(2):
         net = Network(g)
         res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed),
-                                    view_tree(net, view), 0.25)
+                                    view_starts(net, view), 0.25)
         assert all(g.deg[inst.start] > 0 for inst in res.instances)
         assert net.ledger.totals().rounds > 0
 
@@ -567,16 +612,25 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
                                          after_each=None):
     """sparse_cut_partition on the whole graph with the walk prefetch on and
     off: per mode, (result or raised error, ledger snapshot, rng, batch
-    sizes, walks run alone).  after_each(net) runs after each iteration.
-    Returns the result, batch sizes and lone walks with the prefetch."""
+    sizes, walks run alone, scans run alone).  after_each(net) runs after
+    each iteration.  With the prefetch off, every local cut walks and scans
+    alone; with it on, each walk run alone is scanned alone, and a prefetched
+    walk is not scanned again.  Either way the start sampling folds its
+    subtree sums once per view: the whole view, then at most once per
+    removed piece.  Returns the result, batch sizes and lone walks with the
+    prefetch."""
     outs = []
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
-        batches, alone = [], []
+        batches, alone, scans, folds = [], [], [], []
         monkeypatch.setattr(cuts, "compute_walks", lambda view, pairs, params: (
             batches.append(len(pairs)) or walks.compute_walks(view, pairs, params)))
         monkeypatch.setattr(cuts, "compute_walk", lambda *args, **kwargs: (
             alone.append(1) or walks.compute_walk(*args, **kwargs)))
+        monkeypatch.setattr(cuts, "scan_run", lambda *args: (
+            scans.append(1) or scan_run(*args)))
+        monkeypatch.setattr(cuts, "subtree_sums", lambda *args: (
+            folds.append(1) or subtree_sums(*args)))
         if after_each is not None:
             def concurrent(net, *args, **kwargs):
                 res = concurrent_local_cuts(net, *args, **kwargs)  # the unpatched one
@@ -588,13 +642,19 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
             out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
         except BadPhi as exc:
             out = exc
-        outs.append((out, net.ledger.snapshot(), rng, batches, len(alone)))
-    (on, ledger_on, rng_on, batches_on, alone_on), (off, ledger_off, rng_off, batches_off, _) = outs
+        outs.append((out, net.ledger.snapshot(), rng, batches, len(alone), len(scans),
+                     len(folds)))
+    ((on, ledger_on, rng_on, batches_on, alone_on, scans_on, folds_on),
+     (off, ledger_off, rng_off, batches_off, alone_off, scans_off, folds_off)) = outs
     assert not batches_off
+    assert scans_on == alone_on
+    assert folds_on == folds_off
     if isinstance(on, BadPhi):
         assert isinstance(off, BadPhi) and str(on) == str(off)
     else:
         assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
+        assert scans_off == alone_off == sum(len(c.instances) for c in off.concurrent)
+        assert 1 <= folds_on <= 1 + len(on.pieces)
     assert ledger_on == ledger_off
     assert rng_on.bit_generator.state == rng_off.bit_generator.state
     assert (rng_on.bit_generator.seed_seq.n_children_spawned

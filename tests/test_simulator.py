@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from expandec import generators as gen
-from expandec.cuts import _sample_starts
+from expandec.cuts import StartTree
 from expandec.errors import BandwidthExceeded
-from expandec.graph import Graph, adjacency_csr, edge_key
+from expandec.graph import Graph, edge_key
 from expandec.simulator import (
     KIND_BITS,
     WORD_BITS,
@@ -20,6 +20,7 @@ from expandec.simulator import (
     bfs_tree,
     sample_by_degree,
     subtree_degrees,
+    subtree_sums,
 )
 from expandec.views import ActiveView, WorkingGraph
 
@@ -160,7 +161,7 @@ def test_bfs_matches_sssp_oracle():
 def test_bfs_edge_filter_unreachable():
     g = gen.path(4)
     net = Network(g)
-    tree = bfs_tree(net, 0, adjacency_csr(4, [(0, 1), (2, 3)]), np.arange(4))
+    tree = bfs_tree(net, 0, np.array([(0, 1), (2, 3)]), np.arange(4))
     assert tree.hosts.tolist() == [0, 1]
 
 
@@ -180,7 +181,7 @@ def test_bfs_tree_and_subtree_sums_match_message_level():
         net, ref_net = Network(g), Network(g)
         if draw % 3 == 0:
             kinds["view"] += 1
-            tree = bfs_tree(net, root, view.adj_matrix, view.verts)
+            tree = bfs_tree(net, root, view.edges_local, view.verts)
             ref = bfs_tree_per_round(ref_net, root, lambda a, c: is_live(working, a, c),
                                      view.active)
             reachable = len(view.active)
@@ -188,7 +189,7 @@ def test_bfs_tree_and_subtree_sums_match_message_level():
             kinds["edges"] += 1
             keep = [e for e in live_edges(view) if rng.random() < 0.7]
             local = np.searchsorted(view.verts, np.array(keep, dtype=np.int64))
-            tree = bfs_tree(net, root, adjacency_csr(len(view), local), view.verts)
+            tree = bfs_tree(net, root, local, view.verts)
             ref = bfs_tree_per_round(ref_net, root, lambda a, c: edge_key(a, c) in keep,
                                      {root} | {u for e in keep for u in e})
             reachable = len(view.active)
@@ -227,8 +228,8 @@ def test_tree_arrays_match_dict_reference():
         view = ActiveView(working, [v for v in range(n) if rng.random() < 0.9] or [0])
         root = int(view.verts[0])
         net, ref_net = Network(g), Network(g)
-        tree = bfs_tree(net, root, view.adj_matrix, view.verts)
-        ref = bfs_tree_reference(ref_net, root, view.adj_matrix, view.verts)
+        tree = bfs_tree(net, root, view.edges_local, view.verts)
+        ref = bfs_tree_reference(ref_net, root, view.edges_local, view.verts)
         assert dict_tree(tree) == ref
         weights = rng.integers(0, 9, size=n)
         sums = subtree_degrees(net, tree, weights)
@@ -243,7 +244,7 @@ def test_tree_arrays_match_dict_reference():
             target = view
         counts = Counter(rng.integers(1, 6, size=int(rng.integers(1, 60))).tolist())
         got_rng, ref_rng = np.random.default_rng([draw, 1]), np.random.default_rng([draw, 1])
-        lands = _sample_starts(net, target, counts, got_rng, tree)
+        lands = StartTree.on(target, tree).sample(net, counts, got_rng)
         ref_lands = sample_by_degree_reference(
             ref_net, ref, counts, ref_rng, lambda v: int(g.deg[v]) if v in target.active else 0)
         assert lands == ref_lands
@@ -288,7 +289,8 @@ def test_sample_by_degree_single_vertex():
     net = Network(g)
     tree = host_tree(net, 0)
     rng = np.random.default_rng(0)
-    lands = sample_by_degree(net, tree, {1: 5}, rng, np.ones(1, dtype=np.int64))
+    weights = np.ones(1, dtype=np.int64)
+    lands = sample_by_degree(net, tree, {1: 5}, rng, weights, subtree_sums(tree, weights))
     assert lands == [(0, 1)] * 5
 
 
@@ -297,7 +299,7 @@ def test_sample_by_degree_k2_split():
     net = Network(g)
     tree = host_tree(net, 0)
     rng = np.random.default_rng(123)
-    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg)
+    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg, subtree_sums(tree, g.deg))
     frac = sum(1 for v, _ in lands if v == 0) / 10_000
     sigma = math.sqrt(0.25 / 10_000)
     assert abs(frac - 0.5) <= 5 * sigma
@@ -308,7 +310,7 @@ def test_sample_by_degree_star_center_frequency():
     net = Network(g)
     tree = host_tree(net, 0)
     rng = np.random.default_rng(99)
-    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg)
+    lands = sample_by_degree(net, tree, {1: 10_000}, rng, g.deg, subtree_sums(tree, g.deg))
     frac = sum(1 for v, _ in lands if v == 0) / 10_000
     sigma = math.sqrt(0.5 * 0.5 / 10_000)
     assert abs(frac - 0.5) <= 5 * sigma
