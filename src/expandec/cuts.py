@@ -14,15 +14,19 @@ lists.  Like walks and scans, they are charged by formula, so a cut runs no
 host tree with the view's subtree degree sums (`StartTree`), folded once per
 view; every draw still charges the aggregate that computes them.
 
-`scan_runs` scans the stored steps of one or more runs on one view, stacked,
-in the blocks of `walks.block_rows` (a small view's batch in one block).
-Consecutive steps of a run with the same sweep order and support, as most
-are once a walk settles, share their sweep tables, candidate chain and every
-test but the mass floor, so those are built once per group; no Python loop
-runs once per walk step.  Each run's outcome is its earliest hit whatever
-the blocks and the other runs, and its tree round trips are charged once the
-tree is known, as one ledger entry of the per-step costs' sum.  `scan_run`
-is the one-run case.
+A local cut's walk streams into its scan (`SweepScan`, the sweep of
+`walks.compute_walks`) one block of fresh states at a time, and stops at
+the step where the scan hits, as Spielman-Teng's Nibble returns at the first
+step whose sweep passes.  So the walk is charged for the rounds and messages
+up to its hit only, and the cut's tree spans the edges touched up to there;
+a walk without a hit runs to t0 or its freeze.  Consecutive steps of a run
+with the same sweep order and support, as most are once a walk settles,
+share their sweep tables, candidate chain and every test but the mass floor,
+so those are built once per group; no Python loop runs once per walk step.
+Each run's outcome is its earliest hit whatever the blocks and the other
+runs, and its tree round trips are charged once the tree is known, as one
+ledger entry of the per-step costs' sum.  `scan_runs` walks and scans a batch
+of (start, b) pairs; `scan_run` charges the scan of one walk.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
@@ -31,9 +35,9 @@ Cut accumulation runs its later iterations' walks and scans early.  An
 iteration's levels and starts are drawn from the rng before its walks, and
 they depend on earlier iterations only through the view, which changes only
 when a cut is found.  So after iteration 1, while no cut has been found, the
-next iterations' (start, b) pairs are drawn ahead on a copy of the rng, run
-as one `walks.compute_walks` batch of at most WALK_BATCH_CELLS walk states
-per step and scanned by one `scan_runs` call.  Each iteration still draws
+next iterations' (start, b) pairs are drawn ahead on a copy of the rng, and
+walked and scanned as one `scan_runs` batch of at most WALK_BATCH_CELLS walk
+states per step.  Each iteration still draws
 from the rng itself and charges the ledger; it takes a prefetched walk and
 its scan only when its view, start and level are the prefetched ones, so the
 outcome is that of running every walk and scan alone.
@@ -48,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Profile
-from .errors import BadPhi
+from .errors import BadPhi, TooLarge
 from .graph import Cut
 from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_tree,
                         sample_by_degree, subtree_sums)
@@ -57,13 +61,11 @@ from .walks import (
     SCALE,
     WalkParams,
     WalkRun,
-    block_rows,
     charge_walk,
     compute_walk,
     compute_walks,
     derive_walk_params,
     prefix_tables,
-    sweep_order_local,
     sweep_orders,
 )
 
@@ -167,20 +169,25 @@ def _phi_prefilter(bnds: np.ndarray, pv: np.ndarray, vol_total: int,
 def _jstar(prefvol: np.ndarray, cnt: np.ndarray, phi: float) -> np.ndarray:
     """j* of every cell of a (B x n) block of prefix volumes: the number of the
     row's first cnt prefix volumes at most (1 + phi) * pv, i.e. at most
-    pv + floor(pv * phi).  The float floor is redone in integers where
-    pv * phi lies within 2^-50 (relative) of an integer."""
+    pv + floor(pv * phi), in int64 and exact.
+
+    phi is num / 2^k with num < 2^53, so pv * phi is (pv * num) >> k.  With
+    num = hi * 2^s + lo (s = min(k, 26), so hi < 2^27 and lo < 2^26), that is
+    (pv * hi + ((pv * lo) >> s)) >> (k - s), and for pv < 2^35 no product or
+    sum reaches 2^63; a larger volume raises TooLarge."""
     rows, n = prefvol.shape
-    prod = prefvol * phi
-    near = np.flatnonzero(abs(np.rint(prod) - prod) <= prod * 2.0**-50)
-    ext = np.floor(prod, out=prod).astype(np.int64)
-    del prod  # one (B x n) array less under the searchsorted below
-    if len(near):
-        phi_num, phi_den = _ratio(phi)
-        vals, inv = np.unique(prefvol.ravel()[near], return_inverse=True)
-        ext.ravel()[near] = np.array([(pv * phi_num) // phi_den for pv in vals.tolist()])[inv]
+    top = int(prefvol[:, -1].max(initial=0))  # rows are nondecreasing
+    if top >= 1 << 35:
+        raise TooLarge(f"prefix volume {top} beyond the exact j* range 2^35")
+    num, den = _ratio(phi)
+    k = den.bit_length() - 1
+    s = min(k, 26)
+    ext = prefvol * (num >> s)
+    ext += (prefvol * (num & ((1 << s) - 1))) >> s
+    ext >>= min(k - s, 63)
     # rows are offset past each other's largest threshold (2 * total volume),
     # so one searchsorted over the flat block counts within each row
-    key = prefvol + np.arange(rows)[:, None] * (2 * int(prefvol[:, -1].max(initial=0)) + 1)
+    key = prefvol + np.arange(rows)[:, None] * (2 * top + 1)
     ext += key
     flat = np.searchsorted(key.ravel(), ext.ravel(), side="right").reshape(rows, n)
     flat -= np.arange(rows)[:, None] * n
@@ -224,7 +231,8 @@ class ScanCharger:
 
 @dataclass(frozen=True)
 class SweepCandidate:
-    """The accepted sweep prefix: step, index, and its exact statistics."""
+    """The accepted sweep prefix: step, index, its exact statistics and its
+    members."""
 
     t: int
     j: int
@@ -233,6 +241,7 @@ class SweepCandidate:
     boundary: int
     conductance: Fraction
     rho_at_j: float
+    members: frozenset  # host ids of the prefix
 
 
 @dataclass
@@ -245,19 +254,17 @@ class LocalCutResult:
     touched: np.ndarray  # the walk's WalkRun.touched
 
 
-def scan_runs(view: ActiveView, runs, phi: float,
-              profile: Profile) -> list[tuple[SweepCandidate | None, int]]:
-    """Per (run, b) of runs, walks on view: the first (t, j) hit of the
-    sweep conditions at level b, or None, and the tree round trips of its
-    scan, the frozen tail included.
+class SweepScan:
+    """The sweep scan of the walks from pairs on view at phi, each at its own
+    level b: the sweep that `compute_walks` streams them into.
 
-    The stored steps t = 1..min(t0, t_last) of every run are stacked run
-    after run and taken in the blocks of `block_rows`; a run's steps past
-    its hit are left out of later blocks.  Each row steps through the
-    geometric candidate subsequence: a step to j_prev + 1 is tested under the
-    raw conditions, a jump under the slack conditions against u_prev, and
-    the next candidate is max(j + 1, j*), with j* the number of prefix
-    volumes at most (1 + phi) * prefvol[j].
+    Each call takes one block of fresh walk states, the rows of each run
+    consecutive and in step order, and returns {run: step} of the runs that
+    hit there.  Each row steps through the geometric candidate subsequence:
+    a step to j_prev + 1 is tested under the raw conditions, a jump under
+    the slack conditions against u_prev, and the next candidate is
+    max(j + 1, j*), with j* the number of prefix volumes at most
+    (1 + phi) * prefvol[j].
 
     Consecutive rows of one run with equal sweep order and support size form
     a group (`sweep_orders`), which shares prefix volumes, boundaries, j*,
@@ -267,35 +274,31 @@ def scan_runs(view: ActiveView, runs, phi: float,
     Candidates are prefiltered with float masks whose margins strictly
     dominate rounding error, then confirmed in exact integer arithmetic in
     (row, chain) order, so each run's hit is the earliest row's first hit,
-    as in a fully exact scan of one step at a time.
+    as in a fully exact scan of one step at a time, whatever the blocks.
+    The walk stops at its hit, so no later row of that run comes.
 
-    The trips are those of every step up to the hit (`_trips`, the hit's
-    step counting its checks up to the hit), or, without a hit, of every
-    step plus the frozen tail, whose t0 - t_last steps repeat the last
-    stored step's scan.
+    The trips of a run (`outcome`) are those of every step up to its hit
+    (`_trips`, the hit's step counting its checks up to the hit), or,
+    without a hit, of every step plus the frozen tail, whose t0 - t_last
+    steps repeat the last step's scan.
     """
-    vol_total = view.vol()
-    n = len(view)
-    phi_num, phi_den = _ratio(phi)
-    slackF = Fraction(profile.starred_slack) * Fraction(phi)
-    slack_f = float(slackF)
-    deg = view.deg
-    levels = np.array([b for _, b in runs], dtype=np.int64)
-    gammas = np.array([run.params.gamma for run, _ in runs])
-    hits: list[SweepCandidate | None] = [None] * len(runs)
-    trips = np.zeros(len(runs), dtype=np.int64)
-    last = np.zeros(len(runs), dtype=np.int64)  # trips of each run's last stored step
-    steps = np.array([min(run.t0, run.t_last) for run, _ in runs], dtype=np.int64)
-    ends = np.cumsum(steps)  # past each run's rows in the stack
-    run_of = np.repeat(np.arange(len(runs)), steps)
-    t_of = np.arange(len(run_of)) - np.repeat(ends - steps, steps) + 1
 
-    def scan_block(r_run: np.ndarray, r_t: np.ndarray):
-        """Record the hits among the block's rows and add their trips."""
-        heads = np.flatnonzero(np.diff(r_run, prepend=-1))  # each run's first row
-        tails = np.append(heads[1:], len(r_run)) - 1  # and its last
-        masses = np.array([m for h, e in zip(heads.tolist(), tails.tolist())
-                           for m in runs[r_run[h]][0].masses[r_t[h]:r_t[e] + 1]])
+    def __init__(self, view: ActiveView, pairs, params: WalkParams, phi: float,
+                 profile: Profile):
+        self.view, self.phi, self.vol_total = view, phi, view.vol()
+        self.slack = Fraction(profile.starred_slack) * Fraction(phi)
+        self.gamma = params.gamma
+        self.levels = np.array([b for _, b in pairs], dtype=np.int64)
+        self.hits: list[SweepCandidate | None] = [None] * len(pairs)
+        self.trips = np.zeros(len(pairs), dtype=np.int64)
+        self.last = np.zeros(len(pairs), dtype=np.int64)  # trips of each run's latest step
+
+    def __call__(self, masses: np.ndarray, r_run: np.ndarray, r_t: np.ndarray) -> dict:
+        view, phi, vol_total, slackF, gamma = (self.view, self.phi, self.vol_total, self.slack,
+                                               self.gamma)
+        phi_q, gamma_q = _ratio(phi), _ratio(gamma)
+        n, deg = len(view), view.deg
+        tails = np.append(np.flatnonzero(np.diff(r_run)), len(r_run) - 1)  # each run's last row
         order, cnt = sweep_orders(view, masses)
         new = np.ones(len(cnt), dtype=bool)
         new[1:] = ((r_run[1:] != r_run[:-1]) | (cnt[1:] != cnt[:-1])
@@ -303,6 +306,7 @@ def scan_runs(view: ActiveView, runs, phi: float,
         first = np.flatnonzero(new)  # the first row of each group
         grp = np.cumsum(new) - 1
         g_order, g_cnt = order[first], cnt[first]
+        del order
         prefvol, bnds = prefix_tables(view, g_order)
         # The candidate chain of every group runs over flat cells
         # group * n + index; nxt is each cell's next candidate, max(j + 1, j*).
@@ -324,10 +328,10 @@ def scan_runs(view: ActiveView, runs, phi: float,
         # the group's tests at its chain cells: a step is raw, a jump starred
         raw = cell == prev + 1
         pv, bd = prefvol.ravel()[cell], bnds.ravel()[cell]
-        b_cell = levels[r_run[first]][cell_grp]
+        b_cell = self.levels[r_run[first]][cell_grp]
         pre = (14 * pv >= (5 << b_cell)) & np.where(
             raw, _phi_prefilter(bd, pv, vol_total, phi) & (6 * pv <= 5 * vol_total),
-            _phi_prefilter(bd, pv, vol_total, slack_f) & (12 * pv <= 11 * vol_total))
+            _phi_prefilter(bd, pv, vol_total, float(slackF)) & (12 * pv <= 11 * vol_total))
         tested = g_order.ravel()[np.where(raw, cell, prev)]  # the vertex of the mass floor
         cand = np.flatnonzero(pre)
         # every row of the group at each of these cells, in (row, chain) order
@@ -336,33 +340,34 @@ def scan_runs(view: ActiveView, runs, phi: float,
         pair_row = (np.repeat(first[cell_grp[cand]] - np.cumsum(size) + size, size)
                     + np.arange(len(pair_cell)))
         u = tested[pair_cell]
-        ok = _mass_floor_prefilter(masses[pair_row, u] / view.deg_pos[u], pv[pair_cell],
-                                   gammas[r_run[pair_row]])
+        ok = _mass_floor_prefilter(masses[pair_row, u] / view.deg_pos[u], pv[pair_cell], gamma)
         pair_cell, pair_row = pair_cell[ok], pair_row[ok]
         by_row = np.lexsort((rank[pair_cell], pair_row))
         pair_cell, pair_row = pair_cell[by_row], pair_row[by_row]
 
         def confirm(c: int, r: int) -> SweepCandidate | None:
             """Exact test of chain cell c in row r."""
-            j, b = int(r_run[r]), int(levels[r_run[r]])
+            b = int(self.levels[r_run[r]])
             k, p, bdc = int(cell[c] % n), int(pv[c]), int(bd[c])
             u_t = int(tested[c])
             if raw[c]:
-                passed = (_phi_at_most(bdc, p, vol_total, phi_num, phi_den)
+                passed = (_phi_at_most(bdc, p, vol_total, *phi_q)
                           and _vol_window_ok(p, vol_total, b, 5, 6))
             else:
                 passed = (_phi_at_most(bdc, p, vol_total, slackF.numerator, slackF.denominator)
                           and _vol_window_ok(p, vol_total, b, 11, 12))
-            if not (passed and _mass_floor_ok(int(masses[r, u_t]), int(deg[u_t]), p,
-                                              *_ratio(gammas[j]))):
+            if not (passed and _mass_floor_ok(int(masses[r, u_t]), int(deg[u_t]), p, *gamma_q)):
                 return None
-            u = int(g_order[grp[r], k])
+            prefix = g_order[grp[r], :k + 1]
+            u = int(prefix[-1])
             return SweepCandidate(
                 int(r_t[r]), k + 1, not raw[c], p, bdc,
                 Fraction(0) if bdc == 0 else Fraction(bdc, min(p, vol_total - p)),
                 int(masses[r, u]) / (SCALE * int(deg[u])),
+                frozenset(view.verts[prefix].tolist()),
             )
 
+        found = {}
         # each run's first candidate, until it confirms or none is left
         while len(pair_row):
             runs_left = r_run[pair_row]
@@ -374,35 +379,36 @@ def scan_runs(view: ActiveView, runs, phi: float,
                     drop[i] = True
                     continue
                 j = int(r_run[r])
-                hits[j] = hit
+                self.hits[j], found[j] = hit, hit.t
                 drop |= runs_left == j
                 row_trips[r] = _trips(rank[c] + 1, g_cnt[grp[r]])
                 row_trips[r + 1:][r_run[r + 1:] == j] = 0
             pair_cell, pair_row = pair_cell[~drop], pair_row[~drop]
-        np.add.at(trips, r_run, row_trips)
-        last[r_run[tails]] = row_trips[tails]
+        np.add.at(self.trips, r_run, row_trips)
+        self.last[r_run[tails]] = row_trips[tails]
+        return found
 
-    at = 0
-    for rows in block_rows(view):
-        if at >= len(run_of):
-            break
-        scan_block(run_of[at:at + rows], t_of[at:at + rows])
-        at += rows
-        while at < len(run_of) and hits[run_of[at]] is not None:  # the rest of a run that hit
-            at = int(ends[run_of[at]])
-    out = []
-    for j, (run, _) in enumerate(runs):
-        if hits[j] is None:  # frozen steps repeat the last stored scan
-            trips[j] += (run.t0 - run.t_last) * last[j]
-        out.append((hits[j], int(trips[j])))
-    return out
+    def outcome(self, i: int, run: WalkRun) -> tuple[SweepCandidate | None, int]:
+        """The hit of the i-th run, walked as run, and the tree round trips of
+        its scan, the frozen tail included."""
+        hit = self.hits[i]
+        tail = 0 if hit is not None else (run.t0 - run.t_last) * int(self.last[i])
+        return hit, int(self.trips[i]) + tail
 
 
-def scan_run(view: ActiveView, run: WalkRun, phi: float, b: int, profile: Profile,
-             charger: ScanCharger) -> SweepCandidate | None:
-    """First (t, j) hit of the sweep conditions on run at level b, or None:
-    the one-run case of `scan_runs`, charged to charger as one entry."""
-    ((found, trips),) = scan_runs(view, [(run, b)], phi, profile)
+def scan_runs(view: ActiveView, pairs, params: WalkParams, phi: float,
+              profile: Profile) -> list[tuple[WalkRun, SweepCandidate | None, int]]:
+    """Per (start, b) of pairs, its walk on view streamed into one
+    `SweepScan` and stopped at its hit: (run, hit or None, trips)."""
+    scan = SweepScan(view, pairs, params, phi, profile)
+    runs = compute_walks(view, pairs, params, scan)
+    return [(run, *scan.outcome(i, run)) for i, run in enumerate(runs)]
+
+
+def scan_run(scan: SweepScan, run: WalkRun, charger: ScanCharger) -> SweepCandidate | None:
+    """The hit of run, the one walk that scan swept, or None: the one-run
+    case of `scan_runs`, its trips charged to charger as one entry."""
+    found, trips = scan.outcome(0, run)
     charger.charge(trips, found is not None)
     return found
 
@@ -414,10 +420,8 @@ def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate 
                            start: int, b: int) -> LocalCutResult:
     if cand is None:
         return LocalCutResult(None, None, start, b, view, run.touched)
-    order = sweep_order_local(view, run.masses[cand.t])
-    members = frozenset(int(view.verts[i]) for i in order[: cand.j])
-    cut = view.cut_stats(members)
-    return LocalCutResult(members, cut, start, b, view, run.touched)
+    return LocalCutResult(cand.members, view.cut_stats(cand.members), start, b, view,
+                          run.touched)
 
 
 def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
@@ -426,21 +430,25 @@ def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b:
     """Distributed local cut: simulated walk, tree-search candidate location,
     slack conditions on jump candidates, full round accounting.
 
-    A prefetched (run, hit, trips), a walk and its `scan_runs` outcome at
-    this phi and profile, stands in for the walk and the scan when it is the
-    walk from v at level b on this very view; it is charged as they would
-    be, on the tree of the walk's touched edges."""
+    The walk is streamed into its scan and stops at the hit, so it is
+    charged through the hit step, and the scan's tree spans the edges it
+    touched up to there.  A prefetched (run, hit, trips), a `scan_runs`
+    outcome at this phi and profile, stands in for the walk and the scan
+    when it is the walk from v at level b on this very view; it is charged
+    as they would be."""
     _check_algo_phi(phi)
     run = prefetched[0] if prefetched is not None else None
     if run is not None and run.view is view and (run.start, run.b, run.params) == (v, b, params):
         run, cand, trips = prefetched
         charge_walk(net, run)
+        scan = None
     else:
-        run, trips = compute_walk(view, v, params, b, net=net), None
+        scan = SweepScan(view, [(v, b)], params, phi, profile)
+        run = compute_walk(view, v, params, b, scan, net=net)
     tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
     charger = ScanCharger(net, tree.depth_max, len(tree.hosts))
-    if trips is None:
-        cand = scan_run(view, run, phi, b, profile, charger)
+    if scan is not None:
+        cand = scan_run(scan, run, charger)
     else:
         charger.charge(trips, cand is not None)
     return _result_from_candidate(view, run, cand, v, b)
@@ -626,8 +634,8 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
                     rng: np.random.Generator, starts: StartTree, phi: float,
                     profile: Profile) -> dict:
     """The walks of the next iters partition iterations on view and their
-    scans at phi, as (run, hit, trips) by (start, b): one `compute_walks`
-    batch of the distinct pairs, scanned by one `scan_runs` call.
+    scans at phi, as (run, hit, trips) by (start, b): one `scan_runs` batch
+    of the distinct pairs, each walk stopped at its hit.
 
     The pairs are those the iterations draw if none of them finds a cut: on
     a generator whose bit generator copies rng's state, charging a throwaway
@@ -640,9 +648,7 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
     scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
     pairs = sorted({pair for _ in range(iters)
                     for pair in _draw_landings(scratch, k, walkp.ell, ahead, starts)})
-    runs = compute_walks(view, pairs, walkp)
-    scans = scan_runs(view, [(run, b) for run, (_, b) in zip(runs, pairs)], phi, profile)
-    return {pair: (run, *scan) for pair, run, scan in zip(pairs, runs, scans)}
+    return dict(zip(pairs, scan_runs(view, pairs, walkp, phi, profile)))
 
 
 @dataclass

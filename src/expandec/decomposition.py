@@ -7,6 +7,11 @@ that keeps cutting at successively smaller conductance targets and ejects each
 sufficiently large cut wholesale (channel r3), turning its members into
 self-loop singletons.  Degrees never change; removed plus remaining edges
 always recompose the input.
+
+A component too large for the exact oracle is certified by the sweep
+falsifier: the least sweep-prefix conductance of one truncated walk, folded
+over the blocks of states that `walks.compute_walks` streams into it, so it
+holds one block at a time however long the walk.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .errors import (
 from .graph import Graph, N_ORACLE_MAX, edge_key, min_conductance_oracle
 from .simulator import Network, RoundLedger
 from .views import ActiveView, WorkingGraph
-from .walks import compute_walk, derive_walk_params, sweep_blocks
+from .walks import compute_walk, derive_walk_params, sweep_tables
 
 C_H_LADDER = 1.0  # constant of the ladder quality function h (`cuts.ladder_h`)
 # Components at or below this volume finalize directly: any proper cut of a
@@ -312,17 +317,24 @@ def _certify(working: WorkingGraph, comp: frozenset, phi_k: float,
 def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,
                      profile: Profile) -> float:
     """Sound conductance falsifier: min sweep-prefix conductance of one
-    truncated walk started inside the component (an upper bound on Phi)."""
+    truncated walk started inside the component (an upper bound on Phi),
+    folded over the walk's blocks of states as they stream by; it never
+    stops the walk."""
     view = ActiveView(working, comp)
     params = derive_walk_params(max(1, view.m_live), phi_k, profile)
-    run = compute_walk(view, min(comp), params, b=max(1, params.ell // 2))
     vol_total = view.vol()
     best = float("inf")
-    for _t, _masses, (_order, cnt, prefvol, bnds) in sweep_blocks(view, run, run.t_last):
+
+    def fold(masses, _run, _t) -> dict:
+        nonlocal best
+        _order, cnt, prefvol, bnds = sweep_tables(view, masses)
         small = np.minimum(prefvol, vol_total - prefvol)
         ok = (small > 0) & (np.arange(len(view)) < cnt[:, None]) & (cnt[:, None] >= 2)
         if ok.any():
             best = min(best, float((bnds[ok] / small[ok]).min()))
+        return {}
+
+    compute_walk(view, min(comp), params, max(1, params.ell // 2), fold)
     return best
 
 

@@ -1,4 +1,4 @@
-"""Truncated lazy random walk kernel.
+"""Truncated lazy random walk kernel, streamed into its sweep.
 
 Mass is carried in fixed point: 48 fractional bits inside a 64-bit word, so a
 probability value fits one O(log n)-bit message; the step arithmetic is exact
@@ -12,15 +12,22 @@ The walk on a view G{W} keeps each vertex's loop share in place: a vertex with
 mass p keeps floor(p * (2 deg - live) / (2 deg)) and sends floor(p / (2 deg))
 along each live edge.  The sent shares go through scipy's compiled CSR product
 (`csr_matvec`, where `csr_matrix.dot` ends, or `csr_matvecs` for a block of
-columns) straight into the kept array: on views of tens of vertices the
+columns) straight into the next state: on views of tens of vertices the
 Python-level sparse dispatch costs more than the product.
 
 `compute_walks` runs walks from several (start, b) pairs on one view side by
 side, as the columns of one (n x c) block: one step is one divmod and one
 product for every column, where on small views numpy's per-call overhead,
-not the arithmetic, is what a step costs.  It checks for each column's
-freeze, counts messages and support, and drops frozen columns once per block
-of FREEZE_BLOCK steps.  `compute_walk` is its one-column case.
+not the arithmetic, is what a step costs.  It advances in blocks of steps
+that start at FREEZE_BLOCK and double up to SWEEP_BLOCK_CELLS cells, and
+hands each block's fresh states to a sweep (the local cut's scan, or the
+falsifier's fold) before it drops them.  A column stops at the step where
+its sweep hits, at its freeze or at t0, and keeps only its stop, its
+charges and its touched edges: a walk never holds more than one block of
+states.  `compute_walk` is its one-column case.
+
+The sweep tables of a block of states (sort by rho, prefix volumes and
+boundaries) are built here too, for both sweeps.
 """
 from __future__ import annotations
 
@@ -38,8 +45,8 @@ from .views import ActiveView
 SCALE_BITS = 48
 SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
-SWEEP_BLOCK_CELLS = 1 << 16  # cells per sweep table or edge chunk (transient memory bound)
-FREEZE_BLOCK = 16  # walk steps between freeze checks in compute_walks
+SWEEP_BLOCK_CELLS = 1 << 16  # cells per block of walk states, sweep table or edge chunk
+FREEZE_BLOCK = 16  # steps of compute_walks' first block and between its freeze checks
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,12 @@ def derive_walk_params(m: int, phi: float, profile: Profile) -> WalkParams:
 # -- fixed-point kernel -----------------------------------------------------
 
 
-def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray) -> np.ndarray:
-    """One fixed-point lazy step over a view: of one state (an int64 array
-    indexed like view.verts), or of c states as the columns of a row-major
-    (n x c) block.
+def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """One fixed-point lazy step over a view, written to out and returned: of
+    one state (an int64 array indexed like view.verts), or of c states as
+    the columns of a row-major (n x c) block; out is row-major and shaped
+    like mass.
 
     two_d = 2 deg and keep_num = 2 deg - live are the view's step constants
     (an isolated vertex counts deg 1: it keeps its mass and sends none),
@@ -97,7 +106,7 @@ def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray) 
     # cost more than the arithmetic on small views
     rem *= keep_num
     rem //= two_d
-    kept = shares * keep_num
+    kept = np.multiply(shares, keep_num, out=out)
     kept += rem
     n = len(mass)
     if mass.ndim == 1:  # kept += adj @ shares
@@ -110,21 +119,26 @@ def _step_units(adj, mass: np.ndarray, two_d: np.ndarray, keep_num: np.ndarray) 
 
 @dataclass
 class WalkRun:
-    """Complete truncated-walk trajectory with freeze-aware storage.
+    """What a truncated walk leaves once its states have streamed through its
+    sweep: where it stopped and what it charges.
 
-    `masses[t]` holds the state at steps t = 0..t_last; once the fixed-point
-    state repeats exactly it is frozen (all later steps are identical), so
-    only the distinct prefix is stored.  `messages` counts the mass messages
-    of all t0 steps, the frozen tail included.
+    A walk stops at the step where its sweep hits (`hit`, at `t_last`), or
+    runs to t0; once the fixed-point state repeats exactly it is frozen (all
+    later steps are identical), and `t_last` is its last distinct step.  Its
+    rounds and messages are those of the states before the stop: 0..t_last-1
+    after a hit, else all t0 steps, the frozen tail included.  `touched`
+    marks the live edges with an end that held mass in a state up to the
+    stop.
     """
 
     view: ActiveView
     start: int
     b: int
     params: WalkParams
-    masses: list[np.ndarray]
+    t_last: int
     freeze_t: int | None
-    touched: np.ndarray  # bool per row of view.edges_local: an end ever held mass
+    hit: bool
+    touched: np.ndarray  # bool per row of view.edges_local
     messages: int
 
     @property
@@ -132,21 +146,29 @@ class WalkRun:
         return self.params.t0
 
     @property
-    def t_last(self) -> int:
-        return len(self.masses) - 1
+    def rounds(self) -> int:
+        return self.t_last if self.hit else self.t0
 
 
-def compute_walks(view: ActiveView, pairs, params: WalkParams) -> list[WalkRun]:
-    """Run the truncated walks from each (start, b) of pairs for t0 steps,
-    side by side as the columns of one (n x c) block (freeze-aware).
+def compute_walks(view: ActiveView, pairs, params: WalkParams, sweep) -> list[WalkRun]:
+    """Run the truncated walks from each (start, b) of pairs side by side, as
+    the columns of one (n x c) block, each streamed into sweep and stopped at
+    its hit, its freeze or t0.
 
     Each step is one `_step_units` step on the block; column j's
-    truncation floor is 2 eps_b deg for its own b.  Steps run in blocks of
-    FREEZE_BLOCK (the last block ends at t0).  Each block is stacked with the
-    last state already checked; a column's first pair of equal consecutive
-    states is its freeze, since the step map is deterministic, and its
-    states computed after it are dropped.  The same stack gives every
-    column's senders and support, and a frozen column leaves the block.
+    truncation floor is 2 eps_b deg for its own b.  Steps run in blocks: the
+    first of min(FREEZE_BLOCK, SWEEP_BLOCK_CELLS // (c max(n, live edges)))
+    steps (at least 1), each later one twice as long, up to
+    SWEEP_BLOCK_CELLS // n rows of all columns' states; every
+    FREEZE_BLOCK steps a block ends early once every column repeats its
+    state.  In a block, a column's first pair of equal consecutive states is
+    its freeze, since the step map is deterministic, and its states after it
+    are left out.  Its fresh states then go, column after column, to
+    sweep(masses, r_run, r_t): a (rows x n) array with the pair and the step
+    of each row, which returns {pair: step} of the hits among them.  The
+    same block gives every column's senders and support up to its stop; a
+    column that hit, froze or reached t0 leaves the block, and the block is
+    dropped.  So no more than one block of states is held at a time.
 
     Each step is one synchronous round: every vertex with mass at least
     2 deg sends its fixed-point share along each live edge; after a walk
@@ -154,96 +176,95 @@ def compute_walks(view: ActiveView, pairs, params: WalkParams) -> list[WalkRun]:
     runs come back in the order of pairs.
     """
     n, c, t0 = len(view.verts), len(pairs), params.t0
-    first = np.zeros((c, n), dtype=np.int64)
-    first[np.arange(c), [view.index[v] for v, _ in pairs]] = SCALE
-    stored = [[row] for row in first]  # per pair, its states so far
+    mass = np.zeros((n, c), dtype=np.int64)
+    mass[[view.index[v] for v, _ in pairs], np.arange(c)] = SCALE
     runs: list[WalkRun | None] = [None] * c
     ea, eb = view.edges_local.T
     adj, two_d = view.adj_matrix, view.two_deg[:, None]
     floor = two_d * np.array([params.eps_units(b) for _, b in pairs], dtype=np.int64)
     if c == 1:  # one walk steps a vector
-        mass, floor, step_two_d, step_keep = first[0], floor[:, 0], view.two_deg, view.keep_num
+        mass, floor, step_two_d, step_keep = mass[:, 0], floor[:, 0], view.two_deg, view.keep_num
     else:
-        mass = np.ascontiguousarray(first.T)
         step_two_d, step_keep = (np.repeat(x[:, None], c, axis=1)
                                  for x in (view.two_deg, view.keep_num))
     support = mass.reshape(n, -1) != 0
     msgs = np.zeros(c, dtype=np.int64)
     live = np.arange(c)  # the pair of each column of the block
-    checked = 0  # states 0..checked of every live column hold no repeat
+    done = 0  # every live column's states 0..done are swept and counted
+    steps = min(FREEZE_BLOCK, max(1, SWEEP_BLOCK_CELLS // (max(n, view.m_live) * c)))
     while True:
-        states = [mass]
-        for _ in range(min(FREEZE_BLOCK, t0 - checked)):
-            nxt = _step_units(adj, states[-1], step_two_d, step_keep)
+        s = min(steps, t0 - done)
+        blk = np.empty((s + 1, *mass.shape), dtype=np.int64)
+        blk[0] = mass
+        for i in range(s):
+            nxt = _step_units(adj, blk[i], step_two_d, step_keep, blk[i + 1])
             nxt[nxt < floor] = 0
-            states.append(nxt)
-        blk = np.array(states).reshape(len(states), n, -1)  # (steps + 1, n, columns)
+            if i % FREEZE_BLOCK == FREEZE_BLOCK - 1 and np.array_equal(nxt, blk[i]):
+                s, blk = i + 1, blk[:i + 2]  # every column is frozen: the block ends
+                break
+        cube = blk.reshape(s + 1, n, -1)  # (states, n, columns)
+        same = (cube[1:] == cube[:-1]).all(axis=1)
+        frozen = same.any(axis=0)
+        fresh = np.where(frozen, same.argmax(axis=0), s)  # each column's new distinct states
+        rows = cube[1:].transpose(2, 0, 1)[np.arange(s) < fresh[:, None]]
+        r_t = done + 1 + np.arange(len(rows)) - np.repeat(np.cumsum(fresh) - fresh, fresh)
+        hits = sweep(rows, np.repeat(live, fresh), r_t) if len(rows) else {}
+        del rows
+        # each column counts the block's states up to its hit, or all of them
+        upto, hit = np.full(len(live), s), np.zeros(len(live), dtype=bool)
+        reached = cube.any(axis=0)
+        for pair, t in hits.items():
+            j = int(np.searchsorted(live, pair))
+            upto[j], hit[j] = t - done, True
+            reached[:, j] = cube[:t - done + 1, :, j].any(axis=0)
+        support |= reached
         # state s sends in step s + 1; the block's last state sends in the next block
-        senders = view.live_deg @ (blk >= two_d)
-        msgs += senders[:-1].sum(axis=0)
-        support |= blk.any(axis=0)
-        same = (blk[1:] == blk[:-1]).all(axis=1)
-        checked += len(states) - 1
-        # per column, its new states: a vector walk's are the states themselves
-        new = [states[1:]] if c == 1 else np.ascontiguousarray(blk[1:].transpose(2, 0, 1))
-        frozen = same.any(axis=0).tolist()
-        for j, i in enumerate(live.tolist()):
-            freeze_t = None
-            if frozen[j]:
-                # every state after the freeze equals the last one, which
-                # sends in each of the remaining steps up to t0
-                f = int(same[:, j].argmax())
-                freeze_t = checked - len(new[j]) + f
-                msgs[j] += (t0 - checked) * senders[-1, j]
-            stored[i].extend(new[j] if freeze_t is None else new[j][:f])
-            if frozen[j] or checked == t0:
-                runs[i] = WalkRun(view, *pairs[i], params, stored[i], freeze_t,
-                                  support[ea, j] | support[eb, j], int(msgs[j]))
-        if checked == t0 or all(frozen):
+        senders = view.live_deg @ (cube >= two_d)
+        msgs += np.cumsum(senders, axis=0)[upto - 1, np.arange(len(live))]
+        done += s
+        # every state after a freeze equals the last one, which sends in each
+        # of the remaining steps up to t0
+        msgs += np.where(frozen & ~hit, t0 - done, 0) * senders[-1]
+        ended = hit | frozen | (done == t0)
+        for j in np.flatnonzero(ended).tolist():
+            i = int(live[j])
+            t_last = done - s + int(upto[j] if hit[j] else fresh[j])
+            freeze_t = t_last if frozen[j] and not hit[j] else None
+            runs[i] = WalkRun(view, *pairs[i], params, t_last, freeze_t, bool(hit[j]),
+                              support[ea, j] | support[eb, j], int(msgs[j]))
+        if ended.all():
             return runs
-        mass = states[-1]
-        if any(frozen):  # row-major blocks of the columns left
-            keep = ~np.array(frozen)
+        mass = blk[-1].copy()
+        del blk, cube
+        if ended.any():  # row-major blocks of the columns left
+            keep = ~ended
             live, support, msgs = live[keep], support[:, keep], msgs[keep]
             mass, floor, step_two_d, step_keep = (np.ascontiguousarray(x[:, keep]) for x in (
                 mass, floor, step_two_d, step_keep))
+        steps = max(1, min(2 * steps, SWEEP_BLOCK_CELLS // (n * len(live))))
 
 
 def charge_walk(net: Network, run: WalkRun):
-    """Charge a walk's t0 rounds and its messages as one ledger entry; raises
+    """Charge a walk's rounds and messages as one ledger entry; raises
     BadPhi when one mass message exceeds the network's bandwidth."""
     if MASS_MSG_BITS > net.bandwidth_bits:
         raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
-    net.ledger.charge(net.phase, rounds=run.t0, messages=run.messages,
+    net.ledger.charge(net.phase, rounds=run.rounds, messages=run.messages,
                       edge_bits=MASS_MSG_BITS if run.messages else 0)
 
 
-def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int,
+def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int, sweep,
                  net: Network | None = None) -> WalkRun:
-    """The truncated walk from start at level b: the one-column case of
-    `compute_walks`, charged to net by `charge_walk` when one is attached."""
-    (run,) = compute_walks(view, [(start, b)], params)
+    """The truncated walk from start at level b, streamed into sweep: the
+    one-column case of `compute_walks`, charged to net by `charge_walk`
+    when one is attached."""
+    (run,) = compute_walks(view, [(start, b)], params, sweep)
     if net is not None:
         charge_walk(net, run)
     return run
 
 
 # -- sweep machinery ---------------------------------------------------------
-
-
-def sweep_order_local(view: ActiveView, mass: np.ndarray) -> np.ndarray:
-    """Local indices of the support sorted by (rho desc, host id asc).
-
-    rho values are exact integer ratios compared through correctly-rounded
-    float division: equal ratios compare equal; ratios closer than one ulp
-    fall back to the ID tie rule.
-    """
-    sup = np.nonzero(mass)[0]
-    if len(sup) == 0:
-        return sup
-    rho = mass[sup] / view.deg_pos[sup]
-    order = np.lexsort((view.verts[sup], -rho))
-    return sup[order]
 
 
 def sweep_tables(view: ActiveView, masses: np.ndarray):
@@ -256,9 +277,9 @@ def sweep_tables(view: ActiveView, masses: np.ndarray):
 
 def sweep_orders(view: ActiveView, masses: np.ndarray):
     """(order, cnt) of a (B x n) block of walk states: `order` sorts local
-    indices by rho = mass / deg descending (the float rho of
-    `sweep_order_local`; ties go to the lower local index, i.e. the lower
-    host id) and `cnt` is the support size.  Only the first cnt[r] entries
+    indices by rho = mass / deg descending (the correctly rounded float
+    quotient, so equal ratios compare equal; ties go to the lower local
+    index, i.e. the lower host id) and `cnt` is the support size.  Only the first cnt[r] entries
     of row r are meaningful: unsupported vertices sort last, by index,
     because their key -0.0 is above every supported key.  So two states
     with equal rows of order and equal cnt sweep the same prefixes."""
@@ -291,34 +312,3 @@ def prefix_tables(view: ActiveView, order: np.ndarray):
     prefvol = view.deg[order]
     np.cumsum(prefvol, axis=1, out=prefvol)
     return prefvol, bnds
-
-
-def block_rows(view: ActiveView):
-    """Row counts of the successive sweep blocks on view, without end.
-
-    The first block has SWEEP_BLOCK_CELLS over max(n, live edges) rows (at
-    least 1), so a scan that hits early sweeps few rows past its hit; on a
-    small view it holds a whole run.  Each later block doubles, up to
-    SWEEP_BLOCK_CELLS over n rows: most scans find no cut and sweep every
-    stored step, and each block costs one pass of array calls.  Every
-    (B x n) table stays within SWEEP_BLOCK_CELLS cells, as do
-    `prefix_tables`' edge chunks.
-    """
-    n = max(1, len(view.verts))
-    rows = max(1, SWEEP_BLOCK_CELLS // max(n, view.m_live))
-    cap = max(1, SWEEP_BLOCK_CELLS // n)
-    while True:
-        yield rows
-        rows = min(2 * rows, cap)
-
-
-def sweep_blocks(view: ActiveView, run: WalkRun, t_stop: int):
-    """Yield (t, masses, sweep_tables(view, masses)) for the stored steps
-    t..t+B-1 of run, covering 1..t_stop in blocks of `block_rows` rows."""
-    t = 1
-    for rows in block_rows(view):
-        if t > t_stop:
-            return
-        masses = np.array(run.masses[t : min(t + rows, t_stop + 1)])
-        yield t, masses, sweep_tables(view, masses)
-        t += rows

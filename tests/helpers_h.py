@@ -1,8 +1,10 @@
 """Test-side accessors of graphs, views, walks and results that the pipeline
 does not read, brute-force certificates for the dense-region growth
 invariant, the row-by-row reference for the working graph and its views,
-per-step references for the walk kernel, the sweep scan and the falsifier,
-the centralized local cuts built on the per-step scan, float and
+walks traced through a sweep that records their states, per-step
+references for the walk kernel, the sweep scan, the local cut that stops at
+its hit and the falsifier, the full-horizon local cut, the centralized local
+cuts built on the per-step scan, float and
 exact-rational walk references with the influence set, dict-keyed
 references for the BFS tree, the subtree sums and the degree sampling,
 message-level references for the BFS tree, the tree aggregate and
@@ -18,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from expandec.clustering import NeighborhoodOracle, ShiftClustering
-from expandec.cuts import (StartTree, SweepCandidate, _check_algo_phi, _result_from_candidate,
-                           distributed_local_cut, draw_b)
+from expandec.cuts import (ScanCharger, StartTree, SweepCandidate, SweepScan, _check_algo_phi,
+                           _result_from_candidate, distributed_local_cut, draw_b)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
 from expandec.graph import INF, Cut, Graph, directed_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
@@ -31,9 +33,10 @@ from expandec.walks import (
     WalkParams,
     WalkRun,
     _step_units,
+    charge_walk,
     compute_walk,
+    compute_walks,
     derive_walk_params,
-    sweep_order_local,
 )
 
 
@@ -101,7 +104,47 @@ def pstar(res) -> frozenset:
     return frozenset(edge_keys(res.view, res.touched))
 
 
-def mass_at(run: WalkRun, t: int) -> np.ndarray:
+@dataclass
+class WalkTrace(WalkRun):
+    """A WalkRun with its states 0..t_last."""
+
+    masses: list
+
+
+class StateRecorder:
+    """A sweep for `compute_walks` that keeps every state it is handed, per
+    pair, after each pair's start state, and stops no walk."""
+
+    def __init__(self, view, pairs):
+        self.masses = []
+        for v, _ in pairs:
+            mass = np.zeros(len(view.verts), dtype=np.int64)
+            mass[view.index[v]] = SCALE
+            self.masses.append([mass])
+
+    def __call__(self, masses, r_run, r_t):
+        for row, i, t in zip(masses, r_run.tolist(), r_t.tolist()):
+            assert t == len(self.masses[i]), "states must come in step order"
+            self.masses[i].append(row.copy())
+        return {}
+
+
+def walk_traces(view, pairs, params) -> list[WalkTrace]:
+    """`compute_walks` without a stop, each run with the states it streamed."""
+    rec = StateRecorder(view, pairs)
+    runs = compute_walks(view, pairs, params, rec)
+    return [WalkTrace(**vars(run), masses=masses) for run, masses in zip(runs, rec.masses)]
+
+
+def walk_trace(view, start, params, b, net=None) -> WalkTrace:
+    """`compute_walk` from start at level b without a stop, with its states,
+    charged to net when one is given."""
+    rec = StateRecorder(view, [(start, b)])
+    run = compute_walk(view, start, params, b, rec, net=net)
+    return WalkTrace(**vars(run), masses=rec.masses[0])
+
+
+def mass_at(run: WalkTrace, t: int) -> np.ndarray:
     """The walk's state at step t; past the freeze, the last stored one."""
     return run.masses[min(t, run.t_last)]
 
@@ -113,7 +156,8 @@ def walk_step_units(view, mass: np.ndarray) -> np.ndarray:
     two_d, keep_num = view.two_deg, view.keep_num
     if mass.ndim == 2:
         two_d, keep_num = (np.repeat(x[:, None], mass.shape[1], axis=1) for x in (two_d, keep_num))
-    return _step_units(view.adj_matrix, np.ascontiguousarray(mass), two_d, keep_num)
+    mass = np.ascontiguousarray(mass)
+    return _step_units(view.adj_matrix, mass, two_d, keep_num, np.empty_like(mass))
 
 
 def clusters(clustering: ShiftClustering) -> dict[int, list[int]]:
@@ -302,8 +346,11 @@ def prefix_boundary_counts(view, order_local):
     return np.array(out, dtype=np.int64)
 
 
-def compute_walk_per_step(view, start, params, b, net=None):
-    """compute_walk checking for a freeze and counting senders after every step."""
+def compute_walk_per_step(view, start, params, b, net=None, scan=None) -> WalkTrace:
+    """compute_walk checking for a freeze and counting senders after every
+    step.  With scan(t, state) -> hit or None, each new state is scanned at
+    once and the walk stops at its first hit: rounds, messages and touched
+    edges then count the states up to the hit step only."""
     n = len(view.verts)
     two_d = 2 * view.deg
     floor_units = params.eps_units(b) * two_d
@@ -313,6 +360,7 @@ def compute_walk_per_step(view, start, params, b, net=None):
     support = mass > 0
     freeze_t = None
     msgs = 0
+    hit = False
     if net is not None and MASS_MSG_BITS > net.bandwidth_bits:
         raise BadPhi(f"mass message ({MASS_MSG_BITS}b) exceeds bandwidth {net.bandwidth_bits}")
     for t in range(1, params.t0 + 1):
@@ -327,11 +375,15 @@ def compute_walk_per_step(view, start, params, b, net=None):
             break
         masses.append(nxt)
         support |= nxt > 0
+        if scan is not None and scan(t, nxt) is not None:
+            hit = True
+            break
     if net is not None:
-        net.ledger.charge(net.phase, rounds=params.t0, messages=msgs,
-                          edge_bits=MASS_MSG_BITS if msgs else 0)
+        net.ledger.charge(net.phase, rounds=len(masses) - 1 if hit else params.t0,
+                          messages=msgs, edge_bits=MASS_MSG_BITS if msgs else 0)
     ea, eb = view.edges_local.T
-    return WalkRun(view, start, b, params, masses, freeze_t, support[ea] | support[eb], msgs)
+    return WalkTrace(view, start, b, params, len(masses) - 1, freeze_t, hit,
+                     support[ea] | support[eb], msgs, masses)
 
 
 Z_SET_N_MAX = 64
@@ -370,7 +422,7 @@ class TruncatedWalkState:
         return [int(self.view.verts[i]) for i in np.nonzero(self.mass_units)[0]]
 
 
-def state_at(run: WalkRun, t: int) -> TruncatedWalkState:
+def state_at(run: WalkTrace, t: int) -> TruncatedWalkState:
     """The run's state at step t with the edges touched up to it."""
     mask = np.zeros(len(run.view.verts), dtype=bool)
     for s in range(min(t, run.t_last) + 1):
@@ -378,6 +430,21 @@ def state_at(run: WalkRun, t: int) -> TruncatedWalkState:
     touched = edge_keys(run.view, mask[run.view.edges_local].any(axis=1))
     return TruncatedWalkState(t, run.view, mass_at(run, t), run.params.eps_b(run.b),
                               frozenset(touched))
+
+
+def sweep_order_local(view, mass: np.ndarray) -> np.ndarray:
+    """Local indices of the support sorted by (rho desc, host id asc).
+
+    rho values are exact integer ratios compared through correctly-rounded
+    float division: equal ratios compare equal; ratios closer than one ulp
+    fall back to the ID tie rule.
+    """
+    sup = np.nonzero(mass)[0]
+    if len(sup) == 0:
+        return sup
+    rho = mass[sup] / view.deg_pos[sup]
+    order = np.lexsort((view.verts[sup], -rho))
+    return sup[order]
 
 
 def sweep_order(state: TruncatedWalkState) -> tuple[list[int], list[int]]:
@@ -474,22 +541,67 @@ class StepCharger:
         self._charge(self.depth, self.size - 1)
 
 
-def scan_run_per_step(view, run, phi, b, profile, jx_only, charger=None):
-    """Sweep scan one walk step at a time, every condition in exact arithmetic."""
+def scan_state_per_step(view, mass, t, phi, b, profile, gamma, jx_only):
+    """Sweep scan of the walk state mass at step t, every condition in exact
+    arithmetic: (hit or None, checks, searches, support size).  With
+    jx_only, the candidate subsequence of the distributed scan, else every
+    prefix under the raw conditions (no checks or searches counted)."""
     vol_total = view.vol()
     phi_f = Fraction(phi)
     slack = Fraction(profile.starred_slack) * phi_f
     grow = 1 + phi_f
-    g_num, g_den = Fraction(run.params.gamma).as_integer_ratio()
+    g_num, g_den = Fraction(gamma).as_integer_ratio()
     deg = view.deg
 
-    def ok(pv, bd, u, mass, conductance, window):
+    def ok(pv, bd, u, conductance, window):
         small = min(pv, vol_total - pv)
         return ((bd == 0 if small <= 0 else bd * conductance.denominator <= conductance.numerator * small)
                 and int(mass[u]) * pv * g_den >= g_num * SCALE * int(deg[u])
                 and pv * window.denominator <= window.numerator * vol_total
                 and 14 * pv >= 5 * (1 << b))
 
+    order = sweep_order_local(view, mass)
+    jmax = len(order)
+    if jmax == 0:
+        return None, 0, 0, 0
+    prefvol = np.cumsum(deg[order]).tolist()
+    bnds = prefix_boundary_counts(view, order).tolist()
+
+    def hit(j, starred):
+        pv, bd = prefvol[j - 1], bnds[j - 1]
+        u = order[j - 1]
+        return SweepCandidate(t, j, starred, pv, bd,
+                              Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
+                              int(mass[u]) / (SCALE * int(deg[u])),
+                              frozenset(view.verts[order[:j]].tolist()))
+
+    if not jx_only:
+        for j in range(1, jmax + 1):
+            if ok(prefvol[j - 1], bnds[j - 1], order[j - 1], phi_f, Fraction(5, 6)):
+                return hit(j, False), 0, 0, jmax
+        return None, 0, 0, jmax
+    n_checks = n_searches = 0
+    j_prev, j = None, 1
+    while True:
+        n_checks += 1
+        pv, bd = prefvol[j - 1], bnds[j - 1]
+        if j_prev is None or j == j_prev + 1:
+            if ok(pv, bd, order[j - 1], phi_f, Fraction(5, 6)):
+                return hit(j, False), n_checks, n_searches, jmax
+        elif ok(pv, bd, order[j_prev - 1], slack, Fraction(11, 12)):
+            return hit(j, True), n_checks, n_searches, jmax
+        if j >= jmax:
+            return None, n_checks, n_searches, jmax
+        j_prev = j
+        n_searches += 1
+        j_star = max(i for i in range(1, jmax + 1)
+                     if prefvol[i - 1] * grow.denominator <= grow.numerator * pv)
+        j = max(j_prev + 1, j_star)
+
+
+def scan_run_per_step(view, run, phi, b, profile, jx_only, charger=None):
+    """Sweep scan of a traced walk one step at a time (`scan_state_per_step`),
+    charged per step to charger, the frozen tail included."""
     for t in range(1, run.t0 + 1):
         if t > run.t_last:
             if charger is not None:
@@ -497,47 +609,9 @@ def scan_run_per_step(view, run, phi, b, profile, jx_only, charger=None):
             break
         if charger is not None:
             charger.begin_t()
-        mass = run.masses[t]
-        order = sweep_order_local(view, mass)
-        jmax = len(order)
-        if jmax == 0:
-            continue
-        prefvol = np.cumsum(deg[order]).tolist()
-        bnds = prefix_boundary_counts(view, order).tolist()
-
-        def hit(j, starred):
-            pv, bd = prefvol[j - 1], bnds[j - 1]
-            u = order[j - 1]
-            return SweepCandidate(t, j, starred, pv, bd,
-                                  Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
-                                  int(mass[u]) / (SCALE * int(deg[u])))
-
-        if not jx_only:
-            for j in range(1, jmax + 1):
-                if ok(prefvol[j - 1], bnds[j - 1], order[j - 1], mass, phi_f, Fraction(5, 6)):
-                    return hit(j, False)
-            continue
-        n_checks = n_searches = 0
-        found = None
-        j_prev, j = None, 1
-        while True:
-            n_checks += 1
-            pv, bd = prefvol[j - 1], bnds[j - 1]
-            if j_prev is None or j == j_prev + 1:
-                if ok(pv, bd, order[j - 1], mass, phi_f, Fraction(5, 6)):
-                    found = hit(j, False)
-                    break
-            elif ok(pv, bd, order[j_prev - 1], mass, slack, Fraction(11, 12)):
-                found = hit(j, True)
-                break
-            if j >= jmax:
-                break
-            j_prev = j
-            n_searches += 1
-            j_star = max(i for i in range(1, jmax + 1)
-                         if prefvol[i - 1] * grow.denominator <= grow.numerator * pv)
-            j = max(j_prev + 1, j_star)
-        if charger is not None:
+        found, n_checks, n_searches, jmax = scan_state_per_step(
+            view, run.masses[t], t, phi, b, profile, run.params.gamma, jx_only)
+        if charger is not None and jmax:
             charger.step_scan(n_checks, n_searches, jmax)
             if found is not None:
                 charger.membership_broadcast()
@@ -546,12 +620,61 @@ def scan_run_per_step(view, run, phi, b, profile, jx_only, charger=None):
     return None
 
 
+def local_cut_per_step(net, view, v, phi, b, params, profile):
+    """`distributed_local_cut` one step at a time: each new state of the walk
+    is scanned at once (`scan_state_per_step`), the walk stops at its first
+    hit and is charged through that step, the scan's tree spans the edges
+    touched up to it, and the scan is charged per step on that tree, the
+    frozen tail included.  Returns the LocalCutResult and the hit."""
+    _check_algo_phi(phi)
+    steps = []  # per scanned step: (hit, checks, searches, support size)
+
+    def scan(t, mass):
+        steps.append(scan_state_per_step(view, mass, t, phi, b, profile, params.gamma, True))
+        return steps[-1][0]
+
+    run = compute_walk_per_step(view, v, params, b, net=net, scan=scan)
+    tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
+    charger = StepCharger(net, tree.depth_max, len(tree.hosts))
+    for _, n_checks, n_searches, jmax in steps:
+        charger.begin_t()
+        if jmax:
+            charger.step_scan(n_checks, n_searches, jmax)
+    found = steps[-1][0] if run.hit else None
+    if found is not None:
+        charger.membership_broadcast()
+    elif run.t_last < run.t0:
+        charger.frozen_tail(run.t0 - run.t_last)
+    return _result_from_candidate(view, run, found, v, b), found
+
+
+def full_horizon_local_cut(net, view, v, phi, b, params, profile, prefetched=None):
+    """`distributed_local_cut` as it ran before a walk stopped at its hit:
+    the walk runs and is charged to t0 (or its freeze), the scan's tree
+    spans every edge it touched, and the scan charges its trips up to the
+    first hit.  A prefetched walk is not used."""
+    _check_algo_phi(phi)
+    scan = SweepScan(view, [(v, b)], params, phi, profile)
+
+    def sweep(masses, r_run, r_t):  # scan up to the first hit, stop nothing
+        if scan.hits[0] is None:
+            scan(masses, r_run, r_t)
+        return {}
+
+    (run,) = compute_walks(view, [(v, b)], params, sweep)
+    charge_walk(net, run)
+    tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
+    cand, trips = scan.outcome(0, run)
+    ScanCharger(net, tree.depth_max, len(tree.hosts)).charge(trips, cand is not None)
+    return _result_from_candidate(view, run, cand, v, b)
+
+
 def local_cut(view, v, phi, b, params, profile):
     """Centralized reference: the walk's full sweep scan under the raw
     conditions, one step at a time, charging no rounds."""
     if not (0.0 < phi <= 1.0):
         raise BadPhi(f"phi={phi}")
-    run = compute_walk(view, v, params, b)
+    run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=False)
     return _result_from_candidate(view, run, cand, v, b)
 
@@ -560,7 +683,7 @@ def approximate_local_cut_reference(view, v, phi, b, params, profile):
     """Centralized twin of the distributed scan: the same candidate
     subsequence and tie rule, one step at a time, charging no rounds."""
     _check_algo_phi(phi)
-    run = compute_walk(view, v, params, b)
+    run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
     return _result_from_candidate(view, run, cand, v, b)
 
@@ -577,7 +700,7 @@ def sweep_falsifier_per_step(working, comp, phi_k, profile):
     """Min sweep-prefix conductance of the falsifier walk, one step at a time."""
     view = ActiveView(working, comp)
     params = derive_walk_params(max(1, view.m_live), phi_k, profile)
-    run = compute_walk(view, min(comp), params, b=max(1, params.ell // 2))
+    run = walk_trace(view, min(comp), params, max(1, params.ell // 2))
     vol_total = view.vol()
     best = float("inf")
     for t in range(1, run.t_last + 1):

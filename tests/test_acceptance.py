@@ -18,7 +18,6 @@ from expandec.views import ActiveView, WorkingGraph
 from expandec.walks import (
     SCALE,
     WalkParams,
-    compute_walk,
     derive_walk_params,
 )
 from expandec.cuts import distributed_local_cut, sparse_cut_partition
@@ -38,6 +37,7 @@ from helpers_h import (
     influence_set,
     live_neighbors,
     mass_at,
+    walk_trace,
 )
 
 PHI = 1 / 12
@@ -326,10 +326,10 @@ def test_accept_8_walk_kernel_numerics():
     for g in graphs[:8]:
         view = ActiveView.whole(g)
         params = derive_walk_params(g.m, 1 / 3, DESK)
-        run_t = compute_walk(view, 0, params, 1)
+        run_t = walk_trace(view, 0, params, 1)
         untr = WalkParams(params.m, params.phi, "desk", params.ell, params.t0,
                           params.f_phi, params.gamma, 0.0)
-        run_u = compute_walk(view, 0, untr, 1)
+        run_u = walk_trace(view, 0, untr, 1)
         for t in range(min(params.t0, 60) + 1):
             assert (mass_at(run_t, t) <= mass_at(run_u, t)).all()
     # reach-set volume bound on n <= 32 at desk constants

@@ -12,13 +12,12 @@ from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
 from expandec.decomposition import _sweep_falsifier
-from expandec.errors import BadPhi
+from expandec.errors import BadPhi, TooLarge
 from expandec.graph import cut_stats
 from expandec.simulator import Network, subtree_sums
 from expandec.views import ActiveView
-from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, compute_walk, derive_walk_params
+from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, derive_walk_params
 from expandec.cuts import (
-    ScanCharger,
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
@@ -33,13 +32,15 @@ from expandec.cuts import (
     sparse_cut_partition,
 )
 from helpers_h import (
-    StepCharger,
     approximate_local_cut_reference,
     local_cut,
+    local_cut_per_step,
     pstar,
     randomized_local_cut,
-    scan_run_per_step,
+    sweep_order_local,
     view_starts,
+    walk_trace,
+    walk_traces,
 )
 
 PHI = 1 / 12
@@ -406,70 +407,64 @@ def test_instance_params_fields():
 
 
 DEFAULT_BLOCK_CELLS = walks.SWEEP_BLOCK_CELLS
-BLOCK_ROWS = (1, 3, None)  # first blocks of 1 row, 3 rows, the default cap
+BLOCK_ROWS = (1, 3, None)  # first blocks of 1 row, 3 rows, the default
 
 
 def _block_cells(view, rows):
-    """SWEEP_BLOCK_CELLS value that gives the view's sweep a first block of
-    rows rows; later blocks grow to rows * max(n, live edges) // n rows, past
-    the edge chunk of rows rows when the view has more live edges than
-    vertices."""
+    """SWEEP_BLOCK_CELLS value that gives the view's walks a first block of
+    rows rows (of all columns' states, at least one step each); later
+    blocks double up to rows * max(n, live edges) // n rows, past the edge
+    chunk of rows rows when the view has more live edges than vertices."""
     return DEFAULT_BLOCK_CELLS if rows is None else rows * max(len(view), view.m_live)
 
 
-def _scan_both(view, start, params, phi, b, depth, size, monkeypatch=None):
-    """scan_run and the per-step oracle of its candidate subsequence on one
-    walk, each with its own ledger.
-
-    With monkeypatch, scan_run runs under every block schedule of BLOCK_ROWS,
-    and each candidate and ledger snapshot must equal the oracle's; the
-    default cap must then hold the whole run in one block.
-    """
-    schedules = BLOCK_ROWS if monkeypatch else (None,)
-    nets = [Network(view.graph) for _ in range(len(schedules) + 1)]
-    runs = [compute_walk(view, start, params, b, net=net) for net in nets]
-    ref = scan_run_per_step(view, runs[-1], phi, b, DESK, jx_only=True,
-                            charger=StepCharger(nets[-1], depth, size))
-    for rows, net, run in zip(schedules, nets, runs):
-        if monkeypatch:
-            monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
-        got = scan_run(view, run, phi, b, DESK, ScanCharger(net, depth, size))
-        assert got == ref
-        assert net.ledger.snapshot() == nets[-1].ledger.snapshot()
-    run = runs[0]
-    assert max(len(view), view.m_live) * min(run.t0, run.t_last) <= DEFAULT_BLOCK_CELLS
-    return run, ref
-
-
-def _scan_batch(view, pairs, params, phi, depth, size, monkeypatch):
-    """scan_runs on the walks from pairs, all in one call, under every block
-    schedule of BLOCK_ROWS, against the per-step oracle on each walk: the
-    same hit and, charged on a tree of the given depth and size after the
-    walk, the same ledger snapshot.  Returns the walks and their hits."""
-    runs = walks.compute_walks(view, pairs, params)
-    refs = []
-    for run in runs:
-        net = Network(view.graph)
-        walks.charge_walk(net, run)
-        hit = scan_run_per_step(view, run, phi, run.b, DESK, jx_only=True,
-                                charger=StepCharger(net, depth, size))
-        refs.append((hit, net.ledger.snapshot()))
+def _cut_both(view, start, params, phi, b, monkeypatch):
+    """distributed_local_cut, and scan_runs on its one walk, against the
+    stop-at-hit reference, each with its own ledger, under every block
+    schedule of BLOCK_ROWS: the same hit, members, touched edges and ledger
+    snapshot.  Returns the hit."""
+    net_ref = Network(view.graph)
+    ref, hit = local_cut_per_step(net_ref, view, start, phi, b, params, DESK)
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
-        got = cuts.scan_runs(view, [(run, run.b) for run in runs], phi, DESK)
-        for run, (hit, trips), (ref, ledger) in zip(runs, got, refs, strict=True):
-            net = Network(view.graph)
-            walks.charge_walk(net, run)
-            ScanCharger(net, depth, size).charge(trips, hit is not None)
-            assert hit == ref
-            assert net.ledger.snapshot() == ledger
-    return runs, [hit for hit, _ in refs]
+        net = Network(view.graph)
+        res = distributed_local_cut(net, view, start, phi, b, params, DESK)
+        ((run, got, _),) = cuts.scan_runs(view, [(start, b)], params, phi, DESK)
+        assert got == hit and run.hit == (hit is not None)
+        assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
+        assert net.ledger.snapshot() == net_ref.ledger.snapshot()
+    return hit
 
 
-def _same_order_as_before(view, run, t):
-    """Whether step t sweeps the same prefixes as step t - 1 of run."""
-    return t > 1 and np.array_equal(walks.sweep_order_local(view, run.masses[t]),
-                                    walks.sweep_order_local(view, run.masses[t - 1]))
+def _cut_batch(view, pairs, params, phi, monkeypatch):
+    """scan_runs on the walks from pairs, all in one call, under every block
+    schedule of BLOCK_ROWS; each of its (run, hit, trips) taken as the
+    prefetched walk of distributed_local_cut must give the stop-at-hit
+    reference's hit, members, touched edges and ledger snapshot.  Returns
+    the hits."""
+    refs = []
+    for start, b in pairs:
+        net = Network(view.graph)
+        refs.append((*local_cut_per_step(net, view, start, phi, b, params, DESK),
+                     net.ledger.snapshot()))
+    for rows in BLOCK_ROWS:
+        monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
+        got = cuts.scan_runs(view, pairs, params, phi, DESK)
+        with monkeypatch.context() as m:  # every walk is the prefetched one
+            m.setattr(cuts, "compute_walk", None)
+            for (start, b), pre, (ref, hit, ledger) in zip(pairs, got, refs, strict=True):
+                net = Network(view.graph)
+                res = distributed_local_cut(net, view, start, phi, b, params, DESK, pre)
+                assert pre[1] == hit
+                assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
+                assert net.ledger.snapshot() == ledger
+    return [hit for _, hit, _ in refs]
+
+
+def _same_order_as_before(view, trace, t):
+    """Whether step t sweeps the same prefixes as step t - 1 of a traced walk."""
+    return t > 1 and np.array_equal(sweep_order_local(view, trace.masses[t]),
+                                    sweep_order_local(view, trace.masses[t - 1]))
 
 
 def test_scan_run_matches_per_step_oracle(monkeypatch):
@@ -478,11 +473,12 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
               gen.cliques_chain(4, 4, 2), gen.grid(4, 5), gen.erdos_renyi(16, 0.3, seed=9),
               gen.random_regular(18, 4, seed=2), gen.grid(3, 12), gen.grid(2, 16)]
     seen = {"frozen": 0, "emptied": 0, "hit": 0, "starred": 0, "dyadic": 0,
-            "hit at t = 1": 0, "hit at t = 3k": 0, "hit in the last row": 0,
+            "hit at t = 1": 0, "hit past the first block": 0, "hit at t = 3k": 0,
+            "hit in the last row": 0,
             "miss with a frozen tail": 0, "falsifier finite": 0,
             "block wider than its edge chunk": 0, "batched hit in a group's first row": 0,
             "batched hit inside a group": 0, "batched miss with a frozen tail": 0,
-            "batched emptied walk": 0}
+            "batched emptied walk": 0, "batch of mixed levels": 0}
     wide = []  # per prefix_tables call: more rows than one edge chunk
     tables = cuts.prefix_tables
 
@@ -503,14 +499,13 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
                             base.eps_base * float(rng.choice([1.0, 300.0, 3e4, 1e7])))
         b = 1 + int(rng.integers(params.ell))
         start = int(rng.integers(g.n))
-        depth, size = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-        run, cand = _scan_both(view, start, params, phi, b, depth, size, monkeypatch)
-        if cand is not None and 1 < cand.t < min(run.t0, run.t_last):
+        trace = walk_trace(view, start, params, b)  # the walk without a stop
+        cand = _cut_both(view, start, params, phi, b, monkeypatch)
+        if cand is not None and 1 < cand.t < min(trace.t0, trace.t_last):
             # the same walk with the horizon at the hit: the hit is the
             # last row of the last block under every schedule
             cut = dataclasses.replace(params, t0=cand.t)
-            _, cand_cut = _scan_both(view, start, cut, phi, b, depth, size, monkeypatch)
-            assert cand_cut == cand
+            assert _cut_both(view, start, cut, phi, b, monkeypatch) == cand
             seen["hit in the last row"] += 1
         # 2-4 walks at different levels in one scan, from their own generator;
         # a high mass floor makes hits that wait for mass inside a group
@@ -518,21 +513,26 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
         levels = 1 + brng.permutation(params.ell)[:2 + trial % 3]
         pairs = [(int(brng.integers(g.n)), int(lv)) for lv in levels]
         bparams = dataclasses.replace(params, gamma=base.gamma * float(brng.choice([1, 20, 100])))
-        for bat, hit in zip(*_scan_batch(view, pairs, bparams, phi, depth, size, monkeypatch)):
+        seen["batch of mixed levels"] += len(set(levels.tolist())) > 1
+        hits = _cut_batch(view, pairs, bparams, phi, monkeypatch)
+        for bat, hit in zip(walk_traces(view, pairs, bparams), hits):
             if hit is not None:
                 inside = _same_order_as_before(view, bat, hit.t)
                 seen["batched hit inside a group"] += inside
                 seen["batched hit in a group's first row"] += not inside
+                seen["starred"] += hit.starred
+                seen["hit past the first block"] += hit.t > walks.FREEZE_BLOCK
             seen["batched miss with a frozen tail"] += hit is None and bat.t_last < bat.t0
             seen["batched emptied walk"] += not bat.masses[-1].any()
-        seen["frozen"] += run.t_last < run.t0
-        seen["emptied"] += not run.masses[-1].any()
+        seen["frozen"] += trace.t_last < trace.t0
+        seen["emptied"] += not trace.masses[-1].any()
         seen["hit"] += cand is not None
         seen["starred"] += cand is not None and cand.starred
         seen["dyadic"] += phi in (1 / 16, 1 / 64)
         seen["hit at t = 1"] += cand is not None and cand.t == 1
+        seen["hit past the first block"] += cand is not None and cand.t > walks.FREEZE_BLOCK
         seen["hit at t = 3k"] += cand is not None and cand.t % 3 == 0
-        seen["miss with a frozen tail"] += cand is None and run.t_last < run.t0
+        seen["miss with a frozen tail"] += cand is None and trace.t_last < trace.t0
         seen["block wider than its edge chunk"] += any(wide)
         comp = frozenset(range(start, g.n))
         comp_view = ActiveView(view.working, comp)
@@ -545,14 +545,15 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
     assert min(seen.values()) >= 2, seen
 
 
-def test_scan_run_frozen_at_start():
+def test_scan_run_frozen_at_start(monkeypatch):
     # A single-vertex view has no live edge: the walk state never moves, so
     # t_last = 0 and the whole horizon is a zero-cost frozen tail.
     g = gen.barbell(5, 1)
     view = ActiveView(ActiveView.whole(g).working, [3])
     params = derive_walk_params(g.m, PHI, DESK)
-    run, cand = _scan_both(view, 3, params, PHI, 1, 3, 4)
-    assert run.t_last == 0 and cand is None
+    assert _cut_both(view, 3, params, PHI, 1, monkeypatch) is None
+    ((run, hit, trips),) = cuts.scan_runs(view, [(3, 1)], params, PHI, DESK)
+    assert (run.t_last, run.freeze_t, hit, trips) == (0, 0, None, 0)
 
 
 def test_jstar_exact_where_float_rounds_up():
@@ -566,12 +567,43 @@ def test_jstar_exact_where_float_rounds_up():
         rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
         prefvol = np.cumsum(rng.choice([1, 2, 3, 12, 24], size=(rows, n)), axis=1)
         cnt = rng.integers(0, n + 1, size=rows)
-        got = _jstar(prefvol, cnt, phi)
-        grow = 1 + Fraction(phi)
-        for r in range(rows):
-            row = prefvol[r, : cnt[r]].tolist()
-            ref = [sum(1 for v in row if v <= grow * int(pv)) for pv in prefvol[r]]
-            assert got[r].tolist() == ref
+        _check_jstar(prefvol, cnt, phi)
+
+
+def _check_jstar(prefvol, cnt, phi):
+    got = _jstar(prefvol, cnt, phi)
+    grow = 1 + Fraction(phi)
+    for r in range(len(prefvol)):
+        row = prefvol[r, : cnt[r]].tolist()
+        ref = [sum(1 for v in row if v <= grow * int(pv)) for pv in prefvol[r]]
+        assert got[r].tolist() == ref
+
+
+def test_jstar_exact_at_large_volumes():
+    # prefix volumes up to 2^35 against 53-bit numerators of phi: 1/12, 1/48
+    # and random phi <= 1/12.  Each row holds a volume pv and the volumes
+    # around its threshold t = pv + floor(pv * phi), so a floor off by one
+    # changes j*; the denominators of phi's best rational approximations put
+    # pv * phi within 2^-30 of an integer, where a float product rounds.
+    rng = np.random.default_rng(57)
+    phis = [1 / 12, 1 / 48] + [float(Fraction(int(rng.integers(1 << 52, 1 << 53)) | 1,
+                                              1 << int(rng.integers(57, 80))))
+                               for _ in range(30)]
+    assert all(Fraction(phi).numerator.bit_length() == 53 and phi <= 1 / 12 for phi in phis)
+    near = 0
+    for phi in phis:
+        pvs = {Fraction(phi).limit_denominator(lim).denominator
+               for lim in (1 << 20, 1 << 25, 1 << 30, (1 << 34) - 1)}
+        pvs |= set(rng.integers(1 << 20, 1 << 34, size=4).tolist())
+        for pv in sorted(pvs):
+            frac = pv * Fraction(phi)
+            near += abs(frac - round(frac)) < Fraction(1, 1 << 30)
+            t = pv + math.floor(frac)
+            row = np.array(sorted({pv, t - 1, t, t + 1, 2 * t}))
+            _check_jstar(row[None, :], np.array([len(row)]), phi)
+    assert near >= 30
+    with pytest.raises(TooLarge):
+        _jstar(np.array([[1 << 35]]), np.array([1]), 1 / 12)
 
 
 def test_mass_floor_prefilter_contains_exact():
@@ -623,8 +655,8 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
         batches, alone, scans, folds = [], [], [], []
-        monkeypatch.setattr(cuts, "compute_walks", lambda view, pairs, params: (
-            batches.append(len(pairs)) or walks.compute_walks(view, pairs, params)))
+        monkeypatch.setattr(cuts, "compute_walks", lambda view, pairs, *args: (
+            batches.append(len(pairs)) or walks.compute_walks(view, pairs, *args)))
         monkeypatch.setattr(cuts, "compute_walk", lambda *args, **kwargs: (
             alone.append(1) or walks.compute_walk(*args, **kwargs)))
         monkeypatch.setattr(cuts, "scan_run", lambda *args: (

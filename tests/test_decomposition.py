@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from expandec import cuts
 from expandec import generators as gen
 from expandec.clustering import SPLIT_F
 from expandec.config import DESK, PAPER, Profile
@@ -22,7 +23,8 @@ from expandec.decomposition import (
     verify_decomposition,
 )
 from expandec.views import WorkingGraph
-from helpers_h import graph_from_rows, neighbors, sweep_falsifier_per_step
+from expandec.generators import generate
+from helpers_h import full_horizon_local_cut, graph_from_rows, neighbors, sweep_falsifier_per_step
 
 
 def test_params_d_example():
@@ -341,3 +343,30 @@ def test_sweep_falsifier_matches_per_step():
     working = WorkingGraph(g)
     assert _sweep_falsifier(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
     assert sweep_falsifier_per_step(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
+
+
+ACCEPT_2_SPECS = ("cliques_chain:2:6:1", "cliques_chain:3:7:2", "cliques_chain:4:8:1",
+                  "random_regular:16:3", "random_regular:20:4", "random_regular:24:3",
+                  "random_regular:18:4", "grid:4:5", "grid:5:6", "grid:4:8")
+
+
+def test_stop_at_hit_keeps_components_and_removals(monkeypatch):
+    # The walk that stops at its hit charges less and touches fewer edges,
+    # but each local cut finds the same hit, so the decomposition has the
+    # same components and removal sets as with walks run to their horizon;
+    # the simulated rounds and messages do not rise, nor does the bit load.
+    cases = [(generate(spec, seed=seed), seed) for spec in ACCEPT_2_SPECS for seed in (0, 1)]
+    cases += [(gen.cliques_chain(6, 10, 1), seed) for seed in (0, 1)]
+    fell = 0
+    for g, seed in cases:
+        dec = expander_decomposition(g, 0.5, 2, seed, DESK)
+        with monkeypatch.context() as m:
+            m.setattr(cuts, "distributed_local_cut", full_horizon_local_cut)
+            m.setattr(cuts, "WALK_BATCH_CELLS", 0)  # every walk through the local cut
+            ref = expander_decomposition(g, 0.5, 2, seed, DESK)
+        assert dec.components == ref.components and dec.removed == ref.removed
+        got, want = dec.ledger.totals(), ref.ledger.totals()
+        assert (got.rounds <= want.rounds and got.messages <= want.messages
+                and got.max_bits <= want.max_bits)
+        fell += got.messages < want.messages
+    assert fell >= len(cases) // 3  # the chains and grids hit; most regular graphs do not

@@ -1,14 +1,18 @@
 """Walk parameter derivation, fixed-point kernel, sweep machinery, reach sets."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
+from expandec import cuts
 from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
+from expandec.decomposition import _sweep_falsifier
 from expandec.errors import BadPhi, TooLarge
 from expandec.graph import adjacency_csr, lazy_walk_matrix
 from expandec.simulator import Network
@@ -18,14 +22,12 @@ from expandec.walks import (
     MASS_MSG_BITS,
     SCALE,
     WalkParams,
-    WalkRun,
     compute_walk,
     derive_walk_params,
-    sweep_blocks,
-    sweep_order_local,
     sweep_tables,
 )
 from helpers_h import (
+    StateRecorder,
     compute_walk_per_step,
     exact_rho_table,
     graph_from_rows,
@@ -36,9 +38,12 @@ from helpers_h import (
     pstar,
     state_at,
     sweep_order,
+    sweep_order_local,
     truncate,
     walk_step_messages,
     walk_step_units,
+    walk_trace,
+    walk_traces,
 )
 
 
@@ -117,7 +122,7 @@ def _params(m, phi=1 / 12, t0=None):
 def test_walk_initial_state():
     g = gen.clique(4)
     view = ActiveView.whole(g)
-    run = compute_walk(view, 2, _params(6, t0=10), b=1)
+    run = walk_trace(view, 2, _params(6, t0=10), 1)
     state0 = state_at(run, 0)
     assert state0.mass(2) == 1.0
     assert state0.support() == [2]
@@ -129,8 +134,8 @@ def test_distributed_walk_equals_centralized():
     view = ActiveView.whole(g)
     params = _params(13, t0=60)
     net = Network(g)
-    run_d = compute_walk(view, 0, params, 2, net=net)
-    run_c = compute_walk(view, 0, params, 2)
+    run_d = walk_trace(view, 0, params, 2, net=net)
+    run_c = walk_trace(view, 0, params, 2)
     assert len(run_d.masses) == len(run_c.masses)
     for a, b in zip(run_d.masses, run_c.masses):
         assert np.array_equal(a, b)
@@ -141,7 +146,7 @@ def test_walk_freeze_charges_full_horizon():
     g = gen.clique(4)
     net = Network(g)
     params = _params(6, t0=5000)
-    run = compute_walk(ActiveView.whole(g), 0, params, 3, net=net)
+    run = walk_trace(ActiveView.whole(g), 0, params, 3, net=net)
     assert run.freeze_t is not None and run.freeze_t < 5000
     assert net.ledger.totals().rounds == 5000
 
@@ -149,7 +154,7 @@ def test_walk_freeze_charges_full_horizon():
 def test_pstar_confined_with_large_truncation():
     g = gen.barbell(4, 1)
     params = WalkParams(13, 1 / 12, "desk", 4, 50, 1e-3, 1e-2, 0.04)  # eps_1 = 0.02
-    run = compute_walk(ActiveView.whole(g), 1, params, 1)
+    run = walk_trace(ActiveView.whole(g), 1, params, 1)
     far_edges = {(u, v) for u, v in g.edges if u >= 4 and v >= 4}
     assert not (pstar(run) & far_edges)
     assert pstar(run)  # near side still explored
@@ -157,7 +162,7 @@ def test_pstar_confined_with_large_truncation():
 
 def test_mass_never_increases():
     g = gen.erdos_renyi(12, 0.4, seed=3)
-    run = compute_walk(ActiveView.whole(g), 0, _params(g.m, t0=80), 2)
+    run = walk_trace(ActiveView.whole(g), 0, _params(g.m, t0=80), 2)
     totals = [int(m.sum()) for m in run.masses]
     assert all(a >= b for a, b in zip(totals, totals[1:]))
     assert totals[0] == SCALE
@@ -167,10 +172,10 @@ def test_truncated_dominated_by_untruncated_exact():
     g = gen.erdos_renyi(10, 0.5, seed=5)
     view = ActiveView.whole(g)
     params = _params(g.m, t0=60)
-    run_t = compute_walk(view, 0, params, 1)
+    run_t = walk_trace(view, 0, params, 1)
     untr = WalkParams(params.m, params.phi, "desk", params.ell, 60, params.f_phi,
                       params.gamma, 0.0)  # zero truncation
-    run_u = compute_walk(view, 0, untr, 1)
+    run_u = walk_trace(view, 0, untr, 1)
     for t in range(61):
         assert (mass_at(run_t, t) <= mass_at(run_u, t)).all()
 
@@ -180,7 +185,7 @@ def test_fixed_point_tracks_dense_oracle():
     view = ActiveView.whole(g)
     t0 = 50
     untr = WalkParams(g.m, 0.1, "desk", 6, t0, 0.0, 0.0, 0.0)
-    run = compute_walk(view, 3, untr, 1)
+    run = walk_trace(view, 3, untr, 1)
     m = lazy_walk_matrix(g)
     p = np.zeros(g.n)
     p[3] = 1.0
@@ -217,7 +222,7 @@ def test_sweep_order_uniform_ties_by_id():
     g = gen.clique(5)
     view = ActiveView.whole(g)
     params = _params(10, t0=4)
-    run = compute_walk(view, 0, params, 3)
+    run = walk_trace(view, 0, params, 3)
     # force a uniform state: every vertex same mass, same degree
     state = state_at(run, 0)
     state.mass_units[:] = 7 << 20
@@ -229,7 +234,7 @@ def test_sweep_order_uniform_ties_by_id():
 def test_sweep_prefix_volumes_monotone():
     g = gen.barbell(4, 1)
     view = ActiveView.whole(g)
-    run = compute_walk(view, 0, _params(13, t0=30), 2)
+    run = walk_trace(view, 0, _params(13, t0=30), 2)
     state = state_at(run, 10)
     order, prefix = sweep_order(state)
     assert prefix == sorted(prefix)
@@ -359,10 +364,16 @@ def test_sweep_tables_in_edge_chunks_match_row_by_row(monkeypatch):
         _check_tables(view, masses)
 
 
-def _fake_run(n, steps, seed):
-    rng = np.random.default_rng(seed)
-    return WalkRun(None, 0, 1, None, list(rng.integers(0, SCALE, size=(steps + 1, n))),
-                   None, None, 0)
+class BlockRecorder(StateRecorder):
+    """A StateRecorder that also keeps the row count of every block."""
+
+    def __init__(self, view, pairs):
+        super().__init__(view, pairs)
+        self.blocks = []
+
+    def __call__(self, masses, r_run, r_t):
+        self.blocks.append(len(masses))
+        return super().__call__(masses, r_run, r_t)
 
 
 @pytest.mark.parametrize("graph, cells, t_stop, sizes", [
@@ -370,24 +381,25 @@ def _fake_run(n, steps, seed):
     (gen.clique(8), 84, 40, [3, 6, 10, 10, 10, 1]),
     (gen.clique(8), 84, 2, [2]),
     (gen.clique(8), 1, 9, [1] * 9),
-    (gen.clique(8), 1 << 16, 40, [40]),
+    # the first block stops at FREEZE_BLOCK steps
+    (gen.clique(8), 1 << 16, 40, [FREEZE_BLOCK, 40 - FREEZE_BLOCK]),
     # n = 12 above 11 live edges: every block has 48 // 12 rows
     (gen.path(12), 48, 10, [4, 4, 2]),
     # n = 10, 21 live edges: 2 rows, then 4 (the n cap)
     (gen.barbell(5, 1), 42, 11, [2, 4, 4, 1]),
 ])
 def test_sweep_blocks_grow_from_the_first_block(monkeypatch, graph, cells, t_stop, sizes):
+    # one walk to t0 = t_stop without truncation: the sweep gets its steps
+    # 1..t0 in blocks of the given sizes, each state as the per-step walk's
     view = ActiveView.whole(graph)
-    run = _fake_run(len(view), t_stop + 3, seed=cells + t_stop)
+    params = WalkParams(graph.m, 1 / 12, "desk", 1, t_stop, 0.0, 0.0, 0.0)
     monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", cells)
-    t_next = 1
-    for (t, masses, tables), size in zip(sweep_blocks(view, run, t_stop), sizes, strict=True):
-        assert t == t_next and len(masses) == size
-        assert np.array_equal(masses, np.array(run.masses[t : t + size]))
-        for a, b in zip(tables, sweep_tables(view, masses)):
-            assert np.array_equal(a, b)
-        t_next = t + size
-    assert t_next == t_stop + 1
+    rec = BlockRecorder(view, [(0, 1)])
+    run = compute_walk(view, 0, params, 1, rec)
+    ref = compute_walk_per_step(view, 0, params, 1)
+    assert run.freeze_t is None and run.t_last == t_stop and not run.hit
+    assert rec.blocks == sizes
+    assert all(np.array_equal(a, b) for a, b in zip(rec.masses[0], ref.masses, strict=True))
 
 
 def test_walk_ledger_matches_per_step_messages():
@@ -402,7 +414,7 @@ def test_walk_ledger_matches_per_step_messages():
                             base.f_phi, base.gamma,
                             base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4])))
         net = Network(view.graph)
-        run = compute_walk(view, int(rng.choice(view.verts)), params, 1, net=net)
+        run = walk_trace(view, int(rng.choice(view.verts)), params, 1, net=net)
         msgs, sent = walk_step_messages(view, run)
         assert net.ledger.snapshot() == {"main": (params.t0, msgs, MASS_MSG_BITS if sent else 0)}
         frozen += run.freeze_t is not None
@@ -417,7 +429,7 @@ def test_walk_sender_rule_counts_exactly_two_deg():
     view = ActiveView.whole(g)
     params = WalkParams(1, 1 / 12, "desk", 1, 3, 0.0, 0.0, 0.0)
     net = Network(g)
-    run = compute_walk(view, 0, params, 1, net=net)
+    run = walk_trace(view, 0, params, 1, net=net)
     assert run.masses[1][1] == 2 * view.deg[1]
     assert walk_step_messages(view, run) == (5, True)
     assert net.ledger.snapshot() == {"main": (3, 5, MASS_MSG_BITS)}
@@ -430,7 +442,7 @@ def _walk_with_t0(params, t0, eps_base=None):
 
 def _check_walk_against_per_step(view, start, params):
     net, net_ref = Network(view.graph), Network(view.graph)
-    run = compute_walk(view, start, params, 1, net=net)
+    run = walk_trace(view, start, params, 1, net=net)
     ref = compute_walk_per_step(view, start, params, 1, net=net_ref)
     assert len(run.masses) == len(ref.masses)
     for a, b in zip(run.masses, ref.masses):
@@ -534,17 +546,14 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
     keep = np.array([whole.index[v] for v in rest.verts.tolist()])
     params = derive_walk_params(g.m, 1 / 12, DESK)
     for start in (0, 6, 44):
-        run = compute_walk(whole, start, params, 2)
-        ref = compute_walk(rest, start, params, 2)
+        run = walk_trace(whole, start, params, 2)
+        ref = walk_trace(rest, start, params, 2)
         assert run.freeze_t == ref.freeze_t and pstar(run) == pstar(ref)
         assert len(run.masses) == len(ref.masses)
         for got, want in zip(run.masses, ref.masses):
             assert got[whole.index[iso[0]]] == 0 and np.array_equal(got[keep], want)
-        # the two views' blocks may split the steps differently: compare rows
-        order, cnt, prefvol, bnds = (np.concatenate(tables) for tables in zip(
-            *(tables for _, _, tables in sweep_blocks(whole, run, run.t_last))))
-        want = [np.concatenate(tables) for tables in zip(
-            *(tables for _, _, tables in sweep_blocks(rest, ref, ref.t_last)))]
+        order, cnt, prefvol, bnds = sweep_tables(whole, np.array(run.masses[1:]))
+        want = sweep_tables(rest, np.array(ref.masses[1:]))
         assert len(cnt) == run.t_last and np.array_equal(cnt, want[1])
         for r, c in enumerate(cnt.tolist()):
             assert np.array_equal(whole.verts[order[r, :c]], rest.verts[want[0][r, :c]])
@@ -555,11 +564,11 @@ def test_isolated_vertex_holds_no_mass_and_is_never_swept():
 def _check_batch_against_columns(view, pairs, params):
     """compute_walks against compute_walk per column and against the
     per-step reference; returns the runs."""
-    runs = walks.compute_walks(view, pairs, params)
+    runs = walk_traces(view, pairs, params)
     assert len(runs) == len(pairs)
     for (start, b), run in zip(pairs, runs):
         net, net_ref = Network(view.graph), Network(view.graph)
-        ref = compute_walk(view, start, params, b, net=net_ref)
+        ref = walk_trace(view, start, params, b, net=net_ref)
         walks.charge_walk(net, run)
         step_ref = compute_walk_per_step(view, start, params, b)
         assert step_ref.freeze_t == ref.freeze_t and len(step_ref.masses) == len(ref.masses)
@@ -623,3 +632,98 @@ def test_compute_walks_on_a_column_block_that_is_not_row_major():
     got = walk_step_units(view, cut)
     for j in range(2):
         assert np.array_equal(got[:, j], walk_step_units(view, cut[:, j].copy()))
+
+
+class StopAt(StateRecorder):
+    """A StateRecorder that hits pair i at step stops[i] (None: never)."""
+
+    def __init__(self, view, pairs, stops):
+        super().__init__(view, pairs)
+        self.stops, self.stopped = stops, set()
+
+    def __call__(self, masses, r_run, r_t):
+        super().__call__(masses, r_run, r_t)
+        assert not self.stopped & set(r_run.tolist()), "a block after the hit"
+        hits = {i: t for i, t in zip(r_run.tolist(), r_t.tolist()) if t == self.stops[i]}
+        self.stopped |= set(hits)
+        return hits
+
+
+def test_compute_walks_stop_at_their_hits(monkeypatch):
+    # each column stops at the step its sweep hits: rounds, messages and
+    # touched edges count its states up to that step, as in the per-step walk
+    # that stops there, under several first-block sizes
+    rng = np.random.default_rng(59)
+    seen = set()
+    for trial in range(40):
+        view = _random_view(rng, trial + 1300)
+        if view is None:
+            continue
+        base = derive_walk_params(max(1, view.m_live), 1 / 12, DESK)
+        eps = base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4]))
+        params = _walk_with_t0(base, int(rng.integers(1, 120)), eps)
+        pairs = [(int(rng.choice(view.verts)), int(rng.integers(1, base.ell + 1)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        stops = [None if rng.random() < 0.25 else int(rng.integers(1, params.t0 + 1))
+                 for _ in pairs]
+        monkeypatch.setattr(walks, "FREEZE_BLOCK", int(rng.choice([1, 3, 16])))
+        sweep = StopAt(view, pairs, stops)
+        runs = walks.compute_walks(view, pairs, params, sweep)
+        for (start, b), stop, run, states in zip(pairs, stops, runs, sweep.masses):
+            ref = compute_walk_per_step(view, start, params, b,
+                                        scan=lambda t, _m, stop=stop: t == stop or None)
+            net, net_ref = Network(view.graph), Network(view.graph)
+            walks.charge_walk(net, run)
+            walks.charge_walk(net_ref, ref)
+            assert (run.t_last, run.freeze_t, run.hit, run.messages) == (
+                ref.t_last, ref.freeze_t, ref.hit, ref.messages)
+            assert np.array_equal(run.touched, ref.touched)
+            assert net.ledger.snapshot() == net_ref.ledger.snapshot()
+            assert all(np.array_equal(a, c) for a, c in zip(states, ref.masses))
+            if run.hit:
+                seen.add("hit at step 1" if run.t_last == 1 else "later hit")
+                seen.add("hit beside a walking column" if len(pairs) > 1 else "lone hit")
+            elif stop is not None:
+                seen.add("froze before its hit")
+            else:
+                seen.add("no hit")
+    assert {"hit at step 1", "later hit", "hit beside a walking column", "lone hit",
+            "froze before its hit", "no hit"} <= seen, seen
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_and_sweeps_hold_one_block(monkeypatch):
+    # one long walk on a 64-cycle with its scan (a mass floor no prefix
+    # meets, so it never hits), and the falsifier's walk and fold: neither
+    # stores its states, so the peak is a few blocks whatever t0, although
+    # the states of the walk fill at least 10 blocks
+    monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", 1 << 12)
+    block_bytes = walks.SWEEP_BLOCK_CELLS * 8
+    g = gen.cycle(64)
+    view = ActiveView.whole(g)
+    base = dataclasses.replace(derive_walk_params(g.m, 1 / 12, DESK), gamma=1e9)
+    peaks = []
+    for t0, phi_k in ((1500, 1 / 8), (6000, 1 / 16)):
+        params = dataclasses.replace(base, t0=t0)
+        out = []
+        scan = _traced_peak(lambda: out.extend(cuts.scan_runs(view, [(0, 1)], params, 1 / 12,
+                                                              DESK)))
+        ((run, hit, _),) = out
+        assert hit is None and run.t_last == t0 and run.t_last * len(view) >= 10 * (1 << 12)
+        comp = frozenset(range(g.n))
+        assert derive_walk_params(g.m, phi_k, DESK).t0 >= t0
+        falsifier = _traced_peak(lambda: _sweep_falsifier(WorkingGraph(g), comp, phi_k, DESK))
+        peaks.append((scan, falsifier))
+    assert all(p < 24 * block_bytes for pair in peaks for p in pair), peaks
+    (scan_a, fals_a), (scan_b, fals_b) = peaks
+    assert scan_b < 1.25 * scan_a and fals_b < 1.25 * fals_a, peaks
