@@ -24,23 +24,27 @@ with the same sweep order and support, as most are once a walk settles,
 share their sweep tables, candidate chain and every test but the mass floor,
 so those are built once per group; no Python loop runs once per walk step.
 Each run's outcome is its earliest hit whatever the blocks and the other
-runs, and its tree round trips are charged once the tree is known, as one
-ledger entry of the per-step costs' sum.  `scan_runs` walks and scans a batch
-of (start, b) pairs; `scan_run` charges the scan of one walk.
+runs.  `scan_runs` is the one place a local cut is walked and scanned: it
+takes a batch of (start, b) pairs and returns each one's (run, hit, trips),
+charging nothing.  `distributed_local_cut` charges one such outcome: the
+walk (`charge_walk`), the BFS tree of its touched edges, and the scan's
+tree round trips (`scan_run`), one ledger entry of the per-step costs' sum.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
 
-Cut accumulation runs its later iterations' walks and scans early.  An
-iteration's levels and starts are drawn from the rng before its walks, and
-they depend on earlier iterations only through the view, which changes only
-when a cut is found.  So after iteration 1, while no cut has been found, the
-next iterations' (start, b) pairs are drawn ahead on a copy of the rng, and
-walked and scanned as one `scan_runs` batch of at most WALK_BATCH_CELLS walk
-states per step.  Each iteration still draws
-from the rng itself and charges the ledger; it takes a prefetched walk and
-its scan only when its view, start and level are the prefetched ones, so the
-outcome is that of running every walk and scan alone.
+The k instances of one iteration walk their distinct (start, b) landings in
+one `scan_runs` batch, and instances that landed on the same pair share its
+run, each charged for it.  Cut accumulation also runs its later iterations'
+walks and scans early.  An iteration's levels and starts are drawn from the
+rng before its walks, and they depend on earlier iterations only through
+the view, which changes only when a cut is found.  So after iteration 1,
+while no cut has been found, the next iterations' (start, b) pairs are drawn
+ahead on a copy of the rng, and walked and scanned as one `scan_runs` batch
+of at most WALK_BATCH_CELLS walk states per step.  Each iteration still
+draws from the rng itself and charges the ledger, and walks only the
+landings the prefetch missed, so the outcome is that of running every walk
+and scan alone.
 """
 from __future__ import annotations
 
@@ -62,7 +66,6 @@ from .walks import (
     WalkParams,
     WalkRun,
     charge_walk,
-    compute_walk,
     compute_walks,
     derive_walk_params,
     prefix_tables,
@@ -206,24 +209,6 @@ def _trips(n_checks: np.ndarray, band: np.ndarray) -> np.ndarray:
     its draws take, is a test reference."""
     iters = np.ceil(np.log2(np.maximum(2, band))).astype(np.int64) + 2
     return 2 * n_checks + np.maximum(n_checks - 1, 0) * iters * 4
-
-
-class ScanCharger:
-    """Round/message cost of one distributed sweep scan on a spanning tree
-    of the given depth and size, charged as a single ledger entry: every
-    round trip costs depth rounds and one message per tree edge, and a hit
-    adds the broadcast of the accepted cut's membership."""
-
-    def __init__(self, net: Network, depth: int, size: int):
-        self.net = net
-        self.depth = depth
-        self.size = max(1, size)
-
-    def charge(self, trips: int, hit: bool):
-        passes = trips + hit
-        messages = passes * (self.size - 1)
-        self.net.ledger.charge(self.net.phase, rounds=passes * self.depth, messages=messages,
-                               edge_bits=(KIND_BITS + 2 * WORD_BITS) if messages else 0)
 
 
 # -- the scan -------------------------------------------------------------------
@@ -405,53 +390,40 @@ def scan_runs(view: ActiveView, pairs, params: WalkParams, phi: float,
     return [(run, *scan.outcome(i, run)) for i, run in enumerate(runs)]
 
 
-def scan_run(scan: SweepScan, run: WalkRun, charger: ScanCharger) -> SweepCandidate | None:
-    """The hit of run, the one walk that scan swept, or None: the one-run
-    case of `scan_runs`, its trips charged to charger as one entry."""
-    found, trips = scan.outcome(0, run)
-    charger.charge(trips, found is not None)
-    return found
+def scan_run(net: Network, run: WalkRun, tree: SpanningTree, hit: SweepCandidate | None,
+             trips: int) -> SweepCandidate | None:
+    """Charge the distributed scan of run, the walk whose `scan_runs`
+    outcome is (hit, trips), on tree as one ledger entry, and return hit.
+    Every round trip costs the tree's depth in rounds and one message per
+    tree edge, and a hit adds the broadcast of the accepted cut's
+    membership."""
+    passes = trips + (hit is not None)
+    messages = passes * (max(1, len(tree.hosts)) - 1)
+    net.ledger.charge(net.phase, rounds=passes * tree.depth_max, messages=messages,
+                      edge_bits=(KIND_BITS + 2 * WORD_BITS) if messages else 0)
+    return hit
 
 
 # -- the local-cut family --------------------------------------------------------
 
 
-def _result_from_candidate(view: ActiveView, run: WalkRun, cand: SweepCandidate | None,
-                           start: int, b: int) -> LocalCutResult:
+def _result_from_candidate(view: ActiveView, run: WalkRun,
+                           cand: SweepCandidate | None) -> LocalCutResult:
     if cand is None:
-        return LocalCutResult(None, None, start, b, view, run.touched)
-    return LocalCutResult(cand.members, view.cut_stats(cand.members), start, b, view,
+        return LocalCutResult(None, None, run.start, run.b, view, run.touched)
+    return LocalCutResult(cand.members, view.cut_stats(cand.members), run.start, run.b, view,
                           run.touched)
 
 
-def distributed_local_cut(net: Network, view: ActiveView, v: int, phi: float, b: int,
-                          params: WalkParams, profile: Profile,
-                          prefetched: tuple | None = None) -> LocalCutResult:
-    """Distributed local cut: simulated walk, tree-search candidate location,
-    slack conditions on jump candidates, full round accounting.
-
-    The walk is streamed into its scan and stops at the hit, so it is
-    charged through the hit step, and the scan's tree spans the edges it
-    touched up to there.  A prefetched (run, hit, trips), a `scan_runs`
-    outcome at this phi and profile, stands in for the walk and the scan
-    when it is the walk from v at level b on this very view; it is charged
-    as they would be."""
-    _check_algo_phi(phi)
-    run = prefetched[0] if prefetched is not None else None
-    if run is not None and run.view is view and (run.start, run.b, run.params) == (v, b, params):
-        run, cand, trips = prefetched
-        charge_walk(net, run)
-        scan = None
-    else:
-        scan = SweepScan(view, [(v, b)], params, phi, profile)
-        run = compute_walk(view, v, params, b, scan, net=net)
-    tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
-    charger = ScanCharger(net, tree.depth_max, len(tree.hosts))
-    if scan is not None:
-        cand = scan_run(scan, run, charger)
-    else:
-        charger.charge(trips, cand is not None)
-    return _result_from_candidate(view, run, cand, v, b)
+def distributed_local_cut(net: Network, view: ActiveView, outcome: tuple) -> LocalCutResult:
+    """Distributed local cut from its walk and scan, a `scan_runs` outcome
+    (run, hit, trips) on view, with full round accounting: the walk through
+    its stop, the BFS tree of the edges it touched, and the scan's tree
+    searches and checks on that tree."""
+    run, hit, trips = outcome
+    charge_walk(net, run)
+    tree = bfs_tree(net, run.start, view.edges_local[run.touched], view.verts)
+    return _result_from_candidate(view, run, scan_run(net, run, tree, hit, trips))
 
 
 def _check_algo_phi(phi: float):
@@ -514,20 +486,22 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     identifiers (ties by start id, then level), and the output is the
     largest prefix union within 23/24 of the graph volume.
     Round accounting is sequential-equivalent: an upper bound on any
-    w-multiplexed schedule.  `runs` maps (start, b) to prefetched walks and
-    their scans (see `distributed_local_cut`).
+    w-multiplexed schedule.  `runs` maps (start, b) to the `scan_runs`
+    outcomes prefetched on this view at phi; the distinct landings it misses
+    are walked and scanned in one `scan_runs` batch.
     """
     _check_algo_phi(phi)
     mi = derive_instance_params(view.vol(), walkp, p, profile)
     landings = _draw_landings(net, mi.k, walkp.ell, rng, starts)
     sub_rngs = rng.spawn(len(landings))
+    runs = dict(runs or {})
+    missing = sorted(set(landings) - runs.keys())
+    runs.update(zip(missing, scan_runs(view, missing, walkp, phi, profile)))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
-    runs = runs or {}
-    for (v, b), sub in zip(landings, sub_rngs):
+    for pair, sub in zip(landings, sub_rngs):
         ids.append(int(sub.integers(1 << 62)))
-        instances.append(distributed_local_cut(net, view, v, phi, b, walkp, profile,
-                                               runs.get((v, b))))
+        instances.append(distributed_local_cut(net, view, runs[pair]))
     participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
     depth = starts.tree.depth_max
     if participation.max(initial=0) > mi.w:
@@ -577,8 +551,8 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     most 47/48 of the total, pieces are disjoint, and a non-empty result has
     conductance at most 47 * 276 * w * phi.
 
-    Iteration 1 walks alone.  From iteration 2, while no piece has been
-    removed, the walks of the next c = min(iterations left,
+    Iteration 1 walks only its own instances.  From iteration 2, while no
+    piece has been removed, the walks of the next c = min(iterations left,
     WALK_BATCH_CELLS // (k * n)) iterations are prefetched and scanned as
     one batch (`_prefetch_walks`), refilled when those are used up; a batch
     of fewer than two walks is not run.  Results, ledger and rng end equal
@@ -634,8 +608,8 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
                     rng: np.random.Generator, starts: StartTree, phi: float,
                     profile: Profile) -> dict:
     """The walks of the next iters partition iterations on view and their
-    scans at phi, as (run, hit, trips) by (start, b): one `scan_runs` batch
-    of the distinct pairs, each walk stopped at its hit.
+    scans at phi, as `scan_runs` outcomes by (start, b): one batch of the
+    distinct pairs, each walk stopped at its hit.
 
     The pairs are those the iterations draw if none of them finds a cut: on
     a generator whose bit generator copies rng's state, charging a throwaway

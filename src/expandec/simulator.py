@@ -16,7 +16,7 @@ round or checks the bandwidth budget.  A `SpanningTree` is index arrays in
 fold one level per array operation; the sums and the sampling take weights
 indexed by host id, and the sampling takes the sums folded by the caller.
 The per-round protocols they are charged as, and the randomized tree search
-whose round trips `cuts.ScanCharger` charges by formula, are test references
+whose round trips `cuts.scan_run` charges by formula, are test references
 built on `run_round`; the dict-keyed trees they walk are test references
 too.
 """

@@ -20,11 +20,12 @@ side, as the columns of one (n x c) block: one step is one divmod and one
 product for every column, where on small views numpy's per-call overhead,
 not the arithmetic, is what a step costs.  It advances in blocks of steps
 that start at FREEZE_BLOCK and double up to SWEEP_BLOCK_CELLS cells, and
-hands each block's fresh states to a sweep (the local cut's scan, or the
+hands each block's fresh states to a sweep (the local cuts' scan, or the
 falsifier's fold) before it drops them.  A column stops at the step where
 its sweep hits, at its freeze or at t0, and keeps only its stop, its
 charges and its touched edges: a walk never holds more than one block of
-states.  `compute_walk` is its one-column case.
+states.  Every local cut is walked in such a batch (`cuts.scan_runs`);
+`compute_walk`, the one-column case, walks the falsifier.
 
 The sweep tables of a block of states (sort by rho, prefix volumes and
 boundaries) are built here too, for both sweeps.
@@ -173,9 +174,11 @@ def compute_walks(view: ActiveView, pairs, params: WalkParams, sweep) -> list[Wa
     Each step is one synchronous round: every vertex with mass at least
     2 deg sends its fixed-point share along each live edge; after a walk
     freezes, the remaining rounds up to t0 repeat its last messages.  The
-    runs come back in the order of pairs.
+    runs come back in the order of pairs; no pairs give no runs.
     """
     n, c, t0 = len(view.verts), len(pairs), params.t0
+    if not c:
+        return []
     mass = np.zeros((n, c), dtype=np.int64)
     mass[[view.index[v] for v, _ in pairs], np.arange(c)] = SCALE
     runs: list[WalkRun | None] = [None] * c
@@ -253,14 +256,10 @@ def charge_walk(net: Network, run: WalkRun):
                       edge_bits=MASS_MSG_BITS if run.messages else 0)
 
 
-def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int, sweep,
-                 net: Network | None = None) -> WalkRun:
+def compute_walk(view: ActiveView, start: int, params: WalkParams, b: int, sweep) -> WalkRun:
     """The truncated walk from start at level b, streamed into sweep: the
-    one-column case of `compute_walks`, charged to net by `charge_walk`
-    when one is attached."""
+    one-column case of `compute_walks`, charging nothing."""
     (run,) = compute_walks(view, [(start, b)], params, sweep)
-    if net is not None:
-        charge_walk(net, run)
     return run
 
 

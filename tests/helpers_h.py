@@ -3,8 +3,8 @@ does not read, brute-force certificates for the dense-region growth
 invariant, the row-by-row reference for the working graph and its views,
 walks traced through a sweep that records their states, per-step
 references for the walk kernel, the sweep scan, the local cut that stops at
-its hit and the falsifier, the full-horizon local cut, the centralized local
-cuts built on the per-step scan, float and
+its hit and the falsifier, the local cut walked alone, the full-horizon
+walks and scans, the centralized local cuts built on the per-step scan, float and
 exact-rational walk references with the influence set, dict-keyed
 references for the BFS tree, the subtree sums and the degree sampling,
 message-level references for the BFS tree, the tree aggregate and
@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from expandec.clustering import NeighborhoodOracle, ShiftClustering
-from expandec.cuts import (ScanCharger, StartTree, SweepCandidate, SweepScan, _check_algo_phi,
-                           _result_from_candidate, distributed_local_cut, draw_b)
+from expandec.cuts import (StartTree, SweepCandidate, SweepScan, _check_algo_phi,
+                           _result_from_candidate, distributed_local_cut, draw_b, scan_runs)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
 from expandec.graph import INF, Cut, Graph, directed_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
@@ -138,9 +138,11 @@ def walk_traces(view, pairs, params) -> list[WalkTrace]:
 
 def walk_trace(view, start, params, b, net=None) -> WalkTrace:
     """`compute_walk` from start at level b without a stop, with its states,
-    charged to net when one is given."""
+    charged to net by `charge_walk` when one is given."""
     rec = StateRecorder(view, [(start, b)])
-    run = compute_walk(view, start, params, b, rec, net=net)
+    run = compute_walk(view, start, params, b, rec)
+    if net is not None:
+        charge_walk(net, run)
     return WalkTrace(**vars(run), masses=rec.masses[0])
 
 
@@ -645,28 +647,32 @@ def local_cut_per_step(net, view, v, phi, b, params, profile):
         charger.membership_broadcast()
     elif run.t_last < run.t0:
         charger.frozen_tail(run.t0 - run.t_last)
-    return _result_from_candidate(view, run, found, v, b), found
+    return _result_from_candidate(view, run, found), found
 
 
-def full_horizon_local_cut(net, view, v, phi, b, params, profile, prefetched=None):
-    """`distributed_local_cut` as it ran before a walk stopped at its hit:
-    the walk runs and is charged to t0 (or its freeze), the scan's tree
-    spans every edge it touched, and the scan charges its trips up to the
-    first hit.  A prefetched walk is not used."""
+def lone_local_cut(net, view, v, phi, b, params, profile):
+    """`distributed_local_cut` of the walk from v at level b, walked and
+    scanned alone: a `scan_runs` batch of one pair."""
     _check_algo_phi(phi)
-    scan = SweepScan(view, [(v, b)], params, phi, profile)
+    (outcome,) = scan_runs(view, [(v, b)], params, phi, profile)
+    return distributed_local_cut(net, view, outcome)
 
-    def sweep(masses, r_run, r_t):  # scan up to the first hit, stop nothing
-        if scan.hits[0] is None:
-            scan(masses, r_run, r_t)
+
+def full_horizon_scan_runs(view, pairs, params, phi, profile):
+    """`scan_runs` as it ran before a walk stopped at its hit: each walk
+    runs to t0 (or its freeze), so it is charged to there and its touched
+    edges, which the scan's tree spans, are all it reached; its scan counts
+    its trips up to its first hit."""
+    scan = SweepScan(view, pairs, params, phi, profile)
+
+    def sweep(masses, r_run, r_t):  # scan each run up to its first hit, stop nothing
+        open_ = np.array([scan.hits[i] is None for i in r_run.tolist()], dtype=bool)
+        if open_.any():
+            scan(masses[open_], r_run[open_], r_t[open_])
         return {}
 
-    (run,) = compute_walks(view, [(v, b)], params, sweep)
-    charge_walk(net, run)
-    tree = bfs_tree(net, v, view.edges_local[run.touched], view.verts)
-    cand, trips = scan.outcome(0, run)
-    ScanCharger(net, tree.depth_max, len(tree.hosts)).charge(trips, cand is not None)
-    return _result_from_candidate(view, run, cand, v, b)
+    runs = compute_walks(view, pairs, params, sweep)
+    return [(run, *scan.outcome(i, run)) for i, run in enumerate(runs)]
 
 
 def local_cut(view, v, phi, b, params, profile):
@@ -676,7 +682,7 @@ def local_cut(view, v, phi, b, params, profile):
         raise BadPhi(f"phi={phi}")
     run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=False)
-    return _result_from_candidate(view, run, cand, v, b)
+    return _result_from_candidate(view, run, cand)
 
 
 def approximate_local_cut_reference(view, v, phi, b, params, profile):
@@ -685,7 +691,7 @@ def approximate_local_cut_reference(view, v, phi, b, params, profile):
     _check_algo_phi(phi)
     run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
-    return _result_from_candidate(view, run, cand, v, b)
+    return _result_from_candidate(view, run, cand)
 
 
 def randomized_local_cut(net, view, phi, params, profile, rng):
@@ -693,7 +699,7 @@ def randomized_local_cut(net, view, phi, params, profile, rng):
     degree-distributed start, drawn down the view's BFS tree."""
     b = draw_b(params.ell, rng)
     v = view_starts(net, view).sample(net, {b: 1}, rng)[0][0]
-    return distributed_local_cut(net, view, v, phi, b, params, profile)
+    return lone_local_cut(net, view, v, phi, b, params, profile)
 
 
 def sweep_falsifier_per_step(working, comp, phi_k, profile):

@@ -20,7 +20,7 @@ from expandec.walks import (
     WalkParams,
     derive_walk_params,
 )
-from expandec.cuts import distributed_local_cut, sparse_cut_partition
+from expandec.cuts import sparse_cut_partition
 from expandec.clustering import (
     build_dense_sparse_split,
     exponential_shift_clustering,
@@ -36,6 +36,7 @@ from helpers_h import (
     exact_rho_table,
     influence_set,
     live_neighbors,
+    lone_local_cut,
     mass_at,
     walk_trace,
 )
@@ -370,7 +371,7 @@ def test_accept_9_distributed_centralized_equivalence():
             b = 1 + int(rng.integers(params.ell))
             ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
             net = Network(g)
-            dist = distributed_local_cut(net, view, v, PHI, b, params, DESK)
+            dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
             assert ref.members == dist.members
     # determinism: identical seed => identical output and ledger, twice
     g = gen.cliques_chain(3, 6, 1)

@@ -21,6 +21,7 @@ from expandec.cuts import (
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
+    _prefetch_walks,
     balanced_sparse_cut,
     concurrent_local_cuts,
     derive_instance_params,
@@ -29,12 +30,14 @@ from expandec.cuts import (
     ladder_h,
     ladder_h_inv,
     scan_run,
+    scan_runs,
     sparse_cut_partition,
 )
 from helpers_h import (
     approximate_local_cut_reference,
     local_cut,
     local_cut_per_step,
+    lone_local_cut,
     pstar,
     randomized_local_cut,
     sweep_order_local,
@@ -174,7 +177,7 @@ def test_distributed_equals_reference_many_seeds():
             b = 1 + int(rng.integers(0, params.ell))
             ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
             net = Network(g)
-            dist = distributed_local_cut(net, view, v, PHI, b, params, DESK)
+            dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
             assert ref.members == dist.members
 
 
@@ -282,6 +285,47 @@ def test_concurrent_union_volume_bound_any_seed():
                                     np.random.default_rng(seed), view_starts(net, view), 0.25)
         if res.members is not None:
             assert 24 * sum(g.deg[v] for v in res.members) <= 23 * vol
+
+
+@pytest.mark.parametrize("k", [6, 60])
+def test_concurrent_instances_walk_one_batch(monkeypatch, k):
+    # an iteration's k instances walk their distinct landings in one
+    # scan_runs call; each instance equals its local cut run alone and
+    # stopped at its hit, and the ledger equals one that charges every
+    # instance alone, so a landing drawn twice is walked once and charged twice
+    g = gen.barbell(8, 1)
+    view, params = _cut_setup(g)
+    profile = with_instances(view, params, k)
+    repeated = 0
+    for seed in range(4):
+        batches, charged = [], []
+        with monkeypatch.context() as m:
+            m.setattr(cuts, "scan_runs", lambda view, pairs, *args: (
+                batches.append(list(pairs)) or scan_runs(view, pairs, *args)))
+            m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: (
+                charged.append(outcome) or distributed_local_cut(net, view, outcome)))
+            net = Network(g)
+            res = concurrent_local_cuts(net, view, PHI, params, profile,
+                                        np.random.default_rng(seed), view_starts(net, view), 0.25)
+        landings = [(inst.start, inst.b) for inst in res.instances]
+        assert len(landings) == k and batches == [sorted(set(landings))]
+        # one charge per instance, of the one run of its landing
+        assert [(run.start, run.b) for run, _, _ in charged] == landings
+        assert len({id(run) for run, _, _ in charged}) == len(set(landings))
+        repeated += len(set(landings)) < k
+        with monkeypatch.context() as m:  # every instance walked and scanned alone
+            m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: local_cut_per_step(
+                net, view, outcome[0].start, PHI, outcome[0].b, params, profile)[0])
+            net_ref = Network(g)
+            ref = concurrent_local_cuts(net_ref, view, PHI, params, profile,
+                                        np.random.default_rng(seed), view_starts(net_ref, view),
+                                        0.25)
+        for got, want in zip(res.instances, ref.instances, strict=True):
+            assert (got.start, got.b, got.members) == (want.start, want.b, want.members)
+            assert np.array_equal(got.touched, want.touched)
+        assert (res.members, res.aborted_overlap) == (ref.members, ref.aborted_overlap)
+        assert net.ledger.snapshot() == net_ref.ledger.snapshot()
+    assert repeated >= 1
 
 
 def test_partition_on_expander_returns_empty():
@@ -419,7 +463,7 @@ def _block_cells(view, rows):
 
 
 def _cut_both(view, start, params, phi, b, monkeypatch):
-    """distributed_local_cut, and scan_runs on its one walk, against the
+    """scan_runs on one walk, charged by distributed_local_cut, against the
     stop-at-hit reference, each with its own ledger, under every block
     schedule of BLOCK_ROWS: the same hit, members, touched edges and ledger
     snapshot.  Returns the hit."""
@@ -428,8 +472,9 @@ def _cut_both(view, start, params, phi, b, monkeypatch):
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
         net = Network(view.graph)
-        res = distributed_local_cut(net, view, start, phi, b, params, DESK)
-        ((run, got, _),) = cuts.scan_runs(view, [(start, b)], params, phi, DESK)
+        (outcome,) = cuts.scan_runs(view, [(start, b)], params, phi, DESK)
+        res = distributed_local_cut(net, view, outcome)
+        run, got, _ = outcome
         assert got == hit and run.hit == (hit is not None)
         assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
         assert net.ledger.snapshot() == net_ref.ledger.snapshot()
@@ -438,8 +483,8 @@ def _cut_both(view, start, params, phi, b, monkeypatch):
 
 def _cut_batch(view, pairs, params, phi, monkeypatch):
     """scan_runs on the walks from pairs, all in one call, under every block
-    schedule of BLOCK_ROWS; each of its (run, hit, trips) taken as the
-    prefetched walk of distributed_local_cut must give the stop-at-hit
+    schedule of BLOCK_ROWS; each of its (run, hit, trips), charged by
+    distributed_local_cut, which walks nothing, must give the stop-at-hit
     reference's hit, members, touched edges and ledger snapshot.  Returns
     the hits."""
     refs = []
@@ -450,12 +495,12 @@ def _cut_batch(view, pairs, params, phi, monkeypatch):
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
         got = cuts.scan_runs(view, pairs, params, phi, DESK)
-        with monkeypatch.context() as m:  # every walk is the prefetched one
-            m.setattr(cuts, "compute_walk", None)
+        with monkeypatch.context() as m:  # every walk is the batch's
+            m.setattr(cuts, "compute_walks", None)
             for (start, b), pre, (ref, hit, ledger) in zip(pairs, got, refs, strict=True):
                 net = Network(view.graph)
-                res = distributed_local_cut(net, view, start, phi, b, params, DESK, pre)
-                assert pre[1] == hit
+                res = distributed_local_cut(net, view, pre)
+                assert (pre[0].start, pre[0].b, pre[1]) == (start, b, hit)
                 assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
                 assert net.ledger.snapshot() == ledger
     return [hit for _, hit, _ in refs]
@@ -643,49 +688,66 @@ def test_concurrent_cuts_with_an_isolated_vertex():
 def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK, p=0.25,
                                          after_each=None):
     """sparse_cut_partition on the whole graph with the walk prefetch on and
-    off: per mode, (result or raised error, ledger snapshot, rng, batch
-    sizes, walks run alone, scans run alone).  after_each(net) runs after
-    each iteration.  With the prefetch off, every local cut walks and scans
-    alone; with it on, each walk run alone is scanned alone, and a prefetched
-    walk is not scanned again.  Either way the start sampling folds its
-    subtree sums once per view: the whole view, then at most once per
-    removed piece.  Returns the result, batch sizes and lone walks with the
-    prefetch."""
+    off: per mode, (result or raised error, ledger snapshot, rng, prefetch
+    batch sizes, walks run by the iterations, scans charged, folds).
+    after_each(net) runs after each iteration.  A prefetch is one scan_runs
+    batch, run from iteration 2 and only while no piece has been removed;
+    each iteration walks, in one scan_runs batch of its own, exactly the
+    distinct landings that the prefetch missed (with the prefetch off, all
+    of them), and every instance's scan is charged once.  Either way the
+    start sampling folds its subtree sums once per view: the whole view,
+    then at most once per removed piece.  Returns the result, prefetch batch
+    sizes and walks run by the iterations with the prefetch."""
     outs = []
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
-        batches, alone, scans, folds = [], [], [], []
-        monkeypatch.setattr(cuts, "compute_walks", lambda view, pairs, *args: (
-            batches.append(len(pairs)) or walks.compute_walks(view, pairs, *args)))
-        monkeypatch.setattr(cuts, "compute_walk", lambda *args, **kwargs: (
-            alone.append(1) or walks.compute_walk(*args, **kwargs)))
+        batches, walked, charged, folds, done = [], [], [], [], []
+
+        def prefetch(*args):
+            assert done and not any(res.members for res in done)
+            before = len(walked)
+            out = _prefetch_walks(*args)
+            assert len(walked) == before + 1  # one batch, not an iteration's
+            batches.append(len(walked.pop()))
+            return out
+
+        def concurrent(net, view, phi, walkp, prof, rng, starts, p, runs=None):
+            before = len(walked)
+            res = concurrent_local_cuts(net, view, phi, walkp, prof, rng, starts, p, runs)
+            landings = {(inst.start, inst.b) for inst in res.instances}
+            assert walked[before:] == [sorted(landings - (runs or {}).keys())]
+            done.append(res)
+            if after_each is not None:
+                after_each(net)
+            return res
+
+        monkeypatch.setattr(cuts, "_prefetch_walks", prefetch)
+        monkeypatch.setattr(cuts, "concurrent_local_cuts", concurrent)
+        monkeypatch.setattr(cuts, "scan_runs", lambda view, pairs, *args: (
+            walked.append(list(pairs)) or scan_runs(view, pairs, *args)))
         monkeypatch.setattr(cuts, "scan_run", lambda *args: (
-            scans.append(1) or scan_run(*args)))
+            charged.append(1) or scan_run(*args)))
         monkeypatch.setattr(cuts, "subtree_sums", lambda *args: (
             folds.append(1) or subtree_sums(*args)))
-        if after_each is not None:
-            def concurrent(net, *args, **kwargs):
-                res = concurrent_local_cuts(net, *args, **kwargs)  # the unpatched one
-                after_each(net)
-                return res
-            monkeypatch.setattr(cuts, "concurrent_local_cuts", concurrent)
         net, rng = Network(graph), np.random.default_rng(seed)
         try:
             out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
         except BadPhi as exc:
             out = exc
-        outs.append((out, net.ledger.snapshot(), rng, batches, len(alone), len(scans),
-                     len(folds)))
-    ((on, ledger_on, rng_on, batches_on, alone_on, scans_on, folds_on),
-     (off, ledger_off, rng_off, batches_off, alone_off, scans_off, folds_off)) = outs
+        outs.append((out, net.ledger.snapshot(), rng, batches,
+                     sum(len(pairs) for pairs in walked), len(charged), len(folds)))
+    ((on, ledger_on, rng_on, batches_on, alone_on, charged_on, folds_on),
+     (off, ledger_off, rng_off, batches_off, alone_off, charged_off, folds_off)) = outs
     assert not batches_off
-    assert scans_on == alone_on
+    assert charged_on == charged_off
     assert folds_on == folds_off
     if isinstance(on, BadPhi):
         assert isinstance(off, BadPhi) and str(on) == str(off)
     else:
         assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
-        assert scans_off == alone_off == sum(len(c.instances) for c in off.concurrent)
+        assert charged_off == sum(len(c.instances) for c in off.concurrent)
+        assert alone_off == sum(len({(i.start, i.b) for i in c.instances})
+                                for c in off.concurrent)
         assert 1 <= folds_on <= 1 + len(on.pieces)
     assert ledger_on == ledger_off
     assert rng_on.bit_generator.state == rng_off.bit_generator.state

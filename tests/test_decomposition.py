@@ -24,7 +24,7 @@ from expandec.decomposition import (
 )
 from expandec.views import WorkingGraph
 from expandec.generators import generate
-from helpers_h import full_horizon_local_cut, graph_from_rows, neighbors, sweep_falsifier_per_step
+from helpers_h import full_horizon_scan_runs, graph_from_rows, neighbors, sweep_falsifier_per_step
 
 
 def test_params_d_example():
@@ -361,8 +361,7 @@ def test_stop_at_hit_keeps_components_and_removals(monkeypatch):
     for g, seed in cases:
         dec = expander_decomposition(g, 0.5, 2, seed, DESK)
         with monkeypatch.context() as m:
-            m.setattr(cuts, "distributed_local_cut", full_horizon_local_cut)
-            m.setattr(cuts, "WALK_BATCH_CELLS", 0)  # every walk through the local cut
+            m.setattr(cuts, "scan_runs", full_horizon_scan_runs)  # prefetched walks too
             ref = expander_decomposition(g, 0.5, 2, seed, DESK)
         assert dec.components == ref.components and dec.removed == ref.removed
         got, want = dec.ledger.totals(), ref.ledger.totals()

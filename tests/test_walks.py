@@ -621,6 +621,14 @@ def test_compute_walks_matches_per_column_walks():
             "one column", "duplicate pairs", "mixed b"} <= seen
 
 
+def test_compute_walks_of_no_pairs_is_empty():
+    # an iteration whose landings were all prefetched walks an empty batch
+    view = ActiveView.whole(gen.barbell(4, 1))
+    params = derive_walk_params(view.m_live, 1 / 12, DESK)
+    assert walks.compute_walks(view, [], params, lambda *args: {}) == []
+    assert cuts.scan_runs(view, [], params, 1 / 12, DESK) == []
+
+
 def test_compute_walks_on_a_column_block_that_is_not_row_major():
     # dropping frozen columns leaves a block that is not row-major; the step
     # must still add the shares into every column
