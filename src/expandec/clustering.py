@@ -10,28 +10,33 @@ inter-cluster edges incident to the sparse side.
 Neighborhood edge sets follow the flooding semantics: the radius-d edge set of
 v is every tracked edge with an endpoint within distance d-1 of v, which is
 what d-1 phases of list-or-star flooding deliver (radius 1 = incident edges).
-The pipeline needs only the edge counts (threshold tests and size
-estimates); they are computed directly and the rounds charged by the
-per-phase formula.  The flooding protocol, and the exact edge sets it
-delivers, are test references.  No hop distance in a view exceeds its size
+The pipeline needs only the edge counts, for size estimates: one exact
+count answers an estimate's whole ladder of threshold tests, a sampled
+rung's stream is drawn only where that count leaves the answer open, and
+the tests are charged by the per-phase formula in one ledger entry.  The
+flooding protocol, the exact edge sets it delivers and the rung-by-rung
+tests are test references.  No hop distance in a view exceeds its size
 minus one, so from radius len(view) on every ball is the vertex's whole
 component: its edge count is one `bincount` of the (sampled) live edges over
-the view's component roots, and an a-ball of a vertex set is the union of its
-components.  Only radii below that need the dense distance tables of
+the view's component roots, and an a-ball of a vertex set, like every
+region the split grows from such balls, is a union of components, which
+the roots group.  Only radii below that need the dense distance tables of
 `NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
-size, so the decomposition never builds one.  The roots, the oracle's
-distances and every component split come from the numpy traversal substrate
-of `graph` run on the view's CSR adjacency.
+size, so the decomposition never builds one and, cutting nothing, returns
+the view's components.  The roots, the oracle's distances and every other
+component split come from the numpy traversal substrate of `graph` run on
+the view's CSR adjacency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import adjacency_csr, components_of, edge_ends, hop_distances, level_sweep
+from .graph import (adjacency_csr, components_of, edge_ends, group_by_root, hop_distances,
+                    level_sweep)
 from .simulator import KIND_BITS, Network
 from .views import ActiveView
 
@@ -88,25 +93,29 @@ def _samples(n: int, z: int, f: float) -> bool:
     return K_SAMPLE * math.log2(max(2, n)) < f * f * z
 
 
-def neighborhood_threshold_test(net: Network, view: ActiveView, d: int, z: int, f: float,
-                                rng: np.random.Generator | None,
-                                oracle: NeighborhoodOracle | None = None) -> np.ndarray:
-    """Per-vertex bit, indexed like view.verts: 1 when the radius-d edge count is
-    below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0).
-    rng is drawn from, and needed, only when the test samples."""
-    n = net.graph.n
+@lru_cache(maxsize=64)
+def _ladder(n: int, f: float, bandwidth_bits: int) -> tuple:
+    """What a size estimate's ladder fixes for host size n: the rungs 1, 1+f,
+    (1+f)^2, ... up to n(n-1)/2 (read-only), the thresholds (1+f)z of the
+    low rungs, those whose test at z = ceil(rung) counts every edge
+    (read-only), the top rungs' threshold on a sampled count and their
+    sampling rates, and the flooding rounds per phase of all the rungs'
+    tests together."""
     log_n = math.log2(max(2, n))
-    if _samples(n, z, f):
-        mask = rng.random(view.m_live) < K_SAMPLE * log_n / (f * f * z)
-        tau = (1 + f / 2) * K_SAMPLE * log_n / (f * f)
-    else:
-        mask, tau = None, (1 + f) * z
-    bits = ball_edge_counts(view, d, mask, oracle) <= tau
-    edge_bits = 2 * math.ceil(math.log2(max(2, n)))
-    per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
-    net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
-                      messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
-    return bits
+    ladder = [1.0]
+    cap = n * (n - 1) / 2
+    while ladder[-1] * (1 + f) <= cap:
+        ladder.append(ladder[-1] * (1 + f))
+    zs = [max(1, math.ceil(r)) for r in ladder]
+    exact = [(1 + f) * z for z in zs if not _samples(n, z, f)]
+    tau = (1 + f / 2) * K_SAMPLE * log_n / (f * f)
+    rates = [K_SAMPLE * log_n / (f * f * z) for z in zs[len(exact):]]
+    edge_bits = 2 * math.ceil(log_n)
+    per_phase = sum(max(1, math.ceil((t + 1) * edge_bits / bandwidth_bits))
+                    for t in exact + [tau] * len(rates))
+    ladder, exact = np.array(ladder), np.array(exact)
+    ladder.flags.writeable = exact.flags.writeable = False
+    return ladder, exact, tau, rates, per_phase
 
 
 def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
@@ -115,27 +124,38 @@ def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
     """Per-vertex m_v, indexed like view.verts, within a (1+f) factor of the
     radius-d edge count w.h.p.
 
-    m_v is the lowest ladder rung whose threshold test accepts (every oversized
-    rung accepts, so the first acceptance is the informative one).  Ladder
-    levels reuse sample streams keyed by level index, so estimates are
-    monotone in d for a fixed generator state; a level's stream is built only
-    when its rung samples.
+    m_v is the lowest rung of the ladder 1, 1+f, (1+f)^2, ... whose threshold
+    test at z = ceil(rung) accepts (every oversized rung accepts, so the first
+    acceptance is the informative one).  A low rung counts every edge and
+    accepts a count up to (1+f)z; a top rung samples each edge at rate
+    K_SAMPLE log n / (f^2 z), from a stream keyed by its index so estimates
+    are monotone in d for a fixed generator state, and accepts a sampled
+    count up to a fixed tau.  The whole ladder is answered from one exact
+    count: the low rungs' thresholds rise with the rung, so a vertex's first
+    accepting one is a `searchsorted`, and a sampled count never exceeds the
+    exact one, so a top rung's stream is built only while some vertex with
+    an exact count above tau is still unsettled.  The ladder is charged as
+    its rungs' tests, one flooding of d-1 phases each, in one ledger entry.
     """
     if oracle is None and d < len(view):
         oracle = NeighborhoodOracle(view)
     n = net.graph.n
     seed_key = int(rng.integers(1 << 62))
-    ladder = [1.0]
-    cap = n * (n - 1) / 2
-    while ladder[-1] * (1 + f) <= cap:
-        ladder.append(ladder[-1] * (1 + f))
-    best = np.full(len(view), ladder[-1])
-    for i in range(len(ladder) - 1, -1, -1):
-        z = max(1, math.ceil(ladder[i]))
-        level_rng = np.random.default_rng([seed_key, i]) if _samples(n, z, f) else None
-        bits = neighborhood_threshold_test(net, view, d, z, f, level_rng, oracle=oracle)
-        best[bits] = ladder[i]
-    return best
+    ladder, exact, tau, rates, per_phase = _ladder(n, f, net.bandwidth_bits)
+    top = len(ladder)
+    counts = ball_edge_counts(view, d, None, oracle)
+    rung = np.searchsorted(exact, counts)  # the first accepting low rung
+    rung[(rung == len(exact)) & (counts > tau)] = top  # open at the top rungs
+    for i, rate in enumerate(rates, start=len(exact)):
+        open_ = rung == top
+        if not open_.any():
+            break
+        mask = np.random.default_rng([seed_key, i]).random(view.m_live) < rate
+        rung[open_ & (ball_edge_counts(view, d, mask, oracle) <= tau)] = i
+    net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
+                      messages=2 * view.m_live * max(0, d - 1) * top,
+                      edge_bits=net.bandwidth_bits)
+    return ladder[np.minimum(rung, top - 1)]
 
 
 # -- exponential-shift clustering ----------------------------------------------
@@ -226,29 +246,32 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     est_far = neighborhood_size_estimate(net, view, far_radius, SPLIT_F, rng, oracle=oracle)
     is_dense = est_near * 2 * b * (1 + SPLIT_F) ** 2 >= est_far
     dense_prime = frozenset(view.verts[is_dense].tolist())
-    idx = view.index
+    # a reaches n_view - 1, the largest possible distance: every a-ball, and
+    # so every W below, is a union of whole components
+    whole = a >= n_view - 1
 
-    def ball(hosts, radius) -> frozenset:
-        """Vertices within radius of hosts: whole components once radius
-        reaches n_view - 1, the largest possible distance."""
-        rows = [idx[v] for v in hosts]
-        if not rows:
+    def ball(hosts) -> frozenset:
+        """Vertices within a of hosts."""
+        rows = np.flatnonzero(view.member_mask(hosts))
+        if not len(rows):
             return frozenset()
-        if radius >= n_view - 1:
+        if whole:
             near = np.isin(view.roots, view.roots[rows])
         else:
-            near = oracle.dist[rows].min(axis=0) <= radius
+            near = oracle.dist[rows].min(axis=0) <= a
         return frozenset(view.verts[near].tolist())
 
     def components_within(w: frozenset) -> list[frozenset]:
-        rows = np.array(sorted(idx[v] for v in w), dtype=np.int64)
+        rows = np.flatnonzero(view.member_mask(w))
+        if whole:
+            return group_by_root(view.roots[rows], view.verts[rows])
         return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
 
     def near_other(c: frozenset, w: frozenset) -> bool:
         """Another component of w lies within a of c."""
-        return len(ball(c, a) & w) > len(c)
+        return len(ball(c) & w) > len(c)
 
-    w = ball(dense_prime, a)
+    w = ball(dense_prime)
     stages = [components_within(w)]
     for _ in range(2 * b):
         comps = stages[-1]
@@ -258,7 +281,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         new_w = set()
         for c in comps:
             if near_other(c, w):
-                new_w |= ball(c, a)
+                new_w |= ball(c)
                 merged = True
             else:
                 new_w |= c
@@ -312,12 +335,15 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     sparse = split.v_sparse
     cut = [e for e in clustering.cut_edges if e[0] in sparse or e[1] in sparse]
     # connected components of the live subgraph minus the cut edges
-    idx = view.index
-    n_view = len(view.verts)
-    el = view.edges_local
-    cut_local = np.array([(idx[u], idx[v]) for u, v in cut], dtype=np.int64).reshape(-1, 2)
-    keep = ~np.isin(el[:, 0] * n_view + el[:, 1], cut_local[:, 0] * n_view + cut_local[:, 1])
-    comps = components_of(adjacency_csr(n_view, el[keep]), view.verts)
+    if cut:
+        idx = view.index
+        n_view = len(view.verts)
+        el = view.edges_local
+        cut_local = np.array([(idx[u], idx[v]) for u, v in cut], dtype=np.int64)
+        keep = ~np.isin(el[:, 0] * n_view + el[:, 1], cut_local[:, 0] * n_view + cut_local[:, 1])
+        comps = components_of(adjacency_csr(n_view, el[keep]), view.verts)
+    else:
+        comps = view.components()
     n = net.graph.n
     d1 = 4 * math.log2(max(2, n)) / beta_inner
     d2 = 20 * split.a * split.b

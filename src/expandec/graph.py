@@ -14,7 +14,8 @@ The traversal substrate (`component_roots`, `components_of`, `hop_distances`,
 `level_sweep`) works on a symmetric CSR adjacency, or for `level_sweep` the
 ends of its entries, with numpy array operations only, so `Graph`, every view
 and every simulated tree or clustering share one implementation of
-connectivity and hop distance.
+connectivity and hop distance.  `group_by_root` turns per-vertex roots into
+component sets, so a caller that holds the roots needs no adjacency.
 """
 from __future__ import annotations
 
@@ -175,9 +176,13 @@ def component_roots(adj: sp.csr_matrix) -> np.ndarray:
 def components_of(adj: sp.csr_matrix, labels) -> list[frozenset]:
     """Connected components of a symmetric CSR adjacency, as frozensets of
     labels[i] sorted by min label."""
-    if adj.shape[0] == 0:
+    return group_by_root(component_roots(adj), labels)
+
+
+def group_by_root(root: np.ndarray, labels) -> list[frozenset]:
+    """The labels[i] that share a root[i], as frozensets sorted by min label."""
+    if len(root) == 0:
         return []
-    root = component_roots(adj)
     order = np.argsort(root, kind="stable")
     bounds = np.flatnonzero(np.diff(root[order])) + 1
     parts = np.split(np.asarray(labels)[order], bounds)

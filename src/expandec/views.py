@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCut, FormatError, MissingEdge
-from .graph import Cut, Graph, adjacency_csr, component_roots, components_of, row_positions
+from .graph import Cut, Graph, adjacency_csr, component_roots, group_by_root, row_positions
 
 
 class WorkingGraph:
@@ -117,7 +117,7 @@ class ActiveView:
         return ActiveView(self.working, active)
 
     def components(self) -> list[frozenset]:
-        return components_of(self.adj_matrix, self.verts)
+        return group_by_root(self.roots, self.verts)
 
     @cached_property
     def roots(self) -> np.ndarray:

@@ -9,7 +9,8 @@ exact-rational walk references with the influence set, dict-keyed
 references for the BFS tree, the subtree sums and the degree sampling,
 message-level references for the BFS tree, the tree aggregate and
 broadcast, the randomized tree search and its round trip, list-or-star
-flooding and the shift clustering, and the per-triple reference for
+flooding, the rung-by-rung neighborhood threshold tests and size estimate,
+the shift clustering, and the per-triple reference for
 triangle enumeration."""
 import math
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 
-from expandec.clustering import NeighborhoodOracle, ShiftClustering
+from expandec.clustering import (K_SAMPLE, NeighborhoodOracle, ShiftClustering, _samples,
+                                 ball_edge_counts)
 from expandec.cuts import (StartTree, SweepCandidate, SweepScan, _check_algo_phi,
                            _result_from_candidate, distributed_local_cut, draw_b, scan_runs)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
@@ -1052,6 +1054,48 @@ def neighborhood_edges_per_round(net, view, estar, d, tau):
             if len(known[v]) > tau:
                 over[v] = True
     return {v: OVER if over[v] else sorted(known[v]) for v in verts}
+
+
+def neighborhood_threshold_test(net, view, d, z, f, rng, oracle=None):
+    """Per-vertex bit, indexed like view.verts: 1 when the radius-d edge count is
+    below z (w.h.p. calibrated so counts <= z give 1 and counts >= (1+f)z give 0).
+    rng is drawn from, and needed, only when the test samples; each test is
+    charged as one flooding of d-1 phases."""
+    n = net.graph.n
+    log_n = math.log2(max(2, n))
+    if _samples(n, z, f):
+        mask = rng.random(view.m_live) < K_SAMPLE * log_n / (f * f * z)
+        tau = (1 + f / 2) * K_SAMPLE * log_n / (f * f)
+    else:
+        mask, tau = None, (1 + f) * z
+    bits = ball_edge_counts(view, d, mask, oracle) <= tau
+    edge_bits = 2 * math.ceil(math.log2(max(2, n)))
+    per_phase = max(1, math.ceil((tau + 1) * edge_bits / net.bandwidth_bits))
+    net.ledger.charge(net.phase, rounds=max(0, d - 1) * per_phase,
+                      messages=2 * view.m_live * max(0, d - 1), edge_bits=net.bandwidth_bits)
+    return bits
+
+
+def neighborhood_size_estimate_per_rung(net, view, d, f, rng, oracle=None):
+    """`neighborhood_size_estimate` one threshold test per ladder rung, top
+    rung first, each with its own count and charge: the lowest accepting
+    rung wins, and a rung's stream default_rng([seed_key, i]) is built
+    whenever it samples."""
+    if oracle is None and d < len(view):
+        oracle = NeighborhoodOracle(view)
+    n = net.graph.n
+    seed_key = int(rng.integers(1 << 62))
+    ladder = [1.0]
+    cap = n * (n - 1) / 2
+    while ladder[-1] * (1 + f) <= cap:
+        ladder.append(ladder[-1] * (1 + f))
+    best = np.full(len(view), ladder[-1])
+    for i in range(len(ladder) - 1, -1, -1):
+        z = max(1, math.ceil(ladder[i]))
+        level_rng = np.random.default_rng([seed_key, i]) if _samples(n, z, f) else None
+        bits = neighborhood_threshold_test(net, view, d, z, f, level_rng, oracle=oracle)
+        best[bits] = ladder[i]
+    return best
 
 
 def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):

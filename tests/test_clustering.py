@@ -1,20 +1,25 @@
 """Shift clustering, neighborhood estimation, dense/sparse split, low-diameter parts."""
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from expandec import clustering, decomposition
 from expandec import generators as gen
+from expandec.config import DESK
+from expandec.graph import adjacency_csr, components_of, group_by_root
 from expandec.simulator import Network
 from expandec.views import ActiveView, WorkingGraph
 from expandec.clustering import (
+    SPLIT_F,
     NeighborhoodOracle,
     ball_edge_counts,
     build_dense_sparse_split,
     exponential_shift_clustering,
     low_diam_decomposition,
     neighborhood_size_estimate,
-    neighborhood_threshold_test,
 )
 
 from helpers_h import (
@@ -23,6 +28,8 @@ from helpers_h import (
     live_neighbors,
     neighborhood_edges_exact,
     neighborhood_edges_per_round,
+    neighborhood_size_estimate_per_rung,
+    neighborhood_threshold_test,
     shift_clustering_per_epoch,
 )
 
@@ -293,6 +300,81 @@ def test_size_estimate_monotone_in_d():
             assert ests[0][v] <= ests[1][v] <= ests[2][v]
 
 
+def _count_generators(monkeypatch) -> list[str]:
+    """Record the module of each caller that builds a numpy generator from
+    here on: `expandec.clustering` builds only rung streams."""
+    built = []
+    make = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(sys._getframe(1).f_globals["__name__"])
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return built
+
+
+def _views_for_size_estimate():
+    """Views with removed edges, several components and an isolated vertex,
+    and two 64-vertex hosts that reach the top rungs at f = 0.9, where the
+    low rungs accept counts up to 91.2 and a sampled count up to about 107:
+    a 20-clique (190 edges) leaves them to the sampled counts, and a
+    15-clique (105 edges) settles at the first one without a stream."""
+    g = gen.erdos_renyi(30, 0.2, seed=3)
+    removed = WorkingGraph(g)
+    removed.remove_edges(list(g.edges[::4]), "r2")
+    isolated = WorkingGraph(gen.clique(6))
+    isolated.remove_edges([(0, v) for v in range(1, 6)], "r1")  # 0 keeps no live edge
+
+    def clique_and_path(q):
+        return gen.Graph.from_edges(64, [(u, v) for u in range(q) for v in range(u + 1, q)]
+                                    + [(i, i + 1) for i in range(q, 63)])
+
+    views = dict(_views_for_closed_form())
+    views.update({
+        "removed edges, sub view": ActiveView(removed, range(2, 30)),
+        "isolated vertex": ActiveView(isolated, range(6)),
+        "sampled rungs decide": ActiveView.whole(clique_and_path(20)),
+        "no rung stream": ActiveView.whole(clique_and_path(15)),
+    })
+    return views
+
+
+def test_size_estimate_equals_per_rung_reference(monkeypatch):
+    """The one-count ladder against a threshold test per rung: the same
+    estimates, ledger snapshot and generator state, at radii below len(view)
+    (oracle counts) and from it on (closed form), at f = SPLIT_F, 1/4 and
+    0.9, over 20 seeds."""
+    views = _views_for_size_estimate()
+    built = _count_generators(monkeypatch)
+    streams = {}
+    for name, view in views.items():
+        oracle = NeighborhoodOracle(view)
+        built.clear()
+        for d in (1, 2, 3, len(view), len(view) + 3):
+            for f in (SPLIT_F, 0.25, 0.9):
+                for seed in range(20):
+                    net, ref_net = Network(view.graph), Network(view.graph)
+                    gen_a, gen_b = np.random.default_rng([seed]), np.random.default_rng([seed])
+                    got = neighborhood_size_estimate(net, view, d, f, gen_a, oracle=oracle)
+                    want = neighborhood_size_estimate_per_rung(ref_net, view, d, f, gen_b,
+                                                               oracle=oracle)
+                    assert got.tolist() == want.tolist(), (name, d, f, seed)
+                    assert net.ledger.snapshot() == ref_net.ledger.snapshot(), (name, d, f)
+                    assert gen_a.integers(1 << 62) == gen_b.integers(1 << 62)
+        streams[name] = (built.count("expandec.clustering"), built.count("helpers_h"))
+    sampled, ref_sampled = streams["sampled rungs decide"]
+    assert sampled > 0 and ref_sampled > sampled
+    none, ref_none = streams["no rung stream"]  # the reference builds the top rungs' streams
+    assert none == 0 and ref_none > 0
+    # no low rung accepts a clique vertex's ball at radius 2: a top rung does
+    for name in ("sampled rungs decide", "no rung stream"):
+        view = views[name]
+        est = neighborhood_size_estimate(Network(view.graph), view, 2, 0.9,
+                                         np.random.default_rng(0))
+        assert est[0] > clustering.K_SAMPLE * math.log2(64) / 0.9 ** 2, name
+
+
 def test_split_sparse_long_cycle():
     # Uniformly sparse input: radius-a balls see a vanishing edge fraction.
     g = gen.cycle(512)
@@ -349,3 +431,71 @@ def test_low_diam_decomposition_properties():
             # never cuts an edge with both endpoints dense
             for u, v in res.cut_edges:
                 assert u in res.split.v_sparse or v in res.split.v_sparse
+
+
+def _sliced(view, hosts):
+    """Components of the view's adjacency sliced to hosts."""
+    rows = np.array(sorted(view.index[v] for v in hosts), dtype=np.int64)
+    return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
+
+
+def test_components_from_roots_equal_sliced_matrix(monkeypatch):
+    """Grouping the view's roots, the saturated split's stages and the
+    empty-cut decomposition give the same lists, order included, as
+    `components_of` on the sliced or rebuilt matrix.  With every vertex
+    forced sparse, so that the clustering's cut edges are cut, the parts
+    equal those of the rebuilt matrix without the cut edges and networkx's."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(23)
+    views = _views_for_closed_form()
+    for name, view in views.items():
+        whole = components_of(view.adj_matrix, view.verts)
+        assert group_by_root(view.roots, view.verts) == whole == view.components(), name
+        for _ in range(5):  # unions of whole components, as a saturated W is
+            hosts = frozenset().union(*(c for c in whole if rng.random() < 0.5))
+            rows = np.flatnonzero(view.member_mask(hosts))
+            assert group_by_root(view.roots[rows], view.verts[rows]) == _sliced(view, hosts)
+        for seed in range(3):
+            res = low_diam_decomposition(Network(view.graph), view, 0.3, 10,
+                                         np.random.default_rng([seed, 23]))
+            assert res.split.a >= len(view) - 1 and res.cut_edges == [], name
+            for stage in res.split.stages:
+                assert stage == _sliced(view, frozenset().union(*stage)), name
+            assert res.components == components_of(
+                adjacency_csr(len(view), view.edges_local), view.verts), name
+    split = clustering.build_dense_sparse_split
+    monkeypatch.setattr(clustering, "build_dense_sparse_split", lambda net, view, *args: (
+        dataclasses.replace(split(net, view, *args), v_sparse=view.active)))
+    cuts = 0
+    for name, view in views.items():
+        res = low_diam_decomposition(Network(view.graph), view, 0.9, 10,
+                                     np.random.default_rng(4))
+        cut = set(res.cut_edges)
+        cuts += len(cut)
+        el = view.edges_local
+        keep = [(u, v) not in cut for u, v in view.verts[el].tolist()]
+        assert res.components == components_of(adjacency_csr(len(view), el[keep]),
+                                                view.verts), name
+        h = nx.Graph()
+        h.add_nodes_from(view.verts.tolist())
+        h.add_edges_from(view.verts[el[keep]].tolist())
+        assert res.components == sorted(map(frozenset, nx.connected_components(h)), key=min)
+    assert cuts > 0
+
+
+def test_chain_decomposition_slices_no_matrix_and_builds_no_rung_stream(monkeypatch):
+    """One desk decomposition of cliques_chain:20:12:1: every low-diameter
+    stage saturates, so the split groups roots instead of slicing the
+    adjacency, and every exact count settles the ladder without a sampled
+    rung's stream."""
+    sliced, estimates = [], []
+    monkeypatch.setattr(clustering, "components_of",
+                        lambda *args: sliced.append(args) or components_of(*args))
+    estimate = clustering.neighborhood_size_estimate
+    monkeypatch.setattr(clustering, "neighborhood_size_estimate",
+                        lambda *args, **kw: estimates.append(args) or estimate(*args, **kw))
+    built = _count_generators(monkeypatch)
+    g = gen.generate("cliques_chain:20:12:1", seed=1)
+    decomposition.expander_decomposition(g, 0.5, 2, 1, DESK)
+    assert estimates and sliced == []
+    assert "expandec.clustering" not in built
