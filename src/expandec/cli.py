@@ -200,8 +200,8 @@ def cmd_verify(args) -> int:
         "inter_edges": rep.inter_edges,
         "inter_fraction_ok": rep.inter_fraction_ok,
         "components": [
-            {"members": list(m), "kind": kind, "ok": good}
-            for m, kind, good in rep.component_results
+            {"members": list(c.members), "kind": c.kind, "ok": c.phi_lower_ok}
+            for c in rep.component_results
         ],
     })
     print(rep.summary(), file=sys.stderr)

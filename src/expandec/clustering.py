@@ -304,7 +304,6 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
 class LowDiamResult:
     components: list[frozenset]
     cut_edges: list[tuple[int, int]]
-    clustering: ShiftClustering
     split: DenseSparseSplit
     view: ActiveView
     beta: float
@@ -348,4 +347,4 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     d1 = 4 * math.log2(max(2, n)) / beta_inner
     d2 = 20 * split.a * split.b
     bound = math.ceil(2 * (d1 + 1) + d2)
-    return LowDiamResult(comps, cut, clustering, split, view, beta, bound)
+    return LowDiamResult(comps, cut, split, view, beta, bound)

@@ -216,23 +216,19 @@ def _trips(n_checks: np.ndarray, band: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepCandidate:
-    """The accepted sweep prefix: step, index, its exact statistics and its
-    members."""
+    """The accepted sweep prefix: step, whether it passed as a jump
+    candidate, its exact boundary and conductance, and its members."""
 
     t: int
-    j: int
     starred: bool
-    prefix_volume: int
     boundary: int
     conductance: Fraction
-    rho_at_j: float
     members: frozenset  # host ids of the prefix
 
 
 @dataclass
 class LocalCutResult:
     members: frozenset | None
-    cut: Cut | None
     start: int
     b: int
     view: ActiveView
@@ -343,13 +339,10 @@ class SweepScan:
                           and _vol_window_ok(p, vol_total, b, 11, 12))
             if not (passed and _mass_floor_ok(int(masses[r, u_t]), int(deg[u_t]), p, *gamma_q)):
                 return None
-            prefix = g_order[grp[r], :k + 1]
-            u = int(prefix[-1])
             return SweepCandidate(
-                int(r_t[r]), k + 1, not raw[c], p, bdc,
+                int(r_t[r]), not raw[c], bdc,
                 Fraction(0) if bdc == 0 else Fraction(bdc, min(p, vol_total - p)),
-                int(masses[r, u]) / (SCALE * int(deg[u])),
-                frozenset(view.verts[prefix].tolist()),
+                frozenset(view.verts[g_order[grp[r], :k + 1]].tolist()),
             )
 
         found = {}
@@ -409,10 +402,8 @@ def scan_run(net: Network, run: WalkRun, tree: SpanningTree, hit: SweepCandidate
 
 def _result_from_candidate(view: ActiveView, run: WalkRun,
                            cand: SweepCandidate | None) -> LocalCutResult:
-    if cand is None:
-        return LocalCutResult(None, None, run.start, run.b, view, run.touched)
-    return LocalCutResult(cand.members, view.cut_stats(cand.members), run.start, run.b, view,
-                          run.touched)
+    members = None if cand is None else cand.members
+    return LocalCutResult(members, run.start, run.b, view, run.touched)
 
 
 def distributed_local_cut(net: Network, view: ActiveView, outcome: tuple) -> LocalCutResult:
@@ -467,7 +458,6 @@ def _draw_landings(net, k, ell, rng, starts: StartTree):
 @dataclass
 class ConcurrentResult:
     members: frozenset | None
-    cut: Cut | None
     aborted_overlap: bool
     params: MultiInstanceParams
     instances: list[LocalCutResult]
@@ -507,7 +497,7 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
-        return ConcurrentResult(None, None, True, mi, instances)
+        return ConcurrentResult(None, True, mi, instances)
     seq = sorted(range(len(instances)),
                  key=lambda i: (ids[i], instances[i].start, instances[i].b))
     union: set[int] = set()
@@ -524,10 +514,8 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                       rounds=max(1, depth) * (2 + math.ceil(math.log2(max(2, mi.k)))),
                       messages=max(0, len(view) - 1), edge_bits=KIND_BITS + WORD_BITS)
     if not best:
-        return ConcurrentResult(None, None, False, mi, instances)
-    members = frozenset(best)
-    cut = view.cut_stats(members) if members != view.active else None
-    return ConcurrentResult(members, cut, False, mi, instances)
+        return ConcurrentResult(None, False, mi, instances)
+    return ConcurrentResult(frozenset(best), False, mi, instances)
 
 
 @dataclass

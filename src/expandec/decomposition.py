@@ -8,10 +8,11 @@ sufficiently large cut wholesale (channel r3), turning its members into
 self-loop singletons.  Degrees never change; removed plus remaining edges
 always recompose the input.
 
-A component too large for the exact oracle is certified by the sweep
-falsifier: the least sweep-prefix conductance of one truncated walk, folded
-over the blocks of states that `walks.compute_walks` streams into it, so it
-holds one block at a time however long the walk.
+The decomposition certifies nothing itself: `verify_decomposition` is the
+one place a component is certified, by the exact oracle when it is small,
+else by the sweep falsifier: the least sweep-prefix conductance of one
+truncated walk, folded over the blocks of states that `walks.compute_walks`
+streams into it, so it holds one block at a time however long the walk.
 """
 from __future__ import annotations
 
@@ -95,7 +96,9 @@ def derive_decomp_params(n: int, m: int, epsilon: float, k: int,
 @dataclass
 class ComponentCertificate:
     members: tuple[int, ...]
-    kind: str          # "oracle" | "sweep" | "singleton"
+    # "oracle" | "sweep" | "singleton", or a failed check: "overlap" | "cover"
+    # | "inter-edge recount" | "connectivity"
+    kind: str
     phi_lower_ok: bool
     phi_value: float | None  # exact oracle value or best sweep upper bound seen
 
@@ -106,7 +109,6 @@ class Decomposition:
     params: DecompParams
     components: list[frozenset]
     removed: dict[str, list[tuple[int, int]]]  # channels r1, r2, r3
-    certificates: list[ComponentCertificate]
     ledger: RoundLedger
     seed: int
     constants: dict
@@ -145,9 +147,7 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
     net = Network(graph, ledger=ledger, phase="decomp")
     working = WorkingGraph(graph)
     state = _RunState(net, working, params, profile, rng)
-    whole = ActiveView(working, range(graph.n))
-    for comp in whole.components():
-        _phase1(state, comp, depth=1)
+    _phase1(state, frozenset(range(graph.n)), depth=1)
     for host_comp, members in state.phase2_queue:
         _phase2(state, host_comp, members)
     components = sorted(state.finals, key=min)
@@ -156,9 +156,6 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
     if total > epsilon * graph.m:
         raise BudgetExceeded(f"removed {total} of {graph.m} edges at epsilon={epsilon}")
     _check_structure(graph, working, components)
-    certificates = [ComponentCertificate(tuple(sorted(comp)),
-                                         *_certify(working, comp, params.phi_k, profile))
-                    for comp in components]
     constants = {
         "c_h_ladder": C_H_LADDER,
         "phi_ladder": list(params.phi_ladder),
@@ -168,8 +165,7 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
         "profile": profile.name,
         "lowdiam_K": LOWDIAM_K,
     }
-    dec = Decomposition(graph, params, components, removed, certificates,
-                        ledger, seed, constants)
+    dec = Decomposition(graph, params, components, removed, ledger, seed, constants)
     dec.diagnostics = {
         "max_depth": state.max_depth_seen,
         "d": params.d,
@@ -300,27 +296,24 @@ def _check_structure(graph: Graph, working: WorkingGraph, components: list[froze
         raise AssertionError("final components disagree with live connectivity")
 
 
-def _certify(working: WorkingGraph, comp: frozenset, phi_k: float,
-             profile: Profile) -> tuple[str, bool, float | None]:
-    """(kind, phi >= phi_k, value): the exact oracle on a contraction when the
-    component is small, else the sweep falsifier's upper bound."""
-    if len(comp) == 1:
+def _certify(view: ActiveView, phi_k: float, profile: Profile) -> tuple[str, bool, float | None]:
+    """(kind, phi >= phi_k, value) of the connected component that view
+    spans: the exact oracle on its contraction (removed edges as loops) when
+    it is small, else the sweep falsifier's upper bound."""
+    if len(view) == 1:
         return "singleton", True, None
-    if len(comp) <= N_ORACLE_MAX:
-        # the contraction of the working graph (removed edges as loops) onto comp
-        phi = float(min_conductance_oracle(ActiveView(working, comp).materialize())[0])
+    if len(view) <= N_ORACLE_MAX:
+        phi = float(min_conductance_oracle(view.materialize())[0])
         return "oracle", phi >= phi_k, phi
-    best = _sweep_falsifier(working, comp, phi_k, profile)
+    best = _sweep_falsifier(view, phi_k, profile)
     return "sweep", best >= phi_k, best
 
 
-def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,
-                     profile: Profile) -> float:
+def _sweep_falsifier(view: ActiveView, phi_k: float, profile: Profile) -> float:
     """Sound conductance falsifier: min sweep-prefix conductance of one
-    truncated walk started inside the component (an upper bound on Phi),
-    folded over the walk's blocks of states as they stream by; it never
-    stops the walk."""
-    view = ActiveView(working, comp)
+    truncated walk on view started at its least vertex (an upper bound on
+    Phi), folded over the walk's blocks of states as they stream by; it
+    never stops the walk."""
     params = derive_walk_params(max(1, view.m_live), phi_k, profile)
     vol_total = view.vol()
     best = float("inf")
@@ -334,7 +327,7 @@ def _sweep_falsifier(working: WorkingGraph, comp: frozenset, phi_k: float,
             best = min(best, float((bnds[ok] / small[ok]).min()))
         return {}
 
-    compute_walk(view, min(comp), params, max(1, params.ell // 2), fold)
+    compute_walk(view, int(view.verts[0]), params, max(1, params.ell // 2), fold)
     return best
 
 
@@ -346,31 +339,32 @@ class VerifyReport:
     ok: bool
     inter_edges: int
     inter_fraction_ok: bool
-    component_results: list[tuple[tuple[int, ...], str, bool]]
+    component_results: list[ComponentCertificate]
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"{status}: {self.inter_edges} inter edges, " + ", ".join(
-            f"{kind}:{'ok' if good else 'FAIL'}" for _, kind, good in self.component_results
+            f"{c.kind}:{'ok' if c.phi_lower_ok else 'FAIL'}" for c in self.component_results
         )
 
 
 def verify_decomposition(graph: Graph, components: list, epsilon: float,
                          phi_k: float, profile: Profile,
                          reported_removed: set | None = None) -> VerifyReport:
-    """Recompute the inter-component fraction and re-certify every component
-    (exact oracle when small, sweep falsifier when large).  When the run's
-    reported removal set is given, the recount must match it exactly."""
+    """Recompute the inter-component fraction and certify every component
+    (exact oracle when small, sweep falsifier when large) on one view of it,
+    which also checks that it is connected.  When the run's reported removal
+    set is given, the recount must match it exactly."""
     which = np.repeat(np.arange(len(components)), [len(c) for c in components])
     members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=len(which))
     order = np.argsort(members, kind="stable")
     listed = members[order]
     again = order[1:][listed[1:] == listed[:-1]]  # each later listing of a vertex
     if len(again):
-        return VerifyReport(False, -1, False,
-                            [(tuple(components[which[again].min()]), "overlap", False)])
+        first = tuple(components[which[again].min()])
+        return VerifyReport(False, -1, False, [ComponentCertificate(first, "overlap", False, None)])
     if not np.array_equal(listed, np.arange(graph.n)):
-        return VerifyReport(False, -1, False, [((), "cover", False)])
+        return VerifyReport(False, -1, False, [ComponentCertificate((), "cover", False, None)])
     comp_of = np.empty(graph.n, dtype=np.int64)
     comp_of[members] = which
     u, v = graph.edges.T
@@ -380,21 +374,15 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
     if (reported_removed is not None
             and {edge_key(*e) for e in reported_removed} != set(map(tuple, cut_edges.tolist()))):
         return VerifyReport(False, inter, frac_ok,
-                            [((), "inter-edge recount", False)])
+                            [ComponentCertificate((), "inter-edge recount", False, None)])
     working = WorkingGraph(graph)
     if inter:
         working.remove_edges(cut_edges, "inter")
     results = []
-    ok = frac_ok
     for comp in components:
-        comp = frozenset(comp)
-        members = tuple(sorted(comp))
-        if len(comp) > 1 and len(ActiveView(working, comp).components()) > 1:
-            results.append((members, "connectivity", False))
-            ok = False
-            continue
-        kind, good, _ = _certify(working, comp, phi_k, profile)
-        results.append((members, kind, good))
-        ok = ok and good
+        view = ActiveView(working, comp)
+        verdict = (("connectivity", False, None) if len(view.components()) > 1
+                   else _certify(view, phi_k, profile))
+        results.append(ComponentCertificate(tuple(view.verts.tolist()), *verdict))
+    ok = frac_ok and all(c.phi_lower_ok for c in results)
     return VerifyReport(ok, inter, frac_ok, results)
-

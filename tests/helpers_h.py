@@ -573,10 +573,8 @@ def scan_state_per_step(view, mass, t, phi, b, profile, gamma, jx_only):
 
     def hit(j, starred):
         pv, bd = prefvol[j - 1], bnds[j - 1]
-        u = order[j - 1]
-        return SweepCandidate(t, j, starred, pv, bd,
+        return SweepCandidate(t, starred, bd,
                               Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
-                              int(mass[u]) / (SCALE * int(deg[u])),
                               frozenset(view.verts[order[:j]].tolist()))
 
     if not jx_only:

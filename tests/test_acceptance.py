@@ -26,7 +26,7 @@ from expandec.clustering import (
     exponential_shift_clustering,
     low_diam_decomposition,
 )
-from expandec.decomposition import expander_decomposition
+from expandec.decomposition import expander_decomposition, verify_decomposition
 from expandec.triangles import brute_force_triangles, triangle_enumeration
 
 from helpers_h import (
@@ -107,7 +107,13 @@ def test_accept_2_expander_decomposition_guarantee():
             dec = expander_decomposition(g, eps, 2, [seed, idx], DESK)
             DECOMP_RUNS.append(dec)
             assert dec.removed_total <= eps * g.m, f"{name} seed={seed} removal"
-            for cert in dec.certificates:
+            removed = {e for es in dec.removed.values() for e in es}
+            rep = verify_decomposition(g, dec.components, eps, dec.params.phi_k, DESK,
+                                       reported_removed=removed)
+            # verify certified every component, on the run's own removal set
+            assert [c.members for c in rep.component_results] == [
+                tuple(sorted(c)) for c in dec.components], f"{name} seed={seed} verify"
+            for cert in rep.component_results:
                 if cert.kind == "oracle" and len(cert.members) <= 14:
                     assert cert.phi_lower_ok, (
                         f"{name} seed={seed} oracle {cert.phi_value} < {dec.params.phi_k}"

@@ -34,6 +34,8 @@ def test_decompose_and_verify_pass(tmp_path, capsys):
     code, out, err = run_cli(["verify", "--graph", str(gpath), "--run", str(dpath)], capsys)
     assert code == 0
     assert "PASS" in err
+    verdicts = [(c["kind"], c["ok"]) for c in json.loads(out)["components"]]
+    assert verdicts == [("oracle", True)] * 3
 
 
 def test_verify_fails_on_tampered_output(tmp_path, capsys):

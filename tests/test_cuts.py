@@ -418,7 +418,7 @@ def test_recomputed_conductance_matches_cached():
     view, params = _cut_setup(g)
     res = local_cut(view, 1, PHI, 2, params, DESK)
     assert res.members is not None
-    assert cut_stats(g, res.members).conductance == res.cut.conductance
+    assert cut_stats(g, res.members).conductance == view.cut_stats(res.members).conductance
 
 
 def test_overlap_rule_from_transcript():
@@ -584,7 +584,7 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
         falsifiers = set()
         for rows in BLOCK_ROWS:
             monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(comp_view, rows))
-            falsifiers.add(_sweep_falsifier(view.working, comp, phi, DESK))
+            falsifiers.add(_sweep_falsifier(comp_view, phi, DESK))
         assert len(falsifiers) == 1
         seen["falsifier finite"] += falsifiers != {float("inf")}
     assert min(seen.values()) >= 2, seen

@@ -22,7 +22,7 @@ from expandec.decomposition import (
     expander_decomposition,
     verify_decomposition,
 )
-from expandec.views import WorkingGraph
+from expandec.views import ActiveView, WorkingGraph
 from expandec.generators import generate
 from helpers_h import full_horizon_scan_runs, graph_from_rows, neighbors, sweep_falsifier_per_step
 
@@ -110,7 +110,12 @@ def test_small_components_pass_oracle():
         if not g.is_connected():
             continue
         dec = expander_decomposition(g, 0.5, 2, seed, DESK)
-        for cert in dec.certificates:
+        removed = {e for es in dec.removed.values() for e in es}
+        rep = verify_decomposition(g, dec.components, 0.5, dec.params.phi_k, DESK,
+                                   reported_removed=removed)
+        assert [c.members for c in rep.component_results] == [tuple(sorted(c))
+                                                             for c in dec.components]
+        for cert in rep.component_results:
             assert cert.phi_lower_ok
             if cert.kind == "oracle":
                 assert cert.phi_value >= dec.params.phi_k
@@ -207,6 +212,35 @@ def test_profiles_differ_in_every_field_and_json_records_the_constants():
     assert constants["profile"] == "desk"
 
 
+def test_decomposition_certifies_nothing(monkeypatch):
+    # Certifying a component is verify's job alone: with the certifier, the
+    # exact oracle and the falsifier's walk all made to raise, the
+    # decomposition still returns singletons, oracle-sized and larger parts.
+    import expandec.decomposition as decomposition
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition certified a component")
+
+    edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+    edges += [(20 + u, 20 + v) for u in range(8) for v in range(u + 1, 8)]
+    graphs = [Graph.from_edges(29, edges), gen.cliques_chain(3, 8, 1),
+              gen.erdos_renyi(40, 0.3, seed=3), blob_on_clique(16, 5)]
+    decs = []
+    with monkeypatch.context() as mp:
+        for name in ("_certify", "min_conductance_oracle", "compute_walk"):
+            mp.setattr(decomposition, name, refuse)
+        for seed, g in enumerate(graphs):
+            decs.append(expander_decomposition(g, 0.5, 2, seed, DESK))
+    sizes = {len(c) for dec in decs for c in dec.components}
+    assert 1 in sizes and sizes & set(range(2, 17)) and max(sizes) > 16
+    kinds = set()
+    for g, dec in zip(graphs, decs):
+        rep = verify_decomposition(g, dec.components, 0.5, dec.params.phi_k, DESK)
+        assert len(rep.component_results) == len(dec.components)
+        kinds |= {c.kind for c in rep.component_results}
+    assert kinds == {"singleton", "oracle", "sweep"}
+
+
 def test_verify_pass_and_tamper():
     g = gen.cliques_chain(3, 8, 1)
     dec = expander_decomposition(g, 0.5, 2, 7, DESK)
@@ -227,12 +261,13 @@ def test_verify_rejects_overlap_cover_and_recount():
 
     def verdict(components, reported=None):
         rep = verify_decomposition(g, components, 0.5, 1 / 12, DESK, reported_removed=reported)
-        return rep.ok, rep.component_results[0][1:]
+        cert = rep.component_results[0]
+        return rep.ok, (cert.kind, cert.phi_lower_ok)
 
     # the first component that lists a vertex again is named
     assert verdict([parts[0], parts[1] | {2}, parts[2] | {3}]) == (False, ("overlap", False))
     rep = verify_decomposition(g, [parts[0], parts[1], parts[2] | {5}], 0.5, 1 / 12, DESK)
-    assert rep.component_results[0][0] == tuple(parts[2] | {5})
+    assert rep.component_results[0].members == tuple(parts[2] | {5})
     for cover in ([parts[0], parts[1]], [parts[0], parts[1], parts[2] | {12}],
                   [parts[0] | {-1}, parts[1], parts[2]]):
         assert verdict(cover) == (False, ("cover", False))
@@ -333,7 +368,7 @@ def test_sweep_falsifier_matches_per_step():
         for _ in range(3):
             comp = frozenset(v for v in range(g.n) if rng.random() < 0.85) or frozenset({0})
             phi_k = float(rng.choice([1 / 12, 1 / 20, rng.uniform(0.05, 0.2)]))
-            got = _sweep_falsifier(working, comp, phi_k, DESK)
+            got = _sweep_falsifier(ActiveView(working, comp), phi_k, DESK)
             assert got == sweep_falsifier_per_step(working, comp, phi_k, DESK)
             checked += got < float("inf")
     assert checked >= 10
@@ -341,7 +376,7 @@ def test_sweep_falsifier_matches_per_step():
     # so every stored step supports vertex 0 alone and no prefix is swept
     g = graph_from_rows([[1], [0, 2], [1]], [0, 10**6, 0])
     working = WorkingGraph(g)
-    assert _sweep_falsifier(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
+    assert _sweep_falsifier(ActiveView(working, frozenset({0, 1})), 1 / 12, DESK) == float("inf")
     assert sweep_falsifier_per_step(working, frozenset({0, 1}), 1 / 12, DESK) == float("inf")
 
 

@@ -3,7 +3,12 @@ top-level function and method of `src/expandec` is read somewhere else in
 `src/`, unless it is exported, a dunder, a span target or listed in EXEMPT.
 A read is an attribute or a name in `src/expandec` outside the definition's
 own body; a name that a function binds itself (a parameter or a local) is
-not one.  A reference that only tests call belongs in `tests/helpers_h.py`."""
+not one.  A reference that only tests call belongs in `tests/helpers_h.py`.
+
+Every dataclass field of `src/expandec` is read as an attribute somewhere in
+`src/`, `tests/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that
+nothing reads is a result computed for no one.  The check is by name, so one
+read of `.members` covers every field of that name."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -13,11 +18,14 @@ import expandec
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "expandec"
 SPANS_PY = ROOT / "perfbench" / "spans.py"
+READERS = (SRC, ROOT / "tests", ROOT / "perfbench")
 
 EXEMPT = {
     "ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
     "snapshot": "RoundLedger.snapshot is how a caller compares the charges of two runs",
 }
+# dataclass field name -> why it stays although nothing reads it
+FIELD_EXEMPT: dict[str, str] = {}
 
 
 def _reads(node) -> Counter:
@@ -78,3 +86,31 @@ def test_every_src_definition_is_read_in_src():
     assert unread == []
     # an exemption that gained a caller in src, or lost its definition, is noise
     assert set(EXEMPT) <= defined and not any(reads[name] for name in EXEMPT)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(qualified name, field name) of each field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass")
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    attrs = Counter()
+    for folder in READERS:
+        for path in sorted(folder.glob("*.py")):
+            attrs.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    fields, unread = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, name in _dataclass_fields(ast.parse(path.read_text())):
+            fields.add(name)
+            if not attrs[name] and name not in FIELD_EXEMPT:
+                unread.append(f"{path.stem}.{qualname}")
+    assert fields and unread == []
+    # an exemption that gained a reader, or lost its field, is noise
+    assert set(FIELD_EXEMPT) <= fields and not any(attrs[name] for name in FIELD_EXEMPT)

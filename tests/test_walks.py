@@ -728,9 +728,8 @@ def test_walk_and_sweeps_hold_one_block(monkeypatch):
                                                               DESK)))
         ((run, hit, _),) = out
         assert hit is None and run.t_last == t0 and run.t_last * len(view) >= 10 * (1 << 12)
-        comp = frozenset(range(g.n))
         assert derive_walk_params(g.m, phi_k, DESK).t0 >= t0
-        falsifier = _traced_peak(lambda: _sweep_falsifier(WorkingGraph(g), comp, phi_k, DESK))
+        falsifier = _traced_peak(lambda: _sweep_falsifier(ActiveView.whole(g), phi_k, DESK))
         peaks.append((scan, falsifier))
     assert all(p < 24 * block_bytes for pair in peaks for p in pair), peaks
     (scan_a, fals_a), (scan_b, fals_b) = peaks
