@@ -24,7 +24,7 @@ from .cuts import balanced_sparse_cut
 from .clustering import low_diam_decomposition
 from .decomposition import expander_decomposition, verify_decomposition
 from .errors import ExpandecError, FormatError
-from .graph import Graph, format_graph_text, parse_graph_text
+from .graph import Graph, cut_stats, format_graph_text, parse_graph_text
 from .simulator import Network
 from .triangles import router_cost_report, triangle_enumeration
 from .views import ActiveView
@@ -105,11 +105,12 @@ def cmd_sparse_cut(args) -> int:
     if res is None:
         payload["cut"] = None
     else:
+        cut = cut_stats(g, res.members)  # the view is the whole graph
         payload["cut"] = {
             "members": sorted(res.members),
-            "phi": float(res.cut.conductance),
-            "vol": res.cut.vol_s,
-            "bal": float(res.cut.balance),
+            "phi": float(cut.conductance),
+            "vol": cut.vol_s,
+            "bal": float(cut.balance),
             "phi_inner": res.phi_inner,
             "h_bound": res.h_bound,
         }

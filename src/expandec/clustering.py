@@ -2,10 +2,13 @@
 
 The shift clustering is one multi-source `graph.level_sweep` from the shifted
 start times, charged the protocol's full epoch count without a `Network`
-round.  The dense/sparse split classifies vertices by comparing
-neighborhood edge-count estimates at radius a against radius 100ab, grows the
-dense region in a-ball merge rounds, and the final decomposition cuts only
-inter-cluster edges incident to the sparse side.
+round; it returns arrays over the view's local ids: each vertex's centre and
+start, and a mask over the live edges of those between clusters.  The
+dense/sparse split classifies vertices by comparing neighborhood edge-count
+estimates at radius a against radius 100ab and grows the dense region in
+a-ball merge rounds.  The final decomposition cuts the masked edges with an
+end in the sparse side and takes its parts from the view's live edges less
+those, all by local index; only its reported cut edges are host pairs.
 
 Neighborhood edge sets follow the flooding semantics: the radius-d edge set of
 v is every tracked edge with an endpoint within distance d-1 of v, which is
@@ -163,11 +166,15 @@ def neighborhood_size_estimate(net: Network, view: ActiveView, d: int, f: float,
 
 @dataclass
 class ShiftClustering:
-    assignment: dict[int, int]  # vertex -> center
-    centers: list[int]
-    start: dict[int, int]
+    """The clusters of one view as arrays: per vertex, indexed like
+    view.verts, the host id of its cluster's centre and its start epoch;
+    per live edge, indexed like view.edges_local, whether its ends lie in
+    different clusters."""
+
+    centre: np.ndarray
+    start: np.ndarray
     epochs: int
-    cut_edges: list[tuple[int, int]]  # inter-cluster live edges
+    inter: np.ndarray
 
 
 def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
@@ -200,14 +207,10 @@ def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
         np.minimum.at(cluster, src, cluster[dst])
         if np.array_equal(cluster, settled):
             break
-    order = np.lexsort((~centre, epoch))  # by epoch, each epoch's centres first
-    assignment = dict(zip(verts[order].tolist(), verts[cluster[order]].tolist()))
-    el = view.edges_local[cluster[view.edges_local[:, 0]] != cluster[view.edges_local[:, 1]]]
-    cut = list(zip(verts[el[:, 0]].tolist(), verts[el[:, 1]].tolist()))
+    ends = cluster[view.edges_local]
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
-    return ShiftClustering(assignment, verts[centre].tolist(),
-                           dict(zip(verts.tolist(), start.tolist())), horizon, cut)
+    return ShiftClustering(verts[cluster], start, horizon, ends[:, 0] != ends[:, 1])
 
 
 # -- dense/sparse split ----------------------------------------------------------
@@ -331,20 +334,17 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     beta_inner = beta / 3.0
     split = build_dense_sparse_split(net, view, beta_inner, K, rng)
     clustering = exponential_shift_clustering(net, view, beta_inner, rng)
-    sparse = split.v_sparse
-    cut = [e for e in clustering.cut_edges if e[0] in sparse or e[1] in sparse]
+    el = view.edges_local
+    sparse = view.member_mask(split.v_sparse)[el]
+    cut = clustering.inter & (sparse[:, 0] | sparse[:, 1])
     # connected components of the live subgraph minus the cut edges
-    if cut:
-        idx = view.index
-        n_view = len(view.verts)
-        el = view.edges_local
-        cut_local = np.array([(idx[u], idx[v]) for u, v in cut], dtype=np.int64)
-        keep = ~np.isin(el[:, 0] * n_view + el[:, 1], cut_local[:, 0] * n_view + cut_local[:, 1])
-        comps = components_of(adjacency_csr(n_view, el[keep]), view.verts)
+    if cut.any():
+        comps = components_of(adjacency_csr(len(view), el[~cut]), view.verts)
     else:
         comps = view.components()
     n = net.graph.n
     d1 = 4 * math.log2(max(2, n)) / beta_inner
     d2 = 20 * split.a * split.b
     bound = math.ceil(2 * (d1 + 1) + d2)
-    return LowDiamResult(comps, cut, split, view, beta, bound)
+    return LowDiamResult(comps, list(map(tuple, view.verts[el[cut]].tolist())), split, view,
+                         beta, bound)

@@ -57,7 +57,6 @@ import numpy as np
 
 from .config import Profile
 from .errors import BadPhi, TooLarge
-from .graph import Cut
 from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_tree,
                         sample_by_degree, subtree_sums)
 from .views import ActiveView
@@ -217,12 +216,10 @@ def _trips(n_checks: np.ndarray, band: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SweepCandidate:
     """The accepted sweep prefix: step, whether it passed as a jump
-    candidate, its exact boundary and conductance, and its members."""
+    candidate, and its members."""
 
     t: int
     starred: bool
-    boundary: int
-    conductance: Fraction
     members: frozenset  # host ids of the prefix
 
 
@@ -339,11 +336,8 @@ class SweepScan:
                           and _vol_window_ok(p, vol_total, b, 11, 12))
             if not (passed and _mass_floor_ok(int(masses[r, u_t]), int(deg[u_t]), p, *gamma_q)):
                 return None
-            return SweepCandidate(
-                int(r_t[r]), not raw[c], bdc,
-                Fraction(0) if bdc == 0 else Fraction(bdc, min(p, vol_total - p)),
-                frozenset(view.verts[g_order[grp[r], :k + 1]].tolist()),
-            )
+            return SweepCandidate(int(r_t[r]), not raw[c],
+                                  frozenset(view.verts[g_order[grp[r], :k + 1]].tolist()))
 
         found = {}
         # each run's first candidate, until it confirms or none is left
@@ -520,12 +514,14 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
 
 @dataclass
 class PartitionResult:
+    """The accumulated cut as a vertex set, its pieces and the constants of
+    its conductance bound; its exact statistics are `graph.cut_stats`'."""
+
     members: frozenset          # possibly empty
-    cut: Cut | None             # stats w.r.t. the graph the call started from
     pieces: list[frozenset]     # disjoint per-iteration cuts, in order
     iterations: int
     s_budget: int
-    w_max: int
+    w_max: int                  # the whole view's overlap budget w, the largest of any iteration
     phi: float
     k_phi: float                # recorded constant: Phi(C) <= k_phi * phi * log2(|V|)
     concurrent: list[ConcurrentResult]
@@ -560,7 +556,6 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     active = set(view.active)
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
-    w_max = mi0.w
     runs: dict = {}  # prefetched walks and scans on view, by (start, b)
     drawn = 1  # the last iteration whose walks were prefetched
     it = 0
@@ -578,7 +573,6 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
                 drawn = it + cols - 1
         res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, starts, p, runs)
         concurrent.append(res)
-        w_max = max(w_max, res.params.w)
         if res.members:
             pieces.append(res.members)
             active -= res.members
@@ -586,10 +580,8 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
         if 48 * removed_vol >= vol0:
             break
     members = frozenset().union(*pieces) if pieces else frozenset()
-    cut = view.cut_stats(members) if members and members != view.active else None
-    n_view = max(2, len(view))
-    k_phi = _K_ACCUM * _K_CONCURRENT * w_max / math.log2(n_view)
-    return PartitionResult(members, cut, pieces, it, mi0.s, w_max, phi, k_phi, concurrent)
+    k_phi = _K_ACCUM * _K_CONCURRENT * mi0.w / math.log2(max(2, len(view)))
+    return PartitionResult(members, pieces, it, mi0.s, mi0.w, phi, k_phi, concurrent)
 
 
 def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, iters: int,
@@ -615,8 +607,10 @@ def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, i
 
 @dataclass
 class BalancedCutResult:
+    """A proper, non-empty side of the view, the inner conductance its
+    partition ran at, and the bound that certifies its conductance."""
+
     members: frozenset
-    cut: Cut
     phi_inner: float
     h_bound: float  # certified conductance bound for this run
 
@@ -627,8 +621,8 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     """Nearly-most-balanced sparse cut: re-parameterized cut accumulation.
 
     The inner conductance solves f(phi') = phi_target (capped at 1/12); the
-    recorded h bound certifies the output conductance.  Returns None for an
-    empty result.
+    recorded h bound certifies the output conductance.  Returns None when
+    the accumulated cut is empty or the whole view.
     """
     n_view = len(view)
     if profile.enforce_phi_cap:
@@ -643,7 +637,7 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     if p is None:
         p = 1.0 / max(2, n_view) ** 2
     part = sparse_cut_partition(net, view, phi_inner, p, profile, rng)
-    if not part.members or part.cut is None:
+    if not part.members or part.members == view.active:
         return None
     h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * part.w_max * phi_inner)
-    return BalancedCutResult(part.members, part.cut, phi_inner, h_bound)
+    return BalancedCutResult(part.members, phi_inner, h_bound)

@@ -353,8 +353,9 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
                          reported_removed: set | None = None) -> VerifyReport:
     """Recompute the inter-component fraction and certify every component
     (exact oracle when small, sweep falsifier when large) on one view of it,
-    which also checks that it is connected.  When the run's reported removal
-    set is given, the recount must match it exactly."""
+    which also checks that it is connected: one component, so an empty one
+    fails.  When the run's reported removal set is given, the recount must
+    match it exactly."""
     which = np.repeat(np.arange(len(components)), [len(c) for c in components])
     members = np.fromiter(chain.from_iterable(components), dtype=np.int64, count=len(which))
     order = np.argsort(members, kind="stable")
@@ -381,7 +382,7 @@ def verify_decomposition(graph: Graph, components: list, epsilon: float,
     results = []
     for comp in components:
         view = ActiveView(working, comp)
-        verdict = (("connectivity", False, None) if len(view.components()) > 1
+        verdict = (("connectivity", False, None) if len(view.components()) != 1
                    else _certify(view, phi_k, profile))
         results.append(ComponentCertificate(tuple(view.verts.tolist()), *verdict))
     ok = frac_ok and all(c.phi_lower_ok for c in results)

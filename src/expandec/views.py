@@ -10,19 +10,21 @@ and as the CSR matrix that the walk kernel and the traversal substrate of
 `graph` (components, hop distances) run on; the per-vertex component roots
 are computed on first use.  They also hold the walk step's
 per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
+A view computes no cut statistics: a cut of it is a vertex set, and its
+exact boundary, conductance and balance are `graph.cut_stats` of the
+contracted graph (`materialize`).
 An isolated vertex (deg 0) holds no walk mass, sends no message and is never
 swept: its walk divisor and rho divisor count its degree as 1, so it needs no
 branch in the walk step or the sweep.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCut, FormatError, MissingEdge
-from .graph import Cut, Graph, adjacency_csr, component_roots, group_by_root, row_positions
+from .errors import FormatError, MissingEdge
+from .graph import Graph, adjacency_csr, component_roots, group_by_root, row_positions
 
 
 class WorkingGraph:
@@ -124,27 +126,9 @@ class ActiveView:
         """Per local vertex, the local index of its component's first vertex."""
         return component_roots(self.adj_matrix)
 
-    # -- cut arithmetic ----------------------------------------------------
-
     def member_mask(self, hosts) -> np.ndarray:
         """Per local vertex, whether its host id is among hosts."""
         return np.isin(self.verts, np.fromiter(hosts, dtype=np.int64))
-
-    def boundary_size(self, members) -> int:
-        inside = self.member_mask(members)[self.edges_local]
-        return int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
-
-    def cut_stats(self, members) -> Cut:
-        mem = frozenset(members)
-        if not mem or mem == self.active:
-            raise DegenerateCut(f"|S|={len(mem)} of {len(self.verts)}")
-        vol_s = self.vol_of(mem)
-        total = self.vol()
-        bnd = self.boundary_size(mem)
-        small = min(vol_s, total - vol_s)
-        conductance = Fraction(0) if bnd == 0 else Fraction(bnd, small)
-        balance = Fraction(small, total) if total else Fraction(0)
-        return Cut(mem, vol_s, bnd, conductance, balance)
 
     def materialize(self) -> Graph:
         """Contract to a standalone Graph on local ids (vertex i is verts[i])."""

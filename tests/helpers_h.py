@@ -164,10 +164,10 @@ def walk_step_units(view, mass: np.ndarray) -> np.ndarray:
     return _step_units(view.adj_matrix, mass, two_d, keep_num, np.empty_like(mass))
 
 
-def clusters(clustering: ShiftClustering) -> dict[int, list[int]]:
-    """Members of each cluster by centre, ascending."""
+def clusters(view, clustering: ShiftClustering) -> dict[int, list[int]]:
+    """Members of each cluster of a view's clustering by centre, ascending."""
     out: dict[int, list[int]] = {}
-    for v, c in sorted(clustering.assignment.items()):
+    for v, c in zip(view.verts.tolist(), clustering.centre.tolist()):
         out.setdefault(c, []).append(v)
     return out
 
@@ -572,10 +572,7 @@ def scan_state_per_step(view, mass, t, phi, b, profile, gamma, jx_only):
     bnds = prefix_boundary_counts(view, order).tolist()
 
     def hit(j, starred):
-        pv, bd = prefvol[j - 1], bnds[j - 1]
-        return SweepCandidate(t, starred, bd,
-                              Fraction(0) if bd == 0 else Fraction(bd, min(pv, vol_total - pv)),
-                              frozenset(view.verts[order[:j]].tolist()))
+        return SweepCandidate(t, starred, frozenset(view.verts[order[:j]].tolist()))
 
     if not jx_only:
         for j in range(1, jmax + 1):
@@ -1096,17 +1093,14 @@ def neighborhood_size_estimate_per_rung(net, view, d, f, rng, oracle=None):
     return best
 
 
-def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
-    """Exponential-shift clustering simulated epoch by epoch: at epoch t an
-    unclustered vertex with start t becomes a centre, and any other one next
-    to a cluster joins the smallest adjacent cluster id; idle epochs are
-    skipped but charged."""
-    n = net.graph.n
+def shift_assignment_per_epoch(view, n, beta, deltas) -> tuple[dict, dict, int]:
+    """Exponential-shift clustering of a view in a host of n vertices,
+    simulated epoch by epoch from the shifts deltas (by host id): at epoch t
+    an unclustered vertex with start t becomes a centre, and any other one
+    next to a cluster joins the smallest adjacent cluster id; idle epochs
+    are skipped.  Returns (centre by vertex, start by vertex, epoch count)."""
     horizon = math.ceil(2 * math.log2(max(2, n)) / beta)
     verts = [int(v) for v in view.verts]
-    if deltas is None:
-        draws = rng.exponential(scale=1.0 / beta, size=len(verts))
-        deltas = {v: float(x) for v, x in zip(verts, draws)}
     start = {v: max(1, horizon - int(math.floor(deltas[v]))) for v in verts}
     assignment = {}
     unclustered = set(verts)
@@ -1146,14 +1140,23 @@ def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
             assignment[v] = c
             unclustered.discard(v)
         t += 1
-    centers = sorted({c for c in assignment.values()})
-    cut = [
-        e for e in live_edges(view)
-        if assignment.get(e[0]) != assignment.get(e[1])
-    ]
+    return assignment, start, horizon
+
+
+def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
+    """The ShiftClustering record of `shift_assignment_per_epoch`, the shifts
+    drawn as the kernel draws them unless given, charged the epoch count."""
+    if deltas is None:
+        draws = rng.exponential(scale=1.0 / beta, size=len(view))
+        deltas = dict(zip(view.verts.tolist(), draws.tolist()))
+    assignment, start, horizon = shift_assignment_per_epoch(view, net.graph.n, beta, deltas)
+    verts = view.verts.tolist()
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
-    return ShiftClustering(assignment, centers, start, horizon, cut)
+    return ShiftClustering(np.array([assignment[v] for v in verts], dtype=np.int64),
+                           np.array([start[v] for v in verts], dtype=np.int64), horizon,
+                           np.array([assignment[u] != assignment[v] for u, v in live_edges(view)],
+                                    dtype=bool))
 
 
 # -- per-triple reference for triangle enumeration ---------------------------

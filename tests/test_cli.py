@@ -55,6 +55,22 @@ def test_verify_fails_on_tampered_output(tmp_path, capsys):
     assert "FAIL" in err
 
 
+def test_verify_fails_on_an_empty_component(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(["gen", "--family", "cliques_chain:3:8:1", "--out", str(gpath)], capsys)
+    dpath = tmp_path / "dec.json"
+    run_cli(["decompose", "--graph", str(gpath), "--epsilon", "0.5", "--seed", "7",
+             "--out", str(dpath)], capsys)
+    payload = json.loads(dpath.read_text())
+    payload["components"].append([])
+    dpath.write_text(json.dumps(payload))
+    code, out, err = run_cli(["verify", "--graph", str(gpath), "--run", str(dpath)], capsys)
+    assert code == 1
+    assert "FAIL" in err
+    assert json.loads(out)["components"][-1] == {"members": [], "kind": "connectivity",
+                                                 "ok": False}
+
+
 def test_triangles_verify_exit_code(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     run_cli(["gen", "--family", "erdos_renyi:30:0.3", "--seed", "4", "--out", str(gpath)], capsys)

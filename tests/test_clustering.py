@@ -25,11 +25,13 @@ from expandec.clustering import (
 from helpers_h import (
     OVER,
     clusters,
+    live_edges,
     live_neighbors,
     neighborhood_edges_exact,
     neighborhood_edges_per_round,
     neighborhood_size_estimate_per_rung,
     neighborhood_threshold_test,
+    shift_assignment_per_epoch,
     shift_clustering_per_epoch,
 )
 
@@ -56,7 +58,7 @@ def test_forced_zero_shifts_all_singletons():
     net = Network(g)
     c = exponential_shift_clustering(net, view, 0.2, np.random.default_rng(0),
                                      deltas={v: 0.0 for v in range(16)})
-    assert all(len(m) == 1 for m in clusters(c).values())
+    assert all(len(m) == 1 for m in clusters(view, c).values())
 
 
 def test_cluster_diameter_bound_many_seeds():
@@ -69,7 +71,7 @@ def test_cluster_diameter_bound_many_seeds():
                 net = Network(g)
                 c = exponential_shift_clustering(net, view, beta,
                                                  np.random.default_rng([seed, 7]))
-                for center, members in clusters(c).items():
+                for center, members in clusters(view, c).items():
                     assert center in members
                     assert 2 * cluster_eccentricity(view, members, center) <= bound
 
@@ -83,7 +85,7 @@ def test_edge_cut_frequency_statistical():
     for seed in range(runs):
         net = Network(g)
         c = exponential_shift_clustering(net, view, beta, np.random.default_rng([seed, 3]))
-        total += len(c.cut_edges)
+        total += int(c.inter.sum())
     mean_freq = total / (runs * g.m)
     sigma = math.sqrt(2 * beta * (1 - 2 * beta) / (runs * g.m))
     assert mean_freq <= 2 * beta + 3 * sigma
@@ -120,11 +122,10 @@ def test_shift_clustering_matches_epoch_simulation():
         gen_a, gen_b = np.random.default_rng(draw), np.random.default_rng(draw)
         a = exponential_shift_clustering(net, view, beta, gen_a, deltas)
         b = shift_clustering_per_epoch(ref_net, view, beta, gen_b, deltas)
-        assert list(a.assignment.items()) == list(b.assignment.items())
-        assert a.centers == b.centers
-        assert list(a.start.items()) == list(b.start.items())
+        for name in ("centre", "start", "inter"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (draw, name)
         assert a.epochs == b.epochs
-        assert a.cut_edges == b.cut_edges
         assert net.ledger.snapshot() == ref_net.ledger.snapshot()
         assert gen_a.integers(1 << 62) == gen_b.integers(1 << 62)
     assert ties >= 50 and isolated >= 20, (ties, isolated)
@@ -481,6 +482,65 @@ def test_components_from_roots_equal_sliced_matrix(monkeypatch):
         h.add_edges_from(view.verts[el[keep]].tolist())
         assert res.components == sorted(map(frozenset, nx.connected_components(h)), key=min)
     assert cuts > 0
+
+
+def _set_components(verts, edges) -> set[frozenset]:
+    """The connected parts of the graph on verts with edges, by flood fill."""
+    adj = {v: set() for v in verts}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    parts, seen = set(), set()
+    for v in verts:
+        if v not in seen:
+            part, frontier = {v}, [v]
+            while frontier:
+                frontier = [w for u in frontier for w in adj[u] if w not in part]
+                part.update(frontier)
+            parts.add(frozenset(part))
+            seen |= part
+    return parts
+
+
+def test_low_diam_cut_matches_set_reference(monkeypatch):
+    """With a chosen sparse side, the low-diameter decomposition cuts exactly
+    the inter-cluster live edges with a sparse end, once each, and its parts
+    are the components of the live edges less the cut.  The clusters come
+    from the epoch simulation of the shifts the clustering drew."""
+    split = clustering.build_dense_sparse_split
+    shift = clustering.exponential_shift_clustering
+    sparse, drawn = [], []
+    monkeypatch.setattr(clustering, "build_dense_sparse_split", lambda net, view, *args: (
+        dataclasses.replace(split(net, view, *args), v_sparse=sparse[-1])))
+
+    def shift_recorded(net, view, beta, rng):
+        # the kernel's own draw, kept for the reference
+        draws = rng.exponential(scale=1.0 / beta, size=len(view))
+        drawn.append((beta, dict(zip(view.verts.tolist(), draws.tolist()))))
+        return shift(net, view, beta, rng, drawn[-1][1])
+
+    monkeypatch.setattr(clustering, "exponential_shift_clustering", shift_recorded)
+    rng = np.random.default_rng(26)
+    cutting = 0
+    for g in (gen.cycle(64), gen.path(48), gen.grid(6, 7), gen.erdos_renyi(40, 0.1, seed=5)):
+        for trial in range(4):
+            working = WorkingGraph(g)
+            if trial % 2:
+                working.remove_edges(g.edges[::7], "x")
+            view = ActiveView(working, [v for v in range(g.n) if trial < 2 or v % 5])
+            sparse.append(frozenset(v for v in view.verts.tolist() if rng.random() < 0.5))
+            res = low_diam_decomposition(Network(g), view, 0.9, 0.01,
+                                         np.random.default_rng([trial, 26]))
+            beta, deltas = drawn[-1]
+            centre = shift_assignment_per_epoch(view, g.n, beta, deltas)[0]
+            live = set(live_edges(view))
+            want = {(u, v) for u, v in live
+                    if centre[u] != centre[v] and (u in sparse[-1] or v in sparse[-1])}
+            assert len(res.cut_edges) == len(want) and set(res.cut_edges) == want
+            assert set(res.components) == _set_components(view.verts.tolist(), live - want)
+            assert len(res.components) == len(set(res.components))
+            cutting += bool(want)
+    assert cutting >= 12, cutting
 
 
 def test_chain_decomposition_slices_no_matrix_and_builds_no_rung_stream(monkeypatch):

@@ -394,7 +394,7 @@ def test_balanced_cut_expander_or_bounded():
         res = balanced_sparse_cut(net, ActiveView.whole(g), target, DESK,
                                   np.random.default_rng(seed))
         if res is not None:
-            assert float(res.cut.conductance) <= res.h_bound
+            assert float(cut_stats(g, res.members).conductance) <= res.h_bound
 
 
 def test_balanced_cut_phi_cap_paper():
@@ -411,14 +411,6 @@ def test_h_inverse_pair():
             for theta in (1e-6, 1e-3, 0.05):
                 assert ladder_h_inv(ladder_h(theta, n, c_h), n, c_h) == pytest.approx(theta, abs=1e-9)
                 assert ladder_h(theta, n, c_h) < ladder_h(theta * 2, n, c_h)
-
-
-def test_recomputed_conductance_matches_cached():
-    g = gen.barbell(8, 1)
-    view, params = _cut_setup(g)
-    res = local_cut(view, 1, PHI, 2, params, DESK)
-    assert res.members is not None
-    assert cut_stats(g, res.members).conductance == view.cut_stats(res.members).conductance
 
 
 def test_overlap_rule_from_transcript():

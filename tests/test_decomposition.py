@@ -276,6 +276,51 @@ def test_verify_rejects_overlap_cover_and_recount():
     assert verdict(parts, {(3, 4)}) == (False, ("inter-edge recount", False))
 
 
+def test_verify_fails_an_empty_component():
+    # An empty component is not connected: a FAIL verdict, not a raise.
+    g = gen.cliques_chain(3, 4, 1)
+    parts = [frozenset(range(4)), frozenset(range(4, 8)), frozenset(range(8, 12))]
+    rep = verify_decomposition(g, parts + [frozenset()], 0.5, 1 / 12, DESK)
+    assert not rep.ok and rep.inter_fraction_ok
+    assert [(c.members, c.kind, c.phi_lower_ok) for c in rep.component_results[3:]] == [
+        ((), "connectivity", False)]
+    assert [c.kind for c in rep.component_results[:3]] == ["oracle"] * 3
+
+
+# the graph specs of perfbench's dec_small workload
+DEC_SMALL_SPECS = (
+    "cliques_chain:2:6:1", "cliques_chain:3:7:2", "cliques_chain:4:8:1",
+    "random_regular:16:3", "random_regular:20:4", "random_regular:24:3",
+    "random_regular:18:4", "grid:4:5", "grid:5:6", "grid:4:8",
+)
+
+
+def test_pipeline_computes_no_cut_statistics(monkeypatch):
+    # A cut is a vertex set; its exact statistics are graph.cut_stats' and
+    # no stage reads them: with every expandec binding of cut_stats and Cut
+    # made to raise, the dec_small decompositions and balanced cuts return.
+    import sys
+
+    from expandec.cuts import balanced_sparse_cut
+    from expandec.simulator import Network
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline computed cut statistics")
+
+    for name, module in list(sys.modules.items()):
+        if name == "expandec" or name.startswith("expandec."):
+            for attr in ("cut_stats", "Cut"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    found = 0
+    for seed, spec in enumerate(DEC_SMALL_SPECS):
+        g = generate(spec, seed=seed)
+        expander_decomposition(g, 0.5, 2, seed, DESK)
+        found += balanced_sparse_cut(Network(g), ActiveView.whole(g), 0.01, DESK,
+                                     np.random.default_rng([seed, 0x5C])) is not None
+    assert found > 0
+
+
 def test_verify_rejects_mislabeled_barbell():
     g = gen.barbell(6, 1)
     rep = verify_decomposition(g, [frozenset(range(g.n))], 0.5, 1 / 12, DESK)

@@ -1,9 +1,13 @@
 """src/ holds what the pipeline, the CLI and the benchmark's spans run: every
 top-level function and method of `src/expandec` is read somewhere else in
-`src/`, unless it is exported, a dunder, a span target or listed in EXEMPT.
-A read is an attribute or a name in `src/expandec` outside the definition's
-own body; a name that a function binds itself (a parameter or a local) is
-not one.  A reference that only tests call belongs in `tests/helpers_h.py`.
+`src/`, unless it is a dunder, the module-level definition that
+`expandec/__init__.py` re-exports, the callable that a benchmark span wraps,
+or listed in EXEMPT.  Exemptions name one definition (module.function or
+module.Class.method), so a method is not exempt because a function of the
+same name is exported.  A read is an attribute or a name in `src/expandec`
+outside the definition's own body; a name that a function binds itself (a
+parameter or a local) is not one.  A reference that only tests call belongs
+in `tests/helpers_h.py`.
 
 Every dataclass field of `src/expandec` is read as an attribute somewhere in
 `src/`, `tests/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that
@@ -21,8 +25,8 @@ SPANS_PY = ROOT / "perfbench" / "spans.py"
 READERS = (SRC, ROOT / "tests", ROOT / "perfbench")
 
 EXEMPT = {
-    "ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
-    "snapshot": "RoundLedger.snapshot is how a caller compares the charges of two runs",
+    "cuts.ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
+    "simulator.RoundLedger.snapshot": "how a caller compares the charges of two runs",
 }
 # dataclass field name -> why it stays although nothing reads it
 FIELD_EXEMPT: dict[str, str] = {}
@@ -63,29 +67,46 @@ def _definitions(tree: ast.Module):
 
 
 def _span_targets() -> set[str]:
-    """The attr argument of every Span(...) in the benchmark's span table."""
-    tree = ast.parse(SPANS_PY.read_text())
-    return {call.args[2].value for call in ast.walk(tree)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Span"}
+    """module.[Class.]attr of the callable that each Span(module, attr, cls)
+    of the benchmark's span table wraps."""
+    out = set()
+    for call in ast.walk(ast.parse(SPANS_PY.read_text())):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Span":
+            cls = {k.arg: k.value for k in call.keywords}.get("cls")
+            module = call.args[1].value.removeprefix("expandec.")
+            out.add(".".join([module] + ([cls.value] if cls else []) + [call.args[2].value]))
+    return out
+
+
+def _exports() -> set[str]:
+    """module.name of each name that `expandec/__init__.py` re-exports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {f"{node.module}.{alias.name}" for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name in expandec.__all__}
 
 
 def test_every_src_definition_is_read_in_src():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     reads = sum((_reads(tree) for tree in modules.values()), Counter())
     spans = _span_targets()
-    assert {"run_round", "scan_run", "concurrent_local_cuts"} <= spans
-    exempt = set(expandec.__all__) | spans | set(EXEMPT)
+    assert {"simulator.Network.run_round", "cuts.scan_run", "cuts.concurrent_local_cuts"} <= spans
+    exempt = _exports() | spans | set(EXEMPT)
     unread, defined = [], set()
     for stem, tree in modules.items():
         for qualname, node in _definitions(tree):
-            defined.add(node.name)
-            if node.name in exempt or (node.name.startswith("__") and node.name.endswith("__")):
+            defined.add(f"{stem}.{qualname}")
+            if (f"{stem}.{qualname}" in exempt
+                    or (node.name.startswith("__") and node.name.endswith("__"))):
                 continue
             if reads[node.name] - _reads(node)[node.name] <= 0:
                 unread.append(f"{stem}.{qualname}")
     assert unread == []
+    # every span wraps a definition of src
+    assert spans <= defined, spans - defined
     # an exemption that gained a caller in src, or lost its definition, is noise
-    assert set(EXEMPT) <= defined and not any(reads[name] for name in EXEMPT)
+    assert set(EXEMPT) <= defined
+    assert not any(reads[name.rsplit(".", 1)[1]] for name in EXEMPT)
 
 
 def _dataclass_fields(tree: ast.Module):
