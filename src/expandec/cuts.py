@@ -7,12 +7,13 @@ conductance bound; every simulated round is charged.  The centralized scans
 (every prefix, or the same subsequence without rounds), which the analysis
 uses, are per-step test references in `tests/helpers_h.py`.
 
-Spanning trees are `bfs_tree` sweeps over the view's live edges (the host
-tree) or the walk's touched live edges (each local cut's tree), read as edge
-lists.  Like walks and scans, they are charged by formula, so a cut runs no
-`Network` round.  The starts of a partition's instances are drawn down the
-host tree with the view's subtree degree sums (`StartTree`), folded once per
-view; every draw still charges the aggregate that computes them.
+Spanning trees are BFS level sweeps over edge lists: the view's live edges
+(the host tree, a `bfs_tree`) or the walk's touched live edges (each local
+cut's tree, whose depth and size alone are read from `bfs_levels`).  Like
+walks and scans, they are charged by formula, so a cut runs no `Network`
+round.  The starts of a partition's instances are drawn down the host tree
+with the view's subtree degree sums (`StartTree`), folded once per view;
+every draw still charges the aggregate that computes them.
 
 A local cut's walk streams into its scan (`SweepScan`, the sweep of
 `walks.compute_walks`) one block of fresh states at a time, and stops at
@@ -35,19 +36,20 @@ as binary floats and are compared through their integer ratios.
 
 The k instances of one iteration walk their distinct (start, b) landings in
 one `scan_runs` batch, and instances that landed on the same pair share its
-run, each charged for it.  Cut accumulation also runs its later iterations'
-walks and scans early.  An iteration's levels and starts are drawn from the
-rng before its walks, and they depend on earlier iterations only through
-the view, which changes only when a cut is found.  So after iteration 1,
-while no cut has been found, the next iterations' (start, b) pairs are drawn
+run, each charged for it.  Cut accumulation also runs its iterations' walks
+and scans early.  An iteration's levels and starts are drawn from the rng
+before its walks, and they depend on earlier iterations only through the
+view, which changes only when a cut is found.  So from iteration 1, while
+no cut has been found, the next iterations' (start, b) pairs are drawn
 ahead on a copy of the rng, and walked and scanned as one `scan_runs` batch
 of at most WALK_BATCH_CELLS walk states per step.  Each iteration still
 draws from the rng itself and charges the ledger, and walks only the
-landings the prefetch missed, so the outcome is that of running every walk
-and scan alone.
+landings the prefetch missed (no batch at all when it missed none), so the
+outcome is that of running every walk and scan alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -56,9 +58,10 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Profile
-from .errors import BadPhi, TooLarge
-from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_tree,
-                        sample_by_degree, subtree_sums)
+from .errors import BadPhi, Disconnected, TooLarge
+from .graph import INF
+from .simulator import (KIND_BITS, WORD_BITS, Network, RoundLedger, SpanningTree, bfs_levels,
+                        bfs_tree, sample_by_degree, subtree_sums)
 from .views import ActiveView
 from .walks import (
     SCALE,
@@ -377,16 +380,16 @@ def scan_runs(view: ActiveView, pairs, params: WalkParams, phi: float,
     return [(run, *scan.outcome(i, run)) for i, run in enumerate(runs)]
 
 
-def scan_run(net: Network, run: WalkRun, tree: SpanningTree, hit: SweepCandidate | None,
-             trips: int) -> SweepCandidate | None:
+def scan_run(net: Network, run: WalkRun, depth: int, reached: int,
+             hit: SweepCandidate | None, trips: int) -> SweepCandidate | None:
     """Charge the distributed scan of run, the walk whose `scan_runs`
-    outcome is (hit, trips), on tree as one ledger entry, and return hit.
-    Every round trip costs the tree's depth in rounds and one message per
-    tree edge, and a hit adds the broadcast of the accepted cut's
-    membership."""
+    outcome is (hit, trips), as one ledger entry on a tree of the given
+    depth that spans reached vertices, and return hit.  Every round trip
+    costs the tree's depth in rounds and one message per tree edge, and a
+    hit adds the broadcast of the accepted cut's membership."""
     passes = trips + (hit is not None)
-    messages = passes * (max(1, len(tree.hosts)) - 1)
-    net.ledger.charge(net.phase, rounds=passes * tree.depth_max, messages=messages,
+    messages = passes * (max(1, reached) - 1)
+    net.ledger.charge(net.phase, rounds=passes * depth, messages=messages,
                       edge_bits=(KIND_BITS + 2 * WORD_BITS) if messages else 0)
     return hit
 
@@ -403,12 +406,15 @@ def _result_from_candidate(view: ActiveView, run: WalkRun,
 def distributed_local_cut(net: Network, view: ActiveView, outcome: tuple) -> LocalCutResult:
     """Distributed local cut from its walk and scan, a `scan_runs` outcome
     (run, hit, trips) on view, with full round accounting: the walk through
-    its stop, the BFS tree of the edges it touched, and the scan's tree
-    searches and checks on that tree."""
+    its stop, the BFS tree of the edges it touched (`bfs_levels`: only its
+    depth and size are read), and the scan's tree searches and checks on
+    that tree."""
     run, hit, trips = outcome
     charge_walk(net, run)
-    tree = bfs_tree(net, run.start, view.edges_local[run.touched], view.verts)
-    return _result_from_candidate(view, run, scan_run(net, run, tree, hit, trips))
+    depth = bfs_levels(net, run.start, view.edges_local[run.touched], view.verts)[0]
+    reached = depth[depth < INF]
+    return _result_from_candidate(
+        view, run, scan_run(net, run, int(reached.max()), len(reached), hit, trips))
 
 
 def _check_algo_phi(phi: float):
@@ -416,10 +422,21 @@ def _check_algo_phi(phi: float):
         raise BadPhi(f"phi={phi} outside (0, 1/12]")
 
 
-def draw_b(ell: int, rng: np.random.Generator) -> int:
+@functools.cache
+def _b_cdf(ell: int) -> np.ndarray:
+    """The normalized cdf that `rng.choice(ell, p=probs)` searches, for probs
+    proportional to 2^-1, ..., 2^-ell."""
     probs = np.array([2.0 ** -i for i in range(1, ell + 1)])
     probs /= probs.sum()
-    return 1 + int(rng.choice(ell, p=probs))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_b(ell: int, rng: np.random.Generator) -> int:
+    """A level b in 1..ell with probability proportional to 2^-b, drawn as
+    `rng.choice` draws it: one `rng.random()` searched in the cdf."""
+    return 1 + int(_b_cdf(ell).searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
@@ -434,9 +451,15 @@ class StartTree:
 
     @classmethod
     def on(cls, view: ActiveView, tree: SpanningTree) -> "StartTree":
+        """Raises Disconnected when the tree spans no vertex of the view
+        (every token would stay at a root outside it)."""
         weights = np.zeros(view.graph.n, dtype=np.int64)
         weights[view.verts] = view.deg
-        return cls(tree, weights, subtree_sums(tree, weights))
+        sums = subtree_sums(tree, weights)
+        if sums[0] == 0 and tree.root not in view.active:
+            raise Disconnected(f"start tree rooted at {tree.root} spans none of the "
+                               f"{len(view)} vertices of the view")
+        return cls(tree, weights, sums)
 
     def sample(self, net: Network, counts, rng: np.random.Generator) -> list[tuple[int, int]]:
         """The sorted (start, tag) landings of counts[tag] tokens per tag."""
@@ -480,7 +503,8 @@ def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
     sub_rngs = rng.spawn(len(landings))
     runs = dict(runs or {})
     missing = sorted(set(landings) - runs.keys())
-    runs.update(zip(missing, scan_runs(view, missing, walkp, phi, profile)))
+    if missing:
+        runs.update(zip(missing, scan_runs(view, missing, walkp, phi, profile)))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
     for pair, sub in zip(landings, sub_rngs):
@@ -535,11 +559,11 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     most 47/48 of the total, pieces are disjoint, and a non-empty result has
     conductance at most 47 * 276 * w * phi.
 
-    Iteration 1 walks only its own instances.  From iteration 2, while no
-    piece has been removed, the walks of the next c = min(iterations left,
-    WALK_BATCH_CELLS // (k * n)) iterations are prefetched and scanned as
-    one batch (`_prefetch_walks`), refilled when those are used up; a batch
-    of fewer than two walks is not run.  Results, ledger and rng end equal
+    From iteration 1, while no piece has been removed, the walks of the
+    next c = min(iterations left, WALK_BATCH_CELLS // (k * n)) iterations
+    are prefetched and scanned as one batch (`_prefetch_walks`), refilled
+    when those are used up; a batch of fewer than two walks is not run, and
+    then every iteration walks alone.  Results, ledger and rng end equal
     to those of walking and scanning every instance alone.  The starts are
     drawn with the subtree sums of the current view, folded once per view:
     the whole view, then the view left after each removed piece.
@@ -557,7 +581,7 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
     runs: dict = {}  # prefetched walks and scans on view, by (start, b)
-    drawn = 1  # the last iteration whose walks were prefetched
+    drawn = 0  # the last iteration whose walks were prefetched
     it = 0
     for it in range(1, mi0.s + 1):
         if pieces:

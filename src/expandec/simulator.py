@@ -8,13 +8,14 @@ tallies rounds, messages, and the worst per-edge per-round bit load, labelled
 by algorithm phase.
 
 The tree primitives compute their result directly and charge what their
-message-level protocols would: `bfs_tree` (one `graph.level_sweep` over
-the ends of an undirected edge list) and `subtree_degrees` (one bottom-up
-sum) depth rounds of one 72-bit message per edge.  Neither runs a `Network`
-round or checks the bandwidth budget.  A `SpanningTree` is index arrays in
-(depth, host id) order, as the level sweep gives them, so the subtree sums
-fold one level per array operation; the sums and the sampling take weights
-indexed by host id, and the sampling takes the sums folded by the caller.
+message-level protocols would: `bfs_levels` (one `graph.level_sweep` over
+the ends of an undirected edge list), and so the `bfs_tree` built on its
+levels, and `subtree_degrees` (one bottom-up sum) depth rounds of one
+72-bit message per edge.  None runs a `Network` round or checks the
+bandwidth budget.  A `SpanningTree` is index arrays in (depth, host id)
+order, as the level sweep gives them, so the subtree sums fold one level
+per array operation; the sums and the sampling take weights indexed by
+host id, and the sampling takes the sums folded by the caller.
 The per-round protocols they are charged as, and the randomized tree search
 whose round trips `cuts.scan_run` charges by formula, are test references
 built on `run_round`; the dict-keyed trees they walk are test references
@@ -156,24 +157,33 @@ class SpanningTree:
         return int(self.depth[-1])
 
 
-def bfs_tree(net: Network, root: int, edges: np.ndarray, labels: np.ndarray) -> SpanningTree:
-    """BFS tree of root's component in the graph of the distinct undirected
-    (i, j) pairs of edges on local indices 0..len(labels)-1, which carry
-    ascending host labels.  Each vertex's parent is its smallest neighbour
-    one level up.  Charged as the message-level BFS: depth rounds, one claim
-    per edge between consecutive levels."""
-    n = len(labels)
-    start = np.full(n, INF)
+def bfs_levels(net: Network, root: int, edges: np.ndarray,
+               labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hop depth from root of each local index 0..len(labels)-1, which carry
+    ascending host labels, in the graph of the distinct undirected (i, j)
+    pairs of edges: int64, INF where root does not reach.  With it come the
+    (lower, upper) ends of every edge between consecutive levels, the lower
+    end one level deeper.  Charged as the message-level BFS: depth rounds,
+    one claim per edge between consecutive levels."""
+    start = np.full(len(labels), INF)
     start[np.searchsorted(labels, root)] = 0
     src, dst = directed_ends(edges)
     depth = level_sweep(src, dst, start)
     up = depth[dst] == depth[src] - 1  # dst is one level above src
+    _charge_tree_rounds(net, int(depth.max(where=depth < INF, initial=0)), int(up.sum()))
+    return depth, src[up], dst[up]
+
+
+def bfs_tree(net: Network, root: int, edges: np.ndarray, labels: np.ndarray) -> SpanningTree:
+    """BFS tree of root's component on the levels of `bfs_levels`, charged
+    as they are: each vertex's parent is its smallest neighbour one level up."""
+    n = len(labels)
+    depth, lower, upper = bfs_levels(net, root, edges, labels)
     parent = np.where(depth == 0, np.arange(n), n)
-    np.minimum.at(parent, src[up], dst[up])
+    np.minimum.at(parent, lower, upper)
     order = np.argsort(depth, kind="stable")[: np.count_nonzero(depth < INF)]
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(len(order))
-    _charge_tree_rounds(net, int(depth[order[-1]]), int(up.sum()))
     return SpanningTree(root, labels[order], position[parent[order]], depth[order])
 
 

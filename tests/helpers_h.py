@@ -1,16 +1,16 @@
 """Test-side accessors of graphs, views, walks and results that the pipeline
 does not read, brute-force certificates for the dense-region growth
 invariant, the row-by-row reference for the working graph and its views,
-walks traced through a sweep that records their states, per-step
-references for the walk kernel, the sweep scan, the local cut that stops at
-its hit and the falsifier, the local cut walked alone, the full-horizon
-walks and scans, the centralized local cuts built on the per-step scan, float and
-exact-rational walk references with the influence set, dict-keyed
-references for the BFS tree, the subtree sums and the degree sampling,
-message-level references for the BFS tree, the tree aggregate and
-broadcast, the randomized tree search and its round trip, list-or-star
-flooding, the rung-by-rung neighborhood threshold tests and size estimate,
-the shift clustering, and the per-triple reference for
+walks traced through a sweep that records their states, per-step references
+for the walk kernel, the sweep scan, the local cut that stops at its hit and
+the falsifier, the local cut walked alone, the full-horizon walks and scans,
+the centralized local cuts built on the per-step scan, the level draw
+through `rng.choice`, float and exact-rational walk references with the
+influence set, dict-keyed references for the BFS tree, the subtree sums and
+the degree sampling, message-level references for the BFS tree, the tree
+aggregate and broadcast, the randomized tree search and its round trip,
+list-or-star flooding, the rung-by-rung neighborhood threshold tests and
+size estimate, the shift clustering, and the per-triple reference for
 triangle enumeration."""
 import math
 from dataclasses import dataclass
@@ -689,6 +689,13 @@ def approximate_local_cut_reference(view, v, phi, b, params, profile):
     run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
     return _result_from_candidate(view, run, cand)
+
+
+def draw_b_reference(ell, rng) -> int:
+    """`draw_b` through `rng.choice` on the normalized probabilities."""
+    probs = np.array([2.0 ** -i for i in range(1, ell + 1)])
+    probs /= probs.sum()
+    return 1 + int(rng.choice(ell, p=probs))
 
 
 def randomized_local_cut(net, view, phi, params, profile, rng):

@@ -12,12 +12,13 @@ from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
 from expandec.decomposition import _sweep_falsifier
-from expandec.errors import BadPhi, TooLarge
+from expandec.errors import BadPhi, Disconnected, TooLarge
 from expandec.graph import cut_stats
 from expandec.simulator import Network, subtree_sums
 from expandec.views import ActiveView
 from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, derive_walk_params
 from expandec.cuts import (
+    StartTree,
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
@@ -35,6 +36,8 @@ from expandec.cuts import (
 )
 from helpers_h import (
     approximate_local_cut_reference,
+    draw_b_reference,
+    graph_from_rows,
     local_cut,
     local_cut_per_step,
     lone_local_cut,
@@ -47,6 +50,10 @@ from helpers_h import (
 )
 
 PHI = 1 / 12
+# the accept-2 family: the graph specs of perfbench's dec_small workload
+ACCEPT_2_SPECS = ("cliques_chain:2:6:1", "cliques_chain:3:7:2", "cliques_chain:4:8:1",
+                  "random_regular:16:3", "random_regular:20:4", "random_regular:24:3",
+                  "random_regular:18:4", "grid:4:5", "grid:5:6", "grid:4:8")
 WALK_BATCH_CELLS = cuts.WALK_BATCH_CELLS
 
 
@@ -209,6 +216,30 @@ def test_b_marginal_chi_square():
     probs /= probs.sum()
     chi2, p = scipy.stats.chisquare(observed, probs * len(draws))
     assert p > 0.01
+
+
+def test_draw_b_matches_choice_reference():
+    # the cached cdf searched with one rng.random() is rng.choice(ell, p=...):
+    # the same levels and the same bit-generator state, for every ell to 40
+    for seed in range(300):
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for ell in range(1, 41):
+            for _ in range(20):
+                assert draw_b(ell, got) == draw_b_reference(ell, ref), (seed, ell)
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
+def test_start_tree_spanning_none_of_the_view_raises():
+    # vertex 0 is isolated, so the view's start tree rooted at 0 spans only
+    # it: a subview without 0 has no start on the tree, while the zero-volume
+    # subview that holds the root still lands every token there
+    g = graph_from_rows([[], [2], [1], [4], [3]])
+    net = Network(g)
+    tree = view_starts(net, ActiveView.whole(g)).tree
+    with pytest.raises(Disconnected, match="rooted at 0 spans none of the 3 vertices"):
+        StartTree.on(ActiveView.whole(g).subview([1, 2, 3]), tree)
+    starts = StartTree.on(ActiveView.whole(g).subview([0]), tree)
+    assert starts.sample(net, {1: 2}, np.random.default_rng(0)) == [(0, 1), (0, 1)]
 
 
 def test_randomized_start_degree_marginal():
@@ -681,22 +712,23 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
                                          after_each=None):
     """sparse_cut_partition on the whole graph with the walk prefetch on and
     off: per mode, (result or raised error, ledger snapshot, rng, prefetch
-    batch sizes, walks run by the iterations, scans charged, folds).
+    batch sizes, walks run by each iteration, scans charged, folds).
     after_each(net) runs after each iteration.  A prefetch is one scan_runs
-    batch, run from iteration 2 and only while no piece has been removed;
+    batch, run from iteration 1 and only while no piece has been removed;
     each iteration walks, in one scan_runs batch of its own, exactly the
     distinct landings that the prefetch missed (with the prefetch off, all
-    of them), and every instance's scan is charged once.  Either way the
-    start sampling folds its subtree sums once per view: the whole view,
-    then at most once per removed piece.  Returns the result, prefetch batch
-    sizes and walks run by the iterations with the prefetch."""
+    of them), and makes no scan_runs call when it missed none; every
+    instance's scan is charged once.  Either way the start sampling folds
+    its subtree sums once per view: the whole view, then at most once per
+    removed piece.  Returns the result, prefetch batch sizes and, per
+    iteration, the walks it ran alone with the prefetch."""
     outs = []
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
-        batches, walked, charged, folds, done = [], [], [], [], []
+        batches, walked, alone, charged, folds, done = [], [], [], [], [], []
 
         def prefetch(*args):
-            assert done and not any(res.members for res in done)
+            assert not any(res.members for res in done)
             before = len(walked)
             out = _prefetch_walks(*args)
             assert len(walked) == before + 1  # one batch, not an iteration's
@@ -707,7 +739,9 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
             before = len(walked)
             res = concurrent_local_cuts(net, view, phi, walkp, prof, rng, starts, p, runs)
             landings = {(inst.start, inst.b) for inst in res.instances}
-            assert walked[before:] == [sorted(landings - (runs or {}).keys())]
+            missing = sorted(landings - (runs or {}).keys())
+            assert walked[before:] == ([missing] if missing else [])
+            alone.append(len(missing))
             done.append(res)
             if after_each is not None:
                 after_each(net)
@@ -726,8 +760,7 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
             out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
         except BadPhi as exc:
             out = exc
-        outs.append((out, net.ledger.snapshot(), rng, batches,
-                     sum(len(pairs) for pairs in walked), len(charged), len(folds)))
+        outs.append((out, net.ledger.snapshot(), rng, batches, alone, len(charged), len(folds)))
     ((on, ledger_on, rng_on, batches_on, alone_on, charged_on, folds_on),
      (off, ledger_off, rng_off, batches_off, alone_off, charged_off, folds_off)) = outs
     assert not batches_off
@@ -738,8 +771,7 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
     else:
         assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
         assert charged_off == sum(len(c.instances) for c in off.concurrent)
-        assert alone_off == sum(len({(i.start, i.b) for i in c.instances})
-                                for c in off.concurrent)
+        assert alone_off == [len({(i.start, i.b) for i in c.instances}) for c in off.concurrent]
         assert 1 <= folds_on <= 1 + len(on.pieces)
     assert ledger_on == ledger_off
     assert rng_on.bit_generator.state == rng_off.bit_generator.state
@@ -756,10 +788,25 @@ def test_partition_prefetch_gives_identical_partitions(monkeypatch):
         res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed,
                                                                    p=1 / 900)
         first = next((i + 1 for i, c in enumerate(res.concurrent) if c.members), None)
-        assert bool(batches) == (res.iterations > 1)
-        assert alone == 1  # every later walk was prefetched
+        assert len(batches) == 1
+        assert sum(alone) == 0  # every walk was prefetched
         late += first is not None and first > 1
     assert late >= 4
+
+
+def test_partition_prefetch_walks_nothing_alone_before_a_piece(monkeypatch):
+    # the accept-2 family graphs: every walk of an iteration before the first
+    # removed piece, and of the iteration that finds it, was prefetched
+    found = 0
+    for spec in ACCEPT_2_SPECS:
+        for seed in range(2):
+            res, batches, alone = _partition_with_and_without_prefetch(
+                monkeypatch, gen.generate(spec, seed=seed), seed)
+            first = next((i for i, c in enumerate(res.concurrent) if c.members),
+                         len(res.concurrent))
+            assert batches and not any(alone[:first + 1]), (spec, seed)
+            found += bool(res.pieces)
+    assert 4 <= found < 2 * len(ACCEPT_2_SPECS)
 
 
 def test_partition_prefetch_caps_columns_with_a_large_s(monkeypatch):
@@ -769,7 +816,7 @@ def test_partition_prefetch_caps_columns_with_a_large_s(monkeypatch):
     profile = dataclasses.replace(DESK, s_cap=None)
     for seed in range(3):
         res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed, profile)
-        assert res.s_budget == res.iterations == 24 and not res.pieces and alone == 1
+        assert res.s_budget == res.iterations == 24 and not res.pieces and sum(alone) == 0
         assert len(batches) == 2 and max(batches) <= WALK_BATCH_CELLS // 30
 
 
@@ -782,4 +829,4 @@ def test_partition_prefetched_run_keeps_the_bandwidth_check(monkeypatch):
     for seed in range(3):
         out, batches, alone = _partition_with_and_without_prefetch(
             monkeypatch, gen.clique(16), seed, after_each=narrow)
-        assert isinstance(out, BadPhi) and len(batches) == 1 and alone == 1
+        assert isinstance(out, BadPhi) and len(batches) == 1 and sum(alone) == 0

@@ -8,8 +8,8 @@ import pytest
 
 from expandec import generators as gen
 from expandec.cuts import StartTree
-from expandec.errors import BandwidthExceeded
-from expandec.graph import Graph, edge_key
+from expandec.errors import BandwidthExceeded, Disconnected
+from expandec.graph import INF, Graph, edge_key
 from expandec.simulator import (
     KIND_BITS,
     WORD_BITS,
@@ -17,6 +17,7 @@ from expandec.simulator import (
     Network,
     PhaseTotals,
     RoundLedger,
+    bfs_levels,
     bfs_tree,
     sample_by_degree,
     subtree_degrees,
@@ -217,9 +218,12 @@ def test_tree_arrays_match_dict_reference():
     """bfs_tree, subtree_degrees and the start sampling of cut accumulation
     against the dict-keyed references, over many seeds and trees: the same
     trees, sums, landings, ledger and rng state.  Half the draws sample a
-    subview of the tree's view, whose outside vertices weigh 0."""
+    subview of the tree's view, whose outside vertices weigh 0; a subview
+    that leaves out the root and weighs 0 on the tree has no start to draw,
+    and raises Disconnected."""
     rng = np.random.default_rng(0x7EE)
     kinds = {"view": 0, "subview": 0, "multinomial": 0}
+    disconnected = 0
     for draw in range(200):
         n = int(rng.integers(1, 40))
         g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.4)), seed=draw)
@@ -244,6 +248,12 @@ def test_tree_arrays_match_dict_reference():
             target = view
         counts = Counter(rng.integers(1, 6, size=int(rng.integers(1, 60))).tolist())
         got_rng, ref_rng = np.random.default_rng([draw, 1]), np.random.default_rng([draw, 1])
+        spanned = target.active & set(tree.hosts.tolist())
+        if root not in target.active and not any(g.deg[v] for v in spanned):
+            disconnected += 1
+            with pytest.raises(Disconnected, match=f"rooted at {root} "):
+                StartTree.on(target, tree)
+            continue
         lands = StartTree.on(target, tree).sample(net, counts, got_rng)
         ref_lands = sample_by_degree_reference(
             ref_net, ref, counts, ref_rng, lambda v: int(g.deg[v]) if v in target.active else 0)
@@ -252,6 +262,39 @@ def test_tree_arrays_match_dict_reference():
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         kinds["multinomial"] += tree.depth_max > 1 and len(set(v for v, _ in lands)) > 2
     assert all(count >= 40 for count in kinds.values()), kinds
+    assert disconnected >= 1
+
+
+def test_bfs_levels_charge_the_local_cut_tree_as_bfs_tree():
+    """The local cut's tree read from one level sweep: on random views and
+    random touched-edge masks, bfs_levels' depth and reached count are
+    bfs_tree's depth_max and host count, with the same ledger, including a
+    start with no touched edge (depth 0, no charge) and masks that leave part
+    of the view unreached."""
+    rng = np.random.default_rng(0x1E7)
+    kinds = {"untouched": 0, "unreached": 0, "deep": 0}
+    for draw in range(300):
+        n = int(rng.integers(1, 30))
+        g = gen.erdos_renyi(n, float(rng.uniform(0.05, 0.5)), seed=draw)
+        working = WorkingGraph(g)
+        working.remove_edges([e for e in g.edges if rng.random() < 0.2], "x")
+        view = ActiveView(working, [v for v in range(n) if rng.random() < 0.8] or [0])
+        root = int(rng.choice(view.verts))
+        touched = rng.random(view.m_live) < float(rng.choice([0.0, 0.3, 0.7, 1.0]))
+        edges = view.edges_local[touched]
+        net, ref_net = Network(g), Network(g)
+        depth, _, _ = bfs_levels(net, root, edges, view.verts)
+        tree = bfs_tree(ref_net, root, edges, view.verts)
+        reached = depth[depth < INF]
+        assert (int(reached.max()), len(reached)) == (tree.depth_max, len(tree.hosts))
+        assert net.ledger.snapshot() == ref_net.ledger.snapshot()
+        if not touched.any():
+            kinds["untouched"] += 1
+            assert len(reached) == 1 and not net.ledger.snapshot()
+        component = next(c for c in view.components() if root in c)
+        kinds["unreached"] += len(reached) < len(component)
+        kinds["deep"] += tree.depth_max > 1
+    assert all(count >= 10 for count in kinds.values()), kinds
 
 
 def test_tree_aggregate_degree_sum():
