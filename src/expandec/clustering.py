@@ -26,9 +26,9 @@ region the split grows from such balls, is a union of components, which
 the roots group.  Only radii below that need the dense distance tables of
 `NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
 size, so the decomposition never builds one and, cutting nothing, returns
-the view's components.  The roots, the oracle's distances and every other
-component split come from the numpy traversal substrate of `graph` run on
-the view's CSR adjacency.
+the view's components.  The roots, the distances (both cached on the view)
+and every other component split come from the numpy traversal substrate of
+`graph` run on the view's CSR adjacency.
 """
 from __future__ import annotations
 
@@ -38,8 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import (adjacency_csr, components_of, edge_ends, group_by_root, hop_distances,
-                    level_sweep)
+from .graph import adjacency_csr, components_of, edge_ends, group_by_root, level_sweep
 from .simulator import KIND_BITS, Network
 from .views import ActiveView
 
@@ -48,16 +47,16 @@ from .views import ActiveView
 
 
 class NeighborhoodOracle:
-    """All-pairs hop distances of one view and, per vertex and edge, the radius
-    at which the edge enters the vertex's ball.  Both are dense (n x n and
-    n x m int32), so the oracle suits views of a few thousand vertices.  It is
-    needed only below radius len(view): from there on `ball_edge_counts`
-    answers in closed form from the view's component roots."""
+    """Per vertex and edge of one view, the radius at which the edge enters
+    the vertex's ball, from the view's all-pairs hop distances.  Both are
+    dense (n x m and n x n int32), so the oracle suits views of a few
+    thousand vertices.  It is needed only below radius len(view): from
+    there on `ball_edge_counts` answers in closed form from the view's
+    component roots."""
 
     def __init__(self, view: ActiveView):
         self.view = view
-        d = hop_distances(view.adj_matrix)
-        self.dist = d
+        d = view.distances
         # min endpoint distance: the edge joins v's radius-k edge set at k = min+1;
         # built in place so only one n x m temporary is alive
         self.edge_reach = d[:, view.edges_local[:, 0]]
@@ -261,7 +260,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         if whole:
             near = np.isin(view.roots, view.roots[rows])
         else:
-            near = oracle.dist[rows].min(axis=0) <= a
+            near = view.distances[rows].min(axis=0) <= a
         return frozenset(view.verts[near].tolist())
 
     def components_within(w: frozenset) -> list[frozenset]:
@@ -316,7 +315,7 @@ class LowDiamResult:
     def diameters(self) -> list[int]:
         """Per component, the largest hop distance in the view between two of
         its members (computed on first access)."""
-        dist = hop_distances(self.view.adj_matrix)
+        dist = self.view.distances
         idx = self.view.index
         rows = [[idx[v] for v in comp] for comp in self.components]
         return [int(dist[np.ix_(r, r)].max()) for r in rows]

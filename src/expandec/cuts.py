@@ -34,18 +34,20 @@ tree round trips (`scan_run`), one ledger entry of the per-step costs' sum.
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
 
-The k instances of one iteration walk their distinct (start, b) landings in
-one `scan_runs` batch, and instances that landed on the same pair share its
-run, each charged for it.  Cut accumulation also runs its iterations' walks
-and scans early.  An iteration's levels and starts are drawn from the rng
-before its walks, and they depend on earlier iterations only through the
-view, which changes only when a cut is found.  So from iteration 1, while
-no cut has been found, the next iterations' (start, b) pairs are drawn
-ahead on a copy of the rng, and walked and scanned as one `scan_runs` batch
-of at most WALK_BATCH_CELLS walk states per step.  Each iteration still
-draws from the rng itself and charges the ledger, and walks only the
-landings the prefetch missed (no batch at all when it missed none), so the
-outcome is that of running every walk and scan alone.
+Cut accumulation draws and walks its iterations in batches.  An
+iteration's levels and starts are drawn from the rng's bit generator before
+its walks; its instance identifiers come from generators spawned off the
+seed sequence, and it depends on earlier iterations only through the view,
+which changes only when a cut is found.  So `sparse_cut_partition` draws the
+next iterations on the current view one after another, each charging a
+ledger of its own and followed by a copy of the bit-generator state, and
+walks and scans their distinct (start, b) pairs as one `scan_runs` batch of
+at most WALK_BATCH_CELLS walk states per step.  Each iteration then restores
+its state, charges its draw and merges its instances
+(`concurrent_local_cuts`, which neither draws nor walks); instances that
+landed on the same pair share its run, each charged for it, and a found cut
+drops the rest of the batch.  So the rng, the ledger and every outcome are
+those of drawing, walking and scanning one iteration at a time.
 """
 from __future__ import annotations
 
@@ -79,9 +81,10 @@ PHI_ALGO_MAX = 1.0 / 12.0
 # overlap budget w = 10 * ceil(ln vol); recorded in the decomposition's JSON.
 K_PHI_PARTS = (47, 276, 10)
 _K_ACCUM, _K_CONCURRENT, _K_W = K_PHI_PARTS
-# Walk states per step that a partition's prefetched batch may hold (columns
-# times view vertices): as many as one walk on a 512-vertex view.  Batching
-# pays where numpy call overhead dominates a step; on larger views it does not.
+# Walk states per step that a partition's batch of iterations may hold
+# (columns times view vertices): as many as one walk on a 512-vertex view.
+# Batching pays where numpy call overhead dominates a step; on larger views
+# it does not.
 WALK_BATCH_CELLS = 512
 
 
@@ -483,28 +486,23 @@ class ConcurrentResult:
 def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
                           walkp: WalkParams, profile: Profile,
                           rng: np.random.Generator, starts: StartTree, p: float,
-                          runs: dict | None = None) -> ConcurrentResult:
+                          landings: list[tuple[int, int]], runs: dict) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
-    Starts are drawn by starts, the StartTree of this view, down a spanning
-    tree of a view that contains it, whose depth also prices the broadcasts.  Aborts to None when
-    any edge participates in more than w instances (the abort is broadcast
-    over the host component).  Instances are ordered by their random 64-bit
-    identifiers (ties by start id, then level), and the output is the
-    largest prefix union within 23/24 of the graph volume.
-    Round accounting is sequential-equivalent: an upper bound on any
-    w-multiplexed schedule.  `runs` maps (start, b) to the `scan_runs`
-    outcomes prefetched on this view at phi; the distinct landings it misses
-    are walked and scanned in one `scan_runs` batch.
+    landings are the sorted (start, b) pairs of the k instances, drawn down
+    starts, the StartTree of this view, whose tree's depth also prices the
+    broadcasts; runs maps each pair to its `scan_runs` outcome on this view
+    at phi.  Each instance draws its random 64-bit identifier from a
+    generator spawned off rng.  Aborts to None when any edge participates in
+    more than w instances (the abort is broadcast over the host component).
+    Instances are ordered by their identifiers (ties by start id, then
+    level), and the output is the largest prefix union within 23/24 of the
+    graph volume.  Round accounting is sequential-equivalent: an upper bound
+    on any w-multiplexed schedule.
     """
     _check_algo_phi(phi)
     mi = derive_instance_params(view.vol(), walkp, p, profile)
-    landings = _draw_landings(net, mi.k, walkp.ell, rng, starts)
     sub_rngs = rng.spawn(len(landings))
-    runs = dict(runs or {})
-    missing = sorted(set(landings) - runs.keys())
-    if missing:
-        runs.update(zip(missing, scan_runs(view, missing, walkp, phi, profile)))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
     for pair, sub in zip(landings, sub_rngs):
@@ -559,14 +557,17 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     most 47/48 of the total, pieces are disjoint, and a non-empty result has
     conductance at most 47 * 276 * w * phi.
 
-    From iteration 1, while no piece has been removed, the walks of the
-    next c = min(iterations left, WALK_BATCH_CELLS // (k * n)) iterations
-    are prefetched and scanned as one batch (`_prefetch_walks`), refilled
-    when those are used up; a batch of fewer than two walks is not run, and
-    then every iteration walks alone.  Results, ledger and rng end equal
-    to those of walking and scanning every instance alone.  The starts are
-    drawn with the subtree sums of the current view, folded once per view:
-    the whole view, then the view left after each removed piece.
+    Iterations are drawn, walked and scanned in batches on the current view
+    (the whole view, then the view left after each removed piece): c =
+    min(iterations left, WALK_BATCH_CELLS // (k * n)) iterations at a time,
+    at least one.  Each draw charges a ledger of its own, and the
+    bit-generator state after it is kept; the batch's distinct (start, b)
+    pairs are walked in one `scan_runs` call.  Each iteration then restores
+    its state, charges its draw to net and merges its instances, and a
+    removed piece drops the rest of the batch.  Results, ledger and rng end
+    equal to those of drawing and walking one iteration at a time.  The
+    starts are drawn with the subtree sums of the current view, folded once
+    per view.
     """
     _check_algo_phi(phi)
     if not (0.0 < p < 1.0):
@@ -580,22 +581,25 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     active = set(view.active)
     pieces: list[frozenset] = []
     concurrent: list[ConcurrentResult] = []
-    runs: dict = {}  # prefetched walks and scans on view, by (start, b)
-    drawn = 0  # the last iteration whose walks were prefetched
+    batch: list = []  # drawn iterations not yet merged: (landings, ledger, rng state)
     it = 0
     for it in range(1, mi0.s + 1):
-        if pieces:
-            if len(cur) != len(active):  # the last iteration removed a piece
-                cur, runs = view.subview(active), {}
-                starts = StartTree.on(cur, host_tree)
-        elif it > drawn:
-            cols = min(mi0.s - it + 1, WALK_BATCH_CELLS // (mi0.k * len(view)))
-            if cols * mi0.k < 2:  # a batch of one walk gains nothing
-                drawn = mi0.s
-            else:
-                runs = _prefetch_walks(net, view, walkp, mi0.k, cols, rng, starts, phi, profile)
-                drawn = it + cols - 1
-        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, starts, p, runs)
+        if len(cur) != len(active):  # the last iteration removed a piece
+            cur, batch = view.subview(active), []
+            starts = StartTree.on(cur, host_tree)
+        if not batch:
+            k = derive_instance_params(cur.vol(), walkp, p, profile).k
+            for _ in range(max(1, min(mi0.s - it + 1, WALK_BATCH_CELLS // (k * len(cur))))):
+                scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
+                landings = _draw_landings(scratch, k, walkp.ell, rng, starts)
+                batch.append((landings, scratch.ledger, rng.bit_generator.state))
+            pairs = sorted({pair for landings, _, _ in batch for pair in landings})
+            runs = dict(zip(pairs, scan_runs(cur, pairs, walkp, phi, profile)))
+        landings, drawn, state = batch.pop(0)
+        rng.bit_generator.state = state  # as if the batch's later draws were not made
+        for phase, t in drawn.phases.items():
+            net.ledger.charge(phase, t.rounds, t.messages, t.max_bits)
+        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, starts, p, landings, runs)
         concurrent.append(res)
         if res.members:
             pieces.append(res.members)
@@ -606,27 +610,6 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     members = frozenset().union(*pieces) if pieces else frozenset()
     k_phi = _K_ACCUM * _K_CONCURRENT * mi0.w / math.log2(max(2, len(view)))
     return PartitionResult(members, pieces, it, mi0.s, mi0.w, phi, k_phi, concurrent)
-
-
-def _prefetch_walks(net: Network, view: ActiveView, walkp: WalkParams, k: int, iters: int,
-                    rng: np.random.Generator, starts: StartTree, phi: float,
-                    profile: Profile) -> dict:
-    """The walks of the next iters partition iterations on view and their
-    scans at phi, as `scan_runs` outcomes by (start, b): one batch of the
-    distinct pairs, each walk stopped at its hit.
-
-    The pairs are those the iterations draw if none of them finds a cut: on
-    a generator whose bit generator copies rng's state, charging a throwaway
-    ledger.  An iteration draws only through its bit generator (its sub-rngs
-    are spawned from the seed sequence), so the prediction holds until a cut
-    changes the view; rng itself and net's ledger are left untouched."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    ahead = np.random.Generator(bits)
-    scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
-    pairs = sorted({pair for _ in range(iters)
-                    for pair in _draw_landings(scratch, k, walkp.ell, ahead, starts)})
-    return dict(zip(pairs, scan_runs(view, pairs, walkp, phi, profile)))
 
 
 @dataclass

@@ -14,10 +14,11 @@ WEDGE_CHUNK wedges.  The bucket-triple assignment of the routing model
 (ceil(|comp|^(1/3)) ID-ordered buckets, triples dealt round-robin to the
 component's vertices) is kept as arithmetic on the same arrays: pair-list
 sizes come from one `bincount`, each triangle's reporter is the assignee of
-its sorted bucket triple, and assignee loads are one `bincount` more.  The
-driver keeps the first occurrence of each triangle in component and level
-order, checks every one against the input graph's edge keys with one
-vectorized membership test, and builds the public set and reporter dict once.
+its sorted bucket triple, and assignee loads are one `bincount` more; each
+component keeps its triangles' reporters (`assignees`).  The driver checks
+every component's triangles against the input graph's edge keys with one
+vectorized membership test per component, and builds the public set from
+them once: a triangle that two components list is one member.
 
 Routing is direct delivery with an analytic cost model: delivering one batch
 of requests (per-vertex load proportional to degree) inside a component is
@@ -174,7 +175,6 @@ class LevelReport:
 @dataclass
 class TriangleReport:
     triangles: set
-    reporters: dict
     levels: list[LevelReport]
     ledger: RoundLedger
     epsilon: float
@@ -200,20 +200,6 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float) -> float:
     return C_MIX * math.log2(max(2, len(comp))) / phi_floor**2
 
 
-def _first_occurrences(parts: list[ComponentEnumeration]) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, reporters) keeping each triangle's first report, rows sorted."""
-    if len(parts) == 1:
-        return parts[0].tris, parts[0].assignees
-    if not parts:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64)
-    tris = np.concatenate([p.tris for p in parts])
-    order = np.lexsort(tris.T[::-1])  # stable: equal rows keep their report order
-    tris = tris[order]
-    first = np.ones(len(tris), dtype=bool)
-    first[1:] = (tris[1:] != tris[:-1]).any(axis=1)
-    return tris[first], np.concatenate([p.assignees for p in parts])[order[first]]
-
-
 def _check_sound(graph: Graph, tris: np.ndarray) -> None:
     """Raise NotATriangle unless every row u < v < w is a triangle of graph."""
     n = graph.n
@@ -224,21 +210,19 @@ def _check_sound(graph: Graph, tris: np.ndarray) -> None:
         raise NotATriangle(f"reported {tuple(tris[ok.argmin()].tolist())} is not a triangle")
 
 
-def _public(tris: np.ndarray, reporter: np.ndarray, n: int) -> tuple[set, dict]:
-    """The report's triangle set and reporter dict.
+def _public(parts: list[ComponentEnumeration], n: int) -> set:
+    """The report's triangle set: every component's rows, each triangle once.
 
     The tuples hold one shared int object per vertex label, taken from an
     object array (`tolist` of an int64 array makes a fresh object for every
-    int > 256).  Both grow chunk by chunk: a set built from a whole dict
-    would be allocated at twice the size.
+    int > 256), and the set grows chunk by chunk.
     """
     labels = np.array(range(n), dtype=object)
-    triangles, reporters = set(), {}
-    for lo in range(0, len(tris), TUPLE_CHUNK):
-        keys = list(zip(*labels[tris[lo : lo + TUPLE_CHUNK]].T.tolist()))
-        triangles.update(keys)
-        reporters.update(zip(keys, labels[reporter[lo : lo + TUPLE_CHUNK]].tolist()))
-    return triangles, reporters
+    triangles = set()
+    for part in parts:
+        for lo in range(0, len(part.tris), TUPLE_CHUNK):
+            triangles.update(zip(*labels[part.tris[lo : lo + TUPLE_CHUNK]].T.tolist()))
+    return triangles
 
 
 def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
@@ -276,10 +260,11 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
             raise StalledLevel(f"level {level} kept {len(next_edges)} of {len(edges)} edges")
         levels.append(LevelReport(level, len(edges), comp_reports, dec))
         edges = next_edges
-    tris, reporter = _first_occurrences([c for lvl in levels for c in lvl.components])
-    _check_sound(graph, tris)
-    triangles, reporters = _public(tris, reporter, graph.n)
-    report = TriangleReport(triangles, reporters, levels, ledger, epsilon, k)
+    parts = [c for lvl in levels for c in lvl.components]
+    for part in parts:
+        _check_sound(graph, part.tris)
+    triangles = _public(parts, graph.n)
+    report = TriangleReport(triangles, levels, ledger, epsilon, k)
     if verify:
         report.verified = triangles == brute_force_triangles(graph)
     return report

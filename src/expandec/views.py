@@ -8,8 +8,9 @@ Degrees in a view always equal host degrees; loop counts are implicit.
 Views snapshot live adjacency at construction, as a row-major local edge array
 and as the CSR matrix that the walk kernel and the traversal substrate of
 `graph` (components, hop distances) run on; the per-vertex component roots
-are computed on first use.  They also hold the walk step's
-per-vertex constants (2 deg and 2 deg - live), so no walk step recomputes them.
+and the all-pairs hop distances are computed on first use.  They also hold
+the walk step's per-vertex constants (2 deg and 2 deg - live), so no walk
+step recomputes them.
 A view computes no cut statistics: a cut of it is a vertex set, and its
 exact boundary, conductance and balance are `graph.cut_stats` of the
 contracted graph (`materialize`).
@@ -24,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, MissingEdge
-from .graph import Graph, adjacency_csr, component_roots, group_by_root, row_positions
+from .graph import (Graph, adjacency_csr, component_roots, group_by_root, hop_distances,
+                    row_positions)
 
 
 class WorkingGraph:
@@ -125,6 +127,12 @@ class ActiveView:
     def roots(self) -> np.ndarray:
         """Per local vertex, the local index of its component's first vertex."""
         return component_roots(self.adj_matrix)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """All-pairs hop distances between local vertices (n x n), INF where
+        no path joins them."""
+        return hop_distances(self.adj_matrix)
 
     def member_mask(self, hosts) -> np.ndarray:
         """Per local vertex, whether its host id is among hosts."""

@@ -4,7 +4,8 @@ invariant, the row-by-row reference for the working graph and its views,
 walks traced through a sweep that records their states, per-step references
 for the walk kernel, the sweep scan, the local cut that stops at its hit and
 the falsifier, the local cut walked alone, the full-horizon walks and scans,
-the centralized local cuts built on the per-step scan, the level draw
+the centralized local cuts built on the per-step scan, one iteration of
+cut accumulation drawn, walked and merged alone, the level draw
 through `rng.choice`, float and exact-rational walk references with the
 influence set, dict-keyed references for the BFS tree, the subtree sums and
 the degree sampling, message-level references for the BFS tree, the tree
@@ -20,10 +21,12 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 
+from expandec import cuts
 from expandec.clustering import (K_SAMPLE, NeighborhoodOracle, ShiftClustering, _samples,
                                  ball_edge_counts)
-from expandec.cuts import (StartTree, SweepCandidate, SweepScan, _check_algo_phi,
-                           _result_from_candidate, distributed_local_cut, draw_b, scan_runs)
+from expandec.cuts import (StartTree, SweepCandidate, SweepScan, _check_algo_phi, _draw_landings,
+                           _result_from_candidate, derive_instance_params, distributed_local_cut,
+                           draw_b, scan_runs)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
 from expandec.graph import INF, Cut, Graph, directed_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
@@ -187,6 +190,20 @@ def view_starts(net, view) -> StartTree:
     return StartTree.on(view, view_tree(net, view))
 
 
+def one_iteration(net, view, phi, walkp, profile, rng, starts, p):
+    """One iteration of cut accumulation on view, drawn, walked and merged
+    alone: the k landings drawn down starts, their distinct (start, b)
+    pairs walked and scanned in one `scan_runs` call, and the instances
+    merged by `concurrent_local_cuts` (both looked up on the module, so a
+    test may wrap them)."""
+    k = derive_instance_params(view.vol(), walkp, p, profile).k
+    landings = _draw_landings(net, k, walkp.ell, rng, starts)
+    pairs = sorted(set(landings))
+    runs = dict(zip(pairs, cuts.scan_runs(view, pairs, walkp, phi, profile)))
+    return cuts.concurrent_local_cuts(net, view, phi, walkp, profile, rng, starts, p, landings,
+                                      runs)
+
+
 class WorkingGraphReference:
     """The removal record as a dict keyed by edge tuple, validated edge by edge."""
 
@@ -312,7 +329,7 @@ def induced_diameter(view, dist_unused, members):
 
 def check_h_conditions(view, split):
     """Assert the three growth-invariant conditions for every stage component."""
-    dist = NeighborhoodOracle(view).dist
+    dist = view.distances
     a, b = split.a, split.b
     for stage in split.stages:
         for comp in stage:

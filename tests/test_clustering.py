@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from expandec import clustering, decomposition
+from expandec import clustering, decomposition, views
 from expandec import generators as gen
 from expandec.config import DESK
 from expandec.graph import adjacency_csr, components_of, group_by_root
@@ -266,6 +266,20 @@ def test_lazy_diameters_match_bfs():
         assert (res.split.a >= len(view)) == saturated
         assert "diameters" not in vars(res)  # not computed before first access
         assert res.diameters == _diameters_by_bfs(view, res.components)
+
+
+def test_low_diameter_run_builds_one_distance_table(monkeypatch):
+    # below a saturated radius the split's oracle and the diameters read the
+    # view's one hop-distance table
+    calls = []
+    hop = views.hop_distances
+    monkeypatch.setattr(views, "hop_distances", lambda adj: calls.append(1) or hop(adj))
+    g = gen.cycle(160)
+    view = ActiveView.whole(g)
+    res = low_diam_decomposition(Network(g), view, 0.9, 0.01, np.random.default_rng(1))
+    assert res.split.a < len(view)
+    assert res.max_diameter == max(_diameters_by_bfs(view, res.components))
+    assert len(calls) == 1
 
 
 def test_size_estimate_isolated_floor():

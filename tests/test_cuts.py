@@ -13,7 +13,7 @@ from expandec import walks
 from expandec.config import DESK, PAPER
 from expandec.decomposition import _sweep_falsifier
 from expandec.errors import BadPhi, Disconnected, TooLarge
-from expandec.graph import cut_stats
+from expandec.graph import Graph, cut_stats
 from expandec.simulator import Network, subtree_sums
 from expandec.views import ActiveView
 from expandec.walks import MASS_MSG_BITS, SCALE, WalkParams, derive_walk_params
@@ -22,7 +22,6 @@ from expandec.cuts import (
     _jstar,
     _mass_floor_ok,
     _mass_floor_prefilter,
-    _prefetch_walks,
     balanced_sparse_cut,
     concurrent_local_cuts,
     derive_instance_params,
@@ -41,6 +40,7 @@ from helpers_h import (
     local_cut,
     local_cut_per_step,
     lone_local_cut,
+    one_iteration,
     pstar,
     randomized_local_cut,
     sweep_order_local,
@@ -283,8 +283,8 @@ def test_concurrent_conductance_bound():
     view, params = _cut_setup(g)
     for seed in range(6):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 4),
-                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
+        res = one_iteration(net, view, PHI, params, with_instances(view, params, 4),
+                            np.random.default_rng(seed), view_starts(net, view), 0.25)
         if res.members is None:
             continue
         cut = cut_stats(g, res.members)
@@ -295,8 +295,8 @@ def test_concurrent_k1_degenerate():
     g = gen.barbell(8, 1)
     view, params = _cut_setup(g)
     net = Network(g)
-    res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 1),
-                                np.random.default_rng(4), view_starts(net, view), 0.25)
+    res = one_iteration(net, view, PHI, params, with_instances(view, params, 1),
+                        np.random.default_rng(4), view_starts(net, view), 0.25)
     assert len(res.instances) == 1
     single = res.instances[0].members
     vol = view.vol()
@@ -312,8 +312,8 @@ def test_concurrent_union_volume_bound_any_seed():
     vol = view.vol()
     for seed in range(10):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, 5),
-                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
+        res = one_iteration(net, view, PHI, params, with_instances(view, params, 5),
+                            np.random.default_rng(seed), view_starts(net, view), 0.25)
         if res.members is not None:
             assert 24 * sum(g.deg[v] for v in res.members) <= 23 * vol
 
@@ -336,8 +336,8 @@ def test_concurrent_instances_walk_one_batch(monkeypatch, k):
             m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: (
                 charged.append(outcome) or distributed_local_cut(net, view, outcome)))
             net = Network(g)
-            res = concurrent_local_cuts(net, view, PHI, params, profile,
-                                        np.random.default_rng(seed), view_starts(net, view), 0.25)
+            res = one_iteration(net, view, PHI, params, profile,
+                                np.random.default_rng(seed), view_starts(net, view), 0.25)
         landings = [(inst.start, inst.b) for inst in res.instances]
         assert len(landings) == k and batches == [sorted(set(landings))]
         # one charge per instance, of the one run of its landing
@@ -348,9 +348,8 @@ def test_concurrent_instances_walk_one_batch(monkeypatch, k):
             m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: local_cut_per_step(
                 net, view, outcome[0].start, PHI, outcome[0].b, params, profile)[0])
             net_ref = Network(g)
-            ref = concurrent_local_cuts(net_ref, view, PHI, params, profile,
-                                        np.random.default_rng(seed), view_starts(net_ref, view),
-                                        0.25)
+            ref = one_iteration(net_ref, view, PHI, params, profile, np.random.default_rng(seed),
+                                view_starts(net_ref, view), 0.25)
         for got, want in zip(res.instances, ref.instances, strict=True):
             assert (got.start, got.b, got.members) == (want.start, want.b, want.members)
             assert np.array_equal(got.touched, want.touched)
@@ -450,8 +449,8 @@ def test_overlap_rule_from_transcript():
     aborted = set()
     for seed, k in zip(range(6), (6, 60) * 3):  # w = 50 here, so 60 instances can abort
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, with_instances(view, params, k),
-                                    np.random.default_rng(seed), view_starts(net, view), 0.25)
+        res = one_iteration(net, view, PHI, params, with_instances(view, params, k),
+                            np.random.default_rng(seed), view_starts(net, view), 0.25)
         recount = {}
         for inst in res.instances:
             for e in pstar(inst):
@@ -702,55 +701,44 @@ def test_concurrent_cuts_with_an_isolated_vertex():
     view, params = _cut_setup(g)
     for seed in range(2):
         net = Network(g)
-        res = concurrent_local_cuts(net, view, PHI, params, DESK, np.random.default_rng(seed),
-                                    view_starts(net, view), 0.25)
+        res = one_iteration(net, view, PHI, params, DESK, np.random.default_rng(seed),
+                            view_starts(net, view), 0.25)
         assert all(g.deg[inst.start] > 0 for inst in res.instances)
         assert net.ledger.totals().rounds > 0
 
 
 def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK, p=0.25,
                                          after_each=None):
-    """sparse_cut_partition on the whole graph with the walk prefetch on and
-    off: per mode, (result or raised error, ledger snapshot, rng, prefetch
-    batch sizes, walks run by each iteration, scans charged, folds).
-    after_each(net) runs after each iteration.  A prefetch is one scan_runs
-    batch, run from iteration 1 and only while no piece has been removed;
-    each iteration walks, in one scan_runs batch of its own, exactly the
-    distinct landings that the prefetch missed (with the prefetch off, all
-    of them), and makes no scan_runs call when it missed none; every
-    instance's scan is charged once.  Either way the start sampling folds
-    its subtree sums once per view: the whole view, then at most once per
-    removed piece.  Returns the result, prefetch batch sizes and, per
-    iteration, the walks it ran alone with the prefetch."""
+    """sparse_cut_partition on the whole graph with the batching of
+    iterations on and off (WALK_BATCH_CELLS 0: every batch is one
+    iteration): per mode, (result or raised error, ledger snapshot, rng,
+    scan_runs batches, the batch each iteration read, scans charged, folds).
+    after_each(net) runs after each iteration.  Either way each iteration's
+    landings were walked in the last scan_runs batch before it, on its own
+    view, and its runs are that batch's; with batching off that batch is
+    exactly the iteration's distinct landings.  Every instance's scan is
+    charged once, and the start sampling folds its subtree sums once per
+    view: the whole view, then at most once per removed piece.  Returns the
+    result, the (view size, pairs) of each batch with batching on, and the
+    number of the batch each iteration read."""
     outs = []
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
-        batches, walked, alone, charged, folds, done = [], [], [], [], [], []
+        batches, read, charged, folds = [], [], [], []
 
-        def prefetch(*args):
-            assert not any(res.members for res in done)
-            before = len(walked)
-            out = _prefetch_walks(*args)
-            assert len(walked) == before + 1  # one batch, not an iteration's
-            batches.append(len(walked.pop()))
-            return out
-
-        def concurrent(net, view, phi, walkp, prof, rng, starts, p, runs=None):
-            before = len(walked)
-            res = concurrent_local_cuts(net, view, phi, walkp, prof, rng, starts, p, runs)
-            landings = {(inst.start, inst.b) for inst in res.instances}
-            missing = sorted(landings - (runs or {}).keys())
-            assert walked[before:] == ([missing] if missing else [])
-            alone.append(len(missing))
-            done.append(res)
+        def concurrent(net, view, phi, walkp, prof, rng, starts, p, landings, runs):
+            n_view, pairs = batches[-1]
+            assert n_view == len(view) and runs.keys() == set(pairs) >= set(landings)
+            read.append((len(batches), sorted(set(landings))))
+            res = concurrent_local_cuts(net, view, phi, walkp, prof, rng, starts, p, landings,
+                                        runs)
             if after_each is not None:
                 after_each(net)
             return res
 
-        monkeypatch.setattr(cuts, "_prefetch_walks", prefetch)
         monkeypatch.setattr(cuts, "concurrent_local_cuts", concurrent)
         monkeypatch.setattr(cuts, "scan_runs", lambda view, pairs, *args: (
-            walked.append(list(pairs)) or scan_runs(view, pairs, *args)))
+            batches.append((len(view), list(pairs))) or scan_runs(view, pairs, *args)))
         monkeypatch.setattr(cuts, "scan_run", lambda *args: (
             charged.append(1) or scan_run(*args)))
         monkeypatch.setattr(cuts, "subtree_sums", lambda *args: (
@@ -760,10 +748,11 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
             out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
         except BadPhi as exc:
             out = exc
-        outs.append((out, net.ledger.snapshot(), rng, batches, alone, len(charged), len(folds)))
-    ((on, ledger_on, rng_on, batches_on, alone_on, charged_on, folds_on),
-     (off, ledger_off, rng_off, batches_off, alone_off, charged_off, folds_off)) = outs
-    assert not batches_off
+        outs.append((out, net.ledger.snapshot(), rng, batches, read, len(charged), len(folds)))
+    ((on, ledger_on, rng_on, batches_on, read_on, charged_on, folds_on),
+     (off, ledger_off, rng_off, batches_off, read_off, charged_off, folds_off)) = outs
+    # off, one batch per iteration, of exactly its distinct landings
+    assert read_off == [(i, pairs) for i, (_, pairs) in enumerate(batches_off, 1)]
     assert charged_on == charged_off
     assert folds_on == folds_off
     if isinstance(on, BadPhi):
@@ -771,13 +760,13 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
     else:
         assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
         assert charged_off == sum(len(c.instances) for c in off.concurrent)
-        assert alone_off == [len({(i.start, i.b) for i in c.instances}) for c in off.concurrent]
+        assert len(read_off) == off.iterations
         assert 1 <= folds_on <= 1 + len(on.pieces)
     assert ledger_on == ledger_off
     assert rng_on.bit_generator.state == rng_off.bit_generator.state
     assert (rng_on.bit_generator.seed_seq.n_children_spawned
             == rng_off.bit_generator.seed_seq.n_children_spawned)
-    return on, batches_on, alone_on
+    return on, [(n, len(pairs)) for n, pairs in batches_on], [i for i, _ in read_on]
 
 
 def test_partition_prefetch_gives_identical_partitions(monkeypatch):
@@ -785,26 +774,25 @@ def test_partition_prefetch_gives_identical_partitions(monkeypatch):
     g = gen.grid(5, 6)
     late = 0
     for seed in range(12):
-        res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed,
-                                                                   p=1 / 900)
+        res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed,
+                                                                  p=1 / 900)
         first = next((i + 1 for i, c in enumerate(res.concurrent) if c.members), None)
-        assert len(batches) == 1
-        assert sum(alone) == 0  # every walk was prefetched
+        assert len(batches) == 1 and set(read) == {1}  # every walk in one batch
         late += first is not None and first > 1
     assert late >= 4
 
 
 def test_partition_prefetch_walks_nothing_alone_before_a_piece(monkeypatch):
-    # the accept-2 family graphs: every walk of an iteration before the first
-    # removed piece, and of the iteration that finds it, was prefetched
+    # the accept-2 family graphs: every iteration up to the first removed
+    # piece read the first batch
     found = 0
     for spec in ACCEPT_2_SPECS:
         for seed in range(2):
-            res, batches, alone = _partition_with_and_without_prefetch(
+            res, batches, read = _partition_with_and_without_prefetch(
                 monkeypatch, gen.generate(spec, seed=seed), seed)
             first = next((i for i, c in enumerate(res.concurrent) if c.members),
                          len(res.concurrent))
-            assert batches and not any(alone[:first + 1]), (spec, seed)
+            assert batches and set(read[:first + 1]) == {1}, (spec, seed)
             found += bool(res.pieces)
     assert 4 <= found < 2 * len(ACCEPT_2_SPECS)
 
@@ -815,18 +803,42 @@ def test_partition_prefetch_caps_columns_with_a_large_s(monkeypatch):
     g = gen.clique(30)
     profile = dataclasses.replace(DESK, s_cap=None)
     for seed in range(3):
-        res, batches, alone = _partition_with_and_without_prefetch(monkeypatch, g, seed, profile)
-        assert res.s_budget == res.iterations == 24 and not res.pieces and sum(alone) == 0
-        assert len(batches) == 2 and max(batches) <= WALK_BATCH_CELLS // 30
+        res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed, profile)
+        assert res.s_budget == res.iterations == 24 and not res.pieces
+        assert len(batches) == 2 and max(pairs for _, pairs in batches) <= WALK_BATCH_CELLS // 30
+        assert read == [1] * (WALK_BATCH_CELLS // 30) + [2] * (24 - WALK_BATCH_CELLS // 30)
 
 
 def test_partition_prefetched_run_keeps_the_bandwidth_check(monkeypatch):
     # after the first iteration the bandwidth falls below one mass message, so
-    # the second iteration's walk (prefetched or not) raises BadPhi
+    # charging the second iteration's walks, walked in the first batch, raises BadPhi
     def narrow(net):
         net.bandwidth_bits = MASS_MSG_BITS - 1
 
     for seed in range(3):
-        out, batches, alone = _partition_with_and_without_prefetch(
+        out, batches, read = _partition_with_and_without_prefetch(
             monkeypatch, gen.clique(16), seed, after_each=narrow)
-        assert isinstance(out, BadPhi) and len(batches) == 1 and sum(alone) == 0
+        assert isinstance(out, BadPhi) and len(batches) == 1 and read == [1, 1]
+
+
+def _pendant_cliques(core: int, count: int, size: int):
+    """A core clique with count pendant cliques of size vertices, pendant j
+    joined to core vertex j by one edge."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    for j in range(count):
+        lo = core + j * size
+        edges += [(u, v) for u in range(lo, lo + size) for v in range(u + 1, lo + size)]
+        edges.append((j, lo))
+    return Graph.from_edges(core + count * size, edges)
+
+
+def test_partition_batches_again_after_a_piece(monkeypatch):
+    # a pendant clique holds less than 1/48 of the volume, so the loop goes on
+    # after removing one, and draws its next batch on the smaller view
+    again = 0
+    for g in (_pendant_cliques(40, 4, 5), _pendant_cliques(30, 6, 4)):
+        for seed in range(6):
+            res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed)
+            assert batches[0][0] == g.n
+            again += bool(res.pieces) and any(n < g.n for n, _ in batches)
+    assert again >= 6

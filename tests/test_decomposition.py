@@ -344,6 +344,7 @@ def test_decomposition_builds_no_distance_tables(monkeypatch):
     # low-diameter stage answers from component roots alone.
     import expandec.clustering as clustering
     import expandec.graph as graph
+    import expandec.views as views
 
     calls = {"oracle": 0, "hop": 0, "lowdiam": 0}
 
@@ -355,7 +356,7 @@ def test_decomposition_builds_no_distance_tables(monkeypatch):
 
     monkeypatch.setattr(clustering.NeighborhoodOracle, "__init__",
                         count("oracle", clustering.NeighborhoodOracle.__init__))
-    monkeypatch.setattr(clustering, "hop_distances", count("hop", clustering.hop_distances))
+    monkeypatch.setattr(views, "hop_distances", count("hop", views.hop_distances))
     monkeypatch.setattr(graph, "hop_distances", count("hop", graph.hop_distances))
     monkeypatch.setattr(clustering, "low_diam_decomposition",
                         count("lowdiam", clustering.low_diam_decomposition))
@@ -441,7 +442,7 @@ def test_stop_at_hit_keeps_components_and_removals(monkeypatch):
     for g, seed in cases:
         dec = expander_decomposition(g, 0.5, 2, seed, DESK)
         with monkeypatch.context() as m:
-            m.setattr(cuts, "scan_runs", full_horizon_scan_runs)  # prefetched walks too
+            m.setattr(cuts, "scan_runs", full_horizon_scan_runs)
             ref = expander_decomposition(g, 0.5, 2, seed, DESK)
         assert dec.components == ref.components and dec.removed == ref.removed
         got, want = dec.ledger.totals(), ref.ledger.totals()

@@ -4,10 +4,12 @@ top-level function and method of `src/expandec` is read somewhere else in
 `expandec/__init__.py` re-exports, the callable that a benchmark span wraps,
 or listed in EXEMPT.  Exemptions name one definition (module.function or
 module.Class.method), so a method is not exempt because a function of the
-same name is exported.  A read is an attribute or a name in `src/expandec`
-outside the definition's own body; a name that a function binds itself (a
-parameter or a local) is not one.  A reference that only tests call belongs
-in `tests/helpers_h.py`.
+same name is exported.  A read is a load in `src/expandec` outside the
+definition's own body: of an attribute, for a method, and of an attribute
+or a name, for a function; a name that a function binds itself (a
+parameter or a local) is not one.  So a call of a function is no read of a
+method of the same name.  A reference that only tests call belongs in
+`tests/helpers_h.py`.
 
 Every dataclass field of `src/expandec` is read as an attribute somewhere in
 `src/`, `tests/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that
@@ -32,10 +34,10 @@ EXEMPT = {
 FIELD_EXEMPT: dict[str, str] = {}
 
 
-def _reads(node) -> Counter:
-    """Attributes and names read under node, less the names that a function
+def _reads(node) -> tuple[Counter, Counter]:
+    """(attributes, names) read under node, less the names that a function
     there binds itself."""
-    out = Counter()
+    attrs, names = Counter(), Counter()
 
     def visit(n, local):
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -45,14 +47,21 @@ def _reads(node) -> Counter:
             local |= {x.id for x in ast.walk(n) if isinstance(x, ast.Name)
                       and not isinstance(x.ctx, ast.Load)}
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            out[n.attr] += 1
+            attrs[n.attr] += 1
         elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local:
-            out[n.id] += 1
+            names[n.id] += 1
         for child in ast.iter_child_nodes(n):
             visit(child, local)
 
     visit(node, frozenset())
-    return out
+    return attrs, names
+
+
+def _read(qualname: str, attrs: Counter, names: Counter) -> int:
+    """Reads of the definition qualname, function or Class.method: a method
+    is read only as an attribute."""
+    name = qualname.rsplit(".", 1)[-1]
+    return attrs[name] + (0 if "." in qualname else names[name])
 
 
 def _definitions(tree: ast.Module):
@@ -88,7 +97,11 @@ def _exports() -> set[str]:
 
 def test_every_src_definition_is_read_in_src():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    reads = sum((_reads(tree) for tree in modules.values()), Counter())
+    attrs, names = Counter(), Counter()
+    for tree in modules.values():
+        tree_attrs, tree_names = _reads(tree)
+        attrs += tree_attrs
+        names += tree_names
     spans = _span_targets()
     assert {"simulator.Network.run_round", "cuts.scan_run", "cuts.concurrent_local_cuts"} <= spans
     exempt = _exports() | spans | set(EXEMPT)
@@ -99,14 +112,14 @@ def test_every_src_definition_is_read_in_src():
             if (f"{stem}.{qualname}" in exempt
                     or (node.name.startswith("__") and node.name.endswith("__"))):
                 continue
-            if reads[node.name] - _reads(node)[node.name] <= 0:
+            if _read(qualname, attrs, names) - _read(qualname, *_reads(node)) <= 0:
                 unread.append(f"{stem}.{qualname}")
     assert unread == []
     # every span wraps a definition of src
     assert spans <= defined, spans - defined
     # an exemption that gained a caller in src, or lost its definition, is noise
     assert set(EXEMPT) <= defined
-    assert not any(reads[name.rsplit(".", 1)[1]] for name in EXEMPT)
+    assert not any(_read(name.split(".", 1)[1], attrs, names) for name in EXEMPT)
 
 
 def _dataclass_fields(tree: ast.Module):

@@ -622,7 +622,7 @@ def test_compute_walks_matches_per_column_walks():
 
 
 def test_compute_walks_of_no_pairs_is_empty():
-    # an iteration whose landings were all prefetched walks an empty batch
+    # a batch of no pairs walks nothing
     view = ActiveView.whole(gen.barbell(4, 1))
     params = derive_walk_params(view.m_live, 1 / 12, DESK)
     assert walks.compute_walks(view, [], params, lambda *args: {}) == []
