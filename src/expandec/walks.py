@@ -28,7 +28,14 @@ states.  Every local cut is walked in such a batch (`cuts.scan_runs`);
 `compute_walk`, the one-column case, walks the falsifier.
 
 The sweep tables of a block of states (sort by rho, prefix volumes and
-boundaries) are built here too, for both sweeps.
+boundaries) are built here too, for both sweeps.  The sort by rho has two
+exact paths, chosen by row length alone: rows shorter than STABLE_SORT_MAX
+= 128 take a stable argsort; longer rows take numpy's SIMD argsort and then
+a pass that puts each run of equal keys in index order.  A row sorted by
+key with every run of equal keys in index order is the stable order, so
+both paths give the same order.  128 is where, in a synthetic
+microbenchmark, the SIMD path starts to save more on a row with no tie
+than it loses on a tied row (`sweep_orders` gives the figures).
 """
 from __future__ import annotations
 
@@ -48,6 +55,7 @@ SCALE = 1 << SCALE_BITS
 MASS_MSG_BITS = KIND_BITS + 2 * WORD_BITS  # kind + instance tag + fixed-point value
 SWEEP_BLOCK_CELLS = 1 << 16  # cells per block of walk states, sweep table or edge chunk
 FREEZE_BLOCK = 16  # steps of compute_walks' first block and between its freeze checks
+STABLE_SORT_MAX = 128  # sweep rows shorter than this take the stable argsort
 
 
 @dataclass(frozen=True)
@@ -278,12 +286,69 @@ def sweep_orders(view: ActiveView, masses: np.ndarray):
     """(order, cnt) of a (B x n) block of walk states: `order` sorts local
     indices by rho = mass / deg descending (the correctly rounded float
     quotient, so equal ratios compare equal; ties go to the lower local
-    index, i.e. the lower host id) and `cnt` is the support size.  Only the first cnt[r] entries
-    of row r are meaningful: unsupported vertices sort last, by index,
-    because their key -0.0 is above every supported key.  So two states
-    with equal rows of order and equal cnt sweep the same prefixes."""
-    order = np.argsort(-(masses / view.deg_pos), axis=1, kind="stable")
+    index, i.e. the lower host id) and `cnt` is the support size.  Only the
+    first cnt[r] entries of row r are meaningful: unsupported vertices sort
+    last, by index.  So two states with equal rows of order and equal cnt
+    sweep the same prefixes.  The whole row, the unsupported tail included,
+    is the stable argsort of -rho, on either of two paths chosen by n alone.
+
+    Rows shorter than STABLE_SORT_MAX take that stable argsort, in which an
+    unsupported vertex's key -0.0 is above every supported key.  Longer rows
+    key an unsupported vertex by its index instead, which is above every
+    supported key and unique, take numpy's default (SIMD) argsort, and then
+    `_ties_by_index` puts each run of equal keys in index order.  The
+    stable order is the one order sorted by key with every run of equal keys
+    in index order, so both paths give it.
+
+    The crossover comes from a microbenchmark of the two paths on blocks of
+    8,192 cells of synthetic rows (no tie; one rho; runs of 12 equal rho
+    and a zero quarter), lengths 16-1024, on a 2-core AVX-512 Xeon with
+    numpy 2.4: from 128 up the SIMD path saves more on a row with no tie
+    (4.4 -> 1.5 us at 128) than it loses on a row of either tied kind
+    (0.6 -> 2.9 us, 1.4 -> 3.1 us); at 64 it does not, and at 96 the two
+    are within run-to-run noise.  Timsort is near linear on tied rows, so
+    below the crossover no extra pass pays."""
+    key = np.divide(masses, view.deg_pos)
+    np.negative(key, out=key)  # in place: one (B x n) temporary, not two
+    n = masses.shape[1]
+    if n < STABLE_SORT_MAX:
+        order = np.argsort(key, axis=1, kind="stable")
+    else:
+        np.copyto(key, np.arange(n, dtype=np.float64), where=masses == 0)
+        order = np.argsort(key, axis=1)
+        _ties_by_index(key, order)
     return order, np.count_nonzero(masses, axis=1)
+
+
+def _ties_by_index(key: np.ndarray, order: np.ndarray):
+    """Put each run of equal keys in the (B x n) argsort order of key in
+    index order, in place; key is sorted in place on the way.  Where no two
+    adjacent sorted keys are equal the sorted order is unique, and it is
+    left as it is.  Otherwise each tied entry (one in a run of equal keys)
+    gets the int64 key (run number << index bits) | index: one sort of
+    these puts the runs in run order and each run in index order.  The tied
+    positions list the runs in the same order, so writing the sorted
+    indices back to them orders every run.  Past the sorted keys and one
+    bool mask, only the tied entries are held."""
+    n = key.shape[1]
+    key.sort(axis=1)
+    tie = np.zeros(key.shape, dtype=bool)  # entry j of a row equals entry j + 1
+    np.equal(key[:, 1:], key[:, :-1], out=tie[:, :-1])
+    left = np.flatnonzero(tie)  # flat positions in order; no run spans two rows
+    if not len(left):
+        return
+    first = np.flatnonzero(np.diff(left, prepend=-2) != 1)  # the first pair of each run
+    size = np.diff(first, append=len(left)) + 1  # entries per run
+    end = np.cumsum(size)
+    pos = np.repeat(left[first] - end + size, size)  # each run's entries, in order
+    pos += np.arange(end[-1])
+    bits = (n - 1).bit_length()
+    flat = order.reshape(-1)
+    tied = np.repeat(np.arange(len(size)) << bits, size)
+    tied |= flat[pos]
+    tied.sort()
+    tied &= (1 << bits) - 1
+    flat[pos] = tied
 
 
 def prefix_tables(view: ActiveView, order: np.ndarray):

@@ -12,7 +12,7 @@ from expandec import cuts
 from expandec import generators as gen
 from expandec import walks
 from expandec.config import DESK, PAPER
-from expandec.decomposition import _sweep_falsifier
+from expandec.decomposition import _sweep_falsifier, expander_decomposition
 from expandec.errors import BadPhi, TooLarge
 from expandec.graph import adjacency_csr, lazy_walk_matrix
 from expandec.simulator import Network
@@ -283,11 +283,13 @@ def test_walk_step_exact_at_large_degree():
     assert 0.99 < mass.sum() / SCALE <= 1.0
 
 
-def _random_view(rng, seed, n_max=24):
+def _random_view(rng, seed, n_max=24, n_min=2):
     """A view of a random graph without isolated vertices, with some edges
-    removed and some vertices left out; None when the draw is degenerate."""
-    n = int(rng.integers(2, n_max))
-    g = gen.erdos_renyi(n, float(rng.uniform(0.1, 0.6)), seed=seed)
+    removed and some vertices left out; None when the draw is degenerate.
+    Above 24 vertices the edge probability falls as 24 / n, so the mean
+    degree stays below 15."""
+    n = int(rng.integers(n_min, n_max))
+    g = gen.erdos_renyi(n, float(rng.uniform(0.1, 0.6)) * min(1.0, 24 / n), seed=seed)
     if g.m == 0 or min(g.deg) == 0:
         return None
     working = WorkingGraph(g)
@@ -297,6 +299,8 @@ def _random_view(rng, seed, n_max=24):
 
 def _check_tables(view, masses):
     order, cnt, prefvol, bnds = sweep_tables(view, masses)
+    # whole rows, the unsupported tail included, on either sort path
+    assert np.array_equal(order, np.argsort(-(masses / view.deg_pos), axis=1, kind="stable"))
     for r, mass in enumerate(masses):
         ref = sweep_order_local(view, mass)
         k = len(ref)
@@ -306,23 +310,39 @@ def _check_tables(view, masses):
         assert bnds[r, :k].tolist() == prefix_boundary_counts(view, ref).tolist()
 
 
+def _tied_rows(view):
+    """Rows of masses whose rho values tie, besides the row in which every
+    rho is equal (from different (mass, deg) pairs): runs of 12 consecutive
+    vertices with one rho, as a clique chain's walk leaves them; the same
+    with nine tenths of the vertices unsupported; and keys one ulp apart,
+    rho 2^52 or 2^52 + 1 plus 1 / deg on every third vertex, which rounds
+    to one of 2^52, 2^52 + 1 and 2^52 + 2."""
+    idx, deg = np.arange(len(view)), view.deg_pos
+    runs = (idx // 12 % 5 + 1) * deg
+    return [runs, np.where(idx % 10 == 3, runs, 0), deg * ((1 << 52) + idx % 2) + (idx % 3 == 0)]
+
+
 def test_sweep_tables_match_per_row_reference():
     rng = np.random.default_rng(31)
-    checked = 0
-    for trial in range(40):
-        view = _random_view(rng, trial + 300)
+    checked = {True: 0, False: 0}  # views on the stable sort path, on the SIMD one
+    # views of 2-23 vertices, then of about 130-600 (of 170-749 drawn)
+    for trial, (n_max, n_min) in enumerate([(24, 2)] * 40 + [(750, 170)] * 12):
+        view = _random_view(rng, trial + 300, n_max, n_min)
         if view is None:
             continue
         n = len(view)
+        stable = n < walks.STABLE_SORT_MAX
+        assert stable == (n_max == 24)
         rows = [
             rng.integers(1, SCALE, size=n) * (rng.random(n) < 0.6),  # random masses
             int(rng.integers(1, 1 << 20)) * view.deg,                # every rho equal
             np.where(rng.random(n) < 0.5, 7 * view.deg, rng.integers(0, 50, size=n)),
             np.zeros(n, dtype=np.int64),                            # empty support
+            *_tied_rows(view),
         ]
         _check_tables(view, np.array(rows, dtype=np.int64))
-        checked += 1
-    assert checked >= 20
+        checked[stable] += 1
+    assert checked[True] >= 20 and checked[False] >= 6
 
 
 def test_sweep_tables_without_live_edges():
@@ -362,6 +382,47 @@ def test_sweep_tables_in_edge_chunks_match_row_by_row(monkeypatch):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
         _check_tables(view, masses)
+
+
+@pytest.mark.parametrize("spec", ["erdos_renyi:400:0.02", "cliques_chain:20:12:1"])
+def test_sweep_order_paths_agree(monkeypatch, spec):
+    """With every row on the SIMD sort path (STABLE_SORT_MAX 0) and every
+    row on the stable one (above n), a view's walk states give identical
+    sweep tables and its walks identical scan outcomes; on the clique chain
+    the decomposition gives identical JSON, its ledger included."""
+    g = gen.generate(spec, seed=1)
+    view = ActiveView.whole(g)
+    base = derive_walk_params(g.m, 1 / 12, DESK)
+    rng = np.random.default_rng(5)
+    pairs = [(int(v), int(rng.integers(1, base.ell + 1)))
+             for v in rng.choice(view.verts, 12, replace=False)]
+    states = np.concatenate([trace.masses[1:] for trace in
+                             walk_traces(view, pairs[:3], _walk_with_t0(base, 150))])
+    tie_passes = []
+    ties_by_index = walks._ties_by_index
+    monkeypatch.setattr(walks, "_ties_by_index",
+                        lambda key, order: tie_passes.append(1) or ties_by_index(key, order))
+
+    def on_both_paths(run):
+        out = []
+        for cut in (0, len(view) + 1):
+            monkeypatch.setattr(walks, "STABLE_SORT_MAX", cut)
+            before = len(tie_passes)
+            out.append(run())
+            assert (len(tie_passes) > before) == (cut == 0)
+        return out
+
+    simd, stable = on_both_paths(lambda: sweep_tables(view, states))
+    assert all(np.array_equal(a, b) for a, b in zip(simd, stable, strict=True))
+    simd, stable = on_both_paths(lambda: [
+        (run.t_last, run.freeze_t, hit, trips)
+        for run, hit, trips in cuts.scan_runs(view, pairs, base, 1 / 12, DESK)])
+    assert simd == stable
+    if spec.startswith("cliques_chain"):
+        assert any(hit is not None for _, _, hit, _ in simd)
+        simd, stable = on_both_paths(
+            lambda: expander_decomposition(g, 0.5, 2, 1, DESK).to_json())
+        assert simd == stable
 
 
 class BlockRecorder(StateRecorder):
