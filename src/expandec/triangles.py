@@ -9,16 +9,20 @@ Triangles are int64 arrays from end to end.  Per component, the forward edges
 (u < v) of G[comp ∪ N(comp)] are gathered from the level graph's rows of that
 vertex set only, and the triangles are listed by a wedge test: every forward
 edge (u, v) and forward neighbor w of v close a triangle when (u, w) is an
-edge, found by `searchsorted` over the sorted edge keys, in chunks of at most
-WEDGE_CHUNK wedges.  The bucket-triple assignment of the routing model
-(ceil(|comp|^(1/3)) ID-ordered buckets, triples dealt round-robin to the
-component's vertices) is kept as arithmetic on the same arrays: pair-list
-sizes come from one `bincount`, each triangle's reporter is the assignee of
-its sorted bucket triple, and assignee loads are one `bincount` more; each
-component keeps its triangles' reporters (`assignees`).  The driver checks
-every component's triangles against the input graph's edge keys with one
-vectorized membership test per component, and builds the public set from
-them once: a triangle that two components list is one member.
+edge, in chunks of at most WEDGE_CHUNK wedges.  An edge test on n vertices
+looks the key u * n + w up in a dense boolean table of the n * n cells when n
+is at most TRIANGLE_N_MAX, and binary-searches the sorted edge keys above that
+bound, where the table would pass 4 MB.  The bucket-triple assignment of the
+routing model (ceil(|comp|^(1/3)) ID-ordered buckets, triples dealt
+round-robin to the component's vertices) is kept as arithmetic on the same
+arrays: pair-list sizes come from one `bincount`, each triangle's reporter is
+the assignee of its sorted bucket triple, and assignee loads are one
+`bincount` more; each component keeps its triangles' reporters (`assignees`).
+The driver checks every component's triangles against the input graph,
+independently of the level graphs: a row must be 0 <= u < v < w < n, and its
+three pairs must pass one edge test over the input graph's edges, built once
+per run.  It builds the public set from them once: a triangle that two
+components list is one member.
 
 Routing is direct delivery with an analytic cost model: delivering one batch
 of requests (per-vertex load proportional to degree) inside a component is
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -39,7 +44,7 @@ from .errors import BadEpsilon, DepthExceeded, NotATriangle, StalledLevel, TooLa
 from .graph import Graph, contract, mixing_time_estimate, row_positions
 from .simulator import RoundLedger
 
-TRIANGLE_N_MAX = 2000
+TRIANGLE_N_MAX = 2000  # bounds the oracle's dense matrix and every edge table: n^2 cells
 MIX_EXACT_N_MAX = 128
 MIX_TOL = 0.5  # L1 distance to the degree-stationary distribution
 C_MIX = 4.0  # mixing-time form constant: tau <= C_MIX * log2(n) / phi^2
@@ -85,6 +90,20 @@ def _is_key(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
 
 
+def _edge_test(keys: np.ndarray, n: int):
+    """Membership test for the sorted edge keys u * n + v (0 <= u, v < n).
+
+    It looks keys up in a dense boolean table of the n * n cells when
+    n <= TRIANGLE_N_MAX; otherwise it binary-searches the keys (`_is_key`).
+    A query must be a key of a pair in range.
+    """
+    if n <= TRIANGLE_N_MAX:
+        table = np.zeros(n * n, dtype=bool)
+        table[keys] = True
+        return table.__getitem__
+    return partial(_is_key, keys)
+
+
 def _wedge_triangles(fu: np.ndarray, fv: np.ndarray, n: int) -> np.ndarray:
     """Triangles (u < v < w) of the graph on 0..n-1 whose forward edges
     (u < v) are given in lexicographic order; rows come out in the same order.
@@ -93,10 +112,10 @@ def _wedge_triangles(fu: np.ndarray, fv: np.ndarray, n: int) -> np.ndarray:
     kept when (u, w) is an edge; edges are taken in runs of at most
     WEDGE_CHUNK wedges (a run holds one edge at least).
     """
-    keys = fu * n + fv
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(fu, minlength=n), out=ptr[1:])
     wedges = np.cumsum(ptr[fv + 1] - ptr[fv])
+    is_edge = _edge_test(fu * n + fv, n)
     out = []
     lo, done = 0, 0
     while lo < len(fu):
@@ -106,7 +125,7 @@ def _wedge_triangles(fu: np.ndarray, fv: np.ndarray, n: int) -> np.ndarray:
         first = np.cumsum(cnt) - cnt  # position of each edge's first wedge in the run
         w = fv[np.repeat(ptr[head] - first, cnt) + np.arange(int(wedges[hi - 1]) - done)]
         u, v = np.repeat(fu[lo:hi], cnt), np.repeat(head, cnt)
-        hit = _is_key(keys, u * n + w)
+        hit = is_edge(u * n + w)
         out.append(np.stack([u[hit], v[hit], w[hit]], axis=1))
         lo, done = hi, int(wedges[hi - 1])
     return np.concatenate(out) if out else np.empty((0, 3), dtype=np.int64)
@@ -200,12 +219,14 @@ def component_mixing_time(level_graph: Graph, comp, phi_floor: float) -> float:
     return C_MIX * math.log2(max(2, len(comp))) / phi_floor**2
 
 
-def _check_sound(graph: Graph, tris: np.ndarray) -> None:
-    """Raise NotATriangle unless every row u < v < w is a triangle of graph."""
-    n = graph.n
-    keys = graph.edges[:, 0] * n + graph.edges[:, 1]  # graph.edges is sorted, so are the keys
+def _check_sound(n: int, is_edge, tris: np.ndarray) -> None:
+    """Raise NotATriangle unless every row is 0 <= u < v < w < n and its three
+    pairs pass is_edge, the input graph's `_edge_test`; a row out of range is
+    rejected before any key is looked up, since its keys would alias."""
     u, v, w = tris.T
-    ok = _is_key(keys, u * n + v) & _is_key(keys, v * n + w) & _is_key(keys, u * n + w)
+    ok = (0 <= u) & (u < v) & (v < w) & (w < n)
+    if ok.all():
+        ok = is_edge(u * n + v) & is_edge(v * n + w) & is_edge(u * n + w)
     if not ok.all():
         raise NotATriangle(f"reported {tuple(tris[ok.argmin()].tolist())} is not a triangle")
 
@@ -261,9 +282,12 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
         levels.append(LevelReport(level, len(edges), comp_reports, dec))
         edges = next_edges
     parts = [c for lvl in levels for c in lvl.components]
+    n = graph.n
+    # graph.edges is sorted, so are its keys
+    is_edge = _edge_test(graph.edges[:, 0] * n + graph.edges[:, 1], n)
     for part in parts:
-        _check_sound(graph, part.tris)
-    triangles = _public(parts, graph.n)
+        _check_sound(n, is_edge, part.tris)
+    triangles = _public(parts, n)
     report = TriangleReport(triangles, levels, ledger, epsilon, k)
     if verify:
         report.verified = triangles == brute_force_triangles(graph)

@@ -1,9 +1,12 @@
 """Triangle oracle, per-component enumeration, recursion driver, router costs."""
+import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import networkx as nx
@@ -18,6 +21,7 @@ from expandec.graph import Graph
 from expandec.views import ActiveView
 from expandec.triangles import (
     C_MIX,
+    TRIANGLE_N_MAX,
     ComponentEnumeration,
     brute_force_triangles,
     component_mixing_time,
@@ -181,6 +185,50 @@ def test_generator_rng_draws_the_seed():
 # -- the array kernel against the per-triple reference ------------------------
 
 
+EDGE_PATHS = ("table", "search")
+
+
+@contextlib.contextmanager
+def _edge_path(path):
+    """Every edge test on one path: `_edge_test` itself, which takes the
+    dense table on graphs within TRIANGLE_N_MAX, or the binary search of its
+    fallback (`_is_key` over the keys) in its place.  Yields the counts of
+    keys asked of edge tests and searched by `_is_key`; the search path must
+    have searched every key asked, the table path none."""
+    seen = {"asked": 0, "searched": 0}
+    edge_test, is_key = triangles._edge_test, triangles._is_key
+
+    def counted_edge_test(keys, n):
+        test = edge_test(keys, n) if path == "table" else partial(triangles._is_key, keys)
+
+        def ask(q):
+            seen["asked"] += len(q)
+            return test(q)
+        return ask
+
+    def counted_is_key(keys, q):
+        seen["searched"] += len(q)
+        return is_key(keys, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangles, "_edge_test", counted_edge_test)
+        mp.setattr(triangles, "_is_key", counted_is_key)
+        yield seen
+    assert seen["searched"] == (seen["asked"] if path == "search" else 0)
+
+
+def test_no_edge_table_above_the_bound(monkeypatch):
+    searched = []
+    is_key = triangles._is_key
+    monkeypatch.setattr(triangles, "_is_key", lambda keys, q: searched.append(len(q)) or
+                        is_key(keys, q))
+    for n in (TRIANGLE_N_MAX, TRIANGLE_N_MAX + 1):
+        keys = np.array([1, n * n - 1])
+        q = np.array([0, 1, n * n - 1])
+        assert triangles._edge_test(keys, n)(q).tolist() == [False, True, True]
+    assert searched == [3]  # n = TRIANGLE_N_MAX takes the table
+
+
 def _same_enumeration(got, ref):
     assert got.component == ref.component
     assert np.array_equal(got.tris, ref.tris)
@@ -211,30 +259,36 @@ def _component_draws(count, seed):
 
 
 def test_enumerate_component_matches_per_triple_reference():
-    seen = set()
-    for g, comp in _component_draws(150, 8):
-        got = enumerate_component(g, comp, 3.0, g.n)
-        _same_enumeration(got, enumerate_component_per_triple(g, comp, 3.0, g.n))
-        inside = set(comp)
-        universe = inside | {u for v in comp for u in neighbors(g, v)}
-        hits = [sum(x in inside for x in t) for t in got.triangles]
-        seen |= {f"in_comp_{h}" for h in hits}
-        if len(comp) == 2:
-            seen.add("comp_2")
-        if got.buckets * math.ceil(len(universe) / got.buckets) > len(universe):
-            seen.add("partial_last_bucket")
-        if len(ActiveView.whole(g).subview(comp).components()) > 1:
-            seen.add("disconnected")
-    # boundary triangles (1 or 2 vertices in comp) and triangles wholly in N(comp)
-    assert seen >= {"in_comp_0", "in_comp_1", "in_comp_2", "in_comp_3", "comp_2",
-                    "partial_last_bucket", "disconnected"}
+    for path in EDGE_PATHS:
+        seen = set()
+        with _edge_path(path) as counts:
+            for g, comp in _component_draws(150, 8):
+                got = enumerate_component(g, comp, 3.0, g.n)
+                _same_enumeration(got, enumerate_component_per_triple(g, comp, 3.0, g.n))
+                inside = set(comp)
+                universe = inside | {u for v in comp for u in neighbors(g, v)}
+                hits = [sum(x in inside for x in t) for t in got.triangles]
+                seen |= {f"in_comp_{h}" for h in hits}
+                if len(comp) == 2:
+                    seen.add("comp_2")
+                if got.buckets * math.ceil(len(universe) / got.buckets) > len(universe):
+                    seen.add("partial_last_bucket")
+                if len(ActiveView.whole(g).subview(comp).components()) > 1:
+                    seen.add("disconnected")
+        # boundary triangles (1 or 2 vertices in comp) and triangles wholly in N(comp)
+        assert seen >= {"in_comp_0", "in_comp_1", "in_comp_2", "in_comp_3", "comp_2",
+                        "partial_last_bucket", "disconnected"}
+        assert counts["asked"] > 0
 
 
 def test_enumerate_component_across_wedge_chunks(monkeypatch):
     monkeypatch.setattr(triangles, "WEDGE_CHUNK", 3)
-    for g, comp in _component_draws(30, 9):
-        _same_enumeration(enumerate_component(g, comp, 2.0, g.n),
-                          enumerate_component_per_triple(g, comp, 2.0, g.n))
+    for path in EDGE_PATHS:
+        with _edge_path(path) as counts:
+            for g, comp in _component_draws(30, 9):
+                _same_enumeration(enumerate_component(g, comp, 2.0, g.n),
+                                  enumerate_component_per_triple(g, comp, 2.0, g.n))
+        assert counts["asked"] > 0
 
 
 def _planted(seed):
@@ -248,23 +302,27 @@ def _planted(seed):
 
 
 def test_triangle_enumeration_matches_per_triple_reference():
-    levels, contested = [], 0
-    for trial in range(16):
-        g = _planted(trial) if trial % 2 else gen.cliques_chain(2 + trial % 5, 4 + trial % 4, 1)
-        rep = triangle_enumeration(g, 1 / 6, 2, trial, DESK)
-        first = {}
-        for lvl in rep.levels:
-            for c in lvl.components:
-                ref = enumerate_component_per_triple(lvl.decomposition.graph, c.component,
-                                                     c.tau_mix, g.n)
-                _same_enumeration(c, ref)
-                for tri, who in reporters(ref).items():
-                    contested += first.setdefault(tri, who) != who
-        assert rep.triangles == set(first) == brute_force_triangles(g)
-        levels.append(len(rep.levels))
-    # multi-level runs, and triangles reported by two components with
-    # different assignees, which the report's set holds once
-    assert max(levels) >= 2 and contested > 0
+    for path in EDGE_PATHS:
+        levels, contested = [], 0
+        with _edge_path(path) as counts:
+            for trial in range(16):
+                g = (_planted(trial) if trial % 2 else
+                     gen.cliques_chain(2 + trial % 5, 4 + trial % 4, 1))
+                rep = triangle_enumeration(g, 1 / 6, 2, trial, DESK)
+                first = {}
+                for lvl in rep.levels:
+                    for c in lvl.components:
+                        ref = enumerate_component_per_triple(lvl.decomposition.graph,
+                                                             c.component, c.tau_mix, g.n)
+                        _same_enumeration(c, ref)
+                        for tri, who in reporters(ref).items():
+                            contested += first.setdefault(tri, who) != who
+                assert rep.triangles == set(first) == brute_force_triangles(g)
+                levels.append(len(rep.levels))
+        # multi-level runs, and triangles reported by two components with
+        # different assignees, which the report's set holds once
+        assert max(levels) >= 2 and contested > 0
+        assert counts["asked"] > 0
 
 
 def test_enumerate_component_reports_triangles_outside_comp():
@@ -276,16 +334,27 @@ def test_enumerate_component_reports_triangles_outside_comp():
 # -- the driver's guards --------------------------------------------------------
 
 
-def _fake_triangle(level_graph, comp, tau_mix, n_global):
-    comp = tuple(sorted(comp))
-    return ComponentEnumeration(comp, np.array([[0, 1, 5]]), np.array([comp[0]]),
-                                1, 1, 0, tau_mix, 0.0)
+def _fake_triangle(row):
+    """An enumerate_component that reports row as each component's triangle."""
+    def fake(level_graph, comp, tau_mix, n_global):
+        comp = tuple(sorted(comp))
+        return ComponentEnumeration(comp, np.array([row]), np.array([comp[0]]),
+                                    1, 1, 0, tau_mix, 0.0)
+    return fake
 
 
 def test_soundness_rejects_a_non_triangle(monkeypatch):
-    monkeypatch.setattr(triangles, "enumerate_component", _fake_triangle)
-    with pytest.raises(NotATriangle, match=r"\(0, 1, 5\)"):
-        triangle_enumeration(gen.cliques_chain(2, 4, 1), 1 / 6, 2, 0, DESK)
+    g = Graph.from_edges(10, [(0, 1), (1, 5), (2, 5), (3, 4), (4, 6), (3, 6)])
+    # (0, 1, 15) is out of range, and two of its keys alias edges: 0 * 10 + 15
+    # is (1, 5) and 1 * 10 + 15 is (2, 5); (-10, 1, 5) is out of range below 0
+    for row in ((0, 1, 5), (0, 1, 15), (-10, 1, 5)):
+        monkeypatch.setattr(triangles, "enumerate_component", _fake_triangle(row))
+        for path in EDGE_PATHS:
+            with _edge_path(path) as counts:
+                with pytest.raises(NotATriangle, match=re.escape(str(row))):
+                    triangle_enumeration(g, 1 / 6, 2, 0, DESK)
+            # a row out of range is rejected before its keys are looked up
+            assert counts["asked"] == (3 if row == (0, 1, 5) else 0)
 
 
 def test_a_level_that_keeps_every_edge_is_an_error(monkeypatch):
