@@ -8,6 +8,13 @@ sufficiently large cut wholesale (channel r3), turning its members into
 self-loop singletons.  Degrees never change; removed plus remaining edges
 always recompose the input.
 
+Removals are never undone, so every removal is charged as it happens against
+the run's two budgets: at most epsilon * m removed edges in total, and on each
+Phase-2 level l at most m_l ejected volume.  The first removal that breaks one
+raises BudgetExceeded naming the channel and the Phase-1 depth or Phase-2
+level (for a level, also its ejected volume and m_l); a doomed run stops there
+instead of running to its end.
+
 The decomposition certifies nothing itself: `verify_decomposition` is the
 one place a component is certified, by the exact oracle when it is small,
 else by the sweep falsifier: the least sweep-prefix conductance of one
@@ -135,7 +142,9 @@ class Decomposition:
 def expander_decomposition(graph: Graph, epsilon: float, k: int,
                            rng: np.random.Generator | int, profile: Profile,
                            ledger: RoundLedger | None = None) -> Decomposition:
-    """Phase-1 recursion plus Phase-2 trimming; asserts the removal budget."""
+    """Phase-1 recursion plus Phase-2 trimming.  Raises BudgetExceeded at the
+    first removal that takes the total past epsilon * graph.m or a Phase-2
+    level's ejected volume past its m_l."""
     if isinstance(rng, np.random.Generator):
         seed = -1
     else:
@@ -152,9 +161,6 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
         _phase2(state, host_comp, members)
     components = sorted(state.finals, key=min)
     removed = {ch: working.removed_by(ch) for ch in ("r1", "r2", "r3")}
-    total = sum(len(v) for v in removed.values())
-    if total > epsilon * graph.m:
-        raise BudgetExceeded(f"removed {total} of {graph.m} edges at epsilon={epsilon}")
     _check_structure(graph, working, components)
     constants = {
         "c_h_ladder": C_H_LADDER,
@@ -185,6 +191,17 @@ class _RunState:
         self.phase2_queue: list[tuple[frozenset, frozenset]] = []
         self.max_depth_seen = 0
         self.phase2_stats: list[dict] = []
+        self.removed = 0
+
+    def remove(self, edges, channel: str, where: str):
+        """Remove edges under channel and charge them to the epsilon * m budget."""
+        self.working.remove_edges(edges, channel)
+        before, self.removed = self.removed, self.removed + len(edges)
+        m = self.working.graph.m
+        if self.removed > self.params.epsilon * m:
+            raise BudgetExceeded(
+                f"{channel} removal at {where} takes the removed edges from {before} "
+                f"to {self.removed} of {m} > epsilon * m = {self.params.epsilon * m:g}")
 
 
 def _phase1(state: _RunState, members: frozenset, depth: int):
@@ -204,7 +221,7 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
         ld = low_diam_decomposition(state.net, comp_view, params.beta,
                                     LOWDIAM_K, state.rng)
         if ld.cut_edges:
-            state.working.remove_edges(ld.cut_edges, "r1")
+            state.remove(ld.cut_edges, "r1", f"phase-1 depth {depth}")
         for u_set in ld.components:
             # without r1 cuts the one low-diameter part is comp itself
             u_view = ActiveView(state.working, u_set) if ld.cut_edges else comp_view
@@ -224,7 +241,7 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
                 continue
             inside = u_view.member_mask(res.members)[u_view.edges_local]
             crossing = u_view.edges_local[inside[:, 0] != inside[:, 1]]
-            state.working.remove_edges(u_view.verts[crossing], "r2")
+            state.remove(u_view.verts[crossing], "r2", f"phase-1 depth {depth}")
             _phase1(state, frozenset(res.members), depth + 1)
             _phase1(state, u_set - res.members, depth + 1)
 
@@ -268,8 +285,12 @@ def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):
             continue
         # eject the cut: every incident live edge goes, members become singletons
         inside = cur.member_mask(res.members)[cur.edges_local]
-        state.working.remove_edges(cur.verts[cur.edges_local[inside.any(axis=1)]], "r3")
-        removed_vol_at_level[level] = removed_vol_at_level.get(level, 0) + vol_c
+        state.remove(cur.verts[cur.edges_local[inside.any(axis=1)]], "r3",
+                     f"phase-2 level {level}")
+        ejected = removed_vol_at_level[level] = removed_vol_at_level.get(level, 0) + vol_c
+        if ejected > m_levels[level - 1]:
+            raise BudgetExceeded(f"phase-2 level {level} ejected volume {ejected} > "
+                                 f"m_{level} = {m_levels[level - 1]:g}")
         for u in sorted(res.members):
             state.finals.append(frozenset({u}))
         active -= res.members
@@ -285,11 +306,8 @@ def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):
 
 
 def _check_structure(graph: Graph, working: WorkingGraph, components: list[frozenset]):
-    # degree conservation: removals only convert edges to loops
-    view = ActiveView(working, range(graph.n))
-    vol_live = int(view.deg.sum())
-    assert vol_live == graph.volume()
     # components must be exactly the connected parts of the remaining edges
+    view = ActiveView(working, range(graph.n))
     recomputed = sorted(view.components(), key=min)
     got = sorted(components, key=min)
     if recomputed != got:

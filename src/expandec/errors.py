@@ -68,4 +68,7 @@ class NotATriangle(ExpandecError):
 
 
 class BudgetExceeded(ExpandecError):
-    """Decomposition removed more edges than its contract allows."""
+    """A decomposition removal broke a budget: the total past epsilon * m
+    (the message names the channel and the Phase-1 depth or Phase-2 level), or
+    a Phase-2 level's ejected volume past its m_l (names the level, the volume
+    and m_l).  Raised at that removal, not after the run."""

@@ -130,6 +130,16 @@ def test_lowdiam_json(tmp_path, capsys):
         assert run["max_diameter"] <= run["diameter_bound"]
 
 
+def test_decompose_stops_at_the_broken_level_budget(capsys):
+    """A doomed run is an error (2) at the ejection that breaks Phase-2 level
+    1's budget, not a report of the full run's removals."""
+    code, out, err = run_cli(["decompose", "--spec", "cliques_chain:27:12:1", "--seed", "0",
+                              "--epsilon", "0.5"], capsys)
+    assert code == 2
+    assert "removed" not in out + err
+    assert "error: phase-2 level 1 ejected volume" in err
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--epsilon", "0.5"])  # no graph source

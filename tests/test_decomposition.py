@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from expandec import generators as gen
 from expandec.clustering import SPLIT_F
 from expandec.config import DESK, PAPER, Profile
 from expandec.cuts import K_PHI_PARTS
-from expandec.errors import BadEpsilon
+from expandec.errors import BadEpsilon, BudgetExceeded
 from expandec.graph import Graph, contract, min_conductance_oracle
 from expandec.decomposition import (
     C_H_LADDER,
@@ -196,6 +197,61 @@ def test_phase2_trim_ejects_weak_blob():
             singles = [c for c in state.finals if len(c) == 1]
             assert singles  # ejected members became self-loop singletons
     assert found_trim
+
+
+BUDGET_BREAKS = {
+    "level 1": r"phase-2 level 1 ejected volume (\d+) > m_1 = ([\d.]+)$",
+    "r2": (r"r2 removal at phase-1 depth \d+ takes the removed edges from (\d+) to (\d+) "
+           r"of (\d+) > epsilon \* m = ([\d.]+)$"),
+}
+
+
+@pytest.mark.parametrize("spec, epsilon, outcome", [
+    ("cliques_chain:26:12:1", 0.5, 45),  # returns, with this many r2 edges
+    ("cliques_chain:27:12:1", 0.5, "level 1"),
+    ("cliques_chain:40:12:1", 0.5, "level 1"),
+    ("random_regular:200:4", 0.2, "r2"),
+])
+def test_removal_budgets_are_charged_per_removal(spec, epsilon, outcome):
+    """A run that breaks a removal budget raises at the removal that breaks it,
+    naming the Phase-2 level (volume over m_l) or the channel and depth (the
+    total crosses epsilon * m at that removal, not before); graph seed =
+    algorithm seed = 0."""
+    g = generate(spec, seed=0)
+    if isinstance(outcome, int):
+        dec = expander_decomposition(g, epsilon, 2, 0, DESK)
+        assert len(dec.removed["r2"]) == outcome
+        assert dec.removed_total <= epsilon * g.m
+        return
+    with pytest.raises(BudgetExceeded) as exc:
+        expander_decomposition(g, epsilon, 2, 0, DESK)
+    hit = re.match(BUDGET_BREAKS[outcome], str(exc.value))
+    assert hit, str(exc.value)
+    if outcome == "level 1":
+        ejected, m_1 = int(hit[1]), float(hit[2])
+        assert ejected > m_1
+    else:
+        before, after, m, budget = int(hit[1]), int(hit[2]), int(hit[3]), float(hit[4])
+        assert m == g.m and budget == epsilon * g.m
+        assert before <= budget < after
+
+
+@pytest.mark.parametrize("epsilon", [0.35, 0.5])
+def test_epsilon_budget_boundary(epsilon):
+    """floor(epsilon * m) single-edge removals pass; the next one raises."""
+    from expandec.decomposition import _RunState
+    from expandec.simulator import Network
+
+    g = gen.cycle(10)
+    params = derive_decomp_params(g.n, g.m, epsilon, 2, DESK)
+    state = _RunState(Network(g), WorkingGraph(g), params, DESK, np.random.default_rng(0))
+    allowed = math.floor(epsilon * g.m)
+    for i in range(allowed):
+        state.remove([tuple(g.edges[i])], "r1", "phase-1 depth 1")
+    assert state.removed == allowed
+    with pytest.raises(BudgetExceeded, match=rf"r3 removal at phase-2 level 2 takes the "
+                                             rf"removed edges from {allowed} to {allowed + 1} "):
+        state.remove([tuple(g.edges[allowed])], "r3", "phase-2 level 2")
 
 
 def test_profiles_differ_in_every_field_and_json_records_the_constants():
