@@ -177,22 +177,19 @@ class ShiftClustering:
 
 
 def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
-                                 rng: np.random.Generator,
-                                 deltas: dict[int, float] | None = None) -> ShiftClustering:
-    """Sample per-vertex Exponential(rate beta) shifts delta (or take the given
-    non-negative ones).  v is clustered at epoch T(v) = min_u start(u) +
-    hop(u, v), start = max(1, horizon - floor(delta)): it is a centre iff
-    start(v) = T(v), else it joins the smallest cluster id among its
-    neighbours clustered at T(v) - 1.  Rounds charged equal the epoch count."""
+                                 rng: np.random.Generator) -> ShiftClustering:
+    """Sample per-vertex Exponential(rate beta) shifts delta, one
+    `rng.exponential` call over view.verts.  v is clustered at epoch T(v) =
+    min_u start(u) + hop(u, v), start = max(1, horizon - floor(delta)): it
+    is a centre iff start(v) = T(v), else it joins the smallest cluster id
+    among its neighbours clustered at T(v) - 1.  Rounds charged equal the
+    epoch count."""
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta={beta} outside (0, 1)")
     n = net.graph.n
     horizon = math.ceil(2 * math.log2(max(2, n)) / beta)
     verts = view.verts
-    if deltas is None:
-        shifts = rng.exponential(scale=1.0 / beta, size=len(verts))
-    else:
-        shifts = np.array([deltas[v] for v in verts.tolist()], dtype=float)
+    shifts = rng.exponential(scale=1.0 / beta, size=len(verts))
     start = np.maximum(1, horizon - np.floor(shifts).astype(np.int64))
     src, dst = edge_ends(view.adj_matrix)
     epoch = level_sweep(src, dst, start)

@@ -26,8 +26,9 @@ share their sweep tables, candidate chain and every test but the mass floor,
 so those are built once per group; no Python loop runs once per walk step.
 Each run's outcome is its earliest hit whatever the blocks and the other
 runs.  `scan_runs` is the one place a local cut is walked and scanned: it
-takes a batch of (start, b) pairs and returns each one's (run, hit, trips),
-charging nothing.  `distributed_local_cut` charges one such outcome: the
+takes a batch of (start, b) pairs and the walk parameters, whose phi the
+scan reads, and returns each one's (run, hit, trips), charging nothing.
+`distributed_local_cut` charges one such outcome on its run's view: the
 walk (`charge_walk`), the BFS tree of its touched edges, and the scan's
 tree round trips (`scan_run`), one ledger entry of the per-step costs' sum.
 
@@ -42,7 +43,8 @@ which changes only when a cut is found.  So `sparse_cut_partition` draws the
 next iterations on the current view one after another, each charging a
 ledger of its own and followed by a copy of the bit-generator state, and
 walks and scans their distinct (start, b) pairs as one `scan_runs` batch of
-at most WALK_BATCH_CELLS walk states per step.  Each iteration then restores
+at most WALK_BATCH_CELLS walk states per step; the view's instance
+parameters (k, w) are derived once per batch.  Each iteration then restores
 its state, charges its draw and merges its instances
 (`concurrent_local_cuts`, which neither draws nor walks); instances that
 landed on the same pair share its run, each charged for it, and a found cut
@@ -239,8 +241,8 @@ class LocalCutResult:
 
 
 class SweepScan:
-    """The sweep scan of the walks from pairs on view at phi, each at its own
-    level b: the sweep that `compute_walks` streams them into.
+    """The sweep scan of the walks from pairs on view at params.phi, each at
+    its own level b: the sweep that `compute_walks` streams them into.
 
     Each call takes one block of fresh walk states, the rows of each run
     consecutive and in step order, and returns {run: step} of the runs that
@@ -267,10 +269,9 @@ class SweepScan:
     steps repeat the last step's scan.
     """
 
-    def __init__(self, view: ActiveView, pairs, params: WalkParams, phi: float,
-                 profile: Profile):
-        self.view, self.phi, self.vol_total = view, phi, view.vol()
-        self.slack = Fraction(profile.starred_slack) * Fraction(phi)
+    def __init__(self, view: ActiveView, pairs, params: WalkParams, profile: Profile):
+        self.view, self.phi, self.vol_total = view, params.phi, view.vol()
+        self.slack = Fraction(profile.starred_slack) * Fraction(params.phi)
         self.gamma = params.gamma
         self.levels = np.array([b for _, b in pairs], dtype=np.int64)
         self.hits: list[SweepCandidate | None] = [None] * len(pairs)
@@ -374,11 +375,12 @@ class SweepScan:
         return hit, int(self.trips[i]) + tail
 
 
-def scan_runs(view: ActiveView, pairs, params: WalkParams, phi: float,
+def scan_runs(view: ActiveView, pairs, params: WalkParams,
               profile: Profile) -> list[tuple[WalkRun, SweepCandidate | None, int]]:
-    """Per (start, b) of pairs, its walk on view streamed into one
-    `SweepScan` and stopped at its hit: (run, hit or None, trips)."""
-    scan = SweepScan(view, pairs, params, phi, profile)
+    """Per (start, b) of pairs, its walk on view under params streamed into
+    one `SweepScan` at params.phi and stopped at its hit: (run, hit or None,
+    trips)."""
+    scan = SweepScan(view, pairs, params, profile)
     runs = compute_walks(view, pairs, params, scan)
     return [(run, *scan.outcome(i, run)) for i, run in enumerate(runs)]
 
@@ -400,24 +402,24 @@ def scan_run(net: Network, run: WalkRun, depth: int, reached: int,
 # -- the local-cut family --------------------------------------------------------
 
 
-def _result_from_candidate(view: ActiveView, run: WalkRun,
-                           cand: SweepCandidate | None) -> LocalCutResult:
+def _result_from_candidate(run: WalkRun, cand: SweepCandidate | None) -> LocalCutResult:
     members = None if cand is None else cand.members
-    return LocalCutResult(members, run.start, run.b, view, run.touched)
+    return LocalCutResult(members, run.start, run.b, run.view, run.touched)
 
 
-def distributed_local_cut(net: Network, view: ActiveView, outcome: tuple) -> LocalCutResult:
+def distributed_local_cut(net: Network, outcome: tuple) -> LocalCutResult:
     """Distributed local cut from its walk and scan, a `scan_runs` outcome
-    (run, hit, trips) on view, with full round accounting: the walk through
-    its stop, the BFS tree of the edges it touched (`bfs_levels`: only its
-    depth and size are read), and the scan's tree searches and checks on
-    that tree."""
+    (run, hit, trips) on run.view, with full round accounting: the walk
+    through its stop, the BFS tree of the edges it touched (`bfs_levels`:
+    only its depth and size are read), and the scan's tree searches and
+    checks on that tree."""
     run, hit, trips = outcome
     charge_walk(net, run)
+    view = run.view
     depth = bfs_levels(net, run.start, view.edges_local[run.touched], view.verts)[0]
     reached = depth[depth < INF]
     return _result_from_candidate(
-        view, run, scan_run(net, run, int(reached.max()), len(reached), hit, trips))
+        run, scan_run(net, run, int(reached.max()), len(reached), hit, trips))
 
 
 def _check_algo_phi(phi: float):
@@ -483,33 +485,29 @@ class ConcurrentResult:
     instances: list[LocalCutResult]
 
 
-def concurrent_local_cuts(net: Network, view: ActiveView, phi: float,
-                          walkp: WalkParams, profile: Profile,
-                          rng: np.random.Generator, starts: StartTree, p: float,
+def concurrent_local_cuts(net: Network, view: ActiveView, mi: MultiInstanceParams,
+                          depth: int, rng: np.random.Generator,
                           landings: list[tuple[int, int]], runs: dict) -> ConcurrentResult:
     """k concurrent randomized local cuts merged under the union-volume rule.
 
-    landings are the sorted (start, b) pairs of the k instances, drawn down
-    starts, the StartTree of this view, whose tree's depth also prices the
-    broadcasts; runs maps each pair to its `scan_runs` outcome on this view
-    at phi.  Each instance draws its random 64-bit identifier from a
-    generator spawned off rng.  Aborts to None when any edge participates in
-    more than w instances (the abort is broadcast over the host component).
-    Instances are ordered by their identifiers (ties by start id, then
-    level), and the output is the largest prefix union within 23/24 of the
-    graph volume.  Round accounting is sequential-equivalent: an upper bound
-    on any w-multiplexed schedule.
+    mi holds the view's instance parameters; landings are the sorted (start,
+    b) pairs of its k instances, drawn down a start tree of the given depth,
+    which also prices the broadcasts; runs maps each pair to its `scan_runs`
+    outcome on this view.  Each instance draws its random 64-bit identifier
+    from a generator spawned off rng.  Aborts to None when any edge
+    participates in more than mi.w instances (the abort is broadcast over the
+    host component).  Instances are ordered by their identifiers (ties by
+    start id, then level), and the output is the largest prefix union within
+    23/24 of the graph volume.  Round accounting is sequential-equivalent: an
+    upper bound on any w-multiplexed schedule.
     """
-    _check_algo_phi(phi)
-    mi = derive_instance_params(view.vol(), walkp, p, profile)
     sub_rngs = rng.spawn(len(landings))
     instances: list[LocalCutResult] = []
     ids: list[int] = []
     for pair, sub in zip(landings, sub_rngs):
         ids.append(int(sub.integers(1 << 62)))
-        instances.append(distributed_local_cut(net, view, runs[pair]))
+        instances.append(distributed_local_cut(net, runs[pair]))
     participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
-    depth = starts.tree.depth_max
     if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
@@ -570,8 +568,6 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     per view.
     """
     _check_algo_phi(phi)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p={p}")
     vol0 = view.vol()
     m0 = max(1, view.m_live)
     walkp = derive_walk_params(m0, phi, profile)
@@ -588,18 +584,18 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
             cur, batch = view.subview(active), []
             starts = StartTree.on(cur, host_tree)
         if not batch:
-            k = derive_instance_params(cur.vol(), walkp, p, profile).k
-            for _ in range(max(1, min(mi0.s - it + 1, WALK_BATCH_CELLS // (k * len(cur))))):
+            mi = derive_instance_params(cur.vol(), walkp, p, profile)
+            for _ in range(max(1, min(mi0.s - it + 1, WALK_BATCH_CELLS // (mi.k * len(cur))))):
                 scratch = Network(net.graph, RoundLedger(), net.bandwidth_bits, net.phase)
-                landings = _draw_landings(scratch, k, walkp.ell, rng, starts)
+                landings = _draw_landings(scratch, mi.k, walkp.ell, rng, starts)
                 batch.append((landings, scratch.ledger, rng.bit_generator.state))
             pairs = sorted({pair for landings, _, _ in batch for pair in landings})
-            runs = dict(zip(pairs, scan_runs(cur, pairs, walkp, phi, profile)))
+            runs = dict(zip(pairs, scan_runs(cur, pairs, walkp, profile)))
         landings, drawn, state = batch.pop(0)
         rng.bit_generator.state = state  # as if the batch's later draws were not made
         for phase, t in drawn.phases.items():
             net.ledger.charge(phase, t.rounds, t.messages, t.max_bits)
-        res = concurrent_local_cuts(net, cur, phi, walkp, profile, rng, starts, p, landings, runs)
+        res = concurrent_local_cuts(net, cur, mi, host_tree.depth_max, rng, landings, runs)
         concurrent.append(res)
         if res.members:
             pieces.append(res.members)

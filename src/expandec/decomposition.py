@@ -69,8 +69,7 @@ class DecompParams:
         return self.phi_ladder[-1]
 
 
-def derive_decomp_params(n: int, m: int, epsilon: float, k: int,
-                         profile: Profile) -> DecompParams:
+def derive_decomp_params(n: int, epsilon: float, k: int, profile: Profile) -> DecompParams:
     """d is the smallest integer >= 1 with (1 - eps/12)^d * 2 * C(n,2) < 1;
     beta = (eps/3)/d; the phi ladder starts where the cut-quality function h
     meets (eps/6)/log2 C(n,2) and steps down through h-inverse.  The desk
@@ -151,14 +150,14 @@ def expander_decomposition(graph: Graph, epsilon: float, k: int,
         seed_material = [int(rng)] if isinstance(rng, (int, np.integer)) else [int(x) for x in rng]
         seed = seed_material[0]
         rng = np.random.default_rng(seed_material + [0xDEC0])
-    params = derive_decomp_params(graph.n, graph.m, epsilon, k, profile)
+    params = derive_decomp_params(graph.n, epsilon, k, profile)
     ledger = ledger or RoundLedger()
     net = Network(graph, ledger=ledger, phase="decomp")
     working = WorkingGraph(graph)
     state = _RunState(net, working, params, profile, rng)
     _phase1(state, frozenset(range(graph.n)), depth=1)
-    for host_comp, members in state.phase2_queue:
-        _phase2(state, host_comp, members)
+    for members in state.phase2_queue:
+        _phase2(state, members)
     components = sorted(state.finals, key=min)
     removed = {ch: working.removed_by(ch) for ch in ("r1", "r2", "r3")}
     _check_structure(graph, working, components)
@@ -188,7 +187,7 @@ class _RunState:
         self.profile = profile
         self.rng = rng
         self.finals: list[frozenset] = []
-        self.phase2_queue: list[tuple[frozenset, frozenset]] = []
+        self.phase2_queue: list[frozenset] = []
         self.max_depth_seen = 0
         self.phase2_stats: list[dict] = []
         self.removed = 0
@@ -237,7 +236,7 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
             vol_u = u_view.vol()
             vol_c = u_view.vol_of(res.members)
             if 12 * vol_c <= params.epsilon * vol_u:
-                state.phase2_queue.append((u_set, u_set))
+                state.phase2_queue.append(u_set)
                 continue
             inside = u_view.member_mask(res.members)[u_view.edges_local]
             crossing = u_view.edges_local[inside[:, 0] != inside[:, 1]]
@@ -246,10 +245,9 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
             _phase1(state, u_set - res.members, depth + 1)
 
 
-def _phase2(state: _RunState, host_comp: frozenset, members: frozenset):
+def _phase2(state: _RunState, members: frozenset):
     params = state.params
-    view = ActiveView(state.working, members)
-    vol_u = view.vol()
+    vol_u = state.net.graph.volume(members)
     tau = ((params.epsilon / 6.0) * vol_u) ** (1.0 / params.k)
     m_levels = [(params.epsilon / 6.0) * vol_u]
     for _ in range(params.k):

@@ -23,7 +23,6 @@ too.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -79,9 +78,6 @@ class RoundLedger:
             {"phase": p, "rounds": t.rounds, "messages": t.messages, "max_bits": t.max_bits}
             for p, t in sorted(self.phases.items())
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.rows())
 
     def snapshot(self) -> dict:
         return {p: (t.rounds, t.messages, t.max_bits) for p, t in self.phases.items()}

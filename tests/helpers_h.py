@@ -195,13 +195,14 @@ def one_iteration(net, view, phi, walkp, profile, rng, starts, p):
     alone: the k landings drawn down starts, their distinct (start, b)
     pairs walked and scanned in one `scan_runs` call, and the instances
     merged by `concurrent_local_cuts` (both looked up on the module, so a
-    test may wrap them)."""
-    k = derive_instance_params(view.vol(), walkp, p, profile).k
-    landings = _draw_landings(net, k, walkp.ell, rng, starts)
+    test may wrap them).  phi is walkp's."""
+    _check_algo_phi(phi)
+    assert phi == walkp.phi
+    mi = derive_instance_params(view.vol(), walkp, p, profile)
+    landings = _draw_landings(net, mi.k, walkp.ell, rng, starts)
     pairs = sorted(set(landings))
-    runs = dict(zip(pairs, cuts.scan_runs(view, pairs, walkp, phi, profile)))
-    return cuts.concurrent_local_cuts(net, view, phi, walkp, profile, rng, starts, p, landings,
-                                      runs)
+    runs = dict(zip(pairs, cuts.scan_runs(view, pairs, walkp, profile)))
+    return cuts.concurrent_local_cuts(net, view, mi, starts.tree.depth_max, rng, landings, runs)
 
 
 class WorkingGraphReference:
@@ -661,23 +662,24 @@ def local_cut_per_step(net, view, v, phi, b, params, profile):
         charger.membership_broadcast()
     elif run.t_last < run.t0:
         charger.frozen_tail(run.t0 - run.t_last)
-    return _result_from_candidate(view, run, found), found
+    return _result_from_candidate(run, found), found
 
 
 def lone_local_cut(net, view, v, phi, b, params, profile):
     """`distributed_local_cut` of the walk from v at level b, walked and
-    scanned alone: a `scan_runs` batch of one pair."""
+    scanned alone: a `scan_runs` batch of one pair.  phi is params'."""
     _check_algo_phi(phi)
-    (outcome,) = scan_runs(view, [(v, b)], params, phi, profile)
-    return distributed_local_cut(net, view, outcome)
+    assert phi == params.phi
+    (outcome,) = scan_runs(view, [(v, b)], params, profile)
+    return distributed_local_cut(net, outcome)
 
 
-def full_horizon_scan_runs(view, pairs, params, phi, profile):
+def full_horizon_scan_runs(view, pairs, params, profile):
     """`scan_runs` as it ran before a walk stopped at its hit: each walk
     runs to t0 (or its freeze), so it is charged to there and its touched
     edges, which the scan's tree spans, are all it reached; its scan counts
     its trips up to its first hit."""
-    scan = SweepScan(view, pairs, params, phi, profile)
+    scan = SweepScan(view, pairs, params, profile)
 
     def sweep(masses, r_run, r_t):  # scan each run up to its first hit, stop nothing
         open_ = np.array([scan.hits[i] is None for i in r_run.tolist()], dtype=bool)
@@ -696,7 +698,7 @@ def local_cut(view, v, phi, b, params, profile):
         raise BadPhi(f"phi={phi}")
     run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=False)
-    return _result_from_candidate(view, run, cand)
+    return _result_from_candidate(run, cand)
 
 
 def approximate_local_cut_reference(view, v, phi, b, params, profile):
@@ -705,7 +707,7 @@ def approximate_local_cut_reference(view, v, phi, b, params, profile):
     _check_algo_phi(phi)
     run = walk_trace(view, v, params, b)
     cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
-    return _result_from_candidate(view, run, cand)
+    return _result_from_candidate(run, cand)
 
 
 def draw_b_reference(ell, rng) -> int:
@@ -1167,12 +1169,24 @@ def shift_assignment_per_epoch(view, n, beta, deltas) -> tuple[dict, dict, int]:
     return assignment, start, horizon
 
 
-def shift_clustering_per_epoch(net, view, beta, rng, deltas=None):
+class GivenShifts:
+    """A generator stub for `exponential_shift_clustering`: its
+    `exponential(scale, size)` returns the given shifts, indexed like
+    view.verts, whatever the scale."""
+
+    def __init__(self, shifts):
+        self.shifts = np.asarray(shifts, dtype=float)
+
+    def exponential(self, scale, size):
+        assert size == len(self.shifts)
+        return self.shifts
+
+
+def shift_clustering_per_epoch(net, view, beta, rng):
     """The ShiftClustering record of `shift_assignment_per_epoch`, the shifts
-    drawn as the kernel draws them unless given, charged the epoch count."""
-    if deltas is None:
-        draws = rng.exponential(scale=1.0 / beta, size=len(view))
-        deltas = dict(zip(view.verts.tolist(), draws.tolist()))
+    drawn from rng as the kernel draws them, charged the epoch count."""
+    draws = rng.exponential(scale=1.0 / beta, size=len(view))
+    deltas = dict(zip(view.verts.tolist(), draws.tolist()))
     assignment, start, horizon = shift_assignment_per_epoch(view, net.graph.n, beta, deltas)
     verts = view.verts.tolist()
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,

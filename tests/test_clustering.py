@@ -24,6 +24,7 @@ from expandec.clustering import (
 
 from helpers_h import (
     OVER,
+    GivenShifts,
     clusters,
     live_edges,
     live_neighbors,
@@ -56,8 +57,7 @@ def test_forced_zero_shifts_all_singletons():
     g = gen.cycle(16)
     view = ActiveView.whole(g)
     net = Network(g)
-    c = exponential_shift_clustering(net, view, 0.2, np.random.default_rng(0),
-                                     deltas={v: 0.0 for v in range(16)})
+    c = exponential_shift_clustering(net, view, 0.2, GivenShifts(np.zeros(16)))
     assert all(len(m) == 1 for m in clusters(view, c).values())
 
 
@@ -113,21 +113,23 @@ def test_shift_clustering_matches_epoch_simulation():
         working.remove_edges([e for e in g.edges if rng.random() < 0.2], "x")
         view = ActiveView(working, [v for v in range(n) if rng.random() < 0.8] or [0])
         beta = float(rng.uniform(0.05, 0.9))
-        deltas = None
         if draw % 2:
-            deltas = {int(v): int(rng.integers(0, 5)) for v in view.verts}
-            ties += len(set(deltas.values())) < len(deltas)
+            shifts = [int(rng.integers(0, 5)) for _ in view.verts]
+            ties += len(set(shifts)) < len(shifts)
+            gen_a, gen_b = GivenShifts(shifts), GivenShifts(shifts)
+        else:
+            gen_a, gen_b = np.random.default_rng(draw), np.random.default_rng(draw)
         isolated += bool((view.live_deg == 0).any())
         net, ref_net = Network(g), Network(g)
-        gen_a, gen_b = np.random.default_rng(draw), np.random.default_rng(draw)
-        a = exponential_shift_clustering(net, view, beta, gen_a, deltas)
-        b = shift_clustering_per_epoch(ref_net, view, beta, gen_b, deltas)
+        a = exponential_shift_clustering(net, view, beta, gen_a)
+        b = shift_clustering_per_epoch(ref_net, view, beta, gen_b)
         for name in ("centre", "start", "inter"):
             got, want = getattr(a, name), getattr(b, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), (draw, name)
         assert a.epochs == b.epochs
         assert net.ledger.snapshot() == ref_net.ledger.snapshot()
-        assert gen_a.integers(1 << 62) == gen_b.integers(1 << 62)
+        if not draw % 2:
+            assert gen_a.integers(1 << 62) == gen_b.integers(1 << 62)
     assert ties >= 50 and isolated >= 20, (ties, isolated)
 
 
@@ -411,6 +413,29 @@ def test_split_components_far_apart_and_h_conditions():
         check_h_conditions(view, split)
 
 
+def test_split_merges_dense_components_within_a(monkeypatch):
+    """Scripted estimates make 50 and 138 the only dense vertices of a
+    200-path, whose a = 43 < 200: their a-balls are two components 2 apart,
+    so one merge round grows the dense region to one component."""
+    from helpers_h import check_h_conditions
+
+    g = gen.path(200)
+    view = ActiveView.whole(g)
+    far = np.full(len(view), 100.0)
+    far[[50, 138]] = 0.0
+    estimates = [np.ones(len(view)), far]
+    radii = []
+    monkeypatch.setattr(clustering, "neighborhood_size_estimate",
+                        lambda net, view, d, *args, **kw: radii.append(d) or estimates.pop(0))
+    split = build_dense_sparse_split(Network(g), view, 0.9, 0.05, np.random.default_rng(0))
+    assert (split.a, split.b) == (43, 1) and radii[0] == split.a
+    assert split.dense_prime == {50, 138}
+    assert split.stages == [[frozenset(range(7, 94)), frozenset(range(95, 182))],
+                            [view.active]]
+    assert split.v_dense == view.active and split.v_sparse == frozenset()
+    check_h_conditions(view, split)
+
+
 def blobs_and_path():
     size = 12
     path_len = 90
@@ -531,7 +556,7 @@ def test_low_diam_cut_matches_set_reference(monkeypatch):
         # the kernel's own draw, kept for the reference
         draws = rng.exponential(scale=1.0 / beta, size=len(view))
         drawn.append((beta, dict(zip(view.verts.tolist(), draws.tolist()))))
-        return shift(net, view, beta, rng, drawn[-1][1])
+        return shift(net, view, beta, GivenShifts(draws))
 
     monkeypatch.setattr(clustering, "exponential_shift_clustering", shift_recorded)
     rng = np.random.default_rng(26)

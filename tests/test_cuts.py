@@ -333,8 +333,8 @@ def test_concurrent_instances_walk_one_batch(monkeypatch, k):
         with monkeypatch.context() as m:
             m.setattr(cuts, "scan_runs", lambda view, pairs, *args: (
                 batches.append(list(pairs)) or scan_runs(view, pairs, *args)))
-            m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: (
-                charged.append(outcome) or distributed_local_cut(net, view, outcome)))
+            m.setattr(cuts, "distributed_local_cut", lambda net, outcome: (
+                charged.append(outcome) or distributed_local_cut(net, outcome)))
             net = Network(g)
             res = one_iteration(net, view, PHI, params, profile,
                                 np.random.default_rng(seed), view_starts(net, view), 0.25)
@@ -345,7 +345,7 @@ def test_concurrent_instances_walk_one_batch(monkeypatch, k):
         assert len({id(run) for run, _, _ in charged}) == len(set(landings))
         repeated += len(set(landings)) < k
         with monkeypatch.context() as m:  # every instance walked and scanned alone
-            m.setattr(cuts, "distributed_local_cut", lambda net, view, outcome: local_cut_per_step(
+            m.setattr(cuts, "distributed_local_cut", lambda net, outcome: local_cut_per_step(
                 net, view, outcome[0].start, PHI, outcome[0].b, params, profile)[0])
             net_ref = Network(g)
             ref = one_iteration(net_ref, view, PHI, params, profile, np.random.default_rng(seed),
@@ -494,8 +494,8 @@ def _cut_both(view, start, params, phi, b, monkeypatch):
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
         net = Network(view.graph)
-        (outcome,) = cuts.scan_runs(view, [(start, b)], params, phi, DESK)
-        res = distributed_local_cut(net, view, outcome)
+        (outcome,) = cuts.scan_runs(view, [(start, b)], params, DESK)
+        res = distributed_local_cut(net, outcome)
         run, got, _ = outcome
         assert got == hit and run.hit == (hit is not None)
         assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
@@ -516,12 +516,12 @@ def _cut_batch(view, pairs, params, phi, monkeypatch):
                      net.ledger.snapshot()))
     for rows in BLOCK_ROWS:
         monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", _block_cells(view, rows))
-        got = cuts.scan_runs(view, pairs, params, phi, DESK)
+        got = cuts.scan_runs(view, pairs, params, DESK)
         with monkeypatch.context() as m:  # every walk is the batch's
             m.setattr(cuts, "compute_walks", None)
             for (start, b), pre, (ref, hit, ledger) in zip(pairs, got, refs, strict=True):
                 net = Network(view.graph)
-                res = distributed_local_cut(net, view, pre)
+                res = distributed_local_cut(net, pre)
                 assert (pre[0].start, pre[0].b, pre[1]) == (start, b, hit)
                 assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
                 assert net.ledger.snapshot() == ledger
@@ -619,7 +619,7 @@ def test_scan_run_frozen_at_start(monkeypatch):
     view = ActiveView(ActiveView.whole(g).working, [3])
     params = derive_walk_params(g.m, PHI, DESK)
     assert _cut_both(view, 3, params, PHI, 1, monkeypatch) is None
-    ((run, hit, trips),) = cuts.scan_runs(view, [(3, 1)], params, PHI, DESK)
+    ((run, hit, trips),) = cuts.scan_runs(view, [(3, 1)], params, DESK)
     assert (run.t_last, run.freeze_t, hit, trips) == (0, 0, None, 0)
 
 
@@ -726,12 +726,11 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
         batches, read, charged, folds = [], [], [], []
 
-        def concurrent(net, view, phi, walkp, prof, rng, starts, p, landings, runs):
+        def concurrent(net, view, mi, depth, rng, landings, runs):
             n_view, pairs = batches[-1]
             assert n_view == len(view) and runs.keys() == set(pairs) >= set(landings)
             read.append((len(batches), sorted(set(landings))))
-            res = concurrent_local_cuts(net, view, phi, walkp, prof, rng, starts, p, landings,
-                                        runs)
+            res = concurrent_local_cuts(net, view, mi, depth, rng, landings, runs)
             if after_each is not None:
                 after_each(net)
             return res

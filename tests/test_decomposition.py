@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from expandec import cuts
+from expandec import clustering, cuts, decomposition
 from expandec import generators as gen
 from expandec.clustering import SPLIT_F
 from expandec.config import DESK, PAPER, Profile
 from expandec.cuts import K_PHI_PARTS
-from expandec.errors import BadEpsilon, BudgetExceeded
+from expandec.errors import BadEpsilon, BudgetExceeded, LevelOverflow
 from expandec.graph import Graph, contract, min_conductance_oracle
 from expandec.decomposition import (
     C_H_LADDER,
@@ -29,7 +29,7 @@ from helpers_h import full_horizon_scan_runs, graph_from_rows, neighbors, sweep_
 
 
 def test_params_d_example():
-    p = derive_decomp_params(10, 30, 0.6, 2, DESK)
+    p = derive_decomp_params(10, 0.6, 2, DESK)
     assert p.d == 88
     assert p.beta == pytest.approx(0.2 / 88)
 
@@ -42,29 +42,29 @@ def _d_predicate(n, eps, d):
 def test_params_d_is_least_solution():
     for n in (0, 1, 2, 3, 10, 97, 1000, 10**6):
         for eps in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
-            d = derive_decomp_params(n, 0, eps, 2, DESK).d
+            d = derive_decomp_params(n, eps, 2, DESK).d
             loop = 1
             while not _d_predicate(n, eps, loop):
                 loop += 1
             assert d == loop, (n, eps)
     for n, eps in ((1000, 1e-6), (10**7, 0.1), (2, 1e-9)):
-        d = derive_decomp_params(n, 0, eps, 2, DESK).d
+        d = derive_decomp_params(n, eps, 2, DESK).d
         assert _d_predicate(n, eps, d), (n, eps, d)
         assert d == 1 or not _d_predicate(n, eps, d - 1), (n, eps, d)
 
 
 def test_params_ladder_strictly_decreasing():
     for n, eps, k in ((10, 0.6, 2), (64, 0.3, 3), (128, 0.1, 1)):
-        p = derive_decomp_params(n, 3 * n, eps, k, DESK)
+        p = derive_decomp_params(n, eps, k, DESK)
         assert all(a > b for a, b in zip(p.phi_ladder, p.phi_ladder[1:]))
         assert p.phi_ladder[-1] > 0
 
 
 def test_params_bad_epsilon():
     with pytest.raises(BadEpsilon):
-        derive_decomp_params(10, 20, 0.0, 2, DESK)
+        derive_decomp_params(10, 0.0, 2, DESK)
     with pytest.raises(BadEpsilon):
-        derive_decomp_params(10, 20, 0.5, 0, DESK)
+        derive_decomp_params(10, 0.5, 0, DESK)
 
 
 def test_decomposition_three_cliques():
@@ -179,13 +179,13 @@ def test_phase2_trim_ejects_weak_blob():
 
     g = blob_on_clique()
     prof = dataclasses.replace(DESK, phi_floor=1 / 12, phi_decay=0.9)
-    params = derive_decomp_params(g.n, g.m, 0.5, 2, prof)
+    params = derive_decomp_params(g.n, 0.5, 2, prof)
     found_trim = False
     for seed in range(12):
         working = WorkingGraph(g)
         net = Network(g, ledger=RoundLedger(), phase="test")
         state = _RunState(net, working, params, prof, np.random.default_rng([seed, 77]))
-        _phase2(state, frozenset(range(g.n)), frozenset(range(g.n)))
+        _phase2(state, frozenset(range(g.n)))
         stats = state.phase2_stats[-1]
         assert stats["final_level"] <= params.k
         if stats["removed_vol_at_level"]:
@@ -197,6 +197,119 @@ def test_phase2_trim_ejects_weak_blob():
             singles = [c for c in state.finals if len(c) == 1]
             assert singles  # ejected members became self-loop singletons
     assert found_trim
+
+
+def _ring_beside_clique():
+    """A 40-cycle (0..39), an isolated vertex 40 and a 12-clique (41..52),
+    whose 66 edges keep epsilon * m above the cycle's 40 at epsilon 0.99."""
+    ring = [(v, (v + 1) % 40) for v in range(40)]
+    clique = [(u, v) for u in range(41, 53) for v in range(u + 1, 53)]
+    return Graph.from_edges(53, ring + clique)
+
+
+def _scripted_phase2(monkeypatch, members, k, script):
+    """_phase2 on members of the ring graph at epsilon 0.99, its balanced cuts
+    replaced by the scripted member sets in order (None: no cut); every
+    scripted cut must be taken.  Returns the run state."""
+    from expandec.cuts import BalancedCutResult
+    from expandec.decomposition import _RunState, _phase2
+    from expandec.simulator import Network
+
+    script = list(script)
+    monkeypatch.setattr(decomposition, "balanced_sparse_cut", lambda *args: (
+        None if (cut := script.pop(0)) is None
+        else BalancedCutResult(frozenset(cut), 1 / 12, 1.0)))
+    g = _ring_beside_clique()
+    params = derive_decomp_params(g.n, 0.99, k, DESK)
+    state = _RunState(Network(g), WorkingGraph(g), params, DESK, np.random.default_rng(0))
+    _phase2(state, frozenset(members))
+    assert script == []
+    return state
+
+
+# at k = 80, tau = 13.2^(1/80), so every m_l of levels 0..7 lies in [10.5, 13.2]:
+# five ring vertices (volume 10) are a large cut there and one (volume 2) a small one
+EJECT_ALL = [c for lvl in range(8)
+             for c in ([range(5 * lvl, 5 * lvl + 5)] + ([{5 * lvl + 5}] if lvl < 7 else []))]
+
+
+@pytest.mark.parametrize("members, k, script, finals, final_level, ejected, r3", [
+    # a small view, and an edgeless one of volume 15, finalize before any cut
+    (range(3), 2, [], [range(3)], 1, {}, 0),
+    ([0, 2, 41], 2, [], [[0], [2], [41]], 1, {}, 0),
+    # a large cut ejects its members as singletons, and no cut finalizes the rest
+    (range(40), 2, [{0}, None], [[0], range(1, 40)], 1, {1: 2}, 2),
+    # each level ejects five vertices and a small cut advances; the last
+    # ejection leaves no member
+    (range(40), 80, EJECT_ALL, [[v] for v in range(40)], 8, dict.fromkeys(range(1, 9), 10), 40),
+])
+def test_phase2_ladder_on_scripted_cuts(monkeypatch, members, k, script, finals, final_level,
+                                        ejected, r3):
+    """Phase 2 driven by scripted cuts: a cut of volume vol_C at level l
+    advances the level when 2 tau vol_C <= m_(l-1), else it is ejected
+    (every incident live edge removed under r3 and charged, its members
+    singletons); no cut, or a view of volume <= 8 or without a live edge,
+    finalizes the view's components."""
+    state = _scripted_phase2(monkeypatch, members, k, script)
+    assert sorted(map(sorted, state.finals)) == sorted(map(sorted, finals))
+    (stats,) = state.phase2_stats
+    assert stats["final_level"] == final_level and stats["removed_vol_at_level"] == ejected
+    tau, m_levels = stats["tau"], stats["m_levels"]
+    assert stats["vol_u"] == int(state.working.graph.deg[list(members)].sum())
+    assert tau == pytest.approx((0.99 / 6 * stats["vol_u"]) ** (1 / k))
+    for lvl, vol in ejected.items():  # one ejection per level, large and within m_l
+        assert 2 * tau * vol > m_levels[lvl - 1] >= vol
+    assert len(state.working.removed_by("r3")) == state.removed == r3
+
+
+def test_phase2_small_cut_past_the_last_level_raises(monkeypatch):
+    # a cut of volume 0 (the isolated vertex) is small at every level: the
+    # second one advances past k = 2
+    with pytest.raises(LevelOverflow, match=r"phase-2 level 3 > k=2$"):
+        _scripted_phase2(monkeypatch, [*range(40), 40], 2, [{40}, {40}])
+
+
+def _scripted_r1(monkeypatch, parts, cut_edges):
+    """Make the first low-diameter decomposition of a run cut cut_edges into
+    parts; later ones run as they are."""
+    low_diam = clustering.low_diam_decomposition
+    calls = []
+
+    def scripted(net, view, *args):
+        res = low_diam(net, view, *args)
+        calls.append(len(view))
+        if len(calls) > 1:
+            return res
+        return dataclasses.replace(res, components=[frozenset(p) for p in parts],
+                                   cut_edges=cut_edges)
+
+    monkeypatch.setattr(clustering, "low_diam_decomposition", scripted)
+    return calls
+
+
+# an 8-clique (0..7) with the path 7 - 8 - 9 hanging off it: 30 edges
+PENDANT_PATH = Graph.from_edges(10, [(u, v) for u in range(8) for v in range(u + 1, 8)]
+                                + [(7, 8), (8, 9)])
+
+
+def test_phase1_r1_cut_is_removed_and_each_part_cut_or_finalized(monkeypatch):
+    calls = _scripted_r1(monkeypatch, [range(8), [8, 9]], [(7, 8)])
+    dec = expander_decomposition(PENDANT_PATH, 0.5, 2, 1, DESK)
+    assert calls[0] == 10 and dec.removed["r1"] == [(7, 8)]
+    # the path part (volume 3) is finalized whole; the clique part is cut or
+    # finalized inside itself
+    assert frozenset({8, 9}) in dec.components
+    assert all(c <= frozenset(range(8)) for c in dec.components if c != {8, 9})
+    removed = {e for es in dec.removed.values() for e in es}
+    assert verify_decomposition(PENDANT_PATH, dec.components, 0.5, dec.params.phi_k, DESK,
+                                removed).ok
+
+
+def test_phase1_r1_cut_is_charged_against_the_epsilon_budget(monkeypatch):
+    _scripted_r1(monkeypatch, [range(8), [8], [9]], [(7, 8), (8, 9)])
+    with pytest.raises(BudgetExceeded, match=r"^r1 removal at phase-1 depth 1 takes the removed "
+                                             r"edges from 0 to 2 of 30 > epsilon \* m = 1\.5$"):
+        expander_decomposition(PENDANT_PATH, 0.05, 2, 1, DESK)
 
 
 BUDGET_BREAKS = {
@@ -243,7 +356,7 @@ def test_epsilon_budget_boundary(epsilon):
     from expandec.simulator import Network
 
     g = gen.cycle(10)
-    params = derive_decomp_params(g.n, g.m, epsilon, 2, DESK)
+    params = derive_decomp_params(g.n, epsilon, 2, DESK)
     state = _RunState(Network(g), WorkingGraph(g), params, DESK, np.random.default_rng(0))
     allowed = math.floor(epsilon * g.m)
     for i in range(allowed):

@@ -8,8 +8,17 @@ same name is exported.  A read is a load in `src/expandec` outside the
 definition's own body: of an attribute, for a method, and of an attribute
 or a name, for a function; a name that a function binds itself (a
 parameter or a local) is not one.  So a call of a function is no read of a
-method of the same name.  A reference that only tests call belongs in
-`tests/helpers_h.py`.
+method of the same name.  Reads count by name, so one read of a name that
+src defines twice counts for both definitions: each such name is listed in
+DEFINED_TWICE with the reason it is defined twice.  A reference that only
+tests call belongs in `tests/helpers_h.py`.
+
+Every parameter of every function, method and nested function of
+`src/expandec` is read in its body (a nested function that binds the same
+name as a parameter does not read it), unless its name starts with `_`, the
+mark of a callback slot that the caller fills, or it is listed in
+PARAM_EXEMPT: an input that nothing reads is one that every caller supplies
+for no one.
 
 Every dataclass field of `src/expandec` is read as an attribute somewhere in
 `src/`, `tests/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that
@@ -32,6 +41,15 @@ EXEMPT = {
 }
 # dataclass field name -> why it stays although nothing reads it
 FIELD_EXEMPT: dict[str, str] = {}
+# function or method name -> why src defines it twice
+DEFINED_TWICE = {
+    "ball_edge_counts": "the oracle's method and the function that dispatches to it",
+    "rounds_charged": "the sum property of both triangle reports, a level's and the run's",
+}
+# module.function.parameter -> why it stays although its body never reads it
+PARAM_EXEMPT = {
+    "cuts.scan_run.run": "the benchmark's scan counter reads it (perfbench/spans.py `_scan`)",
+}
 
 
 def _reads(node) -> tuple[Counter, Counter]:
@@ -105,16 +123,20 @@ def test_every_src_definition_is_read_in_src():
     spans = _span_targets()
     assert {"simulator.Network.run_round", "cuts.scan_run", "cuts.concurrent_local_cuts"} <= spans
     exempt = _exports() | spans | set(EXEMPT)
-    unread, defined = [], set()
+    unread, defined, times = [], set(), Counter()
     for stem, tree in modules.items():
         for qualname, node in _definitions(tree):
             defined.add(f"{stem}.{qualname}")
-            if (f"{stem}.{qualname}" in exempt
-                    or (node.name.startswith("__") and node.name.endswith("__"))):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            times[node.name] += 1
+            if f"{stem}.{qualname}" in exempt:
                 continue
             if _read(qualname, attrs, names) - _read(qualname, *_reads(node)) <= 0:
                 unread.append(f"{stem}.{qualname}")
     assert unread == []
+    # a name defined twice is listed, and a listed name is defined twice
+    assert {name for name, count in times.items() if count > 1} == set(DEFINED_TWICE)
     # every span wraps a definition of src
     assert spans <= defined, spans - defined
     # an exemption that gained a caller in src, or lost its definition, is noise
@@ -148,3 +170,47 @@ def test_every_dataclass_field_is_read():
     assert fields and unread == []
     # an exemption that gained a reader, or lost its field, is noise
     assert set(FIELD_EXEMPT) <= fields and not any(attrs[name] for name in FIELD_EXEMPT)
+
+
+def _params(fn) -> list[str]:
+    a = fn.args
+    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+
+
+def _loads(node, name: str) -> bool:
+    """Whether name is loaded under node, outside the nested functions that
+    bind it as a parameter."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                and name in _params(child):
+            continue
+        if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+            return True
+        if _loads(child, name):
+            return True
+    return False
+
+
+def _unread_params(node, qualname: str):
+    """module.[Class.]function.parameter of each parameter under node that
+    its function's body never reads."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _unread_params(child, f"{qualname}.{child.name}")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{qualname}.{child.name}"
+            body = ast.Module(body=child.body, type_ignores=[])
+            yield from (f"{name}.{p}" for p in _params(child)
+                        if not p.startswith("_") and not _loads(body, p))
+            yield from _unread_params(child, name)
+        else:
+            yield from _unread_params(child, qualname)
+
+
+def test_every_src_parameter_is_read():
+    unread = [name for path in sorted(SRC.glob("*.py"))
+              for name in _unread_params(ast.parse(path.read_text()), path.stem)]
+    assert [name for name in unread if name not in PARAM_EXEMPT] == []
+    # an exemption whose parameter is read, or gone, is noise
+    assert set(PARAM_EXEMPT) <= set(unread)

@@ -416,7 +416,7 @@ def test_sweep_order_paths_agree(monkeypatch, spec):
     assert all(np.array_equal(a, b) for a, b in zip(simd, stable, strict=True))
     simd, stable = on_both_paths(lambda: [
         (run.t_last, run.freeze_t, hit, trips)
-        for run, hit, trips in cuts.scan_runs(view, pairs, base, 1 / 12, DESK)])
+        for run, hit, trips in cuts.scan_runs(view, pairs, base, DESK)])
     assert simd == stable
     if spec.startswith("cliques_chain"):
         assert any(hit is not None for _, _, hit, _ in simd)
@@ -687,7 +687,7 @@ def test_compute_walks_of_no_pairs_is_empty():
     view = ActiveView.whole(gen.barbell(4, 1))
     params = derive_walk_params(view.m_live, 1 / 12, DESK)
     assert walks.compute_walks(view, [], params, lambda *args: {}) == []
-    assert cuts.scan_runs(view, [], params, 1 / 12, DESK) == []
+    assert cuts.scan_runs(view, [], params, DESK) == []
 
 
 def test_compute_walks_on_a_column_block_that_is_not_row_major():
@@ -785,8 +785,7 @@ def test_walk_and_sweeps_hold_one_block(monkeypatch):
     for t0, phi_k in ((1500, 1 / 8), (6000, 1 / 16)):
         params = dataclasses.replace(base, t0=t0)
         out = []
-        scan = _traced_peak(lambda: out.extend(cuts.scan_runs(view, [(0, 1)], params, 1 / 12,
-                                                              DESK)))
+        scan = _traced_peak(lambda: out.extend(cuts.scan_runs(view, [(0, 1)], params, DESK)))
         ((run, hit, _),) = out
         assert hit is None and run.t_last == t0 and run.t_last * len(view) >= 10 * (1 << 12)
         assert derive_walk_params(g.m, phi_k, DESK).t0 >= t0
