@@ -28,9 +28,10 @@ Each run's outcome is its earliest hit whatever the blocks and the other
 runs.  `scan_runs` is the one place a local cut is walked and scanned: it
 takes a batch of (start, b) pairs and the walk parameters, whose phi the
 scan reads, and returns each one's (run, hit, trips), charging nothing.
-`distributed_local_cut` charges one such outcome on its run's view: the
-walk (`charge_walk`), the BFS tree of its touched edges, and the scan's
-tree round trips (`scan_run`), one ledger entry of the per-step costs' sum.
+That outcome is the one record of a local cut.  `distributed_local_cut`
+charges it on its run's view: the walk (`charge_walk`), the BFS tree of its
+touched edges, and the scan's tree round trips (`scan_run`), one ledger
+entry of the per-step costs' sum; it returns the hit.
 
 All conductance and volume threshold comparisons are exact: thresholds arrive
 as binary floats and are compared through their integer ratios.
@@ -49,7 +50,9 @@ its state, charges its draw and merges its instances
 (`concurrent_local_cuts`, which neither draws nor walks); instances that
 landed on the same pair share its run, each charged for it, and a found cut
 drops the rest of the batch.  So the rng, the ledger and every outcome are
-those of drawing, walking and scanning one iteration at a time.
+those of drawing, walking and scanning one iteration at a time.  The
+partition returns the vertex set it accumulated, and the balanced cut that
+set with its conductance bound.
 """
 from __future__ import annotations
 
@@ -114,20 +117,26 @@ def participation_budget(walkp: WalkParams, profile: Profile) -> float:
     )
 
 
+def overlap_budget(vol: int) -> int:
+    """w = 10 * ceil(ln vol), at least 10: the most instances an edge may
+    take part in before concurrent local cuts abort."""
+    return _K_W * max(1, math.ceil(math.log(max(vol, 2))))
+
+
 def derive_instance_params(vol: int, walkp: WalkParams, p: float,
                            profile: Profile) -> MultiInstanceParams:
     if not (0.0 < p < 1.0):
         raise ValueError(f"p={p} outside (0, 1)")
     q = participation_budget(walkp, profile)
     k = max(1, math.ceil(vol / q))
-    w = _K_W * max(1, math.ceil(math.log(max(vol, 2))))
+    w = overlap_budget(vol)
     g = math.ceil(10 * w * q)
     if profile.g_cap is not None:
         g = min(g, profile.g_cap)
     s = 4 * g * math.ceil(math.log(1.0 / p) / math.log(7.0 / 4.0))
     if profile.s_cap is not None:
         s = min(s, profile.s_cap)
-    return MultiInstanceParams(vol, k, max(_K_W, w), max(1, s))
+    return MultiInstanceParams(vol, k, w, max(1, s))
 
 
 def ladder_h(theta: float, n: int, c_h: float) -> float:
@@ -229,15 +238,6 @@ class SweepCandidate:
     t: int
     starred: bool
     members: frozenset  # host ids of the prefix
-
-
-@dataclass
-class LocalCutResult:
-    members: frozenset | None
-    start: int
-    b: int
-    view: ActiveView
-    touched: np.ndarray  # the walk's WalkRun.touched
 
 
 class SweepScan:
@@ -402,24 +402,18 @@ def scan_run(net: Network, run: WalkRun, depth: int, reached: int,
 # -- the local-cut family --------------------------------------------------------
 
 
-def _result_from_candidate(run: WalkRun, cand: SweepCandidate | None) -> LocalCutResult:
-    members = None if cand is None else cand.members
-    return LocalCutResult(members, run.start, run.b, run.view, run.touched)
-
-
-def distributed_local_cut(net: Network, outcome: tuple) -> LocalCutResult:
-    """Distributed local cut from its walk and scan, a `scan_runs` outcome
-    (run, hit, trips) on run.view, with full round accounting: the walk
-    through its stop, the BFS tree of the edges it touched (`bfs_levels`:
-    only its depth and size are read), and the scan's tree searches and
-    checks on that tree."""
+def distributed_local_cut(net: Network, outcome: tuple) -> SweepCandidate | None:
+    """Charge the distributed local cut of a `scan_runs` outcome (run, hit,
+    trips) on run.view with full round accounting: the walk through its
+    stop, the BFS tree of the edges it touched (`bfs_levels`: only its depth
+    and size are read), and the scan's tree searches and checks on that
+    tree.  Returns the hit."""
     run, hit, trips = outcome
     charge_walk(net, run)
     view = run.view
     depth = bfs_levels(net, run.start, view.edges_local[run.touched], view.verts)[0]
     reached = depth[depth < INF]
-    return _result_from_candidate(
-        run, scan_run(net, run, int(reached.max()), len(reached), hit, trips))
+    return scan_run(net, run, int(reached.max()), len(reached), hit, trips)
 
 
 def _check_algo_phi(phi: float):
@@ -481,8 +475,6 @@ def _draw_landings(net, k, ell, rng, starts: StartTree):
 class ConcurrentResult:
     members: frozenset | None
     aborted_overlap: bool
-    params: MultiInstanceParams
-    instances: list[LocalCutResult]
 
 
 def concurrent_local_cuts(net: Network, view: ActiveView, mi: MultiInstanceParams,
@@ -493,67 +485,46 @@ def concurrent_local_cuts(net: Network, view: ActiveView, mi: MultiInstanceParam
     mi holds the view's instance parameters; landings are the sorted (start,
     b) pairs of its k instances, drawn down a start tree of the given depth,
     which also prices the broadcasts; runs maps each pair to its `scan_runs`
-    outcome on this view.  Each instance draws its random 64-bit identifier
-    from a generator spawned off rng.  Aborts to None when any edge
-    participates in more than mi.w instances (the abort is broadcast over the
-    host component).  Instances are ordered by their identifiers (ties by
-    start id, then level), and the output is the largest prefix union within
-    23/24 of the graph volume.  Round accounting is sequential-equivalent: an
+    outcome on this view, whose run's touched edges and hit are the
+    instance's.  Each instance draws its random 64-bit identifier from a
+    generator spawned off rng.  Aborts to None when any edge participates in
+    more than mi.w instances (the abort is broadcast over the host
+    component).  Instances are ordered by their identifiers (ties by start
+    id, then level), and the output is the largest prefix union within 23/24
+    of the graph volume.  Round accounting is sequential-equivalent: an
     upper bound on any w-multiplexed schedule.
     """
-    sub_rngs = rng.spawn(len(landings))
-    instances: list[LocalCutResult] = []
-    ids: list[int] = []
-    for pair, sub in zip(landings, sub_rngs):
-        ids.append(int(sub.integers(1 << 62)))
-        instances.append(distributed_local_cut(net, runs[pair]))
-    participation = np.sum([res.touched for res in instances], axis=0)  # per live edge
+    ids = [int(sub.integers(1 << 62)) for sub in rng.spawn(len(landings))]
+    hits = [distributed_local_cut(net, runs[pair]) for pair in landings]
+    participation = np.sum([runs[pair][0].touched for pair in landings], axis=0)  # per live edge
     if participation.max(initial=0) > mi.w:
         net.ledger.charge(net.phase, rounds=max(1, depth), messages=2 * view.m_live,
                           edge_bits=KIND_BITS)
-        return ConcurrentResult(None, True, mi, instances)
-    seq = sorted(range(len(instances)),
-                 key=lambda i: (ids[i], instances[i].start, instances[i].b))
+        return ConcurrentResult(None, True)
     union: set[int] = set()
     union_vol = 0
     best: set[int] | None = None
-    for i in seq:
-        mem = instances[i].members
-        if mem:
-            union_vol += view.vol_of(mem - union)
-            union |= mem
+    for _, _, hit in sorted(zip(ids, landings, hits), key=lambda inst: inst[:2]):
+        if hit is not None:
+            union_vol += view.graph.volume(hit.members - union)
+            union |= hit.members
         if mi.union_small_enough(union_vol):
             best = set(union)
     net.ledger.charge(net.phase,
                       rounds=max(1, depth) * (2 + math.ceil(math.log2(max(2, mi.k)))),
                       messages=max(0, len(view) - 1), edge_bits=KIND_BITS + WORD_BITS)
-    if not best:
-        return ConcurrentResult(None, False, mi, instances)
-    return ConcurrentResult(frozenset(best), False, mi, instances)
-
-
-@dataclass
-class PartitionResult:
-    """The accumulated cut as a vertex set, its pieces and the constants of
-    its conductance bound; its exact statistics are `graph.cut_stats`'."""
-
-    members: frozenset          # possibly empty
-    pieces: list[frozenset]     # disjoint per-iteration cuts, in order
-    iterations: int
-    s_budget: int
-    w_max: int                  # the whole view's overlap budget w, the largest of any iteration
-    phi: float
-    k_phi: float                # recorded constant: Phi(C) <= k_phi * phi * log2(|V|)
-    concurrent: list[ConcurrentResult]
+    return ConcurrentResult(frozenset(best) if best else None, False)
 
 
 def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
-                         profile: Profile, rng: np.random.Generator) -> PartitionResult:
-    """Accumulate concurrent local cuts until 1/48 of the volume is captured.
+                         profile: Profile, rng: np.random.Generator) -> frozenset:
+    """Accumulate concurrent local cuts until 1/48 of the volume is captured,
+    and return the accumulated vertex set, possibly empty.
 
     Hard guarantees checked downstream: the accumulated cut keeps volume at
-    most 47/48 of the total, pieces are disjoint, and a non-empty result has
-    conductance at most 47 * 276 * w * phi.
+    most 47/48 of the total, its per-iteration pieces are disjoint, and a
+    non-empty result has conductance at most 47 * 276 * w * phi, with w the
+    whole view's overlap budget (`overlap_budget`).
 
     Iterations are drawn, walked and scanned in batches on the current view
     (the whole view, then the view left after each removed piece): c =
@@ -575,10 +546,7 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
     host_tree = bfs_tree(net, int(view.verts[0]), view.edges_local, view.verts)
     cur, starts = view, StartTree.on(view, host_tree)
     active = set(view.active)
-    pieces: list[frozenset] = []
-    concurrent: list[ConcurrentResult] = []
     batch: list = []  # drawn iterations not yet merged: (landings, ledger, rng state)
-    it = 0
     for it in range(1, mi0.s + 1):
         if len(cur) != len(active):  # the last iteration removed a piece
             cur, batch = view.subview(active), []
@@ -596,16 +564,11 @@ def sparse_cut_partition(net: Network, view: ActiveView, phi: float, p: float,
         for phase, t in drawn.phases.items():
             net.ledger.charge(phase, t.rounds, t.messages, t.max_bits)
         res = concurrent_local_cuts(net, cur, mi, host_tree.depth_max, rng, landings, runs)
-        concurrent.append(res)
         if res.members:
-            pieces.append(res.members)
             active -= res.members
-        removed_vol = vol0 - view.vol_of(active)
-        if 48 * removed_vol >= vol0:
+        if 48 * (vol0 - view.graph.volume(active)) >= vol0:
             break
-    members = frozenset().union(*pieces) if pieces else frozenset()
-    k_phi = _K_ACCUM * _K_CONCURRENT * mi0.w / math.log2(max(2, len(view)))
-    return PartitionResult(members, pieces, it, mi0.s, mi0.w, phi, k_phi, concurrent)
+    return view.active - active
 
 
 @dataclass
@@ -639,8 +602,8 @@ def balanced_sparse_cut(net: Network, view: ActiveView, phi_target: float,
     phi_inner = min((phi_target * profile.c_f * ln_e4**2) ** (1.0 / 3.0), PHI_ALGO_MAX)
     if p is None:
         p = 1.0 / max(2, n_view) ** 2
-    part = sparse_cut_partition(net, view, phi_inner, p, profile, rng)
-    if not part.members or part.members == view.active:
+    members = sparse_cut_partition(net, view, phi_inner, p, profile, rng)
+    if not members or members == view.active:
         return None
-    h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * part.w_max * phi_inner)
-    return BalancedCutResult(part.members, phi_inner, h_bound)
+    h_bound = min(1.0, _K_ACCUM * _K_CONCURRENT * overlap_budget(view.vol()) * phi_inner)
+    return BalancedCutResult(members, phi_inner, h_bound)

@@ -36,7 +36,6 @@ from .errors import (
     BadEpsilon,
     BudgetExceeded,
     DepthExceeded,
-    IterationOverflow,
     LevelOverflow,
 )
 from .graph import Graph, N_ORACLE_MAX, edge_key, min_conductance_oracle
@@ -58,7 +57,6 @@ class DecompParams:
     d: int
     beta: float
     phi_ladder: tuple[float, ...]  # phi_0 .. phi_k, strictly decreasing
-    profile_name: str
 
     @property
     def phi_0(self) -> float:
@@ -96,7 +94,7 @@ def derive_decomp_params(n: int, epsilon: float, k: int, profile: Profile) -> De
         phi = [max(p, floor * profile.phi_decay**i) for i, p in enumerate(phi)]
     if not all(a > b for a, b in zip(phi, phi[1:])):
         raise BadEpsilon(f"phi ladder not strictly decreasing: {phi}")
-    return DecompParams(epsilon, k, d, beta, tuple(phi), profile.name)
+    return DecompParams(epsilon, k, d, beta, tuple(phi))
 
 
 @dataclass
@@ -234,7 +232,7 @@ def _phase1(state: _RunState, members: frozenset, depth: int):
                 state.finals.append(u_set)
                 continue
             vol_u = u_view.vol()
-            vol_c = u_view.vol_of(res.members)
+            vol_c = u_view.graph.volume(res.members)
             if 12 * vol_c <= params.epsilon * vol_u:
                 state.phase2_queue.append(u_set)
                 continue
@@ -254,15 +252,10 @@ def _phase2(state: _RunState, members: frozenset):
         m_levels.append(m_levels[-1] / tau)
     level = 1
     active = set(members)
-    iters_at_level = 0
     removed_vol_at_level: dict[int, int] = {}
     while True:
         if level > params.k:
             raise LevelOverflow(f"phase-2 level {level} > k={params.k}")
-        if iters_at_level > 2 * tau + 1:
-            raise IterationOverflow(
-                f"phase-2 spent {iters_at_level} iterations at level {level} (2 tau = {2 * tau:.2f})"
-            )
         cur = ActiveView(state.working, active)
         if cur.vol() <= VOL_FINALIZE_CUTOFF or cur.m_live == 0:
             for comp in cur.components():
@@ -271,15 +264,13 @@ def _phase2(state: _RunState, members: frozenset):
         state.net.set_phase("phase2-cut")
         res = balanced_sparse_cut(state.net, cur, params.phi_ladder[level],
                                   state.profile, state.rng)
-        iters_at_level += 1
         if res is None:
             for comp in cur.components():
                 state.finals.append(comp)
             break
-        vol_c = cur.vol_of(res.members)
+        vol_c = cur.graph.volume(res.members)
         if 2 * tau * vol_c <= m_levels[level - 1]:
             level += 1
-            iters_at_level = 0
             continue
         # eject the cut: every incident live edge goes, members become singletons
         inside = cur.member_mask(res.members)[cur.edges_local]

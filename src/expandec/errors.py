@@ -55,10 +55,6 @@ class LevelOverflow(ExpandecError):
     """Trim phase tried to advance past the last level (bug signal)."""
 
 
-class IterationOverflow(ExpandecError):
-    """Trim phase exceeded its per-level iteration budget (bug signal)."""
-
-
 class StalledLevel(ExpandecError):
     """A triangle recursion level did not shrink its edge set (bug signal)."""
 

@@ -114,9 +114,6 @@ class ActiveView:
     def vol(self) -> int:
         return int(self.deg.sum())
 
-    def vol_of(self, hosts) -> int:
-        return int(self.graph.deg[np.fromiter(hosts, dtype=np.int64)].sum())
-
     def subview(self, active) -> "ActiveView":
         return ActiveView(self.working, active)
 

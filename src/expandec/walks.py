@@ -64,7 +64,6 @@ class WalkParams:
 
     m: int
     phi: float
-    profile_name: str
     ell: int
     t0: int
     f_phi: float
@@ -90,7 +89,7 @@ def derive_walk_params(m: int, phi: float, profile: Profile) -> WalkParams:
     f_phi = phi**3 / (profile.c_f * ln_e4**2)
     gamma = 5.0 * phi / (profile.c_gamma * ln_e4)
     eps_base = phi / (profile.c_eps * ln_e4 * t0)
-    return WalkParams(m, phi, profile.name, ell, t0, f_phi, gamma, eps_base)
+    return WalkParams(m, phi, ell, t0, f_phi, gamma, eps_base)
 
 
 # -- fixed-point kernel -----------------------------------------------------

@@ -5,7 +5,8 @@ walks traced through a sweep that records their states, per-step references
 for the walk kernel, the sweep scan, the local cut that stops at its hit and
 the falsifier, the local cut walked alone, the full-horizon walks and scans,
 the centralized local cuts built on the per-step scan, one iteration of
-cut accumulation drawn, walked and merged alone, the level draw
+cut accumulation drawn, walked and merged alone, the merges of a cut
+accumulation recorded as they happen, the level draw
 through `rng.choice`, float and exact-rational walk references with the
 influence set, dict-keyed references for the BFS tree, the subtree sums and
 the degree sampling, message-level references for the BFS tree, the tree
@@ -14,6 +15,7 @@ list-or-star flooding, the rung-by-rung neighborhood threshold tests and
 size estimate, the shift clustering, and the per-triple reference for
 triangle enumeration."""
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -24,9 +26,9 @@ import scipy.sparse as sp
 from expandec import cuts
 from expandec.clustering import (K_SAMPLE, NeighborhoodOracle, ShiftClustering, _samples,
                                  ball_edge_counts)
-from expandec.cuts import (StartTree, SweepCandidate, SweepScan, _check_algo_phi, _draw_landings,
-                           _result_from_candidate, derive_instance_params, distributed_local_cut,
-                           draw_b, scan_runs)
+from expandec.cuts import (K_PHI_PARTS, MultiInstanceParams, StartTree, SweepCandidate, SweepScan,
+                           _check_algo_phi, _draw_landings, derive_instance_params,
+                           distributed_local_cut, draw_b, scan_runs)
 from expandec.errors import BadPhi, DegenerateCut, MissingEdge, TooLarge
 from expandec.graph import INF, Cut, Graph, directed_ends, edge_key, lazy_walk_matrix, level_sweep
 from expandec.simulator import KIND_BITS, WORD_BITS, Msg, SpanningTree, bfs_tree
@@ -103,10 +105,14 @@ def live_edges(view) -> list[tuple[int, int]]:
     return edge_keys(view, slice(None))
 
 
-def pstar(res) -> frozenset:
-    """Host edge keys of the edges a walk touched, of a WalkRun or a
-    LocalCutResult."""
-    return frozenset(edge_keys(res.view, res.touched))
+def pstar(run) -> frozenset:
+    """Host edge keys of the edges a walk (a WalkRun) touched."""
+    return frozenset(edge_keys(run.view, run.touched))
+
+
+def cut_members(cand: SweepCandidate | None) -> frozenset | None:
+    """The members of a local cut's hit, None without a hit."""
+    return None if cand is None else cand.members
 
 
 @dataclass
@@ -190,7 +196,61 @@ def view_starts(net, view) -> StartTree:
     return StartTree.on(view, view_tree(net, view))
 
 
-def one_iteration(net, view, phi, walkp, profile, rng, starts, p):
+@dataclass
+class Merge:
+    """One call of `concurrent_local_cuts`: the view's instance parameters,
+    each instance's walk and hit, in landing order, and the merged cut."""
+
+    mi: MultiInstanceParams
+    instances: list  # (run, hit or None) per landing
+    members: frozenset | None
+    aborted_overlap: bool
+
+    @classmethod
+    def of(cls, mi, landings, runs, res) -> "Merge":
+        return cls(mi, [runs[pair][:2] for pair in landings], res.members, res.aborted_overlap)
+
+
+class MergeLog(list):
+    """The merges of one cut accumulation, one per iteration, in order."""
+
+    @property
+    def pieces(self) -> list[frozenset]:
+        """The disjoint per-iteration cuts, in order."""
+        return [m.members for m in self if m.members]
+
+    @property
+    def w(self) -> int:
+        """The whole view's overlap budget, the first iteration's, the
+        largest of any."""
+        return self[0].mi.w
+
+    def k_phi(self, n: int) -> float:
+        """The recorded constant of Phi(C) <= k_phi * phi * log2(n) on a
+        view of n vertices."""
+        k_accum, k_concurrent, _ = K_PHI_PARTS
+        return k_accum * k_concurrent * self.w / math.log2(max(2, n))
+
+
+@contextmanager
+def recorded_merges():
+    """A MergeLog of every call of `cuts.concurrent_local_cuts` (as its
+    module's callers look it up) while the context is open."""
+    log, merge = MergeLog(), cuts.concurrent_local_cuts
+
+    def recorded(net, view, mi, depth, rng, landings, runs):
+        res = merge(net, view, mi, depth, rng, landings, runs)
+        log.append(Merge.of(mi, landings, runs, res))
+        return res
+
+    cuts.concurrent_local_cuts = recorded
+    try:
+        yield log
+    finally:
+        cuts.concurrent_local_cuts = merge
+
+
+def one_iteration(net, view, phi, walkp, profile, rng, starts, p) -> Merge:
     """One iteration of cut accumulation on view, drawn, walked and merged
     alone: the k landings drawn down starts, their distinct (start, b)
     pairs walked and scanned in one `scan_runs` call, and the instances
@@ -202,7 +262,8 @@ def one_iteration(net, view, phi, walkp, profile, rng, starts, p):
     landings = _draw_landings(net, mi.k, walkp.ell, rng, starts)
     pairs = sorted(set(landings))
     runs = dict(zip(pairs, cuts.scan_runs(view, pairs, walkp, profile)))
-    return cuts.concurrent_local_cuts(net, view, mi, starts.tree.depth_max, rng, landings, runs)
+    res = cuts.concurrent_local_cuts(net, view, mi, starts.tree.depth_max, rng, landings, runs)
+    return Merge.of(mi, landings, runs, res)
 
 
 class WorkingGraphReference:
@@ -642,7 +703,7 @@ def local_cut_per_step(net, view, v, phi, b, params, profile):
     is scanned at once (`scan_state_per_step`), the walk stops at its first
     hit and is charged through that step, the scan's tree spans the edges
     touched up to it, and the scan is charged per step on that tree, the
-    frozen tail included.  Returns the LocalCutResult and the hit."""
+    frozen tail included.  Returns the walk and the hit."""
     _check_algo_phi(phi)
     steps = []  # per scanned step: (hit, checks, searches, support size)
 
@@ -662,16 +723,17 @@ def local_cut_per_step(net, view, v, phi, b, params, profile):
         charger.membership_broadcast()
     elif run.t_last < run.t0:
         charger.frozen_tail(run.t0 - run.t_last)
-    return _result_from_candidate(run, found), found
+    return run, found
 
 
 def lone_local_cut(net, view, v, phi, b, params, profile):
     """`distributed_local_cut` of the walk from v at level b, walked and
-    scanned alone: a `scan_runs` batch of one pair.  phi is params'."""
+    scanned alone, a `scan_runs` batch of one pair: the walk and the hit.
+    phi is params'."""
     _check_algo_phi(phi)
     assert phi == params.phi
     (outcome,) = scan_runs(view, [(v, b)], params, profile)
-    return distributed_local_cut(net, outcome)
+    return outcome[0], distributed_local_cut(net, outcome)
 
 
 def full_horizon_scan_runs(view, pairs, params, profile):
@@ -693,21 +755,21 @@ def full_horizon_scan_runs(view, pairs, params, profile):
 
 def local_cut(view, v, phi, b, params, profile):
     """Centralized reference: the walk's full sweep scan under the raw
-    conditions, one step at a time, charging no rounds."""
+    conditions, one step at a time, charging no rounds.  Returns the walk
+    and the hit."""
     if not (0.0 < phi <= 1.0):
         raise BadPhi(f"phi={phi}")
     run = walk_trace(view, v, params, b)
-    cand = scan_run_per_step(view, run, phi, b, profile, jx_only=False)
-    return _result_from_candidate(run, cand)
+    return run, scan_run_per_step(view, run, phi, b, profile, jx_only=False)
 
 
 def approximate_local_cut_reference(view, v, phi, b, params, profile):
     """Centralized twin of the distributed scan: the same candidate
-    subsequence and tie rule, one step at a time, charging no rounds."""
+    subsequence and tie rule, one step at a time, charging no rounds.
+    Returns the walk and the hit."""
     _check_algo_phi(phi)
     run = walk_trace(view, v, params, b)
-    cand = scan_run_per_step(view, run, phi, b, profile, jx_only=True)
-    return _result_from_candidate(run, cand)
+    return run, scan_run_per_step(view, run, phi, b, profile, jx_only=True)
 
 
 def draw_b_reference(ell, rng) -> int:
@@ -719,7 +781,8 @@ def draw_b_reference(ell, rng) -> int:
 
 def randomized_local_cut(net, view, phi, params, profile, rng):
     """Distributed local cut from a geometric truncation level and a
-    degree-distributed start, drawn down the view's BFS tree."""
+    degree-distributed start, drawn down the view's BFS tree: the walk and
+    the hit."""
     b = draw_b(params.ell, rng)
     v = view_starts(net, view).sample(net, {b: 1}, rng)[0][0]
     return lone_local_cut(net, view, v, phi, b, params, profile)

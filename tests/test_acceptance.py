@@ -33,11 +33,13 @@ from helpers_h import (
     approximate_local_cut_reference,
     check_h_conditions,
     clusters,
+    cut_members,
     exact_rho_table,
     influence_set,
     live_neighbors,
     lone_local_cut,
     mass_at,
+    recorded_merges,
     walk_trace,
 )
 
@@ -137,18 +139,19 @@ def test_accept_3_partition_hard_bounds():
         vol = view.vol()
         for seed in range(10):
             net = Network(g)
-            res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
-                                       np.random.default_rng([seed, 0xACC3]))
-            vol_c = sum(g.deg[v] for v in res.members)
+            with recorded_merges() as merges:
+                members = sparse_cut_partition(net, view, PHI, 0.25, DESK,
+                                               np.random.default_rng([seed, 0xACC3]))
+            vol_c = sum(g.deg[v] for v in members)
             assert 48 * vol_c <= 47 * vol
             seen = set()
-            for piece in res.pieces:
+            for piece in merges.pieces:
                 assert not (piece & seen)
                 seen |= piece
-            assert seen == res.members
-            if res.members:
-                cut = cut_stats(g, res.members)
-                assert float(cut.conductance) <= res.k_phi * PHI * math.log2(g.n) + 1e-12
+            assert seen == members
+            if members:
+                cut = cut_stats(g, members)
+                assert float(cut.conductance) <= merges.k_phi(g.n) * PHI * math.log2(g.n) + 1e-12
             checked += 1
     assert checked == 50
     print(f"\nACCEPT-3 PASS partition hard bounds over {checked} runs")
@@ -164,10 +167,10 @@ def test_accept_4_balance_recovery():
     good = 0
     for seed in range(200):
         net = Network(g)
-        res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
-                                   np.random.default_rng([seed, 0xBA1]))
-        vol_c = sum(g.deg[v] for v in res.members)
-        overlap = sum(g.deg[v] for v in res.members & side)
+        members = sparse_cut_partition(net, view, PHI, 0.25, DESK,
+                                       np.random.default_rng([seed, 0xBA1]))
+        vol_c = sum(g.deg[v] for v in members)
+        overlap = sum(g.deg[v] for v in members & side)
         if 48 * vol_c >= vol or 2 * overlap >= vol_side:
             good += 1
     frac = good / 200
@@ -334,7 +337,7 @@ def test_accept_8_walk_kernel_numerics():
         view = ActiveView.whole(g)
         params = derive_walk_params(g.m, 1 / 3, DESK)
         run_t = walk_trace(view, 0, params, 1)
-        untr = WalkParams(params.m, params.phi, "desk", params.ell, params.t0,
+        untr = WalkParams(params.m, params.phi, params.ell, params.t0,
                           params.f_phi, params.gamma, 0.0)
         run_u = walk_trace(view, 0, untr, 1)
         for t in range(min(params.t0, 60) + 1):
@@ -375,10 +378,10 @@ def test_accept_9_distributed_centralized_equivalence():
         for _ in range(20):
             v = int(rng.integers(g.n))
             b = 1 + int(rng.integers(params.ell))
-            ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
+            _, ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
             net = Network(g)
-            dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
-            assert ref.members == dist.members
+            _, dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
+            assert cut_members(ref) == cut_members(dist)
     # determinism: identical seed => identical output and ledger, twice
     g = gen.cliques_chain(3, 6, 1)
     a = expander_decomposition(g, 0.5, 2, 77, DESK)
@@ -390,9 +393,9 @@ def test_accept_9_distributed_centralized_equivalence():
     outs = []
     for _ in range(2):
         net = Network(g)
-        res = sparse_cut_partition(net, ActiveView.whole(g), PHI, 0.25, DESK,
-                                   np.random.default_rng([9, 0x7D]))
-        outs.append((res.members, net.ledger.snapshot()))
+        members = sparse_cut_partition(net, ActiveView.whole(g), PHI, 0.25, DESK,
+                                       np.random.default_rng([9, 0x7D]))
+        outs.append((members, net.ledger.snapshot()))
     assert outs[0][0] and outs[0][1]
     assert outs[0] == outs[1]
     print("\nACCEPT-9 PASS distributed/centralized equivalence and determinism")

@@ -35,6 +35,7 @@ from expandec.cuts import (
 )
 from helpers_h import (
     approximate_local_cut_reference,
+    cut_members,
     draw_b_reference,
     graph_from_rows,
     local_cut,
@@ -43,6 +44,7 @@ from helpers_h import (
     one_iteration,
     pstar,
     randomized_local_cut,
+    recorded_merges,
     sweep_order_local,
     view_starts,
     walk_trace,
@@ -114,10 +116,10 @@ def test_local_cut_output_bounds():
     vol = view.vol()
     for v in (0, 3, 9):
         for b in (1, 2, 3):
-            res = local_cut(view, v, PHI, b, params, DESK)
-            if res.members is None:
+            _, cand = local_cut(view, v, PHI, b, params, DESK)
+            if cand is None:
                 continue
-            cut = cut_stats(g, res.members)
+            cut = cut_stats(g, cand.members)
             assert cut.conductance <= Fraction(PHI).limit_denominator(10**12)
             assert 6 * cut.vol_s <= 5 * vol
 
@@ -126,8 +128,8 @@ def test_local_cut_k2_unsatisfiable_level():
     g = gen.clique(2)
     view, params = _cut_setup(g)
     # (5/7) * 2^(b-1) > Vol(V) = 2 for b >= 3
-    res = local_cut(view, 0, PHI, 3, params, DESK)
-    assert res.members is None
+    _, cand = local_cut(view, 0, PHI, 3, params, DESK)
+    assert cand is None
 
 
 def test_local_cut_recovers_planted_side():
@@ -141,10 +143,10 @@ def test_local_cut_recovers_planted_side():
     for _ in range(100):
         v = int(rng.integers(0, 8))
         b = 1 + int(rng.integers(0, 3))
-        res = local_cut(view, v, PHI, b, params, DESK)
+        _, cand = local_cut(view, v, PHI, b, params, DESK)
         total += 1
-        if res.members is not None:
-            overlap = sum(g.deg[u] for u in res.members & side)
+        if cand is not None:
+            overlap = sum(g.deg[u] for u in cand.members & side)
             if 2 * overlap >= vol_side:
                 good += 1
     assert good >= 0.9 * total
@@ -156,10 +158,10 @@ def test_approx_scan_bounds():
     vol = view.vol()
     for v in range(0, 16, 3):
         for b in (1, 2, 4):
-            res = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
-            if res.members is None:
+            _, cand = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
+            if cand is None:
                 continue
-            cut = cut_stats(g, res.members)
+            cut = cut_stats(g, cand.members)
             assert float(cut.conductance) <= 12 * PHI + 1e-12
             assert 12 * cut.vol_s <= 11 * vol
 
@@ -182,10 +184,10 @@ def test_distributed_equals_reference_many_seeds():
         for _ in range(8):
             v = int(rng.integers(g.n))
             b = 1 + int(rng.integers(0, params.ell))
-            ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
+            _, ref = approximate_local_cut_reference(view, v, PHI, b, params, DESK)
             net = Network(g)
-            dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
-            assert ref.members == dist.members
+            _, dist = lone_local_cut(net, view, v, PHI, b, params, DESK)
+            assert cut_members(ref) == cut_members(dist)
 
 
 def test_planted_overlap_lower_bound():
@@ -201,9 +203,9 @@ def test_planted_overlap_lower_bound():
     assert phi_side <= 2 * params.f_phi  # precondition (desk constants overridden)
     for v in (0, 5, 11):
         for b in (1, 2, 3, 4):
-            res = approximate_local_cut_reference(view, v, PHI, b, params, prof)
-            assert res.members is not None
-            overlap = sum(g.deg[u] for u in res.members & side)
+            _, cand = approximate_local_cut_reference(view, v, PHI, b, params, prof)
+            assert cand is not None
+            overlap = sum(g.deg[u] for u in cand.members & side)
             assert overlap >= 2 ** (b - 2)
 
 
@@ -271,8 +273,8 @@ def test_participation_frequency_at_paper_constants():
     trials = 20
     for _ in range(trials):
         net = Network(g)
-        res = randomized_local_cut(net, view, PHI, params, DESK, rng)
-        for e in pstar(res):
+        run, _ = randomized_local_cut(net, view, PHI, params, DESK, rng)
+        for e in pstar(run):
             counts[e] += 1
     freq = max(counts.values()) / trials
     assert freq <= 1.0
@@ -288,7 +290,7 @@ def test_concurrent_conductance_bound():
         if res.members is None:
             continue
         cut = cut_stats(g, res.members)
-        assert float(cut.conductance) <= 276 * res.params.w * PHI
+        assert float(cut.conductance) <= 276 * res.mi.w * PHI
 
 
 def test_concurrent_k1_degenerate():
@@ -298,7 +300,7 @@ def test_concurrent_k1_degenerate():
     res = one_iteration(net, view, PHI, params, with_instances(view, params, 1),
                         np.random.default_rng(4), view_starts(net, view), 0.25)
     assert len(res.instances) == 1
-    single = res.instances[0].members
+    single = cut_members(res.instances[0][1])
     vol = view.vol()
     if single is not None and 24 * sum(g.deg[v] for v in single) <= 23 * vol:
         assert res.members == single
@@ -338,20 +340,23 @@ def test_concurrent_instances_walk_one_batch(monkeypatch, k):
             net = Network(g)
             res = one_iteration(net, view, PHI, params, profile,
                                 np.random.default_rng(seed), view_starts(net, view), 0.25)
-        landings = [(inst.start, inst.b) for inst in res.instances]
+        landings = [(run.start, run.b) for run, _ in res.instances]
         assert len(landings) == k and batches == [sorted(set(landings))]
         # one charge per instance, of the one run of its landing
         assert [(run.start, run.b) for run, _, _ in charged] == landings
         assert len({id(run) for run, _, _ in charged}) == len(set(landings))
         repeated += len(set(landings)) < k
+        alone = []
         with monkeypatch.context() as m:  # every instance walked and scanned alone
-            m.setattr(cuts, "distributed_local_cut", lambda net, outcome: local_cut_per_step(
-                net, view, outcome[0].start, PHI, outcome[0].b, params, profile)[0])
+            m.setattr(cuts, "distributed_local_cut", lambda net, outcome: alone.append(
+                local_cut_per_step(net, view, outcome[0].start, PHI, outcome[0].b, params,
+                                   profile)) or alone[-1][1])
             net_ref = Network(g)
             ref = one_iteration(net_ref, view, PHI, params, profile, np.random.default_rng(seed),
                                 view_starts(net_ref, view), 0.25)
-        for got, want in zip(res.instances, ref.instances, strict=True):
-            assert (got.start, got.b, got.members) == (want.start, want.b, want.members)
+        for (got, hit), (want, want_hit) in zip(res.instances, alone, strict=True):
+            assert ((got.start, got.b, cut_members(hit))
+                    == (want.start, want.b, cut_members(want_hit)))
             assert np.array_equal(got.touched, want.touched)
         assert (res.members, res.aborted_overlap) == (ref.members, ref.aborted_overlap)
         assert net.ledger.snapshot() == net_ref.ledger.snapshot()
@@ -364,12 +369,14 @@ def test_partition_on_expander_returns_empty():
     empty = 0
     for seed in range(40):
         net = Network(g)
-        res = sparse_cut_partition(net, view, PHI, 0.25, DESK, np.random.default_rng(seed))
-        if not res.members:
+        with recorded_merges() as merges:
+            members = sparse_cut_partition(net, view, PHI, 0.25, DESK,
+                                           np.random.default_rng(seed))
+        if not members:
             empty += 1
         else:
-            cut = cut_stats(g, res.members)
-            assert float(cut.conductance) <= res.k_phi * PHI * math.log2(g.n)
+            cut = cut_stats(g, members)
+            assert float(cut.conductance) <= merges.k_phi(g.n) * PHI * math.log2(g.n)
     assert empty >= 36
 
 
@@ -379,19 +386,20 @@ def test_partition_hard_bounds_every_seed():
         vol = view.vol()
         for seed in range(5):
             net = Network(g)
-            res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
-                                       np.random.default_rng(seed))
-            vol_c = sum(g.deg[v] for v in res.members)
+            with recorded_merges() as merges:
+                members = sparse_cut_partition(net, view, PHI, 0.25, DESK,
+                                               np.random.default_rng(seed))
+            vol_c = sum(g.deg[v] for v in members)
             assert 48 * vol_c <= 47 * vol
             # pieces disjoint
             seen = set()
-            for piece in res.pieces:
+            for piece in merges.pieces:
                 assert not (piece & seen)
                 seen |= piece
-            if res.members:
-                cut = cut_stats(g, res.members)
-                assert float(cut.conductance) <= res.k_phi * PHI * math.log2(g.n) + 1e-12
-                assert float(cut.conductance) <= 47 * 276 * res.w_max * PHI
+            if members:
+                cut = cut_stats(g, members)
+                assert float(cut.conductance) <= merges.k_phi(g.n) * PHI * math.log2(g.n) + 1e-12
+                assert float(cut.conductance) <= 47 * 276 * merges.w * PHI
 
 
 def test_partition_recovers_planted_cut():
@@ -403,10 +411,9 @@ def test_partition_recovers_planted_cut():
     ok = 0
     for seed in range(20):
         net = Network(g)
-        res = sparse_cut_partition(net, view, PHI, 0.25, DESK,
-                                   np.random.default_rng(seed))
-        vol_c = sum(g.deg[v] for v in res.members)
-        overlap = sum(g.deg[v] for v in res.members & side)
+        members = sparse_cut_partition(net, view, PHI, 0.25, DESK, np.random.default_rng(seed))
+        vol_c = sum(g.deg[v] for v in members)
+        overlap = sum(g.deg[v] for v in members & side)
         if 48 * vol_c >= vol or 2 * overlap >= vol_side:
             ok += 1
     assert ok >= 14  # 0.70 fraction at module scale
@@ -452,13 +459,13 @@ def test_overlap_rule_from_transcript():
         res = one_iteration(net, view, PHI, params, with_instances(view, params, k),
                             np.random.default_rng(seed), view_starts(net, view), 0.25)
         recount = {}
-        for inst in res.instances:
-            for e in pstar(inst):
+        for run, _ in res.instances:
+            for e in pstar(run):
                 recount[e] = recount.get(e, 0) + 1
-        assert res.aborted_overlap == (max(recount.values(), default=0) > res.params.w)
+        assert res.aborted_overlap == (max(recount.values(), default=0) > res.mi.w)
         aborted.add(res.aborted_overlap)
         if res.members is not None:
-            assert max(recount.values()) <= res.params.w
+            assert max(recount.values()) <= res.mi.w
     assert aborted == {False, True}
 
 
@@ -498,7 +505,7 @@ def _cut_both(view, start, params, phi, b, monkeypatch):
         res = distributed_local_cut(net, outcome)
         run, got, _ = outcome
         assert got == hit and run.hit == (hit is not None)
-        assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
+        assert cut_members(res) == cut_members(hit) and np.array_equal(run.touched, ref.touched)
         assert net.ledger.snapshot() == net_ref.ledger.snapshot()
     return hit
 
@@ -523,7 +530,8 @@ def _cut_batch(view, pairs, params, phi, monkeypatch):
                 net = Network(view.graph)
                 res = distributed_local_cut(net, pre)
                 assert (pre[0].start, pre[0].b, pre[1]) == (start, b, hit)
-                assert res.members == ref.members and np.array_equal(res.touched, ref.touched)
+                assert (cut_members(res) == cut_members(hit)
+                        and np.array_equal(pre[0].touched, ref.touched))
                 assert net.ledger.snapshot() == ledger
     return [hit for _, hit, _ in refs]
 
@@ -561,7 +569,7 @@ def test_scan_run_matches_per_step_oracle(monkeypatch):
         phi = float(rng.choice([1 / 12, 1 / 16, 1 / 24, 1 / 48, 1 / 64,
                                 rng.uniform(0.005, 1 / 12)]))
         base = derive_walk_params(g.m, phi, DESK)
-        params = WalkParams(base.m, phi, "desk", base.ell, int(rng.integers(1, 250)),
+        params = WalkParams(base.m, phi, base.ell, int(rng.integers(1, 250)),
                             base.f_phi, base.gamma * float(rng.choice([0.0, 0.3, 1.0, 5.0])),
                             base.eps_base * float(rng.choice([1.0, 300.0, 3e4, 1e7])))
         b = 1 + int(rng.integers(params.ell))
@@ -703,7 +711,7 @@ def test_concurrent_cuts_with_an_isolated_vertex():
         net = Network(g)
         res = one_iteration(net, view, PHI, params, DESK, np.random.default_rng(seed),
                             view_starts(net, view), 0.25)
-        assert all(g.deg[inst.start] > 0 for inst in res.instances)
+        assert all(g.deg[run.start] > 0 for run, _ in res.instances)
         assert net.ledger.totals().rounds > 0
 
 
@@ -712,15 +720,15 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
     """sparse_cut_partition on the whole graph with the batching of
     iterations on and off (WALK_BATCH_CELLS 0: every batch is one
     iteration): per mode, (result or raised error, ledger snapshot, rng,
-    scan_runs batches, the batch each iteration read, scans charged, folds).
-    after_each(net) runs after each iteration.  Either way each iteration's
+    scan_runs batches, the batch each iteration read, scans charged, folds,
+    merges).  after_each(net) runs after each iteration.  Either way each iteration's
     landings were walked in the last scan_runs batch before it, on its own
     view, and its runs are that batch's; with batching off that batch is
     exactly the iteration's distinct landings.  Every instance's scan is
     charged once, and the start sampling folds its subtree sums once per
     view: the whole view, then at most once per removed piece.  Returns the
-    result, the (view size, pairs) of each batch with batching on, and the
-    number of the batch each iteration read."""
+    result, its merges, the (view size, pairs) of each batch with batching
+    on, and the number of the batch each iteration read."""
     outs = []
     for cells in (WALK_BATCH_CELLS, 0):
         monkeypatch.setattr(cuts, "WALK_BATCH_CELLS", cells)
@@ -743,13 +751,15 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
         monkeypatch.setattr(cuts, "subtree_sums", lambda *args: (
             folds.append(1) or subtree_sums(*args)))
         net, rng = Network(graph), np.random.default_rng(seed)
-        try:
-            out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
-        except BadPhi as exc:
-            out = exc
-        outs.append((out, net.ledger.snapshot(), rng, batches, read, len(charged), len(folds)))
-    ((on, ledger_on, rng_on, batches_on, read_on, charged_on, folds_on),
-     (off, ledger_off, rng_off, batches_off, read_off, charged_off, folds_off)) = outs
+        with recorded_merges() as merges:
+            try:
+                out = sparse_cut_partition(net, ActiveView.whole(graph), PHI, p, profile, rng)
+            except BadPhi as exc:
+                out = exc
+        outs.append((out, net.ledger.snapshot(), rng, batches, read, len(charged), len(folds),
+                     merges))
+    ((on, ledger_on, rng_on, batches_on, read_on, charged_on, folds_on, merges_on),
+     (off, ledger_off, rng_off, batches_off, read_off, charged_off, folds_off, merges_off)) = outs
     # off, one batch per iteration, of exactly its distinct landings
     assert read_off == [(i, pairs) for i, (_, pairs) in enumerate(batches_off, 1)]
     assert charged_on == charged_off
@@ -757,15 +767,15 @@ def _partition_with_and_without_prefetch(monkeypatch, graph, seed, profile=DESK,
     if isinstance(on, BadPhi):
         assert isinstance(off, BadPhi) and str(on) == str(off)
     else:
-        assert (on.members, on.pieces, on.iterations) == (off.members, off.pieces, off.iterations)
-        assert charged_off == sum(len(c.instances) for c in off.concurrent)
-        assert len(read_off) == off.iterations
-        assert 1 <= folds_on <= 1 + len(on.pieces)
+        assert (on, merges_on.pieces, len(merges_on)) == (off, merges_off.pieces, len(merges_off))
+        assert charged_off == sum(len(c.instances) for c in merges_off)
+        assert len(read_off) == len(merges_off)
+        assert 1 <= folds_on <= 1 + len(merges_on.pieces)
     assert ledger_on == ledger_off
     assert rng_on.bit_generator.state == rng_off.bit_generator.state
     assert (rng_on.bit_generator.seed_seq.n_children_spawned
             == rng_off.bit_generator.seed_seq.n_children_spawned)
-    return on, [(n, len(pairs)) for n, pairs in batches_on], [i for i, _ in read_on]
+    return on, merges_on, [(n, len(pairs)) for n, pairs in batches_on], [i for i, _ in read_on]
 
 
 def test_partition_prefetch_gives_identical_partitions(monkeypatch):
@@ -773,9 +783,9 @@ def test_partition_prefetch_gives_identical_partitions(monkeypatch):
     g = gen.grid(5, 6)
     late = 0
     for seed in range(12):
-        res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed,
-                                                                  p=1 / 900)
-        first = next((i + 1 for i, c in enumerate(res.concurrent) if c.members), None)
+        _, merges, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed,
+                                                                        p=1 / 900)
+        first = next((i + 1 for i, c in enumerate(merges) if c.members), None)
         assert len(batches) == 1 and set(read) == {1}  # every walk in one batch
         late += first is not None and first > 1
     assert late >= 4
@@ -787,12 +797,11 @@ def test_partition_prefetch_walks_nothing_alone_before_a_piece(monkeypatch):
     found = 0
     for spec in ACCEPT_2_SPECS:
         for seed in range(2):
-            res, batches, read = _partition_with_and_without_prefetch(
+            _, merges, batches, read = _partition_with_and_without_prefetch(
                 monkeypatch, gen.generate(spec, seed=seed), seed)
-            first = next((i for i, c in enumerate(res.concurrent) if c.members),
-                         len(res.concurrent))
+            first = next((i for i, c in enumerate(merges) if c.members), len(merges))
             assert batches and set(read[:first + 1]) == {1}, (spec, seed)
-            found += bool(res.pieces)
+            found += bool(merges.pieces)
     assert 4 <= found < 2 * len(ACCEPT_2_SPECS)
 
 
@@ -802,8 +811,9 @@ def test_partition_prefetch_caps_columns_with_a_large_s(monkeypatch):
     g = gen.clique(30)
     profile = dataclasses.replace(DESK, s_cap=None)
     for seed in range(3):
-        res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed, profile)
-        assert res.s_budget == res.iterations == 24 and not res.pieces
+        _, merges, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed,
+                                                                        profile)
+        assert merges[0].mi.s == len(merges) == 24 and not merges.pieces
         assert len(batches) == 2 and max(pairs for _, pairs in batches) <= WALK_BATCH_CELLS // 30
         assert read == [1] * (WALK_BATCH_CELLS // 30) + [2] * (24 - WALK_BATCH_CELLS // 30)
 
@@ -815,7 +825,7 @@ def test_partition_prefetched_run_keeps_the_bandwidth_check(monkeypatch):
         net.bandwidth_bits = MASS_MSG_BITS - 1
 
     for seed in range(3):
-        out, batches, read = _partition_with_and_without_prefetch(
+        out, _, batches, read = _partition_with_and_without_prefetch(
             monkeypatch, gen.clique(16), seed, after_each=narrow)
         assert isinstance(out, BadPhi) and len(batches) == 1 and read == [1, 1]
 
@@ -837,7 +847,7 @@ def test_partition_batches_again_after_a_piece(monkeypatch):
     again = 0
     for g in (_pendant_cliques(40, 4, 5), _pendant_cliques(30, 6, 4)):
         for seed in range(6):
-            res, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed)
+            _, merges, batches, read = _partition_with_and_without_prefetch(monkeypatch, g, seed)
             assert batches[0][0] == g.n
-            again += bool(res.pieces) and any(n < g.n for n, _ in batches)
+            again += bool(merges.pieces) and any(n < g.n for n, _ in batches)
     assert again >= 6

@@ -269,6 +269,14 @@ def test_phase2_small_cut_past_the_last_level_raises(monkeypatch):
         _scripted_phase2(monkeypatch, [*range(40), 40], 2, [{40}, {40}])
 
 
+def test_phase2_level_budget_raises_before_2_tau_ejections(monkeypatch):
+    # on the ring at k = 2, m_1 = 13.2 and 2 tau = 7.27: every ring vertex
+    # (volume 2) is a large cut, and the 7th ejection at level 1 breaks m_1
+    # before the level has ejected 2 tau + 1 cuts
+    with pytest.raises(BudgetExceeded, match=r"^phase-2 level 1 ejected volume 14 > m_1 = 13\.2$"):
+        _scripted_phase2(monkeypatch, range(40), 2, [{v} for v in range(7)])
+
+
 def _scripted_r1(monkeypatch, parts, cut_edges):
     """Make the first low-diameter decomposition of a run cut cut_edges into
     parts; later ones run as they are."""

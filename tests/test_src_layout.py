@@ -21,9 +21,14 @@ PARAM_EXEMPT: an input that nothing reads is one that every caller supplies
 for no one.
 
 Every dataclass field of `src/expandec` is read as an attribute somewhere in
-`src/`, `tests/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that
-nothing reads is a result computed for no one.  The check is by name, so one
-read of `.members` covers every field of that name."""
+`src/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that nothing
+reads is a result computed for no one.  A read in `tests/` counts only for
+the fields listed in TEST_OBSERVED, each with the test that reads it and why
+the pipeline keeps it for that test; a field that the pipeline fills on every
+call for tests alone is a test's observable, recorded outside the pipeline
+(as `helpers_h.recorded_merges` records the merges of a cut accumulation).
+The check is by name, so one read of `.members` covers every field of that
+name."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -33,7 +38,8 @@ import expandec
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "expandec"
 SPANS_PY = ROOT / "perfbench" / "spans.py"
-READERS = (SRC, ROOT / "tests", ROOT / "perfbench")
+PROGRAM = (SRC, ROOT / "perfbench")
+TESTS = ROOT / "tests"
 
 EXEMPT = {
     "cuts.ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
@@ -41,6 +47,30 @@ EXEMPT = {
 }
 # dataclass field name -> why it stays although nothing reads it
 FIELD_EXEMPT: dict[str, str] = {}
+# dataclass field name -> the test that reads it, and why the pipeline keeps it
+# although only tests read it
+TEST_OBSERVED = {
+    "centre": "test_shift_clustering_matches_epoch_simulation and test_accept_5: the clusters "
+              "are the clustering's output; the low-diameter stage reads only their cut",
+    "epochs": "test_shift_clustering_matches_epoch_simulation: the epoch count that the "
+              "clustering charges, against the epoch-by-epoch simulation",
+    "v_dense": "test_split_sparse_long_cycle: the dense side of the split, whose complement "
+               "the low-diameter stage reads",
+    "dense_prime": "test_split_merges_dense_components_within_a and test_accept_7: the "
+                   "dense-region growth invariant is checked on it",
+    "stages": "test_split_merges_dense_components_within_a and test_accept_7: the components "
+              "of each stage of the dense-region growth, which the invariant is checked on",
+    "starred": "test_scan_run_matches_per_step_oracle: which test the accepted prefix passed, "
+               "to cover jump candidates",
+    "phi_value": "test_small_components_pass_oracle and test_accept_2: the certified "
+                 "conductance that a verify report states",
+    "boundary": "test_cut_stats_k4_pair and test_view_cut_stats_use_live_boundary: the exact "
+                "boundary behind a cut's conductance",
+    "payload": "test_same_round_messages_invisible: the content of a simulated message",
+    "assignees": "test_generator_rng_draws_the_seed: the vertex that reports each triangle",
+    "f_phi": "test_derive_paper_f_phi: the detectability threshold of the walk parameters",
+    "freeze_t": "test_walk_freeze_charges_full_horizon: the step where a walk froze",
+}
 # function or method name -> why src defines it twice
 DEFINED_TWICE = {
     "ball_edge_counts": "the oracle's method and the function that dispatches to it",
@@ -155,21 +185,32 @@ def _dataclass_fields(tree: ast.Module):
                     yield f"{node.name}.{item.target.id}", item.target.id
 
 
-def test_every_dataclass_field_is_read():
+def _attribute_loads(*folders) -> Counter:
+    """Attribute loads by name in the modules of folders."""
     attrs = Counter()
-    for folder in READERS:
+    for folder in folders:
         for path in sorted(folder.glob("*.py")):
             attrs.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return attrs
+
+
+def test_every_dataclass_field_is_read():
+    program, tests = _attribute_loads(*PROGRAM), _attribute_loads(TESTS)
     fields, unread = set(), []
     for path in sorted(SRC.glob("*.py")):
         for qualname, name in _dataclass_fields(ast.parse(path.read_text())):
             fields.add(name)
-            if not attrs[name] and name not in FIELD_EXEMPT:
+            observed = name in TEST_OBSERVED and tests[name]
+            if not (program[name] or observed or name in FIELD_EXEMPT):
                 unread.append(f"{path.stem}.{qualname}")
     assert fields and unread == []
     # an exemption that gained a reader, or lost its field, is noise
-    assert set(FIELD_EXEMPT) <= fields and not any(attrs[name] for name in FIELD_EXEMPT)
+    assert set(FIELD_EXEMPT) <= fields
+    assert not any(program[name] or tests[name] for name in FIELD_EXEMPT)
+    # so is a test observable that the program reads, or no test reads, or that is gone
+    assert set(TEST_OBSERVED) <= fields
+    assert [name for name in TEST_OBSERVED if program[name] or not tests[name]] == []
 
 
 def _params(fn) -> list[str]:

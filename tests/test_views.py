@@ -151,7 +151,7 @@ def test_view_matches_row_by_row_reference():
         assert view.materialize() == ref.materialize(), draw
 
         members = [v for v in active if rng.random() < 0.5]
-        assert view.vol_of(members) == ref.vol_of(members), draw
+        assert g.volume(members) == ref.vol_of(members), draw
         # a cut of a view is a vertex set: its statistics are those of the
         # contracted graph, on local ids
         local = np.flatnonzero(view.member_mask(members)).tolist()

@@ -115,7 +115,7 @@ def test_truncate_examples():
 def _params(m, phi=1 / 12, t0=None):
     p = derive_walk_params(m, phi, DESK)
     if t0 is not None:
-        p = WalkParams(p.m, p.phi, p.profile_name, p.ell, t0, p.f_phi, p.gamma, p.eps_base)
+        p = dataclasses.replace(p, t0=t0)
     return p
 
 
@@ -153,7 +153,7 @@ def test_walk_freeze_charges_full_horizon():
 
 def test_pstar_confined_with_large_truncation():
     g = gen.barbell(4, 1)
-    params = WalkParams(13, 1 / 12, "desk", 4, 50, 1e-3, 1e-2, 0.04)  # eps_1 = 0.02
+    params = WalkParams(13, 1 / 12, 4, 50, 1e-3, 1e-2, 0.04)  # eps_1 = 0.02
     run = walk_trace(ActiveView.whole(g), 1, params, 1)
     far_edges = {(u, v) for u, v in g.edges if u >= 4 and v >= 4}
     assert not (pstar(run) & far_edges)
@@ -173,7 +173,7 @@ def test_truncated_dominated_by_untruncated_exact():
     view = ActiveView.whole(g)
     params = _params(g.m, t0=60)
     run_t = walk_trace(view, 0, params, 1)
-    untr = WalkParams(params.m, params.phi, "desk", params.ell, 60, params.f_phi,
+    untr = WalkParams(params.m, params.phi, params.ell, 60, params.f_phi,
                       params.gamma, 0.0)  # zero truncation
     run_u = walk_trace(view, 0, untr, 1)
     for t in range(61):
@@ -184,7 +184,7 @@ def test_fixed_point_tracks_dense_oracle():
     g = gen.erdos_renyi(10, 0.5, seed=6)
     view = ActiveView.whole(g)
     t0 = 50
-    untr = WalkParams(g.m, 0.1, "desk", 6, t0, 0.0, 0.0, 0.0)
+    untr = WalkParams(g.m, 0.1, 6, t0, 0.0, 0.0, 0.0)
     run = walk_trace(view, 3, untr, 1)
     m = lazy_walk_matrix(g)
     p = np.zeros(g.n)
@@ -453,7 +453,7 @@ def test_sweep_blocks_grow_from_the_first_block(monkeypatch, graph, cells, t_sto
     # one walk to t0 = t_stop without truncation: the sweep gets its steps
     # 1..t0 in blocks of the given sizes, each state as the per-step walk's
     view = ActiveView.whole(graph)
-    params = WalkParams(graph.m, 1 / 12, "desk", 1, t_stop, 0.0, 0.0, 0.0)
+    params = WalkParams(graph.m, 1 / 12, 1, t_stop, 0.0, 0.0, 0.0)
     monkeypatch.setattr(walks, "SWEEP_BLOCK_CELLS", cells)
     rec = BlockRecorder(view, [(0, 1)])
     run = compute_walk(view, 0, params, 1, rec)
@@ -471,7 +471,7 @@ def test_walk_ledger_matches_per_step_messages():
         if view is None:
             continue
         base = derive_walk_params(max(1, view.m_live), 1 / 12, DESK)
-        params = WalkParams(base.m, base.phi, "desk", base.ell, int(rng.integers(1, 300)),
+        params = WalkParams(base.m, base.phi, base.ell, int(rng.integers(1, 300)),
                             base.f_phi, base.gamma,
                             base.eps_base * float(rng.choice([0.0, 1.0, 100.0, 1e4])))
         net = Network(view.graph)
@@ -488,7 +488,7 @@ def test_walk_sender_rule_counts_exactly_two_deg():
     # units, one share, so it sends in steps 2 and 3 (1 + 2 + 2 messages)
     g = graph_from_rows([[1], [0]], [2**23 - 1, 2**23 - 1])
     view = ActiveView.whole(g)
-    params = WalkParams(1, 1 / 12, "desk", 1, 3, 0.0, 0.0, 0.0)
+    params = WalkParams(1, 1 / 12, 1, 3, 0.0, 0.0, 0.0)
     net = Network(g)
     run = walk_trace(view, 0, params, 1, net=net)
     assert run.masses[1][1] == 2 * view.deg[1]
@@ -497,7 +497,7 @@ def test_walk_sender_rule_counts_exactly_two_deg():
 
 
 def _walk_with_t0(params, t0, eps_base=None):
-    return WalkParams(params.m, params.phi, "desk", params.ell, t0, params.f_phi,
+    return WalkParams(params.m, params.phi, params.ell, t0, params.f_phi,
                       params.gamma, params.eps_base if eps_base is None else eps_base)
 
 
