@@ -172,7 +172,6 @@ class ShiftClustering:
 
     centre: np.ndarray
     start: np.ndarray
-    epochs: int
     inter: np.ndarray
 
 
@@ -206,7 +205,7 @@ def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
     ends = cluster[view.edges_local]
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
-    return ShiftClustering(verts[cluster], start, horizon, ends[:, 0] != ends[:, 1])
+    return ShiftClustering(verts[cluster], start, ends[:, 0] != ends[:, 1])
 
 
 # -- dense/sparse split ----------------------------------------------------------
@@ -219,7 +218,6 @@ SPLIT_F = 3.0 / 16.0
 
 @dataclass
 class DenseSparseSplit:
-    v_dense: frozenset
     v_sparse: frozenset
     dense_prime: frozenset
     a: int
@@ -293,7 +291,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         stages.append(components_within(w))
     if any(near_other(c, w) for c in stages[-1]):
         raise RuntimeError("dense-region merge loop left components within a")
-    return DenseSparseSplit(w, view.active - w, dense_prime, a, b, stages)
+    return DenseSparseSplit(view.active - w, dense_prime, a, b, stages)
 
 
 # -- low-diameter decomposition ---------------------------------------------------
@@ -303,9 +301,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
 class LowDiamResult:
     components: list[frozenset]
     cut_edges: list[tuple[int, int]]
-    split: DenseSparseSplit
     view: ActiveView
-    beta: float
     diameter_bound: int
 
     @cached_property
@@ -342,5 +338,4 @@ def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
     d1 = 4 * math.log2(max(2, n)) / beta_inner
     d2 = 20 * split.a * split.b
     bound = math.ceil(2 * (d1 + 1) + d2)
-    return LowDiamResult(comps, list(map(tuple, view.verts[el[cut]].tolist())), split, view,
-                         beta, bound)
+    return LowDiamResult(comps, list(map(tuple, view.verts[el[cut]].tolist())), view, bound)

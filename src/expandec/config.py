@@ -7,10 +7,10 @@ constants so the full pipeline runs in seconds.  A profile holds only the
 values the two differ in: the walk and local-cut constants, the jump slack,
 the accumulation caps, the conductance-ladder floor and whether the
 balanced-cut phi cap is enforced.  Values both use are module constants where
-they are used (the ladder quality, finalization cutoff and low-diameter K in
-`decomposition`, the sampling constants in `clustering`, the mixing-form
-constant in `triangles`).  Every run records the profile it used, so results
-are reproducible from their embedded config.
+they are used (the ladder quality, floor decay, finalization cutoff and
+low-diameter K in `decomposition`, the sampling constants in `clustering`,
+the mixing-form constant in `triangles`).  Every run records the profile it
+used, so results are reproducible from their embedded config.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ class Profile:
     s_cap: int | None
     # Conductance ladder of the decomposition.
     phi_floor: float | None
-    phi_decay: float
     enforce_phi_cap: bool  # require phi <= 1/log2(n)^5 for the balanced-cut wrapper
 
 
@@ -48,7 +47,6 @@ PAPER = Profile(
     g_cap=None,
     s_cap=None,
     phi_floor=None,
-    phi_decay=1.0,
     enforce_phi_cap=True,
 )
 
@@ -66,7 +64,6 @@ DESK = Profile(
     g_cap=2,
     s_cap=12,
     phi_floor=1.0 / 12.0,
-    phi_decay=0.5,
     enforce_phi_cap=False,
 )
 

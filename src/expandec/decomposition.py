@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ C_H_LADDER = 1.0  # constant of the ladder quality function h (`cuts.ladder_h`)
 # connected piece with volume <= 8 has conductance >= 1/4, above every rung.
 VOL_FINALIZE_CUTOFF = 8
 LOWDIAM_K = 10.0  # K of `clustering.low_diam_decomposition` inside Phase 1
+PHI_FLOOR_DECAY = 0.5  # a floored ladder's rung i is at least phi_floor * PHI_FLOOR_DECAY**i
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def derive_decomp_params(n: int, epsilon: float, k: int, profile: Profile) -> De
         phi.append(ladder_h_inv(phi[-1], n, C_H_LADDER))
     if profile.phi_floor is not None:
         floor = profile.phi_floor
-        phi = [max(p, floor * profile.phi_decay**i) for i, p in enumerate(phi)]
+        phi = [max(p, floor * PHI_FLOOR_DECAY**i) for i, p in enumerate(phi)]
     if not all(a > b for a, b in zip(phi, phi[1:])):
         raise BadEpsilon(f"phi ladder not strictly decreasing: {phi}")
     return DecompParams(epsilon, k, d, beta, tuple(phi))
@@ -137,17 +139,15 @@ class Decomposition:
 
 
 def expander_decomposition(graph: Graph, epsilon: float, k: int,
-                           rng: np.random.Generator | int, profile: Profile,
+                           rng: int | Sequence[int], profile: Profile,
                            ledger: RoundLedger | None = None) -> Decomposition:
-    """Phase-1 recursion plus Phase-2 trimming.  Raises BudgetExceeded at the
-    first removal that takes the total past epsilon * graph.m or a Phase-2
-    level's ejected volume past its m_l."""
-    if isinstance(rng, np.random.Generator):
-        seed = -1
-    else:
-        seed_material = [int(rng)] if isinstance(rng, (int, np.integer)) else [int(x) for x in rng]
-        seed = seed_material[0]
-        rng = np.random.default_rng(seed_material + [0xDEC0])
+    """Phase-1 recursion plus Phase-2 trimming, its generator seeded from
+    rng (a seed or a sequence of seeds, the first of which the run records).
+    Raises BudgetExceeded at the first removal that takes the total past
+    epsilon * graph.m or a Phase-2 level's ejected volume past its m_l."""
+    seed_material = [int(rng)] if isinstance(rng, (int, np.integer)) else [int(x) for x in rng]
+    seed = seed_material[0]
+    rng = np.random.default_rng(seed_material + [0xDEC0])
     params = derive_decomp_params(graph.n, epsilon, k, profile)
     ledger = ledger or RoundLedger()
     net = Network(graph, ledger=ledger, phase="decomp")

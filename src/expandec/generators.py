@@ -2,35 +2,11 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, Infeasible
 from .graph import Graph, edge_key
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    family: str
-    params: tuple = ()
-    seed: int = 0
-
-
-def parse_spec(text: str, seed: int = 0) -> GraphSpec:
-    """Parse `family:arg1:arg2...`, e.g. `barbell:8:1` or `erdos_renyi:100:0.5`."""
-    parts = text.split(":")
-    family = parts[0]
-    args = []
-    for p in parts[1:]:
-        try:
-            args.append(int(p))
-        except ValueError:
-            try:
-                args.append(float(p))
-            except ValueError as exc:
-                raise FormatError(f"bad spec argument {p!r}") from exc
-    return GraphSpec(family, tuple(args), seed)
 
 
 def clique(n: int) -> Graph:
@@ -150,26 +126,35 @@ _FAMILIES = {
 }
 
 
-def generate(spec: GraphSpec | str, seed: int | None = None) -> Graph:
-    """Build the graph for a spec; deterministic for a given (spec, seed).
-    An unknown family or a wrong parameter count raises FormatError."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec, seed if seed is not None else 0)
-    use_seed = spec.seed if seed is None else seed
-    if spec.family in _FAMILIES:
-        build = _FAMILIES[spec.family]
+def generate(spec: str, seed: int = 0) -> Graph:
+    """Build the graph for a spec `family:arg1:arg2...`, e.g. `barbell:8:1` or
+    `erdos_renyi:100:0.5`; deterministic for a given (spec, seed).  An
+    unknown family, a bad argument or a wrong argument count raises
+    FormatError."""
+    family, *parts = spec.split(":")
+    params = []
+    for p in parts:
         try:
-            inspect.signature(build).bind(*spec.params)
+            params.append(int(p))
+        except ValueError:
+            try:
+                params.append(float(p))
+            except ValueError as exc:
+                raise FormatError(f"bad spec argument {p!r}") from exc
+    if family in _FAMILIES:
+        build = _FAMILIES[family]
+        try:
+            inspect.signature(build).bind(*params)
         except TypeError:
             pass
         else:
-            return build(*[int(a) for a in spec.params])
-    elif spec.family in ("erdos_renyi", "random_regular"):
-        if len(spec.params) == 2:
-            n, x = spec.params
-            if spec.family == "erdos_renyi":
-                return erdos_renyi(int(n), float(x), use_seed)
-            return random_regular(int(n), int(x), use_seed)
+            return build(*[int(a) for a in params])
+    elif family in ("erdos_renyi", "random_regular"):
+        if len(params) == 2:
+            n, x = params
+            if family == "erdos_renyi":
+                return erdos_renyi(int(n), float(x), seed)
+            return random_regular(int(n), int(x), seed)
     else:
-        raise FormatError(f"unknown family {spec.family!r}")
-    raise FormatError(f"wrong parameter count {len(spec.params)} for {spec.family}")
+        raise FormatError(f"unknown family {family!r}")
+    raise FormatError(f"wrong parameter count {len(params)} for {family}")

@@ -226,9 +226,8 @@ def level_sweep(src: np.ndarray, dst: np.ndarray, start) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Cut:
-    """A proper vertex subset with its exact cut statistics."""
+    """The exact cut statistics of a proper vertex subset."""
 
-    members: frozenset
     vol_s: int
     boundary: int
     conductance: Fraction
@@ -247,7 +246,7 @@ def cut_stats(g: Graph, s) -> Cut:
     small = min(vol_s, total - vol_s)
     conductance = Fraction(0) if bnd == 0 else Fraction(bnd, small)
     balance = Fraction(small, total) if total else Fraction(0)
-    return Cut(sset, vol_s, bnd, conductance, balance)
+    return Cut(vol_s, bnd, conductance, balance)
 
 
 def contract(g: Graph, s) -> Graph:

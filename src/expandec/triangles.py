@@ -78,10 +78,6 @@ class ComponentEnumeration:
     tau_mix: float
     rounds_charged: float
 
-    @property
-    def triangles(self) -> set:
-        return set(map(tuple, self.tris.tolist()))
-
 
 def _is_key(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Membership of each query in the sorted key array."""
@@ -196,8 +192,6 @@ class TriangleReport:
     triangles: set
     levels: list[LevelReport]
     ledger: RoundLedger
-    epsilon: float
-    k: int
     verified: bool | None = None
 
     @property
@@ -288,7 +282,7 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     for part in parts:
         _check_sound(n, is_edge, part.tris)
     triangles = _public(parts, n)
-    report = TriangleReport(triangles, levels, ledger, epsilon, k)
+    report = TriangleReport(triangles, levels, ledger)
     if verify:
         report.verified = triangles == brute_force_triangles(graph)
     return report

@@ -6,7 +6,8 @@ for the walk kernel, the sweep scan, the local cut that stops at its hit and
 the falsifier, the local cut walked alone, the full-horizon walks and scans,
 the centralized local cuts built on the per-step scan, one iteration of
 cut accumulation drawn, walked and merged alone, the merges of a cut
-accumulation recorded as they happen, the level draw
+accumulation and the splits of low-diameter decompositions recorded as they
+happen, the level draw
 through `rng.choice`, float and exact-rational walk references with the
 influence set, dict-keyed references for the BFS tree, the subtree sums and
 the degree sampling, message-level references for the BFS tree, the tree
@@ -23,7 +24,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 
-from expandec import cuts
+from expandec import clustering, cuts
 from expandec.clustering import (K_SAMPLE, NeighborhoodOracle, ShiftClustering, _samples,
                                  ball_edge_counts)
 from expandec.cuts import (K_PHI_PARTS, MultiInstanceParams, StartTree, SweepCandidate, SweepScan,
@@ -181,6 +182,11 @@ def clusters(view, clustering: ShiftClustering) -> dict[int, list[int]]:
     return out
 
 
+def triangle_set(enumeration) -> set:
+    """The triangles of a ComponentEnumeration, as tuples."""
+    return set(map(tuple, enumeration.tris.tolist()))
+
+
 def reporters(enumeration) -> dict:
     """Triangle -> assigned vertex of a ComponentEnumeration."""
     return dict(zip(map(tuple, enumeration.tris.tolist()), enumeration.assignees.tolist()))
@@ -248,6 +254,24 @@ def recorded_merges():
         yield log
     finally:
         cuts.concurrent_local_cuts = merge
+
+
+@contextmanager
+def recorded_splits():
+    """A list of the DenseSparseSplit of every call of
+    `clustering.build_dense_sparse_split` (as `low_diam_decomposition` looks
+    it up) while the context is open."""
+    log, split = [], clustering.build_dense_sparse_split
+
+    def recorded(net, view, beta, K, rng):
+        log.append(split(net, view, beta, K, rng))
+        return log[-1]
+
+    clustering.build_dense_sparse_split = recorded
+    try:
+        yield log
+    finally:
+        clustering.build_dense_sparse_split = split
 
 
 def one_iteration(net, view, phi, walkp, profile, rng, starts, p) -> Merge:
@@ -340,7 +364,7 @@ class ActiveViewReference:
         small = min(vol_s, total - vol_s)
         conductance = Fraction(0) if bnd == 0 else Fraction(bnd, small)
         balance = Fraction(small, total) if total else Fraction(0)
-        return Cut(mem, vol_s, bnd, conductance, balance)
+        return Cut(vol_s, bnd, conductance, balance)
 
     def materialize(self) -> Graph:
         return graph_from_rows(self.adj_local, self.deg - self.live_deg)
@@ -1255,7 +1279,7 @@ def shift_clustering_per_epoch(net, view, beta, rng):
     net.ledger.charge(net.phase, rounds=horizon, messages=2 * view.m_live,
                       edge_bits=KIND_BITS + 64)
     return ShiftClustering(np.array([assignment[v] for v in verts], dtype=np.int64),
-                           np.array([start[v] for v in verts], dtype=np.int64), horizon,
+                           np.array([start[v] for v in verts], dtype=np.int64),
                            np.array([assignment[u] != assignment[v] for u, v in live_edges(view)],
                                     dtype=bool))
 

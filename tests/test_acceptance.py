@@ -5,18 +5,16 @@ pytest -s or -rA); failures surface as ordinary assertion errors.
 """
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expandec import generators as gen
 from expandec.config import DESK
-from expandec.graph import Graph, contract, cut_stats, lazy_walk_matrix, min_conductance_oracle
+from expandec.graph import Graph, cut_stats, lazy_walk_matrix
 from expandec.simulator import Network
-from expandec.views import ActiveView, WorkingGraph
+from expandec.views import ActiveView
 from expandec.walks import (
-    SCALE,
     WalkParams,
     derive_walk_params,
 )

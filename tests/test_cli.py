@@ -1,7 +1,6 @@
 """CLI subcommands: round trips, exit codes, reproducibility, benchmarks."""
 import csv
 import json
-import os
 
 import pytest
 

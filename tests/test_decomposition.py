@@ -13,11 +13,10 @@ from expandec.clustering import SPLIT_F
 from expandec.config import DESK, PAPER, Profile
 from expandec.cuts import K_PHI_PARTS
 from expandec.errors import BadEpsilon, BudgetExceeded, LevelOverflow
-from expandec.graph import Graph, contract, min_conductance_oracle
+from expandec.graph import Graph, min_conductance_oracle
 from expandec.decomposition import (
     C_H_LADDER,
     LOWDIAM_K,
-    DecompParams,
     _sweep_falsifier,
     derive_decomp_params,
     expander_decomposition,
@@ -170,21 +169,22 @@ def blob_on_clique(clique_n=16, blob=5):
     return Graph.from_edges(clique_n + blob, edges)
 
 
-def test_phase2_trim_ejects_weak_blob():
-    # A profile whose ladder keeps level-1 above the blob's conductance, so the
-    # trim phase (not the phase-1 split) must handle it when entered.
+def test_phase2_trim_ejects_weak_blob(monkeypatch):
+    # A ladder floor that decays by 0.9 a level keeps level-1 above the blob's
+    # conductance, so the trim phase (not the phase-1 split) must handle it
+    # when entered.
     from expandec.decomposition import _RunState, _phase2
     from expandec.simulator import Network, RoundLedger
     from expandec.views import ActiveView, WorkingGraph
 
     g = blob_on_clique()
-    prof = dataclasses.replace(DESK, phi_floor=1 / 12, phi_decay=0.9)
-    params = derive_decomp_params(g.n, 0.5, 2, prof)
+    monkeypatch.setattr(decomposition, "PHI_FLOOR_DECAY", 0.9)
+    params = derive_decomp_params(g.n, 0.5, 2, DESK)
     found_trim = False
     for seed in range(12):
         working = WorkingGraph(g)
         net = Network(g, ledger=RoundLedger(), phase="test")
-        state = _RunState(net, working, params, prof, np.random.default_rng([seed, 77]))
+        state = _RunState(net, working, params, DESK, np.random.default_rng([seed, 77]))
         _phase2(state, frozenset(range(g.n)))
         stats = state.phase2_stats[-1]
         assert stats["final_level"] <= params.k

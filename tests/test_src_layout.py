@@ -20,20 +20,46 @@ mark of a callback slot that the caller fills, or it is listed in
 PARAM_EXEMPT: an input that nothing reads is one that every caller supplies
 for no one.
 
-Every dataclass field of `src/expandec` is read as an attribute somewhere in
-`src/` or `perfbench/`, unless listed in FIELD_EXEMPT: a field that nothing
-reads is a result computed for no one.  A read in `tests/` counts only for
-the fields listed in TEST_OBSERVED, each with the test that reads it and why
-the pipeline keeps it for that test; a field that the pipeline fills on every
-call for tests alone is a test's observable, recorded outside the pipeline
-(as `helpers_h.recorded_merges` records the merges of a cut accumulation).
-The check is by name, so one read of `.members` covers every field of that
-name."""
+Every field and property of every dataclass of `src/expandec` is read on its
+own class: code in `src/` or `perfbench/` loads it from an instance of that
+class, unless it is listed in FIELD_EXEMPT.  A field that nothing reads is a
+result computed for no one, and a read of a field of the same name on
+another class does not count.  The reads are recorded while a tour of the
+program's entry points runs, with each dataclass's `__getattribute__`
+wrapped to look at its caller's frame: the benchmark's smoke operations
+executed, summarized and checked, then executed in one traced pass; the CLI
+commands decompose, verify, triangles --verify, lowdiam at a radius that
+covers the view and one below it, sparse-cut, bench and gen; a start tree on
+a view that leaves out its tree's root; and one simulated round.  A read in
+`tests/` counts only for the fields listed in TEST_OBSERVED, keyed
+`Class.field`, each with the test that reads it and why the pipeline keeps
+it for that test; a field that the pipeline fills on every call for tests
+alone is a test's observable, recorded outside the pipeline (as
+`helpers_h.recorded_merges` records the merges of a cut accumulation and
+`helpers_h.recorded_splits` the splits of a low-diameter decomposition).
+Whether a test reads a listed field is checked by name."""
 import ast
+import dataclasses
+import importlib
+import importlib.util
+import os
+import pkgutil
+import sys
 from collections import Counter
+from contextlib import contextmanager
+from functools import cached_property
 from pathlib import Path
+from time import perf_counter
+
+import pytest
 
 import expandec
+from expandec import cli
+from expandec.cuts import StartTree
+from expandec.errors import Disconnected
+from expandec.graph import Graph
+from expandec.simulator import Msg, Network, RoundLedger, bfs_tree
+from expandec.views import ActiveView
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "expandec"
@@ -45,31 +71,38 @@ EXEMPT = {
     "cuts.ladder_h": "the quality function that ladder_h_inv inverts; the pair is one contract",
     "simulator.RoundLedger.snapshot": "how a caller compares the charges of two runs",
 }
-# dataclass field name -> why it stays although nothing reads it
+# Class.field -> why it stays although nothing reads it
 FIELD_EXEMPT: dict[str, str] = {}
-# dataclass field name -> the test that reads it, and why the pipeline keeps it
+# Class.field -> the test that reads it, and why the pipeline keeps it
 # although only tests read it
 TEST_OBSERVED = {
-    "centre": "test_shift_clustering_matches_epoch_simulation and test_accept_5: the clusters "
-              "are the clustering's output; the low-diameter stage reads only their cut",
-    "epochs": "test_shift_clustering_matches_epoch_simulation: the epoch count that the "
-              "clustering charges, against the epoch-by-epoch simulation",
-    "v_dense": "test_split_sparse_long_cycle: the dense side of the split, whose complement "
-               "the low-diameter stage reads",
-    "dense_prime": "test_split_merges_dense_components_within_a and test_accept_7: the "
-                   "dense-region growth invariant is checked on it",
-    "stages": "test_split_merges_dense_components_within_a and test_accept_7: the components "
-              "of each stage of the dense-region growth, which the invariant is checked on",
-    "starred": "test_scan_run_matches_per_step_oracle: which test the accepted prefix passed, "
-               "to cover jump candidates",
-    "phi_value": "test_small_components_pass_oracle and test_accept_2: the certified "
-                 "conductance that a verify report states",
-    "boundary": "test_cut_stats_k4_pair and test_view_cut_stats_use_live_boundary: the exact "
-                "boundary behind a cut's conductance",
-    "payload": "test_same_round_messages_invisible: the content of a simulated message",
-    "assignees": "test_generator_rng_draws_the_seed: the vertex that reports each triangle",
-    "f_phi": "test_derive_paper_f_phi: the detectability threshold of the walk parameters",
-    "freeze_t": "test_walk_freeze_charges_full_horizon: the step where a walk froze",
+    "ShiftClustering.centre": "test_shift_clustering_matches_epoch_simulation and "
+                              "test_accept_5: the clusters are the clustering's output; the "
+                              "low-diameter stage reads only their cut",
+    "ShiftClustering.start": "test_shift_clustering_matches_epoch_simulation: the start "
+                             "epochs, against the epoch-by-epoch simulation",
+    "DenseSparseSplit.dense_prime": "test_split_merges_dense_components_within_a and "
+                                    "test_accept_7: the dense-region growth invariant is "
+                                    "checked on it",
+    "DenseSparseSplit.stages": "test_split_merges_dense_components_within_a and test_accept_7: "
+                               "the components of each stage of the dense-region growth, "
+                               "which the invariant is checked on",
+    "SweepCandidate.starred": "test_scan_run_matches_per_step_oracle: which test the accepted "
+                              "prefix passed, to cover jump candidates",
+    "ComponentCertificate.phi_value": "test_small_components_pass_oracle and test_accept_2: "
+                                      "the certified conductance that a verify report states",
+    "Cut.boundary": "test_cut_stats_k4_pair and test_view_cut_stats_use_live_boundary: the "
+                    "exact boundary behind a cut's conductance",
+    "Msg.kind": "test_neighborhood_edges_fast_equals_messages: the message-level reference "
+                "protocols dispatch on it (`helpers_h.neighborhood_edges_per_round`)",
+    "Msg.payload": "test_same_round_messages_invisible: the content of a simulated message",
+    "ComponentEnumeration.assignees": "test_generator_rng_draws_the_seed: the vertex that "
+                                      "reports each triangle",
+    "WalkParams.f_phi": "test_derive_paper_f_phi: the detectability threshold of the walk "
+                        "parameters",
+    "WalkRun.b": "test_walk_initial_state and test_sweep_order_uniform_ties_by_id: the level "
+                 "whose truncation `helpers_h.state_at` rebuilds a walk's state at",
+    "WalkRun.freeze_t": "test_walk_freeze_charges_full_horizon: the step where a walk froze",
 }
 # function or method name -> why src defines it twice
 DEFINED_TWICE = {
@@ -174,43 +207,132 @@ def test_every_src_definition_is_read_in_src():
     assert not any(_read(name.split(".", 1)[1], attrs, names) for name in EXEMPT)
 
 
-def _dataclass_fields(tree: ast.Module):
-    """(qualified name, field name) of each field of a top-level dataclass."""
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(
-                ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass")
-                for d in node.decorator_list):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{node.name}.{item.target.id}", item.target.id
+def _src_dataclasses() -> list[type]:
+    """Each dataclass of `src/expandec`, from the module that defines it."""
+    modules = [importlib.import_module(f"expandec.{info.name}")
+               for info in pkgutil.iter_modules(expandec.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == module.__name__]
 
 
-def _attribute_loads(*folders) -> Counter:
-    """Attribute loads by name in the modules of folders."""
-    attrs = Counter()
-    for folder in folders:
-        for path in sorted(folder.glob("*.py")):
-            attrs.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
-                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-    return attrs
+def _fields(cls) -> set[str]:
+    """The fields and properties of a dataclass."""
+    return {f.name for f in dataclasses.fields(cls)} | {
+        name for name, value in vars(cls).items()
+        if isinstance(value, (property, cached_property))}
 
 
-def test_every_dataclass_field_is_read():
-    program, tests = _attribute_loads(*PROGRAM), _attribute_loads(TESTS)
-    fields, unread = set(), []
-    for path in sorted(SRC.glob("*.py")):
-        for qualname, name in _dataclass_fields(ast.parse(path.read_text())):
-            fields.add(name)
-            observed = name in TEST_OBSERVED and tests[name]
-            if not (program[name] or observed or name in FIELD_EXEMPT):
-                unread.append(f"{path.stem}.{qualname}")
-    assert fields and unread == []
+@contextmanager
+def _program_loads(classes):
+    """The set of Class.name of each field or property of classes that code
+    in PROGRAM loads from an instance of that class while the context is
+    open: each class's `__getattribute__` is wrapped to look at its caller's
+    frame."""
+    loads, in_program = set(), {}
+    folders = tuple(f"{os.path.realpath(folder)}{os.sep}" for folder in PROGRAM)
+
+    def recording(cls):
+        names, get = _fields(cls), cls.__getattribute__
+
+        def __getattribute__(self, name):
+            if name in names:
+                code = sys._getframe(1).f_code
+                if code not in in_program:
+                    in_program[code] = os.path.realpath(code.co_filename).startswith(folders)
+                if in_program[code]:
+                    loads.add(f"{cls.__name__}.{name}")
+            return get(self, name)
+
+        return __getattribute__
+
+    own = {cls: vars(cls).get("__getattribute__") for cls in classes}
+    for cls in classes:
+        cls.__getattribute__ = recording(cls)
+    try:
+        yield loads
+    finally:
+        for cls, original in own.items():
+            if original is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = original
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _tour(tmp: Path):
+    """The program's entry points, each run once on a small input: the
+    benchmark's smoke operations executed, summarized and checked, then
+    executed in a traced pass; each CLI command; a start tree on a view
+    that leaves out the tree's root; and one simulated round."""
+    workloads, spans = _perfbench("workloads"), _perfbench("spans")
+    ops = workloads.make_ops("smoke", 1)
+    graphs = workloads.build_graphs(ops)
+    for op in ops:
+        graph, ledger = graphs[(op.spec, op.graph_seed)], RoundLedger()
+        out = workloads.execute(op, graph, ledger)
+        workloads.summarize(op, out, ledger)
+        assert workloads.check(op, graph, out) == [], op
+    tracer = spans.Tracer(perf_counter)
+    with tracer.installed():
+        for op in ops:
+            workloads.execute(op, graphs[(op.spec, op.graph_seed)], RoundLedger())
+    tracer.metrics(0.0)
+    g, run, out = (str(tmp / name) for name in ("g.txt", "run.json", "out"))
+    for argv in (["gen", "--family", "cliques_chain:3:6:1", "--out", g],
+                 ["decompose", "--graph", g, "--epsilon", "0.5", "--out", run],
+                 ["verify", "--graph", g, "--run", run, "--out", out],
+                 ["triangles", "--graph", g, "--verify", "--out", out],
+                 # the ball radius covers the view, and below it
+                 ["lowdiam", "--spec", "erdos_renyi:48:0.12", "--beta", "0.3", "--out", out],
+                 ["lowdiam", "--spec", "cycle:160", "--beta", "0.9", "--K", "0.01",
+                  "--out", out],
+                 ["sparse-cut", "--spec", "barbell:10:1", "--phi", "0.02", "--seed", "3",
+                  "--out", out],
+                 ["bench", "--graph", g, "--out", out]):
+        assert cli.main(argv) == 0, argv
+    host = Graph.from_edges(3, [(1, 2)])  # vertex 0 is isolated
+    net, whole = Network(host), ActiveView.whole(host)
+    tree = bfs_tree(net, 0, whole.edges_local, whole.verts)
+    with pytest.raises(Disconnected):
+        StartTree.on(whole.subview([1, 2]), tree)
+    net.run_round({1: None}, {}, lambda v, state, inbox: (state, [(2, Msg("ping"))]))
+
+
+def _attribute_loads(folder: Path) -> Counter:
+    """Attribute loads by name in the modules of folder."""
+    return Counter(n.attr for path in sorted(folder.glob("*.py"))
+                   for n in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_dataclass_field_is_read(tmp_path):
+    classes = _src_dataclasses()
+    with _program_loads(classes) as program:
+        _tour(tmp_path)
+    assert len({cls.__name__ for cls in classes}) == len(classes)
+    fields = {f"{cls.__name__}.{name}" for cls in classes for name in _fields(cls)}
+    tests = _attribute_loads(TESTS)
+    assert fields and sorted(fields - program - set(TEST_OBSERVED) - set(FIELD_EXEMPT)) == []
     # an exemption that gained a reader, or lost its field, is noise
     assert set(FIELD_EXEMPT) <= fields
-    assert not any(program[name] or tests[name] for name in FIELD_EXEMPT)
+    assert not any(name in program or tests[name.split(".")[1]] for name in FIELD_EXEMPT)
     # so is a test observable that the program reads, or no test reads, or that is gone
     assert set(TEST_OBSERVED) <= fields
-    assert [name for name in TEST_OBSERVED if program[name] or not tests[name]] == []
+    assert [name for name in TEST_OBSERVED
+            if name in program or not tests[name.split(".")[1]]] == []
 
 
 def _params(fn) -> list[str]:
