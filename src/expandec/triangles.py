@@ -21,8 +21,9 @@ the assignee of its sorted bucket triple, and assignee loads are one
 The driver checks every component's triangles against the input graph,
 independently of the level graphs: a row must be 0 <= u < v < w < n, and its
 three pairs must pass one edge test over the input graph's edges, built once
-per run.  It builds the public set from them once: a triangle that two
-components list is one member.
+per run.  It builds the public list from them once, in lexicographic order:
+a triangle that two components list appears once, dropped as a repeated
+int64 key (u * n + v) * n + w after one sort, which bounds n below 2^21.
 
 Routing is direct delivery with an analytic cost model: delivering one batch
 of requests (per-vertex load proportional to degree) inside a component is
@@ -50,6 +51,7 @@ MIX_TOL = 0.5  # L1 distance to the degree-stationary distribution
 C_MIX = 4.0  # mixing-time form constant: tau <= C_MIX * log2(n) / phi^2
 WEDGE_CHUNK = 1 << 18  # candidate wedges tested per numpy pass
 TUPLE_CHUNK = 1 << 16  # triangle rows turned into Python tuples per pass
+KEY_N_MAX = 1 << 21  # a triangle's key (u * n + v) * n + w fits int64 below n = 2^21
 
 
 def brute_force_triangles(g: Graph) -> set[tuple[int, int, int]]:
@@ -189,7 +191,7 @@ class LevelReport:
 
 @dataclass
 class TriangleReport:
-    triangles: set
+    triangles: list[tuple[int, int, int]]  # each triangle once, in lexicographic order
     levels: list[LevelReport]
     ledger: RoundLedger
     verified: bool | None = None
@@ -225,18 +227,24 @@ def _check_sound(n: int, is_edge, tris: np.ndarray) -> None:
         raise NotATriangle(f"reported {tuple(tris[ok.argmin()].tolist())} is not a triangle")
 
 
-def _public(parts: list[ComponentEnumeration], n: int) -> set:
-    """The report's triangle set: every component's rows, each triangle once.
-
-    The tuples hold one shared int object per vertex label, taken from an
-    object array (`tolist` of an int64 array makes a fresh object for every
-    int > 256), and the set grows chunk by chunk.
-    """
+def _public(parts: list[ComponentEnumeration], n: int) -> list[tuple[int, int, int]]:
+    """The report's triangles, each once, in lexicographic order: one
+    component's rows as they are (sorted and unique), several components' rows
+    as sorted keys (u * n + v) * n + w, each kept once.  The tuples hold one
+    shared int object per vertex label, taken from an object array (`tolist`
+    of an int64 array makes a fresh object for every int > 256)."""
+    tris = [p.tris for p in parts if len(p.tris)]
+    if len(tris) == 1:
+        rows = tris[0]
+    else:
+        keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64)]
+                                      + [(t[:, 0] * n + t[:, 1]) * n + t[:, 2] for t in tris]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows = np.stack([keys // (n * n), keys // n % n, keys % n], axis=1)
     labels = np.array(range(n), dtype=object)
-    triangles = set()
-    for part in parts:
-        for lo in range(0, len(part.tris), TUPLE_CHUNK):
-            triangles.update(zip(*labels[part.tris[lo : lo + TUPLE_CHUNK]].T.tolist()))
+    triangles = []
+    for lo in range(0, len(rows), TUPLE_CHUNK):
+        triangles.extend(zip(*labels[rows[lo : lo + TUPLE_CHUNK]].T.tolist()))
     return triangles
 
 
@@ -250,6 +258,8 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     profile = profile or DESK
     if epsilon > 1.0 / 6.0 + 1e-12:
         raise BadEpsilon(f"epsilon={epsilon} above 1/6")
+    if graph.n >= KEY_N_MAX:
+        raise TooLarge(f"n={graph.n}: triangle keys (u * n + v) * n + w need n < {KEY_N_MAX}")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else int(rng.integers(1 << 62))
     ledger = RoundLedger()
     levels: list[LevelReport] = []
@@ -284,7 +294,7 @@ def triangle_enumeration(graph: Graph, epsilon: float = 1.0 / 6.0, k: int = 2,
     triangles = _public(parts, n)
     report = TriangleReport(triangles, levels, ledger)
     if verify:
-        report.verified = triangles == brute_force_triangles(graph)
+        report.verified = triangles == sorted(brute_force_triangles(graph))
     return report
 
 

@@ -70,7 +70,7 @@ def test_accept_1_triangle_oracle_equality():
     for name, g, seed in instances:
         rep = triangle_enumeration(g, 1 / 6, 2, seed, DESK)
         expected = brute_force_triangles(g)
-        assert rep.triangles == expected, f"{name} seed={seed}"
+        assert rep.triangles == sorted(expected), f"{name} seed={seed}"
     elapsed = time.time() - start
     assert elapsed <= 300, f"suite took {elapsed:.0f}s"
     print(f"\nACCEPT-1 PASS triangle oracle equality on 50 instances ({elapsed:.0f}s)")

@@ -89,13 +89,19 @@ def test_enumerate_components_cover_all_but_inter_triangles():
 
 def test_triangle_free_graph():
     rep = triangle_enumeration(gen.grid(5, 5), 1 / 6, 2, 0, DESK, verify=True)
-    assert rep.triangles == set()
+    assert rep.triangles == []
     assert rep.verified
 
 
 def test_epsilon_cap():
     with pytest.raises(BadEpsilon):
         triangle_enumeration(gen.clique(5), 0.3, 2, 0, DESK)
+
+
+def test_key_range_bounds_n():
+    # (u * n + v) * n + w overflows int64 from n = 2^21; raised before any level
+    with pytest.raises(TooLarge, match=f"n={2**21}: .* need n < {2**21}"):
+        triangle_enumeration(Graph.from_edges(2**21, []), 1 / 6, 2, 0, DESK)
 
 
 def test_oracle_equality_small_random():
@@ -317,10 +323,10 @@ def test_triangle_enumeration_matches_per_triple_reference():
                         _same_enumeration(c, ref)
                         for tri, who in reporters(ref).items():
                             contested += first.setdefault(tri, who) != who
-                assert rep.triangles == set(first) == brute_force_triangles(g)
+                assert rep.triangles == sorted(first) == sorted(brute_force_triangles(g))
                 levels.append(len(rep.levels))
         # multi-level runs, and triangles reported by two components with
-        # different assignees, which the report's set holds once
+        # different assignees, which the report's list holds once
         assert max(levels) >= 2 and contested > 0
         assert counts["asked"] > 0
 
