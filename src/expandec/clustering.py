@@ -21,14 +21,14 @@ flooding protocol, the exact edge sets it delivers and the rung-by-rung
 tests are test references.  No hop distance in a view exceeds its size
 minus one, so from radius len(view) on every ball is the vertex's whole
 component: its edge count is one `bincount` of the (sampled) live edges over
-the view's component roots, and an a-ball of a vertex set, like every
-region the split grows from such balls, is a union of components, which
-the roots group.  Only radii below that need the dense distance tables of
-`NeighborhoodOracle`.  Inside the expander decomposition a exceeds the view
-size, so the decomposition never builds one and, cutting nothing, returns
-the view's components.  The roots, the distances (both cached on the view)
-and every other component split come from the numpy traversal substrate of
-`graph` run on the view's CSR adjacency.
+the view's component roots.  Only radii below that need the dense distance
+tables of `NeighborhoodOracle`.  Once a reaches len(view) - 1, the
+decomposition returns the view's components uncut without the split or the
+clustering; inside the expander decomposition it does up to about 10^6
+vertices at epsilon 0.5, so there it builds no distance table and draws
+nothing here.  The roots, the distances (both cached on the view) and every
+other component split come from the numpy traversal substrate of `graph`
+run on the view's CSR adjacency.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph import adjacency_csr, components_of, edge_ends, group_by_root, level_sweep
+from .graph import INF, adjacency_csr, components_of, edge_ends, level_sweep
 from .simulator import KIND_BITS, Network
 from .views import ActiveView
 
@@ -216,12 +216,18 @@ def exponential_shift_clustering(net: Network, view: ActiveView, beta: float,
 SPLIT_F = 3.0 / 16.0
 
 
+def _radii(n: int, beta: float, K: float) -> tuple[int, int]:
+    """The split's ball radius a and merge budget b for host size n."""
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"beta={beta}")
+    log_n = math.log2(max(2, n))
+    return max(1, math.ceil(5 * log_n / beta)), max(1, math.ceil(K * log_n / beta))
+
+
 @dataclass
 class DenseSparseSplit:
     v_sparse: frozenset
     dense_prime: frozenset
-    a: int
-    b: int
     stages: list[list[frozenset]]  # components of each W_i, W_0 first
 
 
@@ -230,12 +236,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     """Classify dense/sparse by radius-a vs radius-100ab edge-count estimates
     (each within a factor 1 + SPLIT_F), then grow the dense region by a-ball
     merges until components are pairwise further than a apart."""
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta={beta}")
-    n = net.graph.n
-    log_n = math.log2(max(2, n))
-    a = max(1, math.ceil(5 * log_n / beta))
-    b = max(1, math.ceil(K * log_n / beta))
+    a, b = _radii(net.graph.n, beta, K)
     n_view = len(view.verts)
     oracle = NeighborhoodOracle(view) if a < n_view else None
     far_radius = min(100 * a * b, n_view + 1)
@@ -243,25 +244,15 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
     est_far = neighborhood_size_estimate(net, view, far_radius, SPLIT_F, rng, oracle=oracle)
     is_dense = est_near * 2 * b * (1 + SPLIT_F) ** 2 >= est_far
     dense_prime = frozenset(view.verts[is_dense].tolist())
-    # a reaches n_view - 1, the largest possible distance: every a-ball, and
-    # so every W below, is a union of whole components
-    whole = a >= n_view - 1
 
     def ball(hosts) -> frozenset:
         """Vertices within a of hosts."""
         rows = np.flatnonzero(view.member_mask(hosts))
-        if not len(rows):
-            return frozenset()
-        if whole:
-            near = np.isin(view.roots, view.roots[rows])
-        else:
-            near = view.distances[rows].min(axis=0) <= a
+        near = view.distances[rows].min(axis=0, initial=INF) <= a
         return frozenset(view.verts[near].tolist())
 
     def components_within(w: frozenset) -> list[frozenset]:
         rows = np.flatnonzero(view.member_mask(w))
-        if whole:
-            return group_by_root(view.roots[rows], view.verts[rows])
         return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
 
     def near_other(c: frozenset, w: frozenset) -> bool:
@@ -291,7 +282,7 @@ def build_dense_sparse_split(net: Network, view: ActiveView, beta: float, K: flo
         stages.append(components_within(w))
     if any(near_other(c, w) for c in stages[-1]):
         raise RuntimeError("dense-region merge loop left components within a")
-    return DenseSparseSplit(view.active - w, dense_prime, a, b, stages)
+    return DenseSparseSplit(view.active - w, dense_prime, stages)
 
 
 # -- low-diameter decomposition ---------------------------------------------------
@@ -321,21 +312,30 @@ class LowDiamResult:
 def low_diam_decomposition(net: Network, view: ActiveView, beta: float, K: int,
                            rng: np.random.Generator) -> LowDiamResult:
     """Partition into low-diameter connected parts w.h.p., cutting only
-    inter-cluster edges with an endpoint in the sparse side.  The split and
-    clustering run at beta/3 so the combined cut stays within the beta budget."""
+    inter-cluster edges with an endpoint in the sparse side.  beta is the
+    paper's cut budget epsilon / (3d) in Phase 1; the split and the
+    clustering each run at beta_inner = beta / 3, so their cut stays within
+    it, with a = ceil(5 log2 n / beta_inner), b = ceil(K log2 n / beta_inner)
+    and K = `decomposition.LOWDIAM_K` in Phase 1.  When a >= len(view) - 1
+    the parts are the view's components (none is wider than a), with no cut
+    and no draw from rng, charged as a BFS and a size convergecast on every
+    component at once: 2 * depth rounds, one message per tree edge each way."""
     beta_inner = beta / 3.0
+    n = net.graph.n
+    a, b = _radii(n, beta_inner, K)
+    bound = math.ceil(2 * (4 * math.log2(max(2, n)) / beta_inner + 1) + 20 * a * b)
+    if a >= len(view) - 1:
+        src, dst = edge_ends(view.adj_matrix)
+        depth = level_sweep(src, dst, np.where(view.roots == np.arange(len(view)), 0, INF))
+        net.ledger.charge(net.phase, rounds=2 * int(depth.max(initial=0)),
+                          messages=2 * int(np.count_nonzero(depth)),
+                          edge_bits=(KIND_BITS + 64) if depth.any() else 0)
+        return LowDiamResult(view.components(), [], view, bound)
     split = build_dense_sparse_split(net, view, beta_inner, K, rng)
     clustering = exponential_shift_clustering(net, view, beta_inner, rng)
     el = view.edges_local
     sparse = view.member_mask(split.v_sparse)[el]
     cut = clustering.inter & (sparse[:, 0] | sparse[:, 1])
     # connected components of the live subgraph minus the cut edges
-    if cut.any():
-        comps = components_of(adjacency_csr(len(view), el[~cut]), view.verts)
-    else:
-        comps = view.components()
-    n = net.graph.n
-    d1 = 4 * math.log2(max(2, n)) / beta_inner
-    d2 = 20 * split.a * split.b
-    bound = math.ceil(2 * (d1 + 1) + d2)
+    comps = components_of(adjacency_csr(len(view), el[~cut]), view.verts)
     return LowDiamResult(comps, list(map(tuple, view.verts[el[cut]].tolist())), view, bound)

@@ -413,10 +413,11 @@ def induced_diameter(view, dist_unused, members):
     return best
 
 
-def check_h_conditions(view, split):
-    """Assert the three growth-invariant conditions for every stage component."""
+def check_h_conditions(view, split, beta, K):
+    """Assert the three growth-invariant conditions for every stage component
+    of a split run at beta and K."""
     dist = view.distances
-    a, b = split.a, split.b
+    a, b = clustering._radii(view.graph.n, beta, K)
     for stage in split.stages:
         for comp in stage:
             # (1) dense-prime balls never straddle the component boundary

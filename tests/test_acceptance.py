@@ -301,7 +301,7 @@ def test_accept_7_invariant_h_suite():
         for seed in range(20):
             split = build_dense_sparse_split(Network(g), view, beta, K,
                                              np.random.default_rng([seed, 0x4A5]))
-            check_h_conditions(view, split)
+            check_h_conditions(view, split, beta, K)
             runs += 1
     assert runs == 100
     print(f"\nACCEPT-7 PASS invariant suite over {runs} split runs")

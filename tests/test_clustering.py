@@ -6,9 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from expandec import clustering, decomposition, views
+from expandec import clustering, views
 from expandec import generators as gen
-from expandec.config import DESK
 from expandec.graph import adjacency_csr, components_of, group_by_root
 from expandec.simulator import Network
 from expandec.views import ActiveView, WorkingGraph
@@ -260,13 +259,14 @@ def _diameters_by_bfs(view, components):
 
 
 def test_lazy_diameters_match_bfs():
+    # a radius that covers the view returns before the split, one below runs it
     cases = ((gen.erdos_renyi(48, 0.12, seed=12), 0.3, 10, True),
              (gen.generate("grid:12:12", seed=0), 0.95, 0.05, False))
-    for g, beta, K, saturated in cases:
+    for g, beta, K, covered in cases:
         view = ActiveView.whole(g)
         with recorded_splits() as splits:
             res = low_diam_decomposition(Network(g), view, beta, K, np.random.default_rng(5))
-        assert (splits[0].a >= len(view)) == saturated
+        assert (splits == []) == covered
         assert "diameters" not in vars(res)  # not computed before first access
         assert res.diameters == _diameters_by_bfs(view, res.components)
 
@@ -281,7 +281,7 @@ def test_low_diameter_run_builds_one_distance_table(monkeypatch):
     view = ActiveView.whole(g)
     with recorded_splits() as splits:
         res = low_diam_decomposition(Network(g), view, 0.9, 0.01, np.random.default_rng(1))
-    assert splits[0].a < len(view)
+    assert len(splits) == 1
     assert res.max_diameter == max(_diameters_by_bfs(view, res.components))
     assert len(calls) == 1
 
@@ -411,7 +411,7 @@ def test_split_components_far_apart_and_h_conditions():
     for seed in range(5):
         split = build_dense_sparse_split(Network(g), view, 0.9, 0.05,
                                          np.random.default_rng([seed, 9]))
-        check_h_conditions(view, split)
+        check_h_conditions(view, split, 0.9, 0.05)
 
 
 def test_split_merges_dense_components_within_a(monkeypatch):
@@ -429,12 +429,12 @@ def test_split_merges_dense_components_within_a(monkeypatch):
     monkeypatch.setattr(clustering, "neighborhood_size_estimate",
                         lambda net, view, d, *args, **kw: radii.append(d) or estimates.pop(0))
     split = build_dense_sparse_split(Network(g), view, 0.9, 0.05, np.random.default_rng(0))
-    assert (split.a, split.b) == (43, 1) and radii[0] == split.a
+    assert clustering._radii(g.n, 0.9, 0.05) == (43, 1) and radii[0] == 43
     assert split.dense_prime == {50, 138}
     assert split.stages == [[frozenset(range(7, 94)), frozenset(range(95, 182))],
                             [view.active]]
     assert split.v_sparse == frozenset()
-    check_h_conditions(view, split)
+    check_h_conditions(view, split, 0.9, 0.05)
 
 
 def blobs_and_path():
@@ -475,42 +475,74 @@ def test_low_diam_decomposition_properties():
                 assert u in splits[0].v_sparse or v in splits[0].v_sparse
 
 
-def _sliced(view, hosts):
-    """Components of the view's adjacency sliced to hosts."""
-    rows = np.array(sorted(view.index[v] for v in hosts), dtype=np.int64)
-    return components_of(view.adj_matrix[rows][:, rows], view.verts[rows])
+def _views_above_cover():
+    """Views of 140 to 160 vertices, more than a + 1 for the radius
+    a = ceil(5 log2 n / 0.3) (122 or 123) of a decomposition at beta 0.9, so
+    that it runs the split and the clustering: an Erdos-Renyi host, one of
+    two pieces, one with removed edges and several components, and a
+    subview with removed edges."""
+    g = gen.erdos_renyi(160, 0.03, seed=21)
+    two = gen.Graph.from_edges(
+        156, [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        + [(6 + i, 7 + i) for i in range(149)])
+    cut = WorkingGraph(gen.cycle(160))
+    cut.remove_edges([(0, 1), (80, 81), (40, 41)], "r1")  # three paths
+    sub = WorkingGraph(g)
+    sub.remove_edges(list(g.edges[::3]), "r2")
+    return {
+        "erdos_renyi": ActiveView.whole(g),
+        "two pieces": ActiveView.whole(two),
+        "removed edges": ActiveView(cut, range(160)),
+        "sub view, removed edges": ActiveView(sub, range(10, 150)),
+    }
+
+
+def test_covered_view_returns_its_components_without_a_draw(monkeypatch):
+    """Once the ball radius a covers the view (a >= len(view) - 1), the
+    decomposition returns the view's components with no cut edge, runs
+    neither the split nor the clustering, leaves the generator as it was,
+    and charges a BFS and a convergecast per component: 2 * depth rounds
+    and two messages per tree edge.  The 160-cycle at beta 0.9, K 0.01 is
+    below that radius and runs both."""
+    shifts = []
+    shift = clustering.exponential_shift_clustering
+    monkeypatch.setattr(clustering, "exponential_shift_clustering",
+                        lambda *args: shifts.append(1) or shift(*args))
+    for name, view in _views_for_closed_form().items():
+        rng = np.random.default_rng([len(view), 7])
+        state = rng.bit_generator.state
+        net = Network(view.graph)
+        with recorded_splits() as splits:
+            res = low_diam_decomposition(net, view, 0.3, 10, rng)
+        assert splits == [] and shifts == [] and rng.bit_generator.state == state, name
+        assert res.components == view.components() and res.cut_edges == [], name
+        assert res.max_diameter <= res.diameter_bound
+        depth = max(cluster_eccentricity(view, c, min(c)) for c in res.components)
+        tree_edges = len(view) - len(res.components)
+        assert net.ledger.totals().rounds == 2 * depth > 0, name
+        assert net.ledger.totals().messages == 2 * tree_edges, name
+    g = gen.cycle(160)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with recorded_splits() as splits:
+        low_diam_decomposition(Network(g), ActiveView.whole(g), 0.9, 0.01, rng)
+    assert len(splits) == len(shifts) == 1 and rng.bit_generator.state != state
 
 
 def test_components_from_roots_equal_sliced_matrix(monkeypatch):
-    """Grouping the view's roots, the saturated split's stages and the
-    empty-cut decomposition give the same lists, order included, as
-    `components_of` on the sliced or rebuilt matrix.  With every vertex
-    forced sparse, so that the clustering's cut edges are cut, the parts
+    """Grouping the view's roots gives the same list, order included, as
+    `components_of` on the view's matrix.  With every vertex forced sparse,
+    so that the clustering's cut edges are cut, the low-diameter parts
     equal those of the rebuilt matrix without the cut edges and networkx's."""
     nx = pytest.importorskip("networkx")
-    rng = np.random.default_rng(23)
-    views = _views_for_closed_form()
-    for name, view in views.items():
+    for name, view in _views_for_closed_form().items():
         whole = components_of(view.adj_matrix, view.verts)
         assert group_by_root(view.roots, view.verts) == whole == view.components(), name
-        for _ in range(5):  # unions of whole components, as a saturated W is
-            hosts = frozenset().union(*(c for c in whole if rng.random() < 0.5))
-            rows = np.flatnonzero(view.member_mask(hosts))
-            assert group_by_root(view.roots[rows], view.verts[rows]) == _sliced(view, hosts)
-        for seed in range(3):
-            with recorded_splits() as splits:
-                res = low_diam_decomposition(Network(view.graph), view, 0.3, 10,
-                                             np.random.default_rng([seed, 23]))
-            assert splits[0].a >= len(view) - 1 and res.cut_edges == [], name
-            for stage in splits[0].stages:
-                assert stage == _sliced(view, frozenset().union(*stage)), name
-            assert res.components == components_of(
-                adjacency_csr(len(view), view.edges_local), view.verts), name
     split = clustering.build_dense_sparse_split
     monkeypatch.setattr(clustering, "build_dense_sparse_split", lambda net, view, *args: (
         dataclasses.replace(split(net, view, *args), v_sparse=view.active)))
     cuts = 0
-    for name, view in views.items():
+    for name, view in _views_above_cover().items():
         res = low_diam_decomposition(Network(view.graph), view, 0.9, 10,
                                      np.random.default_rng(4))
         cut = set(res.cut_edges)
@@ -564,7 +596,10 @@ def test_low_diam_cut_matches_set_reference(monkeypatch):
     monkeypatch.setattr(clustering, "exponential_shift_clustering", shift_recorded)
     rng = np.random.default_rng(26)
     cutting = 0
-    for g in (gen.cycle(64), gen.path(48), gen.grid(6, 7), gen.erdos_renyi(40, 0.1, seed=5)):
+    # views of 128 to 170 vertices, more than a + 1 for a = ceil(5 log2 n / 0.3)
+    # (123 or 124), so that the split and the clustering run
+    for g in (gen.cycle(160), gen.path(170), gen.grid(13, 13),
+              gen.erdos_renyi(160, 0.03, seed=5)):
         for trial in range(4):
             working = WorkingGraph(g)
             if trial % 2:
@@ -573,6 +608,7 @@ def test_low_diam_cut_matches_set_reference(monkeypatch):
             sparse.append(frozenset(v for v in view.verts.tolist() if rng.random() < 0.5))
             res = low_diam_decomposition(Network(g), view, 0.9, 0.01,
                                          np.random.default_rng([trial, 26]))
+            assert len(drawn) == len(sparse)
             beta, deltas = drawn[-1]
             centre = shift_assignment_per_epoch(view, g.n, beta, deltas)[0]
             live = set(live_edges(view))
@@ -583,21 +619,3 @@ def test_low_diam_cut_matches_set_reference(monkeypatch):
             assert len(res.components) == len(set(res.components))
             cutting += bool(want)
     assert cutting >= 12, cutting
-
-
-def test_chain_decomposition_slices_no_matrix_and_builds_no_rung_stream(monkeypatch):
-    """One desk decomposition of cliques_chain:20:12:1: every low-diameter
-    stage saturates, so the split groups roots instead of slicing the
-    adjacency, and every exact count settles the ladder without a sampled
-    rung's stream."""
-    sliced, estimates = [], []
-    monkeypatch.setattr(clustering, "components_of",
-                        lambda *args: sliced.append(args) or components_of(*args))
-    estimate = clustering.neighborhood_size_estimate
-    monkeypatch.setattr(clustering, "neighborhood_size_estimate",
-                        lambda *args, **kw: estimates.append(args) or estimate(*args, **kw))
-    built = _count_generators(monkeypatch)
-    g = gen.generate("cliques_chain:20:12:1", seed=1)
-    decomposition.expander_decomposition(g, 0.5, 2, 1, DESK)
-    assert estimates and sliced == []
-    assert "expandec.clustering" not in built

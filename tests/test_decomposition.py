@@ -328,7 +328,8 @@ BUDGET_BREAKS = {
 
 
 @pytest.mark.parametrize("spec, epsilon, outcome", [
-    ("cliques_chain:26:12:1", 0.5, 45),  # returns, with this many r2 edges
+    ("cliques_chain:24:12:1", 0.5, 43),  # returns, with this many r2 edges
+    ("cliques_chain:26:12:1", 0.5, "level 1"),
     ("cliques_chain:27:12:1", 0.5, "level 1"),
     ("cliques_chain:40:12:1", 0.5, "level 1"),
     ("random_regular:200:4", 0.2, "r2"),
@@ -518,12 +519,13 @@ def test_singletons_from_trim_are_components():
 
 def test_decomposition_builds_no_distance_tables(monkeypatch):
     # Inside the decomposition the ball radius exceeds every view, so the
-    # low-diameter stage answers from component roots alone.
+    # low-diameter stage returns the view's components without running the
+    # split, which alone builds distance tables.
     import expandec.clustering as clustering
     import expandec.graph as graph
     import expandec.views as views
 
-    calls = {"oracle": 0, "hop": 0, "lowdiam": 0}
+    calls = {"oracle": 0, "hop": 0, "lowdiam": 0, "split": 0}
 
     def count(key, fn):
         def spy(*args, **kwargs):
@@ -537,11 +539,12 @@ def test_decomposition_builds_no_distance_tables(monkeypatch):
     monkeypatch.setattr(graph, "hop_distances", count("hop", graph.hop_distances))
     monkeypatch.setattr(clustering, "low_diam_decomposition",
                         count("lowdiam", clustering.low_diam_decomposition))
+    monkeypatch.setattr(clustering, "build_dense_sparse_split",
+                        count("split", clustering.build_dense_sparse_split))
     for spec in ("cliques_chain:3:7:2", "erdos_renyi:120:0.06"):
         expander_decomposition(gen.generate(spec, seed=1), 0.5, 2, 0, DESK)
     assert calls["lowdiam"] > 0
-    assert calls["oracle"] == 0
-    assert calls["hop"] == 0
+    assert calls["split"] == calls["oracle"] == calls["hop"] == 0
 
 
 def test_pipeline_runs_no_message_rounds(monkeypatch):
